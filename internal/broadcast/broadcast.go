@@ -87,11 +87,14 @@ func decayPhaseLen(n int) int {
 // Geometric draw each (expected cost O(p·n)). This is the single
 // definition of the decay-sampling draw sequence: every scalar and batch
 // frontier sampler (singleRunner, laneView, both RLNC pattern drivers)
-// draws through it, so their sequences cannot drift apart.
+// draws through it, so their sequences cannot drift apart. The skips come
+// from one rng.Geometric sampler per call, which computes log1p(-p) once
+// and draws exactly what Stream.Geometric(p) would.
 func geometricVisit(rnd *rng.Stream, n int, p float64, visit func(pos int)) {
+	skip := rng.NewGeometric(p)
 	pos := -1
 	for {
-		pos += rnd.Geometric(p)
+		pos += skip.Draw(rnd)
 		if pos >= n {
 			return
 		}

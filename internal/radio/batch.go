@@ -73,10 +73,8 @@ type BatchNetwork[P any] struct {
 	rowLo, rowHi []int32
 
 	// Sparse-engine per-round scratch, reused across lanes within a round
-	// (each lane resets it before the next lane runs).
-	txCount []int32
-	txFrom  []int32
-	touched []int32
+	// (each lane's resolve walk leaves it empty for the next lane).
+	heard listenerTally
 
 	// Implicit-engine state: the closed-form counter (shared across lanes
 	// within a round — lanes run sequentially) and the scratch Set one
@@ -160,9 +158,7 @@ func NewBatch[P any](g *graph.Graph, cfg Config, rnds []*rng.Stream) (*BatchNetw
 		b.counter = g.NeighborModel().NewTxCounter()
 		b.laneTx = bitset.New(g.N())
 	default:
-		b.txCount = make([]int32, g.N())
-		b.txFrom = make([]int32, g.N())
-		b.touched = make([]int32, 0, g.N())
+		b.heard = newListenerTally(g.N())
 	}
 	return b, nil
 }
@@ -195,10 +191,7 @@ func (b *BatchNetwork[P]) Reset(rnds []*rng.Stream) {
 			noise[v] = false
 		}
 	}
-	for _, u := range b.touched {
-		b.txCount[u] = 0
-	}
-	b.touched = b.touched[:0]
+	b.heard.clear()
 	for l := range b.draws {
 		b.draws[l].reset()
 	}
@@ -376,7 +369,7 @@ func (b *BatchNetwork[P]) StepBatch(tx *bitset.Block, payloads [][]P, rx *bitset
 // stepBatchSparse executes the round lane by lane on the CSR engine: each
 // lane runs the scalar sparse round verbatim (mark broadcasters, walk
 // neighbour lists, resolve touched listeners in ascending id), reusing the
-// shared counting scratch between lanes. Lane order is ascending, which is
+// shared listener tally between lanes. Lane order is ascending, which is
 // observable only through the deliver callback (lane streams are
 // independent).
 func (b *BatchNetwork[P]) stepBatchSparse(tx *bitset.Block, payloads [][]P, rx *bitset.Block, act uint64, deliver func(lane int, d Delivery[P])) {
@@ -389,30 +382,34 @@ func (b *BatchNetwork[P]) stepBatchSparse(tx *bitset.Block, payloads [][]P, rx *
 				v := wi*64 + bits.TrailingZeros64(w)
 				b.markBroadcaster(l, v)
 				for _, u := range b.g.Neighbors(v) {
-					if b.txCount[u] == 0 {
-						b.touched = append(b.touched, u)
-					}
-					b.txCount[u]++
-					b.txFrom[u] = int32(v)
+					b.heard.hear(u, int32(v))
 				}
 			}
 		}
-		slices.Sort(b.touched)
-		for _, u := range b.touched {
-			if tx.Test(l, int(u)) {
-				continue // transmitting nodes do not listen
+		h := &b.heard
+		hw, counts := h.words, h.count
+		for wi, hi := h.lo, h.hi; wi < hi; wi++ {
+			w := hw[wi]
+			if w == 0 {
+				continue
 			}
-			switch {
-			case b.txCount[u] > 1:
-				b.stats[l].Collisions++
-			case b.txCount[u] == 1:
-				b.resolveUnique(l, u, b.txFrom[u], payloads, rx, deliver)
+			for ; w != 0; w &= w - 1 {
+				u := int32(wi<<6 | bits.TrailingZeros64(w))
+				count := counts[u]
+				counts[u] = 0
+				if tx.Test(l, int(u)) {
+					continue // transmitting nodes do not listen
+				}
+				switch {
+				case count > 1:
+					b.stats[l].Collisions++
+				case count == 1:
+					b.resolveUnique(l, u, h.from[u], payloads, rx, deliver)
+				}
 			}
+			hw[wi] = 0
 		}
-		for _, u := range b.touched {
-			b.txCount[u] = 0
-		}
-		b.touched = b.touched[:0]
+		h.lo, h.hi = len(hw), 0
 	}
 }
 

@@ -76,7 +76,15 @@ func executeBatchLanes(t testing.TB, g *graph.Graph, cfg Config, eng Engine, see
 	if net.Engine() != eng {
 		t.Fatalf("engine resolved to %v, want %v", net.Engine(), eng)
 	}
-	n := g.N()
+	return runBatchLanes(t, net, rnds, roundsFor, schedule)
+}
+
+// runBatchLanes is executeBatchLanes on an existing network whose lanes
+// draw from rnds.
+func runBatchLanes(t testing.TB, net *BatchNetwork[int32], rnds []*rng.Stream, roundsFor func(lane int) int, schedule func(lane, round, v int) bool) []batchExecution {
+	t.Helper()
+	w := net.Width()
+	n := net.Graph().N()
 	maxRounds := 0
 	for l := 0; l < w; l++ {
 		if r := roundsFor(l); r > maxRounds {
@@ -316,6 +324,47 @@ func TestBatchResetBitIdentical(t *testing.T) {
 			}
 			if draw := rnds[l].Uint64(); draw != want[l].nextDraw {
 				t.Fatalf("%v lane %d: stream position after Reset diverged", eng, l)
+			}
+		}
+	}
+}
+
+// TestBatchResetAfterMidRoundPanic is the lockstep twin of
+// TestResetAfterMidRoundPanic: lane 1's first delivery panics, after
+// lane 0 has resolved its round and before lanes 2 and 3 start theirs,
+// and after Reset the network must reproduce a fresh one lane for lane.
+func TestBatchResetAfterMidRoundPanic(t *testing.T) {
+	const w = 4
+	g := graph.Star(96).G
+	hub := func(v int) bool { return v == 0 }
+	tx := bitset.NewBlock(g.N(), w)
+	payloads := make([][]int32, w)
+	for l := range payloads {
+		tx.Set(l, 0)
+		payloads[l] = make([]int32, g.N())
+	}
+	sched := batchSchedule(9, 0.3)
+	roundsFor := func(int) int { return 20 }
+	for _, eng := range []Engine{Sparse, Dense, Implicit} {
+		for _, cfg := range panicResetConfigs {
+			want := executeBatchLanes(t, g, cfg, eng, 5, w, roundsFor, sched)
+
+			cfg.Engine = eng
+			net := MustNewBatch[int32](g, cfg, batchStreams(999, w))
+			at := abandonRound(t, func(deliver func(d Delivery[int32])) {
+				net.StepBatch(tx, payloads, nil, 1<<w-1, func(lane int, d Delivery[int32]) {
+					if lane == 1 {
+						deliver(d)
+					}
+				})
+			})
+			requireUnvisitedInWord(t, g, hub, at)
+			rnds := batchStreams(5, w)
+			net.Reset(rnds)
+			got := runBatchLanes(t, net, rnds, roundsFor, sched)
+			for l := range got {
+				name := fmt.Sprintf("%v/%s/draw %v/lane=%d", eng, cfg.Fault, cfg.Draw, l)
+				requireLaneIdentical(t, name, want[l], got[l])
 			}
 		}
 	}

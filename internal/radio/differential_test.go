@@ -186,6 +186,7 @@ func diffConfigs(n int) []Config {
 
 func TestDifferentialEnginesAcrossTopologies(t *testing.T) {
 	wct := graph.NewWCT(graph.DefaultWCTParams(160), rng.New(11))
+	wideWCT := graph.NewWCT(graph.DefaultWCTParams(2048), rng.New(12))
 	tops := []graph.Topology{
 		graph.Path(40),
 		graph.Grid(7, 9),
@@ -194,6 +195,9 @@ func TestDifferentialEnginesAcrossTopologies(t *testing.T) {
 		graph.Complete(70),
 		graph.Star(50),
 		{G: wct.G, Source: wct.Source, Name: "wct(n=160)"},
+		// Each sender's cluster members lie scattered over the graph's 32
+		// words, so the sparse engine's touched windows span many words.
+		{G: wideWCT.G, Source: wideWCT.Source, Name: "wct(n=2048)"},
 	}
 	for _, top := range tops {
 		for _, cfg := range diffConfigs(top.G.N()) {
@@ -205,6 +209,25 @@ func TestDifferentialEnginesAcrossTopologies(t *testing.T) {
 					requireIdentical(t, name, ref, got)
 				}
 			}
+		}
+	}
+
+	// A touched window with empty interior words and members on word
+	// edges: on Path(5000), broadcasters 63 and 64 sit on either side of
+	// the first word boundary (each touching the other and one more
+	// listener) and n−2 lies 77 words further on. Every third round drops
+	// n−2, so the window also shrinks back between rounds.
+	path := graph.Path(5000)
+	n := path.G.N()
+	edges := func(round, v int) bool {
+		return v == 63 || v == 64 || (v == n-2 && round%3 != 2)
+	}
+	for _, cfg := range diffConfigs(n) {
+		ref := executeEngine(t, path.G, cfg, engineModes[0].eng, engineModes[0].mode, 42, 60, edges)
+		for _, em := range engineModes[1:] {
+			name := fmt.Sprintf("%s/%s/draw %v/%v/%v word edges", path.Name, cfg.Fault, cfg.Draw, em.eng, em.mode)
+			got := executeEngine(t, path.G, cfg, em.eng, em.mode, 42, 60, edges)
+			requireIdentical(t, name, ref, got)
 		}
 	}
 }

@@ -28,11 +28,16 @@ import (
 // removes), and "stepset-fullscan" disables the tx/row word windows (the
 // pre-window resolution). Their ratios to the plain dense "stepset" row
 // are what the StepSet redesign buys per round.
+//
+// Two sparse rows time the resolve walk over the touched-listener word
+// window at its two extremes: scattered touches filling most words
+// (WCT(4096)) and a window of mostly empty words (Path(10⁵)).
 func EngineMicrobench() []benchreport.Microbench {
 	var out []benchreport.Microbench
 	for _, n := range []int{256, 1024} {
 		grid := gridTopology(n)
 		complete := graph.Complete(n)
+		midTx := microbenchTx(n, n/2, n/64)
 		for _, fault := range []FaultModel{Faultless, SenderFaults, ReceiverFaults} {
 			cfg := Config{Fault: fault}
 			if fault != Faultless {
@@ -48,7 +53,7 @@ func EngineMicrobench() []benchreport.Microbench {
 				{Implicit, complete, "implicit/complete"},
 			} {
 				cfg.Engine = m.engine
-				ns, allocs := measureRounds(m.top, cfg, n, stepModeSet, false)
+				ns, allocs := measureRounds(m.top, cfg, midTx, stepModeSet, false)
 				out = append(out, benchreport.Microbench{
 					Name:           fmt.Sprintf("stepset/%s/%s/n=%d", m.name, fault, n),
 					NsPerRound:     ns,
@@ -58,13 +63,13 @@ func EngineMicrobench() []benchreport.Microbench {
 		}
 		// Dense controls: the []bool adapter and the window-disabled scan.
 		ctl := Config{Fault: Faultless, Engine: Dense}
-		ns, allocs := measureRounds(complete, ctl, n, stepModeBools, false)
+		ns, allocs := measureRounds(complete, ctl, midTx, stepModeBools, false)
 		out = append(out, benchreport.Microbench{
 			Name:           fmt.Sprintf("step/dense/complete/%s/n=%d", Faultless, n),
 			NsPerRound:     ns,
 			AllocsPerRound: allocs,
 		})
-		ns, allocs = measureRounds(complete, ctl, n, stepModeSet, true)
+		ns, allocs = measureRounds(complete, ctl, midTx, stepModeSet, true)
 		out = append(out, benchreport.Microbench{
 			Name:           fmt.Sprintf("stepset-fullscan/dense/complete/%s/n=%d", Faultless, n),
 			NsPerRound:     ns,
@@ -83,6 +88,31 @@ func EngineMicrobench() []benchreport.Microbench {
 				AllocsPerRound: allocs,
 			})
 		}
+	}
+	// Sparse resolve-walk rows. On WCT(4096), where E13 spends its time,
+	// 8 senders touch most cluster members in scattered id order. On
+	// Path(10⁵), two broadcasters 50k ids apart touch four listeners at
+	// the ends of a ~780-word window, mostly empty: the walk's worst case.
+	wct := graph.NewWCT(graph.DefaultWCTParams(4096), rng.New(0x776374))
+	path := graph.Path(100000)
+	spread := bitset.New(100000)
+	spread.Set(25000)
+	spread.Set(75000)
+	for _, m := range []struct {
+		top  graph.Topology
+		tx   *bitset.Set
+		name string
+	}{
+		{wct.Topology, microbenchTx(wct.G.N(), int(wct.Senders[0]), 8), "wct/receiver/n=4096"},
+		{path, spread, "path-spread/receiver/n=100000"},
+	} {
+		cfg := Config{Fault: ReceiverFaults, P: 0.3, Engine: Sparse}
+		ns, allocs := measureRounds(m.top, cfg, m.tx, stepModeSet, false)
+		out = append(out, benchreport.Microbench{
+			Name:           "stepset/sparse/" + m.name,
+			NsPerRound:     ns,
+			AllocsPerRound: allocs,
+		})
 	}
 	// Fault-draw kernel rows: the sender-fault marking pass alone (plus
 	// its end-of-round clear) with every node of an implicit Complete(10⁵)
@@ -189,13 +219,13 @@ func measureBatchRounds(top graph.Topology, cfg Config, n, w int) (nsPerTrialRou
 	return ns / float64(w), allocs / float64(w)
 }
 
-// measureRounds times one configuration through the shared timeRounds
-// harness.
-func measureRounds(top graph.Topology, cfg Config, n int, mode int, fullScan bool) (nsPerRound, allocsPerRound float64) {
+// measureRounds times one configuration broadcasting tx every round
+// through the shared timeRounds harness.
+func measureRounds(top graph.Topology, cfg Config, tx *bitset.Set, mode int, fullScan bool) (nsPerRound, allocsPerRound float64) {
 	net := MustNew[int32](top.G, cfg, rng.New(0x6d6963726f))
 	net.setFullScan(fullScan)
+	n := top.G.N()
 	payload := make([]int32, n)
-	tx := microbenchTx(n, n/2, n/64)
 	bc := make([]bool, n)
 	tx.ForEach(func(v int) { bc[v] = true })
 	rx := bitset.New(n)

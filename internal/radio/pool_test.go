@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"noisyradio/internal/bitset"
 	"noisyradio/internal/graph"
 	"noisyradio/internal/rng"
 )
@@ -95,6 +96,94 @@ func TestResetClearsObservableState(t *testing.T) {
 	execTranscript(t, net, 2)
 	if traced != before {
 		t.Fatal("trace callback survived Reset")
+	}
+}
+
+// panicResetConfigs are the fault environments the mid-round panic tests
+// abandon rounds under: with sender faults a panic also strands this
+// round's sender-noise flags and, under v2, its recorded fault sites.
+var panicResetConfigs = []Config{
+	{Fault: Faultless},
+	{Fault: SenderFaults, P: 0.3},
+	{Fault: SenderFaults, P: 0.3, Draw: DrawV2},
+	{Fault: ReceiverFaults, P: 0.3},
+}
+
+// abandoned is the value abandonRound panics with.
+type abandoned struct{}
+
+// abandonRound runs one round through step with a deliver function that
+// panics at the round's first delivery, recovers that panic, and returns
+// the receiver it panicked at.
+func abandonRound(t *testing.T, step func(deliver func(d Delivery[int32]))) int {
+	t.Helper()
+	at := -1
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(abandoned); !ok {
+					panic(r)
+				}
+			}
+		}()
+		step(func(d Delivery[int32]) {
+			at = d.To
+			panic(abandoned{})
+		})
+	}()
+	if at < 0 {
+		t.Fatal("the round delivered nothing, so it was not abandoned")
+	}
+	return at
+}
+
+// requireUnvisitedInWord fails unless some listener after u in u's node
+// word has a transmitting neighbour — a listener the resolve walk had not
+// reached when u's delivery panicked, whose count Reset must still zero.
+func requireUnvisitedInWord(t *testing.T, g *graph.Graph, transmits func(v int) bool, u int) {
+	t.Helper()
+	for x := u + 1; x < g.N() && x>>6 == u>>6; x++ {
+		if transmits(x) {
+			continue
+		}
+		for _, v := range g.Neighbors(x) {
+			if transmits(int(v)) {
+				return
+			}
+		}
+	}
+	t.Fatalf("no touched listener follows %d in its word; the abandoned round tests nothing", u)
+}
+
+// TestResetAfterMidRoundPanic: a deliver callback that panics partway
+// through a round abandons the network mid-resolution; Reset must still
+// return it to fresh-construction behaviour, its promise for networks
+// "abandoned in an unexpected state". On the star every leaf hears the
+// hub alone, so the panic at the first delivery leaves the rest of the
+// first word's leaves unvisited: the sparse walk must not clear a touched
+// word before zeroing its members' counts, or those counts survive Reset.
+func TestResetAfterMidRoundPanic(t *testing.T) {
+	g := graph.Star(96).G
+	hub := func(v int) bool { return v == 0 }
+	tx := bitset.New(g.N())
+	tx.Set(0)
+	payload := make([]int32, g.N())
+	for _, engine := range []Engine{Sparse, Dense, Implicit} {
+		for _, cfg := range panicResetConfigs {
+			cfg.Engine = engine
+			name := fmt.Sprintf("%s/%s/draw %v", engine, cfg.Fault, cfg.Draw)
+			want := execTranscript(t, MustNew[int32](g, cfg, rng.New(42)), 7)
+
+			net := MustNew[int32](g, cfg, rng.New(1))
+			at := abandonRound(t, func(deliver func(d Delivery[int32])) {
+				net.StepSet(tx, payload, nil, deliver)
+			})
+			requireUnvisitedInWord(t, g, hub, at)
+			net.Reset(rng.New(42))
+			if got := execTranscript(t, net, 7); got != want {
+				t.Fatalf("%s: execution after Reset diverged from fresh\n got: %.120s\nwant: %.120s", name, got, want)
+			}
+		}
 	}
 }
 

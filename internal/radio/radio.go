@@ -43,8 +43,8 @@
 // Three engines implement the model with bit-identical results:
 //
 //   - Sparse walks the CSR neighbour lists of the broadcasters, doing
-//     O(Σ deg(broadcaster)) work per round — best for bounded-degree
-//     topologies (paths, grids, trees).
+//     O(Σ deg(broadcaster) + touched word window) work per round — best
+//     for bounded-degree topologies (paths, grids, trees).
 //   - Dense resolves the channel word-parallel: the broadcasting set is a
 //     bitset and a listener's transmitting-neighbour count is
 //     popcount(adj[u] & tx), 64 candidate senders per machine word, doing
@@ -86,7 +86,6 @@ package radio
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"strings"
 
 	"noisyradio/internal/bitset"
@@ -787,9 +786,7 @@ type Network[P any] struct {
 
 	// Sparse-engine per-round scratch, reused across rounds to avoid
 	// allocation.
-	txCount []int32 // broadcasting-neighbour count per node
-	txFrom  []int32 // some broadcasting neighbour (unique when txCount==1)
-	touched []int32 // nodes with txCount > 0 this round, for cheap reset
+	heard listenerTally
 
 	// Dense-engine state: bitset adjacency rows (cached on the graph),
 	// flattened for direct word indexing in the listener loop, and their
@@ -903,9 +900,7 @@ func New[P any](g *graph.Graph, cfg Config, rnd *rng.Stream) (*Network[P], error
 	case Implicit:
 		n.counter = g.NeighborModel().NewTxCounter()
 	default:
-		n.txCount = make([]int32, g.N())
-		n.txFrom = make([]int32, g.N())
-		n.touched = make([]int32, 0, g.N())
+		n.heard = newListenerTally(g.N())
 	}
 	return n, nil
 }
@@ -957,10 +952,7 @@ func (n *Network[P]) Reset(rnd *rng.Stream) {
 	// a network abandoned in an unexpected state cannot leak into the next
 	// trial. senderNoise is nil except under SenderFaults (the only model
 	// that writes it), so the other models skip that clear entirely.
-	for _, u := range n.touched {
-		n.txCount[u] = 0
-	}
-	n.touched = n.touched[:0]
+	n.heard.clear()
 	n.scratchTx.Reset()
 	for v := range n.senderNoise {
 		n.senderNoise[v] = false
@@ -1252,10 +1244,70 @@ func (n *Network[P]) resolveUnique(u, from int32, payload []P, rx *bitset.Set, d
 	}
 }
 
+// listenerTally is the sparse engines' per-round listener scratch: for
+// every listener a round touches, its transmitting-neighbour count and a
+// transmitting neighbour, plus the touched set itself — a bitset over node
+// ids and the word window [lo, hi) that holds its members. The scalar and
+// the batch sparse kernels share it.
+//
+// Both kernels resolve a round with one walk over the window, spelled out
+// in each because its body is their hot path: per word, visit the members
+// in ascending bit order — the canonical draw order, with no sort — and
+// read and zero each member's count as it is visited; clear the word only
+// after its last member, skipping empty words without a store (most of a
+// spread-out window is empty); finally mark the tally empty. A word is
+// never cleared before its members' counts are zeroed, so a round
+// abandoned mid-walk (a deliver callback that panics) leaves every member
+// it has not reached still in the set, and clear, which Reset calls,
+// returns the tally to its just-built state.
+type listenerTally struct {
+	count []int32  // transmitting neighbours heard this round
+	from  []int32  // a transmitting neighbour; the unique one when count is 1
+	words []uint64 // bit u set: u was heard this round, its word not yet walked
+	// Every word outside [lo, hi) is zero; lo = len(words), hi = 0 when
+	// the set is empty.
+	lo, hi int
+}
+
+func newListenerTally(n int) listenerTally {
+	words := (n + 63) / 64
+	return listenerTally{
+		count: make([]int32, n),
+		from:  make([]int32, n),
+		words: make([]uint64, words),
+		lo:    words,
+	}
+}
+
+// hear records that listener u has the transmitting neighbour v.
+func (t *listenerTally) hear(u, v int32) {
+	if t.count[u] == 0 {
+		wi := int(u >> 6)
+		t.words[wi] |= 1 << (uint(u) & 63)
+		t.lo = min(t.lo, wi)
+		t.hi = max(t.hi, wi+1)
+	}
+	t.count[u]++
+	t.from[u] = v
+}
+
+// clear empties the tally whatever state a round left it in, with the
+// kernels' walk minus the resolution.
+func (t *listenerTally) clear() {
+	for wi := t.lo; wi < t.hi; wi++ {
+		for w := t.words[wi]; w != 0; w &= w - 1 {
+			t.count[wi<<6|bits.TrailingZeros64(w)] = 0
+		}
+		t.words[wi] = 0
+	}
+	t.lo, t.hi = len(t.words), 0
+}
+
 // stepSetSparse is the CSR engine: walk the neighbour lists of the
-// broadcasters (iterated straight off the tx words — cost is
-// O(Σ deg(broadcaster)), independent of n), then resolve the touched
-// listeners in ascending id order.
+// broadcasters (iterated straight off the tx words), then resolve the
+// touched listeners in ascending id order off the tally's word window.
+// Cost is O(Σ deg(broadcaster) + touched word window), independent of n
+// apart from the tx word scan.
 func (n *Network[P]) stepSetSparse(tx *bitset.Set, payload []P, rx *bitset.Set, deliver func(d Delivery[P])) {
 	// Mark transmissions and draw sender faults in ascending id order.
 	txw := tx.Words()
@@ -1265,36 +1317,38 @@ func (n *Network[P]) stepSetSparse(tx *bitset.Set, payload []P, rx *bitset.Set, 
 			v := wi*64 + bits.TrailingZeros64(w)
 			n.markBroadcaster(v)
 			for _, u := range n.g.Neighbors(v) {
-				if n.txCount[u] == 0 {
-					n.touched = append(n.touched, u)
-				}
-				n.txCount[u]++
-				n.txFrom[u] = int32(v)
+				n.heard.hear(u, int32(v))
 			}
 		}
 	}
 
-	// Resolve receptions in ascending receiver id order (the canonical
-	// draw order shared with the dense engine); touched accumulates in
-	// first-touched order, so sort first.
-	slices.Sort(n.touched)
-	for _, u := range n.touched {
-		if tx.Test(int(u)) {
-			continue // transmitting nodes do not listen
+	// Resolve receptions in ascending receiver id order, the canonical
+	// draw order shared with the other engines, with the tally walk (see
+	// listenerTally for why a word is cleared only after its members).
+	h := &n.heard
+	words, counts := h.words, h.count
+	for wi, hi := h.lo, h.hi; wi < hi; wi++ {
+		w := words[wi]
+		if w == 0 {
+			continue
 		}
-		switch {
-		case n.txCount[u] > 1:
-			n.stats.Collisions++
-		case n.txCount[u] == 1:
-			n.resolveUnique(u, n.txFrom[u], payload, rx, deliver)
+		for ; w != 0; w &= w - 1 {
+			u := int32(wi<<6 | bits.TrailingZeros64(w))
+			count := counts[u]
+			counts[u] = 0
+			if tx.Test(int(u)) {
+				continue // transmitting nodes do not listen
+			}
+			switch {
+			case count > 1:
+				n.stats.Collisions++
+			case count == 1:
+				n.resolveUnique(u, h.from[u], payload, rx, deliver)
+			}
 		}
+		words[wi] = 0
 	}
-
-	// Reset scratch.
-	for _, u := range n.touched {
-		n.txCount[u] = 0
-	}
-	n.touched = n.touched[:0]
+	h.lo, h.hi = len(words), 0
 }
 
 // stepSetDense is the word-parallel engine: each listener's
