@@ -12,6 +12,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -71,39 +72,50 @@ func (b *Builder) AddEdge(u, v int) {
 }
 
 // Build finalises the graph. It returns ErrEmptyGraph for n == 0.
+//
+// The CSR is laid out by counting sort in O(n + m): count each vertex's
+// degree over the non-loop edges, prefix-sum the counts into row
+// offsets, and scatter both directions of every edge into their rows.
+// Each row is then sorted and deduplicated in place. The generators add
+// edges in an order that leaves most rows already ascending, so those
+// sorts are close to linear.
 func (b *Builder) Build() (*Graph, error) {
 	if b.n <= 0 {
 		return nil, ErrEmptyGraph
 	}
-	// Collect both directions, drop self loops, sort, dedupe.
-	dir := make([][2]int32, 0, 2*len(b.edges))
+	offsets := make([]int32, b.n+1)
 	for _, e := range b.edges {
-		if e[0] == e[1] {
+		if e[0] != e[1] {
+			offsets[e[0]+1]++
+			offsets[e[1]+1]++
+		}
+	}
+	for v := 0; v < b.n; v++ {
+		offsets[v+1] += offsets[v]
+	}
+	adj := make([]int32, offsets[b.n])
+	next := slices.Clone(offsets[:b.n])
+	for _, e := range b.edges {
+		u, v := e[0], e[1]
+		if u == v {
 			continue
 		}
-		dir = append(dir, e, [2]int32{e[1], e[0]})
+		adj[next[u]] = v
+		next[u]++
+		adj[next[v]] = u
+		next[v]++
 	}
-	sort.Slice(dir, func(i, j int) bool {
-		if dir[i][0] != dir[j][0] {
-			return dir[i][0] < dir[j][0]
-		}
-		return dir[i][1] < dir[j][1]
-	})
-	g := &Graph{n: b.n, offsets: make([]int32, b.n+1)}
-	g.adj = make([]int32, 0, len(dir))
-	var prev [2]int32 = [2]int32{-1, -1}
-	for _, e := range dir {
-		if e == prev {
-			continue
-		}
-		prev = e
-		g.adj = append(g.adj, e[1])
-		g.offsets[e[0]+1]++
+	// Rows only shrink, so each compacted row moves down to the write
+	// cursor w without overtaking the rows still to be read.
+	w := int32(0)
+	for v := 0; v < b.n; v++ {
+		row := adj[offsets[v]:offsets[v+1]]
+		slices.Sort(row)
+		offsets[v] = w
+		w += int32(copy(adj[w:], slices.Compact(row)))
 	}
-	for i := 0; i < b.n; i++ {
-		g.offsets[i+1] += g.offsets[i]
-	}
-	return g, nil
+	offsets[b.n] = w
+	return &Graph{n: b.n, offsets: offsets, adj: adj[:w]}, nil
 }
 
 // MustBuild is Build but panics on error; for use in generators whose

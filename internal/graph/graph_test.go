@@ -295,3 +295,28 @@ func TestQuickHandshake(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkBuild times the explicit topologies the experiment tables and
+// the sweep service build, generator edge loops included; the CSR build
+// in Builder.Build is most of each.
+func BenchmarkBuild(b *testing.B) {
+	cases := []struct {
+		name  string
+		build func() *Graph
+	}{
+		{"complete-1024", func() *Graph { return Complete(1024).G }},
+		{"complete-256", func() *Graph { return Complete(256).G }},
+		{"gnp-1024-0.25", func() *Graph { return GNP(1024, 0.25, rng.New(1)).G }},
+		{"grid-32x32", func() *Graph { return Grid(32, 32).G }},
+		{"hypercube-10", func() *Graph { return Hypercube(10).G }},
+		{"wct-4096", func() *Graph { return NewWCT(DefaultWCTParams(4096), rng.New(1)).G }},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				c.build()
+			}
+		})
+	}
+}

@@ -74,10 +74,10 @@ type Server struct {
 	flights map[string]*flight
 
 	metrics struct {
-		jobs      atomic.Int64 // accepted job submissions (valid specs)
+		jobs      atomic.Int64 // accepted submissions: hits, misses and coalesced
 		hits      atomic.Int64 // served verbatim from the result cache
 		misses    atomic.Int64 // executed
-		coalesced atomic.Int64 // waited on an identical in-flight job
+		coalesced atomic.Int64 // answered from an identical in-flight job that built
 		errored   atomic.Int64 // finished with an error line (not cached)
 		inflight  atomic.Int64 // shards currently executing
 		trials    atomic.Int64 // trials folded by finished jobs
@@ -85,11 +85,13 @@ type Server struct {
 }
 
 // flight is one in-flight execution, used to coalesce concurrent
-// identical submissions: followers wait for done, then replay body.
+// identical submissions: followers wait for done, then replay body. The
+// leader sets the other fields before done closes.
 type flight struct {
-	done chan struct{}
-	body []byte // full stream bytes; set before done closes
-	ok   bool   // finished cleanly (body also cached)
+	done     chan struct{}
+	body     []byte // full stream bytes
+	ok       bool   // finished cleanly (body also cached)
+	buildErr error  // the workload failed to build; nothing executed
 }
 
 // NewServer builds a sweep service with the given execution knobs.
@@ -133,22 +135,24 @@ func (s *Server) ShardPlan(trials int) int {
 	return shards
 }
 
-// job is a validated, resolved submission: everything the sweep needs,
-// derived from the spec before any execution (so malformed jobs fail as
-// HTTP 400, never mid-stream).
+// job is a validated submission. checkJob fills everything the spec
+// alone determines, plan key included, so malformed jobs fail as HTTP
+// 400, never mid-stream. build adds the workload (topology and schedule
+// parameters); only a flight leader builds it.
 type job struct {
 	spec   benchreport.JobSpec
 	key    string
 	sched  *broadcast.Schedule
-	top    graph.Topology
-	params broadcast.ScheduleParams
 	cfg    radio.Config
 	shards int
+
+	top    graph.Topology
+	params broadcast.ScheduleParams
 }
 
-// resolveJob validates a spec against the registries and builds the run
-// inputs. The error text is the HTTP 400 body.
-func (s *Server) resolveJob(spec benchreport.JobSpec) (*job, error) {
+// checkJob validates a spec against the registries and computes its plan
+// key, building nothing. The error text is the HTTP 400 body.
+func (s *Server) checkJob(spec benchreport.JobSpec) (*job, error) {
 	sched, err := broadcast.LookupSchedule(spec.Schedule)
 	if err != nil {
 		return nil, fmt.Errorf("%w (known: %v)", err, broadcast.ScheduleNames())
@@ -167,14 +171,6 @@ func (s *Server) resolveJob(spec benchreport.JobSpec) (*job, error) {
 	if spec.P < 0 || spec.P >= 1 {
 		return nil, fmt.Errorf("p must be in [0, 1), got %v", spec.P)
 	}
-	k := spec.K
-	if k == 0 {
-		k = 1
-	}
-	top, params, err := experiments.ScheduleWorkload(sched, spec.Topology, spec.N, k, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
 	cfg := radio.Config{
 		Fault: fault,
 		Draw:  draw,
@@ -188,11 +184,26 @@ func (s *Server) resolveJob(spec benchreport.JobSpec) (*job, error) {
 		spec:   spec,
 		key:    spec.PlanKey(),
 		sched:  sched,
-		top:    top,
-		params: params,
 		cfg:    cfg,
 		shards: s.ShardPlan(spec.Trials),
 	}, nil
+}
+
+// build builds the job's workload. Two specs with one plan key agree on
+// every field ScheduleWorkload reads (schedule, topology, n, k, seed), so
+// a cached key has already built and an in-flight key is being built by
+// its leader. The error text is the HTTP 400 body.
+func (jb *job) build() error {
+	k := jb.spec.K
+	if k == 0 {
+		k = 1
+	}
+	top, params, err := experiments.ScheduleWorkload(jb.sched, jb.spec.Topology, jb.spec.N, k, jb.spec.Seed)
+	if err != nil {
+		return err
+	}
+	jb.top, jb.params = top, params
+	return nil
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {
@@ -209,31 +220,39 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
 		return
 	}
-	jb, err := s.resolveJob(spec)
+	jb, err := s.checkJob(spec)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.metrics.jobs.Add(1)
 
-	// Admission: cache hit, coalesce onto an identical in-flight job, or
-	// become the executing leader.
+	// Admission, before anything is built: cache hit, coalesce onto an
+	// identical in-flight job, or become the leader, which alone builds
+	// the workload and executes it.
 	s.mu.Lock()
 	if body, ok := s.cache.get(jb.key); ok {
 		s.mu.Unlock()
+		s.metrics.jobs.Add(1)
 		s.metrics.hits.Add(1)
 		s.writeBody(w, jb.key, "hit", body)
 		return
 	}
 	if f, ok := s.flights[jb.key]; ok {
 		s.mu.Unlock()
-		s.metrics.coalesced.Add(1)
 		select {
 		case <-f.done:
 		case <-r.Context().Done():
 			httpError(w, http.StatusServiceUnavailable, r.Context().Err())
 			return
 		}
+		if f.buildErr != nil {
+			// The leader's workload did not build, and this spec names
+			// the same workload.
+			httpError(w, http.StatusBadRequest, f.buildErr)
+			return
+		}
+		s.metrics.jobs.Add(1)
+		s.metrics.coalesced.Add(1)
 		if !f.ok {
 			httpError(w, http.StatusServiceUnavailable, errors.New("coalesced job aborted; retry"))
 			return
@@ -244,23 +263,37 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	f := &flight{done: make(chan struct{})}
 	s.flights[jb.key] = f
 	s.mu.Unlock()
+
+	if err := jb.build(); err != nil {
+		f.buildErr = err
+		s.land(jb.key, f)
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	s.metrics.jobs.Add(1)
 	s.metrics.misses.Add(1)
 
 	body, runErr := s.execute(r.Context(), jb, w)
-
-	s.mu.Lock()
 	f.body, f.ok = body, runErr == nil
-	if runErr == nil {
-		s.cache.put(jb.key, body)
-	}
-	delete(s.flights, jb.key)
-	s.mu.Unlock()
-	close(f.done)
+	s.land(jb.key, f)
 	if runErr == nil {
 		s.metrics.trials.Add(int64(jb.spec.Trials))
 	} else {
 		s.metrics.errored.Add(1)
 	}
+}
+
+// land retires a leader's flight once its outcome fields are set: a clean
+// body enters the cache, the key leaves the flights table, and the
+// followers are released to replay the body or answer the build error.
+func (s *Server) land(key string, f *flight) {
+	s.mu.Lock()
+	if f.ok {
+		s.cache.put(key, f.body)
+	}
+	delete(s.flights, key)
+	s.mu.Unlock()
+	close(f.done)
 }
 
 // writeBody replays a finished stream verbatim. The cache disposition

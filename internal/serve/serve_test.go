@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -32,18 +33,25 @@ func testSpec() benchreport.JobSpec {
 	}
 }
 
-func postJob(t *testing.T, ts *httptest.Server, spec benchreport.JobSpec) (*http.Response, []byte) {
-	t.Helper()
+// post submits spec and reads the whole response; unlike postJob it is
+// safe to call from any goroutine.
+func post(url string, spec benchreport.JobSpec) (*http.Response, []byte, error) {
 	payload, err := json.Marshal(spec)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(payload))
+	resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(payload))
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
+	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	return resp, body, err
+}
+
+func postJob(t *testing.T, ts *httptest.Server, spec benchreport.JobSpec) (*http.Response, []byte) {
+	t.Helper()
+	resp, body, err := post(ts.URL, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +98,7 @@ func TestJobMatchesLocalSweep(t *testing.T) {
 	}
 	sw := sim.NewSweep(sim.SweepConfig{Workers: 1})
 	row := sw.AddSchedule(sched, graph.Path(spec.N),
-		mustResolve(t, spec).cfg, broadcast.ScheduleParams{}, spec.Trials, spec.Seed,
+		mustCheck(t, spec).cfg, broadcast.ScheduleParams{}, spec.Trials, spec.Seed,
 		scheduleValue)
 	if err := sw.Run(); err != nil {
 		t.Fatal(err)
@@ -127,9 +135,9 @@ func TestJobMatchesLocalSweep(t *testing.T) {
 	}
 }
 
-func mustResolve(t *testing.T, spec benchreport.JobSpec) *job {
+func mustCheck(t *testing.T, spec benchreport.JobSpec) *job {
 	t.Helper()
-	jb, err := NewServer(Config{}).resolveJob(spec)
+	jb, err := NewServer(Config{}).checkJob(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +186,36 @@ func TestCacheHitIsByteExact(t *testing.T) {
 	}
 	if bytes.Equal(body1, body3) {
 		t.Fatal("different seed produced the identical body")
+	}
+}
+
+// TestCacheHitBuildsNoWorkload: a hit is answered from the plan key
+// alone. One Complete(1024) build allocates at least 8 MiB, so a hit that
+// built its workload first would show in the heap's allocation total.
+func TestCacheHitBuildsNoWorkload(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{}))
+	defer ts.Close()
+	spec := benchreport.JobSpec{
+		Schedule: "decay",
+		Topology: "complete",
+		N:        1024,
+		Fault:    "receiver",
+		P:        0.3,
+		Seed:     1,
+		Trials:   2,
+	}
+	if resp, body := postJob(t, ts, spec); resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("first submission: status %d, X-Cache %q, body %s", resp.StatusCode, resp.Header.Get("X-Cache"), body)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, _ := postJob(t, ts, spec)
+	runtime.ReadMemStats(&after)
+	if got := resp.Header.Get("X-Cache"); got != "hit" {
+		t.Fatalf("second submission X-Cache = %q, want hit", got)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("cache hit allocated %d bytes, want < 1 MiB (did it build the workload?)", grew)
 	}
 }
 
@@ -230,7 +268,8 @@ func TestCoalescing(t *testing.T) {
 }
 
 // TestRejectsBadSpecs: malformed submissions are HTTP 400 with a JSON
-// error, before any execution.
+// error, before any execution, whether submitted alone or by concurrent
+// clients, and none counts as a job.
 func TestRejectsBadSpecs(t *testing.T) {
 	ts := httptest.NewServer(NewServer(Config{}))
 	defer ts.Close()
@@ -244,20 +283,46 @@ func TestRejectsBadSpecs(t *testing.T) {
 		"tiny n":           func(s *benchreport.JobSpec) { s.N = 1 },
 		"fastbc implicit":  func(s *benchreport.JobSpec) { s.Schedule = "fastbc"; s.N = 8192 },
 	}
-	for name, mut := range cases {
-		spec := testSpec()
-		mut(&spec)
-		resp, body := postJob(t, ts, spec)
+	rejected := func(resp *http.Response, body []byte) error {
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (body %s)", name, resp.StatusCode, body)
-			continue
+			return fmt.Errorf("status %d, want 400 (body %s)", resp.StatusCode, body)
 		}
 		var e struct {
 			Error string `json:"error"`
 		}
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
-			t.Errorf("%s: 400 body is not a JSON error: %s", name, body)
+			return fmt.Errorf("400 body is not a JSON error: %s", body)
 		}
+		return nil
+	}
+	const clients = 4
+	for name, mut := range cases {
+		spec := testSpec()
+		mut(&spec)
+		if err := rejected(postJob(t, ts, spec)); err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		// Concurrent identical submissions: whoever coalesces onto a
+		// leader whose workload fails to build is rejected with it.
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				resp, body, err := post(ts.URL, spec)
+				if err == nil {
+					err = rejected(resp, body)
+				}
+				if err != nil {
+					t.Errorf("%s, client %d: %v", name, c, err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
 	}
 	// Unknown fields are rejected too (typo'd keys must not silently
 	// default and then cache under the wrong plan).
@@ -272,6 +337,45 @@ func TestRejectsBadSpecs(t *testing.T) {
 	}
 	if jobs := metric(t, ts, "noisyserved_jobs_total"); jobs != 0 {
 		t.Fatalf("rejected specs counted as jobs: %d", jobs)
+	}
+}
+
+// TestFollowerOfFailedBuild: a submission coalesced onto a leader whose
+// workload failed to build answers the leader's 400 and counts as no job.
+func TestFollowerOfFailedBuild(t *testing.T) {
+	srv := NewServer(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	spec := testSpec()
+	spec.N = 1
+	jb := mustCheck(t, spec)
+	buildErr := jb.build()
+	if buildErr == nil {
+		t.Fatal("n = 1 built a workload")
+	}
+	// Play a leader whose build has already failed and whose flight is
+	// still registered, so the submission takes the follower's path
+	// whatever the timing.
+	f := &flight{done: make(chan struct{}), buildErr: buildErr}
+	close(f.done)
+	srv.mu.Lock()
+	srv.flights[jb.key] = f
+	srv.mu.Unlock()
+
+	resp, body := postJob(t, ts, spec)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (body %s)", resp.StatusCode, body)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(body, &e); err != nil || e.Error != buildErr.Error() {
+		t.Fatalf("body %s, want the leader's build error %q", body, buildErr)
+	}
+	for _, name := range []string{"noisyserved_jobs_total", "noisyserved_coalesced_total"} {
+		if v := metric(t, ts, name); v != 0 {
+			t.Fatalf("%s = %d, want 0", name, v)
+		}
 	}
 }
 
