@@ -63,33 +63,18 @@ func BenchmarkA3UnknownNDecay(b *testing.B)           { benchExperiment(b, "A3")
 func BenchmarkSingleBroadcastAlgorithms(b *testing.B) {
 	top := Grid(24, 24)
 	cfg := Config{Fault: ReceiverFaults, P: 0.3}
-	b.Run("decay", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := Decay(top, cfg, NewRand(uint64(i)), Options{})
-			if err != nil || !res.Success {
-				b.Fatalf("%v %+v", err, res)
+	for _, name := range []string{"decay", "fastbc", "robust-fastbc"} {
+		sched := MustSchedule(name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := Run(sched, top, cfg, NewRand(uint64(i)), ScheduleParams{})
+				if err != nil || !res.Success {
+					b.Fatalf("%v %+v", err, res)
+				}
 			}
-		}
-	})
-	b.Run("fastbc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := FASTBC(top, cfg, NewRand(uint64(i)), Options{})
-			if err != nil || !res.Success {
-				b.Fatalf("%v %+v", err, res)
-			}
-		}
-	})
-	b.Run("robust-fastbc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := RobustFASTBC(top, cfg, NewRand(uint64(i)), Options{}, RobustParams{})
-			if err != nil || !res.Success {
-				b.Fatalf("%v %+v", err, res)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkSingleBroadcastEngines runs Decay on a dense random graph under
@@ -97,12 +82,13 @@ func BenchmarkSingleBroadcastAlgorithms(b *testing.B) {
 // engine speedup on the library's public entry points.
 func BenchmarkSingleBroadcastEngines(b *testing.B) {
 	top := GNP(512, 0.3, NewRand(11))
+	decay := MustSchedule("decay")
 	for _, eng := range []Engine{EngineSparse, EngineDense} {
 		b.Run(eng.String(), func(b *testing.B) {
 			cfg := Config{Fault: ReceiverFaults, P: 0.3, Engine: eng}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := Decay(top, cfg, NewRand(uint64(i)), Options{})
+				res, err := Run(decay, top, cfg, NewRand(uint64(i)), ScheduleParams{})
 				if err != nil || !res.Success {
 					b.Fatalf("%v %+v", err, res)
 				}
@@ -117,12 +103,13 @@ func BenchmarkSingleBroadcastEngines(b *testing.B) {
 // documents why EngineAuto selects by average degree instead of always
 // going dense.
 func BenchmarkStarCodingEngines(b *testing.B) {
+	starCoding := MustSchedule("star-coding")
 	for _, eng := range []Engine{EngineSparse, EngineDense} {
 		b.Run(eng.String(), func(b *testing.B) {
 			cfg := Config{Fault: ReceiverFaults, P: 0.5, Engine: eng}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := StarCoding(1024, 16, cfg, NewRand(uint64(i)), Options{})
+				res, err := Run(starCoding, Topology{}, cfg, NewRand(uint64(i)), ScheduleParams{Leaves: 1024, K: 16})
 				if err != nil || !res.Success {
 					b.Fatalf("%v %+v", err, res)
 				}

@@ -433,26 +433,16 @@ func runDemo(out *os.File, algo, topology string, n int, p float64, faultName st
 	if !top.G.HasCSR() && algo != "decay" {
 		return fmt.Errorf("%s builds a BFS tree and needs materialized adjacency, but -n %d >= %d builds the implicit form; use a smaller -n or -demo decay", algo, n, experiments.LargeNImplicit)
 	}
-	rec := trace.NewRecorder(top.G.N())
-	opts := broadcast.Options{Trace: rec.Observe}
-	r := rng.New(seed)
-
-	var res broadcast.Result
-	switch algo {
-	case "decay":
-		res, err = broadcast.Decay(top, cfg, r, opts)
-	case "fastbc":
-		res, err = broadcast.FASTBC(top, cfg, r, opts)
-	case "robust-fastbc":
-		res, err = broadcast.RobustFASTBC(top, cfg, r, opts, broadcast.RobustParams{})
-	default:
+	if algo != "decay" && algo != "fastbc" && algo != "robust-fastbc" {
 		return fmt.Errorf("unknown algorithm %q (decay|fastbc|robust-fastbc)", algo)
 	}
+	rec := trace.NewRecorder(top.G.N())
+	res, err := broadcast.MustSchedule(algo).Run(top, cfg, rng.New(seed), broadcast.ScheduleParams{Options: broadcast.Options{Trace: rec.Observe}})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "%s on %s, %s p=%.2f, seed %d\n", algo, top.Name, cfg.Fault, cfg.P, seed)
-	fmt.Fprintf(out, "result: success=%v rounds=%d informed=%d\n", res.Success, res.Rounds, res.Informed)
+	fmt.Fprintf(out, "result: success=%v rounds=%d informed=%d\n", res.Success, res.Rounds, res.Done)
 	fmt.Fprintf(out, "channel: %+v\n", res.Channel)
 	fmt.Fprintf(out, "%s\n\n", rec.Summary())
 	fmt.Fprint(out, rec.Timeline(40))

@@ -8,26 +8,26 @@ import (
 
 // Broadcast a single message through a noisy grid with the paper's new
 // Robust FASTBC algorithm.
-func ExampleRobustFASTBC() {
+func ExampleRun_robustFASTBC() {
 	top := noisyradio.Grid(8, 8)
 	cfg := noisyradio.Config{Fault: noisyradio.ReceiverFaults, P: 0.3}
-	res, err := noisyradio.RobustFASTBC(top, cfg, noisyradio.NewRand(1),
-		noisyradio.Options{}, noisyradio.RobustParams{})
+	res, err := noisyradio.Run(noisyradio.MustSchedule("robust-fastbc"), top, cfg, noisyradio.NewRand(1),
+		noisyradio.ScheduleParams{})
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("success:", res.Success)
-	fmt.Println("all informed:", res.Informed == top.G.N())
+	fmt.Println("all informed:", res.Done == top.G.N())
 	// Output:
 	// success: true
 	// all informed: true
 }
 
 // Decay needs no topology knowledge and survives noise as-is (Lemma 9).
-func ExampleDecay() {
+func ExampleRun_decay() {
 	top := noisyradio.Path(32)
-	res, err := noisyradio.Decay(top, noisyradio.Config{Fault: noisyradio.SenderFaults, P: 0.2},
-		noisyradio.NewRand(7), noisyradio.Options{})
+	res, err := noisyradio.Run(noisyradio.MustSchedule("decay"), top,
+		noisyradio.Config{Fault: noisyradio.SenderFaults, P: 0.2}, noisyradio.NewRand(7), noisyradio.ScheduleParams{})
 	if err != nil {
 		panic(err)
 	}
@@ -63,10 +63,11 @@ func ExampleRLNCBroadcast() {
 
 // The Theorem 17 star gap in three lines: coding finishes far ahead of the
 // best adaptive routing under receiver faults.
-func ExampleStarCoding() {
+func ExampleRun_starCoding() {
 	cfg := noisyradio.Config{Fault: noisyradio.ReceiverFaults, P: 0.5}
-	routing, _ := noisyradio.StarRouting(512, 32, cfg, noisyradio.NewRand(4), noisyradio.Options{})
-	coding, _ := noisyradio.StarCoding(512, 32, cfg, noisyradio.NewRand(4), noisyradio.Options{})
+	params := noisyradio.ScheduleParams{Leaves: 512, K: 32}
+	routing, _ := noisyradio.Run(noisyradio.MustSchedule("star-routing"), noisyradio.Topology{}, cfg, noisyradio.NewRand(4), params)
+	coding, _ := noisyradio.Run(noisyradio.MustSchedule("star-coding"), noisyradio.Topology{}, cfg, noisyradio.NewRand(4), params)
 	fmt.Println("coding faster:", coding.Rounds < routing.Rounds/2)
 	// Output:
 	// coding faster: true

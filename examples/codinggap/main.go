@@ -19,13 +19,16 @@ func main() {
 	fmt.Printf("star topology, k=%d messages, receiver faults p=%.1f\n\n", k, cfg.P)
 	fmt.Printf("%8s  %14s  %14s  %8s\n", "leaves", "routing rounds", "coding rounds", "gap")
 
+	starRouting := noisyradio.MustSchedule("star-routing")
+	starCoding := noisyradio.MustSchedule("star-coding")
 	for _, leaves := range []int{64, 256, 1024, 4096} {
 		r := noisyradio.NewRand(uint64(7 + leaves))
-		routing, err := noisyradio.StarRouting(leaves, k, cfg, r, noisyradio.Options{})
+		params := noisyradio.ScheduleParams{Leaves: leaves, K: k}
+		routing, err := noisyradio.Run(starRouting, noisyradio.Topology{}, cfg, r, params)
 		if err != nil || !routing.Success {
 			log.Fatalf("routing leaves=%d: %v %+v", leaves, err, routing)
 		}
-		coding, err := noisyradio.StarCoding(leaves, k, cfg, r, noisyradio.Options{})
+		coding, err := noisyradio.Run(starCoding, noisyradio.Topology{}, cfg, r, params)
 		if err != nil || !coding.Success {
 			log.Fatalf("coding leaves=%d: %v %+v", leaves, err, coding)
 		}

@@ -19,8 +19,8 @@ func main() {
 	cfg := noisyradio.Config{Fault: noisyradio.ReceiverFaults, P: 0.3}
 	rec := trace.NewRecorder(top.G.N())
 
-	res, err := noisyradio.RobustFASTBC(top, cfg, noisyradio.NewRand(7),
-		noisyradio.Options{Trace: rec.Observe}, noisyradio.RobustParams{})
+	res, err := noisyradio.Run(noisyradio.MustSchedule("robust-fastbc"), top, cfg, noisyradio.NewRand(7),
+		noisyradio.ScheduleParams{Options: noisyradio.Options{Trace: rec.Observe}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,14 +19,17 @@ func main() {
 	fmt.Printf("worst-case topology (WCT), k=%d messages, receiver faults p=%.1f\n\n", k, cfg.P)
 	fmt.Printf("%8s %9s %10s  %14s  %14s  %6s\n", "target n", "actual n", "clusters", "routing rounds", "coding rounds", "gap")
 
+	wctRouting := noisyradio.MustSchedule("wct-routing")
+	wctCoding := noisyradio.MustSchedule("wct-coding")
 	for _, n := range []int{512, 1024, 2048} {
 		r := noisyradio.NewRand(uint64(100 + n))
 		w := noisyradio.NewWCT(noisyradio.DefaultWCTParams(n), r)
-		routing, err := noisyradio.WCTRouting(w, k, cfg, r, noisyradio.Options{})
+		params := noisyradio.ScheduleParams{WCT: w, K: k}
+		routing, err := noisyradio.Run(wctRouting, noisyradio.Topology{}, cfg, r, params)
 		if err != nil || !routing.Success {
 			log.Fatalf("routing n=%d: %v %+v", n, err, routing)
 		}
-		coding, err := noisyradio.WCTCoding(w, k, cfg, r, noisyradio.Options{})
+		coding, err := noisyradio.Run(wctCoding, noisyradio.Topology{}, cfg, r, params)
 		if err != nil || !coding.Success {
 			log.Fatalf("coding n=%d: %v %+v", n, err, coding)
 		}

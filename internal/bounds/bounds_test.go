@@ -106,7 +106,7 @@ func TestDecayBoundHolds(t *testing.T) {
 			total := 0
 			const trials = 5
 			for i := 0; i < trials; i++ {
-				res, err := broadcast.Decay(top, cfg, rng.NewFrom(300+uint64(n), uint64(i)), broadcast.Options{})
+				res, err := broadcast.MustSchedule("decay").Run(top, cfg, rng.NewFrom(300+uint64(n), uint64(i)), broadcast.ScheduleParams{})
 				if err != nil || !res.Success {
 					t.Fatalf("n=%d p=%v: %v %+v", n, p, err, res)
 				}
@@ -131,14 +131,16 @@ func TestStarBoundsHold(t *testing.T) {
 	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.5}
 	const k, trials = 24, 5
 	var mRout, pRout, mCode, pCode []float64
+	routing, coding := broadcast.MustSchedule("star-routing"), broadcast.MustSchedule("star-coding")
 	for _, leaves := range []int{32, 128, 512} {
 		var ro, co int
+		params := broadcast.ScheduleParams{Leaves: leaves, K: k}
 		for i := 0; i < trials; i++ {
-			r, err := broadcast.StarRouting(leaves, k, cfg, rng.NewFrom(400+uint64(leaves), uint64(i)), broadcast.Options{})
+			r, err := routing.Run(graph.Topology{}, cfg, rng.NewFrom(400+uint64(leaves), uint64(i)), params)
 			if err != nil || !r.Success {
 				t.Fatalf("routing: %v %+v", err, r)
 			}
-			c, err := broadcast.StarCoding(leaves, k, cfg, rng.NewFrom(500+uint64(leaves), uint64(i)), broadcast.Options{})
+			c, err := coding.Run(graph.Topology{}, cfg, rng.NewFrom(500+uint64(leaves), uint64(i)), params)
 			if err != nil || !c.Success {
 				t.Fatalf("coding: %v %+v", err, c)
 			}

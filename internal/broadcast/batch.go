@@ -3,8 +3,10 @@
 // synchronized round at a time, over a radio.BatchNetwork. Each trial
 // ("lane") keeps its own rng stream, informed state and counters, so its
 // execution is draw-for-draw identical to the scalar runner — the batch
-// entry points are pure throughput optimisations, and the package tests
-// compare them against their scalar twins result by result.
+// twins are pure throughput optimisations, and the package tests compare
+// them against their scalar twins result by result. Schedule.RunBatch
+// hands them between 2 and radio.MaxBatchWidth untraced streams; every
+// other call runs the scalar twin once per stream.
 //
 // Lanes finish at different times; a finished lane leaves the active mask
 // and from then on consumes no randomness and contributes no channel
@@ -12,7 +14,6 @@
 package broadcast
 
 import (
-	"fmt"
 	"math/bits"
 
 	"noisyradio/internal/bitset"
@@ -97,47 +98,21 @@ func (b *batchRunner) foldLane(l int) {
 	b.tx.ResetLaneWindow(l, txLo, txHi)
 }
 
-// singleBatchFallback reports whether a single-message batch entry should
-// skip the lockstep plane entirely — width 1 (nothing to amortise),
-// oversized widths, traced runs (tracing is a scalar concern) and the
-// empty-stream error case. Entry points check this before building their
-// trees/buckets so the fallback path never pays for discarded
-// precomputation.
-func singleBatchFallback(rnds []*rng.Stream, opts Options) bool {
-	return len(rnds) <= 1 || len(rnds) > radio.MaxBatchWidth || opts.Trace != nil
-}
-
-// runSingleScalar runs the scalar closure once per stream — the fallback
-// path of the single-message batch entries.
-func runSingleScalar(rnds []*rng.Stream, scalar func(r *rng.Stream) (Result, error)) ([]Result, error) {
-	if len(rnds) == 0 {
-		return nil, fmt.Errorf("broadcast: batch run with no streams")
-	}
-	out := make([]Result, len(rnds))
-	for i, r := range rnds {
-		res, err := scalar(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
-}
-
-// runSingleBatch executes one single-message trial per stream in rnds, in
-// lockstep: per round every unfinished lane's schedule marks its
+// runSingleBatch executes one single-message trial of plan per stream in
+// rnds, in lockstep: per round every unfinished lane's schedule marks its
 // broadcasters into the lane's tx column, one StepBatch resolves all
 // lanes' receptions, and each lane folds its receivers into its informed
 // set in ascending id order (the scalar fold order). A lane whose
 // informed set completes leaves the active mask with its round count
-// recorded; the loop ends when every lane finished or maxRounds elapsed.
-//
-// Width 1 and traced runs take the scalar path verbatim (tracing is a
-// scalar concern; width 1 has nothing to amortise), via the provided
-// scalar closure.
-func runSingleBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, opts Options, maxRounds int, factory scheduleFactory, scalar func(r *rng.Stream) (Result, error)) ([]Result, error) {
-	if singleBatchFallback(rnds, opts) {
-		return runSingleScalar(rnds, scalar)
+// recorded; the loop ends when every lane finished or the plan's round
+// cap elapsed.
+func runSingleBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams, plan singlePlan) ([]Outcome, error) {
+	if err := validateTopology(top); err != nil {
+		return nil, err
+	}
+	maxRounds, factory, err := plan(top, cfg, p)
+	if err != nil {
+		return nil, err
 	}
 	w := len(rnds)
 	g := top.G
@@ -182,17 +157,17 @@ func runSingleBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, op
 			}
 		}
 	}
-	out := make([]Result, w)
+	out := make([]Outcome, w)
 	for l := range out {
 		lane := &b.lanes[l]
 		if act&(1<<uint(l)) != 0 {
 			lane.rounds = maxRounds // capped, like the scalar loop exit
 		}
-		out[l] = Result{
-			Rounds:   lane.rounds,
-			Success:  len(lane.informedList) == n,
-			Informed: len(lane.informedList),
-			Channel:  net.LaneStats(l),
+		out[l] = Outcome{
+			Rounds:  lane.rounds,
+			Success: len(lane.informedList) == n,
+			Done:    len(lane.informedList),
+			Channel: net.LaneStats(l),
 		}
 	}
 	sigPool.PutBatch(net)
@@ -215,7 +190,7 @@ type multiLane[P any] struct {
 // laneChannelStats). The per-lane round accounting matches the scalar
 // loops: a lane completing in the body of round r records r+1 executed
 // rounds, a lane alive at the cap records maxRounds.
-func runMultiBatch[P any](pool *radio.Pool[P], g *graph.Graph, cfg radio.Config, rnds []*rng.Stream, maxRounds int, tx *bitset.Block, payloads [][]P, lanes []multiLane[P], finish func(lane, rounds int, ch radio.Stats) MultiResult) ([]MultiResult, error) {
+func runMultiBatch[P any](pool *radio.Pool[P], g *graph.Graph, cfg radio.Config, rnds []*rng.Stream, maxRounds int, tx *bitset.Block, payloads [][]P, lanes []multiLane[P], finish func(lane, rounds int, ch radio.Stats) Outcome) ([]Outcome, error) {
 	w := len(rnds)
 	net, err := pool.GetBatch(g, cfg, rnds)
 	if err != nil {
@@ -237,7 +212,7 @@ func runMultiBatch[P any](pool *radio.Pool[P], g *graph.Graph, cfg radio.Config,
 			}
 		}
 	}
-	out := make([]MultiResult, w)
+	out := make([]Outcome, w)
 	for l := range out {
 		if act&(1<<uint(l)) != 0 {
 			rounds[l] = maxRounds
@@ -245,26 +220,5 @@ func runMultiBatch[P any](pool *radio.Pool[P], g *graph.Graph, cfg radio.Config,
 		out[l] = finish(l, rounds[l], net.LaneStats(l))
 	}
 	pool.PutBatch(net)
-	return out, nil
-}
-
-// validBatchWidth reports whether a multi-message batch entry should run
-// the lockstep path; outside it the caller falls back to scalar trials.
-func validBatchWidth(w int) bool { return w >= 2 && w <= radio.MaxBatchWidth }
-
-// scalarFallback runs the scalar closure once per stream — the w == 1 (or
-// oversized/traced) path of the multi-message batch entries.
-func scalarFallback(rnds []*rng.Stream, scalar func(r *rng.Stream) (MultiResult, error)) ([]MultiResult, error) {
-	if len(rnds) == 0 {
-		return nil, fmt.Errorf("broadcast: batch run with no streams")
-	}
-	out := make([]MultiResult, len(rnds))
-	for i, r := range rnds {
-		res, err := scalar(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
 	return out, nil
 }

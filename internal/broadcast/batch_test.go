@@ -9,10 +9,10 @@ import (
 	"noisyradio/internal/rng"
 )
 
-// The batch equivalence suite: every trial-batched entry point must
-// reproduce its scalar twin result-for-result when handed the same
-// per-trial streams — at width 1 (the scalar fallback), at widths that
-// divide nothing evenly, and across engines and fault models. This is the
+// The batch equivalence suite: every registry entry's RunBatch must
+// reproduce its Run outcome-for-outcome when handed the same per-trial
+// streams — at width 1 (the scalar fallback), at widths that divide
+// nothing evenly, and across engines and fault models. This is the
 // contract that lets the sweep scheduler swap batch execution in and out
 // without moving a single table cell.
 
@@ -38,18 +38,17 @@ func batchConfigs() []radio.Config {
 	return out
 }
 
-// requireBatchEqualsScalar runs scalar trials [0, trials) and the batch
-// entry over the same streams (in sub-batches of width w) and requires
-// identical results.
-func requireBatchEqualsScalar[R comparable](t *testing.T, name string, trials, w int,
-	scalar func(r *rng.Stream) (R, error),
-	batch func(rnds []*rng.Stream) ([]R, error)) {
+// requireBatchEqualsScalar runs scalar trials [0, trials) of the named
+// registry schedule and its RunBatch over the same streams (in
+// sub-batches of width w) and requires identical outcomes.
+func requireBatchEqualsScalar(t *testing.T, label, name string, top graph.Topology, cfg radio.Config, p ScheduleParams, trials, w int) {
 	t.Helper()
-	want := make([]R, trials)
+	s := MustSchedule(name)
+	want := make([]Outcome, trials)
 	for i := range want {
-		res, err := scalar(rng.NewFrom(77, uint64(i)))
+		res, err := s.Run(top, cfg, rng.NewFrom(77, uint64(i)), p)
 		if err != nil {
-			t.Fatalf("%s: scalar trial %d: %v", name, i, err)
+			t.Fatalf("%s: scalar trial %d: %v", label, i, err)
 		}
 		want[i] = res
 	}
@@ -58,17 +57,17 @@ func requireBatchEqualsScalar[R comparable](t *testing.T, name string, trials, w
 		if start+width > trials {
 			width = trials - start
 		}
-		got, err := batch(trialStreams(77, start, width))
+		got, err := s.RunBatch(top, cfg, trialStreams(77, start, width), p)
 		if err != nil {
-			t.Fatalf("%s: batch [%d,%d): %v", name, start, start+width, err)
+			t.Fatalf("%s: batch [%d,%d): %v", label, start, start+width, err)
 		}
 		if len(got) != width {
-			t.Fatalf("%s: batch returned %d results for %d streams", name, len(got), width)
+			t.Fatalf("%s: batch returned %d results for %d streams", label, len(got), width)
 		}
 		for i, res := range got {
 			if res != want[start+i] {
 				t.Fatalf("%s: trial %d diverged (width %d)\nbatch:  %+v\nscalar: %+v",
-					name, start+i, width, res, want[start+i])
+					label, start+i, width, res, want[start+i])
 			}
 		}
 	}
@@ -82,22 +81,11 @@ func TestSingleMessageBatchEqualsScalar(t *testing.T) {
 	}
 	for _, top := range tops {
 		for _, cfg := range batchConfigs() {
-			opts := Options{}
 			label := fmt.Sprintf("%s/%s/%s", top.Name, cfg.Fault, cfg.Engine)
-			requireBatchEqualsScalar(t, "decay/"+label, 7, 3,
-				func(r *rng.Stream) (Result, error) { return Decay(top, cfg, r, opts) },
-				func(rnds []*rng.Stream) ([]Result, error) { return DecayBatch(top, cfg, rnds, opts) })
-			requireBatchEqualsScalar(t, "unknown-n/"+label, 5, 5,
-				func(r *rng.Stream) (Result, error) { return DecayUnknownN(top, cfg, r, opts) },
-				func(rnds []*rng.Stream) ([]Result, error) { return DecayUnknownNBatch(top, cfg, rnds, opts) })
-			requireBatchEqualsScalar(t, "fastbc/"+label, 6, 4,
-				func(r *rng.Stream) (Result, error) { return FASTBC(top, cfg, r, opts) },
-				func(rnds []*rng.Stream) ([]Result, error) { return FASTBCBatch(top, cfg, rnds, opts) })
-			requireBatchEqualsScalar(t, "robust/"+label, 6, 4,
-				func(r *rng.Stream) (Result, error) { return RobustFASTBC(top, cfg, r, opts, RobustParams{}) },
-				func(rnds []*rng.Stream) ([]Result, error) {
-					return RobustFASTBCBatch(top, cfg, rnds, opts, RobustParams{})
-				})
+			requireBatchEqualsScalar(t, "decay/"+label, "decay", top, cfg, ScheduleParams{}, 7, 3)
+			requireBatchEqualsScalar(t, "unknown-n/"+label, "decay-unknown-n", top, cfg, ScheduleParams{}, 5, 5)
+			requireBatchEqualsScalar(t, "fastbc/"+label, "fastbc", top, cfg, ScheduleParams{}, 6, 4)
+			requireBatchEqualsScalar(t, "robust/"+label, "robust-fastbc", top, cfg, ScheduleParams{}, 6, 4)
 		}
 	}
 }
@@ -106,64 +94,34 @@ func TestSingleMessageBatchEqualsScalar(t *testing.T) {
 func TestSingleMessageBatchCappedLanes(t *testing.T) {
 	top := graph.Path(64)
 	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.6}
-	opts := Options{MaxRounds: 30} // far too few rounds to finish
-	requireBatchEqualsScalar(t, "decay-capped", 6, 3,
-		func(r *rng.Stream) (Result, error) { return Decay(top, cfg, r, opts) },
-		func(rnds []*rng.Stream) ([]Result, error) { return DecayBatch(top, cfg, rnds, opts) })
+	capped := ScheduleParams{Options: Options{MaxRounds: 30}} // far too few rounds to finish
+	requireBatchEqualsScalar(t, "decay-capped", "decay", top, cfg, capped, 6, 3)
 }
 
 func TestStarBatchEqualsScalar(t *testing.T) {
+	p := ScheduleParams{Leaves: 24, K: 6}
 	for _, cfg := range batchConfigs() {
 		label := fmt.Sprintf("%s/%s", cfg.Fault, cfg.Engine)
-		requireBatchEqualsScalar(t, "star-routing/"+label, 7, 4,
-			func(r *rng.Stream) (MultiResult, error) { return StarRouting(24, 6, cfg, r, Options{}) },
-			func(rnds []*rng.Stream) ([]MultiResult, error) {
-				return StarRoutingBatch(24, 6, cfg, rnds, Options{})
-			})
-		requireBatchEqualsScalar(t, "star-coding/"+label, 7, 4,
-			func(r *rng.Stream) (MultiResult, error) { return StarCoding(24, 6, cfg, r, Options{}) },
-			func(rnds []*rng.Stream) ([]MultiResult, error) {
-				return StarCodingBatch(24, 6, cfg, rnds, Options{})
-			})
+		requireBatchEqualsScalar(t, "star-routing/"+label, "star-routing", graph.Topology{}, cfg, p, 7, 4)
+		requireBatchEqualsScalar(t, "star-coding/"+label, "star-coding", graph.Topology{}, cfg, p, 7, 4)
 	}
 }
 
 func TestWCTBatchEqualsScalar(t *testing.T) {
-	w := graph.NewWCT(graph.DefaultWCTParams(100), rng.New(9))
+	p := ScheduleParams{WCT: graph.NewWCT(graph.DefaultWCTParams(100), rng.New(9)), K: 3}
 	for _, cfg := range batchConfigs() {
 		label := fmt.Sprintf("%s/%s", cfg.Fault, cfg.Engine)
-		requireBatchEqualsScalar(t, "wct-routing/"+label, 5, 2,
-			func(r *rng.Stream) (MultiResult, error) { return WCTRouting(w, 3, cfg, r, Options{}) },
-			func(rnds []*rng.Stream) ([]MultiResult, error) {
-				return WCTRoutingBatch(w, 3, cfg, rnds, Options{})
-			})
-		requireBatchEqualsScalar(t, "wct-coding/"+label, 5, 2,
-			func(r *rng.Stream) (MultiResult, error) { return WCTCoding(w, 3, cfg, r, Options{}) },
-			func(rnds []*rng.Stream) ([]MultiResult, error) {
-				return WCTCodingBatch(w, 3, cfg, rnds, Options{})
-			})
+		requireBatchEqualsScalar(t, "wct-routing/"+label, "wct-routing", graph.Topology{}, cfg, p, 5, 2)
+		requireBatchEqualsScalar(t, "wct-coding/"+label, "wct-coding", graph.Topology{}, cfg, p, 5, 2)
 	}
 }
 
 func TestSingleLinkBatchEqualsScalar(t *testing.T) {
 	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.4}
-	const k = 12
-	repeats := DefaultSingleLinkRepeats(k, cfg.P)
-	requireBatchEqualsScalar(t, "single-link-nonadaptive", 9, 4,
-		func(r *rng.Stream) (MultiResult, error) { return SingleLinkNonAdaptive(k, repeats, cfg, r) },
-		func(rnds []*rng.Stream) ([]MultiResult, error) {
-			return SingleLinkNonAdaptiveBatch(k, repeats, cfg, rnds)
-		})
-	requireBatchEqualsScalar(t, "single-link-adaptive", 9, 4,
-		func(r *rng.Stream) (MultiResult, error) { return SingleLinkAdaptive(k, cfg, r, Options{}) },
-		func(rnds []*rng.Stream) ([]MultiResult, error) {
-			return SingleLinkAdaptiveBatch(k, cfg, rnds, Options{})
-		})
-	requireBatchEqualsScalar(t, "single-link-coding", 9, 4,
-		func(r *rng.Stream) (MultiResult, error) { return SingleLinkCoding(k, cfg, r, Options{}) },
-		func(rnds []*rng.Stream) ([]MultiResult, error) {
-			return SingleLinkCodingBatch(k, cfg, rnds, Options{})
-		})
+	p := ScheduleParams{K: 12}
+	for _, name := range []string{"single-link-nonadaptive", "single-link-adaptive", "single-link-coding"} {
+		requireBatchEqualsScalar(t, name, name, graph.Topology{}, cfg, p, 9, 4)
+	}
 }
 
 func TestPipelineBatchEqualsScalar(t *testing.T) {
@@ -173,25 +131,10 @@ func TestPipelineBatchEqualsScalar(t *testing.T) {
 		{Fault: radio.SenderFaults, P: 0.3, Engine: radio.Dense},
 	} {
 		label := fmt.Sprintf("%s/%s", cfg.Fault, cfg.Engine)
-		requireBatchEqualsScalar(t, "path-pipeline/"+label, 5, 3,
-			func(r *rng.Stream) (MultiResult, error) { return PathPipelineRouting(20, 8, cfg, r, Options{}) },
-			func(rnds []*rng.Stream) ([]MultiResult, error) {
-				return PathPipelineRoutingBatch(20, 8, cfg, rnds, Options{})
-			})
-		requireBatchEqualsScalar(t, "transformed-routing/"+label, 4, 2,
-			func(r *rng.Stream) (MultiResult, error) {
-				return TransformedPathRouting(6, 10, cfg, r, TransformParams{}, Options{})
-			},
-			func(rnds []*rng.Stream) ([]MultiResult, error) {
-				return TransformedPathRoutingBatch(6, 10, cfg, rnds, TransformParams{}, Options{})
-			})
-		requireBatchEqualsScalar(t, "transformed-coding/"+label, 4, 2,
-			func(r *rng.Stream) (MultiResult, error) {
-				return TransformedPathCoding(6, 10, cfg, r, TransformParams{}, Options{})
-			},
-			func(rnds []*rng.Stream) ([]MultiResult, error) {
-				return TransformedPathCodingBatch(6, 10, cfg, rnds, TransformParams{}, Options{})
-			})
+		requireBatchEqualsScalar(t, "path-pipeline/"+label, "path-pipeline-routing", graph.Topology{}, cfg, ScheduleParams{PathLen: 20, K: 8}, 5, 3)
+		transformed := ScheduleParams{PathLen: 6, K: 10}
+		requireBatchEqualsScalar(t, "transformed-routing/"+label, "transformed-path-routing", graph.Topology{}, cfg, transformed, 4, 2)
+		requireBatchEqualsScalar(t, "transformed-coding/"+label, "transformed-path-coding", graph.Topology{}, cfg, transformed, 4, 2)
 	}
 }
 
@@ -206,11 +149,7 @@ func TestPipelinedBatchRoutingBatchEqualsScalar(t *testing.T) {
 			{Fault: radio.Faultless, Engine: radio.Dense},
 		} {
 			label := fmt.Sprintf("%s/%s/%s", top.Name, cfg.Fault, cfg.Engine)
-			requireBatchEqualsScalar(t, "pipelined-batch/"+label, 4, 2,
-				func(r *rng.Stream) (MultiResult, error) { return PipelinedBatchRouting(top, 4, cfg, r, Options{}) },
-				func(rnds []*rng.Stream) ([]MultiResult, error) {
-					return PipelinedBatchRoutingBatch(top, 4, cfg, rnds, Options{})
-				})
+			requireBatchEqualsScalar(t, "pipelined-batch/"+label, "pipelined-batch-routing", top, cfg, ScheduleParams{K: 4}, 4, 2)
 		}
 	}
 }
@@ -222,24 +161,15 @@ func TestSequentialDecayBatchEqualsScalar(t *testing.T) {
 		{Fault: radio.ReceiverFaults, P: 0.3, Engine: radio.Dense},
 	} {
 		label := fmt.Sprintf("%s/%s", cfg.Fault, cfg.Engine)
-		requireBatchEqualsScalar(t, "sequential-decay/"+label, 5, 3,
-			func(r *rng.Stream) (MultiResult, error) { return SequentialDecayRouting(top, cfg, 3, r, Options{}) },
-			func(rnds []*rng.Stream) ([]MultiResult, error) {
-				return SequentialDecayRoutingBatch(top, cfg, 3, rnds, Options{})
-			})
+		requireBatchEqualsScalar(t, "sequential-decay/"+label, "sequential-decay-routing", top, cfg, ScheduleParams{K: 3}, 5, 3)
 		// Capped: some messages cannot finish.
-		capped := Options{MaxRounds: 40}
-		requireBatchEqualsScalar(t, "sequential-decay-capped/"+label, 4, 2,
-			func(r *rng.Stream) (MultiResult, error) { return SequentialDecayRouting(top, cfg, 5, r, capped) },
-			func(rnds []*rng.Stream) ([]MultiResult, error) {
-				return SequentialDecayRoutingBatch(top, cfg, 5, rnds, capped)
-			})
+		capped := ScheduleParams{K: 5, Options: Options{MaxRounds: 40}}
+		requireBatchEqualsScalar(t, "sequential-decay-capped/"+label, "sequential-decay-routing", top, cfg, capped, 4, 2)
 	}
 }
 
 func TestRLNCBatchEqualsScalar(t *testing.T) {
 	top := graph.GNP(28, 0.2, rng.New(6))
-	const k, payloadLen = 4, 6
 	for _, pattern := range []RLNCPattern{RLNCDecay, RLNCRobustFASTBC} {
 		for _, cfg := range []radio.Config{
 			{Fault: radio.ReceiverFaults, P: 0.3},
@@ -249,26 +179,15 @@ func TestRLNCBatchEqualsScalar(t *testing.T) {
 			// The scalar trial draws its messages from the trial stream
 			// before broadcasting — the batch path must preserve that
 			// per-lane draw order exactly.
-			requireBatchEqualsScalar(t, "rlnc/"+label, 5, 3,
-				func(r *rng.Stream) (MultiResult, error) {
-					msgs := RandomMessages(k, payloadLen, r)
-					res, _, err := RLNCBroadcast(top, cfg, msgs, pattern, r, RLNCOptions{})
-					return res, err
-				},
-				func(rnds []*rng.Stream) ([]MultiResult, error) {
-					messages := make([][][]byte, len(rnds))
-					for i, r := range rnds {
-						messages[i] = RandomMessages(k, payloadLen, r)
-					}
-					return RLNCBroadcastBatch(top, cfg, messages, pattern, rnds, RLNCOptions{})
-				})
+			p := ScheduleParams{K: 4, PayloadLen: 6, Pattern: pattern}
+			requireBatchEqualsScalar(t, "rlnc/"+label, "rlnc", top, cfg, p, 5, 3)
 		}
 	}
 }
 
 // A single-node topology never executes a round in the scalar RLNC loop
 // (the source already decoded everything); the batch path must match that
-// exactly — zero rounds, zero channel work, untouched streams.
+// exactly — zero rounds, zero channel work.
 func TestRLNCBatchSingleNodeMatchesScalar(t *testing.T) {
 	b := graph.NewBuilder(1)
 	g, err := b.Build()
@@ -277,17 +196,5 @@ func TestRLNCBatchSingleNodeMatchesScalar(t *testing.T) {
 	}
 	top := graph.Topology{G: g, Source: 0, Name: "single"}
 	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.3}
-	requireBatchEqualsScalar(t, "rlnc-single-node", 4, 2,
-		func(r *rng.Stream) (MultiResult, error) {
-			msgs := RandomMessages(2, 4, r)
-			res, _, err := RLNCBroadcast(top, cfg, msgs, RLNCDecay, r, RLNCOptions{})
-			return res, err
-		},
-		func(rnds []*rng.Stream) ([]MultiResult, error) {
-			messages := make([][][]byte, len(rnds))
-			for i, r := range rnds {
-				messages[i] = RandomMessages(2, 4, r)
-			}
-			return RLNCBroadcastBatch(top, cfg, messages, RLNCDecay, rnds, RLNCOptions{})
-		})
+	requireBatchEqualsScalar(t, "rlnc-single-node", "rlnc", top, cfg, ScheduleParams{K: 2, PayloadLen: 4}, 4, 2)
 }

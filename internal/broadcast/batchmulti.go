@@ -13,26 +13,20 @@ import (
 )
 
 // This file holds the trial-batched twins of the multi-message schedules:
-// each entry runs one independent trial per stream in rnds, in lockstep
-// over a pooled radio.BatchNetwork (see runMultiBatch), with trial i
-// draw-for-draw identical to the scalar function applied to rnds[i]. The
-// scalar fallback covers width 1 (nothing to amortise) and widths beyond
-// radio.MaxBatchWidth.
+// each runs one independent trial per stream in rnds, in lockstep over a
+// pooled radio.BatchNetwork (see runMultiBatch), with trial i
+// draw-for-draw identical to the scalar twin applied to rnds[i].
 
-// StarRoutingBatch is the trial-batched StarRouting.
-func StarRoutingBatch(leaves, k int, cfg radio.Config, rnds []*rng.Stream, opts Options) ([]MultiResult, error) {
+// starRoutingBatch is the trial-batched starRouting.
+func starRoutingBatch(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
+	leaves, k := p.Leaves, p.K
 	if leaves < 1 || k < 1 {
 		return nil, fmt.Errorf("broadcast: star routing needs leaves >= 1 and k >= 1, got (%d,%d)", leaves, k)
 	}
 	w := len(rnds)
-	if !validBatchWidth(w) {
-		return scalarFallback(rnds, func(r *rng.Stream) (MultiResult, error) {
-			return StarRouting(leaves, k, cfg, r, opts)
-		})
-	}
 	top := cachedStar(leaves)
 	n := top.G.N()
-	maxRounds := opts.MaxRounds
+	maxRounds := p.Options.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = starDefaultMaxRounds(leaves, k, cfg)
 	}
@@ -68,8 +62,8 @@ func StarRoutingBatch(leaves, k int, cfg radio.Config, rnds []*rng.Stream, opts 
 		}
 	}
 	return runMultiBatch(&idPool, top.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) MultiResult {
-			return MultiResult{
+		func(l, rounds int, ch radio.Stats) Outcome {
+			return Outcome{
 				Rounds:  rounds,
 				Success: current[l] == int32(k),
 				Done:    doneCountStar(current[l], k, leaves, missing[l]),
@@ -78,20 +72,16 @@ func StarRoutingBatch(leaves, k int, cfg radio.Config, rnds []*rng.Stream, opts 
 		})
 }
 
-// StarCodingBatch is the trial-batched StarCoding.
-func StarCodingBatch(leaves, k int, cfg radio.Config, rnds []*rng.Stream, opts Options) ([]MultiResult, error) {
+// starCodingBatch is the trial-batched starCoding.
+func starCodingBatch(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
+	leaves, k := p.Leaves, p.K
 	if leaves < 1 || k < 1 {
 		return nil, fmt.Errorf("broadcast: star coding needs leaves >= 1 and k >= 1, got (%d,%d)", leaves, k)
 	}
 	w := len(rnds)
-	if !validBatchWidth(w) {
-		return scalarFallback(rnds, func(r *rng.Stream) (MultiResult, error) {
-			return StarCoding(leaves, k, cfg, r, opts)
-		})
-	}
 	top := cachedStar(leaves)
 	n := top.G.N()
-	maxRounds := opts.MaxRounds
+	maxRounds := p.Options.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = starDefaultMaxRounds(leaves, k, cfg)
 	}
@@ -118,8 +108,8 @@ func StarCodingBatch(leaves, k int, cfg radio.Config, rnds []*rng.Stream, opts O
 		}
 	}
 	return runMultiBatch(&idPool, top.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) MultiResult {
-			return MultiResult{
+		func(l, rounds int, ch radio.Stats) Outcome {
+			return Outcome{
 				Rounds:  rounds,
 				Success: done[l] == leaves,
 				Done:    done[l] + 1,
@@ -128,19 +118,15 @@ func StarCodingBatch(leaves, k int, cfg radio.Config, rnds []*rng.Stream, opts O
 		})
 }
 
-// WCTRoutingBatch is the trial-batched WCTRouting.
-func WCTRoutingBatch(w0 *graph.WCT, k int, cfg radio.Config, rnds []*rng.Stream, opts Options) ([]MultiResult, error) {
+// wctRoutingBatch is the trial-batched wctRouting.
+func wctRoutingBatch(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
+	w0, k := p.WCT, p.K
 	if err := validateWCTArgs(w0, k); err != nil {
 		return nil, err
 	}
 	w := len(rnds)
-	if !validBatchWidth(w) {
-		return scalarFallback(rnds, func(r *rng.Stream) (MultiResult, error) {
-			return WCTRouting(w0, k, cfg, r, opts)
-		})
-	}
 	scales := graph.Log2Floor(len(w0.Senders))
-	maxRounds := opts.MaxRounds
+	maxRounds := p.Options.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = wctDefaultMaxRounds(w0, k, cfg, scales*scales)
 	}
@@ -193,8 +179,8 @@ func WCTRoutingBatch(w0 *graph.WCT, k int, cfg radio.Config, rnds []*rng.Stream,
 		}
 	}
 	return runMultiBatch(&idPool, w0.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) MultiResult {
-			return MultiResult{
+		func(l, rounds int, ch radio.Stats) Outcome {
+			return Outcome{
 				Rounds:  rounds,
 				Success: current[l] == int32(k),
 				Done:    wctDoneCount(w0, current[l], k, missing[l]),
@@ -203,19 +189,15 @@ func WCTRoutingBatch(w0 *graph.WCT, k int, cfg radio.Config, rnds []*rng.Stream,
 		})
 }
 
-// WCTCodingBatch is the trial-batched WCTCoding.
-func WCTCodingBatch(w0 *graph.WCT, k int, cfg radio.Config, rnds []*rng.Stream, opts Options) ([]MultiResult, error) {
+// wctCodingBatch is the trial-batched wctCoding.
+func wctCodingBatch(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
+	w0, k := p.WCT, p.K
 	if err := validateWCTArgs(w0, k); err != nil {
 		return nil, err
 	}
 	w := len(rnds)
-	if !validBatchWidth(w) {
-		return scalarFallback(rnds, func(r *rng.Stream) (MultiResult, error) {
-			return WCTCoding(w0, k, cfg, r, opts)
-		})
-	}
 	scales := graph.Log2Floor(len(w0.Senders))
-	maxRounds := opts.MaxRounds
+	maxRounds := p.Options.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = wctDefaultMaxRounds(w0, k, cfg, scales)
 	}
@@ -268,8 +250,8 @@ func WCTCodingBatch(w0 *graph.WCT, k int, cfg radio.Config, rnds []*rng.Stream, 
 		}
 	}
 	return runMultiBatch(&idPool, w0.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) MultiResult {
-			return MultiResult{
+		func(l, rounds int, ch radio.Stats) Outcome {
+			return Outcome{
 				Rounds:  rounds,
 				Success: done[l] == members,
 				Done:    done[l] + 1 + len(w0.Senders),
@@ -278,17 +260,13 @@ func WCTCodingBatch(w0 *graph.WCT, k int, cfg radio.Config, rnds []*rng.Stream, 
 		})
 }
 
-// SingleLinkNonAdaptiveBatch is the trial-batched SingleLinkNonAdaptive.
-func SingleLinkNonAdaptiveBatch(k, repeats int, cfg radio.Config, rnds []*rng.Stream) ([]MultiResult, error) {
+// singleLinkNonAdaptiveBatch is the trial-batched singleLinkNonAdaptive.
+func singleLinkNonAdaptiveBatch(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
+	k, repeats := p.K, resolveRepeats(p, cfg)
 	if k < 1 || repeats < 1 {
 		return nil, fmt.Errorf("broadcast: single-link non-adaptive needs k >= 1 and repeats >= 1, got (%d,%d)", k, repeats)
 	}
 	w := len(rnds)
-	if !validBatchWidth(w) {
-		return scalarFallback(rnds, func(r *rng.Stream) (MultiResult, error) {
-			return SingleLinkNonAdaptive(k, repeats, cfg, r)
-		})
-	}
 	top := cachedSingleLink()
 	total := k * repeats
 
@@ -314,28 +292,24 @@ func SingleLinkNonAdaptiveBatch(k, repeats int, cfg radio.Config, rnds []*rng.St
 		}
 	}
 	return runMultiBatch(&idPool, top.G, cfg, rnds, total, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) MultiResult {
+		func(l, rounds int, ch radio.Stats) Outcome {
 			done := 1
 			if received[l] == k {
 				done = 2
 			}
-			return MultiResult{Rounds: total, Success: received[l] == k, Done: done, Channel: ch}
+			return Outcome{Rounds: total, Success: received[l] == k, Done: done, Channel: ch}
 		})
 }
 
-// SingleLinkAdaptiveBatch is the trial-batched SingleLinkAdaptive.
-func SingleLinkAdaptiveBatch(k int, cfg radio.Config, rnds []*rng.Stream, opts Options) ([]MultiResult, error) {
+// singleLinkAdaptiveBatch is the trial-batched singleLinkAdaptive.
+func singleLinkAdaptiveBatch(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
+	k := p.K
 	if k < 1 {
 		return nil, fmt.Errorf("broadcast: single-link adaptive needs k >= 1, got %d", k)
 	}
 	w := len(rnds)
-	if !validBatchWidth(w) {
-		return scalarFallback(rnds, func(r *rng.Stream) (MultiResult, error) {
-			return SingleLinkAdaptive(k, cfg, r, opts)
-		})
-	}
 	top := cachedSingleLink()
-	maxRounds := opts.MaxRounds
+	maxRounds := p.Options.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = singleLinkDefaultMaxRounds(k, cfg)
 	}
@@ -355,28 +329,24 @@ func SingleLinkAdaptiveBatch(k int, cfg radio.Config, rnds []*rng.Stream, opts O
 		}
 	}
 	return runMultiBatch(&idPool, top.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) MultiResult {
+		func(l, rounds int, ch radio.Stats) Outcome {
 			done := 1
 			if current[l] == k {
 				done = 2
 			}
-			return MultiResult{Rounds: rounds, Success: current[l] == k, Done: done, Channel: ch}
+			return Outcome{Rounds: rounds, Success: current[l] == k, Done: done, Channel: ch}
 		})
 }
 
-// SingleLinkCodingBatch is the trial-batched SingleLinkCoding.
-func SingleLinkCodingBatch(k int, cfg radio.Config, rnds []*rng.Stream, opts Options) ([]MultiResult, error) {
+// singleLinkCodingBatch is the trial-batched singleLinkCoding.
+func singleLinkCodingBatch(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
+	k := p.K
 	if k < 1 {
 		return nil, fmt.Errorf("broadcast: single-link coding needs k >= 1, got %d", k)
 	}
 	w := len(rnds)
-	if !validBatchWidth(w) {
-		return scalarFallback(rnds, func(r *rng.Stream) (MultiResult, error) {
-			return SingleLinkCoding(k, cfg, r, opts)
-		})
-	}
 	top := cachedSingleLink()
-	maxRounds := opts.MaxRounds
+	maxRounds := p.Options.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = singleLinkDefaultMaxRounds(k, cfg)
 	}
@@ -396,29 +366,25 @@ func SingleLinkCodingBatch(k int, cfg radio.Config, rnds []*rng.Stream, opts Opt
 		}
 	}
 	return runMultiBatch(&idPool, top.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) MultiResult {
+		func(l, rounds int, ch radio.Stats) Outcome {
 			done := 1
 			if received[l] >= k {
 				done = 2
 			}
-			return MultiResult{Rounds: rounds, Success: received[l] >= k, Done: done, Channel: ch}
+			return Outcome{Rounds: rounds, Success: received[l] >= k, Done: done, Channel: ch}
 		})
 }
 
-// PathPipelineRoutingBatch is the trial-batched PathPipelineRouting.
-func PathPipelineRoutingBatch(pathLen, k int, cfg radio.Config, rnds []*rng.Stream, opts Options) ([]MultiResult, error) {
+// pathPipelineRoutingBatch is the trial-batched pathPipelineRouting.
+func pathPipelineRoutingBatch(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
+	pathLen, k := p.PathLen, p.K
 	if pathLen < 1 || k < 1 {
 		return nil, fmt.Errorf("broadcast: path pipeline needs pathLen >= 1 and k >= 1, got (%d,%d)", pathLen, k)
 	}
 	w := len(rnds)
-	if !validBatchWidth(w) {
-		return scalarFallback(rnds, func(r *rng.Stream) (MultiResult, error) {
-			return PathPipelineRouting(pathLen, k, cfg, r, opts)
-		})
-	}
 	top := cachedPath(pathLen + 1)
 	n := top.G.N()
-	maxRounds := opts.MaxRounds
+	maxRounds := p.Options.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = pipelineDefaultMaxRounds(pathLen, k, cfg)
 	}
@@ -455,33 +421,29 @@ func PathPipelineRoutingBatch(pathLen, k int, cfg radio.Config, rnds []*rng.Stre
 		}
 	}
 	return runMultiBatch(&idPool, top.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) MultiResult {
+		func(l, rounds int, ch radio.Stats) Outcome {
 			done := 0
 			for v := 0; v < n; v++ {
 				if have[l][v] == int32(k) {
 					done++
 				}
 			}
-			return MultiResult{Rounds: rounds, Success: have[l][n-1] == int32(k), Done: done, Channel: ch}
+			return Outcome{Rounds: rounds, Success: have[l][n-1] == int32(k), Done: done, Channel: ch}
 		})
 }
 
 // transformedPathBatch is the trial-batched transformedPath, shared by
-// TransformedPathRoutingBatch and TransformedPathCodingBatch. The
+// transformedPathRoutingBatch and transformedPathCodingBatch. The
 // meta-round structure is identical across lanes (it depends only on
 // pathLen, k and cfg), so the lockstep round index decomposes into the
 // scalar loop's (meta-round, step) pair.
-func transformedPathBatch(pathLen, k int, cfg radio.Config, rnds []*rng.Stream, params TransformParams, opts Options, coding bool) ([]MultiResult, error) {
+func transformedPathBatch(cfg radio.Config, rnds []*rng.Stream, p ScheduleParams, coding bool) ([]Outcome, error) {
+	pathLen, k := p.PathLen, p.K
 	if pathLen < 1 || k < 1 {
 		return nil, fmt.Errorf("broadcast: transformed path needs pathLen >= 1 and k >= 1, got (%d,%d)", pathLen, k)
 	}
 	w := len(rnds)
-	if !validBatchWidth(w) {
-		return scalarFallback(rnds, func(r *rng.Stream) (MultiResult, error) {
-			return transformedPath(pathLen, k, cfg, r, params, opts, coding)
-		})
-	}
-	pr := params.withDefaults(pathLen, k)
+	pr := p.Transform.withDefaults(pathLen, k)
 	batches := (k + pr.Batch - 1) / pr.Batch
 	mlen := metaRoundLen(pr.Batch, cfg, pr.Eta)
 	metaRounds := 3 * (batches + pathLen)
@@ -545,43 +507,39 @@ func transformedPathBatch(pathLen, k int, cfg radio.Config, rnds []*rng.Stream, 
 		}
 	}
 	return runMultiBatch(&idPool, top.G, cfg, rnds, total, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) MultiResult {
+		func(l, rounds int, ch radio.Stats) Outcome {
 			done := 0
 			for v := 0; v < n; v++ {
 				if batchHave[l][v] == int32(batches) {
 					done++
 				}
 			}
-			return MultiResult{Rounds: total, Success: batchHave[l][n-1] == int32(batches), Done: done, Channel: ch}
+			return Outcome{Rounds: total, Success: batchHave[l][n-1] == int32(batches), Done: done, Channel: ch}
 		})
 }
 
-// TransformedPathRoutingBatch is the trial-batched TransformedPathRouting.
-func TransformedPathRoutingBatch(pathLen, k int, cfg radio.Config, rnds []*rng.Stream, params TransformParams, opts Options) ([]MultiResult, error) {
-	return transformedPathBatch(pathLen, k, cfg, rnds, params, opts, false)
+// transformedPathRoutingBatch is the trial-batched transformedPathRouting.
+func transformedPathRoutingBatch(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
+	return transformedPathBatch(cfg, rnds, p, false)
 }
 
-// TransformedPathCodingBatch is the trial-batched TransformedPathCoding.
-func TransformedPathCodingBatch(pathLen, k int, cfg radio.Config, rnds []*rng.Stream, params TransformParams, opts Options) ([]MultiResult, error) {
-	return transformedPathBatch(pathLen, k, cfg, rnds, params, opts, true)
+// transformedPathCodingBatch is the trial-batched transformedPathCoding.
+func transformedPathCodingBatch(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
+	return transformedPathBatch(cfg, rnds, p, true)
 }
 
-// PipelinedBatchRoutingBatch is the trial-batched PipelinedBatchRouting.
+// pipelinedBatchRoutingBatch is the trial-batched pipelinedBatchRouting.
 // The BFS layer decomposition and the per-phase coins are built once and
 // shared read-only across lanes.
-func PipelinedBatchRoutingBatch(top graph.Topology, k int, cfg radio.Config, rnds []*rng.Stream, opts Options) ([]MultiResult, error) {
+func pipelinedBatchRoutingBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
 	if err := validateTopology(top); err != nil {
 		return nil, err
 	}
+	k := p.K
 	if k < 1 {
 		return nil, fmt.Errorf("broadcast: pipelined batch routing needs k >= 1, got %d", k)
 	}
 	w := len(rnds)
-	if !validBatchWidth(w) {
-		return scalarFallback(rnds, func(r *rng.Stream) (MultiResult, error) {
-			return PipelinedBatchRouting(top, k, cfg, r, opts)
-		})
-	}
 	g := top.G
 	n := g.N()
 	layers := g.Layers(top.Source)
@@ -593,13 +551,13 @@ func PipelinedBatchRoutingBatch(top graph.Topology, k int, cfg radio.Config, rnd
 	}
 	L := len(layers) - 1
 	if L == 0 {
-		out := make([]MultiResult, w)
+		out := make([]Outcome, w)
 		for l := range out {
-			out[l] = MultiResult{Rounds: 0, Success: true, Done: n}
+			out[l] = Outcome{Rounds: 0, Success: true, Done: n}
 		}
 		return out, nil
 	}
-	maxRounds := opts.MaxRounds
+	maxRounds := p.Options.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = pipelinedBatchDefaultMaxRounds(n, L, k, cfg)
 	}
@@ -667,18 +625,18 @@ func PipelinedBatchRoutingBatch(top graph.Topology, k int, cfg radio.Config, rnd
 		}
 	}
 	return runMultiBatch(&idPool, g, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) MultiResult {
+		func(l, rounds int, ch radio.Stats) Outcome {
 			done := 0
 			for i := 0; i <= L; i++ {
 				if layerHave[l][i] == int32(k) {
 					done += len(layers[i])
 				}
 			}
-			return MultiResult{Rounds: rounds, Success: layerHave[l][L] == int32(k), Done: done, Channel: ch}
+			return Outcome{Rounds: rounds, Success: layerHave[l][L] == int32(k), Done: done, Channel: ch}
 		})
 }
 
-// SequentialDecayRoutingBatch is the trial-batched SequentialDecayRouting:
+// sequentialDecayRoutingBatch is the trial-batched sequentialDecayRouting:
 // each lane runs its own sequence of k Decay broadcasts (with per-message
 // informed-set resets and per-message round caps), all lanes stepping one
 // shared batch network. Lanes sit at different message indices at any
@@ -687,29 +645,25 @@ func PipelinedBatchRoutingBatch(top graph.Topology, k int, cfg radio.Config, rnd
 // state is reset: the scalar path checks a fresh network out of the pool
 // per Decay call, so the canonical draw sequence restarts there, and
 // stateful contracts (DrawV3 bursts) must restart here too.
-func SequentialDecayRoutingBatch(top graph.Topology, cfg radio.Config, k int, rnds []*rng.Stream, opts Options) ([]MultiResult, error) {
+func sequentialDecayRoutingBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
 	if err := validateTopology(top); err != nil {
 		return nil, err
 	}
+	k := p.K
 	if k < 1 {
 		return nil, fmt.Errorf("broadcast: sequential routing needs k >= 1, got %d", k)
 	}
 	w := len(rnds)
-	if !validBatchWidth(w) || opts.Trace != nil {
-		return scalarFallback(rnds, func(r *rng.Stream) (MultiResult, error) {
-			return SequentialDecayRouting(top, cfg, k, r, opts)
-		})
-	}
 	g := top.G
 	n := g.N()
-	out := make([]MultiResult, w)
+	out := make([]Outcome, w)
 	for l := range out {
-		out[l] = MultiResult{Success: true, Done: n}
+		out[l] = Outcome{Success: true, Done: n}
 	}
 	if n == 1 {
 		return out, nil // every Decay run completes in zero rounds
 	}
-	perMsgCap := resolveMaxRounds(opts, n, g.Eccentricity(top.Source), cfg)
+	perMsgCap := resolveMaxRounds(p.Options, n, g.Eccentricity(top.Source), cfg)
 	sched := decaySchedule(n)()
 
 	net, err := sigPool.GetBatch(g, cfg, rnds)
@@ -770,57 +724,22 @@ func SequentialDecayRoutingBatch(top graph.Topology, cfg radio.Config, k int, rn
 	return out, nil
 }
 
-// RLNCBroadcastBatch is the trial-batched RLNCBroadcast: lane i broadcasts
-// messages[i] under rnds[i], identically to
-// RLNCBroadcast(top, cfg, messages[i], pattern, rnds[i], opts) — except
-// that the per-lane witness decode (which consumes no randomness) is not
-// returned; callers verifying payload reconstruction should use the
-// scalar entry point. All lanes must carry the same message count and
-// payload length (they are trials of one experiment row).
-func RLNCBroadcastBatch(top graph.Topology, cfg radio.Config, messages [][][]byte, pattern RLNCPattern, rnds []*rng.Stream, opts RLNCOptions) ([]MultiResult, error) {
+// randomRLNCBatch is the trial-batched randomRLNC: lane i draws its
+// messages from rnds[i] and broadcasts them identically to
+// RLNCBroadcast(top, cfg, messages, p.Pattern, rnds[i], p.RLNC), minus the
+// witness decode (which consumes no randomness).
+func randomRLNCBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
+	k := p.K
+	if k < 1 {
+		return nil, fmt.Errorf("broadcast: rlnc needs K >= 1, got %d", k)
+	}
 	if err := validateTopology(top); err != nil {
 		return nil, err
 	}
+	payloadLen, pattern, opts := p.payloadLen(), p.pattern(), p.RLNC
 	w := len(rnds)
-	if len(messages) != w {
-		return nil, fmt.Errorf("broadcast: %d message sets for %d streams", len(messages), w)
-	}
-	if !validBatchWidth(w) {
-		out := make([]MultiResult, w)
-		for i, r := range rnds {
-			res, _, err := RLNCBroadcast(top, cfg, messages[i], pattern, r, opts)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = res
-		}
-		return out, nil
-	}
-	k := len(messages[0])
-	if k < 1 {
-		return nil, fmt.Errorf("broadcast: need at least one message")
-	}
-	payloadLen := len(messages[0][0])
-	if payloadLen == 0 {
-		return nil, fmt.Errorf("broadcast: empty message payloads")
-	}
-	for _, msgs := range messages {
-		if len(msgs) != k || len(msgs[0]) != payloadLen {
-			return nil, fmt.Errorf("broadcast: lanes carry differently shaped message sets")
-		}
-	}
 	g := top.G
 	n := g.N()
-	if n == 1 {
-		// The source already holds every message: the scalar loop never
-		// executes a round (decoded == n up front) and draws nothing.
-		out := make([]MultiResult, w)
-		for l := range out {
-			out[l] = MultiResult{Rounds: 0, Success: true, Done: 1}
-		}
-		return out, nil
-	}
-
 	// Pattern structure, shared read-only across lanes.
 	var buckets [][]int32
 	var period, cS int
@@ -838,6 +757,15 @@ func RLNCBroadcastBatch(top graph.Topology, cfg radio.Config, messages [][][]byt
 		levels = tree.Level
 	} else if pattern != RLNCDecay {
 		return nil, fmt.Errorf("broadcast: unknown RLNC pattern %d", int(pattern))
+	}
+	if n == 1 {
+		// The source already holds every message: the scalar loop never
+		// executes a round (decoded == n up front).
+		out := make([]Outcome, w)
+		for l := range out {
+			out[l] = Outcome{Rounds: 0, Success: true, Done: 1}
+		}
+		return out, nil
 	}
 
 	diam := g.Eccentricity(top.Source)
@@ -863,7 +791,7 @@ func RLNCBroadcastBatch(top graph.Topology, cfg radio.Config, messages [][][]byt
 		for v := range decoders[l] {
 			decoders[l][v] = rlnc.NewDecoder(k, payloadLen)
 		}
-		src, err := rlnc.SourceDecoder(messages[l])
+		src, err := rlnc.SourceDecoder(RandomMessages(k, payloadLen, rnd))
 		if err != nil {
 			return nil, err
 		}
@@ -942,7 +870,7 @@ func RLNCBroadcastBatch(top graph.Topology, cfg radio.Config, messages [][][]byt
 		}
 	}
 	return runMultiBatch(&rlncPool, g, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) MultiResult {
-			return MultiResult{Rounds: rounds, Success: decoded[l] == n, Done: decoded[l], Channel: ch}
+		func(l, rounds int, ch radio.Stats) Outcome {
+			return Outcome{Rounds: rounds, Success: decoded[l] == n, Done: decoded[l], Channel: ch}
 		})
 }

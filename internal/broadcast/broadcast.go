@@ -29,19 +29,6 @@ import (
 	"noisyradio/internal/rng"
 )
 
-// Result reports the outcome of one broadcast execution.
-type Result struct {
-	// Rounds is the number of rounds executed until success or the cap.
-	Rounds int
-	// Success reports whether every node was informed (or decoded all
-	// messages) before the round cap.
-	Success bool
-	// Informed is the number of informed nodes at termination.
-	Informed int
-	// Channel holds channel-level accounting from the radio engine.
-	Channel radio.Stats
-}
-
 // Options tunes an execution. The zero value selects sensible defaults.
 type Options struct {
 	// MaxRounds caps the execution; 0 selects a generous default derived
@@ -124,9 +111,33 @@ type marker interface {
 type scheduleFunc func(m marker, round int)
 
 // scheduleFactory builds a fresh per-trial schedule closure. Schedules
-// with per-trial mutable state (DecayUnknownN's growing epochs) need one
+// with per-trial mutable state (decayUnknownN's growing epochs) need one
 // closure per trial; stateless schedules may return a shared one.
 type scheduleFactory func() scheduleFunc
+
+// singlePlan prepares a single-message schedule over a validated
+// topology: its round cap and its per-trial schedule factory. Each
+// single-message schedule has one plan, which runSingle and
+// runSingleBatch both execute.
+type singlePlan func(top graph.Topology, cfg radio.Config, p ScheduleParams) (maxRounds int, factory scheduleFactory, err error)
+
+// runSingle executes one single-message trial of plan from the
+// topology's source.
+func runSingle(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams, plan singlePlan) (Outcome, error) {
+	if err := validateTopology(top); err != nil {
+		return Outcome{}, err
+	}
+	maxRounds, factory, err := plan(top, cfg, p)
+	if err != nil {
+		return Outcome{}, err
+	}
+	runner, err := newSingleRunner(top.G, top.Source, cfg, r)
+	if err != nil {
+		return Outcome{}, err
+	}
+	runner.net.SetTrace(p.Options.Trace)
+	return runner.run(maxRounds, factory()), nil
+}
 
 // singleRunner drives the shared informed-set loop of the single-message
 // algorithms: per round, a schedule marks broadcasters from the informed
@@ -186,7 +197,7 @@ func (s *singleRunner) Informed(v int32) bool {
 
 // run executes schedule until all nodes are informed or maxRounds elapse.
 // schedule must mark broadcasters via the marker view for the given round.
-func (s *singleRunner) run(maxRounds int, schedule scheduleFunc) Result {
+func (s *singleRunner) run(maxRounds int, schedule scheduleFunc) Outcome {
 	n := s.informed.Len()
 	round := 0
 	for ; round < maxRounds && len(s.informedList) < n; round++ {
@@ -209,11 +220,11 @@ func (s *singleRunner) run(maxRounds int, schedule scheduleFunc) Result {
 		s.rx.ResetWindow(lo, hi)
 		s.tx.ResetWindow(s.tx.NonzeroRange())
 	}
-	res := Result{
-		Rounds:   round,
-		Success:  len(s.informedList) == n,
-		Informed: len(s.informedList),
-		Channel:  s.net.Stats(),
+	res := Outcome{
+		Rounds:  round,
+		Success: len(s.informedList) == n,
+		Done:    len(s.informedList),
+		Channel: s.net.Stats(),
 	}
 	// The runner drives exactly one execution; recycle the network for the
 	// next trial over this graph.

@@ -21,7 +21,7 @@ func decaySchedule(n int) scheduleFactory {
 	return func() scheduleFunc { return sched }
 }
 
-// Decay runs the classic Decay algorithm [Bar-Yehuda, Goldreich, Itai 1992]
+// decay runs the classic Decay algorithm [Bar-Yehuda, Goldreich, Itai 1992]
 // for single-message broadcast from the topology's source (Section 3.4.1).
 //
 // Rounds are grouped into phases of ⌈log₂ n⌉+1 rounds; in the i-th round of
@@ -29,35 +29,19 @@ func decaySchedule(n int) scheduleFactory {
 // 2^-i. The algorithm needs no topology knowledge and, per Lemma 9, remains
 // robust under sender or receiver faults: it completes in
 // O(log n/(1-p) · (D + log n + log 1/δ)) rounds with failure probability δ.
-func Decay(top graph.Topology, cfg radio.Config, r *rng.Stream, opts Options) (Result, error) {
-	if err := validateTopology(top); err != nil {
-		return Result{}, err
-	}
-	g := top.G
-	runner, err := newSingleRunner(g, top.Source, cfg, r)
-	if err != nil {
-		return Result{}, err
-	}
-	runner.net.SetTrace(opts.Trace)
-	maxRounds := resolveMaxRounds(opts, g.N(), g.Eccentricity(top.Source), cfg)
-	return runner.run(maxRounds, decaySchedule(g.N())()), nil
+func decay(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
+	return runSingle(top, cfg, r, p, decayPlan)
 }
 
-// DecayBatch runs one independent Decay trial per stream in rnds, in
-// lockstep on a trial-batched radio network. Trial i is draw-for-draw
-// identical to Decay(top, cfg, rnds[i], opts) — batching is purely a
-// throughput optimisation (see runSingleBatch).
-func DecayBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, opts Options) ([]Result, error) {
-	if err := validateTopology(top); err != nil {
-		return nil, err
-	}
-	scalar := func(r *rng.Stream) (Result, error) { return Decay(top, cfg, r, opts) }
-	if singleBatchFallback(rnds, opts) {
-		return runSingleScalar(rnds, scalar)
-	}
+// decayBatch runs one independent decay trial per stream in rnds, in
+// lockstep on a trial-batched radio network (see runSingleBatch).
+func decayBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
+	return runSingleBatch(top, cfg, rnds, p, decayPlan)
+}
+
+func decayPlan(top graph.Topology, cfg radio.Config, p ScheduleParams) (int, scheduleFactory, error) {
 	g := top.G
-	maxRounds := resolveMaxRounds(opts, g.N(), g.Eccentricity(top.Source), cfg)
-	return runSingleBatch(top, cfg, rnds, opts, maxRounds, decaySchedule(g.N()), scalar)
+	return resolveMaxRounds(p.Options, g.N(), g.Eccentricity(top.Source), cfg), decaySchedule(g.N()), nil
 }
 
 // decayProbabilities precomputes 2^-(i+1) for the i-th round of a phase.
@@ -104,7 +88,7 @@ func unknownNSchedule() scheduleFactory {
 	}
 }
 
-// DecayUnknownN runs Decay without any knowledge of the network — not even
+// decayUnknownN runs Decay without any knowledge of the network — not even
 // its size. Where the standard algorithm cycles broadcast probabilities
 // 2^-1..2^-⌈log n⌉ (which requires knowing n to size the phase), this
 // variant sweeps growing epochs — the e-th epoch uses probabilities
@@ -116,32 +100,16 @@ func unknownNSchedule() scheduleFactory {
 // overhead that the package tests measure. (A schedule with o(log n)
 // overhead without knowing n is a different research problem; this is the
 // honest engineering trade.)
-func DecayUnknownN(top graph.Topology, cfg radio.Config, r *rng.Stream, opts Options) (Result, error) {
-	if err := validateTopology(top); err != nil {
-		return Result{}, err
-	}
-	g := top.G
-	runner, err := newSingleRunner(g, top.Source, cfg, r)
-	if err != nil {
-		return Result{}, err
-	}
-	runner.net.SetTrace(opts.Trace)
-	maxRounds := resolveMaxRounds(opts, g.N(), g.Eccentricity(top.Source), cfg)
-	return runner.run(maxRounds, unknownNSchedule()()), nil
+func decayUnknownN(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
+	return runSingle(top, cfg, r, p, unknownNPlan)
 }
 
-// DecayUnknownNBatch runs one independent DecayUnknownN trial per stream
-// in rnds, in lockstep; trial i is identical to
-// DecayUnknownN(top, cfg, rnds[i], opts).
-func DecayUnknownNBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, opts Options) ([]Result, error) {
-	if err := validateTopology(top); err != nil {
-		return nil, err
-	}
-	scalar := func(r *rng.Stream) (Result, error) { return DecayUnknownN(top, cfg, r, opts) }
-	if singleBatchFallback(rnds, opts) {
-		return runSingleScalar(rnds, scalar)
-	}
+// decayUnknownNBatch is decayUnknownN's lockstep twin.
+func decayUnknownNBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
+	return runSingleBatch(top, cfg, rnds, p, unknownNPlan)
+}
+
+func unknownNPlan(top graph.Topology, cfg radio.Config, p ScheduleParams) (int, scheduleFactory, error) {
 	g := top.G
-	maxRounds := resolveMaxRounds(opts, g.N(), g.Eccentricity(top.Source), cfg)
-	return runSingleBatch(top, cfg, rnds, opts, maxRounds, unknownNSchedule(), scalar)
+	return resolveMaxRounds(p.Options, g.N(), g.Eccentricity(top.Source), cfg), unknownNSchedule(), nil
 }

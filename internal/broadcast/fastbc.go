@@ -33,7 +33,7 @@ func fastbcSchedule(g *graph.Graph, tree *gbst.Tree) scheduleFactory {
 	return func() scheduleFunc { return sched }
 }
 
-// FASTBC runs the known-topology, diameter-linear broadcast algorithm of
+// fastbc runs the known-topology, diameter-linear broadcast algorithm of
 // Gąsieniec, Peleg and Xin [22] (Section 3.4.2).
 //
 // A GBST is built from the source. Odd-numbered rounds run a standard Decay
@@ -46,41 +46,21 @@ func fastbcSchedule(g *graph.Graph, tree *gbst.Tree) scheduleFactory {
 // Under sender or receiver faults its round-counting wave breaks and the
 // expected time on a path degrades to Θ(p/(1-p)·D·log n + D/(1-p))
 // (Lemma 10) — the deterioration this repository's experiment E4 measures.
-func FASTBC(top graph.Topology, cfg radio.Config, r *rng.Stream, opts Options) (Result, error) {
-	if err := validateTopology(top); err != nil {
-		return Result{}, err
-	}
-	g := top.G
-	tree, err := gbst.Build(g, top.Source)
-	if err != nil {
-		return Result{}, err
-	}
-	runner, err := newSingleRunner(g, top.Source, cfg, r)
-	if err != nil {
-		return Result{}, err
-	}
-	runner.net.SetTrace(opts.Trace)
-	maxRounds := resolveMaxRounds(opts, g.N(), tree.Depth, cfg)
-	return runner.run(maxRounds, fastbcSchedule(g, tree)()), nil
+func fastbc(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
+	return runSingle(top, cfg, r, p, fastbcPlan)
 }
 
-// FASTBCBatch runs one independent FASTBC trial per stream in rnds, in
-// lockstep; trial i is identical to FASTBC(top, cfg, rnds[i], opts). The
-// GBST and its wave buckets are built once and shared read-only across
-// lanes.
-func FASTBCBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, opts Options) ([]Result, error) {
-	if err := validateTopology(top); err != nil {
-		return nil, err
-	}
-	scalar := func(r *rng.Stream) (Result, error) { return FASTBC(top, cfg, r, opts) }
-	if singleBatchFallback(rnds, opts) {
-		return runSingleScalar(rnds, scalar)
-	}
+// fastbcBatch is fastbc's lockstep twin. The GBST and its wave buckets are
+// built once and shared read-only across lanes.
+func fastbcBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
+	return runSingleBatch(top, cfg, rnds, p, fastbcPlan)
+}
+
+func fastbcPlan(top graph.Topology, cfg radio.Config, p ScheduleParams) (int, scheduleFactory, error) {
 	g := top.G
 	tree, err := gbst.Build(g, top.Source)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	maxRounds := resolveMaxRounds(opts, g.N(), tree.Depth, cfg)
-	return runSingleBatch(top, cfg, rnds, opts, maxRounds, fastbcSchedule(g, tree), scalar)
+	return resolveMaxRounds(p.Options, g.N(), tree.Depth, cfg), fastbcSchedule(g, tree), nil
 }

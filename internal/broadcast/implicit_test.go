@@ -28,13 +28,14 @@ func TestDecayImplicitMatchesExplicit(t *testing.T) {
 		{Fault: radio.SenderFaults, P: 0.2},
 		{Fault: radio.ReceiverFaults, P: 0.2},
 	}
+	decay := MustSchedule("decay")
 	for _, pair := range pairs {
 		for _, cfg := range cfgs {
-			want, err := Decay(pair.explicit, cfg, rng.New(42), Options{})
+			want, err := decay.Run(pair.explicit, cfg, rng.New(42), ScheduleParams{})
 			if err != nil {
 				t.Fatalf("%s/%s explicit: %v", pair.name, cfg.Fault, err)
 			}
-			got, err := Decay(pair.implicit, cfg, rng.New(42), Options{})
+			got, err := decay.Run(pair.implicit, cfg, rng.New(42), ScheduleParams{})
 			if err != nil {
 				t.Fatalf("%s/%s implicit: %v", pair.name, cfg.Fault, err)
 			}
@@ -44,12 +45,12 @@ func TestDecayImplicitMatchesExplicit(t *testing.T) {
 			// Lockstep trials over the implicit topology, against scalar
 			// runs over the explicit one.
 			rnds := []*rng.Stream{rng.NewFrom(7, 0), rng.NewFrom(7, 1), rng.NewFrom(7, 2)}
-			batch, err := DecayBatch(pair.implicit, cfg, rnds, Options{})
+			batch, err := decay.RunBatch(pair.implicit, cfg, rnds, ScheduleParams{})
 			if err != nil {
 				t.Fatalf("%s/%s batch: %v", pair.name, cfg.Fault, err)
 			}
 			for i, b := range batch {
-				s, err := Decay(pair.explicit, cfg, rng.NewFrom(7, uint64(i)), Options{})
+				s, err := decay.Run(pair.explicit, cfg, rng.NewFrom(7, uint64(i)), ScheduleParams{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,11 +68,11 @@ func TestDecayImplicitMatchesExplicit(t *testing.T) {
 func TestDecayImplicitLargeN(t *testing.T) {
 	const n = 100_000
 	top := graph.ImplicitComplete(n)
-	res, err := Decay(top, radio.Config{Fault: radio.SenderFaults, P: 0.1}, rng.New(1), Options{})
+	res, err := MustSchedule("decay").Run(top, radio.Config{Fault: radio.SenderFaults, P: 0.1}, rng.New(1), ScheduleParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Success || res.Informed != n {
+	if !res.Success || res.Done != n {
 		t.Fatalf("Decay on implicit complete(%d): %+v", n, res)
 	}
 }

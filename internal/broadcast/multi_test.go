@@ -95,7 +95,7 @@ func TestLemma12ThroughputScaling(t *testing.T) {
 
 func TestStarRoutingCompletes(t *testing.T) {
 	for _, cfg := range allConfigs() {
-		res, err := StarRouting(20, 5, cfg, rng.New(3), Options{})
+		res, err := MustSchedule("star-routing").Run(graph.Topology{}, cfg, rng.New(3), ScheduleParams{Leaves: 20, K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestStarRoutingCompletes(t *testing.T) {
 
 func TestStarCodingCompletes(t *testing.T) {
 	for _, cfg := range allConfigs() {
-		res, err := StarCoding(20, 5, cfg, rng.New(4), Options{})
+		res, err := MustSchedule("star-coding").Run(graph.Topology{}, cfg, rng.New(4), ScheduleParams{Leaves: 20, K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,10 +125,10 @@ func TestStarCodingCompletes(t *testing.T) {
 
 func TestStarValidation(t *testing.T) {
 	cfg := radio.Config{Fault: radio.Faultless}
-	if _, err := StarRouting(0, 5, cfg, rng.New(1), Options{}); err == nil {
+	if _, err := MustSchedule("star-routing").Run(graph.Topology{}, cfg, rng.New(1), ScheduleParams{Leaves: 0, K: 5}); err == nil {
 		t.Fatal("zero leaves accepted")
 	}
-	if _, err := StarCoding(5, 0, cfg, rng.New(1), Options{}); err == nil {
+	if _, err := MustSchedule("star-coding").Run(graph.Topology{}, cfg, rng.New(1), ScheduleParams{Leaves: 5, K: 0}); err == nil {
 		t.Fatal("zero messages accepted")
 	}
 }
@@ -141,13 +141,14 @@ func TestTheorem17StarGap(t *testing.T) {
 	const k, trials = 40, 4
 	gap := func(leaves int, seed uint64) float64 {
 		var routing, coding float64
+		p := ScheduleParams{Leaves: leaves, K: k}
 		for i := 0; i < trials; i++ {
 			r := rng.NewFrom(seed, uint64(i))
-			resR, err := StarRouting(leaves, k, cfg, r, Options{})
+			resR, err := MustSchedule("star-routing").Run(graph.Topology{}, cfg, r, p)
 			if err != nil || !resR.Success {
 				t.Fatalf("routing leaves=%d: %v %+v", leaves, err, resR)
 			}
-			resC, err := StarCoding(leaves, k, cfg, r, Options{})
+			resC, err := MustSchedule("star-coding").Run(graph.Topology{}, cfg, r, p)
 			if err != nil || !resC.Success {
 				t.Fatalf("coding leaves=%d: %v %+v", leaves, err, resC)
 			}
@@ -170,7 +171,7 @@ func TestTheorem17StarGap(t *testing.T) {
 
 func TestSingleLinkNonAdaptiveRoundsExact(t *testing.T) {
 	cfg := radio.Config{Fault: radio.SenderFaults, P: 0.5}
-	res, err := SingleLinkNonAdaptive(10, 7, cfg, rng.New(5))
+	res, err := MustSchedule("single-link-nonadaptive").Run(graph.Topology{}, cfg, rng.New(5), ScheduleParams{K: 10, Repeats: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +185,11 @@ func TestSingleLinkNonAdaptiveSuccessRate(t *testing.T) {
 	// over many trials the success rate must be high.
 	const k = 64
 	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.5}
-	repeats := DefaultSingleLinkRepeats(k, cfg.P)
 	succ := 0
 	const trials = 50
 	for i := 0; i < trials; i++ {
-		res, err := SingleLinkNonAdaptive(k, repeats, cfg, rng.NewFrom(80, uint64(i)))
+		// Repeats 0 selects DefaultSingleLinkRepeats(k, p).
+		res, err := MustSchedule("single-link-nonadaptive").Run(graph.Topology{}, cfg, rng.NewFrom(80, uint64(i)), ScheduleParams{K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +208,7 @@ func TestSingleLinkAdaptiveExpectedRounds(t *testing.T) {
 	total := 0
 	const trials = 30
 	for i := 0; i < trials; i++ {
-		res, err := SingleLinkAdaptive(k, cfg, rng.NewFrom(81, uint64(i)), Options{})
+		res, err := MustSchedule("single-link-adaptive").Run(graph.Topology{}, cfg, rng.NewFrom(81, uint64(i)), ScheduleParams{K: k})
 		if err != nil || !res.Success {
 			t.Fatalf("trial %d: %v %+v", i, err, res)
 		}
@@ -226,7 +227,7 @@ func TestSingleLinkCodingExpectedRounds(t *testing.T) {
 	total := 0
 	const trials = 30
 	for i := 0; i < trials; i++ {
-		res, err := SingleLinkCoding(k, cfg, rng.NewFrom(82, uint64(i)), Options{})
+		res, err := MustSchedule("single-link-coding").Run(graph.Topology{}, cfg, rng.NewFrom(82, uint64(i)), ScheduleParams{K: k})
 		if err != nil || !res.Success {
 			t.Fatalf("trial %d: %v %+v", i, err, res)
 		}
@@ -250,7 +251,7 @@ func TestLemma31SingleLinkGap(t *testing.T) {
 		t.Fatalf("non-adaptive cost per message did not grow: %v vs %v", perMessage(1024), perMessage(16))
 	}
 	// Adaptive/coding cost per message is flat at ~1/(1-p) = 2.
-	res, err := SingleLinkCoding(512, cfg, rng.New(83), Options{})
+	res, err := MustSchedule("single-link-coding").Run(graph.Topology{}, cfg, rng.New(83), ScheduleParams{K: 512})
 	if err != nil || !res.Success {
 		t.Fatalf("%v %+v", err, res)
 	}
@@ -262,17 +263,18 @@ func TestLemma31SingleLinkGap(t *testing.T) {
 
 func TestSingleLinkValidation(t *testing.T) {
 	cfg := radio.Config{Fault: radio.Faultless}
-	if _, err := SingleLinkNonAdaptive(0, 1, cfg, rng.New(1)); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	if _, err := SingleLinkNonAdaptive(1, 0, cfg, rng.New(1)); err == nil {
-		t.Fatal("repeats=0 accepted")
-	}
-	if _, err := SingleLinkAdaptive(0, cfg, rng.New(1), Options{}); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	if _, err := SingleLinkCoding(0, cfg, rng.New(1), Options{}); err == nil {
-		t.Fatal("k=0 accepted")
+	for _, tc := range []struct {
+		name string
+		p    ScheduleParams
+	}{
+		{"single-link-nonadaptive", ScheduleParams{K: 0, Repeats: 1}},
+		{"single-link-nonadaptive", ScheduleParams{K: 1, Repeats: -1}},
+		{"single-link-adaptive", ScheduleParams{K: 0}},
+		{"single-link-coding", ScheduleParams{K: 0}},
+	} {
+		if _, err := MustSchedule(tc.name).Run(graph.Topology{}, cfg, rng.New(1), tc.p); err == nil {
+			t.Fatalf("%s: %+v accepted", tc.name, tc.p)
+		}
 	}
 }
 
@@ -280,14 +282,14 @@ func TestWCTSchedulesComplete(t *testing.T) {
 	r := rng.New(6)
 	w := graph.NewWCT(graph.DefaultWCTParams(512), r)
 	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.3}
-	resR, err := WCTRouting(w, 4, cfg, r.Split(), Options{})
+	resR, err := MustSchedule("wct-routing").Run(graph.Topology{}, cfg, r.Split(), ScheduleParams{WCT: w, K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resR.Success {
 		t.Fatalf("WCT routing failed: %+v", resR)
 	}
-	resC, err := WCTCoding(w, 4, cfg, r.Split(), Options{})
+	resC, err := MustSchedule("wct-coding").Run(graph.Topology{}, cfg, r.Split(), ScheduleParams{WCT: w, K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,18 +304,19 @@ func TestWCTSchedulesComplete(t *testing.T) {
 
 func TestWCTValidation(t *testing.T) {
 	cfg := radio.Config{Fault: radio.Faultless}
-	if _, err := WCTRouting(nil, 1, cfg, rng.New(1), Options{}); err == nil {
+	if _, err := MustSchedule("wct-routing").Run(graph.Topology{}, cfg, rng.New(1), ScheduleParams{K: 1}); err == nil {
 		t.Fatal("nil WCT accepted")
 	}
 	w := graph.NewWCT(graph.DefaultWCTParams(256), rng.New(1))
-	if _, err := WCTCoding(w, 0, cfg, rng.New(1), Options{}); err == nil {
+	if _, err := MustSchedule("wct-coding").Run(graph.Topology{}, cfg, rng.New(1), ScheduleParams{WCT: w, K: 0}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
 
 func TestPathPipelineRoutingFaultless(t *testing.T) {
 	const pathLen, k = 30, 60
-	res, err := PathPipelineRouting(pathLen, k, radio.Config{Fault: radio.Faultless}, rng.New(7), Options{})
+	res, err := MustSchedule("path-pipeline-routing").Run(graph.Topology{}, radio.Config{Fault: radio.Faultless}, rng.New(7),
+		ScheduleParams{PathLen: pathLen, K: k})
 	if err != nil || !res.Success {
 		t.Fatalf("%v %+v", err, res)
 	}
@@ -334,11 +337,12 @@ func TestPathPipelineRoutingFaultless(t *testing.T) {
 func TestLemma25RoutingTransformThroughput(t *testing.T) {
 	const pathLen, k = 10, 8000
 	const p = 0.4
-	base, err := PathPipelineRouting(pathLen, k, radio.Config{Fault: radio.Faultless}, rng.New(8), Options{})
+	pipeline, params := MustSchedule("path-pipeline-routing"), ScheduleParams{PathLen: pathLen, K: k}
+	base, err := pipeline.Run(graph.Topology{}, radio.Config{Fault: radio.Faultless}, rng.New(8), params)
 	if err != nil || !base.Success {
 		t.Fatalf("%v %+v", err, base)
 	}
-	noisy, err := PathPipelineRouting(pathLen, k, radio.Config{Fault: radio.SenderFaults, P: p}, rng.New(9), Options{})
+	noisy, err := pipeline.Run(graph.Topology{}, radio.Config{Fault: radio.SenderFaults, P: p}, rng.New(9), params)
 	if err != nil || !noisy.Success {
 		t.Fatalf("%v %+v", err, noisy)
 	}
@@ -353,8 +357,8 @@ func TestTransformedPathRoutingSucceedsAndScales(t *testing.T) {
 	// pipeline ramp dominates the steady-state throughput.
 	const pathLen, k = 8, 4096
 	const p = 0.3
-	res, err := TransformedPathRouting(pathLen, k, radio.Config{Fault: radio.SenderFaults, P: p},
-		rng.New(10), TransformParams{}, Options{})
+	res, err := MustSchedule("transformed-path-routing").Run(graph.Topology{}, radio.Config{Fault: radio.SenderFaults, P: p},
+		rng.New(10), ScheduleParams{PathLen: pathLen, K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,8 +376,8 @@ func TestTransformedPathRoutingSucceedsAndScales(t *testing.T) {
 func TestTransformedPathCodingSucceedsAndScales(t *testing.T) {
 	const pathLen, k = 8, 4096
 	const p = 0.3
-	res, err := TransformedPathCoding(pathLen, k, radio.Config{Fault: radio.SenderFaults, P: p},
-		rng.New(11), TransformParams{}, Options{})
+	res, err := MustSchedule("transformed-path-coding").Run(graph.Topology{}, radio.Config{Fault: radio.SenderFaults, P: p},
+		rng.New(11), ScheduleParams{PathLen: pathLen, K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,13 +392,12 @@ func TestTransformedPathCodingSucceedsAndScales(t *testing.T) {
 }
 
 func TestTransformedFaultlessStillWorks(t *testing.T) {
-	res, err := TransformedPathRouting(5, 64, radio.Config{Fault: radio.Faultless},
-		rng.New(12), TransformParams{}, Options{})
+	p := ScheduleParams{PathLen: 5, K: 64}
+	res, err := MustSchedule("transformed-path-routing").Run(graph.Topology{}, radio.Config{Fault: radio.Faultless}, rng.New(12), p)
 	if err != nil || !res.Success {
 		t.Fatalf("%v %+v", err, res)
 	}
-	res, err = TransformedPathCoding(5, 64, radio.Config{Fault: radio.Faultless},
-		rng.New(13), TransformParams{}, Options{})
+	res, err = MustSchedule("transformed-path-coding").Run(graph.Topology{}, radio.Config{Fault: radio.Faultless}, rng.New(13), p)
 	if err != nil || !res.Success {
 		t.Fatalf("%v %+v", err, res)
 	}
@@ -402,13 +405,13 @@ func TestTransformedFaultlessStillWorks(t *testing.T) {
 
 func TestTransformValidation(t *testing.T) {
 	cfg := radio.Config{Fault: radio.Faultless}
-	if _, err := PathPipelineRouting(0, 1, cfg, rng.New(1), Options{}); err == nil {
+	if _, err := MustSchedule("path-pipeline-routing").Run(graph.Topology{}, cfg, rng.New(1), ScheduleParams{PathLen: 0, K: 1}); err == nil {
 		t.Fatal("pathLen=0 accepted")
 	}
-	if _, err := TransformedPathRouting(1, 0, cfg, rng.New(1), TransformParams{}, Options{}); err == nil {
+	if _, err := MustSchedule("transformed-path-routing").Run(graph.Topology{}, cfg, rng.New(1), ScheduleParams{PathLen: 1, K: 0}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := TransformedPathCoding(0, 1, cfg, rng.New(1), TransformParams{}, Options{}); err == nil {
+	if _, err := MustSchedule("transformed-path-coding").Run(graph.Topology{}, cfg, rng.New(1), ScheduleParams{PathLen: 0, K: 1}); err == nil {
 		t.Fatal("pathLen=0 accepted")
 	}
 }
@@ -416,7 +419,7 @@ func TestTransformValidation(t *testing.T) {
 func TestSequentialDecayRouting(t *testing.T) {
 	top := graph.Grid(4, 4)
 	for _, cfg := range allConfigs() {
-		res, err := SequentialDecayRouting(top, cfg, 5, rng.New(14), Options{})
+		res, err := MustSchedule("sequential-decay-routing").Run(top, cfg, rng.New(14), ScheduleParams{K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,7 +435,7 @@ func TestSequentialDecayRouting(t *testing.T) {
 func TestSequentialDecayRoutingAggregatesChannel(t *testing.T) {
 	top := graph.Path(6)
 	cfg := radio.Config{Fault: radio.Faultless}
-	res, err := SequentialDecayRouting(top, cfg, 3, rng.New(15), Options{})
+	res, err := MustSchedule("sequential-decay-routing").Run(top, cfg, rng.New(15), ScheduleParams{K: 3})
 	if err != nil || !res.Success {
 		t.Fatalf("%v %+v", err, res)
 	}
@@ -445,13 +448,15 @@ func TestSequentialDecayRoutingAggregatesChannel(t *testing.T) {
 }
 
 func TestSequentialDecayRoutingValidation(t *testing.T) {
-	if _, err := SequentialDecayRouting(graph.Path(3), radio.Config{Fault: radio.Faultless}, 0, rng.New(1), Options{}); err == nil {
+	cfg := radio.Config{Fault: radio.Faultless}
+	if _, err := MustSchedule("sequential-decay-routing").Run(graph.Path(3), cfg, rng.New(1), ScheduleParams{K: 0}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
 
 func TestSequentialDecayRoutingReportsFailure(t *testing.T) {
-	res, err := SequentialDecayRouting(graph.Path(40), radio.Config{Fault: radio.Faultless}, 3, rng.New(16), Options{MaxRounds: 1})
+	res, err := MustSchedule("sequential-decay-routing").Run(graph.Path(40), radio.Config{Fault: radio.Faultless}, rng.New(16),
+		ScheduleParams{K: 3, Options: Options{MaxRounds: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,16 +465,16 @@ func TestSequentialDecayRoutingReportsFailure(t *testing.T) {
 	}
 }
 
-func TestMultiResultThroughput(t *testing.T) {
-	ok := MultiResult{Rounds: 100, Success: true}
+func TestOutcomeThroughput(t *testing.T) {
+	ok := Outcome{Rounds: 100, Success: true}
 	if got := ok.Throughput(25); got != 0.25 {
 		t.Fatalf("Throughput = %v", got)
 	}
-	fail := MultiResult{Rounds: 100, Success: false}
+	fail := Outcome{Rounds: 100, Success: false}
 	if got := fail.Throughput(25); got != 0 {
 		t.Fatalf("failed run Throughput = %v, want 0", got)
 	}
-	zero := MultiResult{Rounds: 0, Success: true}
+	zero := Outcome{Rounds: 0, Success: true}
 	if got := zero.Throughput(25); got != 0 {
 		t.Fatalf("zero-round Throughput = %v, want 0", got)
 	}

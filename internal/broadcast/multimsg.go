@@ -11,28 +11,6 @@ import (
 	"noisyradio/internal/rng"
 )
 
-// MultiResult reports the outcome of a k-message broadcast execution.
-type MultiResult struct {
-	// Rounds is the number of rounds executed until success or the cap.
-	Rounds int
-	// Success reports whether every node decoded (or received) all k
-	// messages before the round cap.
-	Success bool
-	// Done is the number of nodes holding all k messages at termination.
-	Done int
-	// Channel holds channel-level accounting from the radio engine.
-	Channel radio.Stats
-}
-
-// Throughput returns the realised messages-per-round k/Rounds, the
-// empirical counterpart of Definition 1; 0 if the execution failed.
-func (m MultiResult) Throughput(k int) float64 {
-	if !m.Success || m.Rounds == 0 {
-		return 0
-	}
-	return float64(k) / float64(m.Rounds)
-}
-
 // RLNCPattern selects which single-message algorithm's broadcast pattern
 // drives the coded multi-message broadcast (Section 4.2).
 type RLNCPattern int
@@ -78,23 +56,23 @@ func RandomMessages(k, payloadLen int, r *rng.Stream) [][]byte {
 	return msgs
 }
 
-// SequentialDecayRouting broadcasts k messages one after another with the
-// Decay algorithm — the naive routing baseline the coded schedules of
+// sequentialDecayRouting broadcasts p.K messages one after another with
+// the Decay algorithm — the naive routing baseline the coded schedules of
 // Lemmas 12–13 are compared against. Its throughput is Θ(1/(D log n)),
 // asymptotically worse than both coding (Ω(1/log n)) and the pipelined
 // routing of Lemma 21 (Ω(1/log² n)).
-func SequentialDecayRouting(top graph.Topology, cfg radio.Config, k int, r *rng.Stream, opts Options) (MultiResult, error) {
+func sequentialDecayRouting(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
 	if err := validateTopology(top); err != nil {
-		return MultiResult{}, err
+		return Outcome{}, err
 	}
-	if k < 1 {
-		return MultiResult{}, fmt.Errorf("broadcast: sequential routing needs k >= 1, got %d", k)
+	if p.K < 1 {
+		return Outcome{}, fmt.Errorf("broadcast: sequential routing needs k >= 1, got %d", p.K)
 	}
-	out := MultiResult{Success: true, Done: top.G.N()}
-	for i := 0; i < k; i++ {
-		res, err := Decay(top, cfg, r, opts)
+	out := Outcome{Success: true, Done: top.G.N()}
+	for i := 0; i < p.K; i++ {
+		res, err := decay(top, cfg, r, p)
 		if err != nil {
-			return MultiResult{}, err
+			return Outcome{}, err
 		}
 		out.Rounds += res.Rounds
 		out.Channel.Rounds += res.Channel.Rounds
@@ -105,11 +83,23 @@ func SequentialDecayRouting(top graph.Topology, cfg radio.Config, k int, r *rng.
 		out.Channel.ReceiverFaults += res.Channel.ReceiverFaults
 		if !res.Success {
 			out.Success = false
-			out.Done = res.Informed
+			out.Done = res.Done
 			return out, nil
 		}
 	}
 	return out, nil
+}
+
+// randomRLNC is the registry's RLNC trial: it draws p.K random messages of
+// p.PayloadLen bytes from the trial stream, then broadcasts them with
+// RLNCBroadcast under p.Pattern and p.RLNC.
+func randomRLNC(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
+	if p.K < 1 {
+		return Outcome{}, fmt.Errorf("broadcast: rlnc needs K >= 1, got %d", p.K)
+	}
+	msgs := RandomMessages(p.K, p.payloadLen(), r)
+	out, _, err := RLNCBroadcast(top, cfg, msgs, p.pattern(), r, p.RLNC)
+	return out, err
 }
 
 // RLNCBroadcast broadcasts the given messages from the source with random
@@ -118,27 +108,27 @@ func SequentialDecayRouting(top graph.Topology, cfg radio.Config, k int, r *rng.
 // and every transmission is a fresh random combination of what the node
 // holds; the run succeeds when every node's decoder reaches rank k.
 //
-// All messages must share one non-zero length (opts.PayloadLen is ignored
-// in favour of the messages' length). It returns the result together with a
-// witness decode from a non-source node, for end-to-end verification.
-func RLNCBroadcast(top graph.Topology, cfg radio.Config, messages [][]byte, pattern RLNCPattern, r *rng.Stream, opts RLNCOptions) (MultiResult, [][]byte, error) {
+// All messages must share one non-zero length. It returns the outcome
+// together with a witness decode from a non-source node, for end-to-end
+// verification; the registry's "rlnc" entry runs it over random messages.
+func RLNCBroadcast(top graph.Topology, cfg radio.Config, messages [][]byte, pattern RLNCPattern, r *rng.Stream, opts RLNCOptions) (Outcome, [][]byte, error) {
 	if err := validateTopology(top); err != nil {
-		return MultiResult{}, nil, err
+		return Outcome{}, nil, err
 	}
 	k := len(messages)
 	if k < 1 {
-		return MultiResult{}, nil, fmt.Errorf("broadcast: need at least one message")
+		return Outcome{}, nil, fmt.Errorf("broadcast: need at least one message")
 	}
 	payloadLen := len(messages[0])
 	if payloadLen == 0 {
-		return MultiResult{}, nil, fmt.Errorf("broadcast: empty message payloads")
+		return Outcome{}, nil, fmt.Errorf("broadcast: empty message payloads")
 	}
 	g := top.G
 	n := g.N()
 
 	net, err := rlncPool.Get(g, cfg, r)
 	if err != nil {
-		return MultiResult{}, nil, err
+		return Outcome{}, nil, err
 	}
 	decoders := make([]*rlnc.Decoder, n)
 	for v := range decoders {
@@ -147,7 +137,7 @@ func RLNCBroadcast(top graph.Topology, cfg radio.Config, messages [][]byte, patt
 	src, err := rlnc.SourceDecoder(messages)
 	if err != nil {
 		rlncPool.Put(net)
-		return MultiResult{}, nil, err
+		return Outcome{}, nil, err
 	}
 	decoders[top.Source] = src
 
@@ -168,7 +158,7 @@ func RLNCBroadcast(top graph.Topology, cfg radio.Config, messages [][]byte, patt
 		tree, err = gbst.Build(g, top.Source)
 		if err != nil {
 			rlncPool.Put(net)
-			return MultiResult{}, nil, err
+			return Outcome{}, nil, err
 		}
 		pr := opts.Robust.withDefaults(n, cfg)
 		cS = pr.RoundMult * pr.BlockSize
@@ -176,7 +166,7 @@ func RLNCBroadcast(top graph.Topology, cfg radio.Config, messages [][]byte, patt
 		levels = tree.Level
 	} else if pattern != RLNCDecay {
 		rlncPool.Put(net)
-		return MultiResult{}, nil, fmt.Errorf("broadcast: unknown RLNC pattern %d", int(pattern))
+		return Outcome{}, nil, fmt.Errorf("broadcast: unknown RLNC pattern %d", int(pattern))
 	}
 
 	diam := g.Eccentricity(top.Source)
@@ -253,7 +243,7 @@ func RLNCBroadcast(top graph.Topology, cfg radio.Config, messages [][]byte, patt
 		marked = marked[:0]
 	}
 
-	res := MultiResult{
+	res := Outcome{
 		Rounds:  round,
 		Success: decoded == n,
 		Done:    decoded,

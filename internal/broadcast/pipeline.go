@@ -9,8 +9,8 @@ import (
 	"noisyradio/internal/rng"
 )
 
-// PipelinedBatchRouting implements the adaptive routing schedule of
-// Lemma 21 on an arbitrary connected topology, establishing the paper's
+// pipelinedBatchRouting implements the adaptive routing schedule of
+// Lemma 21 on an arbitrary connected topology, for p.K messages, establishing the paper's
 // possibility side of the worst-case routing throughput Θ(1/log² n) with
 // receiver faults.
 //
@@ -27,12 +27,13 @@ import (
 // (a Decay phase per coupon over the receiving layer), so k messages cross
 // D pipelined boundaries in O((k + D)·log² n) rounds: throughput
 // Ω(1/log² n), matching Lemma 21.
-func PipelinedBatchRouting(top graph.Topology, k int, cfg radio.Config, r *rng.Stream, opts Options) (MultiResult, error) {
+func pipelinedBatchRouting(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
 	if err := validateTopology(top); err != nil {
-		return MultiResult{}, err
+		return Outcome{}, err
 	}
+	k := p.K
 	if k < 1 {
-		return MultiResult{}, fmt.Errorf("broadcast: pipelined batch routing needs k >= 1, got %d", k)
+		return Outcome{}, fmt.Errorf("broadcast: pipelined batch routing needs k >= 1, got %d", k)
 	}
 	g := top.G
 	n := g.N()
@@ -40,20 +41,20 @@ func PipelinedBatchRouting(top graph.Topology, k int, cfg radio.Config, r *rng.S
 	level := g.BFS(top.Source)
 	for v := 0; v < n; v++ {
 		if level[v] == -1 {
-			return MultiResult{}, fmt.Errorf("broadcast: node %d unreachable from source", v)
+			return Outcome{}, fmt.Errorf("broadcast: node %d unreachable from source", v)
 		}
 	}
 	L := len(layers) - 1 // deepest layer index
 	if L == 0 {
 		// Source-only graph: trivially done.
-		return MultiResult{Rounds: 0, Success: true, Done: n}, nil
+		return Outcome{Rounds: 0, Success: true, Done: n}, nil
 	}
 
 	net, err := idPool.Get(g, cfg, r)
 	if err != nil {
-		return MultiResult{}, err
+		return Outcome{}, err
 	}
-	maxRounds := opts.MaxRounds
+	maxRounds := p.Options.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = pipelinedBatchDefaultMaxRounds(n, L, k, cfg)
 	}
@@ -120,7 +121,7 @@ func PipelinedBatchRouting(top graph.Topology, k int, cfg radio.Config, r *rng.S
 			done += len(layers[i])
 		}
 	}
-	res := MultiResult{
+	res := Outcome{
 		Rounds:  round,
 		Success: layerHave[L] == int32(k),
 		Done:    done,

@@ -21,7 +21,7 @@ func TestPipelinedBatchRoutingCompletes(t *testing.T) {
 		for _, top := range tops {
 			name := cfg.Fault.String() + "/" + top.Name
 			t.Run(name, func(t *testing.T) {
-				res, err := PipelinedBatchRouting(top, 6, cfg, r.Split(), Options{})
+				res, err := MustSchedule("pipelined-batch-routing").Run(top, cfg, r.Split(), ScheduleParams{K: 6})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -37,7 +37,7 @@ func TestPipelinedBatchRoutingCompletes(t *testing.T) {
 }
 
 func TestPipelinedBatchRoutingSingleNode(t *testing.T) {
-	res, err := PipelinedBatchRouting(graph.Path(1), 5, radio.Config{Fault: radio.Faultless}, rng.New(2), Options{})
+	res, err := MustSchedule("pipelined-batch-routing").Run(graph.Path(1), radio.Config{Fault: radio.Faultless}, rng.New(2), ScheduleParams{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,21 +48,21 @@ func TestPipelinedBatchRoutingSingleNode(t *testing.T) {
 
 func TestPipelinedBatchRoutingValidation(t *testing.T) {
 	cfg := radio.Config{Fault: radio.Faultless}
-	if _, err := PipelinedBatchRouting(graph.Path(3), 0, cfg, rng.New(1), Options{}); err == nil {
+	if _, err := MustSchedule("pipelined-batch-routing").Run(graph.Path(3), cfg, rng.New(1), ScheduleParams{K: 0}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
 	disc := graph.Topology{G: b.MustBuild(), Source: 0, Name: "disconnected"}
-	if _, err := PipelinedBatchRouting(disc, 2, cfg, rng.New(1), Options{}); err == nil {
+	if _, err := MustSchedule("pipelined-batch-routing").Run(disc, cfg, rng.New(1), ScheduleParams{K: 2}); err == nil {
 		t.Fatal("disconnected graph accepted")
 	}
 }
 
 func TestPipelinedBatchRoutingCap(t *testing.T) {
-	res, err := PipelinedBatchRouting(graph.Layered(4, 3), 8,
-		radio.Config{Fault: radio.ReceiverFaults, P: 0.3}, rng.New(3), Options{MaxRounds: 2})
+	res, err := MustSchedule("pipelined-batch-routing").Run(graph.Layered(4, 3),
+		radio.Config{Fault: radio.ReceiverFaults, P: 0.3}, rng.New(3), ScheduleParams{K: 8, Options: Options{MaxRounds: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestLemma21PipelineScaling(t *testing.T) {
 		top := graph.Layered(6, width)
 		total := 0
 		for i := 0; i < trials; i++ {
-			res, err := PipelinedBatchRouting(top, k, cfg, rng.NewFrom(seed, uint64(i)), Options{})
+			res, err := MustSchedule("pipelined-batch-routing").Run(top, cfg, rng.NewFrom(seed, uint64(i)), ScheduleParams{K: k})
 			if err != nil || !res.Success {
 				t.Fatalf("width=%d: %v %+v", width, err, res)
 			}
@@ -108,13 +108,13 @@ func TestPipelineBeatsSequentialDecay(t *testing.T) {
 	// Decay pays ~k·D·log n while the pipeline pays ~(k+D)·log²n.
 	top := graph.Layered(30, 3)
 	const k = 40
-	pipe, err := PipelinedBatchRouting(top, k, cfg, rng.New(4), Options{})
+	pipe, err := MustSchedule("pipelined-batch-routing").Run(top, cfg, rng.New(4), ScheduleParams{K: k})
 	if err != nil || !pipe.Success {
 		t.Fatalf("%v %+v", err, pipe)
 	}
 	seq := 0
 	for i := 0; i < k; i++ {
-		res, err := Decay(top, cfg, rng.NewFrom(95, uint64(i)), Options{})
+		res, err := MustSchedule("decay").Run(top, cfg, rng.NewFrom(95, uint64(i)), ScheduleParams{})
 		if err != nil || !res.Success {
 			t.Fatalf("%v %+v", err, res)
 		}
@@ -128,11 +128,11 @@ func TestPipelineBeatsSequentialDecay(t *testing.T) {
 func TestPipelinedBatchRoutingDeterministic(t *testing.T) {
 	top := graph.Layered(5, 6)
 	cfg := radio.Config{Fault: radio.SenderFaults, P: 0.25}
-	a, err := PipelinedBatchRouting(top, 10, cfg, rng.New(7), Options{})
+	a, err := MustSchedule("pipelined-batch-routing").Run(top, cfg, rng.New(7), ScheduleParams{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PipelinedBatchRouting(top, 10, cfg, rng.New(7), Options{})
+	b, err := MustSchedule("pipelined-batch-routing").Run(top, cfg, rng.New(7), ScheduleParams{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

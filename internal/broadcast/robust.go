@@ -62,7 +62,7 @@ func waveBuckets(g *graph.Graph, tree *gbst.Tree, blockSize int) (buckets [][]in
 }
 
 // robustSchedule builds the Robust FASTBC block-wave schedule over a GBST
-// (see RobustFASTBC). The bucket tables are shared across trials; the
+// (see robustFASTBC). The bucket tables are shared across trials; the
 // closure is stateless.
 func robustSchedule(g *graph.Graph, tree *gbst.Tree, pr RobustParams) scheduleFactory {
 	phaseLen := decayPhaseLen(g.N())
@@ -89,10 +89,11 @@ func robustSchedule(g *graph.Graph, tree *gbst.Tree, pr RobustParams) scheduleFa
 	return func() scheduleFunc { return sched }
 }
 
-// RobustFASTBC runs the paper's new single-message broadcast algorithm
+// robustFASTBC runs the paper's new single-message broadcast algorithm
 // (Section 4.1), which restores diameter-linearity under noise:
 // O(D + log n·log log n·(log n + log 1/δ)) rounds with failure probability
-// at most δ under sender or receiver faults (Theorem 11).
+// at most δ under sender or receiver faults (Theorem 11). p.Robust tunes
+// it.
 //
 // As in FASTBC a GBST is built from the source and odd-numbered rounds run
 // a standard Decay step. Fast stretches are partitioned into blocks of
@@ -107,43 +108,22 @@ func robustSchedule(g *graph.Graph, tree *gbst.Tree, pr RobustParams) scheduleFa
 // the BFS tree. Failing all c·S attempts merely parks the message until the
 // wave returns 6·rmax block-slots later, which is where the log log n
 // (rather than log n) multiplicative overhead of Lemma 10 disappears.
-func RobustFASTBC(top graph.Topology, cfg radio.Config, r *rng.Stream, opts Options, params RobustParams) (Result, error) {
-	if err := validateTopology(top); err != nil {
-		return Result{}, err
-	}
-	g := top.G
-	tree, err := gbst.Build(g, top.Source)
-	if err != nil {
-		return Result{}, err
-	}
-	runner, err := newSingleRunner(g, top.Source, cfg, r)
-	if err != nil {
-		return Result{}, err
-	}
-	runner.net.SetTrace(opts.Trace)
-	pr := params.withDefaults(g.N(), cfg)
-	maxRounds := resolveMaxRounds(opts, g.N(), tree.Depth, cfg)
-	return runner.run(maxRounds, robustSchedule(g, tree, pr)()), nil
+func robustFASTBC(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
+	return runSingle(top, cfg, r, p, robustPlan)
 }
 
-// RobustFASTBCBatch runs one independent RobustFASTBC trial per stream in
-// rnds, in lockstep; trial i is identical to
-// RobustFASTBC(top, cfg, rnds[i], opts, params). The GBST and its block
-// buckets are built once and shared read-only across lanes.
-func RobustFASTBCBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, opts Options, params RobustParams) ([]Result, error) {
-	if err := validateTopology(top); err != nil {
-		return nil, err
-	}
-	scalar := func(r *rng.Stream) (Result, error) { return RobustFASTBC(top, cfg, r, opts, params) }
-	if singleBatchFallback(rnds, opts) {
-		return runSingleScalar(rnds, scalar)
-	}
+// robustFASTBCBatch is robustFASTBC's lockstep twin. The GBST and its
+// block buckets are built once and shared read-only across lanes.
+func robustFASTBCBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
+	return runSingleBatch(top, cfg, rnds, p, robustPlan)
+}
+
+func robustPlan(top graph.Topology, cfg radio.Config, p ScheduleParams) (int, scheduleFactory, error) {
 	g := top.G
 	tree, err := gbst.Build(g, top.Source)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	pr := params.withDefaults(g.N(), cfg)
-	maxRounds := resolveMaxRounds(opts, g.N(), tree.Depth, cfg)
-	return runSingleBatch(top, cfg, rnds, opts, maxRounds, robustSchedule(g, tree, pr), scalar)
+	pr := p.Robust.withDefaults(g.N(), cfg)
+	return resolveMaxRounds(p.Options, g.N(), tree.Depth, cfg), robustSchedule(g, tree, pr), nil
 }

@@ -1,18 +1,19 @@
 // The first-class Schedule API: every broadcast schedule of the paper is
 // one registry entry carrying its name, paper reference, result kind and
 // both execution strategies (the scalar runner and its lockstep
-// trial-batched twin). Callers — the experiment runners, the throughput
-// harness, cmd/noisysim and the public facade — select a schedule by name
-// and Run it; whether a set of trials executes scalar or as a W-wide
-// lockstep batch is an execution-plan detail (see sim.Sweep.AddSchedule),
-// not a caller-visible API fork. The registry mirrors experiments.Registry:
-// one entry per schedule, discoverable, and backed by the shared
-// marker-interface (single-message) and multiLane (multi-message)
-// machinery that guarantees scalar and batch execution are identical by
-// construction.
+// trial-batched twin). The registry is the only way to run a schedule:
+// the implementations are unexported. Callers — the experiment runners,
+// the throughput harness, cmd/noisysim and the public facade — select a
+// schedule by name and Run it; whether a set of trials executes scalar or
+// as a W-wide lockstep batch is an execution-plan detail (see
+// sim.Sweep.AddSchedule), not a caller-visible API fork. Single-message
+// schedules drive both strategies through one closure over marker;
+// each multi-message schedule is written twice, as a scalar loop and as a
+// multiLane twin, and the package tests keep the two equal.
 package broadcast
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -91,7 +92,7 @@ func (p ScheduleParams) payloadLen() int {
 	return p.PayloadLen
 }
 
-// Outcome is the unified result of one schedule execution.
+// Outcome is the result of one schedule execution, and of RLNCBroadcast.
 type Outcome struct {
 	// Rounds is the number of rounds executed until success or the cap.
 	Rounds int
@@ -105,45 +106,13 @@ type Outcome struct {
 	Channel radio.Stats
 }
 
-// AsResult converts a single-message outcome back to the legacy Result.
-func (o Outcome) AsResult() Result {
-	return Result{Rounds: o.Rounds, Success: o.Success, Informed: o.Done, Channel: o.Channel}
-}
-
-// AsMultiResult converts a multi-message outcome back to the legacy
-// MultiResult.
-func (o Outcome) AsMultiResult() MultiResult {
-	return MultiResult{Rounds: o.Rounds, Success: o.Success, Done: o.Done, Channel: o.Channel}
-}
-
-func singleOutcome(r Result) Outcome {
-	return Outcome{Rounds: r.Rounds, Success: r.Success, Done: r.Informed, Channel: r.Channel}
-}
-
-func multiOutcome(r MultiResult) Outcome {
-	return Outcome{Rounds: r.Rounds, Success: r.Success, Done: r.Done, Channel: r.Channel}
-}
-
-func singleOutcomes(rs []Result, err error) ([]Outcome, error) {
-	if err != nil {
-		return nil, err
+// Throughput returns the realised messages-per-round k/Rounds, the
+// empirical counterpart of Definition 1; 0 if the execution failed.
+func (o Outcome) Throughput(k int) float64 {
+	if !o.Success || o.Rounds == 0 {
+		return 0
 	}
-	out := make([]Outcome, len(rs))
-	for i, r := range rs {
-		out[i] = singleOutcome(r)
-	}
-	return out, nil
-}
-
-func multiOutcomes(rs []MultiResult, err error) ([]Outcome, error) {
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Outcome, len(rs))
-	for i, r := range rs {
-		out[i] = multiOutcome(r)
-	}
-	return out, nil
+	return float64(k) / float64(o.Rounds)
 }
 
 // Schedule is one registered broadcast schedule: metadata plus both
@@ -157,11 +126,6 @@ type Schedule struct {
 	// Kind is the result shape (single- or multi-message).
 	Kind ScheduleKind
 
-	// scalarName/batchName are the exported function names the entry wraps;
-	// the registry completeness test checks every schedule-shaped exported
-	// function of the package appears in exactly one entry.
-	scalarName, batchName string
-
 	// planTop returns the topology the schedule actually runs on (the
 	// passed topology, or the entry's synthesised one), for execution
 	// planners that need to resolve the radio engine before running. A
@@ -172,9 +136,7 @@ type Schedule struct {
 	runBatch func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error)
 }
 
-// Run executes one trial of the schedule under the given randomness —
-// exactly the underlying scalar function (same draws, same rounds, same
-// statistics), with the outcome in unified form.
+// Run executes one trial of the schedule under the given randomness.
 func (s *Schedule) Run(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
 	return s.run(top, cfg, r, p)
 }
@@ -182,9 +144,25 @@ func (s *Schedule) Run(top graph.Topology, cfg radio.Config, r *rng.Stream, p Sc
 // RunBatch executes one independent trial per stream in rnds, in lockstep
 // on a trial-batched radio network where profitable; outcome i is
 // identical to Run over rnds[i] (the batch twins' contract, enforced by
-// the package tests).
+// the package tests). One stream, more than radio.MaxBatchWidth streams
+// and traced runs (tracing is a scalar concern) run Run once per stream
+// instead.
 func (s *Schedule) RunBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
-	return s.runBatch(top, cfg, rnds, p)
+	if len(rnds) == 0 {
+		return nil, errors.New("broadcast: batch run with no streams")
+	}
+	if len(rnds) > 1 && len(rnds) <= radio.MaxBatchWidth && p.Options.Trace == nil {
+		return s.runBatch(top, cfg, rnds, p)
+	}
+	out := make([]Outcome, len(rnds))
+	for i, r := range rnds {
+		o, err := s.run(top, cfg, r, p)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = o
+	}
+	return out, nil
 }
 
 // PlanTopology returns the topology the schedule would execute on given
@@ -199,222 +177,53 @@ func (s *Schedule) PlanTopology(top graph.Topology, p ScheduleParams) graph.Topo
 // passedTop is the planTop of schedules that run on the caller's topology.
 func passedTop(top graph.Topology, _ ScheduleParams) graph.Topology { return top }
 
-// singleEntry builds a registry entry for a single-message schedule pair.
-func singleEntry(name, ref string, scalarName, batchName string,
-	run func(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Result, error),
-	batch func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Result, error)) *Schedule {
-	return &Schedule{
-		Name: name, Ref: ref, Kind: SingleMessage,
-		scalarName: scalarName, batchName: batchName,
-		planTop: passedTop,
-		run: func(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
-			res, err := run(top, cfg, r, p)
-			if err != nil {
-				return Outcome{}, err
-			}
-			return singleOutcome(res), nil
-		},
-		runBatch: func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
-			return singleOutcomes(batch(top, cfg, rnds, p))
-		},
-	}
-}
-
-// multiEntry builds a registry entry for a multi-message schedule pair.
-func multiEntry(name, ref string, scalarName, batchName string,
-	planTop func(top graph.Topology, p ScheduleParams) graph.Topology,
-	run func(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error),
-	batch func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error)) *Schedule {
-	return &Schedule{
-		Name: name, Ref: ref, Kind: MultiMessage,
-		scalarName: scalarName, batchName: batchName,
-		planTop: planTop,
-		run: func(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
-			res, err := run(top, cfg, r, p)
-			if err != nil {
-				return Outcome{}, err
-			}
-			return multiOutcome(res), nil
-		},
-		runBatch: func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
-			return multiOutcomes(batch(top, cfg, rnds, p))
-		},
-	}
-}
-
-// resolveRepeats applies the Lemma 29 default repetition count to the
-// zero value; negative values pass through so the schedule's own
-// validation rejects them.
-func resolveRepeats(p ScheduleParams, cfg radio.Config) int {
-	if p.Repeats != 0 {
-		return p.Repeats
-	}
-	return DefaultSingleLinkRepeats(p.K, cfg.P)
-}
-
 // schedules is the registry, one entry per broadcast schedule, in paper
 // order: the single-message algorithms of Section 4.1, coded and naive
 // multi-message broadcast of Section 4.2, then the throughput-gap routing
 // and coding schedules of Section 5 and the appendices.
 var schedules = []*Schedule{
-	singleEntry("decay", "Lemmas 6/9", "Decay", "DecayBatch",
-		func(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Result, error) {
-			return Decay(top, cfg, r, p.Options)
-		},
-		func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Result, error) {
-			return DecayBatch(top, cfg, rnds, p.Options)
-		}),
-	singleEntry("decay-unknown-n", "Lemma 9 extension (unknown n)", "DecayUnknownN", "DecayUnknownNBatch",
-		func(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Result, error) {
-			return DecayUnknownN(top, cfg, r, p.Options)
-		},
-		func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Result, error) {
-			return DecayUnknownNBatch(top, cfg, rnds, p.Options)
-		}),
-	singleEntry("fastbc", "Lemmas 8/10", "FASTBC", "FASTBCBatch",
-		func(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Result, error) {
-			return FASTBC(top, cfg, r, p.Options)
-		},
-		func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Result, error) {
-			return FASTBCBatch(top, cfg, rnds, p.Options)
-		}),
-	singleEntry("robust-fastbc", "Theorem 11", "RobustFASTBC", "RobustFASTBCBatch",
-		func(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Result, error) {
-			return RobustFASTBC(top, cfg, r, p.Options, p.Robust)
-		},
-		func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Result, error) {
-			return RobustFASTBCBatch(top, cfg, rnds, p.Options, p.Robust)
-		}),
-	multiEntry("rlnc", "Lemmas 12-13", "RLNCBroadcast", "RLNCBroadcastBatch", passedTop,
-		func(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
-			if p.K < 1 {
-				return MultiResult{}, fmt.Errorf("broadcast: rlnc needs K >= 1, got %d", p.K)
-			}
-			msgs := RandomMessages(p.K, p.payloadLen(), r)
-			res, _, err := RLNCBroadcast(top, cfg, msgs, p.pattern(), r, p.RLNC)
-			return res, err
-		},
-		func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			if p.K < 1 {
-				return nil, fmt.Errorf("broadcast: rlnc needs K >= 1, got %d", p.K)
-			}
-			messages := make([][][]byte, len(rnds))
-			for i, r := range rnds {
-				messages[i] = RandomMessages(p.K, p.payloadLen(), r)
-			}
-			return RLNCBroadcastBatch(top, cfg, messages, p.pattern(), rnds, p.RLNC)
-		}),
-	multiEntry("sequential-decay-routing", "Section 4.2 baseline", "SequentialDecayRouting", "SequentialDecayRoutingBatch", passedTop,
-		func(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
-			return SequentialDecayRouting(top, cfg, p.K, r, p.Options)
-		},
-		func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			return SequentialDecayRoutingBatch(top, cfg, p.K, rnds, p.Options)
-		}),
-	multiEntry("star-routing", "Lemma 15", "StarRouting", "StarRoutingBatch",
-		func(_ graph.Topology, p ScheduleParams) graph.Topology {
-			if p.Leaves < 1 {
-				return graph.Topology{}
-			}
-			return cachedStar(p.Leaves)
-		},
-		func(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
-			return StarRouting(p.Leaves, p.K, cfg, r, p.Options)
-		},
-		func(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			return StarRoutingBatch(p.Leaves, p.K, cfg, rnds, p.Options)
-		}),
-	multiEntry("star-coding", "Lemma 16", "StarCoding", "StarCodingBatch",
-		func(_ graph.Topology, p ScheduleParams) graph.Topology {
-			if p.Leaves < 1 {
-				return graph.Topology{}
-			}
-			return cachedStar(p.Leaves)
-		},
-		func(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
-			return StarCoding(p.Leaves, p.K, cfg, r, p.Options)
-		},
-		func(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			return StarCodingBatch(p.Leaves, p.K, cfg, rnds, p.Options)
-		}),
-	multiEntry("wct-routing", "Lemmas 19/21/22", "WCTRouting", "WCTRoutingBatch", wctPlanTop,
-		func(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
-			if p.WCT == nil {
-				return MultiResult{}, errNilWCT
-			}
-			return WCTRouting(p.WCT, p.K, cfg, r, p.Options)
-		},
-		func(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			if p.WCT == nil {
-				return nil, errNilWCT
-			}
-			return WCTRoutingBatch(p.WCT, p.K, cfg, rnds, p.Options)
-		}),
-	multiEntry("wct-coding", "Lemma 23", "WCTCoding", "WCTCodingBatch", wctPlanTop,
-		func(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
-			if p.WCT == nil {
-				return MultiResult{}, errNilWCT
-			}
-			return WCTCoding(p.WCT, p.K, cfg, r, p.Options)
-		},
-		func(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			if p.WCT == nil {
-				return nil, errNilWCT
-			}
-			return WCTCodingBatch(p.WCT, p.K, cfg, rnds, p.Options)
-		}),
-	multiEntry("single-link-nonadaptive", "Lemma 29", "SingleLinkNonAdaptive", "SingleLinkNonAdaptiveBatch", singleLinkPlanTop,
-		func(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
-			return SingleLinkNonAdaptive(p.K, resolveRepeats(p, cfg), cfg, r)
-		},
-		func(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			return SingleLinkNonAdaptiveBatch(p.K, resolveRepeats(p, cfg), cfg, rnds)
-		}),
-	multiEntry("single-link-adaptive", "Lemma 32", "SingleLinkAdaptive", "SingleLinkAdaptiveBatch", singleLinkPlanTop,
-		func(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
-			return SingleLinkAdaptive(p.K, cfg, r, p.Options)
-		},
-		func(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			return SingleLinkAdaptiveBatch(p.K, cfg, rnds, p.Options)
-		}),
-	multiEntry("single-link-coding", "Lemma 30", "SingleLinkCoding", "SingleLinkCodingBatch", singleLinkPlanTop,
-		func(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
-			return SingleLinkCoding(p.K, cfg, r, p.Options)
-		},
-		func(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			return SingleLinkCodingBatch(p.K, cfg, rnds, p.Options)
-		}),
-	multiEntry("path-pipeline-routing", "Lemma 25 demonstration schedule", "PathPipelineRouting", "PathPipelineRoutingBatch", pathPlanTop,
-		func(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
-			return PathPipelineRouting(p.PathLen, p.K, cfg, r, p.Options)
-		},
-		func(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			return PathPipelineRoutingBatch(p.PathLen, p.K, cfg, rnds, p.Options)
-		}),
-	multiEntry("pipelined-batch-routing", "Lemmas 20-21", "PipelinedBatchRouting", "PipelinedBatchRoutingBatch", passedTop,
-		func(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
-			return PipelinedBatchRouting(top, p.K, cfg, r, p.Options)
-		},
-		func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			return PipelinedBatchRoutingBatch(top, p.K, cfg, rnds, p.Options)
-		}),
-	multiEntry("transformed-path-routing", "Lemma 25", "TransformedPathRouting", "TransformedPathRoutingBatch", pathPlanTop,
-		func(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
-			return TransformedPathRouting(p.PathLen, p.K, cfg, r, p.Transform, p.Options)
-		},
-		func(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			return TransformedPathRoutingBatch(p.PathLen, p.K, cfg, rnds, p.Transform, p.Options)
-		}),
-	multiEntry("transformed-path-coding", "Lemma 26", "TransformedPathCoding", "TransformedPathCodingBatch", pathPlanTop,
-		func(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (MultiResult, error) {
-			return TransformedPathCoding(p.PathLen, p.K, cfg, r, p.Transform, p.Options)
-		},
-		func(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]MultiResult, error) {
-			return TransformedPathCodingBatch(p.PathLen, p.K, cfg, rnds, p.Transform, p.Options)
-		}),
+	{Name: "decay", Ref: "Lemmas 6/9", Kind: SingleMessage,
+		planTop: passedTop, run: decay, runBatch: decayBatch},
+	{Name: "decay-unknown-n", Ref: "Lemma 9 extension (unknown n)", Kind: SingleMessage,
+		planTop: passedTop, run: decayUnknownN, runBatch: decayUnknownNBatch},
+	{Name: "fastbc", Ref: "Lemmas 8/10", Kind: SingleMessage,
+		planTop: passedTop, run: fastbc, runBatch: fastbcBatch},
+	{Name: "robust-fastbc", Ref: "Theorem 11", Kind: SingleMessage,
+		planTop: passedTop, run: robustFASTBC, runBatch: robustFASTBCBatch},
+	{Name: "rlnc", Ref: "Lemmas 12-13", Kind: MultiMessage,
+		planTop: passedTop, run: randomRLNC, runBatch: randomRLNCBatch},
+	{Name: "sequential-decay-routing", Ref: "Section 4.2 baseline", Kind: MultiMessage,
+		planTop: passedTop, run: sequentialDecayRouting, runBatch: sequentialDecayRoutingBatch},
+	{Name: "star-routing", Ref: "Lemma 15", Kind: MultiMessage,
+		planTop: starPlanTop, run: starRouting, runBatch: starRoutingBatch},
+	{Name: "star-coding", Ref: "Lemma 16", Kind: MultiMessage,
+		planTop: starPlanTop, run: starCoding, runBatch: starCodingBatch},
+	{Name: "wct-routing", Ref: "Lemmas 19/21/22", Kind: MultiMessage,
+		planTop: wctPlanTop, run: wctRouting, runBatch: wctRoutingBatch},
+	{Name: "wct-coding", Ref: "Lemma 23", Kind: MultiMessage,
+		planTop: wctPlanTop, run: wctCoding, runBatch: wctCodingBatch},
+	{Name: "single-link-nonadaptive", Ref: "Lemma 29", Kind: MultiMessage,
+		planTop: singleLinkPlanTop, run: singleLinkNonAdaptive, runBatch: singleLinkNonAdaptiveBatch},
+	{Name: "single-link-adaptive", Ref: "Lemma 32", Kind: MultiMessage,
+		planTop: singleLinkPlanTop, run: singleLinkAdaptive, runBatch: singleLinkAdaptiveBatch},
+	{Name: "single-link-coding", Ref: "Lemma 30", Kind: MultiMessage,
+		planTop: singleLinkPlanTop, run: singleLinkCoding, runBatch: singleLinkCodingBatch},
+	{Name: "path-pipeline-routing", Ref: "Lemma 25 demonstration schedule", Kind: MultiMessage,
+		planTop: pathPlanTop, run: pathPipelineRouting, runBatch: pathPipelineRoutingBatch},
+	{Name: "pipelined-batch-routing", Ref: "Lemmas 20-21", Kind: MultiMessage,
+		planTop: passedTop, run: pipelinedBatchRouting, runBatch: pipelinedBatchRoutingBatch},
+	{Name: "transformed-path-routing", Ref: "Lemma 25", Kind: MultiMessage,
+		planTop: pathPlanTop, run: transformedPathRouting, runBatch: transformedPathRoutingBatch},
+	{Name: "transformed-path-coding", Ref: "Lemma 26", Kind: MultiMessage,
+		planTop: pathPlanTop, run: transformedPathCoding, runBatch: transformedPathCodingBatch},
 }
 
-var errNilWCT = fmt.Errorf("broadcast: wct schedule needs ScheduleParams.WCT")
+func starPlanTop(_ graph.Topology, p ScheduleParams) graph.Topology {
+	if p.Leaves < 1 {
+		return graph.Topology{}
+	}
+	return cachedStar(p.Leaves)
+}
 
 func wctPlanTop(_ graph.Topology, p ScheduleParams) graph.Topology {
 	if p.WCT == nil {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"noisyradio/internal/graph"
-	"noisyradio/internal/lint"
 	"noisyradio/internal/radio"
 	"noisyradio/internal/rng"
 )
@@ -64,39 +63,134 @@ func TestScheduleCasesCoverRegistry(t *testing.T) {
 // TestScheduleRunBatchMatchesRun is the registry-level equivalence
 // contract: for every entry, RunBatch over W streams must reproduce W
 // scalar Runs outcome for outcome — the unified API may never change what
-// a trial computes.
+// a trial computes. Widths 1 and 65 take RunBatch's per-stream fallback,
+// width 3 the lockstep twin, and a traced batch the fallback again, so
+// its trace observes every round the scalar trials execute.
 func TestScheduleRunBatchMatchesRun(t *testing.T) {
 	for name, c := range scheduleCases(t) {
-		s, err := LookupSchedule(name)
-		if err != nil {
-			t.Fatal(err)
+		s := MustSchedule(name)
+		for _, w := range []int{1, 3, 65} {
+			requireRunBatchMatchesRun(t, s, c, w)
 		}
-		const w = 3
-		want := make([]Outcome, w)
-		for i := range want {
-			out, err := s.Run(c.top, c.cfg, rng.NewFrom(99, uint64(i)), c.p)
-			if err != nil {
-				t.Fatalf("%s: scalar trial %d: %v", name, i, err)
+
+		var observed int
+		traced := c
+		traced.p.Options.Trace = func(int, []int32, []int32) { observed++ }
+		for i := 0; i < 4; i++ {
+			if _, err := s.Run(c.top, c.cfg, rng.NewFrom(99, uint64(i)), traced.p); err != nil {
+				t.Fatalf("%s: traced trial %d: %v", name, i, err)
 			}
-			want[i] = out
 		}
-		rnds := make([]*rng.Stream, w)
-		for i := range rnds {
-			rnds[i] = rng.NewFrom(99, uint64(i))
+		scalarRounds := observed
+		observed = 0
+		requireRunBatchMatchesRun(t, s, traced, 4)
+		if observed != 2*scalarRounds {
+			t.Errorf("%s: traced RunBatch observed %d rounds, want the scalar trials' %d", name, observed-scalarRounds, scalarRounds)
 		}
-		got, err := s.RunBatch(c.top, c.cfg, rnds, c.p)
+	}
+}
+
+// requireRunBatchMatchesRun checks s.RunBatch over w streams against w
+// scalar Runs over the same streams.
+func requireRunBatchMatchesRun(t *testing.T, s *Schedule, c scheduleCase, w int) {
+	t.Helper()
+	want := make([]Outcome, w)
+	for i := range want {
+		out, err := s.Run(c.top, c.cfg, rng.NewFrom(99, uint64(i)), c.p)
 		if err != nil {
-			t.Fatalf("%s: batch: %v", name, err)
+			t.Fatalf("%s: scalar trial %d: %v", s.Name, i, err)
 		}
-		if len(got) != w {
-			t.Fatalf("%s: batch returned %d outcomes for %d streams", name, len(got), w)
+		want[i] = out
+	}
+	got, err := s.RunBatch(c.top, c.cfg, trialStreams(99, 0, w), c.p)
+	if err != nil {
+		t.Fatalf("%s: batch of %d: %v", s.Name, w, err)
+	}
+	if len(got) != w {
+		t.Fatalf("%s: batch returned %d outcomes for %d streams", s.Name, len(got), w)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s: width %d trial %d diverged\nscalar %+v\nbatch  %+v", s.Name, w, i, want[i], got[i])
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%s: trial %d diverged\nscalar %+v\nbatch  %+v", name, i, want[i], got[i])
+	}
+}
+
+// TestScheduleRunBatchNoStreams: every entry rejects an empty batch.
+func TestScheduleRunBatchNoStreams(t *testing.T) {
+	for name, c := range scheduleCases(t) {
+		out, err := MustSchedule(name).RunBatch(c.top, c.cfg, nil, c.p)
+		if err == nil || !strings.Contains(err.Error(), "no streams") {
+			t.Errorf("%s: RunBatch with no streams = %v, %v; want the no-streams error", name, out, err)
+		}
+	}
+}
+
+// TestScheduleRunBatchRejectsWhatRunRejects: each lockstep twin checks
+// its arguments as its scalar implementation does, so a batch never
+// succeeds where the same trials run one by one would fail. Single-message
+// entries get a graphless topology, multi-message entries K = -1, and rlnc
+// additionally an unknown pattern on a single-node graph (where the twin's
+// no-round shortcut must not skip the pattern check).
+func TestScheduleRunBatchRejectsWhatRunRejects(t *testing.T) {
+	for name, c := range scheduleCases(t) {
+		s := MustSchedule(name)
+		bad := c
+		if s.Kind == SingleMessage {
+			bad.top = graph.Topology{}
+		} else {
+			bad.p.K = -1
+		}
+		bads := []scheduleCase{bad}
+		if name == "rlnc" {
+			bads = append(bads, scheduleCase{top: graph.Path(1), cfg: c.cfg, p: ScheduleParams{K: 2, Pattern: RLNCPattern(99)}})
+		}
+		for _, b := range bads {
+			if _, err := s.Run(b.top, b.cfg, rng.New(3), b.p); err == nil {
+				t.Fatalf("%s: Run accepted %+v", name, b.p)
+			}
+			if out, err := s.RunBatch(b.top, b.cfg, trialStreams(3, 0, 3), b.p); err == nil {
+				t.Errorf("%s: RunBatch accepted what Run rejects (%+v): %+v", name, b.p, out)
 			}
 		}
 	}
+}
+
+// TestRegistryEntriesComplete: every entry carries a unique name and all
+// three of its functions, and LookupSchedule hands back the entry itself.
+// Schedules returns a copy, so callers cannot reorder or replace entries.
+func TestRegistryEntriesComplete(t *testing.T) {
+	seen := map[string]bool{}
+	for _, s := range Schedules() {
+		if s.Name == "" || seen[s.Name] {
+			t.Errorf("registry name %q empty or repeated", s.Name)
+		}
+		seen[s.Name] = true
+		if s.planTop == nil || s.run == nil || s.runBatch == nil {
+			t.Errorf("%s: planTop/run/runBatch missing", s.Name)
+		}
+		if got, err := LookupSchedule(s.Name); err != nil || got != s {
+			t.Errorf("LookupSchedule(%q) = %p, %v; want the entry %p", s.Name, got, err, s)
+		}
+	}
+	list := Schedules()
+	list[0] = nil
+	if Schedules()[0] == nil {
+		t.Error("mutating the Schedules result changed the registry")
+	}
+}
+
+// TestMustScheduleUnknownPanics: MustSchedule panics with LookupSchedule's
+// *UnknownScheduleError on a name the registry does not hold.
+func TestMustScheduleUnknownPanics(t *testing.T) {
+	defer func() {
+		err, ok := recover().(error)
+		var unk *UnknownScheduleError
+		if !ok || !errors.As(err, &unk) || unk.Name != "totally-bogus" {
+			t.Fatalf("MustSchedule panicked with %v, want *UnknownScheduleError naming the schedule", err)
+		}
+	}()
+	MustSchedule("totally-bogus")
 }
 
 // TestScheduleKinds pins each entry's kind to its result shape.
@@ -159,29 +253,6 @@ func TestLookupScheduleUnknown(t *testing.T) {
 		if _, err := LookupSchedule(n); err != nil {
 			t.Fatalf("listed schedule %q does not look up: %v", n, err)
 		}
-	}
-}
-
-// TestRegistryComplete runs noisyvet's registry analyzer over this
-// package: every exported schedule-shaped function must be reachable
-// from exactly one registry entry. The completeness logic itself lives
-// (and is unit-tested) in internal/lint; this thin wrapper keeps the
-// invariant enforced under a plain `go test ./...` even when CI's
-// dedicated noisyvet job is skipped.
-func TestRegistryComplete(t *testing.T) {
-	pkgs, err := lint.Load(".", ".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("loaded %d packages, want 1", len(pkgs))
-	}
-	diags, err := lint.Run(lint.RegistryAnalyzer, pkgs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Error(d)
 	}
 }
 

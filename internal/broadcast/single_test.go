@@ -9,21 +9,10 @@ import (
 	"noisyradio/internal/rng"
 )
 
-// algo adapts the three single-message algorithms to a common signature for
-// table tests.
-type algo struct {
-	name string
-	run  func(top graph.Topology, cfg radio.Config, r *rng.Stream, opts Options) (Result, error)
-}
-
-func allAlgos() []algo {
-	return []algo{
-		{name: "decay", run: Decay},
-		{name: "fastbc", run: FASTBC},
-		{name: "robust-fastbc", run: func(top graph.Topology, cfg radio.Config, r *rng.Stream, opts Options) (Result, error) {
-			return RobustFASTBC(top, cfg, r, opts, RobustParams{})
-		}},
-	}
+// allAlgos returns the three single-message algorithms' registry entries
+// for table tests.
+func allAlgos() []*Schedule {
+	return []*Schedule{MustSchedule("decay"), MustSchedule("fastbc"), MustSchedule("robust-fastbc")}
 }
 
 func allConfigs() []radio.Config {
@@ -55,15 +44,15 @@ func TestSingleMessageCompletesEverywhere(t *testing.T) {
 	for _, a := range allAlgos() {
 		for _, cfg := range allConfigs() {
 			for _, top := range tops {
-				name := a.name + "/" + cfg.Fault.String() + "/" + top.Name
+				name := a.Name + "/" + cfg.Fault.String() + "/" + top.Name
 				t.Run(name, func(t *testing.T) {
-					res, err := a.run(top, cfg, r.Split(), Options{})
+					res, err := a.Run(top, cfg, r.Split(), ScheduleParams{})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !res.Success {
 						t.Fatalf("broadcast failed: informed %d/%d after %d rounds",
-							res.Informed, top.G.N(), res.Rounds)
+							res.Done, top.G.N(), res.Rounds)
 					}
 					if res.Rounds <= 0 && top.G.N() > 1 {
 						t.Fatalf("suspicious round count %d", res.Rounds)
@@ -77,12 +66,12 @@ func TestSingleMessageCompletesEverywhere(t *testing.T) {
 func TestSingleNodeTrivial(t *testing.T) {
 	top := graph.Path(1)
 	for _, a := range allAlgos() {
-		res, err := a.run(top, radio.Config{Fault: radio.Faultless}, rng.New(1), Options{})
+		res, err := a.Run(top, radio.Config{Fault: radio.Faultless}, rng.New(1), ScheduleParams{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Success || res.Rounds != 0 {
-			t.Fatalf("%s: single node should complete in 0 rounds, got %+v", a.name, res)
+			t.Fatalf("%s: single node should complete in 0 rounds, got %+v", a.Name, res)
 		}
 	}
 }
@@ -91,15 +80,15 @@ func TestMaxRoundsCap(t *testing.T) {
 	// With a 1-round cap on a long path, no algorithm can finish.
 	top := graph.Path(50)
 	for _, a := range allAlgos() {
-		res, err := a.run(top, radio.Config{Fault: radio.Faultless}, rng.New(2), Options{MaxRounds: 1})
+		res, err := a.Run(top, radio.Config{Fault: radio.Faultless}, rng.New(2), ScheduleParams{Options: Options{MaxRounds: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Success {
-			t.Fatalf("%s: reported success under 1-round cap", a.name)
+			t.Fatalf("%s: reported success under 1-round cap", a.Name)
 		}
 		if res.Rounds != 1 {
-			t.Fatalf("%s: Rounds = %d, want 1", a.name, res.Rounds)
+			t.Fatalf("%s: Rounds = %d, want 1", a.Name, res.Rounds)
 		}
 	}
 }
@@ -107,8 +96,8 @@ func TestMaxRoundsCap(t *testing.T) {
 func TestBadTopologyRejected(t *testing.T) {
 	bad := graph.Topology{G: graph.Path(3).G, Source: 7, Name: "bad"}
 	for _, a := range allAlgos() {
-		if _, err := a.run(bad, radio.Config{Fault: radio.Faultless}, rng.New(1), Options{}); err == nil {
-			t.Fatalf("%s: out-of-range source accepted", a.name)
+		if _, err := a.Run(bad, radio.Config{Fault: radio.Faultless}, rng.New(1), ScheduleParams{}); err == nil {
+			t.Fatalf("%s: out-of-range source accepted", a.Name)
 		}
 	}
 }
@@ -117,8 +106,8 @@ func TestBadConfigRejected(t *testing.T) {
 	top := graph.Path(3)
 	badCfg := radio.Config{Fault: radio.SenderFaults, P: 1.2}
 	for _, a := range allAlgos() {
-		if _, err := a.run(top, badCfg, rng.New(1), Options{}); err == nil {
-			t.Fatalf("%s: invalid config accepted", a.name)
+		if _, err := a.Run(top, badCfg, rng.New(1), ScheduleParams{}); err == nil {
+			t.Fatalf("%s: invalid config accepted", a.Name)
 		}
 	}
 }
@@ -128,26 +117,26 @@ func TestDisconnectedGraphFastBC(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
 	top := graph.Topology{G: b.MustBuild(), Source: 0, Name: "disconnected"}
-	if _, err := FASTBC(top, radio.Config{Fault: radio.Faultless}, rng.New(1), Options{}); err == nil {
-		t.Fatal("FASTBC accepted a disconnected graph")
-	}
-	if _, err := RobustFASTBC(top, radio.Config{Fault: radio.Faultless}, rng.New(1), Options{}, RobustParams{}); err == nil {
-		t.Fatal("RobustFASTBC accepted a disconnected graph")
+	for _, name := range []string{"fastbc", "robust-fastbc"} {
+		if _, err := MustSchedule(name).Run(top, radio.Config{Fault: radio.Faultless}, rng.New(1), ScheduleParams{}); err == nil {
+			t.Fatalf("%s accepted a disconnected graph", name)
+		}
 	}
 }
 
-// meanRounds averages rounds-to-completion over trials, failing the test on
-// any unsuccessful run.
-func meanRounds(t *testing.T, run func(r *rng.Stream) (Result, error), trials int, seed uint64) float64 {
+// meanRounds averages the named schedule's rounds-to-completion on top
+// over trials, failing the test on any unsuccessful run.
+func meanRounds(t *testing.T, name string, top graph.Topology, cfg radio.Config, trials int, seed uint64) float64 {
 	t.Helper()
+	s := MustSchedule(name)
 	total := 0
 	for i := 0; i < trials; i++ {
-		res, err := run(rng.NewFrom(seed, uint64(i)))
+		res, err := s.Run(top, cfg, rng.NewFrom(seed, uint64(i)), ScheduleParams{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Success {
-			t.Fatalf("trial %d failed (%d rounds, %d informed)", i, res.Rounds, res.Informed)
+			t.Fatalf("%s trial %d failed (%d rounds, %d informed)", name, i, res.Rounds, res.Done)
 		}
 		total += res.Rounds
 	}
@@ -160,19 +149,13 @@ func meanRounds(t *testing.T, run func(r *rng.Stream) (Result, error), trials in
 func TestLemma8FASTBCDiameterLinear(t *testing.T) {
 	cfg := radio.Config{Fault: radio.Faultless}
 	const trials = 5
-	fast400 := meanRounds(t, func(r *rng.Stream) (Result, error) {
-		return FASTBC(graph.Path(400), cfg, r, Options{})
-	}, trials, 10)
-	fast800 := meanRounds(t, func(r *rng.Stream) (Result, error) {
-		return FASTBC(graph.Path(800), cfg, r, Options{})
-	}, trials, 11)
+	fast400 := meanRounds(t, "fastbc", graph.Path(400), cfg, trials, 10)
+	fast800 := meanRounds(t, "fastbc", graph.Path(800), cfg, trials, 11)
 	growth := fast800 / fast400
 	if growth < 1.5 || growth > 2.6 {
 		t.Fatalf("FASTBC growth on doubled path = %.2f, want ~2 (linear in D)", growth)
 	}
-	decay800 := meanRounds(t, func(r *rng.Stream) (Result, error) {
-		return Decay(graph.Path(800), cfg, r, Options{})
-	}, trials, 12)
+	decay800 := meanRounds(t, "decay", graph.Path(800), cfg, trials, 12)
 	if decay800 < 2*fast800 {
 		t.Fatalf("Decay (%.0f rounds) should be well above FASTBC (%.0f) on a long faultless path",
 			decay800, fast800)
@@ -238,18 +221,10 @@ func TestLemma10FASTBCDegradesUnderNoise(t *testing.T) {
 	clean := radio.Config{Fault: radio.Faultless}
 	const trials = 4
 	top := graph.Lollipop(9, 600) // rmax = 10, path length 600
-	fastClean := meanRounds(t, func(r *rng.Stream) (Result, error) {
-		return FASTBC(top, clean, r, Options{})
-	}, trials, 20)
-	fastNoisy := meanRounds(t, func(r *rng.Stream) (Result, error) {
-		return FASTBC(top, noisy, r, Options{})
-	}, trials, 21)
-	robustClean := meanRounds(t, func(r *rng.Stream) (Result, error) {
-		return RobustFASTBC(top, clean, r, Options{}, RobustParams{})
-	}, trials, 22)
-	robustNoisy := meanRounds(t, func(r *rng.Stream) (Result, error) {
-		return RobustFASTBC(top, noisy, r, Options{}, RobustParams{})
-	}, trials, 23)
+	fastClean := meanRounds(t, "fastbc", top, clean, trials, 20)
+	fastNoisy := meanRounds(t, "fastbc", top, noisy, trials, 21)
+	robustClean := meanRounds(t, "robust-fastbc", top, clean, trials, 22)
+	robustNoisy := meanRounds(t, "robust-fastbc", top, noisy, trials, 23)
 	fastRatio := fastNoisy / fastClean
 	robustRatio := robustNoisy / robustClean
 	if fastRatio < 2*robustRatio {
@@ -263,12 +238,8 @@ func TestLemma10FASTBCDegradesUnderNoise(t *testing.T) {
 func TestTheorem11RobustFASTBCLinearUnderNoise(t *testing.T) {
 	cfg := radio.Config{Fault: radio.SenderFaults, P: 0.3}
 	const trials = 5
-	r600 := meanRounds(t, func(r *rng.Stream) (Result, error) {
-		return RobustFASTBC(graph.Path(600), cfg, r, Options{}, RobustParams{})
-	}, trials, 30)
-	r1200 := meanRounds(t, func(r *rng.Stream) (Result, error) {
-		return RobustFASTBC(graph.Path(1200), cfg, r, Options{}, RobustParams{})
-	}, trials, 31)
+	r600 := meanRounds(t, "robust-fastbc", graph.Path(600), cfg, trials, 30)
+	r1200 := meanRounds(t, "robust-fastbc", graph.Path(1200), cfg, trials, 31)
 	growth := r1200 / r600
 	if growth < 1.4 || growth > 2.8 {
 		t.Fatalf("Robust FASTBC noisy growth on doubled path = %.2f, want ~2", growth)
@@ -279,12 +250,8 @@ func TestTheorem11RobustFASTBCLinearUnderNoise(t *testing.T) {
 func TestLemma9DecayNoiseFactor(t *testing.T) {
 	const trials = 8
 	top := graph.Path(200)
-	base := meanRounds(t, func(r *rng.Stream) (Result, error) {
-		return Decay(top, radio.Config{Fault: radio.Faultless}, r, Options{})
-	}, trials, 40)
-	noisy := meanRounds(t, func(r *rng.Stream) (Result, error) {
-		return Decay(top, radio.Config{Fault: radio.ReceiverFaults, P: 0.5}, r, Options{})
-	}, trials, 41)
+	base := meanRounds(t, "decay", top, radio.Config{Fault: radio.Faultless}, trials, 40)
+	noisy := meanRounds(t, "decay", top, radio.Config{Fault: radio.ReceiverFaults, P: 0.5}, trials, 41)
 	factor := noisy / base
 	// 1/(1-0.5) = 2; allow generous tolerance for constant effects.
 	if factor < 1.4 || factor > 3.2 {
@@ -303,7 +270,7 @@ func TestDecayUnknownNCompletes(t *testing.T) {
 	}
 	for _, cfg := range allConfigs() {
 		for _, top := range tops {
-			res, err := DecayUnknownN(top, cfg, r.Split(), Options{})
+			res, err := MustSchedule("decay-unknown-n").Run(top, cfg, r.Split(), ScheduleParams{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", cfg.Fault, top.Name, err)
 			}
@@ -320,12 +287,8 @@ func TestDecayUnknownNOverheadBounded(t *testing.T) {
 	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.3}
 	top := graph.Path(200)
 	const trials = 5
-	known := meanRounds(t, func(r *rng.Stream) (Result, error) {
-		return Decay(top, cfg, r, Options{})
-	}, trials, 56)
-	unknown := meanRounds(t, func(r *rng.Stream) (Result, error) {
-		return DecayUnknownN(top, cfg, r, Options{})
-	}, trials, 57)
+	known := meanRounds(t, "decay", top, cfg, trials, 56)
+	unknown := meanRounds(t, "decay-unknown-n", top, cfg, trials, 57)
 	if unknown > 12*known {
 		t.Fatalf("unknown-n decay %.0f rounds vs known-n %.0f: overhead too large", unknown, known)
 	}
@@ -336,7 +299,7 @@ func TestDecayUnknownNOverheadBounded(t *testing.T) {
 
 func TestDecayUnknownNValidation(t *testing.T) {
 	bad := graph.Topology{G: graph.Path(3).G, Source: -1, Name: "bad"}
-	if _, err := DecayUnknownN(bad, radio.Config{Fault: radio.Faultless}, rng.New(1), Options{}); err == nil {
+	if _, err := MustSchedule("decay-unknown-n").Run(bad, radio.Config{Fault: radio.Faultless}, rng.New(1), ScheduleParams{}); err == nil {
 		t.Fatal("bad source accepted")
 	}
 }
@@ -380,7 +343,7 @@ func TestQuickOnlyInformedNodesBroadcast(t *testing.T) {
 				informed[r] = true
 			}
 		}}
-		res, err := a.run(top, cfg, rng.New(seed+1), opts)
+		res, err := a.Run(top, cfg, rng.New(seed+1), ScheduleParams{Options: opts})
 		if err != nil || !res.Success {
 			return false
 		}
@@ -394,16 +357,16 @@ func TestQuickOnlyInformedNodesBroadcast(t *testing.T) {
 func TestDeterministicGivenSeed(t *testing.T) {
 	top := graph.GNP(80, 0.06, rng.New(5))
 	for _, a := range allAlgos() {
-		r1, err := a.run(top, radio.Config{Fault: radio.ReceiverFaults, P: 0.2}, rng.New(99), Options{})
+		r1, err := a.Run(top, radio.Config{Fault: radio.ReceiverFaults, P: 0.2}, rng.New(99), ScheduleParams{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := a.run(top, radio.Config{Fault: radio.ReceiverFaults, P: 0.2}, rng.New(99), Options{})
+		r2, err := a.Run(top, radio.Config{Fault: radio.ReceiverFaults, P: 0.2}, rng.New(99), ScheduleParams{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r1.Rounds != r2.Rounds || r1.Channel != r2.Channel {
-			t.Fatalf("%s: same seed gave different executions: %+v vs %+v", a.name, r1, r2)
+			t.Fatalf("%s: same seed gave different executions: %+v vs %+v", a.Name, r1, r2)
 		}
 	}
 }

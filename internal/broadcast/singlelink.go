@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"noisyradio/internal/bitset"
+	"noisyradio/internal/graph"
 	"noisyradio/internal/radio"
 	"noisyradio/internal/rng"
 )
@@ -28,20 +29,31 @@ func DefaultSingleLinkRepeats(k int, p float64) int {
 	return r
 }
 
-// SingleLinkNonAdaptive runs the non-adaptive routing schedule of Lemma 29:
-// the source transmits each of the k messages exactly `repeats` times,
-// deaf to the channel. The run succeeds iff every message is received at
+// resolveRepeats applies the Lemma 29 default repetition count to the
+// zero value; negative values pass through so the schedule's own
+// validation rejects them.
+func resolveRepeats(p ScheduleParams, cfg radio.Config) int {
+	if p.Repeats != 0 {
+		return p.Repeats
+	}
+	return DefaultSingleLinkRepeats(p.K, cfg.P)
+}
+
+// singleLinkNonAdaptive runs the non-adaptive routing schedule of Lemma 29:
+// the source transmits each of the k messages exactly `repeats` times
+// (p.Repeats, or the Lemma 29 default when zero), deaf to the channel. The run succeeds iff every message is received at
 // least once; the schedule always uses exactly k·repeats rounds. Its
 // throughput is Θ(1/log k) at the repetition count required for failure
 // probability 1/k.
-func SingleLinkNonAdaptive(k, repeats int, cfg radio.Config, r *rng.Stream) (MultiResult, error) {
+func singleLinkNonAdaptive(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
+	k, repeats := p.K, resolveRepeats(p, cfg)
 	if k < 1 || repeats < 1 {
-		return MultiResult{}, fmt.Errorf("broadcast: single-link non-adaptive needs k >= 1 and repeats >= 1, got (%d,%d)", k, repeats)
+		return Outcome{}, fmt.Errorf("broadcast: single-link non-adaptive needs k >= 1 and repeats >= 1, got (%d,%d)", k, repeats)
 	}
 	top := cachedSingleLink()
 	net, err := idPool.Get(top.G, cfg, r)
 	if err != nil {
-		return MultiResult{}, err
+		return Outcome{}, err
 	}
 	tx := sourceOnlyTx()
 	payload := []int32{0, 0}
@@ -62,7 +74,7 @@ func SingleLinkNonAdaptive(k, repeats int, cfg radio.Config, r *rng.Stream) (Mul
 	if received == k {
 		done = 2
 	}
-	res := MultiResult{
+	res := Outcome{
 		Rounds:  k * repeats,
 		Success: received == k,
 		Done:    done,
@@ -72,20 +84,21 @@ func SingleLinkNonAdaptive(k, repeats int, cfg radio.Config, r *rng.Stream) (Mul
 	return res, nil
 }
 
-// SingleLinkAdaptive runs the adaptive routing (ARQ) schedule of Lemma 32:
+// singleLinkAdaptive runs the adaptive routing (ARQ) schedule of Lemma 32:
 // the source retransmits each message until the receiver confirms it, then
 // moves on. Expected k/(1-p) rounds — constant throughput, erasing the
 // single-link coding gap.
-func SingleLinkAdaptive(k int, cfg radio.Config, r *rng.Stream, opts Options) (MultiResult, error) {
+func singleLinkAdaptive(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
+	k := p.K
 	if k < 1 {
-		return MultiResult{}, fmt.Errorf("broadcast: single-link adaptive needs k >= 1, got %d", k)
+		return Outcome{}, fmt.Errorf("broadcast: single-link adaptive needs k >= 1, got %d", k)
 	}
 	top := cachedSingleLink()
 	net, err := idPool.Get(top.G, cfg, r)
 	if err != nil {
-		return MultiResult{}, err
+		return Outcome{}, err
 	}
-	maxRounds := opts.MaxRounds
+	maxRounds := p.Options.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = singleLinkDefaultMaxRounds(k, cfg)
 	}
@@ -103,7 +116,7 @@ func SingleLinkAdaptive(k int, cfg radio.Config, r *rng.Stream, opts Options) (M
 	if current == k {
 		done = 2
 	}
-	res := MultiResult{
+	res := Outcome{
 		Rounds:  round,
 		Success: current == k,
 		Done:    done,
@@ -113,20 +126,21 @@ func SingleLinkAdaptive(k int, cfg radio.Config, r *rng.Stream, opts Options) (M
 	return res, nil
 }
 
-// SingleLinkCoding runs the coding schedule of Lemma 30: the source
+// singleLinkCoding runs the coding schedule of Lemma 30: the source
 // transmits a fresh Reed–Solomon packet every round; the receiver decodes
 // after any k receptions (MDS property). Expected k/(1-p) rounds —
 // constant throughput without any feedback.
-func SingleLinkCoding(k int, cfg radio.Config, r *rng.Stream, opts Options) (MultiResult, error) {
+func singleLinkCoding(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
+	k := p.K
 	if k < 1 {
-		return MultiResult{}, fmt.Errorf("broadcast: single-link coding needs k >= 1, got %d", k)
+		return Outcome{}, fmt.Errorf("broadcast: single-link coding needs k >= 1, got %d", k)
 	}
 	top := cachedSingleLink()
 	net, err := idPool.Get(top.G, cfg, r)
 	if err != nil {
-		return MultiResult{}, err
+		return Outcome{}, err
 	}
-	maxRounds := opts.MaxRounds
+	maxRounds := p.Options.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = singleLinkDefaultMaxRounds(k, cfg)
 	}
@@ -144,7 +158,7 @@ func SingleLinkCoding(k int, cfg radio.Config, r *rng.Stream, opts Options) (Mul
 	if received >= k {
 		done = 2
 	}
-	res := MultiResult{
+	res := Outcome{
 		Rounds:  round,
 		Success: received >= k,
 		Done:    done,

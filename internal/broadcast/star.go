@@ -9,22 +9,23 @@ import (
 	"noisyradio/internal/rng"
 )
 
-// StarRouting runs the adaptive routing schedule of Lemma 15 on the star
-// topology: the source broadcasts message m₁ until every leaf has received
-// it, then m₂, and so on. Under receiver faults with constant p this needs
+// starRouting runs the adaptive routing schedule of Lemma 15 on the star
+// topology with p.Leaves leaves: the source broadcasts message m₁ until
+// every leaf has received it, then m₂, and so on up to m_K. Under receiver faults with constant p this needs
 // Θ(k log n) rounds — the routing side of the Θ(log n) star coding gap
 // (Theorem 17). Adaptivity here is the oracle adaptivity of Definition 14:
 // the schedule observes exactly which leaves have received which messages.
-func StarRouting(leaves, k int, cfg radio.Config, r *rng.Stream, opts Options) (MultiResult, error) {
+func starRouting(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
+	leaves, k := p.Leaves, p.K
 	if leaves < 1 || k < 1 {
-		return MultiResult{}, fmt.Errorf("broadcast: star routing needs leaves >= 1 and k >= 1, got (%d,%d)", leaves, k)
+		return Outcome{}, fmt.Errorf("broadcast: star routing needs leaves >= 1 and k >= 1, got (%d,%d)", leaves, k)
 	}
 	top := cachedStar(leaves)
 	net, err := idPool.Get(top.G, cfg, r)
 	if err != nil {
-		return MultiResult{}, err
+		return Outcome{}, err
 	}
-	maxRounds := opts.MaxRounds
+	maxRounds := p.Options.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = starDefaultMaxRounds(leaves, k, cfg)
 	}
@@ -55,7 +56,7 @@ func StarRouting(leaves, k int, cfg radio.Config, r *rng.Stream, opts Options) (
 			missing = leaves
 		}
 	}
-	res := MultiResult{
+	res := Outcome{
 		Rounds:  round,
 		Success: current == int32(k),
 		Done:    doneCountStar(current, k, leaves, missing),
@@ -79,7 +80,7 @@ func doneCountStar(current int32, k, leaves, missing int) int {
 	return 1
 }
 
-// StarCoding runs the coding schedule of Lemma 16 on the star topology: the
+// starCoding runs the coding schedule of Lemma 16 on the star topology: the
 // source broadcasts a fresh Reed–Solomon coded packet every round; by the
 // MDS property any k distinct packets let a leaf reconstruct all k
 // messages, so a leaf is done once it has received k packets. Θ(k) rounds
@@ -88,16 +89,17 @@ func doneCountStar(current int32, k, leaves, missing int) int {
 // The simulation tracks packet counts rather than moving real RS payloads;
 // rs.Code (tested against this schedule in the package tests) provides the
 // actual any-k-of-m decode guarantee this relies on.
-func StarCoding(leaves, k int, cfg radio.Config, r *rng.Stream, opts Options) (MultiResult, error) {
+func starCoding(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
+	leaves, k := p.Leaves, p.K
 	if leaves < 1 || k < 1 {
-		return MultiResult{}, fmt.Errorf("broadcast: star coding needs leaves >= 1 and k >= 1, got (%d,%d)", leaves, k)
+		return Outcome{}, fmt.Errorf("broadcast: star coding needs leaves >= 1 and k >= 1, got (%d,%d)", leaves, k)
 	}
 	top := cachedStar(leaves)
 	net, err := idPool.Get(top.G, cfg, r)
 	if err != nil {
-		return MultiResult{}, err
+		return Outcome{}, err
 	}
-	maxRounds := opts.MaxRounds
+	maxRounds := p.Options.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = starDefaultMaxRounds(leaves, k, cfg)
 	}
@@ -119,7 +121,7 @@ func StarCoding(leaves, k int, cfg radio.Config, r *rng.Stream, opts Options) (M
 			}
 		})
 	}
-	res := MultiResult{
+	res := Outcome{
 		Rounds:  round,
 		Success: done == leaves,
 		Done:    done + 1,

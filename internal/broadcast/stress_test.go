@@ -24,12 +24,12 @@ func TestStressLargeGridAllAlgorithms(t *testing.T) {
 	top := graph.Grid(100, 100) // n = 10^4, D = 198
 	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.3}
 	for _, a := range allAlgos() {
-		res, err := a.run(top, cfg, rng.New(101), Options{})
+		res, err := a.Run(top, cfg, rng.New(101), ScheduleParams{})
 		if err != nil {
-			t.Fatalf("%s: %v", a.name, err)
+			t.Fatalf("%s: %v", a.Name, err)
 		}
 		if !res.Success {
-			t.Fatalf("%s: informed %d/%d after %d rounds", a.name, res.Informed, top.G.N(), res.Rounds)
+			t.Fatalf("%s: informed %d/%d after %d rounds", a.Name, res.Done, top.G.N(), res.Rounds)
 		}
 	}
 }
@@ -38,7 +38,7 @@ func TestStressLongPathRobustFASTBC(t *testing.T) {
 	skipIfShort(t)
 	top := graph.Lollipop(10, 4000)
 	cfg := radio.Config{Fault: radio.SenderFaults, P: 0.5}
-	res, err := RobustFASTBC(top, cfg, rng.New(102), Options{}, RobustParams{})
+	res, err := MustSchedule("robust-fastbc").Run(top, cfg, rng.New(102), ScheduleParams{})
 	if err != nil || !res.Success {
 		t.Fatalf("%v %+v", err, res)
 	}
@@ -56,7 +56,7 @@ func TestStressWCTCodingLarge(t *testing.T) {
 	skipIfShort(t)
 	w := graph.NewWCT(graph.DefaultWCTParams(8192), rng.New(103))
 	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.5}
-	res, err := WCTCoding(w, 32, cfg, rng.New(104), Options{})
+	res, err := MustSchedule("wct-coding").Run(graph.Topology{}, cfg, rng.New(104), ScheduleParams{WCT: w, K: 32})
 	if err != nil || !res.Success {
 		t.Fatalf("%v %+v", err, res)
 	}
@@ -85,7 +85,7 @@ func TestStressPipelinedBatchDeep(t *testing.T) {
 	skipIfShort(t)
 	top := graph.Layered(60, 8)
 	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.5}
-	res, err := PipelinedBatchRouting(top, 64, cfg, rng.New(106), Options{})
+	res, err := MustSchedule("pipelined-batch-routing").Run(top, cfg, rng.New(106), ScheduleParams{K: 64})
 	if err != nil || !res.Success {
 		t.Fatalf("%v %+v", err, res)
 	}

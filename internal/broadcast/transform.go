@@ -21,22 +21,23 @@ import (
 // of ⌈x/(1-p)·(1+η)⌉ rounds carrying x messages, so the throughput drops by
 // exactly the (1-p) factor (up to η) that the lemmas predict.
 
-// PathPipelineRouting runs the adaptive routing pipeline on a path with
-// pathLen edges: node v broadcasts in rounds r with r ≡ v (mod 3) whenever
+// pathPipelineRouting runs the adaptive routing pipeline for p.K messages
+// on a path with p.PathLen edges: node v broadcasts in rounds r with r ≡ v (mod 3) whenever
 // it holds a message its successor lacks (oracle adaptivity, Definition
 // 14). In the faultless model the throughput is 1/3; under sender or
 // receiver faults the per-hop retransmissions reduce it to (1-p)/3 — the
 // Lemma 25 achievability in its natural adaptive form.
-func PathPipelineRouting(pathLen, k int, cfg radio.Config, r *rng.Stream, opts Options) (MultiResult, error) {
+func pathPipelineRouting(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
+	pathLen, k := p.PathLen, p.K
 	if pathLen < 1 || k < 1 {
-		return MultiResult{}, fmt.Errorf("broadcast: path pipeline needs pathLen >= 1 and k >= 1, got (%d,%d)", pathLen, k)
+		return Outcome{}, fmt.Errorf("broadcast: path pipeline needs pathLen >= 1 and k >= 1, got (%d,%d)", pathLen, k)
 	}
 	top := cachedPath(pathLen + 1)
 	net, err := idPool.Get(top.G, cfg, r)
 	if err != nil {
-		return MultiResult{}, err
+		return Outcome{}, err
 	}
-	maxRounds := opts.MaxRounds
+	maxRounds := p.Options.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = pipelineDefaultMaxRounds(pathLen, k, cfg)
 	}
@@ -70,7 +71,7 @@ func PathPipelineRouting(pathLen, k int, cfg radio.Config, r *rng.Stream, opts O
 			done++
 		}
 	}
-	res := MultiResult{
+	res := Outcome{
 		Rounds:  round,
 		Success: have[n-1] == int32(k),
 		Done:    done,
@@ -111,40 +112,41 @@ func metaRoundLen(batch int, cfg radio.Config, eta float64) int {
 	return int(math.Ceil(float64(batch) / q * (1 + eta)))
 }
 
-// TransformedPathRouting runs the Lemma 25 transformation of the faultless
+// transformedPathRouting runs the Lemma 25 transformation of the faultless
 // path pipeline: each faultless round becomes a meta-round of
 // ⌈x/(1-p)(1+η)⌉ rounds in which a scheduled node delivers its batch of x
 // messages with per-message retransmission, then stays silent. Unlike
-// PathPipelineRouting the *batch schedule* is fixed in advance (only the
+// pathPipelineRouting the *batch schedule* is fixed in advance (only the
 // retransmissions adapt), exactly as in the lemma; a node that cannot
 // finish its batch within the meta-round leaves a permanent gap, which is
-// the exp(-Ω(xη²)) failure event of the proof.
-func TransformedPathRouting(pathLen, k int, cfg radio.Config, r *rng.Stream, params TransformParams, opts Options) (MultiResult, error) {
-	return transformedPath(pathLen, k, cfg, r, params, opts, false)
+// the exp(-Ω(xη²)) failure event of the proof. p.Transform tunes x and η.
+func transformedPathRouting(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
+	return transformedPath(cfg, r, p, false)
 }
 
-// TransformedPathCoding runs the Lemma 26 transformation: as in
-// TransformedPathRouting, but within a meta-round the scheduled node
+// transformedPathCoding runs the Lemma 26 transformation: as in
+// transformedPathRouting, but within a meta-round the scheduled node
 // transmits a stream of fresh Reed–Solomon packets coded over its batch of
 // x messages, and the receiver reconstructs the batch from any x of them
 // (MDS black box). No feedback is used at all, matching the lemma's
 // coding setting.
-func TransformedPathCoding(pathLen, k int, cfg radio.Config, r *rng.Stream, params TransformParams, opts Options) (MultiResult, error) {
-	return transformedPath(pathLen, k, cfg, r, params, opts, true)
+func transformedPathCoding(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
+	return transformedPath(cfg, r, p, true)
 }
 
-func transformedPath(pathLen, k int, cfg radio.Config, r *rng.Stream, params TransformParams, opts Options, coding bool) (MultiResult, error) {
+func transformedPath(cfg radio.Config, r *rng.Stream, p ScheduleParams, coding bool) (Outcome, error) {
+	pathLen, k := p.PathLen, p.K
 	if pathLen < 1 || k < 1 {
-		return MultiResult{}, fmt.Errorf("broadcast: transformed path needs pathLen >= 1 and k >= 1, got (%d,%d)", pathLen, k)
+		return Outcome{}, fmt.Errorf("broadcast: transformed path needs pathLen >= 1 and k >= 1, got (%d,%d)", pathLen, k)
 	}
-	pr := params.withDefaults(pathLen, k)
+	pr := p.Transform.withDefaults(pathLen, k)
 	batches := (k + pr.Batch - 1) / pr.Batch
 	mlen := metaRoundLen(pr.Batch, cfg, pr.Eta)
 
 	top := cachedPath(pathLen + 1)
 	net, err := idPool.Get(top.G, cfg, r)
 	if err != nil {
-		return MultiResult{}, err
+		return Outcome{}, err
 	}
 	n := top.G.N()
 	// batchHave[v] = number of complete batches node v holds.
@@ -210,7 +212,7 @@ func transformedPath(pathLen, k int, cfg radio.Config, r *rng.Stream, params Tra
 			done++
 		}
 	}
-	res := MultiResult{
+	res := Outcome{
 		Rounds:  totalRounds,
 		Success: batchHave[n-1] == int32(batches),
 		Done:    done,

@@ -19,23 +19,24 @@ import (
 // collision-free reception, while other scales see exponentially little —
 // that is Lemma 18's O(1/log n) ceiling in action.
 
-// WCTRouting runs the adaptive routing schedule behind Lemmas 19/21/22:
+// wctRouting runs the adaptive routing schedule behind Lemmas 19/21/22:
 // messages are delivered one at a time; the schedule cycles the broadcast
 // density through the scales until every cluster member holds the current
 // message, then advances. With receiver faults each cluster behaves like
 // the Lemma 15 star — every member individually needs a fault-free
 // reception — so the cost is Θ(log² n) rounds per message and the
 // throughput is Θ(1/log² n).
-func WCTRouting(w *graph.WCT, k int, cfg radio.Config, r *rng.Stream, opts Options) (MultiResult, error) {
+func wctRouting(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
+	w, k := p.WCT, p.K
 	if err := validateWCTArgs(w, k); err != nil {
-		return MultiResult{}, err
+		return Outcome{}, err
 	}
 	net, err := idPool.Get(w.G, cfg, r)
 	if err != nil {
-		return MultiResult{}, err
+		return Outcome{}, err
 	}
 	scales := graph.Log2Floor(len(w.Senders))
-	maxRounds := opts.MaxRounds
+	maxRounds := p.Options.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = wctDefaultMaxRounds(w, k, cfg, scales*scales)
 	}
@@ -71,7 +72,7 @@ func WCTRouting(w *graph.WCT, k int, cfg radio.Config, r *rng.Stream, opts Optio
 			missing = members
 		}
 	}
-	res := MultiResult{
+	res := Outcome{
 		Rounds:  round,
 		Success: current == int32(k),
 		Done:    wctDoneCount(w, current, k, missing),
@@ -81,23 +82,24 @@ func WCTRouting(w *graph.WCT, k int, cfg radio.Config, r *rng.Stream, opts Optio
 	return res, nil
 }
 
-// WCTCoding runs the coding schedule behind Lemma 23: every sender
+// wctCoding runs the coding schedule behind Lemma 23: every sender
 // broadcast is a globally fresh coded packet (Reed–Solomon black box — any
 // k distinct packets decode all k messages), densities cycle through the
-// scales as in WCTRouting, and a cluster member is done after k receptions.
+// scales as in wctRouting, and a cluster member is done after k receptions.
 // Each member needs Θ(k) fault-free receptions instead of Θ(k log n), so
 // the throughput is Θ(1/log n) — a Θ(log n) worst-case gap over routing
 // (Theorem 24).
-func WCTCoding(w *graph.WCT, k int, cfg radio.Config, r *rng.Stream, opts Options) (MultiResult, error) {
+func wctCoding(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
+	w, k := p.WCT, p.K
 	if err := validateWCTArgs(w, k); err != nil {
-		return MultiResult{}, err
+		return Outcome{}, err
 	}
 	net, err := idPool.Get(w.G, cfg, r)
 	if err != nil {
-		return MultiResult{}, err
+		return Outcome{}, err
 	}
 	scales := graph.Log2Floor(len(w.Senders))
-	maxRounds := opts.MaxRounds
+	maxRounds := p.Options.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = wctDefaultMaxRounds(w, k, cfg, scales)
 	}
@@ -133,7 +135,7 @@ func WCTCoding(w *graph.WCT, k int, cfg radio.Config, r *rng.Stream, opts Option
 		})
 		clearSenders(w, tx)
 	}
-	res := MultiResult{
+	res := Outcome{
 		Rounds:  round,
 		Success: done == members,
 		Done:    done + 1 + len(w.Senders),
@@ -200,7 +202,7 @@ func wctDefaultMaxRounds(w *graph.WCT, k int, cfg radio.Config, perMessage int) 
 
 func validateWCTArgs(w *graph.WCT, k int) error {
 	if w == nil || w.G == nil {
-		return fmt.Errorf("broadcast: nil WCT")
+		return fmt.Errorf("broadcast: wct schedule needs ScheduleParams.WCT")
 	}
 	if k < 1 {
 		return fmt.Errorf("broadcast: WCT schedules need k >= 1, got %d", k)

@@ -44,17 +44,6 @@ func TestPoolPair(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	for _, path := range []string{
-		"example/reg/sched",
-		"example/reg/facade", // alias re-export: not a registry home
-	} {
-		t.Run(path, func(t *testing.T) {
-			linttest.Run(t, "testdata", lint.RegistryAnalyzer, path)
-		})
-	}
-}
-
 // TestAnnotationNeedsReason checks the escape hatch's own invariant: an
 // annotation without a reason is reported. (Checked directly rather than
 // via // want because the finding lands on a comment-only line.)

@@ -1,8 +1,8 @@
 // Package lint is the noisyvet analyzer suite: static checks that
 // machine-enforce the repository's cross-cutting invariants — determinism
-// of the hot simulation planes, draw-contract exhaustiveness, scratch-pool
-// discipline and schedule-registry completeness — at vet time instead of
-// waiting for a golden or differential test to catch the symptom.
+// of the hot simulation planes, draw-contract exhaustiveness and
+// scratch-pool discipline — at vet time instead of waiting for a golden or
+// differential test to catch the symptom.
 //
 // The package mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) on the standard library alone, because the
@@ -225,6 +225,5 @@ func Analyzers() []*Analyzer {
 		DeterminismAnalyzer,
 		DrawContractAnalyzer,
 		PoolPairAnalyzer,
-		RegistryAnalyzer,
 	}
 }

@@ -24,7 +24,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -273,14 +272,18 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	s.metrics.jobs.Add(1)
 	s.metrics.misses.Add(1)
 
-	body, runErr := s.execute(r.Context(), jb, w)
-	f.body, f.ok = body, runErr == nil
+	body, last, runErr := s.execute(r.Context(), jb, w)
+	// Land before the client sees the terminal line: a client that
+	// resubmits the moment it reads it must find the body cached, not
+	// the key still in flight.
+	f.body, f.ok = append(body, last...), runErr == nil
 	s.land(jb.key, f)
 	if runErr == nil {
 		s.metrics.trials.Add(int64(jb.spec.Trials))
 	} else {
 		s.metrics.errored.Add(1)
 	}
+	writeLine(w, last)
 }
 
 // land retires a leader's flight once its outcome fields are set: a clean
@@ -306,12 +309,14 @@ func (s *Server) writeBody(w http.ResponseWriter, key, disposition string, body 
 	w.Write(body)
 }
 
-// execute runs one job as the flight leader, streaming the NDJSON body
-// to w line by line while accumulating the byte-identical copy that the
-// cache (and any coalesced followers) will replay. Client disconnection
-// cancels ctx, which cancels the sweep; the job then finishes with an
-// error line and is not cached.
-func (s *Server) execute(ctx context.Context, jb *job, w http.ResponseWriter) ([]byte, error) {
+// execute runs one job as the flight leader, streaming the NDJSON
+// snapshot lines to w as shards complete. It returns the streamed bytes
+// and the encoded terminal result or error line, unwritten: the body the
+// cache (and any coalesced followers) will replay is the two joined, and
+// the caller lands the flight before writing the terminal line. Client
+// disconnection cancels ctx, which cancels the sweep; the job then
+// finishes with an error line and is not cached.
+func (s *Server) execute(ctx context.Context, jb *job, w http.ResponseWriter) (body, last []byte, err error) {
 	jobCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -319,21 +324,6 @@ func (s *Server) execute(ctx context.Context, jb *job, w http.ResponseWriter) ([
 	h.Set("Content-Type", "application/x-ndjson")
 	h.Set("X-Plan-Key", jb.key)
 	h.Set("X-Cache", "miss")
-	flusher, _ := w.(http.Flusher)
-
-	var body bytes.Buffer
-	emit := func(line Line) {
-		b, err := json.Marshal(line)
-		if err != nil {
-			panic(fmt.Sprintf("serve: marshaling stream line: %v", err))
-		}
-		b = append(b, '\n')
-		body.Write(b)
-		w.Write(b)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
 
 	sw := sim.NewSweep(sim.SweepConfig{Workers: s.cfg.Workers, TrialBatch: s.cfg.TrialBatch})
 	rows := make([]*sim.Row, jb.shards)
@@ -366,23 +356,40 @@ func (s *Server) execute(ctx context.Context, jb *job, w http.ResponseWriter) ([
 		if k < len(rows)-1 {
 			// Interior snapshot: the merge of shards 0..k. The final
 			// prefix is the result line below, not a duplicate snapshot.
-			emit(Line{Type: "snapshot", ShardsDone: k + 1, Shards: jb.shards, Stats: newStats(merged)})
+			b := encodeLine(Line{Type: "snapshot", ShardsDone: k + 1, Shards: jb.shards, Stats: newStats(merged)})
+			body = append(body, b...)
+			writeLine(w, b)
 		}
 	}
 	<-errc
 	if rowErr != nil {
-		emit(Line{Type: "error", Key: jb.key, Error: rowErr.Error()})
-		return body.Bytes(), rowErr
+		return body, encodeLine(Line{Type: "error", Key: jb.key, Error: rowErr.Error()}), rowErr
 	}
-	emit(Line{
+	return body, encodeLine(Line{
 		Type:     "result",
 		Key:      jb.key,
 		Schedule: jb.spec.Schedule,
 		Trials:   jb.spec.Trials,
 		Shards:   jb.shards,
 		Stats:    newStats(merged),
-	})
-	return body.Bytes(), nil
+	}), nil
+}
+
+// encodeLine renders one NDJSON stream line.
+func encodeLine(line Line) []byte {
+	b, err := json.Marshal(line)
+	if err != nil {
+		panic(fmt.Sprintf("serve: marshaling stream line: %v", err))
+	}
+	return append(b, '\n')
+}
+
+// writeLine sends one stream line to the client now.
+func writeLine(w http.ResponseWriter, b []byte) {
+	w.Write(b)
+	if f, ok := w.(http.Flusher); ok {
+		f.Flush()
+	}
 }
 
 // scheduleValue is the one statistic the service folds: rounds to

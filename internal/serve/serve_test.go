@@ -410,6 +410,67 @@ func TestRuntimeErrorNotCached(t *testing.T) {
 	}
 }
 
+// landCheckWriter observes the server's state at the moment the leader
+// writes its terminal line: whether the key had left the flights table,
+// and whether the cache held a body ending in that line.
+type landCheckWriter struct {
+	http.ResponseWriter
+	s        *Server
+	key      string
+	terminal string // "result" or "error" once written
+	inFlight bool
+	cached   bool
+}
+
+func (w *landCheckWriter) Write(b []byte) (int, error) {
+	var l Line
+	if json.Unmarshal(b, &l) == nil && (l.Type == "result" || l.Type == "error") {
+		w.terminal = l.Type
+		w.s.mu.Lock()
+		body, ok := w.s.cache.get(w.key)
+		_, w.inFlight = w.s.flights[w.key]
+		w.s.mu.Unlock()
+		w.cached = ok && bytes.HasSuffix(body, b)
+	}
+	return w.ResponseWriter.Write(b)
+}
+
+// TestLeaderLandsBeforeTerminalLine: by the time the leader's own client
+// reads the result line, the body is cached and the flight is gone, so
+// an immediate resubmission is a hit, never a coalesce onto a finished
+// flight. An error line likewise follows the flight's removal, with
+// nothing cached.
+func TestLeaderLandsBeforeTerminalLine(t *testing.T) {
+	failing := testSpec()
+	failing.Draw = "v3"
+	failing.BurstBadP = 0.2 // invalid, but only the run knows
+	for _, tc := range []struct {
+		spec benchreport.JobSpec
+		want string
+	}{
+		{testSpec(), "result"},
+		{failing, "error"},
+	} {
+		s := NewServer(Config{})
+		payload, err := json.Marshal(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		w := &landCheckWriter{ResponseWriter: rec, s: s, key: tc.spec.PlanKey()}
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(payload)))
+		if w.terminal != tc.want {
+			t.Fatalf("terminal line %q, want %q:\n%s", w.terminal, tc.want, rec.Body)
+		}
+		if w.inFlight {
+			t.Errorf("%s line written while the key was still in flight", tc.want)
+		}
+		if w.cached != (tc.want == "result") {
+			t.Errorf("%s line written with cached = %v", tc.want, w.cached)
+		}
+	}
+}
+
 func lastLine(t *testing.T, body []byte) Line {
 	t.Helper()
 	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))

@@ -15,7 +15,6 @@ import (
 	"noisyradio/internal/broadcast"
 	"noisyradio/internal/graph"
 	"noisyradio/internal/radio"
-	"noisyradio/internal/rng"
 	"noisyradio/internal/sim"
 	"noisyradio/internal/stats"
 )
@@ -28,12 +27,6 @@ import (
 // treating it as a harness failure.
 var ErrAllTrialsFailed = errors.New("all trials failed")
 
-// Runner produces one k-message broadcast execution under the given
-// randomness. Implementations wrap the schedules in internal/broadcast;
-// harness code should prefer DeferSchedule, which names a registry entry
-// instead and lets the sweep plan the execution.
-type Runner func(r *rng.Stream) (broadcast.MultiResult, error)
-
 // Estimate is an empirical throughput measurement.
 type Estimate struct {
 	K           int     // messages per execution
@@ -45,38 +38,14 @@ type Estimate struct {
 }
 
 // Pending is a deferred throughput measurement: a row registered on a
-// shared sweep by Defer, whose Estimate becomes available once the sweep
-// has run. Rows from many Pending measurements execute on one worker pool,
-// which is how the experiment harness keeps every core busy even when a
-// single row has only a handful of trials.
+// shared sweep by DeferSchedule, whose Estimate becomes available once the
+// sweep has run. Rows from many Pending measurements execute on one
+// worker pool, which is how the experiment harness keeps every core busy
+// even when a single row has only a handful of trials.
 type Pending struct {
 	k      int
 	trials int
 	row    *sim.Row
-}
-
-// Defer registers a throughput measurement on sw. The streaming row
-// statistics use NaN as the failed-trial sentinel, so MeanRounds averages
-// successful trials only while SuccessRate still sees every trial —
-// exactly the Measure semantics, in O(1) memory per row. It panics on
-// invalid arguments (Measure keeps the error-returning validation).
-// Harness code measuring a registered schedule should use DeferSchedule
-// instead, which also lets the sweep batch the trials.
-func Defer(sw *sim.Sweep, k, trials int, seed uint64, run Runner) *Pending {
-	if k < 1 {
-		panic(fmt.Sprintf("throughput: k = %d, need >= 1", k))
-	}
-	row := sw.Add(trials, seed, func(trial int, r *rng.Stream) (float64, error) {
-		res, err := run(r)
-		if err != nil {
-			return 0, err
-		}
-		if !res.Success {
-			return math.NaN(), nil // dropped by the accumulator, counted by SuccessRate
-		}
-		return float64(res.Rounds), nil
-	})
-	return &Pending{k: k, trials: trials, row: row}
 }
 
 // roundsOrNaN is the throughput value mapping: successful trials
@@ -93,7 +62,10 @@ func roundsOrNaN(out broadcast.Outcome) (float64, error) {
 // broadcast schedule on sw, with k = p.K messages per execution. How the
 // trials execute — engine, scalar or lockstep batches and at which width —
 // is the sweep's execution plan (see sim.Sweep.AddSchedule); estimates
-// are bit-identical at every plan. It panics on p.K < 1, like Defer.
+// are bit-identical at every plan. The streaming row statistics use NaN
+// as the failed-trial sentinel, so MeanRounds averages successful trials
+// only while SuccessRate still sees every trial, in O(1) memory per row.
+// It panics on p.K < 1.
 func DeferSchedule(sw *sim.Sweep, sched *broadcast.Schedule, top graph.Topology, cfg radio.Config, p broadcast.ScheduleParams, trials int, seed uint64) *Pending {
 	if p.K < 1 {
 		panic(fmt.Sprintf("throughput: k = %d, need >= 1", p.K))
@@ -103,8 +75,8 @@ func DeferSchedule(sw *sim.Sweep, sched *broadcast.Schedule, top graph.Topology,
 }
 
 // Estimate resolves the deferred measurement. Valid only after the sweep
-// passed to Defer has run. An error is returned if a trial errored or if
-// every trial failed.
+// passed to DeferSchedule has run. An error is returned if a trial
+// errored or if every trial failed.
 func (p *Pending) Estimate() (Estimate, error) {
 	if err := p.row.Err(); err != nil {
 		return Estimate{}, err
@@ -128,26 +100,6 @@ func (p *Pending) Estimate() (Estimate, error) {
 	return est, nil
 }
 
-// Measure runs the runner `trials` times and summarises rounds-to-success.
-// Failed executions are excluded from MeanRounds but reflected in
-// SuccessRate; an error is returned if every trial failed. It is Defer +
-// Run on a private single-row sweep; callers measuring several rows should
-// Defer them all on one sweep instead.
-func Measure(k, trials, workers int, seed uint64, run Runner) (Estimate, error) {
-	if k < 1 {
-		return Estimate{}, fmt.Errorf("throughput: k = %d, need >= 1", k)
-	}
-	if trials < 1 {
-		return Estimate{}, fmt.Errorf("throughput: trials = %d, need >= 1", trials)
-	}
-	sw := sim.NewSweep(sim.SweepConfig{Workers: workers})
-	p := Defer(sw, k, trials, seed, run)
-	if err := sw.Run(); err != nil {
-		return Estimate{}, err
-	}
-	return p.Estimate()
-}
-
 // Gap is a coding-versus-routing comparison on one topology: the empirical
 // counterpart of the coding gap τ_NC/τ_R.
 type Gap struct {
@@ -157,26 +109,18 @@ type Gap struct {
 	Ratio float64
 }
 
-// PendingGap is a deferred MeasureGap: both sides registered on a shared
-// sweep, resolved by Gap after the sweep has run.
+// PendingGap is a deferred gap measurement: both sides registered on a
+// shared sweep by DeferGapSchedule, resolved by Gap after the sweep has
+// run.
 type PendingGap struct {
 	coding  *Pending
 	routing *Pending
 }
 
-// DeferGap registers both sides of a gap measurement on sw with paired
-// seeds (seed for coding, seed+1 for routing — the MeasureGap pairing).
-func DeferGap(sw *sim.Sweep, k, trials int, seed uint64, coding, routing Runner) *PendingGap {
-	return &PendingGap{
-		coding:  Defer(sw, k, trials, seed, coding),
-		routing: Defer(sw, k, trials, seed+1, routing),
-	}
-}
-
-// DeferGapSchedule is DeferGap over two registered schedules sharing one
-// topology and noise configuration, with the MeasureGap seed pairing
-// (seed for coding, seed+1 for routing). Each side's k is its own
-// params' K.
+// DeferGapSchedule registers both sides of a gap measurement on sw: two
+// registered schedules sharing one topology and noise configuration, with
+// paired seeds (seed for coding, seed+1 for routing). Each side's k is its
+// own params' K.
 func DeferGapSchedule(sw *sim.Sweep, coding, routing *broadcast.Schedule, top graph.Topology, cfg radio.Config, codingP, routingP broadcast.ScheduleParams, trials int, seed uint64) *PendingGap {
 	return &PendingGap{
 		coding:  DeferSchedule(sw, coding, top, cfg, codingP, trials, seed),
@@ -185,7 +129,7 @@ func DeferGapSchedule(sw *sim.Sweep, coding, routing *broadcast.Schedule, top gr
 }
 
 // Gap resolves the deferred gap measurement. Valid only after the sweep
-// passed to DeferGap has run.
+// passed to DeferGapSchedule has run.
 func (p *PendingGap) Gap() (Gap, error) {
 	c, err := p.coding.Estimate()
 	if err != nil {
@@ -196,24 +140,4 @@ func (p *PendingGap) Gap() (Gap, error) {
 		return Gap{}, fmt.Errorf("routing side: %w", err)
 	}
 	return Gap{Coding: c, Routing: r, Ratio: stats.Ratio(c.Tau, r.Tau)}, nil
-}
-
-// MeasureGap measures both schedules with paired seeds and returns the gap.
-func MeasureGap(k, trials, workers int, seed uint64, coding, routing Runner) (Gap, error) {
-	if k < 1 {
-		return Gap{}, fmt.Errorf("throughput: k = %d, need >= 1", k)
-	}
-	if trials < 1 {
-		return Gap{}, fmt.Errorf("throughput: trials = %d, need >= 1", trials)
-	}
-	sw := sim.NewSweep(sim.SweepConfig{Workers: workers})
-	p := DeferGap(sw, k, trials, seed, coding, routing)
-	if err := sw.Run(); err != nil {
-		// Resolve through Gap so the failing side is named.
-		if _, gerr := p.Gap(); gerr != nil {
-			return Gap{}, gerr
-		}
-		return Gap{}, err
-	}
-	return p.Gap()
 }

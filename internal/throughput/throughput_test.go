@@ -3,6 +3,7 @@ package throughput
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"noisyradio/internal/broadcast"
@@ -12,11 +13,34 @@ import (
 	"noisyradio/internal/sim"
 )
 
-func TestMeasureSingleLinkAdaptive(t *testing.T) {
+// deferFake registers a Pending whose trials return run's outcome, mapped
+// to the row exactly as DeferSchedule maps a schedule's — so tests can
+// drive the estimator with hand-made successes, failures and errors.
+func deferFake(sw *sim.Sweep, k, trials int, seed uint64, run func(r *rng.Stream) (broadcast.Outcome, error)) *Pending {
+	row := sw.Add(trials, seed, func(_ int, r *rng.Stream) (float64, error) {
+		out, err := run(r)
+		if err != nil {
+			return 0, err
+		}
+		return roundsOrNaN(out)
+	})
+	return &Pending{k: k, trials: trials, row: row}
+}
+
+// estimateOne resolves one deferred measurement on its own sweep. The
+// sweep's error is the first failing row's, which Estimate reports too.
+func estimateOne(workers int, add func(sw *sim.Sweep) *Pending) (Estimate, error) {
+	sw := sim.NewSweep(sim.SweepConfig{Workers: workers})
+	p := add(sw)
+	_ = sw.Run()
+	return p.Estimate()
+}
+
+func TestEstimateSingleLinkAdaptive(t *testing.T) {
 	const k = 100
 	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.5}
-	est, err := Measure(k, 40, 4, 1, func(r *rng.Stream) (broadcast.MultiResult, error) {
-		return broadcast.SingleLinkAdaptive(k, cfg, r, broadcast.Options{})
+	est, err := estimateOne(4, func(sw *sim.Sweep) *Pending {
+		return DeferSchedule(sw, broadcast.MustSchedule("single-link-adaptive"), graph.Topology{}, cfg, broadcast.ScheduleParams{K: k}, 40, 1)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -36,16 +60,14 @@ func TestMeasureSingleLinkAdaptive(t *testing.T) {
 	}
 }
 
-func TestMeasureCountsFailures(t *testing.T) {
-	calls := 0
-	est, err := Measure(10, 10, 1, 2, func(r *rng.Stream) (broadcast.MultiResult, error) {
-		calls++
-		// Alternate success/failure deterministically by call order is racy
-		// under parallel workers, so use the stream instead.
-		if r.Bool(0.5) {
-			return broadcast.MultiResult{Rounds: 20, Success: true}, nil
-		}
-		return broadcast.MultiResult{Rounds: 99, Success: false}, nil
+func TestEstimateExcludesFailures(t *testing.T) {
+	est, err := estimateOne(1, func(sw *sim.Sweep) *Pending {
+		return deferFake(sw, 10, 10, 2, func(r *rng.Stream) (broadcast.Outcome, error) {
+			if r.Bool(0.5) {
+				return broadcast.Outcome{Rounds: 20, Success: true}, nil
+			}
+			return broadcast.Outcome{Rounds: 99, Success: false}, nil
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,47 +78,67 @@ func TestMeasureCountsFailures(t *testing.T) {
 	if est.MeanRounds != 20 {
 		t.Fatalf("mean rounds = %v, want 20 (failures excluded)", est.MeanRounds)
 	}
-	_ = calls
 }
 
-func TestMeasureAllFailed(t *testing.T) {
-	_, err := Measure(5, 5, 1, 3, func(r *rng.Stream) (broadcast.MultiResult, error) {
-		return broadcast.MultiResult{Success: false}, nil
+func TestEstimateAllFailed(t *testing.T) {
+	est, err := estimateOne(2, func(sw *sim.Sweep) *Pending {
+		return deferFake(sw, 4, 6, 1, func(r *rng.Stream) (broadcast.Outcome, error) {
+			return broadcast.Outcome{Rounds: 5, Success: false}, nil
+		})
 	})
-	if err == nil {
-		t.Fatal("want error when every trial fails")
+	if !errors.Is(err, ErrAllTrialsFailed) {
+		t.Fatalf("err = %v, want ErrAllTrialsFailed", err)
+	}
+	if est.SuccessRate != 0 {
+		t.Fatalf("success rate = %v, want 0", est.SuccessRate)
 	}
 }
 
-func TestMeasurePropagatesRunnerError(t *testing.T) {
+// TestDeferAllFailed: a row whose every trial fails is a result, not a
+// harness error — the sweep runs clean, and Estimate reports
+// ErrAllTrialsFailed with the row's k and trial count intact.
+func TestDeferAllFailed(t *testing.T) {
+	sw := sim.NewSweep(sim.SweepConfig{Workers: 2})
+	p := deferFake(sw, 4, 6, 1, func(r *rng.Stream) (broadcast.Outcome, error) {
+		return broadcast.Outcome{Rounds: 5, Success: false}, nil
+	})
+	if err := sw.Run(); err != nil {
+		t.Fatalf("sweep reported %v for an all-failed row", err)
+	}
+	est, err := p.Estimate()
+	if !errors.Is(err, ErrAllTrialsFailed) {
+		t.Fatalf("err = %v, want ErrAllTrialsFailed", err)
+	}
+	if want := (Estimate{K: 4, Trials: 6}); est != want {
+		t.Fatalf("estimate = %+v, want %+v", est, want)
+	}
+}
+
+func TestEstimatePropagatesTrialError(t *testing.T) {
 	sentinel := errors.New("runner broke")
-	_, err := Measure(5, 5, 1, 4, func(r *rng.Stream) (broadcast.MultiResult, error) {
-		return broadcast.MultiResult{}, sentinel
+	_, err := estimateOne(1, func(sw *sim.Sweep) *Pending {
+		return deferFake(sw, 5, 5, 4, func(r *rng.Stream) (broadcast.Outcome, error) {
+			return broadcast.Outcome{}, sentinel
+		})
 	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
-func TestMeasureValidation(t *testing.T) {
-	if _, err := Measure(0, 5, 1, 1, nil); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-}
-
-func TestMeasureGapSingleLink(t *testing.T) {
+func TestGapSingleLink(t *testing.T) {
 	// Non-adaptive routing vs coding on the single link at p=1/2: the gap
 	// should be roughly repeats/(1/(1-p)) = repeats/2 (Lemma 31's Θ(log k)).
 	const k = 128
 	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.5}
 	repeats := broadcast.DefaultSingleLinkRepeats(k, cfg.P)
-	gap, err := MeasureGap(k, 30, 4, 5,
-		func(r *rng.Stream) (broadcast.MultiResult, error) {
-			return broadcast.SingleLinkCoding(k, cfg, r, broadcast.Options{})
-		},
-		func(r *rng.Stream) (broadcast.MultiResult, error) {
-			return broadcast.SingleLinkNonAdaptive(k, repeats, cfg, r)
-		})
+	sw := sim.NewSweep(sim.SweepConfig{Workers: 4})
+	pg := DeferGapSchedule(sw, broadcast.MustSchedule("single-link-coding"), broadcast.MustSchedule("single-link-nonadaptive"),
+		graph.Topology{}, cfg, broadcast.ScheduleParams{K: k}, broadcast.ScheduleParams{K: k, Repeats: repeats}, 30, 5)
+	if err := sw.Run(); err != nil {
+		t.Fatal(err)
+	}
+	gap, err := pg.Gap()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,76 +148,175 @@ func TestMeasureGapSingleLink(t *testing.T) {
 	}
 }
 
-func TestMeasureGapPropagatesSides(t *testing.T) {
-	ok := func(r *rng.Stream) (broadcast.MultiResult, error) {
-		return broadcast.MultiResult{Rounds: 10, Success: true}, nil
+func TestGapNamesFailedSide(t *testing.T) {
+	ok := func(r *rng.Stream) (broadcast.Outcome, error) {
+		return broadcast.Outcome{Rounds: 10, Success: true}, nil
 	}
-	bad := func(r *rng.Stream) (broadcast.MultiResult, error) {
-		return broadcast.MultiResult{}, errors.New("nope")
+	bad := func(r *rng.Stream) (broadcast.Outcome, error) {
+		return broadcast.Outcome{}, errors.New("nope")
 	}
-	if _, err := MeasureGap(5, 3, 1, 6, bad, ok); err == nil {
-		t.Fatal("coding error swallowed")
-	}
-	if _, err := MeasureGap(5, 3, 1, 6, ok, bad); err == nil {
-		t.Fatal("routing error swallowed")
+	for _, tc := range []struct {
+		side            string
+		coding, routing func(r *rng.Stream) (broadcast.Outcome, error)
+	}{
+		{"coding side", bad, ok},
+		{"routing side", ok, bad},
+	} {
+		sw := sim.NewSweep(sim.SweepConfig{Workers: 1})
+		pg := &PendingGap{coding: deferFake(sw, 5, 3, 6, tc.coding), routing: deferFake(sw, 5, 3, 7, tc.routing)}
+		if err := sw.Run(); err == nil {
+			t.Fatalf("%s: sweep swallowed the trial error", tc.side)
+		}
+		if _, err := pg.Gap(); err == nil || !strings.Contains(err.Error(), tc.side) {
+			t.Fatalf("Gap error = %v, want it to name the %s", err, tc.side)
+		}
 	}
 }
 
-// TestDeferMatchesMeasure: deferred measurements on a shared sweep resolve
-// to the same Estimate as standalone Measure calls — the contract the
-// row-parallel experiment runners rely on.
-func TestDeferMatchesMeasure(t *testing.T) {
-	const trials = 30
+// TestDeferScheduleSameAtEveryPlan: a schedule-registry measurement
+// resolves to the same Estimate as a hand-written per-trial row over the
+// same schedule, at every execution plan — scalar, forced widths and auto
+// — and whether it has a sweep to itself or shares one with other rows.
+func TestDeferScheduleSameAtEveryPlan(t *testing.T) {
+	const trials = 18
 	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.5}
-	runnerFor := func(k int) Runner {
-		return func(r *rng.Stream) (broadcast.MultiResult, error) {
-			return broadcast.SingleLinkAdaptive(k, cfg, r, broadcast.Options{})
-		}
-	}
-	ks := []int{8, 32, 128}
+	sched := broadcast.MustSchedule("star-coding")
+	ks := []int{4, 16}
 	want := make([]Estimate, len(ks))
 	for i, k := range ks {
-		est, err := Measure(k, trials, 4, uint64(50+i), runnerFor(k))
+		p := broadcast.ScheduleParams{Leaves: 20, K: k}
+		est, err := estimateOne(2, func(sw *sim.Sweep) *Pending {
+			return deferFake(sw, k, trials, uint64(11+i), func(r *rng.Stream) (broadcast.Outcome, error) {
+				return sched.Run(graph.Topology{}, cfg, r, p)
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = est
+	}
+	for _, tb := range []int{0, 3, 8, sim.TrialBatchAuto} {
+		sw := sim.NewSweep(sim.SweepConfig{Workers: 3, RowWorkers: 2, TrialBatch: tb})
+		pending := make([]*Pending, len(ks))
+		for i, k := range ks {
+			pending[i] = DeferSchedule(sw, sched, graph.Topology{}, cfg, broadcast.ScheduleParams{Leaves: 20, K: k}, trials, uint64(11+i))
+		}
+		if err := sw.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range ks {
+			got, err := pending[i].Estimate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want[i] {
+				t.Fatalf("TrialBatch=%d k=%d: schedule estimate %+v != per-trial row estimate %+v", tb, k, got, want[i])
+			}
+		}
+	}
+}
+
+// TestDeferGapSchedulePairsSeeds: the gap's coding side runs at seed and
+// its routing side at seed+1.
+func TestDeferGapSchedulePairsSeeds(t *testing.T) {
+	const k, trials, seed = 32, 12, 21
+	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.5}
+	coding := broadcast.MustSchedule("single-link-coding")
+	routing := broadcast.MustSchedule("single-link-adaptive")
+	kp := broadcast.ScheduleParams{K: k}
+	side := func(sched *broadcast.Schedule, seed uint64) Estimate {
+		est, err := estimateOne(2, func(sw *sim.Sweep) *Pending {
+			return DeferSchedule(sw, sched, graph.Topology{}, cfg, kp, trials, seed)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est
+	}
+	wantC, wantR := side(coding, seed), side(routing, seed+1)
+	sw := sim.NewSweep(sim.SweepConfig{Workers: 4, TrialBatch: sim.TrialBatchAuto})
+	pg := DeferGapSchedule(sw, coding, routing, graph.Topology{}, cfg, kp, kp, trials, seed)
+	if err := sw.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := pg.Gap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Coding != wantC || got.Routing != wantR {
+		t.Fatalf("gap sides %+v / %+v, want %+v / %+v", got.Coding, got.Routing, wantC, wantR)
+	}
+}
+
+// TestDeferScheduleSharedSweepMatchesStandalone: rows of different
+// schedules and k deferred onto one row-parallel sweep each resolve to the
+// Estimate they get on a sweep of their own — the contract the experiment
+// runners rely on when they batch a table's rows.
+func TestDeferScheduleSharedSweepMatchesStandalone(t *testing.T) {
+	const trials = 30
+	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.5}
+	rows := []struct {
+		sched string
+		k     int
+	}{
+		{"single-link-adaptive", 8},
+		{"single-link-adaptive", 32},
+		{"single-link-adaptive", 128},
+		{"single-link-coding", 32},
+	}
+	want := make([]Estimate, len(rows))
+	for i, row := range rows {
+		est, err := estimateOne(4, func(sw *sim.Sweep) *Pending {
+			return DeferSchedule(sw, broadcast.MustSchedule(row.sched), graph.Topology{}, cfg, broadcast.ScheduleParams{K: row.k}, trials, uint64(50+i))
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = est
 	}
 	sw := sim.NewSweep(sim.SweepConfig{Workers: 8, RowWorkers: 2})
-	pending := make([]*Pending, len(ks))
-	for i, k := range ks {
-		pending[i] = Defer(sw, k, trials, uint64(50+i), runnerFor(k))
+	pending := make([]*Pending, len(rows))
+	for i, row := range rows {
+		pending[i] = DeferSchedule(sw, broadcast.MustSchedule(row.sched), graph.Topology{}, cfg, broadcast.ScheduleParams{K: row.k}, trials, uint64(50+i))
 	}
 	if err := sw.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i := range ks {
+	for i, row := range rows {
 		got, err := pending[i].Estimate()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want[i] {
-			t.Fatalf("k=%d: deferred %+v != standalone %+v", ks[i], got, want[i])
+			t.Fatalf("%s k=%d: shared-sweep %+v != standalone %+v", row.sched, row.k, got, want[i])
 		}
 	}
 }
 
-func TestDeferGapMatchesMeasureGap(t *testing.T) {
-	const k, trials = 64, 20
+// TestDeferGapScheduleMatchesStandaloneSides: each side of a deferred gap
+// runs under its own params — here the routing side's repetition count —
+// and the gap is exactly the two standalone estimates and the ratio of
+// their throughputs.
+func TestDeferGapScheduleMatchesStandaloneSides(t *testing.T) {
+	const k, trials, seed = 64, 20, 9
 	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.5}
-	coding := func(r *rng.Stream) (broadcast.MultiResult, error) {
-		return broadcast.SingleLinkCoding(k, cfg, r, broadcast.Options{})
+	coding := broadcast.MustSchedule("single-link-coding")
+	routing := broadcast.MustSchedule("single-link-nonadaptive")
+	codingP := broadcast.ScheduleParams{K: k}
+	routingP := broadcast.ScheduleParams{K: k, Repeats: broadcast.DefaultSingleLinkRepeats(k, cfg.P) + 3}
+	side := func(sched *broadcast.Schedule, p broadcast.ScheduleParams, seed uint64) Estimate {
+		est, err := estimateOne(2, func(sw *sim.Sweep) *Pending {
+			return DeferSchedule(sw, sched, graph.Topology{}, cfg, p, trials, seed)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est
 	}
-	routing := func(r *rng.Stream) (broadcast.MultiResult, error) {
-		repeats := broadcast.DefaultSingleLinkRepeats(k, cfg.P)
-		return broadcast.SingleLinkNonAdaptive(k, repeats, cfg, r)
-	}
-	want, err := MeasureGap(k, trials, 4, 9, coding, routing)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, r := side(coding, codingP, seed), side(routing, routingP, seed+1)
+	want := Gap{Coding: c, Routing: r, Ratio: c.Tau / r.Tau}
 	sw := sim.NewSweep(sim.SweepConfig{Workers: 8})
-	pg := DeferGap(sw, k, trials, 9, coding, routing)
+	pg := DeferGapSchedule(sw, coding, routing, graph.Topology{}, cfg, codingP, routingP, trials, seed)
 	if err := sw.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -188,106 +329,6 @@ func TestDeferGapMatchesMeasureGap(t *testing.T) {
 	}
 }
 
-func TestDeferAllFailed(t *testing.T) {
-	sw := sim.NewSweep(sim.SweepConfig{Workers: 2})
-	p := Defer(sw, 4, 6, 1, func(r *rng.Stream) (broadcast.MultiResult, error) {
-		return broadcast.MultiResult{Rounds: 5, Success: false}, nil
-	})
-	if err := sw.Run(); err != nil {
-		t.Fatal(err)
-	}
-	est, err := p.Estimate()
-	if err == nil {
-		t.Fatal("all-failed row produced an estimate")
-	}
-	if est.SuccessRate != 0 {
-		t.Fatalf("success rate = %v, want 0", est.SuccessRate)
-	}
-}
-
-func TestDeferPanicsOnBadK(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Defer(k=0) did not panic")
-		}
-	}()
-	Defer(sim.NewSweep(sim.SweepConfig{}), 0, 1, 1, func(r *rng.Stream) (broadcast.MultiResult, error) {
-		return broadcast.MultiResult{}, nil
-	})
-}
-
-// TestDeferScheduleMatchesDefer: a schedule-registry measurement resolves
-// to the same Estimate as a hand-written Runner over the same schedule,
-// at every execution plan — scalar, forced widths and auto.
-func TestDeferScheduleMatchesDefer(t *testing.T) {
-	const k, trials = 16, 18
-	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.5}
-	sched, err := broadcast.LookupSchedule("star-coding")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Measure(k, trials, 2, 11, func(r *rng.Stream) (broadcast.MultiResult, error) {
-		return broadcast.StarCoding(20, k, cfg, r, broadcast.Options{})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tb := range []int{0, 3, 8, sim.TrialBatchAuto} {
-		sw := sim.NewSweep(sim.SweepConfig{Workers: 3, TrialBatch: tb})
-		p := DeferSchedule(sw, sched, graph.Topology{}, cfg, broadcast.ScheduleParams{Leaves: 20, K: k}, trials, 11)
-		if err := sw.Run(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := p.Estimate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("TrialBatch=%d: schedule estimate %+v != runner estimate %+v", tb, got, want)
-		}
-	}
-}
-
-// TestDeferGapScheduleMatchesMeasureGap: the schedule-registry gap keeps
-// the MeasureGap seed pairing.
-func TestDeferGapScheduleMatchesMeasureGap(t *testing.T) {
-	const k, trials = 32, 12
-	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.5}
-	want, err := MeasureGap(k, trials, 2, 21,
-		func(r *rng.Stream) (broadcast.MultiResult, error) {
-			return broadcast.SingleLinkCoding(k, cfg, r, broadcast.Options{})
-		},
-		func(r *rng.Stream) (broadcast.MultiResult, error) {
-			return broadcast.SingleLinkAdaptive(k, cfg, r, broadcast.Options{})
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coding, err := broadcast.LookupSchedule("single-link-coding")
-	if err != nil {
-		t.Fatal(err)
-	}
-	routing, err := broadcast.LookupSchedule("single-link-adaptive")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := sim.NewSweep(sim.SweepConfig{Workers: 4, TrialBatch: sim.TrialBatchAuto})
-	kp := broadcast.ScheduleParams{K: k}
-	pg := DeferGapSchedule(sw, coding, routing, graph.Topology{}, cfg, kp, kp, trials, 21)
-	if err := sw.Run(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := pg.Gap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("schedule gap %+v != runner gap %+v", got, want)
-	}
-}
-
-// TestDeferSchedulePanicsOnBadK mirrors TestDeferPanicsOnBadK for the
-// schedule entry point.
 func TestDeferSchedulePanicsOnBadK(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -299,4 +340,26 @@ func TestDeferSchedulePanicsOnBadK(t *testing.T) {
 		t.Fatal(err)
 	}
 	DeferSchedule(sim.NewSweep(sim.SweepConfig{}), sched, graph.Topology{}, radio.Config{Fault: radio.Faultless}, broadcast.ScheduleParams{Leaves: 4}, 1, 1)
+}
+
+// TestDeferGapSchedulePanicsOnBadK: each side of a gap checks its own k.
+func TestDeferGapSchedulePanicsOnBadK(t *testing.T) {
+	sched := broadcast.MustSchedule("single-link-coding")
+	good, bad := broadcast.ScheduleParams{K: 4}, broadcast.ScheduleParams{K: 0}
+	for _, tc := range []struct {
+		side              string
+		codingP, routingP broadcast.ScheduleParams
+	}{
+		{"coding", bad, good},
+		{"routing", good, bad},
+	} {
+		t.Run(tc.side, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("DeferGapSchedule with %s K=0 did not panic", tc.side)
+				}
+			}()
+			DeferGapSchedule(sim.NewSweep(sim.SweepConfig{}), sched, sched, graph.Topology{}, radio.Config{Fault: radio.Faultless}, tc.codingP, tc.routingP, 1, 1)
+		})
+	}
 }

@@ -112,8 +112,8 @@ func TestSparkline(t *testing.T) {
 func TestIntegrationWithBroadcast(t *testing.T) {
 	top := graph.Path(10)
 	rec := NewRecorder(top.G.N())
-	res, err := broadcast.Decay(top, radio.Config{Fault: radio.ReceiverFaults, P: 0.2},
-		rng.New(5), broadcast.Options{Trace: rec.Observe})
+	res, err := broadcast.MustSchedule("decay").Run(top, radio.Config{Fault: radio.ReceiverFaults, P: 0.2},
+		rng.New(5), broadcast.ScheduleParams{Options: broadcast.Options{Trace: rec.Observe}})
 	if err != nil || !res.Success {
 		t.Fatalf("%v %+v", err, res)
 	}

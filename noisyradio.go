@@ -18,9 +18,9 @@
 //     schedules behind the throughput-gap theorems — is one registry
 //     entry carrying its name, paper reference and both execution
 //     strategies. Schedules lists them, LookupSchedule selects by name,
-//     and Run / RunBatch execute them; whether a set of trials runs
-//     scalar or as a W-wide lockstep batch is an execution-plan detail,
-//     not an API fork;
+//     and Run / RunBatch execute them — the one way to run a schedule;
+//     whether a set of trials runs scalar or as a W-wide lockstep batch
+//     is an execution-plan detail, not an API fork;
 //   - topology generators, including the worst-case topology (WCT) of
 //     Section 5.1.2;
 //   - an experiment harness (Experiments, RunExperiment) regenerating every
@@ -28,14 +28,10 @@
 //
 // This package is a thin facade over the internal implementation packages;
 // every identifier here is stable public API. See README.md for a tour and
-// DESIGN.md for the system inventory. The per-algorithm functions of the
-// pre-registry API (Decay, StarCoding, ...) remain as deprecated wrappers
-// over the registry with byte-identical behaviour.
+// DESIGN.md for the system inventory.
 package noisyradio
 
 import (
-	"fmt"
-
 	"noisyradio/internal/broadcast"
 	"noisyradio/internal/experiments"
 	"noisyradio/internal/graph"
@@ -120,12 +116,8 @@ func ParseEngine(s string) (Engine, error) { return radio.ParseEngine(s) }
 // v1) to a DrawContract, for command-line flags.
 func ParseDrawContract(s string) (DrawContract, error) { return radio.ParseDrawContract(s) }
 
-// Algorithm result and option types.
+// Algorithm option types.
 type (
-	// Result is a single-message broadcast outcome.
-	Result = broadcast.Result
-	// MultiResult is a k-message broadcast outcome.
-	MultiResult = broadcast.MultiResult
 	// Options tunes an execution (round caps).
 	Options = broadcast.Options
 	// RobustParams tunes Robust FASTBC (block size S, wave multiplier c).
@@ -163,7 +155,8 @@ type (
 	// structs). Unread fields are ignored; the zero value selects each
 	// schedule's defaults.
 	ScheduleParams = broadcast.ScheduleParams
-	// Outcome is the unified result of one schedule execution.
+	// Outcome is the result of one schedule execution (and of
+	// RLNCBroadcast).
 	Outcome = broadcast.Outcome
 	// ScheduleKind distinguishes single- from multi-message schedules.
 	ScheduleKind = broadcast.ScheduleKind
@@ -255,50 +248,11 @@ var (
 	ImplicitLayered   = graph.ImplicitLayered
 )
 
-// Single-message broadcast algorithms (Section 4.1), as thin wrappers
-// over their registry entries.
-
-// Decay is the Bar-Yehuda–Goldreich–Itai algorithm (robust as-is,
-// Lemma 9).
-//
-// Deprecated: use LookupSchedule("decay") and Run. Kept with
-// byte-identical behaviour.
-func Decay(top Topology, cfg Config, r *Rand, opts Options) (Result, error) {
-	out, err := MustSchedule("decay").Run(top, cfg, r, ScheduleParams{Options: opts})
-	return out.AsResult(), err
-}
-
-// DecayUnknownN is Decay without knowledge of the network size.
-//
-// Deprecated: use LookupSchedule("decay-unknown-n") and Run.
-func DecayUnknownN(top Topology, cfg Config, r *Rand, opts Options) (Result, error) {
-	out, err := MustSchedule("decay-unknown-n").Run(top, cfg, r, ScheduleParams{Options: opts})
-	return out.AsResult(), err
-}
-
-// FASTBC is the Gąsieniec–Peleg–Xin algorithm (Lemma 8; deteriorates
-// under noise, Lemma 10).
-//
-// Deprecated: use LookupSchedule("fastbc") and Run.
-func FASTBC(top Topology, cfg Config, r *Rand, opts Options) (Result, error) {
-	out, err := MustSchedule("fastbc").Run(top, cfg, r, ScheduleParams{Options: opts})
-	return out.AsResult(), err
-}
-
-// RobustFASTBC is the paper's noise-robust diameter-linear algorithm
-// (Theorem 11).
-//
-// Deprecated: use LookupSchedule("robust-fastbc") and Run.
-func RobustFASTBC(top Topology, cfg Config, r *Rand, opts Options, params RobustParams) (Result, error) {
-	out, err := MustSchedule("robust-fastbc").Run(top, cfg, r, ScheduleParams{Options: opts, Robust: params})
-	return out.AsResult(), err
-}
-
-// Multi-message broadcast and throughput schedules (Sections 4.2 and 5),
-// as thin wrappers over their registry entries. RLNCBroadcast stays a
-// direct export: it takes caller-provided messages and returns a witness
-// decode, which the registry's Monte-Carlo entry (schedule "rlnc", which
-// draws random messages per trial) intentionally does not.
+// Coded multi-message broadcast over caller-provided messages, and the
+// Lemma 10 wave model. RLNCBroadcast stays a direct export: it takes the
+// caller's messages and returns a witness decode, which the registry's
+// Monte-Carlo entry (schedule "rlnc", which draws random messages per
+// trial) intentionally does not.
 var (
 	// RLNCBroadcast broadcasts k messages with random linear network
 	// coding (Lemmas 12–13).
@@ -312,110 +266,6 @@ var (
 	// WaveTraversalExpectation is its closed-form expectation.
 	WaveTraversalExpectation = broadcast.WaveTraversalExpectation
 )
-
-// SequentialDecayRouting is the naive k-message routing baseline.
-//
-// Deprecated: use LookupSchedule("sequential-decay-routing") and Run.
-func SequentialDecayRouting(top Topology, cfg Config, k int, r *Rand, opts Options) (MultiResult, error) {
-	out, err := MustSchedule("sequential-decay-routing").Run(top, cfg, r, ScheduleParams{K: k, Options: opts})
-	return out.AsMultiResult(), err
-}
-
-// StarRouting is the adaptive routing schedule of Lemma 15.
-//
-// Deprecated: use LookupSchedule("star-routing") and Run.
-func StarRouting(leaves, k int, cfg Config, r *Rand, opts Options) (MultiResult, error) {
-	out, err := MustSchedule("star-routing").Run(Topology{}, cfg, r, ScheduleParams{Leaves: leaves, K: k, Options: opts})
-	return out.AsMultiResult(), err
-}
-
-// StarCoding is the Reed–Solomon schedule of Lemma 16.
-//
-// Deprecated: use LookupSchedule("star-coding") and Run.
-func StarCoding(leaves, k int, cfg Config, r *Rand, opts Options) (MultiResult, error) {
-	out, err := MustSchedule("star-coding").Run(Topology{}, cfg, r, ScheduleParams{Leaves: leaves, K: k, Options: opts})
-	return out.AsMultiResult(), err
-}
-
-// WCTRouting is the adaptive routing schedule of Lemmas 19/21.
-//
-// Deprecated: use LookupSchedule("wct-routing") and Run.
-func WCTRouting(w *WCT, k int, cfg Config, r *Rand, opts Options) (MultiResult, error) {
-	out, err := MustSchedule("wct-routing").Run(Topology{}, cfg, r, ScheduleParams{WCT: w, K: k, Options: opts})
-	return out.AsMultiResult(), err
-}
-
-// WCTCoding is the coding schedule of Lemma 23.
-//
-// Deprecated: use LookupSchedule("wct-coding") and Run.
-func WCTCoding(w *WCT, k int, cfg Config, r *Rand, opts Options) (MultiResult, error) {
-	out, err := MustSchedule("wct-coding").Run(Topology{}, cfg, r, ScheduleParams{WCT: w, K: k, Options: opts})
-	return out.AsMultiResult(), err
-}
-
-// SingleLinkNonAdaptive is the Lemma 29 schedule.
-//
-// Deprecated: use LookupSchedule("single-link-nonadaptive") and Run.
-func SingleLinkNonAdaptive(k, repeats int, cfg Config, r *Rand) (MultiResult, error) {
-	if repeats == 0 {
-		// The registry treats Repeats 0 as "use the Lemma 29 default"; the
-		// pre-registry function rejected it. Keep the wrapper's behaviour
-		// exactly as before.
-		return MultiResult{}, fmt.Errorf("broadcast: single-link non-adaptive needs k >= 1 and repeats >= 1, got (%d,%d)", k, repeats)
-	}
-	out, err := MustSchedule("single-link-nonadaptive").Run(Topology{}, cfg, r, ScheduleParams{K: k, Repeats: repeats})
-	return out.AsMultiResult(), err
-}
-
-// SingleLinkAdaptive is the Lemma 32 ARQ schedule.
-//
-// Deprecated: use LookupSchedule("single-link-adaptive") and Run.
-func SingleLinkAdaptive(k int, cfg Config, r *Rand, opts Options) (MultiResult, error) {
-	out, err := MustSchedule("single-link-adaptive").Run(Topology{}, cfg, r, ScheduleParams{K: k, Options: opts})
-	return out.AsMultiResult(), err
-}
-
-// SingleLinkCoding is the Lemma 30 schedule.
-//
-// Deprecated: use LookupSchedule("single-link-coding") and Run.
-func SingleLinkCoding(k int, cfg Config, r *Rand, opts Options) (MultiResult, error) {
-	out, err := MustSchedule("single-link-coding").Run(Topology{}, cfg, r, ScheduleParams{K: k, Options: opts})
-	return out.AsMultiResult(), err
-}
-
-// PathPipelineRouting is the pipelined path schedule used by the
-// transformation experiments.
-//
-// Deprecated: use LookupSchedule("path-pipeline-routing") and Run.
-func PathPipelineRouting(pathLen, k int, cfg Config, r *Rand, opts Options) (MultiResult, error) {
-	out, err := MustSchedule("path-pipeline-routing").Run(Topology{}, cfg, r, ScheduleParams{PathLen: pathLen, K: k, Options: opts})
-	return out.AsMultiResult(), err
-}
-
-// PipelinedBatchRouting is the Lemma 20/21 layered pipelining schedule
-// achieving Ω(1/log²n) routing throughput on any network.
-//
-// Deprecated: use LookupSchedule("pipelined-batch-routing") and Run.
-func PipelinedBatchRouting(top Topology, k int, cfg Config, r *Rand, opts Options) (MultiResult, error) {
-	out, err := MustSchedule("pipelined-batch-routing").Run(top, cfg, r, ScheduleParams{K: k, Options: opts})
-	return out.AsMultiResult(), err
-}
-
-// TransformedPathRouting realises the Lemma 25 meta-round transform.
-//
-// Deprecated: use LookupSchedule("transformed-path-routing") and Run.
-func TransformedPathRouting(pathLen, k int, cfg Config, r *Rand, params TransformParams, opts Options) (MultiResult, error) {
-	out, err := MustSchedule("transformed-path-routing").Run(Topology{}, cfg, r, ScheduleParams{PathLen: pathLen, K: k, Transform: params, Options: opts})
-	return out.AsMultiResult(), err
-}
-
-// TransformedPathCoding realises the Lemma 26 meta-round transform.
-//
-// Deprecated: use LookupSchedule("transformed-path-coding") and Run.
-func TransformedPathCoding(pathLen, k int, cfg Config, r *Rand, params TransformParams, opts Options) (MultiResult, error) {
-	out, err := MustSchedule("transformed-path-coding").Run(Topology{}, cfg, r, ScheduleParams{PathLen: pathLen, K: k, Transform: params, Options: opts})
-	return out.AsMultiResult(), err
-}
 
 // Experiment harness.
 type (

@@ -9,18 +9,12 @@ import (
 func TestFacadeSingleMessage(t *testing.T) {
 	top := Grid(5, 5)
 	r := NewRand(1)
-	for name, run := range map[string]func() (Result, error){
-		"decay": func() (Result, error) {
-			return Decay(top, Config{Fault: ReceiverFaults, P: 0.2}, r, Options{})
-		},
-		"fastbc": func() (Result, error) {
-			return FASTBC(top, Config{Fault: Faultless}, r, Options{})
-		},
-		"robust": func() (Result, error) {
-			return RobustFASTBC(top, Config{Fault: SenderFaults, P: 0.2}, r, Options{}, RobustParams{})
-		},
+	for name, cfg := range map[string]Config{
+		"decay":         {Fault: ReceiverFaults, P: 0.2},
+		"fastbc":        {Fault: Faultless},
+		"robust-fastbc": {Fault: SenderFaults, P: 0.2},
 	} {
-		res, err := run()
+		res, err := Run(MustSchedule(name), top, cfg, r, ScheduleParams{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -46,19 +40,16 @@ func TestFacadeMultiMessage(t *testing.T) {
 func TestFacadeSchedules(t *testing.T) {
 	r := NewRand(3)
 	cfg := Config{Fault: ReceiverFaults, P: 0.5}
-	if res, err := StarRouting(16, 4, cfg, r, Options{}); err != nil || !res.Success {
-		t.Fatalf("star routing: %v %+v", err, res)
+	run := func(name string, p ScheduleParams) {
+		t.Helper()
+		if res, err := Run(MustSchedule(name), Topology{}, cfg, r, p); err != nil || !res.Success {
+			t.Fatalf("%s: %v %+v", name, err, res)
+		}
 	}
-	if res, err := StarCoding(16, 4, cfg, r, Options{}); err != nil || !res.Success {
-		t.Fatalf("star coding: %v %+v", err, res)
-	}
-	if res, err := SingleLinkAdaptive(16, cfg, r, Options{}); err != nil || !res.Success {
-		t.Fatalf("single link: %v %+v", err, res)
-	}
-	w := NewWCT(DefaultWCTParams(256), r)
-	if res, err := WCTCoding(w, 4, cfg, r, Options{}); err != nil || !res.Success {
-		t.Fatalf("wct coding: %v %+v", err, res)
-	}
+	run("star-routing", ScheduleParams{Leaves: 16, K: 4})
+	run("star-coding", ScheduleParams{Leaves: 16, K: 4})
+	run("single-link-adaptive", ScheduleParams{K: 16})
+	run("wct-coding", ScheduleParams{WCT: NewWCT(DefaultWCTParams(256), r), K: 4})
 }
 
 func TestFacadeExperiments(t *testing.T) {
@@ -93,8 +84,7 @@ func TestFacadeWaveModel(t *testing.T) {
 }
 
 // TestFacadeScheduleRegistry drives the Schedule API surface: listing,
-// lookup, Run/RunBatch, and equality of a deprecated wrapper with its
-// registry entry.
+// lookup and Run/RunBatch.
 func TestFacadeScheduleRegistry(t *testing.T) {
 	scheds := Schedules()
 	if len(scheds) != 17 {
@@ -116,14 +106,6 @@ func TestFacadeScheduleRegistry(t *testing.T) {
 	out, err := Run(decay, top, cfg, NewRand(9), ScheduleParams{})
 	if err != nil || !out.Success {
 		t.Fatalf("Run: %v %+v", err, out)
-	}
-	// The deprecated wrapper and the registry produce identical results.
-	want, err := Decay(top, cfg, NewRand(9), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.AsResult() != want {
-		t.Fatalf("registry %+v != wrapper %+v", out.AsResult(), want)
 	}
 	// RunBatch trial i equals Run over stream i.
 	rnds := []*Rand{NewRand(9), NewRand(10)}
