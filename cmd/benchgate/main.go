@@ -35,7 +35,7 @@ func main() {
 		currentPath  = flag.String("current", "", "freshly generated BENCH_sweep.json")
 		maxReg       = flag.Float64("max-regression", 0.30, "maximum allowed fractional wall-clock regression")
 		maxMicroReg  = flag.Float64("max-microbench-regression", 0.50, "maximum allowed fractional ns/round regression per engine microbenchmark")
-		minBatchSpd  = flag.Float64("min-stepbatch-speedup", 0, "minimum required scalar-stepset/stepbatch ns-per-trial-round ratio at w=8 on dense/complete n=1024 (0 disables)")
+		minBatchSpd  = flag.Float64("min-stepbatch-speedup", 0, "minimum required scalar-stepset/stepbatch ns-per-trial-round ratio at w=16 on dense/complete n=1024 (0 disables)")
 		minGeomSpd   = flag.Float64("min-geomskip-speedup", 0, "minimum required v1/v2 faultdraw ns-per-round ratio at p=0.001 n=100000 (0 disables)")
 		maxBurstRat  = flag.Float64("max-burstdraw-ratio", 0, "maximum allowed v3/v2 faultdraw ns-per-round ratio at matched p=0.001 n=100000 (0 disables)")
 		minCacheSpd  = flag.Float64("min-cachehit-speedup", 0, "minimum required cold/hit request-time ratio for the sweep-service result cache (0 disables)")
@@ -141,15 +141,16 @@ func gateCacheHit(current benchreport.Report, minSpeedup float64) (string, error
 }
 
 // The microbenchmark rows the trial-batching speedup gate compares: the
-// scalar set-native round and the width-8 batched round (both ns per
-// trial-round) on the dense engine's home benchmark topology.
+// scalar set-native round and the 16-lane batched round with every lane
+// live (both ns per trial-round) on the dense engine's home benchmark
+// topology.
 const (
 	stepBatchScalarRow = "stepset/dense/complete/faultless/n=1024"
-	stepBatchBatchRow  = "stepbatch/w=8/dense/complete/faultless/n=1024"
+	stepBatchBatchRow  = "stepbatch/w=16/dense/complete/faultless/n=1024"
 )
 
 // gateStepBatch enforces the trial-batching acceptance floor against the
-// *current* report alone: the width-8 StepBatch microbenchmark must be at
+// *current* report alone: the 16-lane StepBatch microbenchmark must be at
 // least minSpeedup times cheaper per trial-round than scalar StepSet on
 // the same schedule. Unlike the regression gates this is an absolute
 // property of the engine, so no baseline is involved.
@@ -167,7 +168,7 @@ func gateStepBatch(current benchreport.Report, minSpeedup float64) (string, erro
 		return "", fmt.Errorf("stepbatch gate: non-positive ns/round (scalar %.1f, batch %.1f)", scalar.NsPerRound, batch.NsPerRound)
 	}
 	speedup := scalar.NsPerRound / batch.NsPerRound
-	summary := fmt.Sprintf("stepbatch w=8 %.0f ns/trial-round vs scalar %.0f: %.2fx (floor %.2fx)",
+	summary := fmt.Sprintf("stepbatch w=16 %.0f ns/trial-round vs scalar %.0f: %.2fx (floor %.2fx)",
 		batch.NsPerRound, scalar.NsPerRound, speedup, minSpeedup)
 	if speedup < minSpeedup {
 		return summary, fmt.Errorf("%s", summary)

@@ -128,15 +128,15 @@ func stepBatchRep(scalarNs, batchNs float64) benchreport.Report {
 }
 
 func TestGateStepBatchAboveFloor(t *testing.T) {
-	if _, err := gateStepBatch(stepBatchRep(4500, 2000), 2.0); err != nil {
-		t.Fatalf("2.25x speedup rejected at 2x floor: %v", err)
+	if _, err := gateStepBatch(stepBatchRep(4500, 1500), 2.5); err != nil {
+		t.Fatalf("3x speedup rejected at 2.5x floor: %v", err)
 	}
 }
 
 func TestGateStepBatchBelowFloor(t *testing.T) {
-	_, err := gateStepBatch(stepBatchRep(4500, 2500), 2.0)
+	_, err := gateStepBatch(stepBatchRep(4500, 2000), 2.5)
 	if err == nil {
-		t.Fatal("1.8x speedup accepted at 2x floor")
+		t.Fatal("2.25x speedup accepted at 2.5x floor")
 	}
 	if !strings.Contains(err.Error(), "floor") {
 		t.Fatalf("unhelpful error: %v", err)
@@ -144,17 +144,17 @@ func TestGateStepBatchBelowFloor(t *testing.T) {
 }
 
 func TestGateStepBatchMissingRows(t *testing.T) {
-	if _, err := gateStepBatch(microRep(10), 2.0); err == nil {
+	if _, err := gateStepBatch(microRep(10), 2.5); err == nil {
 		t.Fatal("report without stepbatch rows passed the speedup gate")
 	}
 	onlyScalar := microRep(10, benchreport.Microbench{Name: stepBatchScalarRow, NsPerRound: 4500})
-	if _, err := gateStepBatch(onlyScalar, 2.0); err == nil {
+	if _, err := gateStepBatch(onlyScalar, 2.5); err == nil {
 		t.Fatal("report without the batch row passed the speedup gate")
 	}
 }
 
 func TestGateStepBatchRejectsNonPositive(t *testing.T) {
-	if _, err := gateStepBatch(stepBatchRep(0, 2000), 2.0); err == nil {
+	if _, err := gateStepBatch(stepBatchRep(0, 2000), 2.5); err == nil {
 		t.Fatal("non-positive scalar ns accepted")
 	}
 }

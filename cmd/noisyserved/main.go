@@ -54,13 +54,13 @@ func run(args []string, out *os.File) error {
 		cacheSize  = fs.Int("cache", 1024, "result cache capacity in finished job bodies (LRU)")
 		shards     = fs.Int("shards", 0, "fixed shard count per job (0 = derive from trials: min(8, ceil(trials/32)))")
 		workers    = fs.Int("workers", 0, "sweep worker pool size per job (0 = GOMAXPROCS)")
-		trialBatch = fs.String("trialbatch", "auto", "lockstep trial-batch plan: auto | 0 (scalar) | W; output identical at every setting")
+		trialBatch = fs.String("trialbatch", "auto", "lockstep trial-batch plan: auto | 0 (scalar) | W in 2..16 (dense engine only); output identical at every setting")
 		drain      = fs.Duration("drain", 30*time.Second, "max time to wait for in-flight jobs on SIGTERM/SIGINT")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tb, err := parseTrialBatch(*trialBatch)
+	tb, err := sim.ParseTrialBatch(*trialBatch)
 	if err != nil {
 		return err
 	}
@@ -110,18 +110,4 @@ func run(args []string, out *os.File) error {
 	}
 	fmt.Fprintln(out, "noisyserved: drained, bye")
 	return nil
-}
-
-// parseTrialBatch converts the -trialbatch flag exactly as noisysim does:
-// "auto" plans per row, "0"/"1" force scalar, an explicit W forces that
-// width.
-func parseTrialBatch(s string) (int, error) {
-	if s == "auto" {
-		return sim.TrialBatchAuto, nil
-	}
-	var w int
-	if _, err := fmt.Sscanf(s, "%d", &w); err != nil || w < 0 || w > sim.MaxTrialBatch {
-		return 0, fmt.Errorf("invalid -trialbatch %q (auto, 0 or 1..%d)", s, sim.MaxTrialBatch)
-	}
-	return w, nil
 }

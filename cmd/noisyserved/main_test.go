@@ -79,6 +79,7 @@ func TestFlagValidation(t *testing.T) {
 		{"-shards", "-1"},
 		{"-trialbatch", "bogus"},
 		{"-trialbatch", "-2"},
+		{"-trialbatch", "8abc"},
 	} {
 		f, err := os.Create(filepath.Join(t.TempDir(), "out.txt"))
 		if err != nil {

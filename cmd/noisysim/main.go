@@ -9,7 +9,7 @@
 //	noisysim -exp E9 -quick        # reduced sweep for a fast look
 //	noisysim -exp E13 -trials 12 -seed 7 -workers 8
 //	noisysim -exp E9 -engine dense # force the bit-parallel radio engine
-//	noisysim -exp E3 -trialbatch 8 # run 8 Monte-Carlo trials per lockstep batch
+//	noisysim -exp E3 -engine dense -trialbatch 8 # 8 trials per lockstep batch
 //	noisysim -exp all -quick -benchjson BENCH_sweep.json
 //
 // Every experiment schedules all of its table rows on one shared worker
@@ -33,15 +33,15 @@
 // any stored adjacency. Purely a performance knob.
 //
 // The -trialbatch flag sets the lockstep trial-batch plan: "auto" (the
-// default) plans the width W per row from its trial count, its resolved
-// radio engine and the recorded stepbatch microbench trajectory; 0 (or 1)
-// forces scalar execution; an explicit W forces that width. Batch-capable
-// experiment rows then run W consecutive Monte-Carlo trials through one
-// trial-batched radio network (each listener's adjacency row visited once
-// per round for all W trials) instead of W scalar executions. Like the
-// other knobs it never changes any output — tables are bit-identical at
-// every setting, and the chosen plans are recorded in the -benchjson
-// report.
+// default) batches 16 trials per row on the dense engine; 0 (or 1) forces
+// scalar execution; an explicit W in 2..16 forces that width. Batch-capable
+// experiment rows on the dense engine then run W consecutive Monte-Carlo
+// trials as lanes of one trial-batched radio network (each listener's
+// adjacency row visited once per round for all lanes) instead of W scalar
+// executions; rows on the sparse and implicit engines, and schedules
+// without a lockstep twin, always run scalar. Like the other knobs it
+// never changes any output — tables are bit-identical at every setting,
+// and the chosen plans are recorded in the -benchjson report.
 //
 // The -drawcontract flag selects the fault-draw contract version (v1 |
 // v2 | v3 | v4). v1 — the default and today's behaviour — draws one
@@ -102,7 +102,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -136,7 +135,7 @@ func run(args []string, out *os.File) error {
 		rowWkrs    = fs.Int("rowworkers", 0, "max table rows in flight at once (0 = all); memory/scheduling knob, output identical")
 		quick      = fs.Bool("quick", false, "reduced sweeps and trial counts")
 		engine     = fs.String("engine", "auto", "radio execution engine: auto | sparse | dense | implicit (results identical, speed differs)")
-		trialBatch = fs.String("trialbatch", "auto", "lockstep trial-batch plan: auto | 0 (scalar) | W; output identical at every setting")
+		trialBatch = fs.String("trialbatch", "auto", "lockstep trial-batch plan: auto | 0 (scalar) | W in 2..16 (dense engine only); output identical at every setting")
 		drawC      = fs.String("drawcontract", "v1", "fault-draw contract version: v1 (per-site Bernoulli) | v2 (geometric skip) | v3 (Gilbert-Elliott bursts) | v4 (region jamming); versions are separate deterministic universes")
 		burstLen   = fs.Float64("burstlen", 0, "v3: mean bad-phase length in sites (0 = default 8)")
 		burstBadP  = fs.Float64("burstbadp", 0, "v3: fault probability inside a bad phase (0 = default 0.5; must exceed -p)")
@@ -159,7 +158,7 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	tb, err := parseTrialBatch(*trialBatch)
+	tb, err := sim.ParseTrialBatch(*trialBatch)
 	if err != nil {
 		return err
 	}
@@ -317,19 +316,6 @@ func run(args []string, out *os.File) error {
 		}
 	}
 	return nil
-}
-
-// parseTrialBatch converts the -trialbatch flag: "auto" plans per row,
-// "0"/"1" force scalar, an explicit W forces that width.
-func parseTrialBatch(s string) (int, error) {
-	if s == "auto" {
-		return sim.TrialBatchAuto, nil
-	}
-	w, err := strconv.Atoi(s)
-	if err != nil || w < 0 || w > sim.MaxTrialBatch {
-		return 0, fmt.Errorf("invalid -trialbatch %q (auto, 0 or 1..%d)", s, sim.MaxTrialBatch)
-	}
-	return w, nil
 }
 
 // parseFault converts the -fault flag plus probability into a radio

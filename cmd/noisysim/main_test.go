@@ -370,7 +370,7 @@ func TestScheduleRunValidation(t *testing.T) {
 }
 
 func TestTrialBatchFlagValidation(t *testing.T) {
-	for _, bad := range []string{"x", "-2", "65", "8.5"} {
+	for _, bad := range []string{"x", "-2", "17", "65", "8.5"} {
 		if _, err := capture(t, "-exp", "F1", "-quick", "-trialbatch", bad); err == nil {
 			t.Fatalf("-trialbatch %q accepted", bad)
 		}
@@ -378,14 +378,15 @@ func TestTrialBatchFlagValidation(t *testing.T) {
 }
 
 // The trial-batch plan must not change any output byte: auto, forced
-// scalar and forced widths all produce identical tables.
+// scalar and forced widths all produce identical tables. The runs force
+// the dense engine, where lockstep runs.
 func TestTrialBatchAutoOutputsIdentical(t *testing.T) {
-	base, err := capture(t, "-exp", "E3", "-quick", "-seed", "3", "-json", "-trialbatch", "0")
+	base, err := capture(t, "-exp", "E3", "-quick", "-seed", "3", "-json", "-engine", "dense", "-trialbatch", "0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tb := range []string{"auto", "4", "8", "16"} {
-		got, err := capture(t, "-exp", "E3", "-quick", "-seed", "3", "-json", "-trialbatch", tb)
+		got, err := capture(t, "-exp", "E3", "-quick", "-seed", "3", "-json", "-engine", "dense", "-trialbatch", tb)
 		if err != nil {
 			t.Fatalf("-trialbatch %s: %v", tb, err)
 		}

@@ -1,9 +1,6 @@
 package bitset
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Block is W parallel fixed-size bitsets ("lanes") over the same element
 // range [0, Len()), stored transposed: the W words covering elements
@@ -64,36 +61,10 @@ func (b *Block) Test(l, i int) bool {
 	return b.words[(i/wordBits)*b.w+l]&(1<<(uint(i)%wordBits)) != 0
 }
 
-// LaneCount returns the number of present elements in lane l.
-func (b *Block) LaneCount(l int) int {
-	c := 0
-	for wi := l; wi < len(b.words); wi += b.w {
-		c += bits.OnesCount64(b.words[wi])
-	}
-	return c
-}
-
-// LaneEmpty reports whether lane l has no present elements.
-func (b *Block) LaneEmpty(l int) bool {
-	for wi := l; wi < len(b.words); wi += b.w {
-		if b.words[wi] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Reset clears every lane.
 func (b *Block) Reset() {
 	for i := range b.words {
 		b.words[i] = 0
-	}
-}
-
-// ResetLane clears all elements of lane l.
-func (b *Block) ResetLane(l int) {
-	for wi := l; wi < len(b.words); wi += b.w {
-		b.words[wi] = 0
 	}
 }
 
@@ -128,16 +99,6 @@ func (b *Block) LaneNonzeroRange(l int) (lo, hi int) {
 	return 0, 0
 }
 
-// LaneForEach calls fn for every present element of lane l in ascending
-// order.
-func (b *Block) LaneForEach(l int, fn func(i int)) {
-	for wi := 0; wi < b.Stride(); wi++ {
-		for w := b.words[wi*b.w+l]; w != 0; w &= w - 1 {
-			fn(wi*wordBits + bits.TrailingZeros64(w))
-		}
-	}
-}
-
 // LaneCopyFrom overwrites lane l with the contents of s. s must have the
 // same length as the block's lanes.
 func (b *Block) LaneCopyFrom(l int, s *Set) {
@@ -146,17 +107,6 @@ func (b *Block) LaneCopyFrom(l int, s *Set) {
 	}
 	for wi, w := range s.words {
 		b.words[wi*b.w+l] = w
-	}
-}
-
-// LaneToSet copies lane l into dst, which must have the block's lane
-// length. It is the inverse of LaneCopyFrom, for tests and adapters.
-func (b *Block) LaneToSet(l int, dst *Set) {
-	if dst.n != b.n {
-		panic(fmt.Sprintf("bitset: lane copy of mismatched lengths %d and %d", b.n, dst.n))
-	}
-	for wi := range dst.words {
-		dst.words[wi] = b.words[wi*b.w+l]
 	}
 }
 

@@ -54,26 +54,14 @@ func TestBlockLanesMatchIndependentSets(t *testing.T) {
 		}
 	}
 	for l := 0; l < w; l++ {
-		if b.LaneCount(l) != ref[l].Count() {
-			t.Fatalf("lane %d: Count %d != %d", l, b.LaneCount(l), ref[l].Count())
-		}
-		if b.LaneEmpty(l) != ref[l].Empty() {
-			t.Fatalf("lane %d: Empty diverged", l)
-		}
 		lo, hi := b.LaneNonzeroRange(l)
 		wantLo, wantHi := ref[l].NonzeroRange()
 		if lo != wantLo || hi != wantHi {
 			t.Fatalf("lane %d: NonzeroRange (%d,%d) != (%d,%d)", l, lo, hi, wantLo, wantHi)
 		}
-		var got []int
-		b.LaneForEach(l, func(i int) { got = append(got, i) })
-		want := ref[l].Elements()
-		if len(got) != len(want) {
-			t.Fatalf("lane %d: ForEach yielded %d elements, want %d", l, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("lane %d: element %d = %d, want %d", l, i, got[i], want[i])
+		for i := 0; i < n; i++ {
+			if b.Test(l, i) != ref[l].Test(i) {
+				t.Fatalf("lane %d: element %d diverged", l, i)
 			}
 		}
 	}
@@ -91,11 +79,9 @@ func TestBlockLaneCopyRoundTrip(t *testing.T) {
 			}
 		}
 		b.LaneCopyFrom(l, s)
-		back := New(n)
-		b.LaneToSet(l, back)
-		for wi, word := range back.Words() {
-			if word != s.Words()[wi] {
-				t.Fatalf("lane %d word %d: round trip diverged", l, wi)
+		for i := 0; i < n; i++ {
+			if b.Test(l, i) != s.Test(i) {
+				t.Fatalf("lane %d element %d: copy diverged", l, i)
 			}
 		}
 	}
@@ -109,18 +95,19 @@ func TestBlockResetLaneWindow(t *testing.T) {
 	}
 	lo, hi := b.LaneNonzeroRange(0)
 	b.ResetLaneWindow(0, lo, hi)
-	if !b.LaneEmpty(0) {
+	if lo, hi := b.LaneNonzeroRange(0); lo != hi {
 		t.Fatal("lane 0 not cleared by its nonzero window")
 	}
-	if b.LaneCount(1) != 256 {
-		t.Fatalf("lane 1 disturbed: count %d", b.LaneCount(1))
+	for i := 0; i < 256; i++ {
+		if !b.Test(1, i) {
+			t.Fatalf("lane 1 disturbed at %d", i)
+		}
 	}
 	// Out-of-range windows clamp.
 	b.ResetLaneWindow(1, -5, 100)
-	if !b.LaneEmpty(1) {
+	if lo, hi := b.LaneNonzeroRange(1); lo != hi {
 		t.Fatal("lane 1 not cleared by clamped window")
 	}
-	b.ResetLane(0) // no-op on empty lane, must not panic
 }
 
 func TestNewBlockPanicsOnZeroWidth(t *testing.T) {

@@ -1,12 +1,14 @@
-// Trial-batched execution of the broadcast schedules: W independent
-// Monte-Carlo trials of one (topology, config) pair run in lockstep, one
-// synchronized round at a time, over a radio.BatchNetwork. Each trial
-// ("lane") keeps its own rng stream, informed state and counters, so its
-// execution is draw-for-draw identical to the scalar runner — the batch
-// twins are pure throughput optimisations, and the package tests compare
-// them against their scalar twins result by result. Schedule.RunBatch
-// hands them between 2 and radio.MaxBatchWidth untraced streams; every
-// other call runs the scalar twin once per stream.
+// Trial-batched execution of the broadcast schedules: up to
+// radio.MaxBatchWidth independent Monte-Carlo trials of one (topology,
+// config) pair run in lockstep, one synchronized round at a time, over a
+// radio.BatchNetwork on the dense engine. Each trial ("lane") keeps its
+// own rng stream, informed state and counters, so its execution is
+// draw-for-draw identical to the scalar runner — the batch twins are pure
+// throughput optimisations, and the package tests compare them against
+// their scalar twins result by result. Schedule.RunBatch hands them
+// between 2 and radio.MaxBatchWidth untraced streams on a topology that
+// resolves to the dense engine; every other call runs the scalar twin
+// once per stream.
 //
 // Lanes finish at different times; a finished lane leaves the active mask
 // and from then on consumes no randomness and contributes no channel
@@ -124,8 +126,8 @@ func runSingleBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p 
 	b := &batchRunner{
 		net:   net,
 		lanes: make([]batchLane, w),
-		tx:    bitset.NewBlock(n, w),
-		rx:    bitset.NewBlock(n, w),
+		tx:    bitset.NewBlock(n, radio.MaxBatchWidth),
+		rx:    bitset.NewBlock(n, radio.MaxBatchWidth),
 	}
 	act := uint64(0)
 	for l := range b.lanes {
@@ -184,12 +186,12 @@ type multiLane[P any] struct {
 	after   func(round int) bool
 }
 
-// runMultiBatch drives W multi-message lanes in lockstep over one pooled
-// BatchNetwork until every lane reports completion or maxRounds elapse,
-// then assembles per-lane results via finish(lane, executedRounds,
-// laneChannelStats). The per-lane round accounting matches the scalar
-// loops: a lane completing in the body of round r records r+1 executed
-// rounds, a lane alive at the cap records maxRounds.
+// runMultiBatch drives one multi-message lane per stream in lockstep over
+// one pooled BatchNetwork until every lane reports completion or
+// maxRounds elapse, then assembles per-lane results via finish(lane,
+// executedRounds, laneChannelStats). The per-lane round accounting
+// matches the scalar loops: a lane completing in the body of round r
+// records r+1 executed rounds, a lane alive at the cap records maxRounds.
 func runMultiBatch[P any](pool *radio.Pool[P], g *graph.Graph, cfg radio.Config, rnds []*rng.Stream, maxRounds int, tx *bitset.Block, payloads [][]P, lanes []multiLane[P], finish func(lane, rounds int, ch radio.Stats) Outcome) ([]Outcome, error) {
 	w := len(rnds)
 	net, err := pool.GetBatch(g, cfg, rnds)

@@ -9,12 +9,13 @@ import (
 	"noisyradio/internal/rng"
 )
 
-// The batch equivalence suite: every registry entry's RunBatch must
+// The batch equivalence suite: every lockstep twin's RunBatch must
 // reproduce its Run outcome-for-outcome when handed the same per-trial
-// streams — at width 1 (the scalar fallback), at widths that divide
-// nothing evenly, and across engines and fault models. This is the
-// contract that lets the sweep scheduler swap batch execution in and out
-// without moving a single table cell.
+// streams — at widths that divide nothing evenly and across fault models
+// on the dense engine, where the twins run, and through RunBatch's
+// per-stream fallback on the sparse engine. This is the contract that
+// lets the sweep scheduler swap batch execution in and out without moving
+// a single table cell.
 
 // trialStreams derives the per-trial streams exactly as the sweep does.
 func trialStreams(seed uint64, start, w int) []*rng.Stream {
@@ -93,49 +94,9 @@ func TestSingleMessageBatchEqualsScalar(t *testing.T) {
 // Lanes that hit the round cap must report the capped result identically.
 func TestSingleMessageBatchCappedLanes(t *testing.T) {
 	top := graph.Path(64)
-	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.6}
+	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.6, Engine: radio.Dense}
 	capped := ScheduleParams{Options: Options{MaxRounds: 30}} // far too few rounds to finish
 	requireBatchEqualsScalar(t, "decay-capped", "decay", top, cfg, capped, 6, 3)
-}
-
-func TestStarBatchEqualsScalar(t *testing.T) {
-	p := ScheduleParams{Leaves: 24, K: 6}
-	for _, cfg := range batchConfigs() {
-		label := fmt.Sprintf("%s/%s", cfg.Fault, cfg.Engine)
-		requireBatchEqualsScalar(t, "star-routing/"+label, "star-routing", graph.Topology{}, cfg, p, 7, 4)
-		requireBatchEqualsScalar(t, "star-coding/"+label, "star-coding", graph.Topology{}, cfg, p, 7, 4)
-	}
-}
-
-func TestWCTBatchEqualsScalar(t *testing.T) {
-	p := ScheduleParams{WCT: graph.NewWCT(graph.DefaultWCTParams(100), rng.New(9)), K: 3}
-	for _, cfg := range batchConfigs() {
-		label := fmt.Sprintf("%s/%s", cfg.Fault, cfg.Engine)
-		requireBatchEqualsScalar(t, "wct-routing/"+label, "wct-routing", graph.Topology{}, cfg, p, 5, 2)
-		requireBatchEqualsScalar(t, "wct-coding/"+label, "wct-coding", graph.Topology{}, cfg, p, 5, 2)
-	}
-}
-
-func TestSingleLinkBatchEqualsScalar(t *testing.T) {
-	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.4}
-	p := ScheduleParams{K: 12}
-	for _, name := range []string{"single-link-nonadaptive", "single-link-adaptive", "single-link-coding"} {
-		requireBatchEqualsScalar(t, name, name, graph.Topology{}, cfg, p, 9, 4)
-	}
-}
-
-func TestPipelineBatchEqualsScalar(t *testing.T) {
-	for _, cfg := range []radio.Config{
-		{Fault: radio.Faultless},
-		{Fault: radio.ReceiverFaults, P: 0.3},
-		{Fault: radio.SenderFaults, P: 0.3, Engine: radio.Dense},
-	} {
-		label := fmt.Sprintf("%s/%s", cfg.Fault, cfg.Engine)
-		requireBatchEqualsScalar(t, "path-pipeline/"+label, "path-pipeline-routing", graph.Topology{}, cfg, ScheduleParams{PathLen: 20, K: 8}, 5, 3)
-		transformed := ScheduleParams{PathLen: 6, K: 10}
-		requireBatchEqualsScalar(t, "transformed-routing/"+label, "transformed-path-routing", graph.Topology{}, cfg, transformed, 4, 2)
-		requireBatchEqualsScalar(t, "transformed-coding/"+label, "transformed-path-coding", graph.Topology{}, cfg, transformed, 4, 2)
-	}
 }
 
 func TestPipelinedBatchRoutingBatchEqualsScalar(t *testing.T) {
@@ -145,7 +106,7 @@ func TestPipelinedBatchRoutingBatchEqualsScalar(t *testing.T) {
 	}
 	for _, top := range tops {
 		for _, cfg := range []radio.Config{
-			{Fault: radio.ReceiverFaults, P: 0.3},
+			{Fault: radio.ReceiverFaults, P: 0.3, Engine: radio.Dense},
 			{Fault: radio.Faultless, Engine: radio.Dense},
 		} {
 			label := fmt.Sprintf("%s/%s/%s", top.Name, cfg.Fault, cfg.Engine)
@@ -157,7 +118,7 @@ func TestPipelinedBatchRoutingBatchEqualsScalar(t *testing.T) {
 func TestSequentialDecayBatchEqualsScalar(t *testing.T) {
 	top := graph.Path(32)
 	for _, cfg := range []radio.Config{
-		{Fault: radio.Faultless},
+		{Fault: radio.Faultless, Engine: radio.Dense},
 		{Fault: radio.ReceiverFaults, P: 0.3, Engine: radio.Dense},
 	} {
 		label := fmt.Sprintf("%s/%s", cfg.Fault, cfg.Engine)
@@ -172,7 +133,7 @@ func TestRLNCBatchEqualsScalar(t *testing.T) {
 	top := graph.GNP(28, 0.2, rng.New(6))
 	for _, pattern := range []RLNCPattern{RLNCDecay, RLNCRobustFASTBC} {
 		for _, cfg := range []radio.Config{
-			{Fault: radio.ReceiverFaults, P: 0.3},
+			{Fault: radio.ReceiverFaults, P: 0.3, Engine: radio.Dense},
 			{Fault: radio.SenderFaults, P: 0.3, Engine: radio.Dense},
 		} {
 			label := fmt.Sprintf("%s/%s/%s", pattern, cfg.Fault, cfg.Engine)
@@ -195,6 +156,6 @@ func TestRLNCBatchSingleNodeMatchesScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	top := graph.Topology{G: g, Source: 0, Name: "single"}
-	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.3}
+	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.3, Engine: radio.Dense}
 	requireBatchEqualsScalar(t, "rlnc-single-node", "rlnc", top, cfg, ScheduleParams{K: 2, PayloadLen: 4}, 4, 2)
 }

@@ -12,521 +12,13 @@ import (
 	"noisyradio/internal/rng"
 )
 
-// This file holds the trial-batched twins of the multi-message schedules:
-// each runs one independent trial per stream in rnds, in lockstep over a
-// pooled radio.BatchNetwork (see runMultiBatch), with trial i
-// draw-for-draw identical to the scalar twin applied to rnds[i].
-
-// starRoutingBatch is the trial-batched starRouting.
-func starRoutingBatch(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
-	leaves, k := p.Leaves, p.K
-	if leaves < 1 || k < 1 {
-		return nil, fmt.Errorf("broadcast: star routing needs leaves >= 1 and k >= 1, got (%d,%d)", leaves, k)
-	}
-	w := len(rnds)
-	top := cachedStar(leaves)
-	n := top.G.N()
-	maxRounds := p.Options.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = starDefaultMaxRounds(leaves, k, cfg)
-	}
-
-	// Only the hub ever broadcasts, in every lane: one constant block.
-	tx := bitset.NewBlock(n, w)
-	payloads := make([][]int32, w)
-	gen := make([][]int32, w)
-	current := make([]int32, w)
-	missing := make([]int, w)
-	lanes := make([]multiLane[int32], w)
-	for l := range lanes {
-		l := l
-		tx.Set(l, 0)
-		payloads[l] = make([]int32, n)
-		gen[l] = make([]int32, n)
-		missing[l] = leaves
-		lanes[l] = multiLane[int32]{
-			begin: func(round int) { payloads[l][0] = current[l] },
-			deliver: func(d radio.Delivery[int32]) {
-				if gen[l][d.To] != current[l]+1 {
-					gen[l][d.To] = current[l] + 1
-					missing[l]--
-				}
-			},
-			after: func(round int) bool {
-				if missing[l] == 0 {
-					current[l]++
-					missing[l] = leaves
-				}
-				return current[l] == int32(k)
-			},
-		}
-	}
-	return runMultiBatch(&idPool, top.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) Outcome {
-			return Outcome{
-				Rounds:  rounds,
-				Success: current[l] == int32(k),
-				Done:    doneCountStar(current[l], k, leaves, missing[l]),
-				Channel: ch,
-			}
-		})
-}
-
-// starCodingBatch is the trial-batched starCoding.
-func starCodingBatch(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
-	leaves, k := p.Leaves, p.K
-	if leaves < 1 || k < 1 {
-		return nil, fmt.Errorf("broadcast: star coding needs leaves >= 1 and k >= 1, got (%d,%d)", leaves, k)
-	}
-	w := len(rnds)
-	top := cachedStar(leaves)
-	n := top.G.N()
-	maxRounds := p.Options.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = starDefaultMaxRounds(leaves, k, cfg)
-	}
-
-	tx := bitset.NewBlock(n, w)
-	payloads := make([][]int32, w)
-	received := make([][]int32, w)
-	done := make([]int, w)
-	lanes := make([]multiLane[int32], w)
-	for l := range lanes {
-		l := l
-		tx.Set(l, 0)
-		payloads[l] = make([]int32, n)
-		received[l] = make([]int32, n)
-		lanes[l] = multiLane[int32]{
-			begin: func(round int) { payloads[l][0] = int32(round) },
-			deliver: func(d radio.Delivery[int32]) {
-				received[l][d.To]++
-				if received[l][d.To] == int32(k) {
-					done[l]++
-				}
-			},
-			after: func(round int) bool { return done[l] == leaves },
-		}
-	}
-	return runMultiBatch(&idPool, top.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) Outcome {
-			return Outcome{
-				Rounds:  rounds,
-				Success: done[l] == leaves,
-				Done:    done[l] + 1,
-				Channel: ch,
-			}
-		})
-}
-
-// wctRoutingBatch is the trial-batched wctRouting.
-func wctRoutingBatch(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
-	w0, k := p.WCT, p.K
-	if err := validateWCTArgs(w0, k); err != nil {
-		return nil, err
-	}
-	w := len(rnds)
-	scales := graph.Log2Floor(len(w0.Senders))
-	maxRounds := p.Options.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = wctDefaultMaxRounds(w0, k, cfg, scales*scales)
-	}
-	n := w0.G.N()
-	coins := scaleCoins(scales)
-	members := 0
-	for _, c := range w0.Clusters {
-		members += len(c)
-	}
-	firstMember := 1 + len(w0.Senders)
-
-	tx := bitset.NewBlock(n, w)
-	payloads := make([][]int32, w)
-	gen := make([][]int32, w)
-	current := make([]int32, w)
-	missing := make([]int, w)
-	lanes := make([]multiLane[int32], w)
-	for l := range lanes {
-		l := l
-		rnd := rnds[l]
-		payloads[l] = make([]int32, n)
-		gen[l] = make([]int32, n)
-		missing[l] = members
-		lanes[l] = multiLane[int32]{
-			begin: func(round int) {
-				coin := coins[1+round%scales]
-				for _, s := range w0.Senders {
-					if coin.Draw(rnd) {
-						tx.Set(l, int(s))
-					}
-					payloads[l][s] = current[l]
-				}
-			},
-			deliver: func(d radio.Delivery[int32]) {
-				if d.To >= firstMember && gen[l][d.To] != current[l]+1 {
-					gen[l][d.To] = current[l] + 1
-					missing[l]--
-				}
-			},
-			after: func(round int) bool {
-				for _, s := range w0.Senders {
-					tx.Clear(l, int(s))
-				}
-				if missing[l] == 0 {
-					current[l]++
-					missing[l] = members
-				}
-				return current[l] == int32(k)
-			},
-		}
-	}
-	return runMultiBatch(&idPool, w0.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) Outcome {
-			return Outcome{
-				Rounds:  rounds,
-				Success: current[l] == int32(k),
-				Done:    wctDoneCount(w0, current[l], k, missing[l]),
-				Channel: ch,
-			}
-		})
-}
-
-// wctCodingBatch is the trial-batched wctCoding.
-func wctCodingBatch(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
-	w0, k := p.WCT, p.K
-	if err := validateWCTArgs(w0, k); err != nil {
-		return nil, err
-	}
-	w := len(rnds)
-	scales := graph.Log2Floor(len(w0.Senders))
-	maxRounds := p.Options.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = wctDefaultMaxRounds(w0, k, cfg, scales)
-	}
-	n := w0.G.N()
-	coins := scaleCoins(scales)
-	members := 0
-	for _, c := range w0.Clusters {
-		members += len(c)
-	}
-	firstMember := 1 + len(w0.Senders)
-
-	tx := bitset.NewBlock(n, w)
-	payloads := make([][]int32, w)
-	received := make([][]int32, w)
-	done := make([]int, w)
-	lanes := make([]multiLane[int32], w)
-	for l := range lanes {
-		l := l
-		rnd := rnds[l]
-		payloads[l] = make([]int32, n)
-		received[l] = make([]int32, n)
-		lanes[l] = multiLane[int32]{
-			begin: func(round int) {
-				coin := coins[1+round%scales]
-				for _, s := range w0.Senders {
-					if coin.Draw(rnd) {
-						tx.Set(l, int(s))
-					}
-				}
-				// Fresh packet indices: distinct per (sender, round) pair.
-				for i, s := range w0.Senders {
-					payloads[l][s] = int32(round*len(w0.Senders) + i)
-				}
-			},
-			deliver: func(d radio.Delivery[int32]) {
-				if d.To < firstMember {
-					return
-				}
-				received[l][d.To]++
-				if received[l][d.To] == int32(k) {
-					done[l]++
-				}
-			},
-			after: func(round int) bool {
-				for _, s := range w0.Senders {
-					tx.Clear(l, int(s))
-				}
-				return done[l] == members
-			},
-		}
-	}
-	return runMultiBatch(&idPool, w0.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) Outcome {
-			return Outcome{
-				Rounds:  rounds,
-				Success: done[l] == members,
-				Done:    done[l] + 1 + len(w0.Senders),
-				Channel: ch,
-			}
-		})
-}
-
-// singleLinkNonAdaptiveBatch is the trial-batched singleLinkNonAdaptive.
-func singleLinkNonAdaptiveBatch(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
-	k, repeats := p.K, resolveRepeats(p, cfg)
-	if k < 1 || repeats < 1 {
-		return nil, fmt.Errorf("broadcast: single-link non-adaptive needs k >= 1 and repeats >= 1, got (%d,%d)", k, repeats)
-	}
-	w := len(rnds)
-	top := cachedSingleLink()
-	total := k * repeats
-
-	tx := bitset.NewBlock(2, w)
-	payloads := make([][]int32, w)
-	got := make([][]bool, w)
-	received := make([]int, w)
-	lanes := make([]multiLane[int32], w)
-	for l := range lanes {
-		l := l
-		tx.Set(l, 0)
-		payloads[l] = make([]int32, 2)
-		got[l] = make([]bool, k)
-		lanes[l] = multiLane[int32]{
-			begin: func(round int) { payloads[l][0] = int32(round / repeats) },
-			deliver: func(d radio.Delivery[int32]) {
-				if !got[l][d.Payload] {
-					got[l][d.Payload] = true
-					received[l]++
-				}
-			},
-			after: func(round int) bool { return round == total-1 },
-		}
-	}
-	return runMultiBatch(&idPool, top.G, cfg, rnds, total, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) Outcome {
-			done := 1
-			if received[l] == k {
-				done = 2
-			}
-			return Outcome{Rounds: total, Success: received[l] == k, Done: done, Channel: ch}
-		})
-}
-
-// singleLinkAdaptiveBatch is the trial-batched singleLinkAdaptive.
-func singleLinkAdaptiveBatch(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
-	k := p.K
-	if k < 1 {
-		return nil, fmt.Errorf("broadcast: single-link adaptive needs k >= 1, got %d", k)
-	}
-	w := len(rnds)
-	top := cachedSingleLink()
-	maxRounds := p.Options.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = singleLinkDefaultMaxRounds(k, cfg)
-	}
-
-	tx := bitset.NewBlock(2, w)
-	payloads := make([][]int32, w)
-	current := make([]int, w)
-	lanes := make([]multiLane[int32], w)
-	for l := range lanes {
-		l := l
-		tx.Set(l, 0)
-		payloads[l] = make([]int32, 2)
-		lanes[l] = multiLane[int32]{
-			begin:   func(round int) { payloads[l][0] = int32(current[l]) },
-			deliver: func(d radio.Delivery[int32]) { current[l]++ },
-			after:   func(round int) bool { return current[l] == k },
-		}
-	}
-	return runMultiBatch(&idPool, top.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) Outcome {
-			done := 1
-			if current[l] == k {
-				done = 2
-			}
-			return Outcome{Rounds: rounds, Success: current[l] == k, Done: done, Channel: ch}
-		})
-}
-
-// singleLinkCodingBatch is the trial-batched singleLinkCoding.
-func singleLinkCodingBatch(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
-	k := p.K
-	if k < 1 {
-		return nil, fmt.Errorf("broadcast: single-link coding needs k >= 1, got %d", k)
-	}
-	w := len(rnds)
-	top := cachedSingleLink()
-	maxRounds := p.Options.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = singleLinkDefaultMaxRounds(k, cfg)
-	}
-
-	tx := bitset.NewBlock(2, w)
-	payloads := make([][]int32, w)
-	received := make([]int, w)
-	lanes := make([]multiLane[int32], w)
-	for l := range lanes {
-		l := l
-		tx.Set(l, 0)
-		payloads[l] = make([]int32, 2)
-		lanes[l] = multiLane[int32]{
-			begin:   func(round int) { payloads[l][0] = int32(round) },
-			deliver: func(d radio.Delivery[int32]) { received[l]++ },
-			after:   func(round int) bool { return received[l] >= k },
-		}
-	}
-	return runMultiBatch(&idPool, top.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) Outcome {
-			done := 1
-			if received[l] >= k {
-				done = 2
-			}
-			return Outcome{Rounds: rounds, Success: received[l] >= k, Done: done, Channel: ch}
-		})
-}
-
-// pathPipelineRoutingBatch is the trial-batched pathPipelineRouting.
-func pathPipelineRoutingBatch(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
-	pathLen, k := p.PathLen, p.K
-	if pathLen < 1 || k < 1 {
-		return nil, fmt.Errorf("broadcast: path pipeline needs pathLen >= 1 and k >= 1, got (%d,%d)", pathLen, k)
-	}
-	w := len(rnds)
-	top := cachedPath(pathLen + 1)
-	n := top.G.N()
-	maxRounds := p.Options.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = pipelineDefaultMaxRounds(pathLen, k, cfg)
-	}
-
-	tx := bitset.NewBlock(n, w)
-	payloads := make([][]int32, w)
-	have := make([][]int32, w)
-	lanes := make([]multiLane[int32], w)
-	for l := range lanes {
-		l := l
-		payloads[l] = make([]int32, n)
-		have[l] = make([]int32, n)
-		have[l][0] = int32(k)
-		lanes[l] = multiLane[int32]{
-			begin: func(round int) {
-				mod := int32(round % 3)
-				for v := 0; v < n-1; v++ {
-					if int32(v)%3 == mod && have[l][v] > have[l][v+1] {
-						tx.Set(l, v)
-						payloads[l][v] = have[l][v+1]
-					}
-				}
-			},
-			deliver: func(d radio.Delivery[int32]) {
-				if d.Payload == have[l][d.To] && d.From == d.To-1 {
-					have[l][d.To]++
-				}
-			},
-			after: func(round int) bool {
-				lo, hi := tx.LaneNonzeroRange(l)
-				tx.ResetLaneWindow(l, lo, hi)
-				return have[l][n-1] == int32(k)
-			},
-		}
-	}
-	return runMultiBatch(&idPool, top.G, cfg, rnds, maxRounds, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) Outcome {
-			done := 0
-			for v := 0; v < n; v++ {
-				if have[l][v] == int32(k) {
-					done++
-				}
-			}
-			return Outcome{Rounds: rounds, Success: have[l][n-1] == int32(k), Done: done, Channel: ch}
-		})
-}
-
-// transformedPathBatch is the trial-batched transformedPath, shared by
-// transformedPathRoutingBatch and transformedPathCodingBatch. The
-// meta-round structure is identical across lanes (it depends only on
-// pathLen, k and cfg), so the lockstep round index decomposes into the
-// scalar loop's (meta-round, step) pair.
-func transformedPathBatch(cfg radio.Config, rnds []*rng.Stream, p ScheduleParams, coding bool) ([]Outcome, error) {
-	pathLen, k := p.PathLen, p.K
-	if pathLen < 1 || k < 1 {
-		return nil, fmt.Errorf("broadcast: transformed path needs pathLen >= 1 and k >= 1, got (%d,%d)", pathLen, k)
-	}
-	w := len(rnds)
-	pr := p.Transform.withDefaults(pathLen, k)
-	batches := (k + pr.Batch - 1) / pr.Batch
-	mlen := metaRoundLen(pr.Batch, cfg, pr.Eta)
-	metaRounds := 3 * (batches + pathLen)
-	total := metaRounds * mlen
-
-	top := cachedPath(pathLen + 1)
-	n := top.G.N()
-	tx := bitset.NewBlock(n, w)
-	payloads := make([][]int32, w)
-	batchHave := make([][]int32, w)
-	progress := make([][]int32, w)
-	lanes := make([]multiLane[int32], w)
-	for l := range lanes {
-		l := l
-		payloads[l] = make([]int32, n)
-		batchHave[l] = make([]int32, n)
-		batchHave[l][0] = int32(batches)
-		progress[l] = make([]int32, n)
-		lanes[l] = multiLane[int32]{
-			begin: func(round int) {
-				T, step := round/mlen, round%mlen
-				if step == 0 {
-					for i := range progress[l] {
-						progress[l][i] = 0
-					}
-				}
-				lo, hi := tx.LaneNonzeroRange(l)
-				tx.ResetLaneWindow(l, lo, hi)
-				mod := int32(T % 3)
-				for v := 0; v < n-1; v++ {
-					if int32(v)%3 != mod || batchHave[l][v] <= batchHave[l][v+1] {
-						continue
-					}
-					if coding {
-						tx.Set(l, v)
-						payloads[l][v] = int32(T*mlen + step) // fresh coded packet
-					} else if progress[l][v] < int32(pr.Batch) {
-						tx.Set(l, v)
-						payloads[l][v] = progress[l][v] // message index within batch
-					}
-				}
-			},
-			deliver: func(d radio.Delivery[int32]) {
-				if d.From != d.To-1 {
-					return
-				}
-				v := d.From
-				if coding {
-					progress[l][v]++
-					if progress[l][v] == int32(pr.Batch) {
-						batchHave[l][d.To]++
-					}
-				} else if d.Payload == progress[l][v] {
-					progress[l][v]++
-					if progress[l][v] == int32(pr.Batch) {
-						batchHave[l][d.To]++
-					}
-				}
-			},
-			after: func(round int) bool { return round == total-1 },
-		}
-	}
-	return runMultiBatch(&idPool, top.G, cfg, rnds, total, tx, payloads, lanes,
-		func(l, rounds int, ch radio.Stats) Outcome {
-			done := 0
-			for v := 0; v < n; v++ {
-				if batchHave[l][v] == int32(batches) {
-					done++
-				}
-			}
-			return Outcome{Rounds: total, Success: batchHave[l][n-1] == int32(batches), Done: done, Channel: ch}
-		})
-}
-
-// transformedPathRoutingBatch is the trial-batched transformedPathRouting.
-func transformedPathRoutingBatch(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
-	return transformedPathBatch(cfg, rnds, p, false)
-}
-
-// transformedPathCodingBatch is the trial-batched transformedPathCoding.
-func transformedPathCodingBatch(_ graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
-	return transformedPathBatch(cfg, rnds, p, true)
-}
+// This file holds the trial-batched twins of the multi-message schedules
+// that run on the caller's topology — pipelined batch routing, sequential
+// Decay routing and RLNC — the only multi-message entries whose topology
+// can resolve to the dense engine, where lockstep runs. Each runs one
+// independent trial per stream in rnds, in lockstep over a pooled
+// radio.BatchNetwork, with trial i draw-for-draw identical to the scalar
+// twin applied to rnds[i].
 
 // pipelinedBatchRoutingBatch is the trial-batched pipelinedBatchRouting.
 // The BFS layer decomposition and the per-phase coins are built once and
@@ -564,7 +56,7 @@ func pipelinedBatchRoutingBatch(top graph.Topology, cfg radio.Config, rnds []*rn
 	phaseLen := decayPhaseLen(n)
 	coins := decayCoins(phaseLen)
 
-	tx := bitset.NewBlock(n, w)
+	tx := bitset.NewBlock(n, radio.MaxBatchWidth)
 	payloads := make([][]int32, w)
 	layerHave := make([][]int32, w)
 	missing := make([][]int, w)
@@ -673,8 +165,8 @@ func sequentialDecayRoutingBatch(top graph.Topology, cfg radio.Config, rnds []*r
 	b := &batchRunner{
 		net:   net,
 		lanes: make([]batchLane, w),
-		tx:    bitset.NewBlock(n, w),
-		rx:    bitset.NewBlock(n, w),
+		tx:    bitset.NewBlock(n, radio.MaxBatchWidth),
+		rx:    bitset.NewBlock(n, radio.MaxBatchWidth),
 	}
 	localRound := make([]int, w) // round index within the lane's current message
 	msgDone := make([]int, w)
@@ -774,7 +266,7 @@ func randomRLNCBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p
 		maxRounds = defaultMaxRounds(n, diam, cfg) + 80*k*(graph.Log2Ceil(n)+2)
 	}
 
-	tx := bitset.NewBlock(n, w)
+	tx := bitset.NewBlock(n, radio.MaxBatchWidth)
 	payloads := make([][]rlnc.Packet, w)
 	decoders := make([][]*rlnc.Decoder, w)
 	active := make([]*bitset.Set, w)

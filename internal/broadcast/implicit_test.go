@@ -42,8 +42,9 @@ func TestDecayImplicitMatchesExplicit(t *testing.T) {
 			if want != got {
 				t.Fatalf("%s/%s: implicit Decay diverged\nwant %+v\ngot  %+v", pair.name, cfg.Fault, want, got)
 			}
-			// Lockstep trials over the implicit topology, against scalar
-			// runs over the explicit one.
+			// RunBatch over the implicit topology (which runs each stream
+			// scalar, lockstep being dense-only), against scalar runs over
+			// the explicit one.
 			rnds := []*rng.Stream{rng.NewFrom(7, 0), rng.NewFrom(7, 1), rng.NewFrom(7, 2)}
 			batch, err := decay.RunBatch(pair.implicit, cfg, rnds, ScheduleParams{})
 			if err != nil {

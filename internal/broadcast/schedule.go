@@ -1,15 +1,16 @@
 // The first-class Schedule API: every broadcast schedule of the paper is
-// one registry entry carrying its name, paper reference, result kind and
-// both execution strategies (the scalar runner and its lockstep
-// trial-batched twin). The registry is the only way to run a schedule:
-// the implementations are unexported. Callers — the experiment runners,
-// the throughput harness, cmd/noisysim and the public facade — select a
-// schedule by name and Run it; whether a set of trials executes scalar or
-// as a W-wide lockstep batch is an execution-plan detail (see
-// sim.Sweep.AddSchedule), not a caller-visible API fork. Single-message
-// schedules drive both strategies through one closure over marker;
-// each multi-message schedule is written twice, as a scalar loop and as a
-// multiLane twin, and the package tests keep the two equal.
+// one registry entry carrying its name, paper reference, result kind, its
+// scalar runner and, for the seven entries whose topology can resolve to
+// the dense engine, a lockstep trial-batched twin. The registry is the
+// only way to run a schedule: the implementations are unexported.
+// Callers — the experiment runners, the throughput harness, cmd/noisysim
+// and the public facade — select a schedule by name and Run it; whether a
+// set of trials executes scalar or as lanes of one lockstep batch is an
+// execution-plan detail (see sim.Sweep.AddSchedule), not a caller-visible
+// API fork. Single-message schedules drive both strategies through one
+// closure over marker; each multi-message twin is written twice, as a
+// scalar loop and as a multiLane twin, and the package tests keep the two
+// equal.
 package broadcast
 
 import (
@@ -115,7 +116,7 @@ func (o Outcome) Throughput(k int) float64 {
 	return float64(k) / float64(o.Rounds)
 }
 
-// Schedule is one registered broadcast schedule: metadata plus both
+// Schedule is one registered broadcast schedule: metadata plus its
 // execution strategies. Values are obtained from Schedules or
 // LookupSchedule and are immutable.
 type Schedule struct {
@@ -132,7 +133,10 @@ type Schedule struct {
 	// zero topology means "unknown".
 	planTop func(top graph.Topology, p ScheduleParams) graph.Topology
 
-	run      func(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error)
+	run func(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error)
+	// runBatch is the lockstep twin, nil for entries whose topology never
+	// resolves to the dense engine (stars, WCTs, the single link and the
+	// pipelined paths are all sparse).
 	runBatch func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error)
 }
 
@@ -141,18 +145,22 @@ func (s *Schedule) Run(top graph.Topology, cfg radio.Config, r *rng.Stream, p Sc
 	return s.run(top, cfg, r, p)
 }
 
-// RunBatch executes one independent trial per stream in rnds, in lockstep
-// on a trial-batched radio network where profitable; outcome i is
-// identical to Run over rnds[i] (the batch twins' contract, enforced by
-// the package tests). One stream, more than radio.MaxBatchWidth streams
-// and traced runs (tracing is a scalar concern) run Run once per stream
-// instead.
+// RunBatch executes one independent trial per stream in rnds; outcome i
+// is identical to Run over rnds[i] (the batch twins' contract, enforced by
+// the package tests). The trials run as lanes of one lockstep batch when
+// the entry has a lockstep twin (HasLockstep), rnds holds 2 to
+// radio.MaxBatchWidth streams, the run is untraced (tracing is a scalar
+// concern), and the schedule's topology resolves to the dense engine
+// under cfg, the only engine with a lockstep kernel. Otherwise RunBatch
+// calls Run once per stream.
 func (s *Schedule) RunBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
 	if len(rnds) == 0 {
 		return nil, errors.New("broadcast: batch run with no streams")
 	}
-	if len(rnds) > 1 && len(rnds) <= radio.MaxBatchWidth && p.Options.Trace == nil {
-		return s.runBatch(top, cfg, rnds, p)
+	if s.runBatch != nil && len(rnds) > 1 && len(rnds) <= radio.MaxBatchWidth && p.Options.Trace == nil {
+		if pt := s.planTop(top, p); pt.G != nil && cfg.ResolveEngine(pt.G) == radio.Dense {
+			return s.runBatch(top, cfg, rnds, p)
+		}
 	}
 	out := make([]Outcome, len(rnds))
 	for i, r := range rnds {
@@ -164,6 +172,12 @@ func (s *Schedule) RunBatch(top graph.Topology, cfg radio.Config, rnds []*rng.St
 	}
 	return out, nil
 }
+
+// HasLockstep reports whether the entry has a lockstep twin, which
+// RunBatch runs on topologies that resolve to the dense engine. Execution
+// planners use it to plan such entries' rows as lockstep batches and
+// every other row scalar.
+func (s *Schedule) HasLockstep() bool { return s.runBatch != nil }
 
 // PlanTopology returns the topology the schedule would execute on given
 // these arguments: the passed topology for topology-taking schedules, the
@@ -195,27 +209,27 @@ var schedules = []*Schedule{
 	{Name: "sequential-decay-routing", Ref: "Section 4.2 baseline", Kind: MultiMessage,
 		planTop: passedTop, run: sequentialDecayRouting, runBatch: sequentialDecayRoutingBatch},
 	{Name: "star-routing", Ref: "Lemma 15", Kind: MultiMessage,
-		planTop: starPlanTop, run: starRouting, runBatch: starRoutingBatch},
+		planTop: starPlanTop, run: starRouting},
 	{Name: "star-coding", Ref: "Lemma 16", Kind: MultiMessage,
-		planTop: starPlanTop, run: starCoding, runBatch: starCodingBatch},
+		planTop: starPlanTop, run: starCoding},
 	{Name: "wct-routing", Ref: "Lemmas 19/21/22", Kind: MultiMessage,
-		planTop: wctPlanTop, run: wctRouting, runBatch: wctRoutingBatch},
+		planTop: wctPlanTop, run: wctRouting},
 	{Name: "wct-coding", Ref: "Lemma 23", Kind: MultiMessage,
-		planTop: wctPlanTop, run: wctCoding, runBatch: wctCodingBatch},
+		planTop: wctPlanTop, run: wctCoding},
 	{Name: "single-link-nonadaptive", Ref: "Lemma 29", Kind: MultiMessage,
-		planTop: singleLinkPlanTop, run: singleLinkNonAdaptive, runBatch: singleLinkNonAdaptiveBatch},
+		planTop: singleLinkPlanTop, run: singleLinkNonAdaptive},
 	{Name: "single-link-adaptive", Ref: "Lemma 32", Kind: MultiMessage,
-		planTop: singleLinkPlanTop, run: singleLinkAdaptive, runBatch: singleLinkAdaptiveBatch},
+		planTop: singleLinkPlanTop, run: singleLinkAdaptive},
 	{Name: "single-link-coding", Ref: "Lemma 30", Kind: MultiMessage,
-		planTop: singleLinkPlanTop, run: singleLinkCoding, runBatch: singleLinkCodingBatch},
+		planTop: singleLinkPlanTop, run: singleLinkCoding},
 	{Name: "path-pipeline-routing", Ref: "Lemma 25 demonstration schedule", Kind: MultiMessage,
-		planTop: pathPlanTop, run: pathPipelineRouting, runBatch: pathPipelineRoutingBatch},
+		planTop: pathPlanTop, run: pathPipelineRouting},
 	{Name: "pipelined-batch-routing", Ref: "Lemmas 20-21", Kind: MultiMessage,
 		planTop: passedTop, run: pipelinedBatchRouting, runBatch: pipelinedBatchRoutingBatch},
 	{Name: "transformed-path-routing", Ref: "Lemma 25", Kind: MultiMessage,
-		planTop: pathPlanTop, run: transformedPathRouting, runBatch: transformedPathRoutingBatch},
+		planTop: pathPlanTop, run: transformedPathRouting},
 	{Name: "transformed-path-coding", Ref: "Lemma 26", Kind: MultiMessage,
-		planTop: pathPlanTop, run: transformedPathCoding, runBatch: transformedPathCodingBatch},
+		planTop: pathPlanTop, run: transformedPathCoding},
 }
 
 func starPlanTop(_ graph.Topology, p ScheduleParams) graph.Topology {

@@ -18,11 +18,13 @@ type scheduleCase struct {
 	p   ScheduleParams
 }
 
+// The cases force the dense engine, so the lockstep twins run on their
+// small topologies; the other entries run scalar on it.
 func scheduleCases(t *testing.T) map[string]scheduleCase {
 	t.Helper()
-	recv := radio.Config{Fault: radio.ReceiverFaults, P: 0.3}
-	half := radio.Config{Fault: radio.ReceiverFaults, P: 0.5}
-	send := radio.Config{Fault: radio.SenderFaults, P: 0.3}
+	recv := radio.Config{Fault: radio.ReceiverFaults, P: 0.3, Engine: radio.Dense}
+	half := radio.Config{Fault: radio.ReceiverFaults, P: 0.5, Engine: radio.Dense}
+	send := radio.Config{Fault: radio.SenderFaults, P: 0.3, Engine: radio.Dense}
 	path := graph.Path(24)
 	w := graph.NewWCT(graph.DefaultWCTParams(80), rng.New(7))
 	return map[string]scheduleCase{
@@ -63,13 +65,15 @@ func TestScheduleCasesCoverRegistry(t *testing.T) {
 // TestScheduleRunBatchMatchesRun is the registry-level equivalence
 // contract: for every entry, RunBatch over W streams must reproduce W
 // scalar Runs outcome for outcome — the unified API may never change what
-// a trial computes. Widths 1 and 65 take RunBatch's per-stream fallback,
-// width 3 the lockstep twin, and a traced batch the fallback again, so
-// its trace observes every round the scalar trials execute.
+// a trial computes. Widths 1 and radio.MaxBatchWidth+1 take RunBatch's
+// per-stream fallback; widths 3, 9, 13 and 16 run the lockstep twins
+// (9 and 13 with the kernel's upper eight lanes partly live), and a
+// traced batch the fallback again, so its trace observes every round the
+// scalar trials execute.
 func TestScheduleRunBatchMatchesRun(t *testing.T) {
 	for name, c := range scheduleCases(t) {
 		s := MustSchedule(name)
-		for _, w := range []int{1, 3, 65} {
+		for _, w := range []int{1, 3, 9, 13, radio.MaxBatchWidth, radio.MaxBatchWidth + 1} {
 			requireRunBatchMatchesRun(t, s, c, w)
 		}
 
@@ -126,18 +130,61 @@ func TestScheduleRunBatchNoStreams(t *testing.T) {
 	}
 }
 
+// TestScheduleRunBatchLockstepRule: RunBatch hands the streams to the
+// lockstep twin only for 2 to radio.MaxBatchWidth untraced streams on a
+// topology that resolves to the dense engine, and calls Run once per
+// stream otherwise.
+func TestScheduleRunBatchLockstepRule(t *testing.T) {
+	decay := MustSchedule("decay")
+	dense := radio.Config{Fault: radio.ReceiverFaults, P: 0.3, Engine: radio.Dense}
+	sparse := radio.Config{Fault: radio.ReceiverFaults, P: 0.3, Engine: radio.Sparse}
+	traced := ScheduleParams{Options: Options{Trace: func(int, []int32, []int32) {}}}
+	path := graph.Path(24)
+	for _, c := range []struct {
+		name string
+		top  graph.Topology
+		cfg  radio.Config
+		p    ScheduleParams
+		w    int
+		want bool
+	}{
+		{"dense", path, dense, ScheduleParams{}, 3, true},
+		{"dense-auto", graph.Complete(96), radio.Config{Fault: radio.Faultless}, ScheduleParams{}, 2, true},
+		{"full-kernel", path, dense, ScheduleParams{}, radio.MaxBatchWidth, true},
+		{"one-stream", path, dense, ScheduleParams{}, 1, false},
+		{"too-many-streams", path, dense, ScheduleParams{}, radio.MaxBatchWidth + 1, false},
+		{"traced", path, dense, traced, 3, false},
+		{"sparse", path, sparse, ScheduleParams{}, 3, false},
+		{"sparse-auto", path, radio.Config{Fault: radio.Faultless}, ScheduleParams{}, 3, false},
+		{"implicit", graph.ImplicitComplete(96), dense, ScheduleParams{}, 3, false},
+	} {
+		s := *decay
+		lockstep := false
+		s.runBatch = func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
+			lockstep = true
+			return decay.runBatch(top, cfg, rnds, p)
+		}
+		if _, err := s.RunBatch(c.top, c.cfg, trialStreams(5, 0, c.w), c.p); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if lockstep != c.want {
+			t.Errorf("%s: RunBatch ran the lockstep twin = %v, want %v", c.name, lockstep, c.want)
+		}
+	}
+}
+
 // TestScheduleRunBatchRejectsWhatRunRejects: each lockstep twin checks
 // its arguments as its scalar implementation does, so a batch never
 // succeeds where the same trials run one by one would fail. Single-message
-// entries get a graphless topology, multi-message entries K = -1, and rlnc
-// additionally an unknown pattern on a single-node graph (where the twin's
-// no-round shortcut must not skip the pattern check).
+// entries get a source outside their graph, multi-message entries K = -1,
+// and rlnc additionally an unknown pattern on a single-node graph (where
+// the twin's no-round shortcut must not skip the pattern check).
 func TestScheduleRunBatchRejectsWhatRunRejects(t *testing.T) {
 	for name, c := range scheduleCases(t) {
 		s := MustSchedule(name)
 		bad := c
 		if s.Kind == SingleMessage {
-			bad.top = graph.Topology{}
+			bad.top.Source = bad.top.G.N()
 		} else {
 			bad.p.K = -1
 		}
@@ -156,18 +203,27 @@ func TestScheduleRunBatchRejectsWhatRunRejects(t *testing.T) {
 	}
 }
 
-// TestRegistryEntriesComplete: every entry carries a unique name and all
-// three of its functions, and LookupSchedule hands back the entry itself.
-// Schedules returns a copy, so callers cannot reorder or replace entries.
+// TestRegistryEntriesComplete: every entry carries a unique name and its
+// planTop and run functions, exactly the seven entries whose topology can
+// resolve to the dense engine carry a lockstep twin, and LookupSchedule
+// hands back the entry itself. Schedules returns a copy, so callers cannot
+// reorder or replace entries.
 func TestRegistryEntriesComplete(t *testing.T) {
+	lockstep := map[string]bool{
+		"decay": true, "decay-unknown-n": true, "fastbc": true, "robust-fastbc": true,
+		"rlnc": true, "sequential-decay-routing": true, "pipelined-batch-routing": true,
+	}
 	seen := map[string]bool{}
 	for _, s := range Schedules() {
 		if s.Name == "" || seen[s.Name] {
 			t.Errorf("registry name %q empty or repeated", s.Name)
 		}
 		seen[s.Name] = true
-		if s.planTop == nil || s.run == nil || s.runBatch == nil {
-			t.Errorf("%s: planTop/run/runBatch missing", s.Name)
+		if s.planTop == nil || s.run == nil {
+			t.Errorf("%s: planTop/run missing", s.Name)
+		}
+		if s.HasLockstep() != lockstep[s.Name] {
+			t.Errorf("%s: HasLockstep = %v, want %v", s.Name, s.HasLockstep(), lockstep[s.Name])
 		}
 		if got, err := LookupSchedule(s.Name); err != nil || got != s {
 			t.Errorf("LookupSchedule(%q) = %p, %v; want the entry %p", s.Name, got, err, s)

@@ -39,14 +39,14 @@ type Config struct {
 	// experiment builds (radio.Auto, the zero value, picks per graph).
 	// Results are bit-identical across engines; this is a speed knob.
 	Engine radio.Engine
-	// TrialBatch is the lockstep trial-batch plan: batch-capable rows run
-	// W consecutive Monte-Carlo trials through one trial-batched radio
-	// network per dispatch instead of W scalar executions. 0 (or 1) runs
-	// everything scalar, W forces that width, and sim.TrialBatchAuto (-1)
-	// plans W per row from its trial count, its resolved engine and the
-	// recorded stepbatch microbench trajectory. Like Workers and Engine
-	// this is purely a speed knob: tables are bit-identical at every
-	// setting (enforced by the golden test and the CI determinism job).
+	// TrialBatch is the lockstep trial-batch plan: batch-capable rows on
+	// the dense engine run W consecutive Monte-Carlo trials as lanes of
+	// one trial-batched radio network per dispatch instead of W scalar
+	// executions. 0 (or 1) runs everything scalar, W in 2..16 forces that
+	// width, and sim.TrialBatchAuto (-1) batches 16 trials per dense row.
+	// Like Workers and Engine this is purely a speed knob: tables are
+	// bit-identical at every setting (enforced by the golden test and the
+	// CI determinism job).
 	TrialBatch int
 	// Draw selects the fault-draw contract version for every noisy network
 	// the experiment builds. Unlike Engine and TrialBatch this is NOT a pure

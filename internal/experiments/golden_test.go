@@ -60,12 +60,13 @@ func TestGoldenTablesBitIdentical(t *testing.T) {
 		{Quick: true, Seed: 1, Workers: 5, RowWorkers: 3},                                       // deliberately awkward split
 		{Quick: true, Seed: 1, Workers: 8, Engine: radio.Sparse},                                // forced sparse engine
 		{Quick: true, Seed: 1, Workers: 2, RowWorkers: 1, Engine: radio.Dense},                  // forced dense engine
-		{Quick: true, Seed: 1, TrialBatch: 8},                                                   // lockstep trial batches, default width
+		{Quick: true, Seed: 1, TrialBatch: 8},                                                   // lockstep trial batches, forced width 8
 		{Quick: true, Seed: 1, Workers: 1, TrialBatch: 3},                                       // serial, width not dividing trial counts
 		{Quick: true, Seed: 1, Workers: 8, TrialBatch: 8, Engine: radio.Dense},                  // batched on the forced dense engine
-		{Quick: true, Seed: 1, Workers: 4, TrialBatch: 64, Engine: radio.Sparse},                // max width, forced sparse engine
-		{Quick: true, Seed: 1, Workers: 3, TrialBatch: 4},                                       // forced unrolled width 4
-		{Quick: true, Seed: 1, Workers: 2, TrialBatch: 16},                                      // forced unrolled width 16
+		{Quick: true, Seed: 1, Workers: 3, TrialBatch: 5, Engine: radio.Dense},                  // 5 live lanes of 16 on the forced dense engine
+		{Quick: true, Seed: 1, Workers: 4, TrialBatch: 64, Engine: radio.Sparse},                // clamps to 16; the sparse engine runs every row scalar
+		{Quick: true, Seed: 1, Workers: 3, TrialBatch: 4},                                       // forced width 4
+		{Quick: true, Seed: 1, Workers: 2, TrialBatch: 16},                                      // forced full kernel width
 		{Quick: true, Seed: 1, TrialBatch: sim.TrialBatchAuto},                                  // auto-planned widths
 		{Quick: true, Seed: 1, Workers: 8, TrialBatch: sim.TrialBatchAuto, Engine: radio.Dense}, // auto plan, forced dense engine
 	}
@@ -135,6 +136,7 @@ func TestGoldenTablesBitIdenticalPerDrawContract(t *testing.T) {
 				func(c Config) Config { c.Workers, c.RowWorkers, c.Engine = 2, 1, radio.Dense; return c }, // forced dense engine
 				func(c Config) Config { c.TrialBatch = 8; return c },                                      // lockstep trial batches
 				func(c Config) Config { c.Workers, c.TrialBatch = 1, 3; return c },                        // serial, width not dividing trial counts
+				func(c Config) Config { c.Workers, c.TrialBatch, c.Engine = 3, 5, radio.Dense; return c }, // 5 live lanes of 16 on the forced dense engine
 				func(c Config) Config { c.TrialBatch = sim.TrialBatchAuto; return c },                     // auto-planned widths
 				func(c Config) Config {
 					c.Workers, c.TrialBatch, c.Engine = 8, sim.TrialBatchAuto, radio.Dense

@@ -7,7 +7,7 @@ import (
 )
 
 // PoolPairAnalyzer enforces the radio.Pool checkout discipline: a
-// Get/GetBatch must be matched by a Put/PutBatch of the same width class,
+// Get/GetBatch must be matched by a Put/PutBatch of the same kind,
 // and a checkout must not leak through a return path between the Get and
 // its Put. The analysis is flow-insensitive and per-function, with two
 // deliberate outs that match the codebase's ownership idioms:
@@ -19,13 +19,13 @@ import (
 //   - A deferred Put covers every return path by construction.
 //
 // Cross-pairing is always wrong: a scalar Get put back with PutBatch (or
-// vice versa) would file the network under the wrong width key, handing
+// vice versa) would file the network under the wrong kind's key, handing
 // batch scratch to a scalar checkout later. //lint:poolpair-ok <reason>
 // silences one finding.
 var PoolPairAnalyzer = &Analyzer{
 	Name: "poolpair",
 	Doc: "require pool Get/GetBatch checkouts to be matched by Put/PutBatch of the same\n" +
-		"width class, with no unguarded return path between checkout and return",
+		"kind (scalar or batch), with no unguarded return path between checkout and return",
 	Run: runPoolPair,
 }
 
@@ -355,7 +355,7 @@ func checkOneGet(pass *Pass, g poolCall, puts []poolCall, returns []struct {
 		if p.batch != g.batch {
 			if sameVar {
 				pass.Reportf(p.call.Pos(),
-					"pool %s checkout %s returned with %s: scalar and batch networks must never cross width classes",
+					"pool %s checkout %s returned with %s: scalar and batch networks must never cross kinds",
 					kind, g.variable.Name(), map[bool]string{false: "Put", true: "PutBatch"}[p.batch])
 			}
 			continue

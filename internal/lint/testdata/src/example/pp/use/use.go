@@ -83,7 +83,7 @@ func crossKind(seeds []int) {
 	if err != nil {
 		return
 	}
-	pool.Put(b) // want "must never cross width classes"
+	pool.Put(b) // want "must never cross kinds"
 }
 
 func batchPaired(seeds []int) {

@@ -24,14 +24,14 @@ type batchExecution struct {
 	nextDraw   uint64 // stream position witness: the draw after the run
 }
 
-// executeScalarLane runs lane l's trial on a scalar Network: the reference
-// executions batch runs must reproduce draw for draw. schedule is
-// consulted as schedule(lane, round, v); the lane's stream is
+// executeScalarLane runs lane l's trial on a scalar dense Network: the
+// reference executions batch runs must reproduce draw for draw. schedule
+// is consulted as schedule(lane, round, v); the lane's stream is
 // rng.NewFrom(seed, lane). roundsFor(l) bounds the lane's rounds (lanes
 // deactivate at different times in the batch run).
-func executeScalarLane(t testing.TB, g *graph.Graph, cfg Config, eng Engine, seed uint64, lane, rounds int, schedule func(lane, round, v int) bool) batchExecution {
+func executeScalarLane(t testing.TB, g *graph.Graph, cfg Config, seed uint64, lane, rounds int, schedule func(lane, round, v int) bool) batchExecution {
 	t.Helper()
-	cfg.Engine = eng
+	cfg.Engine = Dense
 	r := rng.NewFrom(seed, uint64(lane))
 	net, err := New[int32](g, cfg, r)
 	if err != nil {
@@ -62,9 +62,9 @@ func executeScalarLane(t testing.TB, g *graph.Graph, cfg Config, eng Engine, see
 // observations per lane. roundsFor(l) gives each lane's round count; lanes
 // beyond their count are removed from the active mask, so the run also
 // exercises early-finisher handling.
-func executeBatchLanes(t testing.TB, g *graph.Graph, cfg Config, eng Engine, seed uint64, w int, roundsFor func(lane int) int, schedule func(lane, round, v int) bool) []batchExecution {
+func executeBatchLanes(t testing.TB, g *graph.Graph, cfg Config, seed uint64, w int, roundsFor func(lane int) int, schedule func(lane, round, v int) bool) []batchExecution {
 	t.Helper()
-	cfg.Engine = eng
+	cfg.Engine = Dense
 	rnds := make([]*rng.Stream, w)
 	for l := range rnds {
 		rnds[l] = rng.NewFrom(seed, uint64(l))
@@ -72,9 +72,6 @@ func executeBatchLanes(t testing.TB, g *graph.Graph, cfg Config, eng Engine, see
 	net, err := NewBatch[int32](g, cfg, rnds)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if net.Engine() != eng {
-		t.Fatalf("engine resolved to %v, want %v", net.Engine(), eng)
 	}
 	return runBatchLanes(t, net, rnds, roundsFor, schedule)
 }
@@ -91,8 +88,8 @@ func runBatchLanes(t testing.TB, net *BatchNetwork[int32], rnds []*rng.Stream, r
 			maxRounds = r
 		}
 	}
-	tx := bitset.NewBlock(n, w)
-	rx := bitset.NewBlock(n, w)
+	tx := bitset.NewBlock(n, MaxBatchWidth)
+	rx := bitset.NewBlock(n, MaxBatchWidth)
 	payloads := make([][]int32, w)
 	for l := range payloads {
 		payloads[l] = make([]int32, n)
@@ -123,10 +120,14 @@ func runBatchLanes(t testing.TB, net *BatchNetwork[int32], rnds []*rng.Stream, r
 			}
 		}
 	}
+	for l := w; l < MaxBatchWidth; l++ {
+		if lo, hi := rx.LaneNonzeroRange(l); lo != hi {
+			t.Fatalf("lane %d, beyond the %d streams, received packets", l, w)
+		}
+	}
 	out := make([]batchExecution, w)
 	for l := range out {
-		out[l].rx = bitset.New(n)
-		rx.LaneToSet(l, out[l].rx)
+		out[l].rx = laneSet(rx, l)
 		out[l].stats = net.LaneStats(l)
 		out[l].nextDraw = rnds[l].Uint64()
 	}
@@ -157,6 +158,17 @@ func requireLaneIdentical(t *testing.T, name string, want, got batchExecution) {
 	}
 }
 
+// laneSet reads lane l of b back as a Set.
+func laneSet(b *bitset.Block, l int) *bitset.Set {
+	s := bitset.New(b.Len())
+	for v := 0; v < b.Len(); v++ {
+		if b.Test(l, v) {
+			s.Set(v)
+		}
+	}
+	return s
+}
+
 // batchSchedule derives a deterministic per-(lane, round, node) schedule
 // from a seed, mixing the lane in so lanes genuinely differ.
 func batchSchedule(seed uint64, prob float64) func(lane, round, v int) bool {
@@ -171,9 +183,10 @@ func batchSchedule(seed uint64, prob float64) func(lane, round, v int) bool {
 
 // TestBatchMatchesScalarAcrossTopologies is the batch differential
 // contract: every lane of a StepBatch run over assorted topologies, fault
-// environments, engines, widths and schedules must be bit-identical —
+// environments, stream counts and schedules must be bit-identical —
 // deliveries, stats, rx bits and stream positions — to a scalar StepSet
-// run of the same trial, including lanes that deactivate early.
+// run of the same trial, including lanes that deactivate early. Stream
+// counts 9 and 13 leave the kernel's upper eight lanes partly live.
 func TestBatchMatchesScalarAcrossTopologies(t *testing.T) {
 	wct := graph.NewWCT(graph.DefaultWCTParams(120), rng.New(11))
 	tops := []graph.Topology{
@@ -187,18 +200,16 @@ func TestBatchMatchesScalarAcrossTopologies(t *testing.T) {
 	}
 	for _, top := range tops {
 		for _, cfg := range diffConfigs(top.G.N()) {
-			for _, eng := range []Engine{Sparse, Dense} {
-				for _, w := range []int{1, 3, 4, 8, 16} {
-					const rounds = 30
-					// Stagger lane lifetimes so the active mask shrinks.
-					roundsFor := func(lane int) int { return rounds - 3*lane }
-					sched := batchSchedule(77, 0.25)
-					got := executeBatchLanes(t, top.G, cfg, eng, 42, w, roundsFor, sched)
-					for l := 0; l < w; l++ {
-						name := fmt.Sprintf("%s/%s/%v/w=%d/lane=%d", top.Name, cfg.Fault, eng, w, l)
-						want := executeScalarLane(t, top.G, cfg, eng, 42, l, roundsFor(l), sched)
-						requireLaneIdentical(t, name, want, got[l])
-					}
+			for _, w := range []int{1, 3, 4, 8, 9, 13, 16} {
+				const rounds = 30
+				// Stagger lane lifetimes so the active mask shrinks.
+				roundsFor := func(lane int) int { return rounds - 3*lane }
+				sched := batchSchedule(77, 0.25)
+				got := executeBatchLanes(t, top.G, cfg, 42, w, roundsFor, sched)
+				for l := 0; l < w; l++ {
+					name := fmt.Sprintf("%s/%s/w=%d/lane=%d", top.Name, cfg.Fault, w, l)
+					want := executeScalarLane(t, top.G, cfg, 42, l, roundsFor(l), sched)
+					requireLaneIdentical(t, name, want, got[l])
 				}
 			}
 		}
@@ -219,13 +230,11 @@ func TestBatchMatchesScalarRandomSweep(t *testing.T) {
 		rounds := 5 + r.Intn(25)
 		roundsFor := func(lane int) int { return 1 + (rounds+lane)%rounds }
 		sched := batchSchedule(seed+500, prob)
-		for _, eng := range []Engine{Sparse, Dense} {
-			got := executeBatchLanes(t, top.G, cfg, eng, seed+1000, w, roundsFor, sched)
-			for l := 0; l < w; l++ {
-				name := fmt.Sprintf("seed %d (%s, %v, draw %v, %v, w=%d, lane=%d)", seed, top.Name, cfg.Fault, cfg.Draw, eng, w, l)
-				want := executeScalarLane(t, top.G, cfg, eng, seed+1000, l, roundsFor(l), sched)
-				requireLaneIdentical(t, name, want, got[l])
-			}
+		got := executeBatchLanes(t, top.G, cfg, seed+1000, w, roundsFor, sched)
+		for l := 0; l < w; l++ {
+			name := fmt.Sprintf("seed %d (%s, %v, draw %v, w=%d, lane=%d)", seed, top.Name, cfg.Fault, cfg.Draw, w, l)
+			want := executeScalarLane(t, top.G, cfg, seed+1000, l, roundsFor(l), sched)
+			requireLaneIdentical(t, name, want, got[l])
 		}
 	}
 }
@@ -236,7 +245,7 @@ func TestBatchInactiveLanesInert(t *testing.T) {
 	top := graph.Complete(32)
 	rnds := []*rng.Stream{rng.New(1), rng.New(2)}
 	net := MustNewBatch[int32](top.G, Config{Fault: ReceiverFaults, P: 0.4, Engine: Dense}, rnds)
-	tx := bitset.NewBlock(32, 2)
+	tx := bitset.NewBlock(32, MaxBatchWidth)
 	tx.Set(0, 3)
 	tx.Set(1, 7)
 	before0, before1 := *rnds[0], *rnds[1]
@@ -267,22 +276,18 @@ func TestBatchResetBitIdentical(t *testing.T) {
 	cfg := Config{Fault: SenderFaults, P: 0.3}
 	sched := batchSchedule(9, 0.3)
 	roundsFor := func(int) int { return 20 }
-	for _, tc := range []struct {
-		eng  Engine
-		draw DrawContract
-	}{{Sparse, DrawV1}, {Dense, DrawV1}, {Sparse, DrawV2}, {Dense, DrawV2}} {
-		eng := tc.eng
-		cfg.Draw = tc.draw
-		want := executeBatchLanes(t, top.G, cfg, eng, 5, 4, roundsFor, sched)
+	for _, draw := range []DrawContract{DrawV1, DrawV2} {
+		cfg.Draw = draw
+		want := executeBatchLanes(t, top.G, cfg, 5, 4, roundsFor, sched)
 
 		// Same run on a dirtied, then Reset, network.
-		cfg.Engine = eng
+		cfg.Engine = Dense
 		dirty := make([]*rng.Stream, 4)
 		for l := range dirty {
 			dirty[l] = rng.New(uint64(l) + 999)
 		}
 		net := MustNewBatch[int32](top.G, cfg, dirty)
-		tx := bitset.NewBlock(60, 4)
+		tx := bitset.NewBlock(60, MaxBatchWidth)
 		for l := 0; l < 4; l++ {
 			for v := 0; v < 60; v += l + 2 {
 				tx.Set(l, v)
@@ -298,8 +303,8 @@ func TestBatchResetBitIdentical(t *testing.T) {
 		net.Reset(rnds)
 
 		n := top.G.N()
-		tx2 := bitset.NewBlock(n, 4)
-		rx2 := bitset.NewBlock(n, 4)
+		tx2 := bitset.NewBlock(n, MaxBatchWidth)
+		rx2 := bitset.NewBlock(n, MaxBatchWidth)
 		for round := 0; round < 20; round++ {
 			tx2.Reset()
 			for l := 0; l < 4; l++ {
@@ -313,31 +318,30 @@ func TestBatchResetBitIdentical(t *testing.T) {
 		}
 		for l := 0; l < 4; l++ {
 			if net.LaneStats(l) != want[l].stats {
-				t.Fatalf("%v lane %d: stats after Reset diverged\nwant %+v\ngot  %+v", eng, l, want[l].stats, net.LaneStats(l))
+				t.Fatalf("%v lane %d: stats after Reset diverged\nwant %+v\ngot  %+v", draw, l, want[l].stats, net.LaneStats(l))
 			}
-			got := bitset.New(n)
-			rx2.LaneToSet(l, got)
+			got := laneSet(rx2, l)
 			for w, word := range want[l].rx.Words() {
 				if got.Words()[w] != word {
-					t.Fatalf("%v lane %d: rx after Reset diverged", eng, l)
+					t.Fatalf("%v lane %d: rx after Reset diverged", draw, l)
 				}
 			}
-			if draw := rnds[l].Uint64(); draw != want[l].nextDraw {
-				t.Fatalf("%v lane %d: stream position after Reset diverged", eng, l)
+			if next := rnds[l].Uint64(); next != want[l].nextDraw {
+				t.Fatalf("%v lane %d: stream position after Reset diverged", draw, l)
 			}
 		}
 	}
 }
 
 // TestBatchResetAfterMidRoundPanic is the lockstep twin of
-// TestResetAfterMidRoundPanic: lane 1's first delivery panics, after
-// lane 0 has resolved its round and before lanes 2 and 3 start theirs,
+// TestResetAfterMidRoundPanic: lane 1's first delivery panics mid-sweep,
+// after lane 0 has resolved that receiver and before lanes 2 and 3 do,
 // and after Reset the network must reproduce a fresh one lane for lane.
 func TestBatchResetAfterMidRoundPanic(t *testing.T) {
 	const w = 4
 	g := graph.Star(96).G
 	hub := func(v int) bool { return v == 0 }
-	tx := bitset.NewBlock(g.N(), w)
+	tx := bitset.NewBlock(g.N(), MaxBatchWidth)
 	payloads := make([][]int32, w)
 	for l := range payloads {
 		tx.Set(l, 0)
@@ -345,44 +349,99 @@ func TestBatchResetAfterMidRoundPanic(t *testing.T) {
 	}
 	sched := batchSchedule(9, 0.3)
 	roundsFor := func(int) int { return 20 }
-	for _, eng := range []Engine{Sparse, Dense, Implicit} {
-		for _, cfg := range panicResetConfigs {
-			want := executeBatchLanes(t, g, cfg, eng, 5, w, roundsFor, sched)
+	for _, cfg := range panicResetConfigs {
+		want := executeBatchLanes(t, g, cfg, 5, w, roundsFor, sched)
 
-			cfg.Engine = eng
-			net := MustNewBatch[int32](g, cfg, batchStreams(999, w))
-			at := abandonRound(t, func(deliver func(d Delivery[int32])) {
-				net.StepBatch(tx, payloads, nil, 1<<w-1, func(lane int, d Delivery[int32]) {
-					if lane == 1 {
-						deliver(d)
-					}
-				})
+		cfg.Engine = Dense
+		net := MustNewBatch[int32](g, cfg, batchStreams(999, w))
+		at := abandonRound(t, func(deliver func(d Delivery[int32])) {
+			net.StepBatch(tx, payloads, nil, 1<<w-1, func(lane int, d Delivery[int32]) {
+				if lane == 1 {
+					deliver(d)
+				}
 			})
-			requireUnvisitedInWord(t, g, hub, at)
-			rnds := batchStreams(5, w)
-			net.Reset(rnds)
-			got := runBatchLanes(t, net, rnds, roundsFor, sched)
-			for l := range got {
-				name := fmt.Sprintf("%v/%s/draw %v/lane=%d", eng, cfg.Fault, cfg.Draw, l)
-				requireLaneIdentical(t, name, want[l], got[l])
-			}
+		})
+		requireUnvisitedInWord(t, g, hub, at)
+		rnds := batchStreams(5, w)
+		net.Reset(rnds)
+		got := runBatchLanes(t, net, rnds, roundsFor, sched)
+		for l := range got {
+			name := fmt.Sprintf("%s/draw %v/lane=%d", cfg.Fault, cfg.Draw, l)
+			requireLaneIdentical(t, name, want[l], got[l])
 		}
 	}
 }
 
 func TestNewBatchRejectsBadWidth(t *testing.T) {
 	top := graph.Path(4)
-	if _, err := NewBatch[int32](top.G, Config{Fault: Faultless}, nil); err == nil {
+	dense := Config{Fault: Faultless, Engine: Dense}
+	if _, err := NewBatch[int32](top.G, dense, nil); err == nil {
 		t.Fatal("NewBatch with no streams succeeded")
 	}
 	rnds := make([]*rng.Stream, MaxBatchWidth+1)
 	for i := range rnds {
 		rnds[i] = rng.New(uint64(i))
 	}
-	if _, err := NewBatch[int32](top.G, Config{Fault: Faultless}, rnds); err == nil {
+	if _, err := NewBatch[int32](top.G, dense, rnds); err == nil {
 		t.Fatalf("NewBatch with %d streams succeeded", len(rnds))
 	}
-	if _, err := NewBatch[int32](top.G, Config{Fault: FaultModel(9)}, rnds[:2]); err == nil {
+	if _, err := NewBatch[int32](top.G, Config{Fault: FaultModel(9), Engine: Dense}, rnds[:2]); err == nil {
 		t.Fatal("NewBatch with invalid config succeeded")
 	}
+	if _, err := NewBatch[int32](top.G, dense, rnds[:MaxBatchWidth]); err != nil {
+		t.Fatalf("NewBatch with %d streams: %v", MaxBatchWidth, err)
+	}
+}
+
+// TestNewBatchRejectsNonDenseEngines: lockstep runs on the dense engine
+// only, so NewBatch and Pool.GetBatch refuse a graph that resolves to the
+// sparse or implicit engine, whether by Auto or by a forced engine, and
+// accept one that resolves to dense, fallback included.
+func TestNewBatchRejectsNonDenseEngines(t *testing.T) {
+	rnds := batchStreams(1, 2)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		eng  Engine
+		ok   bool
+	}{
+		{"auto-sparse", graph.Path(32).G, Auto, false},
+		{"forced-sparse", graph.Complete(70).G, Sparse, false},
+		{"auto-implicit", graph.ImplicitComplete(128).G, Auto, false},
+		{"forced-implicit", graph.Complete(70).G, Implicit, false},
+		{"auto-dense", graph.Complete(70).G, Auto, true},
+		{"implicit-falls-back-to-dense", graph.GNP(128, 0.5, rng.New(3)).G, Implicit, true},
+	} {
+		cfg := Config{Fault: ReceiverFaults, P: 0.3, Engine: tc.eng}
+		if _, err := NewBatch[int32](tc.g, cfg, rnds); (err == nil) != tc.ok {
+			t.Errorf("%s: NewBatch on a graph resolving to %v: err = %v", tc.name, cfg.ResolveEngine(tc.g), err)
+		}
+		var pool Pool[int32]
+		if _, err := pool.GetBatch(tc.g, cfg, rnds); (err == nil) != tc.ok {
+			t.Errorf("%s: GetBatch on a graph resolving to %v: err = %v", tc.name, cfg.ResolveEngine(tc.g), err)
+		}
+	}
+}
+
+// TestStepBatchRequiresKernelWidthBlocks: tx and rx blocks are always
+// MaxBatchWidth lanes wide, whatever the stream count.
+func TestStepBatchRequiresKernelWidthBlocks(t *testing.T) {
+	g := graph.Complete(70).G
+	net := MustNewBatch[int32](g, Config{Fault: Faultless, Engine: Dense}, batchStreams(1, 4))
+	full := bitset.NewBlock(g.N(), MaxBatchWidth)
+	narrow := bitset.NewBlock(g.N(), 4)
+	for name, step := range map[string]func(){
+		"narrow tx": func() { net.StepBatch(narrow, nil, nil, 0b1111, nil) },
+		"narrow rx": func() { net.StepBatch(full, nil, narrow, 0b1111, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: StepBatch accepted a %d-lane block", name, narrow.Width())
+				}
+			}()
+			step()
+		}()
+	}
+	net.StepBatch(full, nil, bitset.NewBlock(g.N(), MaxBatchWidth), 0b1111, nil) // kernel-width blocks are accepted
 }

@@ -6,130 +6,45 @@ import (
 	"noisyradio/internal/bitset"
 )
 
-// This file holds the width-4 and width-16 unrolled listener sweeps of the
-// batched dense engine — the mechanical siblings of denseListeners8 (see
-// batch.go), one per lane-sweep width the execution planner may choose.
-// Each is identical in outcome logic to the generic loop in
-// stepBatchDense; the lane loop is unrolled so every lane's AND/test chain
-// uses constant indices and the independent chains schedule in parallel.
-// The per-width parity tests (TestBatchMatchesScalarAcrossTopologies and
-// FuzzStepBatch run widths 1, 3, 4, 8 and 16) pin all of them to the
-// scalar engine draw for draw.
+// This file holds the lockstep kernel's listener sweep, denseListeners16,
+// with its lane loop unrolled: every lane's AND/test chain uses constant
+// indices, so the sixteen independent chains schedule in parallel. The
+// parity tests (TestBatchMatchesScalarAcrossTopologies and FuzzStepBatch,
+// over stream counts 1..16) pin it to the scalar dense engine draw for
+// draw.
+
+// byteSpread8 distributes bits 0..7 of an 8-lane mask into the bytes of a
+// packed per-lane counter word, REVERSED: mask bit l lands in byte 7-l.
+// (The multiply places bit l of the mask at position 9·(7-l)+l; after the
+// shift and byte mask exactly that survivor remains per lane, and distinct
+// lanes never carry into each other.) Adding the spread word into an
+// accumulator counts eight lanes in one instruction sequence instead of a
+// mask walk — the batched engine's collision tally.
+func byteSpread8(mask uint64) uint64 {
+	return (mask * 0x8040201008040201 >> 7) & 0x0101010101010101
+}
 
 // flushCollisions16 folds the two packed byteSpread8 accumulators of the
-// width-16 sweep into the lane statistics (lo byte 7-l counts lane l, hi
-// byte 7-l counts lane l+8) and resets them.
+// listener sweep into the lane statistics (lo byte 7-l counts lane l, hi
+// byte 7-l counts lane l+8) and resets them. Only the Width lanes that
+// carry trials have statistics; the bytes of the others are zero, because
+// the sweep counts live lanes only.
 func (b *BatchNetwork[P]) flushCollisions16(lo, hi *uint64) {
-	for l := 0; l < 8; l++ {
-		b.stats[l].Collisions += int64(*lo >> (8 * (7 - uint(l))) & 0xff)
-		b.stats[l+8].Collisions += int64(*hi >> (8 * (7 - uint(l))) & 0xff)
+	for l := range b.stats {
+		acc := *lo
+		if l >= 8 {
+			acc = *hi
+		}
+		b.stats[l].Collisions += int64(acc >> (8 * (7 - uint(l&7))) & 0xff)
 	}
 	*lo, *hi = 0, 0
 }
 
-// denseListeners4 is the width-4 listener sweep: the denseListeners8
-// pattern at half the lane count, for rows whose trial counts make W=8
-// batches waste more remainder than they amortise.
-func (b *BatchNetwork[P]) denseListeners4(tx *bitset.Block, payloads [][]P, rx *bitset.Block, live uint64, unionLo, unionHi int, deliver func(lane int, d Delivery[P])) {
-	words := tx.Words()
-	anyTx := b.anyTx
-	nn := b.g.N()
-	adj, stride := b.adjWords, b.adjStride
-	rowLo, rowHi := b.rowLo, b.rowHi
-	hit, hitBase := b.hit, b.hitBase
-	var collAcc uint64
-	collTicks := 0
-	for u, base := 0, 0; u < nn; u, base = u+1, base+stride {
-		lo, hi := unionLo, unionHi
-		if rl := int(rowLo[u]); rl > lo {
-			lo = rl
-		}
-		if rh := int(rowHi[u]); rh < hi {
-			hi = rh
-		}
-		if lo >= hi {
-			continue
-		}
-		listen := live
-		bitU := uint(u) & 63
-		if anyTx[u>>6]>>bitU&1 != 0 {
-			col := (*[4]uint64)(words[(u>>6)*4 : (u>>6)*4+4])
-			txm := col[0]>>bitU&1 |
-				col[1]>>bitU&1<<1 |
-				col[2]>>bitU&1<<2 |
-				col[3]>>bitU&1<<3
-			listen = live &^ txm
-			if listen == 0 {
-				continue
-			}
-		}
-		var nz, mult uint64
-		for wi := lo; wi < hi; wi++ {
-			a := adj[base+wi]
-			if anyTx[wi]&a == 0 {
-				continue
-			}
-			cw := (*[4]uint64)(words[wi*4 : wi*4+4])
-			wb := int32(wi * 64)
-			var nzw uint64
-			if x := a & cw[0]; x != 0 {
-				nzw |= 1 << 0
-				if x&(x-1) != 0 {
-					mult |= 1 << 0
-				} else {
-					hit[0], hitBase[0] = x, wb
-				}
-			}
-			if x := a & cw[1]; x != 0 {
-				nzw |= 1 << 1
-				if x&(x-1) != 0 {
-					mult |= 1 << 1
-				} else {
-					hit[1], hitBase[1] = x, wb
-				}
-			}
-			if x := a & cw[2]; x != 0 {
-				nzw |= 1 << 2
-				if x&(x-1) != 0 {
-					mult |= 1 << 2
-				} else {
-					hit[2], hitBase[2] = x, wb
-				}
-			}
-			if x := a & cw[3]; x != 0 {
-				nzw |= 1 << 3
-				if x&(x-1) != 0 {
-					mult |= 1 << 3
-				} else {
-					hit[3], hitBase[3] = x, wb
-				}
-			}
-			mult |= nz & nzw
-			nz |= nzw
-			if listen&^mult == 0 {
-				break
-			}
-		}
-		if coll := mult & listen; coll != 0 {
-			collAcc += byteSpread8(coll)
-			if collTicks++; collTicks == 255 {
-				b.flushCollisions8(&collAcc)
-				collTicks = 0
-			}
-		}
-		for m := nz &^ mult & listen; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			b.resolveUnique(l, int32(u), hitBase[l]+int32(bits.TrailingZeros64(hit[l])), payloads, rx, deliver)
-		}
-	}
-	if collAcc != 0 {
-		b.flushCollisions8(&collAcc)
-	}
-}
-
-// denseListeners16 is the width-16 listener sweep: the denseListeners8
-// pattern at twice the lane count, with the collision tally split over two
-// packed byte accumulators (lanes 0-7 and 8-15).
+// denseListeners16 resolves one round's listeners for every live lane,
+// with the collision tally split over two packed byte accumulators (lanes
+// 0-7 and 8-15). Receptions resolve in ascending receiver id and, within
+// one receiver, ascending lane (lane draws are independent, so only the
+// deliver callback can observe that order).
 func (b *BatchNetwork[P]) denseListeners16(tx *bitset.Block, payloads [][]P, rx *bitset.Block, live uint64, unionLo, unionHi int, deliver func(lane int, d Delivery[P])) {
 	words := tx.Words()
 	anyTx := b.anyTx
@@ -140,6 +55,8 @@ func (b *BatchNetwork[P]) denseListeners16(tx *bitset.Block, payloads [][]P, rx 
 	var collLo, collHi uint64
 	collTicks := 0
 	for u, base := 0, 0; u < nn; u, base = u+1, base+stride {
+		// Clamp the union tx window to the row window; an all-zero row has
+		// lo > hi, which clamps to an empty overlap.
 		lo, hi := unionLo, unionHi
 		if rl := int(rowLo[u]); rl > lo {
 			lo = rl
@@ -150,6 +67,10 @@ func (b *BatchNetwork[P]) denseListeners16(tx *bitset.Block, payloads [][]P, rx 
 		if lo >= hi {
 			continue
 		}
+		// Live lanes in which u listens (transmitting nodes do not
+		// listen). When no lane at all broadcasts from u's node word —
+		// the typical case under windowed schedules — the per-lane test
+		// is skipped wholesale via the anyTx OR.
 		listen := live
 		bitU := uint(u) & 63
 		if anyTx[u>>6]>>bitU&1 != 0 {
@@ -175,6 +96,13 @@ func (b *BatchNetwork[P]) denseListeners16(tx *bitset.Block, payloads [][]P, rx 
 				continue
 			}
 		}
+		// Build the two cross-lane outcome masks word by word: nz has a
+		// lane once any transmitting neighbour appeared, mult once a
+		// second did (two in one word, or hits in two words). A lane in
+		// nz but not mult has exactly one transmitting neighbour, and its
+		// intersection word — recorded when its single hit was seen — is
+		// still current, because any later hit would have moved the lane
+		// into mult.
 		var nz, mult uint64
 		for wi := lo; wi < hi; wi++ {
 			a := adj[base+wi]
@@ -315,7 +243,7 @@ func (b *BatchNetwork[P]) denseListeners16(tx *bitset.Block, payloads [][]P, rx 
 			mult |= nz & nzw
 			nz |= nzw
 			if listen&^mult == 0 {
-				break
+				break // every listening lane's collision is certain
 			}
 		}
 		if coll := mult & listen; coll != 0 {

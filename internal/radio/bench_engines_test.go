@@ -143,10 +143,13 @@ func BenchmarkStepSetWCT(b *testing.B) {
 }
 
 // BenchmarkStepBatch pins the trial-batching acceptance number: on
-// graph.Complete(1024) with the standard microbench schedule, StepBatch at
-// W=8 must cost >= 2x less per trial-round than scalar StepSet, with zero
-// per-round allocations. Reported ns/op is one batch round (divide by the
-// width for the per-trial figure).
+// graph.Complete(1024) with the standard microbench schedule, StepBatch
+// with 16 live lanes must cost >= 2.5x less per trial-round than scalar
+// StepSet, with zero per-round allocations (benchgate
+// -min-stepbatch-speedup gates the stepbatch/w=16 microbench row). The
+// w=1, 4 and 8 rows run that many live lanes in the same 16-lane kernel.
+// Reported ns/op is one batch round (divide by the live lane count for
+// the per-trial figure).
 func BenchmarkStepBatch(b *testing.B) {
 	top := graph.Complete(1024)
 	n := top.G.N()
@@ -162,12 +165,12 @@ func BenchmarkStepBatch(b *testing.B) {
 			}
 			net := MustNewBatch[int32](top.G, cfg, rnds)
 			scalarTx := microbenchTx(n, n/2, n/64)
-			tx := bitset.NewBlock(n, w)
+			tx := bitset.NewBlock(n, MaxBatchWidth)
 			for l := 0; l < w; l++ {
 				tx.LaneCopyFrom(l, scalarTx)
 			}
-			rx := bitset.NewBlock(n, w)
-			active := ^uint64(0) >> (64 - uint(w))
+			rx := bitset.NewBlock(n, MaxBatchWidth)
+			active := uint64(1)<<uint(w) - 1
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -7,21 +7,24 @@ import (
 )
 
 // FuzzStepBatch fuzzes the batch/scalar equivalence contract: for an
-// arbitrary graph, fault environment, width and per-lane schedule, every
-// lane of a StepBatch run — on both engines, at width 1 and at the drawn
-// width W — must reproduce its scalar StepSet trial exactly: deliveries,
-// Stats, accumulated rx bits and the lane stream's position afterwards
-// (checked via the next draw). Lane lifetimes are staggered so the fuzz
-// also covers early-deactivated lanes. Seed corpus lives in
-// testdata/fuzz/FuzzStepBatch.
+// arbitrary graph, fault environment, stream count and per-lane schedule,
+// every lane of a StepBatch run — at one stream and at the drawn count W
+// in 1..MaxBatchWidth — must reproduce its scalar StepSet trial on the
+// dense engine exactly: deliveries, Stats, accumulated rx bits and the
+// lane stream's position afterwards (checked via the next draw). Lane
+// lifetimes are staggered so the fuzz also covers early-deactivated
+// lanes. Seed corpus lives in testdata/fuzz/FuzzStepBatch.
 func FuzzStepBatch(f *testing.F) {
 	f.Add(uint64(1), uint64(10), uint64(0), uint64(0), uint64(4), []byte{0, 1, 1, 2, 2, 3}, []byte{0xff, 0x0f})
 	f.Add(uint64(7), uint64(70), uint64(1), uint64(30), uint64(8), []byte{0, 1, 0, 2, 0, 3, 1, 2}, []byte{0xaa, 0x55, 0x33})
 	f.Add(uint64(9), uint64(128), uint64(2), uint64(80), uint64(1), []byte{}, []byte{0x01})
 	// modelRaw >= 3 selects the v2 geometric-skip draw contract: seed both
-	// models under v2, including an unrolled width and a sparse p.
+	// models under v2, including a sparse p.
 	f.Add(uint64(3), uint64(90), uint64(4), uint64(2), uint64(8), []byte{0, 1, 1, 2, 0, 3}, []byte{0x5a, 0xc3})
 	f.Add(uint64(4), uint64(60), uint64(5), uint64(40), uint64(5), []byte{0, 1, 0, 2, 1, 3}, []byte{0x0f, 0xf0, 0x99})
+	// A full kernel, and one whose upper eight lanes are partly live.
+	f.Add(uint64(5), uint64(80), uint64(1), uint64(30), uint64(15), []byte{0, 1, 1, 2, 2, 3, 0, 4}, []byte{0xc3, 0x3c, 0x5a})
+	f.Add(uint64(6), uint64(100), uint64(2), uint64(50), uint64(12), []byte{0, 1, 0, 2, 0, 3, 0, 4}, []byte{0x96, 0x69})
 	f.Fuzz(func(t *testing.T, seed, nRaw, modelRaw, pRaw, wRaw uint64, edges, sched []byte) {
 		n := int(nRaw%130) + 2
 		b := graph.NewBuilder(n)
@@ -37,7 +40,7 @@ func FuzzStepBatch(f *testing.F) {
 			P:     float64(pRaw%95) / 100,
 			Draw:  DrawContract(modelRaw / 3 % 2),
 		}
-		w := int(wRaw%18) + 1 // covers the unrolled 4/8/16 kernels and the generic lane loop
+		w := int(wRaw%MaxBatchWidth) + 1
 		rounds := len(sched)
 		if rounds < 1 {
 			rounds = 1
@@ -53,13 +56,11 @@ func FuzzStepBatch(f *testing.F) {
 			idx := (lane*rounds+round)*n + v
 			return sched[(idx/8)%len(sched)]>>(idx%8)&1 == 1
 		}
-		for _, eng := range []Engine{Sparse, Dense} {
-			for _, width := range []int{1, w} {
-				got := executeBatchLanes(t, g, cfg, eng, seed, width, roundsFor, schedule)
-				for l := 0; l < width; l++ {
-					want := executeScalarLane(t, g, cfg, eng, seed, l, roundsFor(l), schedule)
-					requireLaneIdentical(t, "", want, got[l])
-				}
+		for _, width := range []int{1, w} {
+			got := executeBatchLanes(t, g, cfg, seed, width, roundsFor, schedule)
+			for l := 0; l < width; l++ {
+				want := executeScalarLane(t, g, cfg, seed, l, roundsFor(l), schedule)
+				requireLaneIdentical(t, "", want, got[l])
 			}
 		}
 	})

@@ -55,29 +55,6 @@ func TestDifferentialImplicitAcrossTopologies(t *testing.T) {
 	}
 }
 
-// TestImplicitBatchMatchesScalar is the batch-plane counterpart: every
-// lane of an implicit StepBatch run — including early-deactivating lanes
-// — reproduces its scalar trial draw for draw, on both storage modes.
-func TestImplicitBatchMatchesScalar(t *testing.T) {
-	for _, pair := range implicitPairs() {
-		for _, cfg := range diffConfigs(pair.explicit.G.N()) {
-			for _, w := range []int{1, 3, 8} {
-				const rounds = 30
-				roundsFor := func(lane int) int { return rounds - 3*lane }
-				sched := batchSchedule(77, 0.25)
-				for _, g := range []*graph.Graph{pair.explicit.G, pair.implicit.G} {
-					got := executeBatchLanes(t, g, cfg, Implicit, 42, w, roundsFor, sched)
-					for l := 0; l < w; l++ {
-						name := fmt.Sprintf("%s/%s/implicit/w=%d/lane=%d (csr=%v)", pair.name, cfg.Fault, w, l, g.HasCSR())
-						want := executeScalarLane(t, pair.explicit.G, cfg, Sparse, 42, l, roundsFor(l), sched)
-						requireLaneIdentical(t, name, want, got[l])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestEngineFallback locks in the fallback semantics of forced engines:
 // an engine the graph cannot support resolves to the Auto choice instead
 // of failing, so suite-wide -engine overrides run mixed workloads.
@@ -105,10 +82,6 @@ func TestEngineFallback(t *testing.T) {
 		}
 		if got := MustNew[int32](tc.g, cfg, rng.New(1)).Engine(); got != tc.want {
 			t.Errorf("%s: New resolved %v, want %v", tc.name, got, tc.want)
-		}
-		rnds := []*rng.Stream{rng.New(1), rng.New(2)}
-		if got := MustNewBatch[int32](tc.g, cfg, rnds).Engine(); got != tc.want {
-			t.Errorf("%s: NewBatch resolved %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -75,11 +75,12 @@ func EngineMicrobench() []benchreport.Microbench {
 			NsPerRound:     ns,
 			AllocsPerRound: allocs,
 		})
-		// Trial-batched rounds: ns are per *trial-round* (one StepBatch
-		// round costs W trial-rounds), so these rows compare directly
-		// against the scalar stepset rows above — the W=8 dense/complete
-		// row versus "stepset/dense/complete/faultless" is the batching
-		// speedup the CI gate enforces.
+		// Trial-batched rounds with w live lanes: ns are per *trial-round*
+		// (one StepBatch round costs w trial-rounds), so these rows
+		// compare directly against the scalar stepset rows above — the
+		// w=16 dense/complete row versus
+		// "stepset/dense/complete/faultless" is the batching speedup the
+		// CI gate enforces.
 		for _, w := range []int{1, 4, 8, 16} {
 			ns, allocs = measureBatchRounds(complete, ctl, n, w)
 			out = append(out, benchreport.Microbench{
@@ -195,10 +196,12 @@ const (
 	stepModeBools = 1 // drive the Step []bool adapter
 )
 
-// measureBatchRounds times StepBatch at width w under the same schedule
-// as measureRounds runs scalar StepSet — every lane broadcasts the
-// microbenchTx set — and reports ns and allocations per *trial-round*
-// (one batch round divided by w), directly comparable to the scalar rows.
+// measureBatchRounds times StepBatch with w live lanes under the same
+// schedule as measureRounds runs scalar StepSet — every live lane
+// broadcasts the microbenchTx set — and reports ns and allocations per
+// *trial-round* (one batch round divided by w), directly comparable to
+// the scalar rows. The kernel resolves MaxBatchWidth lanes whatever w is,
+// so rows below that width measure what a partly filled batch costs.
 func measureBatchRounds(top graph.Topology, cfg Config, n, w int) (nsPerTrialRound, allocsPerTrialRound float64) {
 	rnds := make([]*rng.Stream, w)
 	for l := range rnds {
@@ -206,12 +209,12 @@ func measureBatchRounds(top graph.Topology, cfg Config, n, w int) (nsPerTrialRou
 	}
 	net := MustNewBatch[int32](top.G, cfg, rnds)
 	scalarTx := microbenchTx(n, n/2, n/64)
-	tx := bitset.NewBlock(n, w)
+	tx := bitset.NewBlock(n, MaxBatchWidth)
 	for l := 0; l < w; l++ {
 		tx.LaneCopyFrom(l, scalarTx)
 	}
-	rx := bitset.NewBlock(n, w)
-	active := ^uint64(0) >> (64 - uint(w))
+	rx := bitset.NewBlock(n, MaxBatchWidth)
+	active := uint64(1)<<uint(w) - 1
 	ns, allocs := timeRounds(func() {
 		rx.Reset()
 		net.StepBatch(tx, nil, rx, active, nil)

@@ -2,93 +2,29 @@ package radio
 
 import "fmt"
 
-// Execution planning: picking the lockstep trial-batch width W for a row
-// of Monte-Carlo trials, the way Auto picks an engine for a graph. Output
-// is proven identical at every width (differential tests, the experiments
-// golden and the CI determinism job), so this is purely a cost decision.
-//
-// The cost model is the recorded stepbatch microbench trajectory — the
-// stepbatch/w=* rows of .github/bench/BENCH_sweep.baseline.json, measured
-// by EngineMicrobench on dense/complete at n=1024 and regenerated with
-// every baseline refresh. The constants below are those measurements
-// normalised to the scalar StepSet round; keep them in sync when the
-// trajectory moves materially.
-
-// BatchWidths lists the lane-sweep widths with dedicated unrolled dense
-// kernels (see denseListeners4/8/16), in ascending order. These are the
-// widths the planner chooses between; any width in [2, MaxBatchWidth]
-// still executes correctly through the generic lane loop.
-var BatchWidths = []int{4, 8, 16}
-
-// stepBatchRelCost[w] is the recorded ns-per-trial-round of StepBatch at
-// width w relative to scalar StepSet (dense/complete, n=1024): width 1
-// pays pure batch-plane overhead; widths 4, 8 and 16 amortise the
-// listener sweep across progressively more lanes.
-var stepBatchRelCost = map[int]float64{
-	1:  2.1,
-	4:  0.55,
-	8:  0.35,
-	16: 0.26,
-}
-
-// batchTrialCost models the per-trial cost of running `count` consecutive
-// trials as one lockstep batch: the recorded relative cost of the largest
-// unrolled kernel not exceeding count (a batch of, say, 6 lanes runs the
-// generic lane loop, which the trajectory brackets between the w=4 and
-// w=8 kernels — the w=4 figure is the conservative side).
-func batchTrialCost(count int) float64 {
-	cost := stepBatchRelCost[1]
-	for _, w := range BatchWidths {
-		if w <= count {
-			cost = stepBatchRelCost[w]
-		}
-	}
-	return cost
-}
+// Execution planning: picking the lockstep trial-batch width for a row of
+// Monte-Carlo trials, the way Auto picks an engine for a graph. Output is
+// proven identical at every width (differential tests, the experiments
+// golden and the CI determinism job), so this is purely a cost decision,
+// and there is one lockstep kernel to decide for: MaxBatchWidth lanes on
+// the dense engine. On the sparse and implicit engines every trial runs
+// scalar.
 
 // PlanBatchWidth picks the lockstep trial-batch width for a row of
 // `trials` Monte-Carlo trials on the given resolved engine (pass the
 // Config.ResolveEngine result; Auto here means the graph is unknown and
-// is treated as dense, the engine batching was built for). It returns the
-// chosen width (1 = scalar) and a short human-readable reason for plan
-// reports.
-//
-// The sparse and implicit engines run batch lanes sequentially — there is
-// no shared listener sweep to amortise — so they always plan scalar. On
-// the dense engine the planner minimises the modelled total cost over the
-// unrolled widths: full batches of width w at the recorded trajectory
-// cost, the T mod w remainder at the cost of the largest kernel it still
-// fills (single-trial remainders run scalar, as the sweep dispatches
-// them).
+// is treated as dense, the engine batching was built for). It returns
+// MaxBatchWidth for two or more trials on the dense engine and 1 (scalar)
+// otherwise, with a short human-readable reason for plan reports. A batch
+// of fewer than MaxBatchWidth trials runs in the same kernel with the
+// spare lanes inactive; single-trial remainders run scalar, as the sweep
+// dispatches them.
 func PlanBatchWidth(engine Engine, trials int) (int, string) {
-	switch engine {
-	case Sparse:
-		return 1, "scalar: sparse engine runs lanes sequentially"
-	case Implicit:
-		return 1, "scalar: implicit engine runs lanes sequentially"
-	}
-	if trials < 2 {
+	switch {
+	case engine == Sparse || engine == Implicit:
+		return 1, fmt.Sprintf("scalar: lockstep runs on the dense engine, not %v", engine)
+	case trials < 2:
 		return 1, "scalar: nothing to batch"
 	}
-	bestW, bestCost := 1, float64(trials)*1.0
-	for _, w := range BatchWidths {
-		if w > trials {
-			break
-		}
-		full := trials / w * w
-		rem := trials - full
-		cost := float64(full) * stepBatchRelCost[w]
-		if rem == 1 {
-			cost += 1.0 // single-trial remainders dispatch scalar
-		} else if rem > 1 {
-			cost += float64(rem) * batchTrialCost(rem)
-		}
-		if cost < bestCost {
-			bestW, bestCost = w, cost
-		}
-	}
-	if bestW == 1 {
-		return 1, fmt.Sprintf("scalar: %d trials too few to amortise a lane sweep", trials)
-	}
-	return bestW, fmt.Sprintf("w=%d: best modelled cost for %d trials on the recorded stepbatch trajectory", bestW, trials)
+	return MaxBatchWidth, fmt.Sprintf("w=%d: the dense engine's lockstep kernel", MaxBatchWidth)
 }

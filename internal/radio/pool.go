@@ -9,11 +9,12 @@ import (
 
 // poolKey identifies networks that are interchangeable after a Reset: the
 // same graph, fault environment, engine selection, draw-contract version
-// with its parameters, and batch width (0 for
-// scalar networks — a scalar checkout must never be handed batch-sized
-// scratch, and vice versa, so the width is part of the key exactly like
-// the graph is). Configs with per-node fault probabilities are not pooled
-// (the slice is not comparable and the case is rare).
+// with its parameters, and kind (a scalar checkout must never be handed
+// batch scratch, and vice versa, so the kind is part of the key exactly
+// like the graph is). A batch network serves any stream count after
+// Reset, so its lane count is not. Configs with per-node fault
+// probabilities are not pooled (the slice is not comparable and the case
+// is rare).
 type poolKey struct {
 	g      *graph.Graph
 	fault  FaultModel
@@ -22,14 +23,14 @@ type poolKey struct {
 	draw   DrawContract // networks under different contracts never mix
 	burst  BurstParams  // v3 parameters (normalised; zero otherwise)
 	jam    JamParams    // v4 parameters (normalised; zero otherwise)
-	width  int          // 0 = scalar Network, >= 1 = BatchNetwork lane count
+	batch  bool         // BatchNetwork rather than Network
 }
 
-// makePoolKey builds the key for a (graph, config, width) triple. The
+// makePoolKey builds the key for a (graph, config, kind) triple. The
 // contract parameters go in normalised — defaults resolved, non-selected
 // contracts zeroed — so configurations that run identically share a
 // freelist.
-func makePoolKey(g *graph.Graph, cfg Config, width int) poolKey {
+func makePoolKey(g *graph.Graph, cfg Config, batch bool) poolKey {
 	burst, jam := cfg.drawParams()
 	return poolKey{
 		g:      g,
@@ -39,7 +40,7 @@ func makePoolKey(g *graph.Graph, cfg Config, width int) poolKey {
 		draw:   cfg.Draw,
 		burst:  burst,
 		jam:    jam,
-		width:  width,
+		batch:  batch,
 	}
 }
 
@@ -50,8 +51,8 @@ func makePoolKey(g *graph.Graph, cfg Config, width int) poolKey {
 // batch) just to throw them away a few thousand rounds later. Get returns
 // a Reset cached network when one is available and constructs one
 // otherwise; Put stores a finished network for the next trial. GetBatch
-// and PutBatch are the same for BatchNetworks, keyed additionally by
-// width.
+// and PutBatch are the same for BatchNetworks, which any stream count
+// can reuse.
 //
 // Pooling is purely a performance optimisation: Reset restores the exact
 // just-constructed state, so pooled and fresh networks produce
@@ -61,8 +62,8 @@ func makePoolKey(g *graph.Graph, cfg Config, width int) poolKey {
 // freelist is keyed rather than a single sync.Pool.
 type Pool[P any] struct {
 	mu        sync.Mutex
-	free      map[poolKey][]*Network[P]      // width == 0 keys only
-	freeBatch map[poolKey][]*BatchNetwork[P] // width >= 1 keys only
+	free      map[poolKey][]*Network[P]      // scalar keys only
+	freeBatch map[poolKey][]*BatchNetwork[P] // batch keys only
 	// order lists keys with non-empty freelists, least recently stored
 	// first — the eviction order when the total cap is reached.
 	order []poolKey
@@ -84,11 +85,11 @@ const (
 // Get returns a network over g with the given configuration and
 // randomness, reusing a pooled one when possible. It is equivalent to
 // New[P](g, cfg, rnd) in every observable way; in particular the key's
-// zero width guarantees a scalar checkout can never receive a pooled
-// batch network's scratch.
+// kind guarantees a scalar checkout can never receive a pooled batch
+// network's scratch.
 func (p *Pool[P]) Get(g *graph.Graph, cfg Config, rnd *rng.Stream) (*Network[P], error) {
 	if cfg.PerNodeP == nil {
-		key := makePoolKey(g, cfg, 0)
+		key := makePoolKey(g, cfg, false)
 		p.mu.Lock()
 		if list := p.free[key]; len(list) > 0 {
 			n := list[len(list)-1]
@@ -107,11 +108,15 @@ func (p *Pool[P]) Get(g *graph.Graph, cfg Config, rnd *rng.Stream) (*Network[P],
 }
 
 // GetBatch returns a lockstep batch network over g with one lane per
-// stream in rnds, reusing a pooled one of the same width when possible.
-// It is equivalent to NewBatch[P](g, cfg, rnds) in every observable way.
+// stream in rnds, reusing a pooled one, whatever stream count it last
+// ran, when possible. It is equivalent to NewBatch[P](g, cfg, rnds) in
+// every observable way.
 func (p *Pool[P]) GetBatch(g *graph.Graph, cfg Config, rnds []*rng.Stream) (*BatchNetwork[P], error) {
+	if err := checkBatchWidth(len(rnds)); err != nil {
+		return nil, err
+	}
 	if cfg.PerNodeP == nil {
-		key := makePoolKey(g, cfg, len(rnds))
+		key := makePoolKey(g, cfg, true)
 		p.mu.Lock()
 		if list := p.freeBatch[key]; len(list) > 0 {
 			b := list[len(list)-1]
@@ -132,7 +137,7 @@ func (p *Pool[P]) GetBatch(g *graph.Graph, cfg Config, rnds []*rng.Stream) (*Bat
 // dropKey removes key from the eviction order and its freelist map; the
 // caller holds p.mu and has emptied (or is emptying) the key's list.
 func (p *Pool[P]) dropKey(key poolKey) {
-	if key.width > 0 {
+	if key.batch {
 		delete(p.freeBatch, key)
 	} else {
 		delete(p.free, key)
@@ -150,7 +155,7 @@ func (p *Pool[P]) dropKey(key poolKey) {
 func (p *Pool[P]) evictOldest() {
 	key := p.order[0]
 	var remaining int
-	if key.width > 0 {
+	if key.batch {
 		list := p.freeBatch[key]
 		p.freeBatch[key] = list[:len(list)-1]
 		remaining = len(list) - 1
@@ -173,7 +178,7 @@ func (p *Pool[P]) Put(n *Network[P]) {
 	if n == nil || n.cfg.PerNodeP != nil {
 		return
 	}
-	key := makePoolKey(n.g, n.cfg, 0)
+	key := makePoolKey(n.g, n.cfg, false)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.free[key]) >= poolKeyCap {
@@ -192,13 +197,13 @@ func (p *Pool[P]) Put(n *Network[P]) {
 	p.size++
 }
 
-// PutBatch stores a finished batch network for reuse under its width's
-// key. The caller must not use b after PutBatch.
+// PutBatch stores a finished batch network for reuse. The caller must not
+// use b after PutBatch.
 func (p *Pool[P]) PutBatch(b *BatchNetwork[P]) {
 	if b == nil || b.cfg.PerNodeP != nil {
 		return
 	}
-	key := makePoolKey(b.g, b.cfg, b.w)
+	key := makePoolKey(b.g, b.cfg, true)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.freeBatch[key]) >= poolKeyCap {

@@ -16,13 +16,14 @@ func batchStreams(seed uint64, w int) []*rng.Stream {
 	return rnds
 }
 
-// TestPoolBatchWidthSeparation: the pool keys batch networks by width, and
-// a scalar checkout never hands back batch-sized scratch (nor the reverse)
-// — the same (graph, config) must yield disjoint scalar, width-2 and
-// width-8 freelists.
-func TestPoolBatchWidthSeparation(t *testing.T) {
+// TestPoolBatchKindSeparation: the pool keeps scalar and batch networks
+// apart — a scalar checkout never hands back batch scratch, nor the
+// reverse — while a pooled batch network serves any stream count: one
+// stored after an 8-stream run comes back for a 2-stream checkout, and
+// again for a 16-stream one.
+func TestPoolBatchKindSeparation(t *testing.T) {
 	g := graph.Path(16).G
-	cfg := Config{Fault: ReceiverFaults, P: 0.3}
+	cfg := Config{Fault: ReceiverFaults, P: 0.3, Engine: Dense}
 	var pool Pool[int32]
 
 	b8, err := pool.GetBatch(g, cfg, batchStreams(1, 8))
@@ -42,26 +43,25 @@ func TestPoolBatchWidthSeparation(t *testing.T) {
 	}
 	pool.Put(n)
 
-	// A width-2 batch Get must not reuse the width-8 network either.
+	// A 2-stream batch Get reuses the network the 8-stream run left.
 	b2, err := pool.GetBatch(g, cfg, batchStreams(3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b2 == b8 {
-		t.Fatal("pool crossed batch widths")
+	if b2 != b8 {
+		t.Fatal("pool did not reuse the batch network for another stream count")
 	}
 	if b2.Width() != 2 {
 		t.Fatalf("width = %d, want 2", b2.Width())
 	}
 	pool.PutBatch(b2)
 
-	// Matching width is reused; the scalar network stays on its own key.
-	again8, err := pool.GetBatch(g, cfg, batchStreams(4, 8))
+	again16, err := pool.GetBatch(g, cfg, batchStreams(4, MaxBatchWidth))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again8 != b8 {
-		t.Fatal("pool failed to reuse the matching-width batch network")
+	if again16 != b8 || again16.Width() != MaxBatchWidth {
+		t.Fatalf("pool did not reuse the batch network for %d streams", MaxBatchWidth)
 	}
 	again, err := pool.Get(g, cfg, rng.New(5))
 	if err != nil {
@@ -70,31 +70,35 @@ func TestPoolBatchWidthSeparation(t *testing.T) {
 	if again != n {
 		t.Fatal("pool failed to reuse the scalar network")
 	}
+	if _, err := pool.GetBatch(g, cfg, batchStreams(6, MaxBatchWidth+1)); err == nil {
+		t.Fatalf("GetBatch with %d streams succeeded", MaxBatchWidth+1)
+	}
 }
 
 // TestPoolBatchGetEqualsNew: a batch network recycled through the pool
-// behaves bit-identically to a freshly constructed one.
+// behaves bit-identically to a freshly constructed one, also when the
+// run that dirtied it had more streams.
 func TestPoolBatchGetEqualsNew(t *testing.T) {
 	top := graph.GNP(64, 0.2, rng.New(5))
-	for _, eng := range []Engine{Sparse, Dense} {
-		cfg := Config{Fault: SenderFaults, P: 0.4, Engine: eng}
+	for _, draw := range []DrawContract{DrawV1, DrawV2} {
+		cfg := Config{Fault: SenderFaults, P: 0.4, Engine: Dense, Draw: draw}
 		const w = 4
 		sched := batchSchedule(3, 0.3)
 		roundsFor := func(int) int { return 25 }
-		want := executeBatchLanes(t, top.G, cfg, eng, 7, w, roundsFor, sched)
+		want := executeBatchLanes(t, top.G, cfg, 7, w, roundsFor, sched)
 
 		var pool Pool[int32]
-		dirty, err := pool.GetBatch(top.G, cfg, batchStreams(99, w))
+		dirty, err := pool.GetBatch(top.G, cfg, batchStreams(99, MaxBatchWidth))
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Leave arbitrary state behind.
-		tx := bitset.NewBlock(top.G.N(), w)
-		for l := 0; l < w; l++ {
+		// Leave arbitrary state behind in every lane.
+		tx := bitset.NewBlock(top.G.N(), MaxBatchWidth)
+		for l := 0; l < MaxBatchWidth; l++ {
 			tx.Set(l, l)
 		}
 		for i := 0; i < 9; i++ {
-			dirty.StepBatch(tx, nil, nil, 0b1111, nil)
+			dirty.StepBatch(tx, nil, nil, 1<<MaxBatchWidth-1, nil)
 		}
 		pool.PutBatch(dirty)
 
@@ -107,8 +111,8 @@ func TestPoolBatchGetEqualsNew(t *testing.T) {
 			t.Fatal("pool did not reuse the stored batch network")
 		}
 		n := top.G.N()
-		tx2 := bitset.NewBlock(n, w)
-		rx2 := bitset.NewBlock(n, w)
+		tx2 := bitset.NewBlock(n, MaxBatchWidth)
+		rx2 := bitset.NewBlock(n, MaxBatchWidth)
 		for round := 0; round < 25; round++ {
 			tx2.Reset()
 			for l := 0; l < w; l++ {
@@ -122,17 +126,16 @@ func TestPoolBatchGetEqualsNew(t *testing.T) {
 		}
 		for l := 0; l < w; l++ {
 			if recycled.LaneStats(l) != want[l].stats {
-				t.Fatalf("%v lane %d: recycled stats diverged\nwant %+v\ngot  %+v", eng, l, want[l].stats, recycled.LaneStats(l))
+				t.Fatalf("%v lane %d: recycled stats diverged\nwant %+v\ngot  %+v", draw, l, want[l].stats, recycled.LaneStats(l))
 			}
-			got := bitset.New(n)
-			rx2.LaneToSet(l, got)
+			got := laneSet(rx2, l)
 			for wi, word := range want[l].rx.Words() {
 				if got.Words()[wi] != word {
-					t.Fatalf("%v lane %d: recycled rx diverged", eng, l)
+					t.Fatalf("%v lane %d: recycled rx diverged", draw, l)
 				}
 			}
-			if draw := rnds[l].Uint64(); draw != want[l].nextDraw {
-				t.Fatalf("%v lane %d: recycled stream position diverged", eng, l)
+			if next := rnds[l].Uint64(); next != want[l].nextDraw {
+				t.Fatalf("%v lane %d: recycled stream position diverged", draw, l)
 			}
 		}
 	}
@@ -142,7 +145,7 @@ func TestPoolBatchGetEqualsNew(t *testing.T) {
 // batch pool exactly as they do the scalar one.
 func TestPoolBatchSkipsPerNodeP(t *testing.T) {
 	top := graph.Path(4)
-	cfg := Config{Fault: ReceiverFaults, P: 0.1, PerNodeP: make([]float64, 4)}
+	cfg := Config{Fault: ReceiverFaults, P: 0.1, PerNodeP: make([]float64, 4), Engine: Dense}
 	var pool Pool[int32]
 	b1, err := pool.GetBatch(top.G, cfg, batchStreams(1, 2))
 	if err != nil {
@@ -158,7 +161,7 @@ func TestPoolBatchSkipsPerNodeP(t *testing.T) {
 // TestPoolSharedCapsAcrossWidths: scalar and batch entries share the
 // total cap and the eviction order.
 func TestPoolSharedCapsAcrossWidths(t *testing.T) {
-	cfg := Config{Fault: Faultless}
+	cfg := Config{Fault: Faultless, Engine: Dense}
 	var pool Pool[int32]
 	for i := 0; i < poolTotalCap; i++ {
 		g := graph.Path(4).G

@@ -81,6 +81,15 @@
 // adjacency-row window. Step([]bool, ...) remains as a thin adapter that
 // packs the bool slice and forwards; both paths execute the identical
 // draw sequence, so they are interchangeable mid-run.
+//
+// # Lockstep trial batches
+//
+// BatchNetwork runs up to MaxBatchWidth independent trials of one graph
+// and configuration as the lanes of one round, on the dense engine only:
+// its listener sweep is the one cost trials can share. Every lane is
+// bit-identical to a scalar Network over the lane's stream. The execution
+// planner (PlanBatchWidth) batches MaxBatchWidth trials per round on the
+// dense engine and runs every trial on the other engines scalar.
 package radio
 
 import (
@@ -1244,22 +1253,22 @@ func (n *Network[P]) resolveUnique(u, from int32, payload []P, rx *bitset.Set, d
 	}
 }
 
-// listenerTally is the sparse engines' per-round listener scratch: for
+// listenerTally is the sparse engine's per-round listener scratch: for
 // every listener a round touches, its transmitting-neighbour count and a
 // transmitting neighbour, plus the touched set itself — a bitset over node
-// ids and the word window [lo, hi) that holds its members. The scalar and
-// the batch sparse kernels share it.
+// ids and the word window [lo, hi) that holds its members. Only the scalar
+// sparse kernel uses it (lockstep batches run on the dense engine).
 //
-// Both kernels resolve a round with one walk over the window, spelled out
-// in each because its body is their hot path: per word, visit the members
-// in ascending bit order — the canonical draw order, with no sort — and
-// read and zero each member's count as it is visited; clear the word only
-// after its last member, skipping empty words without a store (most of a
-// spread-out window is empty); finally mark the tally empty. A word is
-// never cleared before its members' counts are zeroed, so a round
-// abandoned mid-walk (a deliver callback that panics) leaves every member
-// it has not reached still in the set, and clear, which Reset calls,
-// returns the tally to its just-built state.
+// The kernel resolves a round with one walk over the window, spelled out
+// in stepSetSparse because its body is the hot path: per word, visit the
+// members in ascending bit order — the canonical draw order, with no
+// sort — and read and zero each member's count as it is visited; clear
+// the word only after its last member, skipping empty words without a
+// store (most of a spread-out window is empty); finally mark the tally
+// empty. A word is never cleared before its members' counts are zeroed,
+// so a round abandoned mid-walk (a deliver callback that panics) leaves
+// every member it has not reached still in the set, and clear, which
+// Reset calls, returns the tally to its just-built state.
 type listenerTally struct {
 	count []int32  // transmitting neighbours heard this round
 	from  []int32  // a transmitting neighbour; the unique one when count is 1
@@ -1292,7 +1301,7 @@ func (t *listenerTally) hear(u, v int32) {
 }
 
 // clear empties the tally whatever state a round left it in, with the
-// kernels' walk minus the resolution.
+// kernel's walk minus the resolution.
 func (t *listenerTally) clear() {
 	for wi := t.lo; wi < t.hi; wi++ {
 		for w := t.words[wi]; w != 0; w &= w - 1 {

@@ -17,9 +17,11 @@ import (
 // plan: the radio engine resolves per topology (radio.Auto logic), and
 // whether trials execute scalar or as W-wide lockstep batches — and at
 // which W — follows SweepConfig.TrialBatch, with TrialBatchAuto planning W
-// from the trial count, the resolved engine and the recorded stepbatch
-// microbench trajectory. The scalar/batch fork never reaches the caller,
-// and the chosen plan is recorded in the process plan log (PlanLog).
+// from the trial count and the resolved engine. Rows of schedules without
+// a lockstep twin, and rows whose topology resolves to the sparse or
+// implicit engine, run scalar. The scalar/batch fork never reaches the
+// caller, and the chosen plan is recorded in the process plan log
+// (PlanLog).
 //
 // value maps one outcome to the row's float64; returning an error fails
 // the trial (lowest-trial-first, as for TrialFunc), returning NaN feeds
@@ -71,6 +73,7 @@ func (s *Sweep) addSchedule(sched *broadcast.Schedule, top graph.Topology, cfg r
 	row := s.AddBatch(trials, seed, scalar, batch)
 	row.base = base
 	row.sched = sched.Name
+	row.planLockstep = sched.HasLockstep()
 	row.planDraw = cfg.DrawLabel()
 	// Resolve the engine the radio layer would pick for the schedule's
 	// effective topology — the planner input. When the topology is unknown

@@ -40,10 +40,11 @@ func runScheduleRow(t *testing.T, cfg SweepConfig, name string, top graph.Topolo
 
 // TestAddScheduleIdenticalAcrossPlans is the Schedule API's core promise:
 // the same row folds to bit-identical statistics whether it runs scalar,
-// at any forced width, or auto-planned.
+// at any forced width, or auto-planned. The rows force the dense engine,
+// so their batched plans run the lockstep twins.
 func TestAddScheduleIdenticalAcrossPlans(t *testing.T) {
 	top := graph.Path(48)
-	ncfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.3}
+	ncfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.3, Engine: radio.Dense}
 	const trials = 23
 	baseMean, baseCI, baseN := runScheduleRow(t, SweepConfig{Workers: 1}, "decay", top, ncfg, broadcast.ScheduleParams{}, trials)
 	for _, tb := range []int{0, 1, 3, 4, 8, 16, 64, TrialBatchAuto} {
@@ -54,19 +55,23 @@ func TestAddScheduleIdenticalAcrossPlans(t *testing.T) {
 		}
 	}
 	// A multi-message schedule through the same entry point.
-	mBase, _, _ := runScheduleRow(t, SweepConfig{Workers: 1}, "star-routing", graph.Topology{}, radio.Config{Fault: radio.ReceiverFaults, P: 0.5}, broadcast.ScheduleParams{Leaves: 10, K: 3}, 9)
+	mcfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.5, Engine: radio.Dense}
+	k3 := broadcast.ScheduleParams{K: 3}
+	mBase, _, _ := runScheduleRow(t, SweepConfig{Workers: 1}, "pipelined-batch-routing", graph.Layered(3, 3), mcfg, k3, 9)
 	for _, tb := range []int{5, TrialBatchAuto} {
-		m, _, _ := runScheduleRow(t, SweepConfig{Workers: 2, TrialBatch: tb}, "star-routing", graph.Topology{}, radio.Config{Fault: radio.ReceiverFaults, P: 0.5}, broadcast.ScheduleParams{Leaves: 10, K: 3}, 9)
+		m, _, _ := runScheduleRow(t, SweepConfig{Workers: 2, TrialBatch: tb}, "pipelined-batch-routing", graph.Layered(3, 3), mcfg, k3, 9)
 		if m != mBase {
-			t.Errorf("star-routing TrialBatch=%d: mean %v vs %v", tb, m, mBase)
+			t.Errorf("pipelined-batch-routing TrialBatch=%d: mean %v vs %v", tb, m, mBase)
 		}
 	}
 }
 
 // TestAddScheduleAutoPlan checks the auto planner's decisions surface in
 // the plan log: a dense-topology row batches at a planned width, a
-// sparse-topology row stays scalar, and forced widths are recorded as
-// forced.
+// sparse-topology row stays scalar, forced widths are recorded as forced,
+// and rows that RunBatch would run one trial at a time — a forced width
+// on a sparse topology, a schedule without a lockstep twin — record
+// width 1.
 func TestAddScheduleAutoPlan(t *testing.T) {
 	ResetPlanLog()
 	ncfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.3}
@@ -109,9 +114,11 @@ func TestAddScheduleAutoPlan(t *testing.T) {
 
 	// Forced widths are recorded too, and identical plans aggregate.
 	ResetPlanLog()
+	dcfg := ncfg
+	dcfg.Engine = radio.Dense
 	sw2 := NewSweep(SweepConfig{Workers: 2, TrialBatch: 8})
-	sw2.AddSchedule(mustSchedule(t, "decay"), graph.Path(16), ncfg, broadcast.ScheduleParams{}, 6, 5, value)
-	sw2.AddSchedule(mustSchedule(t, "decay"), graph.Path(16), ncfg, broadcast.ScheduleParams{}, 6, 5, value)
+	sw2.AddSchedule(mustSchedule(t, "decay"), graph.Path(16), dcfg, broadcast.ScheduleParams{}, 6, 5, value)
+	sw2.AddSchedule(mustSchedule(t, "decay"), graph.Path(16), dcfg, broadcast.ScheduleParams{}, 6, 5, value)
 	if err := sw2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +126,31 @@ func TestAddScheduleAutoPlan(t *testing.T) {
 	if len(plans) != 1 || plans[0].Width != 8 || plans[0].Count != 2 {
 		t.Fatalf("forced plan log = %+v, want one width-8 entry with count 2", plans)
 	}
+
+	// A forced width on a sparse-resolved topology, and on a schedule with
+	// no lockstep twin, plans scalar.
+	ResetPlanLog()
+	sw3 := NewSweep(SweepConfig{Workers: 2, TrialBatch: 8})
+	onSparse := sw3.AddSchedule(mustSchedule(t, "decay"), graph.Path(16), ncfg, broadcast.ScheduleParams{}, 6, 5, value)
+	noTwin := sw3.AddSchedule(mustSchedule(t, "star-routing"), graph.Topology{}, dcfg, broadcast.ScheduleParams{Leaves: 10, K: 3}, 6, 5, value)
+	if err := sw3.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if onSparse.width > 1 || noTwin.width > 1 {
+		t.Errorf("rows that cannot run lockstep planned widths %d and %d, want scalar", onSparse.width, noTwin.width)
+	}
+	for _, p := range PlanLog() {
+		if p.Width != 1 || p.Reason == "" {
+			t.Errorf("plan %+v, want width 1 with a reason", p)
+		}
+	}
 	ResetPlanLog()
 }
 
 // TestAddScheduleImplicitPlan: a CSR-less implicit topology flows through
 // the Schedule API end to end — the planner resolves the implicit engine,
-// records a scalar plan (the implicit engine runs lanes sequentially), and
-// the row folds to the same statistics as its explicit twin under any plan.
+// records a scalar plan (lockstep runs on the dense engine only), and the
+// row folds to the same statistics as its explicit twin under any plan.
 func TestAddScheduleImplicitPlan(t *testing.T) {
 	ResetPlanLog()
 	ncfg := radio.Config{Fault: radio.SenderFaults, P: 0.2}
@@ -161,18 +186,25 @@ func TestAddScheduleImplicitPlan(t *testing.T) {
 	ResetPlanLog()
 }
 
-// TestAddScheduleErrors: a schedule error (nil WCT) surfaces as the row
-// error under both scalar and batched plans, lowest trial first.
+// TestAddScheduleErrors: a schedule error (nil WCT; a source outside the
+// graph) surfaces as the row error under both scalar and batched plans,
+// lowest trial first.
 func TestAddScheduleErrors(t *testing.T) {
+	value := func(out broadcast.Outcome) (float64, error) { return float64(out.Rounds), nil }
+	badSource := graph.Topology{G: graph.Complete(8).G, Source: 8, Name: "bad-source"}
 	for _, tb := range []int{0, 4} {
 		sw := NewSweep(SweepConfig{Workers: 2, TrialBatch: tb})
-		row := sw.AddSchedule(mustSchedule(t, "wct-routing"), graph.Topology{}, radio.Config{Fault: radio.Faultless}, broadcast.ScheduleParams{K: 2}, 8, 1,
-			func(out broadcast.Outcome) (float64, error) { return float64(out.Rounds), nil })
-		if err := sw.Run(); err == nil {
-			t.Fatalf("TrialBatch=%d: nil-WCT schedule row succeeded", tb)
+		rows := []*Row{
+			sw.AddSchedule(mustSchedule(t, "wct-routing"), graph.Topology{}, radio.Config{Fault: radio.Faultless}, broadcast.ScheduleParams{K: 2}, 8, 1, value),
+			sw.AddSchedule(mustSchedule(t, "decay"), badSource, radio.Config{Fault: radio.Faultless, Engine: radio.Dense}, broadcast.ScheduleParams{}, 8, 1, value),
 		}
-		if err := row.Err(); err == nil {
-			t.Fatalf("TrialBatch=%d: row reports no error", tb)
+		if err := sw.Run(); err == nil {
+			t.Fatalf("TrialBatch=%d: failing schedule rows succeeded", tb)
+		}
+		for i, row := range rows {
+			if err := row.Err(); err == nil {
+				t.Fatalf("TrialBatch=%d: row %d reports no error", tb, i)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 
 	"noisyradio/internal/benchreport"
@@ -13,20 +14,26 @@ import (
 )
 
 // planWidth resolves the effective lockstep width of one batch-capable
-// row from the sweep's TrialBatch setting: a forced width is clamped to
-// MaxTrialBatch, TrialBatchAuto asks the radio planner with the row's
-// resolved engine and trial count, anything else runs scalar.
+// row from the sweep's TrialBatch setting: TrialBatchAuto asks the radio
+// planner with the row's resolved engine and trial count, a forced width
+// is clamped to MaxTrialBatch, anything else runs scalar. A schedule row
+// plans scalar whenever Schedule.RunBatch would run its trials one by one
+// anyway — the schedule has no lockstep twin, or (for a forced width) its
+// topology resolves to the sparse or implicit engine — so the plan log
+// never claims lockstep the row does not run.
 func (s *Sweep) planWidth(row *Row) (int, string) {
 	tb := s.cfg.TrialBatch
 	switch {
-	case tb == TrialBatchAuto:
+	case tb != TrialBatchAuto && tb <= 1:
+		return 1, "scalar (trial batching off)"
+	case row.sched != "" && !row.planLockstep:
+		return 1, "scalar: " + row.sched + " has no lockstep twin"
+	case tb == TrialBatchAuto || row.planEngine == radio.Sparse || row.planEngine == radio.Implicit:
 		return radio.PlanBatchWidth(row.planEngine, row.trials)
 	case tb > MaxTrialBatch:
 		return MaxTrialBatch, fmt.Sprintf("forced width clamped to %d", MaxTrialBatch)
-	case tb > 1:
-		return tb, fmt.Sprintf("forced width %d", tb)
 	default:
-		return 1, "scalar (trial batching off)"
+		return tb, fmt.Sprintf("forced width %d", tb)
 	}
 }
 
@@ -50,13 +57,15 @@ type SweepConfig struct {
 	// W consecutive trials of such a row through one batched execution
 	// instead of W scalar ones. 0 (or 1) runs everything scalar; values
 	// beyond MaxTrialBatch are clamped; TrialBatchAuto plans the width per
-	// row from its trial count, its resolved radio engine and the recorded
-	// stepbatch microbench trajectory (radio.PlanBatchWidth). Purely a
-	// throughput knob: a batch trial function is required to reproduce its
-	// scalar twin trial-for-trial (the broadcast and radio packages enforce
-	// this by test), and values are folded in trial order either way, so
-	// every statistic is bit-identical at every width and under auto
-	// planning.
+	// row from its trial count and its resolved radio engine
+	// (radio.PlanBatchWidth: MaxTrialBatch on the dense engine, scalar
+	// elsewhere). Schedule rows that cannot run lockstep — no lockstep
+	// twin, or a sparse or implicit engine — run scalar at every setting.
+	// Purely a throughput knob: a batch trial function is required to
+	// reproduce its scalar twin trial-for-trial (the broadcast and radio
+	// packages enforce this by test), and values are folded in trial order
+	// either way, so every statistic is bit-identical at every width and
+	// under auto planning.
 	TrialBatch int
 }
 
@@ -64,9 +73,25 @@ type SweepConfig struct {
 // instead of a fixed W: see SweepConfig.TrialBatch.
 const TrialBatchAuto = -1
 
-// MaxTrialBatch caps SweepConfig.TrialBatch: lockstep lane masks are one
-// machine word (radio.MaxBatchWidth).
+// MaxTrialBatch caps SweepConfig.TrialBatch at the lockstep kernel's
+// lane count (radio.MaxBatchWidth).
 const MaxTrialBatch = radio.MaxBatchWidth
+
+// ParseTrialBatch converts a -trialbatch flag value, as the commands
+// spell it: "auto" plans the width per row (TrialBatchAuto), "0" and "1"
+// run scalar, and 2 to MaxTrialBatch force that width. The number is a
+// plain decimal integer (strconv.Atoi): trailing text, spaces, fractions
+// and base prefixes are errors.
+func ParseTrialBatch(s string) (int, error) {
+	if s == "auto" {
+		return TrialBatchAuto, nil
+	}
+	w, err := strconv.Atoi(s)
+	if err != nil || w < 0 || w > MaxTrialBatch {
+		return 0, fmt.Errorf("invalid -trialbatch %q (auto, 0 or 1..%d)", s, MaxTrialBatch)
+	}
+	return w, nil
+}
 
 // Sweep schedules the Monte-Carlo rows of one experiment table on a single
 // shared worker pool. Usage is two-phase: register every row with Add (or
@@ -110,11 +135,13 @@ type Row struct {
 	width   int // lockstep batch width in effect (<= 1: scalar)
 
 	// Schedule-row plan inputs (set by AddSchedule): the schedule name for
-	// plan reports and the resolved radio engine of the schedule's
-	// topology, which the auto planner consults.
-	sched      string
-	planEngine radio.Engine
-	planDraw   string // draw-contract label (radio.Config.DrawLabel)
+	// plan reports, whether the schedule has a lockstep twin, and the
+	// resolved radio engine of the schedule's topology, which the planner
+	// consults.
+	sched        string
+	planLockstep bool
+	planEngine   radio.Engine
+	planDraw     string // draw-contract label (radio.Config.DrawLabel)
 
 	// base offsets the row's trial indices: trial i of this row draws the
 	// stream of global trial base+i (rng.NewFrom(seed, base+i)). Zero for

@@ -205,3 +205,18 @@ func TestSweepAddBatchNilBatch(t *testing.T) {
 		t.Fatalf("N = %d, want 10", row.Acc().N())
 	}
 }
+
+// TestParseTrialBatch pins the -trialbatch flag syntax both commands
+// share: "auto" or a plain decimal 0..MaxTrialBatch.
+func TestParseTrialBatch(t *testing.T) {
+	for s, want := range map[string]int{"auto": TrialBatchAuto, "0": 0, "16": 16} {
+		if got, err := ParseTrialBatch(s); err != nil || got != want {
+			t.Errorf("ParseTrialBatch(%q) = %d, %v; want %d", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"x", "-2", "17", "8abc", "8.5", " 8", "0x10"} {
+		if got, err := ParseTrialBatch(s); err == nil {
+			t.Errorf("ParseTrialBatch(%q) = %d, want an error", s, got)
+		}
+	}
+}

@@ -16,11 +16,11 @@
 //     paper — Decay, FASTBC, the new Robust FASTBC, their coded
 //     multi-message extensions, and the routing and Reed–Solomon coding
 //     schedules behind the throughput-gap theorems — is one registry
-//     entry carrying its name, paper reference and both execution
-//     strategies. Schedules lists them, LookupSchedule selects by name,
-//     and Run / RunBatch execute them — the one way to run a schedule;
-//     whether a set of trials runs scalar or as a W-wide lockstep batch
-//     is an execution-plan detail, not an API fork;
+//     entry carrying its name, paper reference and execution strategies.
+//     Schedules lists them, LookupSchedule selects by name, and Run /
+//     RunBatch execute them — the one way to run a schedule; whether a
+//     set of trials runs scalar or as lanes of a lockstep batch on the
+//     dense engine is an execution-plan detail, not an API fork;
 //   - topology generators, including the worst-case topology (WCT) of
 //     Section 5.1.2;
 //   - an experiment harness (Experiments, RunExperiment) regenerating every
@@ -146,9 +146,9 @@ func NewRand(seed uint64) *Rand { return rng.New(seed) }
 // The Schedule registry: the package's primary execution API.
 type (
 	// Schedule is one registered broadcast schedule: name, paper
-	// reference, result kind, and both execution strategies (scalar and
-	// lockstep trial-batched). Obtain entries from Schedules or
-	// LookupSchedule.
+	// reference, result kind, and its execution strategies (scalar, plus
+	// lockstep trial-batched on the dense engine for the entries that
+	// can run there). Obtain entries from Schedules or LookupSchedule.
 	Schedule = broadcast.Schedule
 	// ScheduleParams is the union of schedule-specific parameters
 	// (message count K, star leaves, path length, WCT instance, tuning
@@ -189,8 +189,9 @@ func Run(sched *Schedule, top Topology, cfg Config, r *Rand, p ScheduleParams) (
 	return sched.Run(top, cfg, r, p)
 }
 
-// RunBatch executes one independent trial per stream, in lockstep on a
-// trial-batched radio network where profitable; outcome i is identical to
+// RunBatch executes one independent trial per stream, as lanes of one
+// lockstep batch on the dense engine where the schedule supports it (see
+// Schedule.RunBatch) and one by one otherwise; outcome i is identical to
 // Run over rnds[i]. Callers running Monte-Carlo sweeps should prefer the
 // experiment harness, which plans engine and batch width automatically.
 func RunBatch(sched *Schedule, top Topology, cfg Config, rnds []*Rand, p ScheduleParams) ([]Outcome, error) {
@@ -270,9 +271,9 @@ var (
 // Experiment harness.
 type (
 	// ExperimentConfig controls trials, seed, parallelism, sweep size,
-	// the trial-batch plan (TrialBatch: 0 scalar, W forced, -1 auto) and
-	// the draw contract of every noisy run (Draw plus the Burst/Jam
-	// parameters).
+	// the trial-batch plan (TrialBatch: 0 scalar, W in 2..16 forced, -1
+	// auto; lockstep runs on the dense engine only) and the draw contract
+	// of every noisy run (Draw plus the Burst/Jam parameters).
 	ExperimentConfig = experiments.Config
 	// ExperimentTable is a formatted experiment result.
 	ExperimentTable = experiments.Table

@@ -102,7 +102,7 @@ func TestFacadeScheduleRegistry(t *testing.T) {
 		t.Fatalf("decay entry = %+v", decay)
 	}
 	top := Grid(5, 5)
-	cfg := Config{Fault: ReceiverFaults, P: 0.2}
+	cfg := Config{Fault: ReceiverFaults, P: 0.2, Engine: EngineDense} // dense, so RunBatch runs lockstep
 	out, err := Run(decay, top, cfg, NewRand(9), ScheduleParams{})
 	if err != nil || !out.Success {
 		t.Fatalf("Run: %v %+v", err, out)
