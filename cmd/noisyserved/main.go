@@ -64,6 +64,11 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
+	if tb == 0 {
+		// serve.Config reads TrialBatch 0 as auto; the flag's 0 means
+		// scalar, which width 1 also plans.
+		tb = 1
+	}
 	if *cacheSize < 1 {
 		return fmt.Errorf("-cache must be >= 1, got %d", *cacheSize)
 	}

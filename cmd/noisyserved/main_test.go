@@ -11,24 +11,27 @@ import (
 
 	"noisyradio/internal/benchreport"
 	"noisyradio/internal/serve"
+	"noisyradio/internal/sim"
 )
 
-// TestServeSubmitDrain exercises the full daemon lifecycle in-process:
-// boot on an ephemeral port, serve a job, then drain cleanly on SIGTERM
-// (NotifyContext catches the self-sent signal before the runtime would).
-func TestServeSubmitDrain(t *testing.T) {
+// startDaemon boots the daemon in-process on an ephemeral port with the
+// extra flags args, and returns the address it listens on and a stop
+// function that sends SIGTERM (NotifyContext catches the self-sent signal
+// before the runtime would), waits for the drain and returns the
+// daemon's output. The test's cleanup stops a daemon still running.
+func startDaemon(t *testing.T, args ...string) (addr string, stop func() string) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "out.txt")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
+	t.Cleanup(func() { f.Close() })
 
 	done := make(chan error, 1)
-	go func() { done <- run([]string{"-addr", "127.0.0.1:0", "-drain", "10s"}, f) }()
+	go func() { done <- run(append([]string{"-addr", "127.0.0.1:0", "-drain", "10s"}, args...), f) }()
 
 	// The daemon prints its bound address; poll for it.
-	var addr string
 	deadline := time.Now().Add(10 * time.Second)
 	for addr == "" {
 		if time.Now().After(deadline) {
@@ -42,7 +45,34 @@ func TestServeSubmitDrain(t *testing.T) {
 			}
 		}
 	}
+	stopped := false
+	stop = func() string {
+		t.Helper()
+		if !stopped {
+			stopped = true
+			if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("drain exit: %v", err)
+				}
+			case <-time.After(15 * time.Second):
+				t.Fatal("daemon did not drain within 15s of SIGTERM")
+			}
+		}
+		data, _ := os.ReadFile(path)
+		return string(data)
+	}
+	t.Cleanup(func() { stop() })
+	return addr, stop
+}
 
+// TestServeSubmitDrain exercises the full daemon lifecycle in-process:
+// boot on an ephemeral port, serve a job, then drain cleanly on SIGTERM.
+func TestServeSubmitDrain(t *testing.T) {
+	addr, stop := startDaemon(t)
 	spec := benchreport.JobSpec{
 		Schedule: "decay", Topology: "path", N: 24,
 		Fault: "receiver", P: 0.3, Seed: 3, Trials: 20,
@@ -54,21 +84,32 @@ func TestServeSubmitDrain(t *testing.T) {
 	if res.Stats == nil || res.Stats.N+res.Stats.Dropped != spec.Trials {
 		t.Fatalf("job result incomplete: %+v", res.Line)
 	}
+	if out := stop(); !strings.Contains(out, "drained, bye") {
+		t.Fatalf("missing drain confirmation:\n%s", out)
+	}
+}
 
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+// TestTrialBatchZeroRunsScalar: -trialbatch 0 plans scalar execution, as
+// its help says, even for a dense-engine row that auto would batch.
+// serve.Config reads TrialBatch 0 as auto, so the command maps the flag.
+func TestTrialBatchZeroRunsScalar(t *testing.T) {
+	addr, _ := startDaemon(t, "-trialbatch", "0")
+	sim.ResetPlanLog()
+	spec := benchreport.JobSpec{
+		Schedule: "decay", Topology: "complete", N: 256,
+		Fault: "receiver", P: 0.3, Seed: 1, Trials: 32,
+	}
+	if _, err := serve.Submit(context.Background(), "http://"+addr, spec, nil); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("drain exit: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("daemon did not drain within 15s of SIGTERM")
+	plans := sim.PlanLog()
+	if len(plans) == 0 {
+		t.Fatal("the job recorded no execution plan")
 	}
-	data, _ := os.ReadFile(path)
-	if !strings.Contains(string(data), "drained, bye") {
-		t.Fatalf("missing drain confirmation:\n%s", data)
+	for _, p := range plans {
+		if p.Engine != "dense" || p.Width != 1 {
+			t.Errorf("plan %+v: want the dense engine at width 1", p)
+		}
 	}
 }
 

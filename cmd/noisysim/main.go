@@ -87,12 +87,15 @@
 //
 // The -topology flag shapes the workload graph for demo and
 // topology-taking schedule runs (path | complete | star | cycle | grid |
-// hypercube; default path). At n >= 4096 the workload is built in the
-// CSR-less implicit storage mode — no adjacency is materialized, so runs
-// scale to node counts where a bit matrix or CSR cannot exist:
+// hypercube; default path). Every family is stored as CSR, except complete
+// at n >= 4096, which is built in the CSR-less implicit storage mode — no
+// adjacency is materialized, so runs scale to node counts where a bit
+// matrix or CSR cannot exist. The FASTBC schedules need CSR, so they run
+// on every other family at any n:
 //
 //	noisysim -demo decay -topology complete -n 100000 -fault sender -p 0.1
 //	noisysim -schedule decay -topology complete -n 100000 -trials 3 -fault sender -p 0.1
+//	noisysim -schedule fastbc -topology grid -n 99856 -trials 2 -fault receiver -p 0.1
 package main
 
 import (
@@ -145,7 +148,7 @@ func run(args []string, out *os.File) error {
 		asJSON     = fs.Bool("json", false, "emit experiment tables as a JSON array")
 		benchOut   = fs.String("benchjson", "", "write a machine-readable performance report (wall clock, rows/sec, allocs/trial, chosen plans) to this path")
 		demo       = fs.String("demo", "", "trace one run of an algorithm: decay | fastbc | robust-fastbc")
-		topology   = fs.String("topology", "path", "demo/schedule: workload graph: path | complete | star | cycle | grid | hypercube (n >= 4096 builds the CSR-less implicit form)")
+		topology   = fs.String("topology", "path", "demo/schedule: workload graph: path | complete | star | cycle | grid | hypercube (complete at n >= 4096 builds the CSR-less implicit form)")
 		demoN      = fs.Int("n", 24, "demo/schedule: workload size (node count, WCT target size)")
 		demoK      = fs.Int("k", 8, "schedule: message count for multi-message schedules")
 		demoP      = fs.Float64("p", 0.3, "demo/schedule: fault probability")
@@ -417,7 +420,7 @@ func runDemo(out *os.File, algo, topology string, n int, p float64, faultName st
 		return err
 	}
 	if !top.G.HasCSR() && algo != "decay" {
-		return fmt.Errorf("%s builds a BFS tree and needs materialized adjacency, but -n %d >= %d builds the implicit form; use a smaller -n or -demo decay", algo, n, experiments.LargeNImplicit)
+		return fmt.Errorf("%s builds a BFS tree and needs materialized adjacency, but -topology complete at -n %d >= %d is stored only in the implicit form; use a smaller -n, another -topology or -demo decay", algo, n, experiments.LargeNImplicit)
 	}
 	if algo != "decay" && algo != "fastbc" && algo != "robust-fastbc" {
 		return fmt.Errorf("unknown algorithm %q (decay|fastbc|robust-fastbc)", algo)

@@ -202,6 +202,7 @@ func TestTopologySizeValidation(t *testing.T) {
 		{"-demo", "decay", "-topology", "cycle", "-n", "2"},
 		{"-demo", "decay", "-topology", "grid", "-n", "12"},
 		{"-demo", "decay", "-topology", "hypercube", "-n", "12"},
+		{"-demo", "decay", "-topology", "hypercube", "-n", "2097152"},
 		{"-demo", "decay", "-topology", "complete", "-n", "0"},
 		{"-demo", "decay", "-topology", "star", "-n", "-3"},
 		{"-schedule", "decay", "-topology", "grid", "-n", "12"},

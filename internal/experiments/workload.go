@@ -3,17 +3,20 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"noisyradio/internal/broadcast"
 	"noisyradio/internal/graph"
 	"noisyradio/internal/rng"
 )
 
-// LargeNImplicit is the node count at which WorkloadTopology switches the
-// workload to the CSR-less implicit storage mode: past it, materialized
-// adjacency (a Θ(n²/8)-byte bit matrix, an O(m) CSR) stops fitting memory
-// for the dense topologies on offer, while every offered topology has a
-// closed-form NeighborModel. Engines are bit-identical across storage
+// LargeNImplicit is the node count from which WorkloadTopology builds the
+// complete workload in the CSR-less implicit storage mode. Only complete
+// needs it: its adjacency is Θ(n²) (a Θ(n²/8)-byte bit matrix, an O(n²)
+// CSR), which stops fitting memory past this size, while CompleteModel
+// answers every query in closed form. Every other family has O(n log n)
+// edges at most and is stored as CSR at any n, which the sparse engine
+// runs in O(Σ deg) per round. Engines are bit-identical across storage
 // modes, so the switch never changes output.
 const LargeNImplicit = 4096
 
@@ -26,29 +29,19 @@ func WorkloadTopology(name string, n int) (graph.Topology, error) {
 	if n < 2 {
 		return graph.Topology{}, fmt.Errorf("topology %s needs n >= 2, got %d", name, n)
 	}
-	implicit := n >= LargeNImplicit
 	switch name {
 	case "path":
-		if implicit {
-			return graph.ImplicitPath(n), nil
-		}
 		return graph.Path(n), nil
 	case "complete":
-		if implicit {
+		if n >= LargeNImplicit {
 			return graph.ImplicitComplete(n), nil
 		}
 		return graph.Complete(n), nil
 	case "star":
-		if implicit {
-			return graph.ImplicitStar(n - 1), nil
-		}
 		return graph.Star(n - 1), nil
 	case "cycle":
 		if n < 3 {
 			return graph.Topology{}, fmt.Errorf("topology cycle needs n >= 3, got %d", n)
-		}
-		if implicit {
-			return graph.ImplicitCycle(n), nil
 		}
 		return graph.Cycle(n), nil
 	case "grid":
@@ -62,23 +55,14 @@ func WorkloadTopology(name string, n int) (graph.Topology, error) {
 		if side < 1 || side*side != n {
 			return graph.Topology{}, fmt.Errorf("topology grid needs a square n, got %d (nearest squares: %d, %d)", n, side*side, (side+1)*(side+1))
 		}
-		if implicit {
-			return graph.ImplicitGrid(side, side), nil
-		}
 		return graph.Grid(side, side), nil
 	case "hypercube":
 		if n&(n-1) != 0 {
 			return graph.Topology{}, fmt.Errorf("topology hypercube needs a power-of-two n, got %d", n)
 		}
-		dim := 0
-		for 1<<uint(dim+1) <= n {
-			dim++
-		}
-		if dim > 30 {
-			return graph.Topology{}, fmt.Errorf("topology hypercube supports at most 2^30 nodes, got 2^%d", dim)
-		}
-		if implicit {
-			return graph.ImplicitHypercube(dim), nil
+		dim := bits.TrailingZeros(uint(n))
+		if dim > graph.MaxHypercubeDim {
+			return graph.Topology{}, fmt.Errorf("topology hypercube supports at most 2^%d nodes, got 2^%d", graph.MaxHypercubeDim, dim)
 		}
 		return graph.Hypercube(dim), nil
 	default:
@@ -91,9 +75,10 @@ func WorkloadTopology(name string, n int) (graph.Topology, error) {
 // graph for topology-taking schedules, star leaves, a WCT instance, a
 // pipeline length), with k messages for multi-message schedules. It also
 // rejects schedule/storage combinations that cannot execute — the FASTBC
-// family builds a BFS tree up front, which the implicit storage mode
-// cannot serve — so both the CLI and the sweep service fail these as
-// usage errors rather than let the graph layer panic mid-job.
+// family builds a BFS tree up front, which the implicit storage mode of
+// complete at n >= LargeNImplicit cannot serve — so both the CLI and the
+// sweep service fail these as usage errors rather than let the graph
+// layer panic mid-job.
 func ScheduleWorkload(sched *broadcast.Schedule, topology string, n, k int, seed uint64) (graph.Topology, broadcast.ScheduleParams, error) {
 	if n < 2 {
 		return graph.Topology{}, broadcast.ScheduleParams{}, fmt.Errorf("schedule run needs n >= 2, got %d", n)
@@ -123,7 +108,7 @@ func ScheduleWorkload(sched *broadcast.Schedule, topology string, n, k int, seed
 			return graph.Topology{}, p, err
 		}
 		if top.G != nil && !top.G.HasCSR() && (sched.Name == "fastbc" || sched.Name == "robust-fastbc") {
-			return graph.Topology{}, p, fmt.Errorf("schedule %s needs materialized adjacency, but n %d >= %d builds the implicit form; use a smaller n", sched.Name, n, LargeNImplicit)
+			return graph.Topology{}, p, fmt.Errorf("schedule %s needs materialized adjacency, but topology complete at n %d >= %d is stored only in the implicit form; use a smaller n or another topology", sched.Name, n, LargeNImplicit)
 		}
 		return top, p, nil
 	}

@@ -25,9 +25,7 @@ func Path(n int) Topology {
 	for i := 0; i+1 < n; i++ {
 		b.AddEdge(i, i+1)
 	}
-	g := b.MustBuild()
-	g.model = PathModel{Nodes: n}
-	return Topology{G: g, Source: 0, Name: fmt.Sprintf("path(n=%d)", n)}
+	return Topology{G: b.MustBuild(), Source: 0, Name: fmt.Sprintf("path(n=%d)", n)}
 }
 
 // Star returns the star topology of Section 5.1.1: source 0 adjacent to n
@@ -40,9 +38,7 @@ func Star(leaves int) Topology {
 	for i := 1; i <= leaves; i++ {
 		b.AddEdge(0, i)
 	}
-	g := b.MustBuild()
-	g.model = StarModel{Leaves: leaves}
-	return Topology{G: g, Source: 0, Name: fmt.Sprintf("star(leaves=%d)", leaves)}
+	return Topology{G: b.MustBuild(), Source: 0, Name: fmt.Sprintf("star(leaves=%d)", leaves)}
 }
 
 // SingleLink returns the two-vertex topology of Appendix A.
@@ -86,9 +82,7 @@ func Grid(rows, cols int) Topology {
 			}
 		}
 	}
-	g := b.MustBuild()
-	g.model = GridModel{Rows: rows, Cols: cols}
-	return Topology{G: g, Source: 0, Name: fmt.Sprintf("grid(%dx%d)", rows, cols)}
+	return Topology{G: b.MustBuild(), Source: 0, Name: fmt.Sprintf("grid(%dx%d)", rows, cols)}
 }
 
 // RandomTree returns a uniform random recursive tree on n vertices rooted at
@@ -148,9 +142,7 @@ func Layered(numLayers, width int) Topology {
 			}
 		}
 	}
-	g := b.MustBuild()
-	g.model = LayeredModel{Layers: numLayers, Width: width}
-	return Topology{G: g, Source: 0, Name: fmt.Sprintf("layered(D=%d,w=%d)", numLayers, width)}
+	return Topology{G: b.MustBuild(), Source: 0, Name: fmt.Sprintf("layered(D=%d,w=%d)", numLayers, width)}
 }
 
 // Cycle returns the cycle graph on n >= 3 vertices with source 0.
@@ -164,17 +156,20 @@ func Cycle(n int) Topology {
 	for i := 0; i < n; i++ {
 		b.AddEdge(i, (i+1)%n)
 	}
-	g := b.MustBuild()
-	g.model = CycleModel{Nodes: n}
-	return Topology{G: g, Source: 0, Name: fmt.Sprintf("cycle(n=%d)", n)}
+	return Topology{G: b.MustBuild(), Source: 0, Name: fmt.Sprintf("cycle(n=%d)", n)}
 }
+
+// MaxHypercubeDim is the largest dimension Hypercube builds: 2^20 nodes,
+// whose CSR takes about 84 MiB.
+const MaxHypercubeDim = 20
 
 // Hypercube returns the dim-dimensional hypercube (2^dim vertices) with
 // source 0: diameter dim = log2 n, degree dim everywhere — the opposite
-// regime from the path (dense, tiny diameter).
+// regime from the path (dense, tiny diameter). dim is at most
+// MaxHypercubeDim.
 func Hypercube(dim int) Topology {
-	if dim < 1 || dim > 20 {
-		panic("graph: Hypercube needs 1 <= dim <= 20")
+	if dim < 1 || dim > MaxHypercubeDim {
+		panic(fmt.Sprintf("graph: Hypercube needs 1 <= dim <= %d", MaxHypercubeDim))
 	}
 	n := 1 << dim
 	b := NewBuilder(n)
@@ -186,9 +181,7 @@ func Hypercube(dim int) Topology {
 			}
 		}
 	}
-	g := b.MustBuild()
-	g.model = HypercubeModel{Dim: dim}
-	return Topology{G: g, Source: 0, Name: fmt.Sprintf("hypercube(dim=%d)", dim)}
+	return Topology{G: b.MustBuild(), Source: 0, Name: fmt.Sprintf("hypercube(dim=%d)", dim)}
 }
 
 // BinaryTree returns the complete binary tree of the given depth rooted at

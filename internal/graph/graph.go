@@ -27,9 +27,9 @@ import (
 // neighbourhood description — so per-node state is O(1): they answer
 // degree/edge/eccentricity queries from the model and panic on the
 // methods that exist to expose materialized adjacency (Neighbors, BFS,
-// Layers, AdjacencyBits). HasCSR distinguishes the modes. Generators
-// whose structure has a closed form attach the model to their CSR graphs
-// too, so consumers can pick either view of the same topology.
+// Layers, AdjacencyBits). HasCSR distinguishes the modes. Complete
+// attaches its model to its CSR graphs too, so consumers can pick either
+// view of the same topology.
 type Graph struct {
 	n       int
 	offsets []int32 // len n+1; nil for implicit graphs
@@ -37,7 +37,7 @@ type Graph struct {
 
 	// Closed-form neighbourhood description, when the graph has one.
 	// Always set for implicit graphs; also set on CSR graphs built by
-	// closed-form generators.
+	// Complete.
 	model NeighborModel
 
 	// Lazily-built bit-matrix adjacency view for the dense radio engine;
@@ -132,8 +132,8 @@ func (b *Builder) MustBuild() *Graph {
 func (g *Graph) N() int { return g.n }
 
 // NeighborModel returns the closed-form neighbourhood model of the graph,
-// or nil when it has none. Implicit graphs always have one; CSR graphs
-// have one when their generator's structure has a closed form.
+// or nil when it has none. Implicit graphs always have one; of the CSR
+// graphs, only Complete's have one.
 func (g *Graph) NeighborModel() NeighborModel { return g.model }
 
 // HasCSR reports whether the graph materializes adjacency (Neighbors,

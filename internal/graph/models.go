@@ -11,15 +11,17 @@ import (
 // neighbourhood structure: everything the radio layer's implicit engine
 // needs to resolve a round — transmitting-neighbour counts, degrees,
 // eccentricities — computed from the generator's parameters instead of a
-// stored adjacency. Per-node state is O(1) (plus O(#layers) for the
-// layered pipeline), which is what unlocks topologies far past the
-// Θ(n²/8)-byte bit-matrix ceiling of the dense engine.
+// stored adjacency. Per-node state is O(1), which is what unlocks
+// topologies far past the Θ(n²/8)-byte bit-matrix ceiling of the dense
+// engine.
 //
-// Every closed-form generator (Path, Star, Complete, Grid, Cycle,
-// Hypercube, Layered) attaches its model to the Topology it builds, so the
-// implicit engine can be differentially tested against sparse/dense on the
-// same graph. NewImplicit builds a CSR-less Graph from a model alone for
-// the n = 10⁵–10⁶ regime where materializing adjacency is not an option.
+// CompleteModel is the one model: the complete graph is the only family
+// whose adjacency is Θ(n²), so the only one that needs a closed form at
+// scale; every sparser family is stored as CSR at any n. Complete attaches
+// the model to the CSR Topology it builds, so the implicit engine can be
+// differentially tested against sparse/dense on the same graph.
+// NewImplicit builds a CSR-less Graph from a model alone for the
+// n = 10⁵–10⁶ regime where materializing adjacency is not an option.
 //
 // A model must agree exactly with the generator's explicit adjacency
 // (enforced by test): the implicit engine's bit-identity contract stands
@@ -126,386 +128,6 @@ func (c *completeCounter) Count(u int32) (int, int32) {
 	return 2, -1
 }
 
-// StarModel describes the star: hub 0 adjacent to Leaves leaves.
-type StarModel struct{ Leaves int }
-
-func (m StarModel) N() int { return m.Leaves + 1 }
-func (m StarModel) Degree(v int) int {
-	if v == 0 {
-		return m.Leaves
-	}
-	return 1
-}
-func (m StarModel) HasEdge(u, v int) bool { return (u == 0) != (v == 0) }
-func (m StarModel) Edges() int64          { return int64(m.Leaves) }
-func (m StarModel) Eccentricity(v int) int {
-	if v == 0 || m.Leaves == 1 {
-		return 1
-	}
-	return 2
-}
-func (m StarModel) NewTxCounter() TxCounter { return &starCounter{} }
-
-type starCounter struct {
-	hubTx     bool
-	leafTotal int
-	leafFirst int32
-}
-
-func (c *starCounter) Begin(tx *bitset.Set) {
-	c.hubTx = tx.Test(0)
-	total := tx.Count()
-	c.leafTotal = total
-	if c.hubTx {
-		c.leafTotal--
-	}
-	c.leafFirst = -1
-	if c.leafTotal >= 1 {
-		a, b := firstTwoSet(tx)
-		if a == 0 {
-			a = b
-		}
-		c.leafFirst = a
-	}
-}
-
-func (c *starCounter) Count(u int32) (int, int32) {
-	if u == 0 {
-		n := c.leafTotal
-		if n > 2 {
-			n = 2
-		}
-		return n, c.leafFirst
-	}
-	if c.hubTx {
-		return 1, 0
-	}
-	return 0, -1
-}
-
-// PathModel describes the path 0—1—…—N-1.
-type PathModel struct{ Nodes int }
-
-func (m PathModel) N() int { return m.Nodes }
-func (m PathModel) Degree(v int) int {
-	if m.Nodes == 1 {
-		return 0
-	}
-	if v == 0 || v == m.Nodes-1 {
-		return 1
-	}
-	return 2
-}
-func (m PathModel) HasEdge(u, v int) bool { return u-v == 1 || v-u == 1 }
-func (m PathModel) Edges() int64          { return int64(m.Nodes - 1) }
-func (m PathModel) Eccentricity(v int) int {
-	return max(v, m.Nodes-1-v)
-}
-func (m PathModel) NewTxCounter() TxCounter { return &pathCounter{n: m.Nodes} }
-
-type pathCounter struct {
-	n  int
-	tx *bitset.Set
-}
-
-func (c *pathCounter) Begin(tx *bitset.Set) { c.tx = tx }
-
-func (c *pathCounter) Count(u int32) (int, int32) {
-	count, from := 0, int32(-1)
-	if u > 0 && c.tx.Test(int(u)-1) {
-		count, from = 1, u-1
-	}
-	if int(u)+1 < c.n && c.tx.Test(int(u)+1) {
-		count, from = count+1, u+1
-	}
-	return count, from
-}
-
-// CycleModel describes the cycle on N >= 3 vertices.
-type CycleModel struct{ Nodes int }
-
-func (m CycleModel) N() int           { return m.Nodes }
-func (m CycleModel) Degree(v int) int { return 2 }
-func (m CycleModel) HasEdge(u, v int) bool {
-	d := u - v
-	if d < 0 {
-		d = -d
-	}
-	return d == 1 || d == m.Nodes-1
-}
-func (m CycleModel) Edges() int64            { return int64(m.Nodes) }
-func (m CycleModel) Eccentricity(v int) int  { return m.Nodes / 2 }
-func (m CycleModel) NewTxCounter() TxCounter { return &cycleCounter{n: m.Nodes} }
-
-type cycleCounter struct {
-	n  int
-	tx *bitset.Set
-}
-
-func (c *cycleCounter) Begin(tx *bitset.Set) { c.tx = tx }
-
-func (c *cycleCounter) Count(u int32) (int, int32) {
-	l := (int(u) + c.n - 1) % c.n
-	r := (int(u) + 1) % c.n
-	count, from := 0, int32(-1)
-	// Ascending neighbour order, as a sorted CSR row would visit them.
-	if l > r {
-		l, r = r, l
-	}
-	if c.tx.Test(l) {
-		count, from = 1, int32(l)
-	}
-	if c.tx.Test(r) {
-		count, from = count+1, int32(r)
-	}
-	return count, from
-}
-
-// GridModel describes the Rows×Cols grid; vertex (r,c) has index r*Cols+c.
-type GridModel struct{ Rows, Cols int }
-
-func (m GridModel) N() int { return m.Rows * m.Cols }
-func (m GridModel) Degree(v int) int {
-	r, c := v/m.Cols, v%m.Cols
-	d := 4
-	if r == 0 {
-		d--
-	}
-	if r == m.Rows-1 {
-		d--
-	}
-	if c == 0 {
-		d--
-	}
-	if c == m.Cols-1 {
-		d--
-	}
-	return d
-}
-func (m GridModel) HasEdge(u, v int) bool {
-	ru, cu := u/m.Cols, u%m.Cols
-	rv, cv := v/m.Cols, v%m.Cols
-	if ru == rv {
-		return cu-cv == 1 || cv-cu == 1
-	}
-	if cu == cv {
-		return ru-rv == 1 || rv-ru == 1
-	}
-	return false
-}
-func (m GridModel) Edges() int64 {
-	return int64(m.Rows)*int64(m.Cols-1) + int64(m.Cols)*int64(m.Rows-1)
-}
-func (m GridModel) Eccentricity(v int) int {
-	r, c := v/m.Cols, v%m.Cols
-	return max(r, m.Rows-1-r) + max(c, m.Cols-1-c)
-}
-func (m GridModel) NewTxCounter() TxCounter { return &gridCounter{m: m} }
-
-type gridCounter struct {
-	m  GridModel
-	tx *bitset.Set
-}
-
-func (c *gridCounter) Begin(tx *bitset.Set) { c.tx = tx }
-
-func (c *gridCounter) Count(u int32) (int, int32) {
-	rows, cols := c.m.Rows, c.m.Cols
-	r, col := int(u)/cols, int(u)%cols
-	count, from := 0, int32(-1)
-	// Ascending neighbour order: up, left, right, down.
-	if r > 0 && c.tx.Test(int(u)-cols) {
-		count, from = count+1, u-int32(cols)
-	}
-	if col > 0 && c.tx.Test(int(u)-1) {
-		count, from = count+1, u-1
-	}
-	if col+1 < cols && c.tx.Test(int(u)+1) {
-		count, from = count+1, u+1
-	}
-	if r+1 < rows && c.tx.Test(int(u)+cols) {
-		count, from = count+1, u+int32(cols)
-	}
-	if count > 2 {
-		count = 2
-	}
-	return count, from
-}
-
-// HypercubeModel describes the Dim-dimensional hypercube on 2^Dim vertices.
-type HypercubeModel struct{ Dim int }
-
-func (m HypercubeModel) N() int           { return 1 << m.Dim }
-func (m HypercubeModel) Degree(v int) int { return m.Dim }
-func (m HypercubeModel) HasEdge(u, v int) bool {
-	return bits.OnesCount(uint(u^v)) == 1
-}
-func (m HypercubeModel) Edges() int64           { return int64(m.Dim) << (m.Dim - 1) }
-func (m HypercubeModel) Eccentricity(v int) int { return m.Dim }
-func (m HypercubeModel) NewTxCounter() TxCounter {
-	return &hypercubeCounter{dim: m.Dim}
-}
-
-type hypercubeCounter struct {
-	dim int
-	tx  *bitset.Set
-}
-
-func (c *hypercubeCounter) Begin(tx *bitset.Set) { c.tx = tx }
-
-func (c *hypercubeCounter) Count(u int32) (int, int32) {
-	count, from := 0, int32(-1)
-	for d := 0; d < c.dim; d++ {
-		v := u ^ (1 << d)
-		if c.tx.Test(int(v)) {
-			count++
-			if count > 1 {
-				return 2, -1
-			}
-			from = v
-		}
-	}
-	return count, from
-}
-
-// LayeredModel describes the layered pipeline: source 0, then Layers
-// layers of Width vertices each, consecutive layers completely connected
-// (and the source connected to all of layer 0). Vertex (l,i) has index
-// 1 + l*Width + i.
-type LayeredModel struct{ Layers, Width int }
-
-func (m LayeredModel) N() int { return 1 + m.Layers*m.Width }
-
-// layerOf returns the layer of vertex v >= 1.
-func (m LayeredModel) layerOf(v int) int { return (v - 1) / m.Width }
-
-func (m LayeredModel) Degree(v int) int {
-	if v == 0 {
-		return m.Width
-	}
-	switch l := m.layerOf(v); {
-	case l == 0 && m.Layers == 1:
-		return 1
-	case l == 0:
-		return 1 + m.Width
-	case l == m.Layers-1:
-		return m.Width
-	default:
-		return 2 * m.Width
-	}
-}
-
-func (m LayeredModel) HasEdge(u, v int) bool {
-	if u == v {
-		return false
-	}
-	if u == 0 {
-		return m.layerOf(v) == 0
-	}
-	if v == 0 {
-		return m.layerOf(u) == 0
-	}
-	d := m.layerOf(u) - m.layerOf(v)
-	return d == 1 || d == -1
-}
-
-func (m LayeredModel) Edges() int64 {
-	w := int64(m.Width)
-	return w + int64(m.Layers-1)*w*w
-}
-
-func (m LayeredModel) Eccentricity(v int) int {
-	if v == 0 {
-		return m.Layers
-	}
-	l := m.layerOf(v)
-	ecc := max(l+1, m.Layers-1-l)
-	if m.Width > 1 && ecc < 2 {
-		ecc = 2 // a same-layer sibling is two hops away
-	}
-	return ecc
-}
-
-func (m LayeredModel) NewTxCounter() TxCounter {
-	return &layeredCounter{
-		m:     m,
-		count: make([]int32, m.Layers),
-		first: make([]int32, m.Layers),
-	}
-}
-
-// layeredCounter aggregates the round's broadcasters per layer in Begin
-// (O(#broadcasters + #layers)); every listener's transmitting neighbours
-// are then the totals of its adjacent layers — O(1) per listener.
-type layeredCounter struct {
-	m     LayeredModel
-	srcTx bool
-	count []int32 // broadcasters per layer, capped at 2
-	first []int32 // lowest broadcaster id per layer
-}
-
-func (c *layeredCounter) Begin(tx *bitset.Set) {
-	for l := range c.count {
-		c.count[l] = 0
-		c.first[l] = -1
-	}
-	c.srcTx = tx.Test(0)
-	words := tx.Words()
-	lo, hi := tx.NonzeroRange()
-	for wi := lo; wi < hi; wi++ {
-		for w := words[wi]; w != 0; w &= w - 1 {
-			v := wi*64 + bits.TrailingZeros64(w)
-			if v == 0 {
-				continue
-			}
-			l := c.m.layerOf(v)
-			if c.count[l] == 0 {
-				c.first[l] = int32(v)
-			}
-			if c.count[l] < 2 {
-				c.count[l]++
-			}
-		}
-	}
-}
-
-// addLayer folds layer l's broadcaster total into a running (count, from)
-// pair, keeping the count capped at 2.
-func (c *layeredCounter) addLayer(l int, count int, from int32) (int, int32) {
-	switch c.count[l] {
-	case 0:
-		return count, from
-	case 1:
-		if count == 0 {
-			return 1, c.first[l]
-		}
-	}
-	return 2, -1
-}
-
-func (c *layeredCounter) Count(u int32) (int, int32) {
-	if u == 0 {
-		if c.m.Layers == 0 {
-			return 0, -1
-		}
-		n := c.count[0]
-		return int(n), c.first[0]
-	}
-	l := c.m.layerOf(int(u))
-	count, from := 0, int32(-1)
-	if l == 0 {
-		if c.srcTx {
-			count, from = 1, 0
-		}
-	} else {
-		count, from = c.addLayer(l-1, count, from)
-	}
-	if l+1 < c.m.Layers {
-		count, from = c.addLayer(l+1, count, from)
-	}
-	return count, from
-}
-
 // NewImplicit builds a Graph whose adjacency exists only in closed form:
 // no CSR arrays, no bit matrix — per-node state is O(1). Such a graph
 // supports N, M, Degree, HasEdge, AvgDegree, MaxDegree, Eccentricity,
@@ -527,52 +149,4 @@ func ImplicitComplete(n int) Topology {
 		panic("graph: Complete needs n >= 1")
 	}
 	return Topology{G: NewImplicit(CompleteModel{Nodes: n}), Source: 0, Name: fmt.Sprintf("complete(n=%d)", n)}
-}
-
-// ImplicitStar is Star without materialized adjacency.
-func ImplicitStar(leaves int) Topology {
-	if leaves < 1 {
-		panic("graph: Star needs at least one leaf")
-	}
-	return Topology{G: NewImplicit(StarModel{Leaves: leaves}), Source: 0, Name: fmt.Sprintf("star(leaves=%d)", leaves)}
-}
-
-// ImplicitPath is Path without materialized adjacency.
-func ImplicitPath(n int) Topology {
-	if n < 1 {
-		panic("graph: Path needs n >= 1")
-	}
-	return Topology{G: NewImplicit(PathModel{Nodes: n}), Source: 0, Name: fmt.Sprintf("path(n=%d)", n)}
-}
-
-// ImplicitCycle is Cycle without materialized adjacency.
-func ImplicitCycle(n int) Topology {
-	if n < 3 {
-		panic("graph: Cycle needs n >= 3")
-	}
-	return Topology{G: NewImplicit(CycleModel{Nodes: n}), Source: 0, Name: fmt.Sprintf("cycle(n=%d)", n)}
-}
-
-// ImplicitGrid is Grid without materialized adjacency.
-func ImplicitGrid(rows, cols int) Topology {
-	if rows < 1 || cols < 1 {
-		panic("graph: Grid needs positive dimensions")
-	}
-	return Topology{G: NewImplicit(GridModel{Rows: rows, Cols: cols}), Source: 0, Name: fmt.Sprintf("grid(%dx%d)", rows, cols)}
-}
-
-// ImplicitHypercube is Hypercube without materialized adjacency.
-func ImplicitHypercube(dim int) Topology {
-	if dim < 1 || dim > 30 {
-		panic("graph: ImplicitHypercube needs 1 <= dim <= 30")
-	}
-	return Topology{G: NewImplicit(HypercubeModel{Dim: dim}), Source: 0, Name: fmt.Sprintf("hypercube(dim=%d)", dim)}
-}
-
-// ImplicitLayered is Layered without materialized adjacency.
-func ImplicitLayered(numLayers, width int) Topology {
-	if numLayers < 1 || width < 1 {
-		panic("graph: Layered needs positive dimensions")
-	}
-	return Topology{G: NewImplicit(LayeredModel{Layers: numLayers, Width: width}), Source: 0, Name: fmt.Sprintf("layered(D=%d,w=%d)", numLayers, width)}
 }

@@ -8,9 +8,9 @@ import (
 	"noisyradio/internal/rng"
 )
 
-// modelCases pairs every closed-form generator with its implicit twin.
-// Sizes are chosen to hit each model's structural edge cases (single
-// vertex/layer, even/odd cycles, non-square grids, …).
+// modelCases pairs Complete, the one closed-form generator, with its
+// implicit twin. Sizes hit the model's structural edge cases (a single
+// vertex, a single edge, word boundaries).
 func modelCases() []struct {
 	name               string
 	explicit, implicit Topology
@@ -23,26 +23,6 @@ func modelCases() []struct {
 		{"complete-2", Complete(2), ImplicitComplete(2)},
 		{"complete-9", Complete(9), ImplicitComplete(9)},
 		{"complete-64", Complete(64), ImplicitComplete(64)},
-		{"star-1", Star(1), ImplicitStar(1)},
-		{"star-2", Star(2), ImplicitStar(2)},
-		{"star-17", Star(17), ImplicitStar(17)},
-		{"path-1", Path(1), ImplicitPath(1)},
-		{"path-2", Path(2), ImplicitPath(2)},
-		{"path-33", Path(33), ImplicitPath(33)},
-		{"cycle-3", Cycle(3), ImplicitCycle(3)},
-		{"cycle-4", Cycle(4), ImplicitCycle(4)},
-		{"cycle-31", Cycle(31), ImplicitCycle(31)},
-		{"grid-1x1", Grid(1, 1), ImplicitGrid(1, 1)},
-		{"grid-1x7", Grid(1, 7), ImplicitGrid(1, 7)},
-		{"grid-5x1", Grid(5, 1), ImplicitGrid(5, 1)},
-		{"grid-4x6", Grid(4, 6), ImplicitGrid(4, 6)},
-		{"hypercube-1", Hypercube(1), ImplicitHypercube(1)},
-		{"hypercube-3", Hypercube(3), ImplicitHypercube(3)},
-		{"hypercube-6", Hypercube(6), ImplicitHypercube(6)},
-		{"layered-1x1", Layered(1, 1), ImplicitLayered(1, 1)},
-		{"layered-1x4", Layered(1, 4), ImplicitLayered(1, 4)},
-		{"layered-3x1", Layered(3, 1), ImplicitLayered(3, 1)},
-		{"layered-4x5", Layered(4, 5), ImplicitLayered(4, 5)},
 	}
 }
 
@@ -171,10 +151,17 @@ func TestImplicitGraphPanics(t *testing.T) {
 }
 
 // TestModellessGenerators documents which generators have no closed form:
-// their graphs must keep working with a nil model.
+// every generator but Complete, whose graphs must keep working with a nil
+// model.
 func TestModellessGenerators(t *testing.T) {
 	r := rng.New(7)
 	for _, top := range []Topology{
+		Path(16),
+		Star(15),
+		Cycle(16),
+		Grid(4, 4),
+		Hypercube(4),
+		Layered(3, 5),
 		RandomTree(16, r),
 		GNP(16, 0.3, r),
 		BinaryTree(3),

@@ -7,53 +7,24 @@ import (
 	"noisyradio/internal/graph"
 )
 
-// fuzzModelTopology derives a modelled topology (both storage modes) from
-// two fuzz words: kindRaw picks the generator, sizeRaw its dimensions.
-func fuzzModelTopology(kindRaw, sizeRaw uint64) (explicit, implicit graph.Topology) {
-	switch kindRaw % 7 {
-	case 0:
-		n := int(sizeRaw%96) + 1
-		return graph.Complete(n), graph.ImplicitComplete(n)
-	case 1:
-		leaves := int(sizeRaw%96) + 1
-		return graph.Star(leaves), graph.ImplicitStar(leaves)
-	case 2:
-		n := int(sizeRaw%96) + 1
-		return graph.Path(n), graph.ImplicitPath(n)
-	case 3:
-		n := int(sizeRaw%96) + 3
-		return graph.Cycle(n), graph.ImplicitCycle(n)
-	case 4:
-		rows := int(sizeRaw%9) + 1
-		cols := int(sizeRaw/9%11) + 1
-		return graph.Grid(rows, cols), graph.ImplicitGrid(rows, cols)
-	case 5:
-		dim := int(sizeRaw%6) + 1
-		return graph.Hypercube(dim), graph.ImplicitHypercube(dim)
-	default:
-		layers := int(sizeRaw%8) + 1
-		width := int(sizeRaw/8%10) + 1
-		return graph.Layered(layers, width), graph.ImplicitLayered(layers, width)
-	}
-}
-
 // FuzzStepImplicit fuzzes the implicit engine's equivalence contract: on
-// an arbitrary modelled topology, fault environment and broadcast
-// schedule, the implicit engine — over the explicit CSR graph and over
-// the CSR-less implicit twin — must reproduce the sparse reference bit
-// for bit through both entry points. The modelled-topology counterpart of
-// FuzzStepEngines (whose arbitrary edge lists carry no model).
+// a complete graph of arbitrary size (the one modelled topology), fault
+// environment and broadcast schedule, the implicit engine — over the
+// explicit CSR graph and over the CSR-less implicit twin — must reproduce
+// the sparse reference bit for bit through both entry points. The
+// modelled-topology counterpart of FuzzStepEngines (whose arbitrary edge
+// lists carry no model).
 func FuzzStepImplicit(f *testing.F) {
-	f.Add(uint64(1), uint64(0), uint64(40), uint64(0), uint64(0), []byte{0xff, 0x0f})
-	f.Add(uint64(7), uint64(3), uint64(17), uint64(1), uint64(30), []byte{0xaa, 0x55, 0x33})
-	f.Add(uint64(9), uint64(6), uint64(71), uint64(2), uint64(80), []byte{0x01})
+	f.Add(uint64(1), uint64(40), uint64(0), uint64(0), []byte{0xff, 0x0f})
+	f.Add(uint64(7), uint64(17), uint64(1), uint64(30), []byte{0xaa, 0x55, 0x33})
+	f.Add(uint64(9), uint64(71), uint64(2), uint64(80), []byte{0x01})
 	// modelRaw >= 3 selects the v2 geometric-skip draw contract: seed both
-	// models under v2, on the implicit engine's home topologies.
-	f.Add(uint64(3), uint64(0), uint64(80), uint64(4), uint64(2), []byte{0x5a, 0xc3})
-	f.Add(uint64(4), uint64(4), uint64(55), uint64(5), uint64(40), []byte{0x0f, 0xf0})
-	f.Fuzz(func(t *testing.T, seed, kindRaw, sizeRaw, modelRaw, pRaw uint64, sched []byte) {
-		explicit, implicit := fuzzModelTopology(kindRaw, sizeRaw)
-		n := explicit.G.N()
+	// models under v2.
+	f.Add(uint64(3), uint64(80), uint64(4), uint64(2), []byte{0x5a, 0xc3})
+	f.Add(uint64(4), uint64(55), uint64(5), uint64(40), []byte{0x0f, 0xf0})
+	f.Fuzz(func(t *testing.T, seed, sizeRaw, modelRaw, pRaw uint64, sched []byte) {
+		n := int(sizeRaw%96) + 1
+		explicit, implicit := graph.Complete(n), graph.ImplicitComplete(n)
 		cfg := Config{
 			Fault: FaultModel(modelRaw%3 + 1),
 			P:     float64(pRaw%95) / 100,

@@ -158,13 +158,14 @@ func requireUnvisitedInWord(t *testing.T, g *graph.Graph, transmits func(v int) 
 // TestResetAfterMidRoundPanic: a deliver callback that panics partway
 // through a round abandons the network mid-resolution; Reset must still
 // return it to fresh-construction behaviour, its promise for networks
-// "abandoned in an unexpected state". On the star every leaf hears the
-// hub alone, so the panic at the first delivery leaves the rest of the
-// first word's leaves unvisited: the sparse walk must not clear a touched
-// word before zeroing its members' counts, or those counts survive Reset.
+// "abandoned in an unexpected state". On the complete graph every other
+// node hears node 0 alone, so the panic at the first delivery leaves the
+// rest of the first word's listeners unvisited: the sparse walk must not
+// clear a touched word before zeroing its members' counts, or those
+// counts survive Reset. Complete is the one graph all three engines run.
 func TestResetAfterMidRoundPanic(t *testing.T) {
-	g := graph.Star(96).G
-	hub := func(v int) bool { return v == 0 }
+	g := graph.Complete(96).G
+	sender := func(v int) bool { return v == 0 }
 	tx := bitset.New(g.N())
 	tx.Set(0)
 	payload := make([]int32, g.N())
@@ -178,7 +179,7 @@ func TestResetAfterMidRoundPanic(t *testing.T) {
 			at := abandonRound(t, func(deliver func(d Delivery[int32])) {
 				net.StepSet(tx, payload, nil, deliver)
 			})
-			requireUnvisitedInWord(t, g, hub, at)
+			requireUnvisitedInWord(t, g, sender, at)
 			net.Reset(rng.New(42))
 			if got := execTranscript(t, net, 7); got != want {
 				t.Fatalf("%s: execution after Reset diverged from fresh\n got: %.120s\nwant: %.120s", name, got, want)

@@ -58,8 +58,8 @@
 //     stored at all, so per-node state is O(1) and complete graphs at
 //     n = 10⁵–10⁶ run in O(n) resident memory, far past the Θ(n²/8)-byte
 //     bit-matrix ceiling of Dense. Available exactly when the graph
-//     carries a model (Complete, Star, Path, Cycle, Grid, Hypercube,
-//     Layered); the only engine for implicit graphs (graph.NewImplicit).
+//     carries a model, which only complete graphs do; the only engine
+//     for implicit graphs (graph.NewImplicit).
 //
 // Config.Engine selects the engine; the default Auto picks by average
 // degree and model availability. A forced engine the graph cannot support
@@ -515,7 +515,7 @@ func (c Config) ResolveEngine(g *graph.Graph) Engine {
 // choice: Sparse/Dense need materialized adjacency, Implicit needs a
 // closed-form model. The fallback is benign — engines are bit-identical —
 // and is what lets a suite-wide -engine override run mixed workloads
-// (WCT and GNP have no model; implicit graphs have no CSR).
+// (only complete graphs have a model; implicit graphs have no CSR).
 func resolveEngine(g *graph.Graph, e Engine) Engine {
 	switch e {
 	case Sparse, Dense:
@@ -849,9 +849,7 @@ const implicitMinN = 4096
 // itself (the graph is dense enough that scanning all n bitset rows beats
 // walking the broadcasters' neighbour lists) — upgraded to Implicit when
 // the graph has a closed-form model and is past the bit-matrix cache
-// ceiling — and Sparse for everything else. Sparse-leaning topologies
-// with models (paths, stars) stay sparse: O(Σ deg) per round beats the
-// implicit engine's O(n) there.
+// ceiling — and Sparse for everything else.
 func autoEngine(g *graph.Graph) Engine {
 	if !g.HasCSR() {
 		return Implicit

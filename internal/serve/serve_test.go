@@ -281,7 +281,8 @@ func TestRejectsBadSpecs(t *testing.T) {
 		"zero trials":      func(s *benchreport.JobSpec) { s.Trials = 0 },
 		"p out of range":   func(s *benchreport.JobSpec) { s.P = 1.5 },
 		"tiny n":           func(s *benchreport.JobSpec) { s.N = 1 },
-		"fastbc implicit":  func(s *benchreport.JobSpec) { s.Schedule = "fastbc"; s.N = 8192 },
+		"fastbc implicit":  func(s *benchreport.JobSpec) { s.Schedule = "fastbc"; s.Topology = "complete"; s.N = 8192 },
+		"hypercube 2^21":   func(s *benchreport.JobSpec) { s.Topology = "hypercube"; s.N = 1 << 21 },
 	}
 	rejected := func(resp *http.Response, body []byte) error {
 		if resp.StatusCode != http.StatusBadRequest {

@@ -8,8 +8,8 @@
 //     deterministic round simulator with three interchangeable execution
 //     engines — a sparse CSR walker, a bit-parallel dense engine that
 //     resolves the channel 64 nodes per machine word, and an implicit
-//     engine answering neighbourhood queries from closed-form topology
-//     models with O(1) per-node state (unlocking n = 10⁵–10⁶ sweeps) —
+//     engine answering neighbourhood queries from the complete graph's
+//     closed form with O(1) per-node state (unlocking n = 10⁵–10⁶ sweeps) —
 //     selected by Config.Engine (EngineAuto picks per graph) and proven
 //     bit-identical by a differential test harness;
 //   - a first-class Schedule registry: every broadcast schedule of the
@@ -236,17 +236,12 @@ var (
 	// DefaultWCTParams sizes a WCT for ~n total nodes.
 	DefaultWCTParams = graph.DefaultWCTParams
 
-	// Implicit topologies: the same generators without materialized
-	// adjacency — O(1) per-node state, for node counts (10⁵–10⁶) far past
-	// the CSR/bit-matrix ceiling. They run on the implicit engine and are
-	// bit-identical to their explicit twins on every schedule.
-	ImplicitComplete  = graph.ImplicitComplete
-	ImplicitStar      = graph.ImplicitStar
-	ImplicitPath      = graph.ImplicitPath
-	ImplicitCycle     = graph.ImplicitCycle
-	ImplicitGrid      = graph.ImplicitGrid
-	ImplicitHypercube = graph.ImplicitHypercube
-	ImplicitLayered   = graph.ImplicitLayered
+	// ImplicitComplete is Complete without materialized adjacency — O(1)
+	// per-node state, for node counts (10⁵–10⁶) far past the
+	// CSR/bit-matrix ceiling. It runs on the implicit engine and is
+	// bit-identical to Complete on every schedule. Every other family
+	// has O(n log n) edges at most and is stored as CSR at any size.
+	ImplicitComplete = graph.ImplicitComplete
 )
 
 // Coded multi-message broadcast over caller-provided messages, and the
