@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -117,6 +118,100 @@ func TestGeometricSamplerMinimumOne(t *testing.T) {
 	}
 }
 
+// streamYielding returns a stream whose next Uint64 is x. xoshiro256**
+// outputs rotl(s[1]·5, 7)·9, and 5 and 9 are invertible mod 2^64, so s[1]
+// can be solved for. The tests below use it to feed one chosen j =
+// x>>11 to both the sampler and the method.
+func streamYielding(x uint64) *Stream {
+	const inv5, inv9 = 0xcccccccccccccccd, 0x8e38e38e38e38e39
+	return &Stream{s: [4]uint64{1: bits.RotateLeft64(x*inv9, -7) * inv5}}
+}
+
+// drawAt returns g's sample and Stream.Geometric(p)'s at the 53-bit
+// integer j, each from its own stream positioned to yield j.
+func drawAt(g Geometric, p float64, j uint64) (got, want int) {
+	return g.Draw(streamYielding(j << 11)), streamYielding(j << 11).Geometric(p)
+}
+
+// TestGeometricTableThresholds proves each threshold table equal to the
+// formula ceil(log1p(-u)/log1p(-p)) that Stream.Geometric evaluates. It
+// checks every lattice point j within ±window of every cut, and random j
+// in between.
+//
+// Why the window suffices: write Q(j) for the exact quotient at u =
+// j·2^-53 and x = Q·|log1p(-p)|. One lattice step moves Q by 2^-53 /
+// ((1-u)·|log1p(-p)|) = 2^-53·e^x / |log1p(-p)|, and an ulp of Q is at most
+// Q·2^-52, so one step is at least e^x/(2x) ≥ e/2 ≈ 1.36 ulps of Q, for
+// every p and every j. log1p is accurate to better than 1 ulp and the
+// division adds half an ulp, so the computed quotient is within a few ulps
+// of Q. Its ceiling can therefore differ from the exact ceiling only at
+// the few lattice points next to where Q crosses an integer. Elsewhere the
+// formula is the exact, non-decreasing step function, which a table of
+// its crossings reproduces. The bisection that builds each cut lands on
+// such a crossing, so every j where table and formula could disagree lies
+// inside a window.
+func TestGeometricTableThresholds(t *testing.T) {
+	const window = 5000
+	random := 1 << 20
+	if testing.Short() {
+		random = 1 << 14
+	}
+	for e := 1; e <= len(geomCuts); e++ {
+		p := math.Ldexp(1, -e)
+		g := NewGeometric(p)
+		if g.cut != &geomCuts[e-1] {
+			t.Fatalf("NewGeometric(2^-%d) does not use its table", e)
+		}
+		check := func(j uint64) {
+			if got, want := drawAt(g, p, j); got != want {
+				t.Fatalf("p=2^-%d j=%d: table %d, formula %d", e, j, got, want)
+			}
+		}
+		prev := ^uint64(0)
+		for _, c := range g.cut {
+			if c == prev {
+				continue
+			}
+			prev = c
+			for j := c - min(c, window); j < min(c+window, 1<<53); j++ {
+				check(j)
+			}
+		}
+		r := New(uint64(e))
+		for range random {
+			check(r.Uint64() >> 11)
+		}
+	}
+}
+
+// TestGeometricTableOnlyPowersOfTwo: only p = 2^-e with e within the
+// tables draws by table; every other p keeps the formula.
+func TestGeometricTableOnlyPowersOfTwo(t *testing.T) {
+	for _, p := range []float64{1, 0.75, math.Nextafter(0.5, 0), math.Nextafter(0.5, 1), 0.375, math.Ldexp(1, -len(geomCuts)-1), 0.001} {
+		if NewGeometric(p).cut != nil {
+			t.Errorf("NewGeometric(%v) uses a table", p)
+		}
+	}
+}
+
+// FuzzGeometricTable compares the tabled sampler with the formula at any
+// 53-bit j and any tabled exponent.
+func FuzzGeometricTable(f *testing.F) {
+	for i, c := range geomCuts {
+		for _, j := range []uint64{0, c[0] - 1, c[0], c[len(c)-1] - 1, 1<<53 - 1} {
+			f.Add(j, uint8(i))
+		}
+	}
+	f.Fuzz(func(t *testing.T, j uint64, i uint8) {
+		j &= 1<<53 - 1
+		e := 1 + int(i)%len(geomCuts)
+		p := math.Ldexp(1, -e)
+		if got, want := drawAt(NewGeometric(p), p, j); got != want {
+			t.Fatalf("p=2^-%d j=%d: table %d, formula %d", e, j, got, want)
+		}
+	})
+}
+
 func BenchmarkStreamGeometric(b *testing.B) {
 	r := New(1)
 	sink := 0
@@ -126,12 +221,24 @@ func BenchmarkStreamGeometric(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkGeometricDraw times one skip draw at Decay's tabled
+// probabilities, at the first untabled power of two, and at the
+// off-table p the geomskip gate uses.
 func BenchmarkGeometricDraw(b *testing.B) {
-	r := New(1)
-	g := NewGeometric(0.001)
-	sink := 0
-	for i := 0; i < b.N; i++ {
-		sink = g.Draw(r)
+	for _, bc := range []struct {
+		name string
+		p    float64
+	}{{"p=1/2", 0.5}, {"p=1/4", 0.25}, {"p=1/8", 0.125}, {"p=1/16", 0.0625}, {"p=0.001", 0.001}} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := New(1)
+			g := NewGeometric(bc.p)
+			sink := 0
+			for i := 0; i < b.N; i++ {
+				sink += g.Draw(r)
+			}
+			geometricSink = sink
+		})
 	}
-	_ = sink
 }
+
+var geometricSink int

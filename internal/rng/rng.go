@@ -229,29 +229,71 @@ func (r *Stream) Geometric(p float64) int {
 	if p == 1 {
 		return 1
 	}
-	u := r.Float64()
-	// Inverse CDF: ceil(ln(1-u) / ln(1-p)).
-	k := int(math.Ceil(math.Log1p(-u) / math.Log1p(-p)))
+	return geometricInverse(r.Uint64()>>11, math.Log1p(-p))
+}
+
+// geometricInverse is the inverse CDF Stream.Geometric samples with:
+// ceil(ln(1-u) / logq) at u = j·2^-53, the value Float64 makes of the
+// 53-bit integer j, clamped below at 1.
+func geometricInverse(j uint64, logq float64) int {
+	k := int(math.Ceil(math.Log1p(-float64(j)*0x1p-53) / logq))
 	if k < 1 {
 		k = 1
 	}
 	return k
 }
 
+// geomCuts holds, for p = 2^-e with 1 <= e <= len(geomCuts), the inverse
+// CDF as thresholds on j: geomCuts[e-1][i] is the smallest j whose
+// geometricInverse value exceeds i+1, or 2^53 (no j) when none does. init
+// fills the tables once, by bisection on geometricInverse itself, and
+// nothing writes them afterwards. Decay's broadcast probabilities are
+// exactly these powers of two, and half of its skip draws are at p = ½.
+// The bound on e is where a threshold scan, about 2^e compares per draw,
+// stops beating one log1p.
+var geomCuts [3][64]uint64
+
+func init() {
+	for e := range geomCuts {
+		logq := math.Log1p(-math.Ldexp(1, -(e + 1)))
+		lo := uint64(0)
+		for i := range geomCuts[e] {
+			// The formula is non-decreasing in j, so each cut lies at or
+			// past the previous one.
+			hi := uint64(1) << 53
+			for lo < hi {
+				if mid := lo + (hi-lo)/2; geometricInverse(mid, logq) > i+1 {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			geomCuts[e][i] = lo
+		}
+	}
+}
+
 // Geometric is a fixed-probability skip sampler with the denominator
-// hoisted out of the draw: it stores log1p(-p) once, so each Draw costs one
+// hoisted out of the draw: it stores log1p(-p) once, so a Draw costs one
 // Uint64 plus one log1p and one divide instead of recomputing log1p(-p).
+// For p = ½, ¼ and ⅛ a Draw costs no log1p below the 64th trial: it
+// counts the thresholds of a precomputed table (see geomCuts) that j has
+// reached. The table is a faster evaluation of the same inverse CDF, not
+// a new one, and the formula answers past its end.
+//
 // Draw is bit-identical to Stream.Geometric(p) — same values, same stream
 // positions — because the stored denominator is the exact float the method
 // would compute and the division is performed identically (a precomputed
 // reciprocal would round differently). The package tests verify this over
-// a dense probability grid.
+// a dense probability grid, and the tables against the formula at every j
+// near each threshold.
 //
 // The zero value is a never-succeeding sampler: Draw returns math.MaxInt
 // ("the next success is beyond any horizon") and consumes no randomness.
 type Geometric struct {
-	logq float64 // log1p(-p) for p in (0,1); 0 doubles as the zero-value sentinel
-	one  bool    // p == 1: every trial succeeds, no randomness needed
+	logq float64     // log1p(-p) for p in (0,1); 0 doubles as the zero-value sentinel
+	cut  *[64]uint64 // the thresholds for p = 2^-e when tabled, else nil
+	one  bool        // p == 1: every trial succeeds, no randomness needed
 }
 
 // NewGeometric returns a sampler whose Draw is exactly Stream.Geometric(p).
@@ -266,7 +308,11 @@ func NewGeometric(p float64) Geometric {
 	}
 	// log1p(-p) < 0 for every p in (0,1), down to the smallest subnormal,
 	// so 0 is unreachable and safely marks the zero value.
-	return Geometric{logq: math.Log1p(-p)}
+	g := Geometric{logq: math.Log1p(-p)}
+	if frac, exp := math.Frexp(p); frac == 0.5 && -exp < len(geomCuts) {
+		g.cut = &geomCuts[-exp] // p = 2^(exp-1)
+	}
+	return g
 }
 
 // Draw returns a geometric sample (support {1, 2, ...}), consuming exactly
@@ -279,12 +325,16 @@ func (g Geometric) Draw(r *Stream) int {
 	if g.logq == 0 {
 		return math.MaxInt
 	}
-	u := r.Float64()
-	k := int(math.Ceil(math.Log1p(-u) / g.logq))
-	if k < 1 {
-		k = 1
+	j := r.Uint64() >> 11
+	if g.cut != nil {
+		// 1 + #{i : cut[i] <= j} while j is below the last cut.
+		for i, c := range g.cut {
+			if j < c {
+				return i + 1
+			}
+		}
 	}
-	return k
+	return geometricInverse(j, g.logq)
 }
 
 // SampleK returns k distinct uniform elements of [0, n) in ascending order.
