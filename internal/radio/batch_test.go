@@ -361,7 +361,7 @@ func TestBatchResetAfterMidRoundPanic(t *testing.T) {
 				}
 			})
 		})
-		requireUnvisitedInWord(t, g, hub, at)
+		requireUnvisitedInWord(t, g, hub, at, false)
 		rnds := batchStreams(5, w)
 		net.Reset(rnds)
 		got := runBatchLanes(t, net, rnds, roundsFor, sched)

@@ -138,51 +138,75 @@ func abandonRound(t *testing.T, step func(deliver func(d Delivery[int32]))) int 
 }
 
 // requireUnvisitedInWord fails unless some listener after u in u's node
-// word has a transmitting neighbour — a listener the resolve walk had not
-// reached when u's delivery panicked, whose count Reset must still zero.
-func requireUnvisitedInWord(t *testing.T, g *graph.Graph, transmits func(v int) bool, u int) {
+// word hears exactly one transmitting neighbour and, when collision is
+// set, another hears two or more: listeners the resolve walk had not
+// reached when u's delivery panicked, whose tally slots Reset must still
+// zero.
+func requireUnvisitedInWord(t *testing.T, g *graph.Graph, transmits func(v int) bool, u int, collision bool) {
 	t.Helper()
+	unique, collided := false, false
 	for x := u + 1; x < g.N() && x>>6 == u>>6; x++ {
 		if transmits(x) {
 			continue
 		}
+		heard := 0
 		for _, v := range g.Neighbors(x) {
 			if transmits(int(v)) {
-				return
+				heard++
 			}
 		}
+		unique = unique || heard == 1
+		collided = collided || heard > 1
 	}
-	t.Fatalf("no touched listener follows %d in its word; the abandoned round tests nothing", u)
+	if !unique || collision && !collided {
+		t.Fatalf("listeners after %d in its word: unique %v, collision %v; the abandoned round tests too little", u, unique, collided)
+	}
 }
 
 // TestResetAfterMidRoundPanic: a deliver callback that panics partway
 // through a round abandons the network mid-resolution; Reset must still
 // return it to fresh-construction behaviour, its promise for networks
-// "abandoned in an unexpected state". On the complete graph every other
-// node hears node 0 alone, so the panic at the first delivery leaves the
-// rest of the first word's listeners unvisited: the sparse walk must not
-// clear a touched word before zeroing its members' counts, or those
-// counts survive Reset. Complete is the one graph all three engines run.
+// "abandoned in an unexpected state". The panic comes at the round's
+// first delivery, so the rest of that word's listeners are unvisited:
+// the sparse walk must not clear a touched word before zeroing its
+// members' slots, or those slots survive Reset.
+//   - On the complete graph every other node hears node 0 alone. Complete
+//     is the one graph all three engines run.
+//   - On row 1 of an 8×8 grid, broadcasters 9, 11 and 13 leave listeners
+//     10 and 12 with a collision slot and the rest of word 0 with a
+//     unique one.
 func TestResetAfterMidRoundPanic(t *testing.T) {
-	g := graph.Complete(96).G
-	sender := func(v int) bool { return v == 0 }
-	tx := bitset.New(g.N())
-	tx.Set(0)
-	payload := make([]int32, g.N())
-	for _, engine := range []Engine{Sparse, Dense, Implicit} {
-		for _, cfg := range panicResetConfigs {
-			cfg.Engine = engine
-			name := fmt.Sprintf("%s/%s/draw %v", engine, cfg.Fault, cfg.Draw)
-			want := execTranscript(t, MustNew[int32](g, cfg, rng.New(42)), 7)
+	cases := []struct {
+		name      string
+		g         *graph.Graph
+		senders   []int
+		engines   []Engine
+		collision bool
+	}{
+		{"complete", graph.Complete(96).G, []int{0}, []Engine{Sparse, Dense, Implicit}, false},
+		{"grid", graph.Grid(8, 8).G, []int{9, 11, 13}, []Engine{Sparse}, true},
+	}
+	for _, c := range cases {
+		tx := bitset.New(c.g.N())
+		for _, v := range c.senders {
+			tx.Set(v)
+		}
+		payload := make([]int32, c.g.N())
+		for _, engine := range c.engines {
+			for _, cfg := range panicResetConfigs {
+				cfg.Engine = engine
+				name := fmt.Sprintf("%s/%s/%s/draw %v", c.name, engine, cfg.Fault, cfg.Draw)
+				want := execTranscript(t, MustNew[int32](c.g, cfg, rng.New(42)), 7)
 
-			net := MustNew[int32](g, cfg, rng.New(1))
-			at := abandonRound(t, func(deliver func(d Delivery[int32])) {
-				net.StepSet(tx, payload, nil, deliver)
-			})
-			requireUnvisitedInWord(t, g, sender, at)
-			net.Reset(rng.New(42))
-			if got := execTranscript(t, net, 7); got != want {
-				t.Fatalf("%s: execution after Reset diverged from fresh\n got: %.120s\nwant: %.120s", name, got, want)
+				net := MustNew[int32](c.g, cfg, rng.New(1))
+				at := abandonRound(t, func(deliver func(d Delivery[int32])) {
+					net.StepSet(tx, payload, nil, deliver)
+				})
+				requireUnvisitedInWord(t, c.g, tx.Test, at, c.collision)
+				net.Reset(rng.New(42))
+				if got := execTranscript(t, net, 7); got != want {
+					t.Fatalf("%s: execution after Reset diverged from fresh\n got: %.120s\nwant: %.120s", name, got, want)
+				}
 			}
 		}
 	}

@@ -1251,25 +1251,30 @@ func (n *Network[P]) resolveUnique(u, from int32, payload []P, rx *bitset.Set, d
 	}
 }
 
-// listenerTally is the sparse engine's per-round listener scratch: for
-// every listener a round touches, its transmitting-neighbour count and a
-// transmitting neighbour, plus the touched set itself — a bitset over node
-// ids and the word window [lo, hi) that holds its members. Only the scalar
-// sparse kernel uses it (lockstep batches run on the dense engine).
+// listenerTally is the sparse engine's per-round listener scratch: one
+// slot per node, which says what a listener heard this round — 0 nothing,
+// v+1 the single transmitting neighbour v, -1 two or more — plus the
+// touched set itself, a bitset over node ids and the word window [lo, hi)
+// that holds its members. Only the scalar sparse kernel uses it (lockstep
+// batches run on the dense engine).
 //
-// The kernel resolves a round with one walk over the window, spelled out
-// in stepSetSparse because its body is the hot path: per word, visit the
+// The kernel fills and resolves a round in two walks, spelled out in
+// stepSetSparse because their bodies are the hot path. The broadcaster
+// walk first widens the window to cover the broadcaster's sorted
+// neighbour list, from its first and last entries, and only then touches
+// the neighbours: one slot load and store each, plus an OR into the
+// touched words. The resolution walk visits the window: per word, the
 // members in ascending bit order — the canonical draw order, with no
-// sort — and read and zero each member's count as it is visited; clear
-// the word only after its last member, skipping empty words without a
-// store (most of a spread-out window is empty); finally mark the tally
-// empty. A word is never cleared before its members' counts are zeroed,
-// so a round abandoned mid-walk (a deliver callback that panics) leaves
-// every member it has not reached still in the set, and clear, which
-// Reset calls, returns the tally to its just-built state.
+// sort — reading and zeroing each member's slot as it is visited; it
+// clears the word only after its last member, skipping empty words
+// without a store (most of a spread-out window is empty), and finally
+// marks the tally empty. No bit is ever set outside the window, and a
+// word is never cleared before its members' slots are zeroed, so a round
+// abandoned mid-walk (a deliver callback that panics) leaves every member
+// it has not reached still in the set, and clear, which Reset calls,
+// returns the tally to its just-built state.
 type listenerTally struct {
-	count []int32  // transmitting neighbours heard this round
-	from  []int32  // a transmitting neighbour; the unique one when count is 1
+	slot  []int32  // 0 unheard, v+1 heard only from v, -1 heard from two or more
 	words []uint64 // bit u set: u was heard this round, its word not yet walked
 	// Every word outside [lo, hi) is zero; lo = len(words), hi = 0 when
 	// the set is empty.
@@ -1279,31 +1284,18 @@ type listenerTally struct {
 func newListenerTally(n int) listenerTally {
 	words := (n + 63) / 64
 	return listenerTally{
-		count: make([]int32, n),
-		from:  make([]int32, n),
+		slot:  make([]int32, n),
 		words: make([]uint64, words),
 		lo:    words,
 	}
 }
 
-// hear records that listener u has the transmitting neighbour v.
-func (t *listenerTally) hear(u, v int32) {
-	if t.count[u] == 0 {
-		wi := int(u >> 6)
-		t.words[wi] |= 1 << (uint(u) & 63)
-		t.lo = min(t.lo, wi)
-		t.hi = max(t.hi, wi+1)
-	}
-	t.count[u]++
-	t.from[u] = v
-}
-
 // clear empties the tally whatever state a round left it in, with the
-// kernel's walk minus the resolution.
+// kernel's resolution walk minus the resolution.
 func (t *listenerTally) clear() {
 	for wi := t.lo; wi < t.hi; wi++ {
 		for w := t.words[wi]; w != 0; w &= w - 1 {
-			t.count[wi<<6|bits.TrailingZeros64(w)] = 0
+			t.slot[wi<<6|bits.TrailingZeros64(w)] = 0
 		}
 		t.words[wi] = 0
 	}
@@ -1316,15 +1308,31 @@ func (t *listenerTally) clear() {
 // Cost is O(Σ deg(broadcaster) + touched word window), independent of n
 // apart from the tx word scan.
 func (n *Network[P]) stepSetSparse(tx *bitset.Set, payload []P, rx *bitset.Set, deliver func(d Delivery[P])) {
-	// Mark transmissions and draw sender faults in ascending id order.
+	// Mark transmissions and draw sender faults in ascending id order,
+	// recording each neighbour's hearing in its slot (see listenerTally
+	// for why the window moves before any bit is set).
+	h := &n.heard
+	slots, words := h.slot, h.words
 	txw := tx.Words()
 	txLo, txHi := tx.NonzeroRange()
 	for wi := txLo; wi < txHi; wi++ {
 		for w := txw[wi]; w != 0; w &= w - 1 {
 			v := wi*64 + bits.TrailingZeros64(w)
 			n.markBroadcaster(v)
-			for _, u := range n.g.Neighbors(v) {
-				n.heard.hear(u, int32(v))
+			nbrs := n.g.Neighbors(v)
+			if len(nbrs) == 0 {
+				continue
+			}
+			h.lo = min(h.lo, int(nbrs[0]>>6))
+			h.hi = max(h.hi, int(nbrs[len(nbrs)-1]>>6)+1)
+			heard := int32(v) + 1
+			for _, u := range nbrs {
+				s := heard
+				if slots[u] != 0 {
+					s = -1
+				}
+				slots[u] = s
+				words[u>>6] |= 1 << (uint(u) & 63)
 			}
 		}
 	}
@@ -1332,8 +1340,6 @@ func (n *Network[P]) stepSetSparse(tx *bitset.Set, payload []P, rx *bitset.Set, 
 	// Resolve receptions in ascending receiver id order, the canonical
 	// draw order shared with the other engines, with the tally walk (see
 	// listenerTally for why a word is cleared only after its members).
-	h := &n.heard
-	words, counts := h.words, h.count
 	for wi, hi := h.lo, h.hi; wi < hi; wi++ {
 		w := words[wi]
 		if w == 0 {
@@ -1341,16 +1347,16 @@ func (n *Network[P]) stepSetSparse(tx *bitset.Set, payload []P, rx *bitset.Set, 
 		}
 		for ; w != 0; w &= w - 1 {
 			u := int32(wi<<6 | bits.TrailingZeros64(w))
-			count := counts[u]
-			counts[u] = 0
+			s := slots[u]
+			slots[u] = 0
 			if tx.Test(int(u)) {
 				continue // transmitting nodes do not listen
 			}
 			switch {
-			case count > 1:
+			case s < 0:
 				n.stats.Collisions++
-			case count == 1:
-				n.resolveUnique(u, h.from[u], payload, rx, deliver)
+			case s > 0:
+				n.resolveUnique(u, s-1, payload, rx, deliver)
 			}
 		}
 		words[wi] = 0
