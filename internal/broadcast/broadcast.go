@@ -76,9 +76,9 @@ func decayPhaseLen(n int) int {
 // frontier sampler (singleRunner, laneView, both RLNC pattern drivers)
 // draws through it, so their sequences cannot drift apart. The skips come
 // from one rng.Geometric sampler per call, which draws exactly what
-// Stream.Geometric(p) would: Decay's p = ½, ¼ and ⅛ by threshold table,
-// with no log1p per skip, and every other p by the formula with log1p(-p)
-// computed once.
+// Stream.Geometric(p) would: Decay's p = 2^-e with e <= 6 by threshold
+// table, with no log1p per skip, and every other p by the formula with
+// log1p(-p) computed once.
 func geometricVisit(rnd *rng.Stream, n int, p float64, visit func(pos int)) {
 	skip := rng.NewGeometric(p)
 	pos := -1

@@ -123,9 +123,10 @@ func EngineMicrobench() []benchreport.Microbench {
 	// the geometric-skip speedup the CI gate enforces
 	// (benchgate -min-geomskip-speedup, on the p=0.001 rows). The p=0.5
 	// rows document the crossover end: at dense fault rates skipping buys
-	// nothing and the log/divide per fault may even lose to the integer
-	// Bernoulli — which is why v2 targets the sparse-failure regime and v1
-	// remains the default. The correlated contracts ride the same kernel:
+	// nothing, and a skip per fault, even one read off rng.Geometric's
+	// threshold table as at p = ½, loses to the integer Bernoulli — which
+	// is why v2 targets the sparse-failure regime and v1 remains the
+	// default. The correlated contracts ride the same kernel:
 	// v3's bulk walk pays one geometric per *phase* plus one Bernoulli per
 	// bad site (gated against drifting past 2x of v2 at matched sparse p by
 	// benchgate -max-burstdraw-ratio), v4 pays a per-site coin like v1 plus

@@ -156,10 +156,10 @@ func TestGeometricTableThresholds(t *testing.T) {
 	if testing.Short() {
 		random = 1 << 14
 	}
-	for e := 1; e <= len(geomCuts); e++ {
+	for e := 1; e <= len(geomTables); e++ {
 		p := math.Ldexp(1, -e)
 		g := NewGeometric(p)
-		if g.cut != &geomCuts[e-1] {
+		if g.cut != &geomTables[e-1].cut || g.logq != math.Log1p(-p) {
 			t.Fatalf("NewGeometric(2^-%d) does not use its table", e)
 		}
 		check := func(j uint64) {
@@ -184,27 +184,18 @@ func TestGeometricTableThresholds(t *testing.T) {
 	}
 }
 
-// TestGeometricTableOnlyPowersOfTwo: only p = 2^-e with e within the
-// tables draws by table; every other p keeps the formula.
-func TestGeometricTableOnlyPowersOfTwo(t *testing.T) {
-	for _, p := range []float64{1, 0.75, math.Nextafter(0.5, 0), math.Nextafter(0.5, 1), 0.375, math.Ldexp(1, -len(geomCuts)-1), 0.001} {
-		if NewGeometric(p).cut != nil {
-			t.Errorf("NewGeometric(%v) uses a table", p)
-		}
-	}
-}
-
 // FuzzGeometricTable compares the tabled sampler with the formula at any
 // 53-bit j and any tabled exponent.
 func FuzzGeometricTable(f *testing.F) {
-	for i, c := range geomCuts {
+	for i, t := range geomTables {
+		c := t.cut
 		for _, j := range []uint64{0, c[0] - 1, c[0], c[len(c)-1] - 1, 1<<53 - 1} {
 			f.Add(j, uint8(i))
 		}
 	}
 	f.Fuzz(func(t *testing.T, j uint64, i uint8) {
 		j &= 1<<53 - 1
-		e := 1 + int(i)%len(geomCuts)
+		e := 1 + int(i)%len(geomTables)
 		p := math.Ldexp(1, -e)
 		if got, want := drawAt(NewGeometric(p), p, j); got != want {
 			t.Fatalf("p=2^-%d j=%d: table %d, formula %d", e, j, got, want)
@@ -221,14 +212,13 @@ func BenchmarkStreamGeometric(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkGeometricDraw times one skip draw at Decay's tabled
-// probabilities, at the first untabled power of two, and at the
-// off-table p the geomskip gate uses.
+// BenchmarkGeometricDraw times one skip draw at tabled powers of two, at
+// the first untabled one, and at the off-table p the geomskip gate uses.
 func BenchmarkGeometricDraw(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		p    float64
-	}{{"p=1/2", 0.5}, {"p=1/4", 0.25}, {"p=1/8", 0.125}, {"p=1/16", 0.0625}, {"p=0.001", 0.001}} {
+	}{{"p=1/2", 0.5}, {"p=1/4", 0.25}, {"p=1/8", 0.125}, {"p=1/16", 0.0625}, {"p=1/128", 0x1p-7}, {"p=0.001", 0.001}} {
 		b.Run(bc.name, func(b *testing.B) {
 			r := New(1)
 			g := NewGeometric(bc.p)

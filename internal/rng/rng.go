@@ -243,32 +243,35 @@ func geometricInverse(j uint64, logq float64) int {
 	return k
 }
 
-// geomCuts holds, for p = 2^-e with 1 <= e <= len(geomCuts), the inverse
-// CDF as thresholds on j: geomCuts[e-1][i] is the smallest j whose
+// geomTables holds, for p = 2^-e with 1 <= e <= len(geomTables), log1p(-p)
+// and the inverse CDF as thresholds on j: cut[i] is the smallest j whose
 // geometricInverse value exceeds i+1, or 2^53 (no j) when none does. init
 // fills the tables once, by bisection on geometricInverse itself, and
 // nothing writes them afterwards. Decay's broadcast probabilities are
-// exactly these powers of two, and half of its skip draws are at p = ½.
-// The bound on e is where a threshold scan, about 2^e compares per draw,
-// stops beating one log1p.
-var geomCuts [3][64]uint64
+// powers of two, and half of its skip draws are at p = ½. The bound on e
+// is where counting about 2^e thresholds per draw stops beating one log1p.
+var geomTables [6]struct {
+	logq float64
+	cut  [64]uint64
+}
 
 func init() {
-	for e := range geomCuts {
-		logq := math.Log1p(-math.Ldexp(1, -(e + 1)))
+	for e := range geomTables {
+		t := &geomTables[e]
+		t.logq = math.Log1p(-math.Ldexp(1, -(e + 1)))
 		lo := uint64(0)
-		for i := range geomCuts[e] {
+		for i := range t.cut {
 			// The formula is non-decreasing in j, so each cut lies at or
 			// past the previous one.
 			hi := uint64(1) << 53
 			for lo < hi {
-				if mid := lo + (hi-lo)/2; geometricInverse(mid, logq) > i+1 {
+				if mid := lo + (hi-lo)/2; geometricInverse(mid, t.logq) > i+1 {
 					hi = mid
 				} else {
 					lo = mid + 1
 				}
 			}
-			geomCuts[e][i] = lo
+			t.cut[i] = lo
 		}
 	}
 }
@@ -276,10 +279,11 @@ func init() {
 // Geometric is a fixed-probability skip sampler with the denominator
 // hoisted out of the draw: it stores log1p(-p) once, so a Draw costs one
 // Uint64 plus one log1p and one divide instead of recomputing log1p(-p).
-// For p = ½, ¼ and ⅛ a Draw costs no log1p below the 64th trial: it
-// counts the thresholds of a precomputed table (see geomCuts) that j has
-// reached. The table is a faster evaluation of the same inverse CDF, not
-// a new one, and the formula answers past its end.
+// For p = 2^-e with e <= 6 neither NewGeometric nor a Draw whose sample
+// is at most 64 computes a log1p: the Draw counts the thresholds of a
+// precomputed table (see geomTables) that its 53-bit integer has reached.
+// The table is a faster evaluation of the same inverse CDF, not a new
+// one, and the formula answers past its end.
 //
 // Draw is bit-identical to Stream.Geometric(p) — same values, same stream
 // positions — because the stored denominator is the exact float the method
@@ -306,13 +310,13 @@ func NewGeometric(p float64) Geometric {
 	if p == 1 {
 		return Geometric{one: true}
 	}
+	if frac, exp := math.Frexp(p); frac == 0.5 && -exp < len(geomTables) {
+		t := &geomTables[-exp] // p = 2^(exp-1)
+		return Geometric{logq: t.logq, cut: &t.cut}
+	}
 	// log1p(-p) < 0 for every p in (0,1), down to the smallest subnormal,
 	// so 0 is unreachable and safely marks the zero value.
-	g := Geometric{logq: math.Log1p(-p)}
-	if frac, exp := math.Frexp(p); frac == 0.5 && -exp < len(geomCuts) {
-		g.cut = &geomCuts[-exp] // p = 2^(exp-1)
-	}
-	return g
+	return Geometric{logq: math.Log1p(-p)}
 }
 
 // Draw returns a geometric sample (support {1, 2, ...}), consuming exactly
@@ -327,10 +331,18 @@ func (g Geometric) Draw(r *Stream) int {
 	}
 	j := r.Uint64() >> 11
 	if g.cut != nil {
-		// 1 + #{i : cut[i] <= j} while j is below the last cut.
-		for i, c := range g.cut {
-			if j < c {
-				return i + 1
+		// 1 + #{i : cut[i] <= j} while j is below the last cut, found by
+		// blocks of 8: one branch picks the block, whose other 7 cuts are
+		// counted without a data-dependent branch.
+		for b := 0; b < len(g.cut); b += 8 {
+			if j < g.cut[b+7] {
+				k := b + 1
+				for _, c := range g.cut[b : b+7] {
+					if c <= j {
+						k++
+					}
+				}
+				return k
 			}
 		}
 	}
