@@ -81,12 +81,14 @@ func decayPhaseLen(n int) int {
 // log1p(-p) computed once.
 func geometricVisit(rnd *rng.Stream, n int, p float64, visit func(pos int)) {
 	skip := rng.NewGeometric(p)
-	pos := -1
-	for {
-		pos += skip.Draw(rnd)
-		if pos >= n {
+	for pos := -1; ; {
+		// Compare before adding: a skip of math.MaxInt, the sampler's
+		// "no success in range", must not wrap pos.
+		k := skip.Draw(rnd)
+		if k > n-1-pos {
 			return
 		}
+		pos += k
 		visit(pos)
 	}
 }

@@ -118,6 +118,27 @@ func TestGeometricSamplerMinimumOne(t *testing.T) {
 	}
 }
 
+// TestGeometricBeyondIntRange: at p below about 2^-58 the inverse CDF
+// can pass 2^63, and there Draw and Stream.Geometric must answer
+// math.MaxInt rather than convert out of int's range, which amd64 turned
+// into a success at the first trial. j = 2^53-1 gives the largest
+// quotient, ln(2^53)/p, past 2^63 at every p here; the random draws are
+// each 1 with probability p.
+func TestGeometricBeyondIntRange(t *testing.T) {
+	for _, p := range []float64{0x1p-60, 0x1p-61, 0x1p-62, 1e-18} {
+		g := NewGeometric(p)
+		if got, want := drawAt(g, p, 1<<53-1); got != math.MaxInt || want != math.MaxInt {
+			t.Errorf("p=%v at j=2^53-1: Draw %d, Stream.Geometric %d, want math.MaxInt", p, got, want)
+		}
+		r, s := New(0x62), New(0x62)
+		for i := 0; i < 100000; i++ {
+			if k, m := g.Draw(r), s.Geometric(p); k < 2 || m < 2 {
+				t.Fatalf("p=%v draw %d: Draw %d, Stream.Geometric %d; a success this early has probability p", p, i, k, m)
+			}
+		}
+	}
+}
+
 // streamYielding returns a stream whose next Uint64 is x. xoshiro256**
 // outputs rotl(s[1]·5, 7)·9, and 5 and 9 are invertible mod 2^64, so s[1]
 // can be solved for. The tests below use it to feed one chosen j =

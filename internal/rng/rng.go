@@ -221,7 +221,9 @@ func (r *Stream) Shuffle(n int, swap func(i, j int)) {
 
 // Geometric returns a sample from the geometric distribution with success
 // probability p: the number of Bernoulli(p) trials up to and including the
-// first success (support {1, 2, ...}). It panics if p is outside (0, 1].
+// first success (support {1, 2, ...}). A sample past int's range, which
+// p below about 2^-58 makes possible, is math.MaxInt: no success within
+// any horizon. It panics if p is outside (0, 1].
 func (r *Stream) Geometric(p float64) int {
 	if p <= 0 || p > 1 {
 		panic("rng: Geometric with p outside (0,1]")
@@ -234,13 +236,18 @@ func (r *Stream) Geometric(p float64) int {
 
 // geometricInverse is the inverse CDF Stream.Geometric samples with:
 // ceil(ln(1-u) / logq) at u = j·2^-53, the value Float64 makes of the
-// 53-bit integer j, clamped below at 1.
+// 53-bit integer j, clamped to [1, math.MaxInt]. The upper clamp is
+// explicit because Go leaves converting an out-of-range float to int to
+// the platform: amd64 yields math.MinInt, a success at the first trial.
 func geometricInverse(j uint64, logq float64) int {
-	k := int(math.Ceil(math.Log1p(-float64(j)*0x1p-53) / logq))
-	if k < 1 {
-		k = 1
+	q := math.Ceil(math.Log1p(-float64(j)*0x1p-53) / logq)
+	switch {
+	case q >= math.MaxInt:
+		return math.MaxInt
+	case q < 1:
+		return 1
 	}
-	return k
+	return int(q)
 }
 
 // geomTables holds, for p = 2^-e with 1 <= e <= len(geomTables), log1p(-p)
