@@ -1,6 +1,6 @@
 // Command noisyvet is the repository's invariant checker: a
 // multichecker-style driver for the internal/lint analyzer suite
-// (deterministic, drawcontract, poolpair). It runs two ways:
+// (deterministic, drawcontract). It runs two ways:
 //
 //	noisyvet ./...                        direct: load, check, report
 //	go vet -vettool=$(pwd)/noisyvet ./... under go vet's unitchecker protocol

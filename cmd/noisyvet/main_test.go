@@ -23,7 +23,7 @@ func TestListExitsZero(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list: exit %d, want 0", code)
 	}
-	for _, name := range []string{"deterministic", "drawcontract", "poolpair"} {
+	for _, name := range []string{"deterministic", "drawcontract"} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, stdout)
 		}

@@ -119,7 +119,7 @@ func runSingleBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p 
 	w := len(rnds)
 	g := top.G
 	n := g.N()
-	net, err := sigPool.GetBatch(g, cfg, rnds)
+	net, err := radio.NewBatch[struct{}](g, cfg, rnds)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +172,6 @@ func runSingleBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p 
 			Channel: net.LaneStats(l),
 		}
 	}
-	sigPool.PutBatch(net)
 	return out, nil
 }
 
@@ -187,14 +186,14 @@ type multiLane[P any] struct {
 }
 
 // runMultiBatch drives one multi-message lane per stream in lockstep over
-// one pooled BatchNetwork until every lane reports completion or
+// one BatchNetwork until every lane reports completion or
 // maxRounds elapse, then assembles per-lane results via finish(lane,
 // executedRounds, laneChannelStats). The per-lane round accounting
 // matches the scalar loops: a lane completing in the body of round r
 // records r+1 executed rounds, a lane alive at the cap records maxRounds.
-func runMultiBatch[P any](pool *radio.Pool[P], g *graph.Graph, cfg radio.Config, rnds []*rng.Stream, maxRounds int, tx *bitset.Block, payloads [][]P, lanes []multiLane[P], finish func(lane, rounds int, ch radio.Stats) Outcome) ([]Outcome, error) {
+func runMultiBatch[P any](g *graph.Graph, cfg radio.Config, rnds []*rng.Stream, maxRounds int, tx *bitset.Block, payloads [][]P, lanes []multiLane[P], finish func(lane, rounds int, ch radio.Stats) Outcome) ([]Outcome, error) {
 	w := len(rnds)
-	net, err := pool.GetBatch(g, cfg, rnds)
+	net, err := radio.NewBatch[P](g, cfg, rnds)
 	if err != nil {
 		return nil, err
 	}
@@ -221,6 +220,5 @@ func runMultiBatch[P any](pool *radio.Pool[P], g *graph.Graph, cfg radio.Config,
 		}
 		out[l] = finish(l, rounds[l], net.LaneStats(l))
 	}
-	pool.PutBatch(net)
 	return out, nil
 }

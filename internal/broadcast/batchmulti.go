@@ -16,7 +16,7 @@ import (
 // that run on the caller's topology — pipelined batch routing, sequential
 // Decay routing and RLNC — the only multi-message entries whose topology
 // can resolve to the dense engine, where lockstep runs. Each runs one
-// independent trial per stream in rnds, in lockstep over a pooled
+// independent trial per stream in rnds, in lockstep over one
 // radio.BatchNetwork, with trial i draw-for-draw identical to the scalar
 // twin applied to rnds[i].
 
@@ -116,7 +116,7 @@ func pipelinedBatchRoutingBatch(top graph.Topology, cfg radio.Config, rnds []*rn
 			},
 		}
 	}
-	return runMultiBatch(&idPool, g, cfg, rnds, maxRounds, tx, payloads, lanes,
+	return runMultiBatch(g, cfg, rnds, maxRounds, tx, payloads, lanes,
 		func(l, rounds int, ch radio.Stats) Outcome {
 			done := 0
 			for i := 0; i <= L; i++ {
@@ -134,9 +134,9 @@ func pipelinedBatchRoutingBatch(top graph.Topology, cfg radio.Config, rnds []*rn
 // shared batch network. Lanes sit at different message indices at any
 // given lockstep round; that is fine, because the schedule depends only on
 // lane-local state. At each message boundary the lane's draw-contract
-// state is reset: the scalar path checks a fresh network out of the pool
-// per Decay call, so the canonical draw sequence restarts there, and
-// stateful contracts (DrawV3 bursts) must restart here too.
+// state is reset: the scalar path builds a fresh network per Decay call,
+// so the canonical draw sequence restarts there, and stateful contracts
+// (DrawV3 bursts) must restart here too.
 func sequentialDecayRoutingBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
 	if err := validateTopology(top); err != nil {
 		return nil, err
@@ -158,7 +158,7 @@ func sequentialDecayRoutingBatch(top graph.Topology, cfg radio.Config, rnds []*r
 	perMsgCap := resolveMaxRounds(p.Options, n, g.Eccentricity(top.Source), cfg)
 	sched := decaySchedule(n)()
 
-	net, err := sigPool.GetBatch(g, cfg, rnds)
+	net, err := radio.NewBatch[struct{}](g, cfg, rnds)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +212,6 @@ func sequentialDecayRoutingBatch(top graph.Topology, cfg radio.Config, rnds []*r
 		ch := net.LaneStats(l)
 		out[l].Channel = ch
 	}
-	sigPool.PutBatch(net)
 	return out, nil
 }
 
@@ -361,7 +360,7 @@ func randomRLNCBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p
 			},
 		}
 	}
-	return runMultiBatch(&rlncPool, g, cfg, rnds, maxRounds, tx, payloads, lanes,
+	return runMultiBatch(g, cfg, rnds, maxRounds, tx, payloads, lanes,
 		func(l, rounds int, ch radio.Stats) Outcome {
 			return Outcome{Rounds: rounds, Success: decoded[l] == n, Done: decoded[l], Channel: ch}
 		})

@@ -164,7 +164,7 @@ type singleRunner struct {
 }
 
 func newSingleRunner(g *graph.Graph, src int, cfg radio.Config, r *rng.Stream) (*singleRunner, error) {
-	net, err := sigPool.Get(g, cfg, r)
+	net, err := radio.New[struct{}](g, cfg, r)
 	if err != nil {
 		return nil, err
 	}
@@ -224,17 +224,12 @@ func (s *singleRunner) run(maxRounds int, schedule scheduleFunc) Outcome {
 		s.rx.ResetWindow(lo, hi)
 		s.tx.ResetWindow(s.tx.NonzeroRange())
 	}
-	res := Outcome{
+	return Outcome{
 		Rounds:  round,
 		Success: len(s.informedList) == n,
 		Done:    len(s.informedList),
 		Channel: s.net.Stats(),
 	}
-	// The runner drives exactly one execution; recycle the network for the
-	// next trial over this graph.
-	sigPool.Put(s.net)
-	s.net = nil
-	return res
 }
 
 // validateTopology rejects graphs on which broadcast cannot terminate.

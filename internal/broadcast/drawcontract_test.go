@@ -40,12 +40,13 @@ func TestScheduleDrawV1DefaultUnchanged(t *testing.T) {
 // batch-equivalence contract to every non-default draw version: under each
 // of v2/v3/v4, RunBatch over W streams must reproduce W scalar Runs
 // outcome for outcome for every entry. This is the schedule-level closure
-// of the radio-layer lane-parity tests, and the layer where cross-checkout
+// of the radio-layer lane-parity tests, and the layer where cross-network
 // state bugs live: a stateful contract (v3's burst process) restarts with
-// each scalar pool checkout, so a batch runner that spans several scalar
-// checkouts with one network (sequential routing) must reset the lane's
-// draw state at each boundary or diverge here. v3's burst parameters are
-// chosen so the stationary marginal stays below BadP at the cases' P=0.5.
+// each scalar network, so a batch runner that spans several scalar
+// networks with one batch network (sequential routing) must reset the
+// lane's draw state at each boundary or diverge here. v3's burst
+// parameters are chosen so the stationary marginal stays below BadP at the
+// cases' P=0.5.
 func TestScheduleDrawBatchMatchesRun(t *testing.T) {
 	versions := []struct {
 		name string

@@ -126,7 +126,7 @@ func RLNCBroadcast(top graph.Topology, cfg radio.Config, messages [][]byte, patt
 	g := top.G
 	n := g.N()
 
-	net, err := rlncPool.Get(g, cfg, r)
+	net, err := radio.New[rlnc.Packet](g, cfg, r)
 	if err != nil {
 		return Outcome{}, nil, err
 	}
@@ -136,7 +136,6 @@ func RLNCBroadcast(top graph.Topology, cfg radio.Config, messages [][]byte, patt
 	}
 	src, err := rlnc.SourceDecoder(messages)
 	if err != nil {
-		rlncPool.Put(net)
 		return Outcome{}, nil, err
 	}
 	decoders[top.Source] = src
@@ -157,7 +156,6 @@ func RLNCBroadcast(top graph.Topology, cfg radio.Config, messages [][]byte, patt
 	if pattern == RLNCRobustFASTBC {
 		tree, err = gbst.Build(g, top.Source)
 		if err != nil {
-			rlncPool.Put(net)
 			return Outcome{}, nil, err
 		}
 		pr := opts.Robust.withDefaults(n, cfg)
@@ -165,7 +163,6 @@ func RLNCBroadcast(top graph.Topology, cfg radio.Config, messages [][]byte, patt
 		buckets, period = waveBuckets(g, tree, pr.BlockSize)
 		levels = tree.Level
 	} else if pattern != RLNCDecay {
-		rlncPool.Put(net)
 		return Outcome{}, nil, fmt.Errorf("broadcast: unknown RLNC pattern %d", int(pattern))
 	}
 
@@ -249,7 +246,6 @@ func RLNCBroadcast(top graph.Topology, cfg radio.Config, messages [][]byte, patt
 		Done:    decoded,
 		Channel: net.Stats(),
 	}
-	rlncPool.Put(net)
 	if !res.Success {
 		return res, nil, nil
 	}

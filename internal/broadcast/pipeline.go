@@ -50,7 +50,7 @@ func pipelinedBatchRouting(top graph.Topology, cfg radio.Config, r *rng.Stream, 
 		return Outcome{Rounds: 0, Success: true, Done: n}, nil
 	}
 
-	net, err := idPool.Get(g, cfg, r)
+	net, err := radio.New[int32](g, cfg, r)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -121,14 +121,12 @@ func pipelinedBatchRouting(top graph.Topology, cfg radio.Config, r *rng.Stream, 
 			done += len(layers[i])
 		}
 	}
-	res := Outcome{
+	return Outcome{
 		Rounds:  round,
 		Success: layerHave[L] == int32(k),
 		Done:    done,
 		Channel: net.Stats(),
-	}
-	idPool.Put(net)
-	return res, nil
+	}, nil
 }
 
 func pipelinedBatchDefaultMaxRounds(n, depth, k int, cfg radio.Config) int {

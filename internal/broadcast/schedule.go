@@ -236,7 +236,7 @@ func starPlanTop(_ graph.Topology, p ScheduleParams) graph.Topology {
 	if p.Leaves < 1 {
 		return graph.Topology{}
 	}
-	return cachedStar(p.Leaves)
+	return graph.Star(p.Leaves)
 }
 
 func wctPlanTop(_ graph.Topology, p ScheduleParams) graph.Topology {
@@ -247,14 +247,14 @@ func wctPlanTop(_ graph.Topology, p ScheduleParams) graph.Topology {
 }
 
 func singleLinkPlanTop(graph.Topology, ScheduleParams) graph.Topology {
-	return cachedSingleLink()
+	return graph.SingleLink()
 }
 
 func pathPlanTop(_ graph.Topology, p ScheduleParams) graph.Topology {
 	if p.PathLen < 1 {
 		return graph.Topology{}
 	}
-	return cachedPath(p.PathLen + 1)
+	return graph.Path(p.PathLen + 1)
 }
 
 // Schedules returns every registered schedule in registry (paper) order.

@@ -50,8 +50,8 @@ func singleLinkNonAdaptive(_ graph.Topology, cfg radio.Config, r *rng.Stream, p 
 	if k < 1 || repeats < 1 {
 		return Outcome{}, fmt.Errorf("broadcast: single-link non-adaptive needs k >= 1 and repeats >= 1, got (%d,%d)", k, repeats)
 	}
-	top := cachedSingleLink()
-	net, err := idPool.Get(top.G, cfg, r)
+	top := graph.SingleLink()
+	net, err := radio.New[int32](top.G, cfg, r)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -74,14 +74,12 @@ func singleLinkNonAdaptive(_ graph.Topology, cfg radio.Config, r *rng.Stream, p 
 	if received == k {
 		done = 2
 	}
-	res := Outcome{
+	return Outcome{
 		Rounds:  k * repeats,
 		Success: received == k,
 		Done:    done,
 		Channel: net.Stats(),
-	}
-	idPool.Put(net)
-	return res, nil
+	}, nil
 }
 
 // singleLinkAdaptive runs the adaptive routing (ARQ) schedule of Lemma 32:
@@ -93,8 +91,8 @@ func singleLinkAdaptive(_ graph.Topology, cfg radio.Config, r *rng.Stream, p Sch
 	if k < 1 {
 		return Outcome{}, fmt.Errorf("broadcast: single-link adaptive needs k >= 1, got %d", k)
 	}
-	top := cachedSingleLink()
-	net, err := idPool.Get(top.G, cfg, r)
+	top := graph.SingleLink()
+	net, err := radio.New[int32](top.G, cfg, r)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -116,14 +114,12 @@ func singleLinkAdaptive(_ graph.Topology, cfg radio.Config, r *rng.Stream, p Sch
 	if current == k {
 		done = 2
 	}
-	res := Outcome{
+	return Outcome{
 		Rounds:  round,
 		Success: current == k,
 		Done:    done,
 		Channel: net.Stats(),
-	}
-	idPool.Put(net)
-	return res, nil
+	}, nil
 }
 
 // singleLinkCoding runs the coding schedule of Lemma 30: the source
@@ -135,8 +131,8 @@ func singleLinkCoding(_ graph.Topology, cfg radio.Config, r *rng.Stream, p Sched
 	if k < 1 {
 		return Outcome{}, fmt.Errorf("broadcast: single-link coding needs k >= 1, got %d", k)
 	}
-	top := cachedSingleLink()
-	net, err := idPool.Get(top.G, cfg, r)
+	top := graph.SingleLink()
+	net, err := radio.New[int32](top.G, cfg, r)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -158,14 +154,12 @@ func singleLinkCoding(_ graph.Topology, cfg radio.Config, r *rng.Stream, p Sched
 	if received >= k {
 		done = 2
 	}
-	res := Outcome{
+	return Outcome{
 		Rounds:  round,
 		Success: received >= k,
 		Done:    done,
 		Channel: net.Stats(),
-	}
-	idPool.Put(net)
-	return res, nil
+	}, nil
 }
 
 // sourceOnlyTx returns the single-link broadcast set {source}: constant

@@ -20,8 +20,8 @@ func starRouting(_ graph.Topology, cfg radio.Config, r *rng.Stream, p SchedulePa
 	if leaves < 1 || k < 1 {
 		return Outcome{}, fmt.Errorf("broadcast: star routing needs leaves >= 1 and k >= 1, got (%d,%d)", leaves, k)
 	}
-	top := cachedStar(leaves)
-	net, err := idPool.Get(top.G, cfg, r)
+	top := graph.Star(leaves)
+	net, err := radio.New[int32](top.G, cfg, r)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -56,14 +56,12 @@ func starRouting(_ graph.Topology, cfg radio.Config, r *rng.Stream, p SchedulePa
 			missing = leaves
 		}
 	}
-	res := Outcome{
+	return Outcome{
 		Rounds:  round,
 		Success: current == int32(k),
 		Done:    doneCountStar(current, k, leaves, missing),
 		Channel: net.Stats(),
-	}
-	idPool.Put(net)
-	return res, nil
+	}, nil
 }
 
 // doneCountStar reports how many leaves hold all k messages at termination:
@@ -94,8 +92,8 @@ func starCoding(_ graph.Topology, cfg radio.Config, r *rng.Stream, p SchedulePar
 	if leaves < 1 || k < 1 {
 		return Outcome{}, fmt.Errorf("broadcast: star coding needs leaves >= 1 and k >= 1, got (%d,%d)", leaves, k)
 	}
-	top := cachedStar(leaves)
-	net, err := idPool.Get(top.G, cfg, r)
+	top := graph.Star(leaves)
+	net, err := radio.New[int32](top.G, cfg, r)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -121,14 +119,12 @@ func starCoding(_ graph.Topology, cfg radio.Config, r *rng.Stream, p SchedulePar
 			}
 		})
 	}
-	res := Outcome{
+	return Outcome{
 		Rounds:  round,
 		Success: done == leaves,
 		Done:    done + 1,
 		Channel: net.Stats(),
-	}
-	idPool.Put(net)
-	return res, nil
+	}, nil
 }
 
 // starDefaultMaxRounds bounds both star schedules comfortably above their

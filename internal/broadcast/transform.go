@@ -32,8 +32,8 @@ func pathPipelineRouting(_ graph.Topology, cfg radio.Config, r *rng.Stream, p Sc
 	if pathLen < 1 || k < 1 {
 		return Outcome{}, fmt.Errorf("broadcast: path pipeline needs pathLen >= 1 and k >= 1, got (%d,%d)", pathLen, k)
 	}
-	top := cachedPath(pathLen + 1)
-	net, err := idPool.Get(top.G, cfg, r)
+	top := graph.Path(pathLen + 1)
+	net, err := radio.New[int32](top.G, cfg, r)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -71,14 +71,12 @@ func pathPipelineRouting(_ graph.Topology, cfg radio.Config, r *rng.Stream, p Sc
 			done++
 		}
 	}
-	res := Outcome{
+	return Outcome{
 		Rounds:  round,
 		Success: have[n-1] == int32(k),
 		Done:    done,
 		Channel: net.Stats(),
-	}
-	idPool.Put(net)
-	return res, nil
+	}, nil
 }
 
 // TransformParams tunes the Lemma 25/26 meta-round transformations.
@@ -143,8 +141,8 @@ func transformedPath(cfg radio.Config, r *rng.Stream, p ScheduleParams, coding b
 	batches := (k + pr.Batch - 1) / pr.Batch
 	mlen := metaRoundLen(pr.Batch, cfg, pr.Eta)
 
-	top := cachedPath(pathLen + 1)
-	net, err := idPool.Get(top.G, cfg, r)
+	top := graph.Path(pathLen + 1)
+	net, err := radio.New[int32](top.G, cfg, r)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -212,14 +210,12 @@ func transformedPath(cfg radio.Config, r *rng.Stream, p ScheduleParams, coding b
 			done++
 		}
 	}
-	res := Outcome{
+	return Outcome{
 		Rounds:  totalRounds,
 		Success: batchHave[n-1] == int32(batches),
 		Done:    done,
 		Channel: net.Stats(),
-	}
-	idPool.Put(net)
-	return res, nil
+	}, nil
 }
 
 func pipelineDefaultMaxRounds(pathLen, k int, cfg radio.Config) int {

@@ -31,7 +31,7 @@ func wctRouting(_ graph.Topology, cfg radio.Config, r *rng.Stream, p SchedulePar
 	if err := validateWCTArgs(w, k); err != nil {
 		return Outcome{}, err
 	}
-	net, err := idPool.Get(w.G, cfg, r)
+	net, err := radio.New[int32](w.G, cfg, r)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -72,14 +72,12 @@ func wctRouting(_ graph.Topology, cfg radio.Config, r *rng.Stream, p SchedulePar
 			missing = members
 		}
 	}
-	res := Outcome{
+	return Outcome{
 		Rounds:  round,
 		Success: current == int32(k),
 		Done:    wctDoneCount(w, current, k, missing),
 		Channel: net.Stats(),
-	}
-	idPool.Put(net)
-	return res, nil
+	}, nil
 }
 
 // wctCoding runs the coding schedule behind Lemma 23: every sender
@@ -94,7 +92,7 @@ func wctCoding(_ graph.Topology, cfg radio.Config, r *rng.Stream, p SchedulePara
 	if err := validateWCTArgs(w, k); err != nil {
 		return Outcome{}, err
 	}
-	net, err := idPool.Get(w.G, cfg, r)
+	net, err := radio.New[int32](w.G, cfg, r)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -135,14 +133,12 @@ func wctCoding(_ graph.Topology, cfg radio.Config, r *rng.Stream, p SchedulePara
 		})
 		clearSenders(w, tx)
 	}
-	res := Outcome{
+	return Outcome{
 		Rounds:  round,
 		Success: done == members,
 		Done:    done + 1 + len(w.Senders),
 		Channel: net.Stats(),
-	}
-	idPool.Put(net)
-	return res, nil
+	}, nil
 }
 
 // scaleCoins precomputes the per-scale Bernoulli samplers 2^-1..2^-scales

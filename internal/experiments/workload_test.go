@@ -56,8 +56,8 @@ func TestWorkloadTopologyStorage(t *testing.T) {
 				if g.HasCSR() != wantCSR {
 					t.Errorf("HasCSR = %v, want %v", g.HasCSR(), wantCSR)
 				}
-				if (g.NeighborModel() != nil) != wantModel {
-					t.Errorf("has a neighbour model = %v, want %v", g.NeighborModel() != nil, wantModel)
+				if (g.Model() != nil) != wantModel {
+					t.Errorf("has a neighbour model = %v, want %v", g.Model() != nil, wantModel)
 				}
 				if got := (radio.Config{}).ResolveEngine(g); got != wantEngine {
 					t.Errorf("auto engine = %v, want %v", got, wantEngine)

@@ -60,7 +60,7 @@ func Complete(n int) Topology {
 		}
 	}
 	g := b.MustBuild()
-	g.model = CompleteModel{Nodes: n}
+	g.model = &CompleteModel{Nodes: n}
 	return Topology{G: g, Source: 0, Name: fmt.Sprintf("complete(n=%d)", n)}
 }
 

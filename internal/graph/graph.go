@@ -23,7 +23,7 @@ import (
 //
 // Two storage modes exist. CSR graphs (everything a Builder produces)
 // materialize sorted neighbour lists and support the full API. Implicit
-// graphs (NewImplicit) carry only a NeighborModel — a closed-form
+// graphs (ImplicitComplete) carry only a CompleteModel — a closed-form
 // neighbourhood description — so per-node state is O(1): they answer
 // degree/edge/eccentricity queries from the model and panic on the
 // methods that exist to expose materialized adjacency (Neighbors, BFS,
@@ -38,7 +38,7 @@ type Graph struct {
 	// Closed-form neighbourhood description, when the graph has one.
 	// Always set for implicit graphs; also set on CSR graphs built by
 	// Complete.
-	model NeighborModel
+	model *CompleteModel
 
 	// Lazily-built bit-matrix adjacency view for the dense radio engine;
 	// see AdjacencyBits. Guarded by bitsOnce so concurrent trials sharing
@@ -131,14 +131,14 @@ func (b *Builder) MustBuild() *Graph {
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
 
-// NeighborModel returns the closed-form neighbourhood model of the graph,
-// or nil when it has none. Implicit graphs always have one; of the CSR
-// graphs, only Complete's have one.
-func (g *Graph) NeighborModel() NeighborModel { return g.model }
+// Model returns the closed-form neighbourhood model of the graph, or nil
+// when it has none. Implicit graphs always have one; of the CSR graphs,
+// only Complete's have one.
+func (g *Graph) Model() *CompleteModel { return g.model }
 
 // HasCSR reports whether the graph materializes adjacency (Neighbors,
 // BFS, Layers, AdjacencyBits are available). False exactly for implicit
-// graphs built with NewImplicit.
+// graphs built with ImplicitComplete.
 func (g *Graph) HasCSR() bool { return g.offsets != nil }
 
 // M returns the number of undirected edges.

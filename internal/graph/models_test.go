@@ -26,8 +26,8 @@ func modelCases() []struct {
 	}
 }
 
-// TestModelMatchesExplicit proves each NeighborModel agrees exactly with
-// the generator's materialized adjacency — the foundation of the implicit
+// TestModelMatchesExplicit proves CompleteModel agrees exactly with the
+// generator's materialized adjacency — the foundation of the implicit
 // engine's bit-identity contract.
 func TestModelMatchesExplicit(t *testing.T) {
 	for _, tc := range modelCases() {
@@ -39,12 +39,12 @@ func TestModelMatchesExplicit(t *testing.T) {
 			if ig.HasCSR() {
 				t.Fatal("implicit graph claims a CSR")
 			}
-			m := eg.NeighborModel()
+			m := eg.Model()
 			if m == nil {
 				t.Fatal("closed-form generator did not attach a model")
 			}
-			if m != ig.NeighborModel() {
-				t.Fatalf("explicit and implicit models differ: %#v vs %#v", m, ig.NeighborModel())
+			if *m != *ig.Model() {
+				t.Fatalf("explicit and implicit models differ: %#v vs %#v", *m, *ig.Model())
 			}
 			if tc.explicit.Name != tc.implicit.Name {
 				t.Fatalf("topology names differ: %q vs %q", tc.explicit.Name, tc.implicit.Name)
@@ -81,7 +81,7 @@ func TestModelMatchesExplicit(t *testing.T) {
 	}
 }
 
-// TestTxCounterMatchesBruteForce drives each model's TxCounter with random
+// TestTxCounterMatchesBruteForce drives CompleteCounter with random
 // broadcast sets and checks count/from against a direct scan of the
 // explicit neighbour lists.
 func TestTxCounterMatchesBruteForce(t *testing.T) {
@@ -89,7 +89,7 @@ func TestTxCounterMatchesBruteForce(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eg := tc.explicit.G
 			n := eg.N()
-			counter := eg.NeighborModel().NewTxCounter()
+			var counter CompleteCounter
 			r := rng.New(0xC0FFEE)
 			tx := bitset.New(n)
 			for round := 0; round < 200; round++ {
@@ -169,7 +169,7 @@ func TestModellessGenerators(t *testing.T) {
 		Lollipop(2, 3),
 		SingleLink(),
 	} {
-		if top.G.NeighborModel() != nil {
+		if top.G.Model() != nil {
 			t.Errorf("%s unexpectedly has a neighbour model", top.Name)
 		}
 		if !top.G.HasCSR() {

@@ -33,17 +33,6 @@ func TestDrawContract(t *testing.T) {
 	}
 }
 
-func TestPoolPair(t *testing.T) {
-	for _, path := range []string{
-		"example/pp/internal/radio", // the pool itself: silent
-		"example/pp/use",
-	} {
-		t.Run(path, func(t *testing.T) {
-			linttest.Run(t, "testdata", lint.PoolPairAnalyzer, path)
-		})
-	}
-}
-
 // TestAnnotationNeedsReason checks the escape hatch's own invariant: an
 // annotation without a reason is reported. (Checked directly rather than
 // via // want because the finding lands on a comment-only line.)

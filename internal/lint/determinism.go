@@ -43,14 +43,18 @@ var forbiddenTimeFuncs = map[string]bool{
 
 // DeterminismAnalyzer forbids nondeterminism sources in the deterministic
 // planes: wall-clock reads, math/rand, map-range iteration (order is
-// randomized per run), goroutine spawns outside the sim dispatchers, and
+// randomized per run), goroutine spawns outside the sim dispatchers,
 // floating-point reductions folded in map-range order (reassociation
-// changes the result). //lint:deterministic-ok <reason> silences one
-// finding.
+// changes the result), and package-level variables holding a map or a
+// sync or sync/atomic value — process-wide mutable state such as a
+// global cache or pool, which outlives the trials that fill it and is
+// shared by every execution in the process. //lint:deterministic-ok
+// <reason> silences one finding.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "deterministic",
 	Doc: "forbid nondeterminism sources (time.Now, math/rand, map ranges, stray goroutines,\n" +
-		"unordered float reductions) in the deterministic simulation planes",
+		"unordered float reductions) and package-level maps, sync and sync/atomic values\n" +
+		"in the deterministic simulation planes",
 	Run: runDeterminism,
 }
 
@@ -72,11 +76,16 @@ func runDeterminism(pass *Pass) error {
 		}
 		checkImports(pass, f)
 		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Body != nil {
+					checkFuncDeterminism(pass, decl, isSim && simDispatchers[decl.Name.Name])
+				}
+			case *ast.GenDecl:
+				if decl.Tok == token.VAR {
+					checkPackageState(pass, decl)
+				}
 			}
-			checkFuncDeterminism(pass, fn, isSim && simDispatchers[fn.Name.Name])
 		}
 	}
 	return nil
@@ -95,6 +104,55 @@ func checkImports(pass *Pass, f *ast.File) {
 				"deterministic plane imports %s; derive randomness from an internal/rng stream", path)
 		}
 	}
+}
+
+// checkPackageState reports each package-level variable of decl whose
+// type is, or contains, a map or a sync or sync/atomic value.
+func checkPackageState(pass *Pass, decl *ast.GenDecl) {
+	for _, spec := range decl.Specs {
+		for _, name := range spec.(*ast.ValueSpec).Names {
+			v, ok := pass.Info.Defs[name].(*types.Var)
+			if !ok || name.Name == "_" {
+				continue
+			}
+			if what := mutableState(v.Type(), map[*types.Named]bool{}); what != "" {
+				pass.Reportf(name.Pos(),
+					"package-level variable %s holds %s in a deterministic plane: process-wide mutable state outlives and crosses trials; give it an owner or annotate with //lint:deterministic-ok <reason>", name.Name, what)
+			}
+		}
+	}
+}
+
+// mutableState names the map, sync or sync/atomic type that t is or
+// contains through pointers, slices, arrays and struct fields, or returns
+// "" when it holds none. seen breaks cycles through recursive named types.
+func mutableState(t types.Type, seen map[*types.Named]bool) string {
+	switch t := types.Unalias(t).(type) {
+	case *types.Named:
+		if p := t.Obj().Pkg(); p != nil && (p.Path() == "sync" || p.Path() == "sync/atomic") {
+			return p.Name() + "." + t.Obj().Name()
+		}
+		if seen[t] {
+			return ""
+		}
+		seen[t] = true
+		return mutableState(t.Underlying(), seen)
+	case *types.Map:
+		return "a map"
+	case *types.Pointer:
+		return mutableState(t.Elem(), seen)
+	case *types.Slice:
+		return mutableState(t.Elem(), seen)
+	case *types.Array:
+		return mutableState(t.Elem(), seen)
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if what := mutableState(t.Field(i).Type(), seen); what != "" {
+				return what
+			}
+		}
+	}
+	return ""
 }
 
 func checkFuncDeterminism(pass *Pass, fn *ast.FuncDecl, dispatcher bool) {

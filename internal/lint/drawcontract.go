@@ -20,16 +20,14 @@ import (
 //     site instead of silently taking a fallthrough.
 //  2. In the package defining DrawContract: every version constant must
 //     have a contractSpecs descriptor row with a name and a committed
-//     golden file, the pool key must include the contract (networks under
-//     different contracts must never mix), and Config.Validate must
-//     consult the descriptor table.
+//     golden file, and Config.Validate must consult the descriptor table.
 //
 // //lint:drawcontract-ok <reason> silences one finding.
 var DrawContractAnalyzer = &Analyzer{
 	Name: "drawcontract",
 	Doc: "require draw-contract switches to be exhaustive (or name the contract in their\n" +
 		"default arm) and every contract version to register a descriptor row, a committed\n" +
-		"golden, pool-key inclusion and Validate coverage",
+		"golden and Validate coverage",
 	Run: runDrawContract,
 }
 
@@ -202,8 +200,8 @@ func localDrawContract(pass *Pass) (*types.Named, []*types.Const) {
 	return named, consts
 }
 
-// checkContractTable enforces rule 2: descriptor rows, goldens, pool-key
-// inclusion and Validate coverage for every registered version.
+// checkContractTable enforces rule 2: descriptor rows, goldens and
+// Validate coverage for every registered version.
 func checkContractTable(pass *Pass, named *types.Named, consts []*types.Const) {
 	specs := findContractSpecs(pass)
 	if specs == nil {
@@ -220,7 +218,6 @@ func checkContractTable(pass *Pass, named *types.Named, consts []*types.Const) {
 		}
 		checkSpecRow(pass, c, row)
 	}
-	checkPoolKey(pass, named)
 	checkValidate(pass, named)
 }
 
@@ -314,28 +311,6 @@ func stringLiteral(pass *Pass, e ast.Expr) string {
 		return ""
 	}
 	return s
-}
-
-// checkPoolKey requires the pool key to include the contract: networks
-// that draw under different contracts are not interchangeable, so a key
-// without the contract would hand a v3 network to a v1 trial.
-func checkPoolKey(pass *Pass, named *types.Named) {
-	obj, ok := pass.Pkg.Scope().Lookup("poolKey").(*types.TypeName)
-	if !ok {
-		// No pool in this package: nothing to key.
-		return
-	}
-	st, ok := obj.Type().Underlying().(*types.Struct)
-	if !ok {
-		return
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if types.Identical(st.Field(i).Type(), named) {
-			return
-		}
-	}
-	pass.Reportf(obj.Pos(),
-		"poolKey does not include a %s field: pooled networks under different draw contracts must never mix", named.Obj().Name())
 }
 
 // checkValidate requires Config.Validate to consult the descriptor table

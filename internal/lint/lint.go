@@ -1,8 +1,9 @@
 // Package lint is the noisyvet analyzer suite: static checks that
 // machine-enforce the repository's cross-cutting invariants — determinism
-// of the hot simulation planes, draw-contract exhaustiveness and
-// scratch-pool discipline — at vet time instead of waiting for a golden or
-// differential test to catch the symptom.
+// of the hot simulation planes, including the absence of package-level
+// mutable state there, and draw-contract exhaustiveness — at vet time
+// instead of waiting for a golden or differential test to catch the
+// symptom.
 //
 // The package mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) on the standard library alone, because the
@@ -17,7 +18,6 @@
 //
 //	//lint:deterministic-ok <reason>   (determinism analyzer)
 //	//lint:drawcontract-ok <reason>    (drawcontract analyzer)
-//	//lint:poolpair-ok <reason>        (poolpair analyzer)
 //
 // The reason is mandatory: an annotation without one is itself reported.
 package lint
@@ -224,6 +224,5 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
 		DrawContractAnalyzer,
-		PoolPairAnalyzer,
 	}
 }

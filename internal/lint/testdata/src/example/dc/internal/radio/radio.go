@@ -1,7 +1,7 @@
 // Package radio is a well-formed draw-contract twin: full descriptor
-// table, committed goldens, contract-keyed pool key, Validate wired to
-// the table — plus switch statements covering the exhaustiveness rule's
-// firing and non-firing shapes.
+// table, committed goldens, Validate wired to the table — plus switch
+// statements covering the exhaustiveness rule's firing and non-firing
+// shapes.
 package radio
 
 import "fmt"
@@ -23,10 +23,6 @@ type contractSpec struct {
 var contractSpecs = []contractSpec{
 	DrawV1: {name: "v1", golden: "v1.golden"},
 	DrawV2: {name: "v2", golden: "v2.golden"},
-}
-
-type poolKey struct {
-	draw DrawContract
 }
 
 type Config struct {
@@ -93,5 +89,4 @@ func notTheContract(x int) int {
 	return 0
 }
 
-var _ = poolKey{draw: DrawV1}
 var _ = []int{int(DrawV1), int(DrawV2)} // keep both constants referenced

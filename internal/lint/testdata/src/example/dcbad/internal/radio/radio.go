@@ -1,7 +1,6 @@
 // Package radio is the ill-formed draw-contract twin: a version with no
 // descriptor row, rows missing their name or golden, an unregistered
-// golden file, a pool key that ignores the contract, and a Validate that
-// never consults the table.
+// golden file, and a Validate that never consults the table.
 package radio
 
 import "errors"
@@ -26,10 +25,6 @@ var contractSpecs = []contractSpec{
 	DrawV4: {name: "v4", golden: "missing.golden"}, // want "is not committed"
 }
 
-type poolKey struct { // want "poolKey does not include a DrawContract field"
-	width int
-}
-
 type Config struct {
 	Draw DrawContract
 }
@@ -40,5 +35,3 @@ func (c Config) Validate() error { // want "does not consult contractSpecs"
 	}
 	return nil
 }
-
-var _ = poolKey{width: 1}

@@ -15,3 +15,5 @@ func Sum(m map[string]float64) float64 {
 	}
 	return s
 }
+
+var cache = map[string]int{}

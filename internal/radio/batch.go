@@ -45,14 +45,13 @@ type BatchNetwork[P any] struct {
 	full uint64 // mask of lanes 0..w-1
 
 	rnds  []*rng.Stream
-	stats []Stats // one per stream; capacity MaxBatchWidth
+	stats []Stats // one per stream
 
 	// Precomputed fault samplers, shared across lanes (the config is).
 	faultCoin  rng.Bernoulli
 	faultCoins []rng.Bernoulli
 
-	// Per-lane state is held for all MaxBatchWidth lanes, so a pooled
-	// network serves any stream count after Reset.
+	// Per-stream state: lanes 0..w-1 only.
 	//
 	// draws[l] is lane l's draw-contract state; every lane fault decision
 	// routes through it, exactly as the scalar engine's draw field. Lanes
@@ -86,14 +85,6 @@ type BatchNetwork[P any] struct {
 	anyTx []uint64
 }
 
-// checkBatchWidth rejects stream counts the lockstep kernel cannot hold.
-func checkBatchWidth(w int) error {
-	if w < 1 || w > MaxBatchWidth {
-		return fmt.Errorf("radio: batch of %d streams outside [1, %d]", w, MaxBatchWidth)
-	}
-	return nil
-}
-
 // NewBatch creates a lockstep batch network over g with one lane per
 // stream in rnds. len(rnds) must be in [1, MaxBatchWidth], and g must
 // resolve to the dense engine under cfg. Lane l draws exclusively from
@@ -105,8 +96,9 @@ func NewBatch[P any](g *graph.Graph, cfg Config, rnds []*rng.Stream) (*BatchNetw
 	if cfg.PerNodeP != nil && len(cfg.PerNodeP) != g.N() {
 		return nil, fmt.Errorf("radio: PerNodeP has length %d, graph has %d nodes", len(cfg.PerNodeP), g.N())
 	}
-	if err := checkBatchWidth(len(rnds)); err != nil {
-		return nil, err
+	w := len(rnds)
+	if w < 1 || w > MaxBatchWidth {
+		return nil, fmt.Errorf("radio: batch of %d streams outside [1, %d]", w, MaxBatchWidth)
 	}
 	if e := resolveEngine(g, cfg.Engine); e != Dense {
 		return nil, fmt.Errorf("radio: lockstep batches run on the dense engine, the graph resolves to %v", e)
@@ -114,19 +106,22 @@ func NewBatch[P any](g *graph.Graph, cfg Config, rnds []*rng.Stream) (*BatchNetw
 	b := &BatchNetwork[P]{
 		g:     g,
 		cfg:   cfg,
-		stats: make([]Stats, MaxBatchWidth),
-		draws: make([]drawState, MaxBatchWidth),
+		w:     w,
+		full:  1<<uint(w) - 1,
+		rnds:  append([]*rng.Stream(nil), rnds...),
+		stats: make([]Stats, w),
+		draws: make([]drawState, w),
 	}
 	for l := range b.draws {
 		b.draws[l] = makeDrawState(cfg, g)
 	}
 	if cfg.Fault == SenderFaults {
-		b.senderNoise = make([][]bool, MaxBatchWidth)
+		b.senderNoise = make([][]bool, w)
 		for l := range b.senderNoise {
 			b.senderNoise[l] = make([]bool, g.N())
 		}
 		if b.draws[0].bulk() {
-			b.noisySites = make([][]int32, MaxBatchWidth)
+			b.noisySites = make([][]int32, w)
 			for l := range b.noisySites {
 				b.noisySites[l] = make([]int32, 0, 16)
 			}
@@ -149,7 +144,6 @@ func NewBatch[P any](g *graph.Graph, cfg Config, rnds []*rng.Stream) (*BatchNetw
 	b.hit = make([]uint64, MaxBatchWidth)
 	b.hitBase = make([]int32, MaxBatchWidth)
 	b.anyTx = make([]uint64, b.adjStride)
-	b.setStreams(rnds)
 	return b, nil
 }
 
@@ -161,36 +155,6 @@ func MustNewBatch[P any](g *graph.Graph, cfg Config, rnds []*rng.Stream) *BatchN
 		panic(err)
 	}
 	return b
-}
-
-// setStreams gives lanes 0..len(rnds)-1 the streams in rnds.
-func (b *BatchNetwork[P]) setStreams(rnds []*rng.Stream) {
-	b.w = len(rnds)
-	b.full = 1<<uint(b.w) - 1
-	b.rnds = append(b.rnds[:0], rnds...)
-	b.stats = b.stats[:b.w]
-}
-
-// Reset returns the batch network to its just-constructed state over the
-// same graph and configuration, with one lane per stream in rnds — the
-// batch counterpart of Network.Reset, so pooled batch networks behave
-// exactly like fresh ones. len(rnds) must be in [1, MaxBatchWidth]; it
-// need not match the stream count the network last ran.
-func (b *BatchNetwork[P]) Reset(rnds []*rng.Stream) {
-	if err := checkBatchWidth(len(rnds)); err != nil {
-		panic(err)
-	}
-	clear(b.stats[:cap(b.stats)])
-	for _, noise := range b.senderNoise {
-		clear(noise)
-	}
-	for l := range b.draws {
-		b.draws[l].reset()
-	}
-	for l := range b.noisySites {
-		b.noisySites[l] = b.noisySites[l][:0]
-	}
-	b.setStreams(rnds)
 }
 
 // Graph returns the underlying graph.
@@ -206,13 +170,13 @@ func (b *BatchNetwork[P]) Width() int { return b.w }
 func (b *BatchNetwork[P]) LaneStats(l int) Stats { return b.stats[l] }
 
 // ResetLaneDraw restores lane l's draw-contract state to its
-// just-constructed value, as if the lane had checked out a fresh network.
-// Batch runners whose scalar counterpart performs several pool checkouts
-// per trial (one per sub-broadcast, e.g. sequential routing's k Decay
-// calls) must call this at each sub-broadcast boundary: the draw
-// contract's canonical sequence restarts with every scalar checkout, and
-// stateful contracts (DrawV3's burst process) would otherwise leak state
-// across the boundary and diverge from the scalar universe.
+// just-constructed value, as if the lane had a fresh network. Batch
+// runners whose scalar counterpart builds several networks per trial (one
+// per sub-broadcast, e.g. sequential routing's k Decay calls) must call
+// this at each sub-broadcast boundary: the draw contract's canonical
+// sequence restarts with every scalar network, and stateful contracts
+// (DrawV3's burst process) would otherwise leak state across the boundary
+// and diverge from the scalar universe.
 func (b *BatchNetwork[P]) ResetLaneDraw(l int) { b.draws[l].reset() }
 
 // faultFor returns the fault sampler for node v, as in the scalar engine.
@@ -287,7 +251,8 @@ func (b *BatchNetwork[P]) resolveUnique(l int, u, from int32, payloads [][]P, rx
 // ascending node id — and lane draws come from lane streams only, so each
 // lane's execution is bit-identical to a scalar Network consuming the same
 // stream. Deliveries are resolved in ascending receiver id and, within one
-// receiver, ascending lane.
+// receiver, ascending lane. As with StepSet, a network whose deliver
+// callback panicked must be discarded.
 func (b *BatchNetwork[P]) StepBatch(tx *bitset.Block, payloads [][]P, rx *bitset.Block, active uint64, deliver func(lane int, d Delivery[P])) {
 	nn := b.g.N()
 	if tx.Len() != nn || tx.Width() != MaxBatchWidth {

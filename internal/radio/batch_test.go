@@ -24,6 +24,15 @@ type batchExecution struct {
 	nextDraw   uint64 // stream position witness: the draw after the run
 }
 
+// batchStreams returns w lane streams rng.NewFrom(seed, l).
+func batchStreams(seed uint64, w int) []*rng.Stream {
+	rnds := make([]*rng.Stream, w)
+	for l := range rnds {
+		rnds[l] = rng.NewFrom(seed, uint64(l))
+	}
+	return rnds
+}
+
 // executeScalarLane runs lane l's trial on a scalar dense Network: the
 // reference executions batch runs must reproduce draw for draw. schedule
 // is consulted as schedule(lane, round, v); the lane's stream is
@@ -65,23 +74,12 @@ func executeScalarLane(t testing.TB, g *graph.Graph, cfg Config, seed uint64, la
 func executeBatchLanes(t testing.TB, g *graph.Graph, cfg Config, seed uint64, w int, roundsFor func(lane int) int, schedule func(lane, round, v int) bool) []batchExecution {
 	t.Helper()
 	cfg.Engine = Dense
-	rnds := make([]*rng.Stream, w)
-	for l := range rnds {
-		rnds[l] = rng.NewFrom(seed, uint64(l))
-	}
+	rnds := batchStreams(seed, w)
 	net, err := NewBatch[int32](g, cfg, rnds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return runBatchLanes(t, net, rnds, roundsFor, schedule)
-}
-
-// runBatchLanes is executeBatchLanes on an existing network whose lanes
-// draw from rnds.
-func runBatchLanes(t testing.TB, net *BatchNetwork[int32], rnds []*rng.Stream, roundsFor func(lane int) int, schedule func(lane, round, v int) bool) []batchExecution {
-	t.Helper()
-	w := net.Width()
-	n := net.Graph().N()
+	n := g.N()
 	maxRounds := 0
 	for l := 0; l < w; l++ {
 		if r := roundsFor(l); r > maxRounds {
@@ -269,109 +267,6 @@ func TestBatchInactiveLanesInert(t *testing.T) {
 	}
 }
 
-// Reset must restore a batch network to fresh-construction behaviour, the
-// contract batch pooling stands on.
-func TestBatchResetBitIdentical(t *testing.T) {
-	top := graph.GNP(60, 0.2, rng.New(3))
-	cfg := Config{Fault: SenderFaults, P: 0.3}
-	sched := batchSchedule(9, 0.3)
-	roundsFor := func(int) int { return 20 }
-	for _, draw := range []DrawContract{DrawV1, DrawV2} {
-		cfg.Draw = draw
-		want := executeBatchLanes(t, top.G, cfg, 5, 4, roundsFor, sched)
-
-		// Same run on a dirtied, then Reset, network.
-		cfg.Engine = Dense
-		dirty := make([]*rng.Stream, 4)
-		for l := range dirty {
-			dirty[l] = rng.New(uint64(l) + 999)
-		}
-		net := MustNewBatch[int32](top.G, cfg, dirty)
-		tx := bitset.NewBlock(60, MaxBatchWidth)
-		for l := 0; l < 4; l++ {
-			for v := 0; v < 60; v += l + 2 {
-				tx.Set(l, v)
-			}
-		}
-		for i := 0; i < 7; i++ {
-			net.StepBatch(tx, nil, nil, 0b1111, nil)
-		}
-		rnds := make([]*rng.Stream, 4)
-		for l := range rnds {
-			rnds[l] = rng.NewFrom(5, uint64(l))
-		}
-		net.Reset(rnds)
-
-		n := top.G.N()
-		tx2 := bitset.NewBlock(n, MaxBatchWidth)
-		rx2 := bitset.NewBlock(n, MaxBatchWidth)
-		for round := 0; round < 20; round++ {
-			tx2.Reset()
-			for l := 0; l < 4; l++ {
-				for v := 0; v < n; v++ {
-					if sched(l, round, v) {
-						tx2.Set(l, v)
-					}
-				}
-			}
-			net.StepBatch(tx2, nil, rx2, 0b1111, nil)
-		}
-		for l := 0; l < 4; l++ {
-			if net.LaneStats(l) != want[l].stats {
-				t.Fatalf("%v lane %d: stats after Reset diverged\nwant %+v\ngot  %+v", draw, l, want[l].stats, net.LaneStats(l))
-			}
-			got := laneSet(rx2, l)
-			for w, word := range want[l].rx.Words() {
-				if got.Words()[w] != word {
-					t.Fatalf("%v lane %d: rx after Reset diverged", draw, l)
-				}
-			}
-			if next := rnds[l].Uint64(); next != want[l].nextDraw {
-				t.Fatalf("%v lane %d: stream position after Reset diverged", draw, l)
-			}
-		}
-	}
-}
-
-// TestBatchResetAfterMidRoundPanic is the lockstep twin of
-// TestResetAfterMidRoundPanic: lane 1's first delivery panics mid-sweep,
-// after lane 0 has resolved that receiver and before lanes 2 and 3 do,
-// and after Reset the network must reproduce a fresh one lane for lane.
-func TestBatchResetAfterMidRoundPanic(t *testing.T) {
-	const w = 4
-	g := graph.Star(96).G
-	hub := func(v int) bool { return v == 0 }
-	tx := bitset.NewBlock(g.N(), MaxBatchWidth)
-	payloads := make([][]int32, w)
-	for l := range payloads {
-		tx.Set(l, 0)
-		payloads[l] = make([]int32, g.N())
-	}
-	sched := batchSchedule(9, 0.3)
-	roundsFor := func(int) int { return 20 }
-	for _, cfg := range panicResetConfigs {
-		want := executeBatchLanes(t, g, cfg, 5, w, roundsFor, sched)
-
-		cfg.Engine = Dense
-		net := MustNewBatch[int32](g, cfg, batchStreams(999, w))
-		at := abandonRound(t, func(deliver func(d Delivery[int32])) {
-			net.StepBatch(tx, payloads, nil, 1<<w-1, func(lane int, d Delivery[int32]) {
-				if lane == 1 {
-					deliver(d)
-				}
-			})
-		})
-		requireUnvisitedInWord(t, g, hub, at, false)
-		rnds := batchStreams(5, w)
-		net.Reset(rnds)
-		got := runBatchLanes(t, net, rnds, roundsFor, sched)
-		for l := range got {
-			name := fmt.Sprintf("%s/draw %v/lane=%d", cfg.Fault, cfg.Draw, l)
-			requireLaneIdentical(t, name, want[l], got[l])
-		}
-	}
-}
-
 func TestNewBatchRejectsBadWidth(t *testing.T) {
 	top := graph.Path(4)
 	dense := Config{Fault: Faultless, Engine: Dense}
@@ -394,9 +289,9 @@ func TestNewBatchRejectsBadWidth(t *testing.T) {
 }
 
 // TestNewBatchRejectsNonDenseEngines: lockstep runs on the dense engine
-// only, so NewBatch and Pool.GetBatch refuse a graph that resolves to the
-// sparse or implicit engine, whether by Auto or by a forced engine, and
-// accept one that resolves to dense, fallback included.
+// only, so NewBatch refuses a graph that resolves to the sparse or
+// implicit engine, whether by Auto or by a forced engine, and accepts
+// one that resolves to dense, fallback included.
 func TestNewBatchRejectsNonDenseEngines(t *testing.T) {
 	rnds := batchStreams(1, 2)
 	for _, tc := range []struct {
@@ -415,10 +310,6 @@ func TestNewBatchRejectsNonDenseEngines(t *testing.T) {
 		cfg := Config{Fault: ReceiverFaults, P: 0.3, Engine: tc.eng}
 		if _, err := NewBatch[int32](tc.g, cfg, rnds); (err == nil) != tc.ok {
 			t.Errorf("%s: NewBatch on a graph resolving to %v: err = %v", tc.name, cfg.ResolveEngine(tc.g), err)
-		}
-		var pool Pool[int32]
-		if _, err := pool.GetBatch(tc.g, cfg, rnds); (err == nil) != tc.ok {
-			t.Errorf("%s: GetBatch on a graph resolving to %v: err = %v", tc.name, cfg.ResolveEngine(tc.g), err)
 		}
 	}
 }

@@ -292,36 +292,3 @@ func TestDrawTracedMatchesUntraced(t *testing.T) {
 		}
 	}
 }
-
-// TestDrawScalarResetBitIdentical: a dirtied-then-Reset network must
-// reproduce a fresh network exactly under every contract — Reset has to
-// discard a pending v2 skip countdown, v3's phase indicator and
-// stationarity init, v4's jam prelude, and the recorded fault sites.
-func TestDrawScalarResetBitIdentical(t *testing.T) {
-	top := graph.Complete(200)
-	for _, dc := range []DrawContract{DrawV2, DrawV3, DrawV4} {
-		cfg := Config{Fault: SenderFaults, P: 0.01, Draw: dc, Engine: Dense}
-		run := func(net *Network[int32]) Stats {
-			n := top.G.N()
-			tx := bitset.New(n)
-			payload := make([]int32, n)
-			for round := 0; round < 30; round++ {
-				tx.Reset()
-				for v := round % 3; v < n; v += 3 {
-					tx.Set(v)
-				}
-				net.StepSet(tx, payload, nil, nil)
-			}
-			return net.Stats()
-		}
-		fresh := MustNew[int32](top.G, cfg, rng.New(77))
-		want := run(fresh)
-
-		dirty := MustNew[int32](top.G, cfg, rng.New(999))
-		run(dirty)
-		dirty.Reset(rng.New(77))
-		if got := run(dirty); got != want {
-			t.Fatalf("%v: stats after Reset diverged\nwant %+v\ngot  %+v", dc, want, got)
-		}
-	}
-}

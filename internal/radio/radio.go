@@ -54,12 +54,12 @@
 //     with next-row window prefetch), since each adjacency row is then
 //     ≥ 512 bytes and row misses dominate.
 //   - Implicit answers the transmitting-neighbour query from the
-//     topology's closed form (graph.NeighborModel) — no adjacency is
+//     topology's closed form (graph.CompleteModel) — no adjacency is
 //     stored at all, so per-node state is O(1) and complete graphs at
 //     n = 10⁵–10⁶ run in O(n) resident memory, far past the Θ(n²/8)-byte
 //     bit-matrix ceiling of Dense. Available exactly when the graph
 //     carries a model, which only complete graphs do; the only engine
-//     for implicit graphs (graph.NewImplicit).
+//     for implicit graphs (graph.ImplicitComplete).
 //
 // Config.Engine selects the engine; the default Auto picks by average
 // degree and model availability. A forced engine the graph cannot support
@@ -164,7 +164,7 @@ const (
 	// on construction (cached on the graph, shared across networks).
 	Dense
 	// Implicit answers the transmitting-neighbour query from the graph's
-	// closed-form neighbourhood model (graph.NeighborModel): O(n) work
+	// closed-form neighbourhood model (graph.CompleteModel): O(n) work
 	// per round, O(1) per-node state, no stored adjacency. Requires the
 	// graph to carry a model.
 	Implicit
@@ -459,26 +459,6 @@ type Config struct {
 	Jam JamParams
 }
 
-// drawParams returns the contract parameters that shape this
-// configuration's draw sequence, normalised: zero fields resolved to
-// defaults, and the parameter struct of every non-selected contract
-// zeroed (it is ignored, so it must not split pool keys).
-func (c Config) drawParams() (BurstParams, JamParams) {
-	var b BurstParams
-	var j JamParams
-	switch c.Draw {
-	case DrawV1, DrawV2:
-		// Per-call i.i.d. draws carry no extra parameters.
-	case DrawV3:
-		b = c.Burst.norm()
-	case DrawV4:
-		j = c.Jam.norm()
-	default:
-		panic(fmt.Sprintf("radio: drawParams: unknown draw contract %v", c.Draw))
-	}
-	return b, j
-}
-
 // DrawLabel returns the contract name annotated with its effective
 // parameters — "v3(len=8,badp=0.5)", "v4(q=0.05,r=8)" — for plan rows
 // and reports. For v1/v2 it is just the contract name.
@@ -523,7 +503,7 @@ func resolveEngine(g *graph.Graph, e Engine) Engine {
 			return e
 		}
 	case Implicit:
-		if g.NeighborModel() != nil {
+		if g.Model() != nil {
 			return Implicit
 		}
 	}
@@ -743,8 +723,9 @@ func (d *drawState) endRound() {
 
 // reset returns the state to its just-constructed value, dropping every
 // cross-round remnant — v3's phase indicator and stationarity init,
-// v4's jam prelude — so a pooled network behaves exactly like a fresh
-// one. endRound alone is not enough for v3/v4, which deliberately carry
+// v4's jam prelude — so a batch lane can restart its contract exactly
+// as a fresh scalar network starts it (BatchNetwork.ResetLaneDraw).
+// endRound alone is not enough for v3/v4, which deliberately carry
 // state across round boundaries.
 func (d *drawState) reset() {
 	d.endRound()
@@ -770,7 +751,7 @@ type Network[P any] struct {
 	g      *graph.Graph
 	cfg    Config
 	rnd    *rng.Stream
-	engine Engine // resolved engine: Sparse or Dense, never Auto
+	engine Engine // resolved engine: Sparse, Dense or Implicit, never Auto
 
 	stats Stats
 
@@ -810,10 +791,10 @@ type Network[P any] struct {
 	// level) so concurrent trials never share a write target.
 	prefetchSink uint64
 
-	// Implicit-engine state: the per-round transmitting-neighbour counter
-	// built from the graph's closed-form model. Owned by this network —
-	// counters are stateful between Begin and Count and not safe to share.
-	counter graph.TxCounter
+	// Implicit-engine state: the complete graph's per-round
+	// transmitting-neighbour counter. Owned by this network — counters
+	// are stateful between Begin and Count and not safe to share.
+	counter graph.CompleteCounter
 
 	// scratchTx is the packed broadcast set the Step adapter assembles
 	// from its []bool argument before forwarding to StepSet. FromBools
@@ -828,7 +809,7 @@ type Network[P any] struct {
 
 	// Shared per-round scratch. senderNoise is only allocated under
 	// SenderFaults — the only model that ever writes it — so the other
-	// models pay nothing for it, in Reset or anywhere else.
+	// models pay nothing for it.
 	senderNoise []bool  // per-node sender-fault flags this round
 	traceTx     []int32 // broadcasters this round (tracing only)
 	traceRx     []int32 // receivers this round (tracing only)
@@ -856,7 +837,7 @@ func autoEngine(g *graph.Graph) Engine {
 	}
 	n := g.N()
 	if n >= 64 && g.AvgDegree() >= float64(n)/8 {
-		if g.NeighborModel() != nil && n >= implicitMinN {
+		if g.Model() != nil && n >= implicitMinN {
 			return Implicit
 		}
 		return Dense
@@ -904,9 +885,7 @@ func New[P any](g *graph.Graph, cfg Config, rnd *rng.Stream) (*Network[P], error
 		n.adjWords = n.adjBits.Words()
 		n.adjStride = n.adjBits.Stride()
 		n.rowLo, n.rowHi = n.adjBits.RowRanges()
-	case Implicit:
-		n.counter = g.NeighborModel().NewTxCounter()
-	default:
+	case Sparse:
 		n.heard = newListenerTally(g.N())
 	}
 	return n, nil
@@ -940,32 +919,6 @@ func MustNew[P any](g *graph.Graph, cfg Config, rnd *rng.Stream) *Network[P] {
 		panic(err)
 	}
 	return n
-}
-
-// Reset returns the network to its just-constructed state over the same
-// graph, configuration and engine, with rnd as its randomness stream: round
-// and channel statistics are zeroed, the trace callback is removed, and
-// the per-round scratch is cleared. A Reset network behaves exactly like a
-// fresh New one — this is what lets a worker reuse one Network's adjacency
-// scratch and fault buffers across many Monte-Carlo trials instead of
-// reallocating them (see Pool).
-func (n *Network[P]) Reset(rnd *rng.Stream) {
-	n.rnd = rnd
-	n.stats = Stats{}
-	n.trace = nil
-	n.traceTx = n.traceTx[:0]
-	n.traceRx = n.traceRx[:0]
-	// Step maintains the scratch clean between rounds; clear it anyway so
-	// a network abandoned in an unexpected state cannot leak into the next
-	// trial. senderNoise is nil except under SenderFaults (the only model
-	// that writes it), so the other models skip that clear entirely.
-	n.heard.clear()
-	n.scratchTx.Reset()
-	for v := range n.senderNoise {
-		n.senderNoise[v] = false
-	}
-	n.draw.reset()
-	n.noisySites = n.noisySites[:0]
 }
 
 // Graph returns the underlying graph.
@@ -1046,6 +999,11 @@ func (n *Network[P]) Step(broadcasting []bool, payload []P, deliver func(d Deliv
 // receiver id order. Both engines honour this contract, and Step forwards
 // here, so executions are bit-identical across engines and across the
 // Step/StepSet entry points.
+//
+// A deliver callback that panics abandons the round midway and leaves the
+// per-round scratch inconsistent, so the network must be discarded, never
+// stepped again. The schedules build one network per trial and drop it
+// when the trial ends, panicking or not.
 func (n *Network[P]) StepSet(tx *bitset.Set, payload []P, rx *bitset.Set, deliver func(d Delivery[P])) {
 	nn := n.g.N()
 	if tx.Len() != nn || len(payload) != nn {
@@ -1260,19 +1218,16 @@ func (n *Network[P]) resolveUnique(u, from int32, payload []P, rx *bitset.Set, d
 //
 // The kernel fills and resolves a round in two walks, spelled out in
 // stepSetSparse because their bodies are the hot path. The broadcaster
-// walk first widens the window to cover the broadcaster's sorted
-// neighbour list, from its first and last entries, and only then touches
-// the neighbours: one slot load and store each, plus an OR into the
-// touched words. The resolution walk visits the window: per word, the
-// members in ascending bit order — the canonical draw order, with no
-// sort — reading and zeroing each member's slot as it is visited; it
-// clears the word only after its last member, skipping empty words
-// without a store (most of a spread-out window is empty), and finally
-// marks the tally empty. No bit is ever set outside the window, and a
-// word is never cleared before its members' slots are zeroed, so a round
-// abandoned mid-walk (a deliver callback that panics) leaves every member
-// it has not reached still in the set, and clear, which Reset calls,
-// returns the tally to its just-built state.
+// walk widens the window to cover the broadcaster's sorted neighbour
+// list, from its first and last entries, and touches the neighbours: one
+// slot load and store each, plus an OR into the touched words. The
+// resolution walk visits the window: per word, the members in ascending
+// bit order — the canonical draw order, with no sort — reading and
+// zeroing each member's slot as it is visited; it clears the word after
+// its last member, skipping empty words without a store (most of a
+// spread-out window is empty), and finally marks the tally empty. No bit
+// is ever set outside the window, so a completed round leaves every slot
+// and word zero for the next.
 type listenerTally struct {
 	slot  []int32  // 0 unheard, v+1 heard only from v, -1 heard from two or more
 	words []uint64 // bit u set: u was heard this round, its word not yet walked
@@ -1290,18 +1245,6 @@ func newListenerTally(n int) listenerTally {
 	}
 }
 
-// clear empties the tally whatever state a round left it in, with the
-// kernel's resolution walk minus the resolution.
-func (t *listenerTally) clear() {
-	for wi := t.lo; wi < t.hi; wi++ {
-		for w := t.words[wi]; w != 0; w &= w - 1 {
-			t.slot[wi<<6|bits.TrailingZeros64(w)] = 0
-		}
-		t.words[wi] = 0
-	}
-	t.lo, t.hi = len(t.words), 0
-}
-
 // stepSetSparse is the CSR engine: walk the neighbour lists of the
 // broadcasters (iterated straight off the tx words), then resolve the
 // touched listeners in ascending id order off the tally's word window.
@@ -1309,8 +1252,7 @@ func (t *listenerTally) clear() {
 // apart from the tx word scan.
 func (n *Network[P]) stepSetSparse(tx *bitset.Set, payload []P, rx *bitset.Set, deliver func(d Delivery[P])) {
 	// Mark transmissions and draw sender faults in ascending id order,
-	// recording each neighbour's hearing in its slot (see listenerTally
-	// for why the window moves before any bit is set).
+	// recording each neighbour's hearing in its slot (see listenerTally).
 	h := &n.heard
 	slots, words := h.slot, h.words
 	txw := tx.Words()
@@ -1338,8 +1280,7 @@ func (n *Network[P]) stepSetSparse(tx *bitset.Set, payload []P, rx *bitset.Set, 
 	}
 
 	// Resolve receptions in ascending receiver id order, the canonical
-	// draw order shared with the other engines, with the tally walk (see
-	// listenerTally for why a word is cleared only after its members).
+	// draw order shared with the other engines, with the tally walk.
 	for wi, hi := h.lo, h.hi; wi < hi; wi++ {
 		w := words[wi]
 		if w == 0 {
@@ -1522,10 +1463,10 @@ func (n *Network[P]) denseListenersBlocked(txw []uint64, txLo, txHi int, payload
 }
 
 // stepSetImplicit is the closed-form engine: no adjacency is consulted at
-// all. The graph's TxCounter aggregates the round's broadcast set once
-// (Begin), then answers every listener's transmitting-neighbour count in
-// O(1) — O(n) work per round, independent of density, with O(1) per-node
-// state. Broadcasters are marked and listeners resolved in ascending id
+// all. The complete graph's counter aggregates the round's broadcast set
+// once (Begin), then answers every listener's transmitting-neighbour count
+// in O(1) — O(n) work per round, independent of density, with O(1)
+// per-node state. Broadcasters are marked and listeners resolved in ascending id
 // order, the canonical draw order shared with the other engines.
 func (n *Network[P]) stepSetImplicit(tx *bitset.Set, payload []P, rx *bitset.Set, deliver func(d Delivery[P])) {
 	txw := tx.Words()

@@ -219,6 +219,48 @@ func TestCacheHitBuildsNoWorkload(t *testing.T) {
 	}
 }
 
+// TestFinishedJobsRetainNoHeap: a finished job leaves nothing live but
+// its cached body. Every trial builds its own network and synthesised
+// topology and drops both when it returns, so after the server closes and
+// a GC the live heap is back within 1 MiB of where it started. The
+// 2¹⁵-node hypercube's CSR alone is about 2 MiB, and each 50,000-leaf star
+// with a network over it about 0.8 MiB.
+func TestFinishedJobsRetainNoHeap(t *testing.T) {
+	before := liveHeap()
+	runDistinctJobs(t)
+	if after := liveHeap(); after > before+1<<20 {
+		t.Fatalf("live heap %d bytes after 16 finished jobs and a closed server, %d before: %d bytes retained, want < 1 MiB",
+			after, before, after-before)
+	}
+}
+
+// runDistinctJobs runs 8 one-trial star-routing jobs at distinct n and 8
+// one-trial decay jobs on hypercubes of 2⁸ … 2¹⁵ nodes on a fresh server,
+// then closes it.
+func runDistinctJobs(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{}))
+	defer ts.Close()
+	for i := 0; i < 8; i++ {
+		for _, spec := range []benchreport.JobSpec{
+			{Schedule: "star-routing", N: 50_000 + i, Fault: "receiver", P: 0.3, Seed: 1, Trials: 1},
+			{Schedule: "decay", Topology: "hypercube", N: 1 << (8 + i), Fault: "receiver", P: 0.3, Seed: 1, Trials: 1},
+		} {
+			resp, body := postJob(t, ts, spec)
+			if l := lastLine(t, body); resp.StatusCode != http.StatusOK || l.Type != "result" {
+				t.Fatalf("%s n=%d: status %d, terminal line %+v", spec.Schedule, spec.N, resp.StatusCode, l)
+			}
+		}
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after a full GC.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
 // TestBodyDeterministicAcrossServers: a fresh process (fresh server)
 // computes the byte-identical body — the cache's correctness claim.
 func TestBodyDeterministicAcrossServers(t *testing.T) {

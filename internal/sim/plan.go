@@ -13,8 +13,10 @@ import (
 // -benchjson report so the `-trialbatch auto` decisions ship with the
 // performance artifact.
 var (
-	planMu  sync.Mutex
-	planLog = map[benchreport.Plan]int{} // key has Count zero; value is the count
+	planMu sync.Mutex //lint:deterministic-ok guards planLog, a process-cumulative report counter that no trial reads
+	// planLog's keys have Count zero; each value is the count.
+	//lint:deterministic-ok process-cumulative report counter that no trial reads
+	planLog = map[benchreport.Plan]int{}
 )
 
 // recordPlan aggregates one row's chosen plan into the process plan log.

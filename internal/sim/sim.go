@@ -27,7 +27,7 @@ type TrialFunc func(trial int, r *rng.Stream) (float64, error)
 
 // totalTrials counts trials executed process-wide, for the benchmark
 // harness (see TotalTrials).
-var totalTrials atomic.Int64
+var totalTrials atomic.Int64 //lint:deterministic-ok process-cumulative report counter that no trial reads
 
 // TotalTrials returns the number of Monte-Carlo trials executed by this
 // process so far, across Run and Sweep. It only ever grows; benchmark
