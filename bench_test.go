@@ -57,18 +57,31 @@ func BenchmarkA1BlockSizeAblation(b *testing.B)       { benchExperiment(b, "A1")
 func BenchmarkA2RepetitionAblation(b *testing.B)      { benchExperiment(b, "A2") }
 func BenchmarkA3UnknownNDecay(b *testing.B)           { benchExperiment(b, "A3") }
 
-// BenchmarkSingleBroadcastAlgorithms compares the three single-message
+// BenchmarkSingleBroadcastAlgorithms compares the four single-message
 // algorithms head-to-head on a noisy grid — the library's headline hot
-// path.
+// path. Each runs twice: run calls Run per trial, which plans the
+// schedule (round cap, GBST, skip samplers) every time; row runs its
+// trials through one binding, as a sweep row does, so the plan is built
+// once and the per-trial cost is the broadcast alone.
 func BenchmarkSingleBroadcastAlgorithms(b *testing.B) {
 	top := Grid(24, 24)
 	cfg := Config{Fault: ReceiverFaults, P: 0.3}
-	for _, name := range []string{"decay", "fastbc", "robust-fastbc"} {
+	for _, name := range []string{"decay", "decay-unknown-n", "fastbc", "robust-fastbc"} {
 		sched := MustSchedule(name)
-		b.Run(name, func(b *testing.B) {
+		b.Run(name+"/run", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := Run(sched, top, cfg, NewRand(uint64(i)), ScheduleParams{})
+				if err != nil || !res.Success {
+					b.Fatalf("%v %+v", err, res)
+				}
+			}
+		})
+		b.Run(name+"/row", func(b *testing.B) {
+			run, _ := sched.Bind(top, cfg, ScheduleParams{})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := run(NewRand(uint64(i)))
 				if err != nil || !res.Success {
 					b.Fatalf("%v %+v", err, res)
 				}

@@ -70,6 +70,28 @@ func (m *Matrix) Set(r, c int) {
 	}
 }
 
+// SetRow sets bit (r, c) for every c in cols, which must be ascending. It
+// checks r and the first and last column once and widens the row's window
+// once, from those two columns, where Set would do both per bit.
+func (m *Matrix) SetRow(r int, cols []int32) {
+	if len(cols) == 0 {
+		return
+	}
+	first, last := int(cols[0]), int(cols[len(cols)-1])
+	m.check(r, first)
+	m.check(r, last)
+	row := m.words[r*m.stride : (r+1)*m.stride]
+	for _, c := range cols {
+		row[c/wordBits] |= 1 << (uint32(c) % wordBits)
+	}
+	if lo := int32(first / wordBits); lo < m.rowLo[r] {
+		m.rowLo[r] = lo
+	}
+	if hi := int32(last/wordBits + 1); hi > m.rowHi[r] {
+		m.rowHi[r] = hi
+	}
+}
+
 // Test reports whether bit (r, c) is set.
 func (m *Matrix) Test(r, c int) bool {
 	m.check(r, c)

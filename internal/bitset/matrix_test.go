@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -47,6 +48,9 @@ func TestMatrixOutOfRangePanics(t *testing.T) {
 		func() { m.Set(0, 10) },
 		func() { m.Test(-1, 0) },
 		func() { m.Row(2) },
+		func() { m.SetRow(2, []int32{0}) },
+		func() { m.SetRow(0, []int32{-1, 3}) },
+		func() { m.SetRow(0, []int32{3, 10}) },
 	} {
 		func() {
 			defer func() {
@@ -56,6 +60,35 @@ func TestMatrixOutOfRangePanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// Property: SetRow of an ascending column list leaves the words and row
+// windows that one Set per column leaves, on rows that already hold bits
+// on either side of the list.
+func TestQuickMatrixSetRowMatchesSet(t *testing.T) {
+	f := func(before, cols []uint16) bool {
+		const n = 300
+		want, got := NewMatrix(2, n), NewMatrix(2, n)
+		for _, c := range before {
+			want.Set(1, int(c)%n)
+			got.Set(1, int(c)%n)
+		}
+		list := make([]int32, 0, len(cols))
+		for _, c := range cols {
+			list = append(list, int32(c)%n)
+		}
+		slices.Sort(list)
+		for _, c := range list {
+			want.Set(1, int(c))
+		}
+		got.SetRow(1, list)
+		wantLo, wantHi := want.RowRanges()
+		gotLo, gotHi := got.RowRanges()
+		return slices.Equal(got.Words(), want.Words()) && slices.Equal(gotLo, wantLo) && slices.Equal(gotHi, wantHi)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -5,10 +5,10 @@
 // own rng stream, informed state and counters, so its execution is
 // draw-for-draw identical to the scalar runner — the batch twins are pure
 // throughput optimisations, and the package tests compare them against
-// their scalar twins result by result. Schedule.RunBatch hands them
-// between 2 and radio.MaxBatchWidth untraced streams on a topology that
-// resolves to the dense engine; every other call runs the scalar twin
-// once per stream.
+// their scalar twins result by result. A binding's batch runner
+// (Schedule.Bind) hands them between 2 and radio.MaxBatchWidth untraced
+// streams on a topology that resolves to the dense engine; every other
+// batch runs the scalar twin once per stream.
 //
 // Lanes finish at different times; a finished lane leaves the active mask
 // and from then on consumes no randomness and contributes no channel
@@ -68,9 +68,9 @@ func (v *laneView) Mark(x int32) { v.r.tx.Set(v.l, int(x)) }
 
 func (v *laneView) Informed(x int32) bool { return v.r.lanes[v.l].informed.Test(int(x)) }
 
-func (v *laneView) DecayStep(p float64) {
+func (v *laneView) DecayStep(skip rng.Geometric) {
 	lane := &v.r.lanes[v.l]
-	geometricVisit(lane.rnd, len(lane.informedList), p, func(pos int) {
+	geometricVisit(lane.rnd, len(lane.informedList), skip, func(pos int) {
 		v.r.tx.Set(v.l, int(lane.informedList[pos]))
 	})
 }
@@ -100,22 +100,15 @@ func (b *batchRunner) foldLane(l int) {
 	b.tx.ResetLaneWindow(l, txLo, txHi)
 }
 
-// runSingleBatch executes one single-message trial of plan per stream in
-// rnds, in lockstep: per round every unfinished lane's schedule marks its
-// broadcasters into the lane's tx column, one StepBatch resolves all
-// lanes' receptions, and each lane folds its receivers into its informed
-// set in ascending id order (the scalar fold order). A lane whose
-// informed set completes leaves the active mask with its round count
-// recorded; the loop ends when every lane finished or the plan's round
-// cap elapsed.
-func runSingleBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams, plan singlePlan) ([]Outcome, error) {
-	if err := validateTopology(top); err != nil {
-		return nil, err
-	}
-	maxRounds, factory, err := plan(top, cfg, p)
-	if err != nil {
-		return nil, err
-	}
+// runSingleBatch executes one single-message trial of a prepared plan per
+// stream in rnds, in lockstep: per round every unfinished lane's schedule
+// marks its broadcasters into the lane's tx column, one StepBatch
+// resolves all lanes' receptions, and each lane folds its receivers into
+// its informed set in ascending id order (the scalar fold order). A lane
+// whose informed set completes leaves the active mask with its round
+// count recorded; the loop ends when every lane finished or maxRounds
+// elapsed.
+func runSingleBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, maxRounds int, factory scheduleFactory) ([]Outcome, error) {
 	w := len(rnds)
 	g := top.G
 	n := g.N()

@@ -155,8 +155,11 @@ func sequentialDecayRoutingBatch(top graph.Topology, cfg radio.Config, rnds []*r
 	if n == 1 {
 		return out, nil // every Decay run completes in zero rounds
 	}
-	perMsgCap := resolveMaxRounds(p.Options, n, g.Eccentricity(top.Source), cfg)
-	sched := decaySchedule(n)()
+	perMsgCap, factory, err := decayPlan(top, cfg, p)
+	if err != nil {
+		return nil, err
+	}
+	sched := factory()
 
 	net, err := radio.NewBatch[struct{}](g, cfg, rnds)
 	if err != nil {
@@ -236,7 +239,7 @@ func randomRLNCBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p
 	var period, cS int
 	var levels []int32
 	phaseLen := decayPhaseLen(n)
-	probs := decayProbabilities(phaseLen)
+	skips := decaySkips(phaseLen)
 	if pattern == RLNCRobustFASTBC {
 		tree, err := gbst.Build(g, top.Source)
 		if err != nil {
@@ -300,8 +303,8 @@ func randomRLNCBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p
 				marked[l] = append(marked[l], v)
 			}
 		}
-		decaySample := func(p float64) {
-			geometricVisit(rnd, len(activeList[l]), p, func(pos int) {
+		decaySample := func(skip rng.Geometric) {
+			geometricVisit(rnd, len(activeList[l]), skip, func(pos int) {
 				mark(activeList[l][pos])
 			})
 		}
@@ -309,11 +312,11 @@ func randomRLNCBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p
 			begin: func(round int) {
 				switch pattern {
 				case RLNCDecay:
-					decaySample(probs[round%phaseLen])
+					decaySample(skips[round%phaseLen])
 				case RLNCRobustFASTBC:
 					if round%2 == 1 {
 						t := (round - 1) / 2
-						decaySample(probs[t%phaseLen])
+						decaySample(skips[t%phaseLen])
 					} else {
 						t := round
 						activeBlock := (t / 2 / cS) % period

@@ -69,18 +69,17 @@ func decayPhaseLen(n int) int {
 	return graph.Log2Ceil(n) + 1
 }
 
-// geometricVisit visits each position of [0, n) independently with
-// probability p, skipping straight between selected positions with one
-// Geometric draw each (expected cost O(p·n)). This is the single
-// definition of the decay-sampling draw sequence: every scalar and batch
-// frontier sampler (singleRunner, laneView, both RLNC pattern drivers)
-// draws through it, so their sequences cannot drift apart. The skips come
-// from one rng.Geometric sampler per call, which draws exactly what
-// Stream.Geometric(p) would: Decay's p = 2^-e with e <= 6 by threshold
-// table, with no log1p per skip, and every other p by the formula with
-// log1p(-p) computed once.
-func geometricVisit(rnd *rng.Stream, n int, p float64, visit func(pos int)) {
-	skip := rng.NewGeometric(p)
+// geometricVisit visits each position of [0, n) independently with the
+// success probability of skip, jumping straight between selected
+// positions with one skip.Draw each (expected cost O(p·n)). This is the
+// single definition of the decay-sampling draw sequence: every scalar and
+// batch frontier sampler (singleRunner, laneView, both RLNC pattern
+// drivers) draws through it, so their sequences cannot drift apart. The
+// caller builds skip once per plan (see decaySkips), so a round costs no
+// log1p: Decay's p = 2^-e with e <= 6 draw by threshold table, and every
+// other p by the formula over the sampler's stored log1p(-p). The draws
+// are exactly Stream.Geometric(p)'s.
+func geometricVisit(rnd *rng.Stream, n int, skip rng.Geometric, visit func(pos int)) {
 	for pos := -1; ; {
 		// Compare before adding: a skip of math.MaxInt, the sampler's
 		// "no success in range", must not wrap pos.
@@ -102,11 +101,12 @@ func geometricVisit(rnd *rng.Stream, n int, p float64, visit func(pos int)) {
 type marker interface {
 	// Mark sets v to broadcast this round.
 	Mark(v int32)
-	// DecayStep marks each informed node independently with probability p,
-	// drawing via geometric skips over the trial's informed list (expected
-	// cost O(p·|informed|), same draw sequence as per-node coins would
-	// produce under the skip sampling contract).
-	DecayStep(p float64)
+	// DecayStep marks each informed node independently with skip's
+	// success probability p, drawing the gaps between marked nodes from
+	// skip over the trial's informed list (expected cost O(p·|informed|)).
+	// skip comes from the plan's decaySkips table, built once per plan and
+	// shared read-only by every trial.
+	DecayStep(skip rng.Geometric)
 	// Informed reports whether v is informed in this trial.
 	Informed(v int32) bool
 }
@@ -114,33 +114,30 @@ type marker interface {
 // scheduleFunc marks one round's broadcasters for one trial.
 type scheduleFunc func(m marker, round int)
 
-// scheduleFactory builds a fresh per-trial schedule closure. Schedules
-// with per-trial mutable state (decayUnknownN's growing epochs) need one
-// closure per trial; stateless schedules may return a shared one.
+// scheduleFactory builds a fresh per-trial schedule closure. It belongs
+// to a plan, which every trial of a binding shares, so it is called
+// concurrently and the closures it returns share the plan's tables
+// read-only. Schedules with per-trial mutable state (decayUnknownN's
+// growing epochs) need one closure per trial; stateless schedules may
+// return a shared one.
 type scheduleFactory func() scheduleFunc
 
 // singlePlan prepares a single-message schedule over a validated
-// topology: its round cap and its per-trial schedule factory. Each
-// single-message schedule has one plan, which runSingle and
-// runSingleBatch both execute.
+// topology: its round cap and its per-trial schedule factory. The plan
+// depends only on the topology, config and parameters, never on a
+// trial's stream, so a binding (Schedule.Bind) builds it at most once and
+// every trial and lockstep lane of the binding runs on it.
 type singlePlan func(top graph.Topology, cfg radio.Config, p ScheduleParams) (maxRounds int, factory scheduleFactory, err error)
 
-// runSingle executes one single-message trial of plan from the
-// topology's source.
-func runSingle(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams, plan singlePlan) (Outcome, error) {
-	if err := validateTopology(top); err != nil {
-		return Outcome{}, err
-	}
-	maxRounds, factory, err := plan(top, cfg, p)
-	if err != nil {
-		return Outcome{}, err
-	}
+// runTrial executes one single-message trial of a prepared plan, capped
+// at maxRounds, from the topology's source.
+func runTrial(top graph.Topology, cfg radio.Config, r *rng.Stream, trace radio.TraceFunc, maxRounds int, sched scheduleFunc) (Outcome, error) {
 	runner, err := newSingleRunner(top.G, top.Source, cfg, r)
 	if err != nil {
 		return Outcome{}, err
 	}
-	runner.net.SetTrace(p.Options.Trace)
-	return runner.run(maxRounds, factory()), nil
+	runner.net.SetTrace(trace)
+	return runner.run(maxRounds, sched), nil
 }
 
 // singleRunner drives the shared informed-set loop of the single-message
@@ -186,10 +183,10 @@ func (s *singleRunner) Mark(v int32) {
 	s.tx.Set(int(v))
 }
 
-// DecayStep marks each informed node with probability p using geometric
-// skips over the informed list: expected cost O(p·|informed|).
-func (s *singleRunner) DecayStep(p float64) {
-	geometricVisit(s.rnd, len(s.informedList), p, func(pos int) {
+// DecayStep marks each informed node with skip's probability, drawing
+// geometric skips over the informed list: expected cost O(p·|informed|).
+func (s *singleRunner) DecayStep(skip rng.Geometric) {
+	geometricVisit(s.rnd, len(s.informedList), skip, func(pos int) {
 		s.Mark(s.informedList[pos])
 	})
 }

@@ -4,22 +4,22 @@ import (
 	"noisyradio/internal/gbst"
 	"noisyradio/internal/graph"
 	"noisyradio/internal/radio"
-	"noisyradio/internal/rng"
 )
 
 // fastbcSchedule builds the FASTBC schedule over a GBST: odd rounds run a
 // Decay step, even round 2t rides the non-interfering wave (an informed
 // fast node at level l with rank r broadcasts iff t ≡ l - 6r mod 6·rmax).
-// The bucket tables are shared across trials; the closure is stateless.
+// The bucket and skip tables are built once per plan and shared across
+// trials; the closure is stateless.
 func fastbcSchedule(g *graph.Graph, tree *gbst.Tree) scheduleFactory {
 	phaseLen := decayPhaseLen(g.N())
-	probs := decayProbabilities(phaseLen)
+	skips := decaySkips(phaseLen)
 	buckets, period := waveBuckets(g, tree, 1) // blockSize 1: slot = level - 6·rank
 
 	sched := func(m marker, round int) {
 		if round%2 == 1 { // slow transmission round: Decay step
 			t := (round - 1) / 2
-			m.DecayStep(probs[t%phaseLen])
+			m.DecayStep(skips[t%phaseLen])
 			return
 		}
 		// Fast transmission round 2t.
@@ -33,8 +33,8 @@ func fastbcSchedule(g *graph.Graph, tree *gbst.Tree) scheduleFactory {
 	return func() scheduleFunc { return sched }
 }
 
-// fastbc runs the known-topology, diameter-linear broadcast algorithm of
-// Gąsieniec, Peleg and Xin [22] (Section 3.4.2).
+// fastbcPlan plans the known-topology, diameter-linear broadcast
+// algorithm of Gąsieniec, Peleg and Xin [22] (Section 3.4.2).
 //
 // A GBST is built from the source. Odd-numbered rounds run a standard Decay
 // step over all informed nodes (pushing the message across slow edges);
@@ -46,16 +46,6 @@ func fastbcSchedule(g *graph.Graph, tree *gbst.Tree) scheduleFactory {
 // Under sender or receiver faults its round-counting wave breaks and the
 // expected time on a path degrades to Θ(p/(1-p)·D·log n + D/(1-p))
 // (Lemma 10) — the deterioration this repository's experiment E4 measures.
-func fastbc(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
-	return runSingle(top, cfg, r, p, fastbcPlan)
-}
-
-// fastbcBatch is fastbc's lockstep twin. The GBST and its wave buckets are
-// built once and shared read-only across lanes.
-func fastbcBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
-	return runSingleBatch(top, cfg, rnds, p, fastbcPlan)
-}
-
 func fastbcPlan(top graph.Topology, cfg radio.Config, p ScheduleParams) (int, scheduleFactory, error) {
 	g := top.G
 	tree, err := gbst.Build(g, top.Source)

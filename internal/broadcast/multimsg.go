@@ -60,7 +60,8 @@ func RandomMessages(k, payloadLen int, r *rng.Stream) [][]byte {
 // the Decay algorithm — the naive routing baseline the coded schedules of
 // Lemmas 12–13 are compared against. Its throughput is Θ(1/(D log n)),
 // asymptotically worse than both coding (Ω(1/log n)) and the pipelined
-// routing of Lemma 21 (Ω(1/log² n)).
+// routing of Lemma 21 (Ω(1/log² n)). The trial plans Decay once and runs
+// its p.K executions on that plan, each on a fresh network.
 func sequentialDecayRouting(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
 	if err := validateTopology(top); err != nil {
 		return Outcome{}, err
@@ -68,9 +69,13 @@ func sequentialDecayRouting(top graph.Topology, cfg radio.Config, r *rng.Stream,
 	if p.K < 1 {
 		return Outcome{}, fmt.Errorf("broadcast: sequential routing needs k >= 1, got %d", p.K)
 	}
+	maxRounds, factory, err := decayPlan(top, cfg, p)
+	if err != nil {
+		return Outcome{}, err
+	}
 	out := Outcome{Success: true, Done: top.G.N()}
 	for i := 0; i < p.K; i++ {
-		res, err := decay(top, cfg, r, p)
+		res, err := runTrial(top, cfg, r, p.Options.Trace, maxRounds, factory())
 		if err != nil {
 			return Outcome{}, err
 		}
@@ -172,7 +177,7 @@ func RLNCBroadcast(top graph.Topology, cfg radio.Config, messages [][]byte, patt
 		maxRounds = defaultMaxRounds(n, diam, cfg) + 80*k*(graph.Log2Ceil(n)+2)
 	}
 	phaseLen := decayPhaseLen(n)
-	probs := decayProbabilities(phaseLen)
+	skips := decaySkips(phaseLen)
 
 	tx := bitset.New(n)
 	payload := make([]rlnc.Packet, n)
@@ -183,8 +188,8 @@ func RLNCBroadcast(top graph.Topology, cfg radio.Config, messages [][]byte, patt
 			marked = append(marked, v)
 		}
 	}
-	decaySample := func(p float64) {
-		geometricVisit(r, len(activeList), p, func(pos int) {
+	decaySample := func(skip rng.Geometric) {
+		geometricVisit(r, len(activeList), skip, func(pos int) {
 			mark(activeList[pos])
 		})
 	}
@@ -193,11 +198,11 @@ func RLNCBroadcast(top graph.Topology, cfg radio.Config, messages [][]byte, patt
 	for ; round < maxRounds && decoded < n; round++ {
 		switch pattern {
 		case RLNCDecay:
-			decaySample(probs[round%phaseLen])
+			decaySample(skips[round%phaseLen])
 		case RLNCRobustFASTBC:
 			if round%2 == 1 {
 				t := (round - 1) / 2
-				decaySample(probs[t%phaseLen])
+				decaySample(skips[t%phaseLen])
 			} else {
 				t := round
 				activeBlock := (t / 2 / cS) % period

@@ -4,7 +4,6 @@ import (
 	"noisyradio/internal/gbst"
 	"noisyradio/internal/graph"
 	"noisyradio/internal/radio"
-	"noisyradio/internal/rng"
 )
 
 // RobustParams tunes Robust FASTBC. The zero value selects the paper's
@@ -62,11 +61,11 @@ func waveBuckets(g *graph.Graph, tree *gbst.Tree, blockSize int) (buckets [][]in
 }
 
 // robustSchedule builds the Robust FASTBC block-wave schedule over a GBST
-// (see robustFASTBC). The bucket tables are shared across trials; the
-// closure is stateless.
+// (see robustPlan). The bucket and skip tables are built once per plan
+// and shared across trials; the closure is stateless.
 func robustSchedule(g *graph.Graph, tree *gbst.Tree, pr RobustParams) scheduleFactory {
 	phaseLen := decayPhaseLen(g.N())
-	probs := decayProbabilities(phaseLen)
+	skips := decaySkips(phaseLen)
 	buckets, period := waveBuckets(g, tree, pr.BlockSize)
 	levels := tree.Level
 
@@ -74,7 +73,7 @@ func robustSchedule(g *graph.Graph, tree *gbst.Tree, pr RobustParams) scheduleFa
 	sched := func(m marker, round int) {
 		if round%2 == 1 { // slow transmission round: Decay step
 			t := (round - 1) / 2
-			m.DecayStep(probs[t%phaseLen])
+			m.DecayStep(skips[t%phaseLen])
 			return
 		}
 		t := round
@@ -89,7 +88,7 @@ func robustSchedule(g *graph.Graph, tree *gbst.Tree, pr RobustParams) scheduleFa
 	return func() scheduleFunc { return sched }
 }
 
-// robustFASTBC runs the paper's new single-message broadcast algorithm
+// robustPlan plans the paper's new single-message broadcast algorithm
 // (Section 4.1), which restores diameter-linearity under noise:
 // O(D + log n·log log n·(log n + log 1/δ)) rounds with failure probability
 // at most δ under sender or receiver faults (Theorem 11). p.Robust tunes
@@ -108,16 +107,6 @@ func robustSchedule(g *graph.Graph, tree *gbst.Tree, pr RobustParams) scheduleFa
 // the BFS tree. Failing all c·S attempts merely parks the message until the
 // wave returns 6·rmax block-slots later, which is where the log log n
 // (rather than log n) multiplicative overhead of Lemma 10 disappears.
-func robustFASTBC(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
-	return runSingle(top, cfg, r, p, robustPlan)
-}
-
-// robustFASTBCBatch is robustFASTBC's lockstep twin. The GBST and its
-// block buckets are built once and shared read-only across lanes.
-func robustFASTBCBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
-	return runSingleBatch(top, cfg, rnds, p, robustPlan)
-}
-
 func robustPlan(top graph.Topology, cfg radio.Config, p ScheduleParams) (int, scheduleFactory, error) {
 	g := top.G
 	tree, err := gbst.Build(g, top.Source)

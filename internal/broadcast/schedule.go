@@ -1,22 +1,25 @@
 // The first-class Schedule API: every broadcast schedule of the paper is
-// one registry entry carrying its name, paper reference, result kind, its
-// scalar runner and, for the seven entries whose topology can resolve to
-// the dense engine, a lockstep trial-batched twin. The registry is the
+// one registry entry carrying its name, paper reference and result kind.
+// A single-message entry carries one plan (round cap plus schedule
+// closure), which runs both scalar and in lockstep; a multi-message entry
+// carries its scalar runner and, for the three whose topology can resolve
+// to the dense engine, a lockstep trial-batched twin. The registry is the
 // only way to run a schedule: the implementations are unexported.
 // Callers — the experiment runners, the throughput harness, cmd/noisysim
-// and the public facade — select a schedule by name and Run it; whether a
-// set of trials executes scalar or as lanes of one lockstep batch is an
-// execution-plan detail (see sim.Sweep.AddSchedule), not a caller-visible
-// API fork. Single-message schedules drive both strategies through one
-// closure over marker; each multi-message twin is written twice, as a
-// scalar loop and as a multiLane twin, and the package tests keep the two
-// equal.
+// and the public facade — select a schedule by name and Run it, or Bind it
+// once per sweep row; whether a set of trials executes scalar or as lanes
+// of one lockstep batch is an execution-plan detail (see
+// sim.Sweep.AddSchedule), not a caller-visible API fork. Single-message
+// schedules drive both strategies through one closure over marker; each
+// multi-message twin is written twice, as a scalar loop and as a
+// multiLane twin, and the package tests keep the two equal.
 package broadcast
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"noisyradio/internal/graph"
 	"noisyradio/internal/radio"
@@ -133,51 +136,135 @@ type Schedule struct {
 	// zero topology means "unknown".
 	planTop func(top graph.Topology, p ScheduleParams) graph.Topology
 
+	// plan is a single-message entry's plan, which its bindings run both
+	// scalar and as lockstep lanes; nil for the multi-message entries,
+	// which carry run instead.
+	plan singlePlan
+
+	// run is a multi-message entry's scalar runner.
 	run func(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error)
-	// runBatch is the lockstep twin, nil for entries whose topology never
-	// resolves to the dense engine (stars, WCTs, the single link and the
-	// pipelined paths are all sparse).
+	// runBatch is a multi-message entry's lockstep twin, nil for entries
+	// whose topology never resolves to the dense engine (stars, WCTs, the
+	// single link and the pipelined paths are all sparse).
 	runBatch func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error)
 }
 
-// Run executes one trial of the schedule under the given randomness.
+// Bind fixes the schedule's arguments for one sweep row and returns the
+// row's runners: run executes one trial under r, and runBatch one
+// independent trial per stream in rnds, outcome i identical to run over
+// rnds[i] (the batch twins' contract, enforced by the package tests). A
+// single-message entry builds its plan — the round cap with its
+// eccentricity BFS, FASTBC's GBST and wave buckets, Decay's skip samplers
+// — at most once per binding: the first trial or batch that needs it
+// builds it, and every later trial and lane shares it read-only. A plan
+// that fails fails every trial of the binding with its error. Both
+// runners are safe for concurrent use.
+//
+// runBatch runs the trials as lanes of one lockstep batch when the entry
+// has a lockstep twin (HasLockstep), rnds holds 2 to radio.MaxBatchWidth
+// streams, the run is untraced (tracing is a scalar concern), and the
+// schedule's topology resolves to the dense engine under cfg, the only
+// engine with a lockstep kernel. Otherwise it calls run once per stream.
+// An empty rnds is an error.
+func (s *Schedule) Bind(top graph.Topology, cfg radio.Config, p ScheduleParams) (run func(r *rng.Stream) (Outcome, error), runBatch func(rnds []*rng.Stream) ([]Outcome, error)) {
+	var lockstep func(rnds []*rng.Stream) ([]Outcome, error)
+	if s.plan != nil {
+		b := &planBinding{top: top, cfg: cfg, p: p, plan: s.plan}
+		run, lockstep = b.run, b.runBatch
+	} else {
+		run = func(r *rng.Stream) (Outcome, error) { return s.run(top, cfg, r, p) }
+		if s.runBatch != nil {
+			lockstep = func(rnds []*rng.Stream) ([]Outcome, error) { return s.runBatch(top, cfg, rnds, p) }
+		}
+	}
+	dense := false
+	if lockstep != nil && p.Options.Trace == nil {
+		pt := s.planTop(top, p)
+		dense = pt.G != nil && cfg.ResolveEngine(pt.G) == radio.Dense
+	}
+	runBatch = func(rnds []*rng.Stream) ([]Outcome, error) {
+		if len(rnds) == 0 {
+			return nil, errors.New("broadcast: batch run with no streams")
+		}
+		if dense && len(rnds) > 1 && len(rnds) <= radio.MaxBatchWidth {
+			return lockstep(rnds)
+		}
+		out := make([]Outcome, len(rnds))
+		for i, r := range rnds {
+			o, err := run(r)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = o
+		}
+		return out, nil
+	}
+	return run, runBatch
+}
+
+// planBinding is a single-message entry bound to one row's arguments. It
+// builds the entry's plan at most once, on first use, and runs every
+// scalar trial and lockstep batch of the row on it.
+type planBinding struct {
+	top  graph.Topology
+	cfg  radio.Config
+	p    ScheduleParams
+	plan singlePlan
+
+	once      sync.Once
+	maxRounds int
+	factory   scheduleFactory
+	err       error
+}
+
+// prepared returns the binding's plan, building it on first use.
+func (b *planBinding) prepared() (int, scheduleFactory, error) {
+	b.once.Do(func() {
+		if b.err = validateTopology(b.top); b.err == nil {
+			b.maxRounds, b.factory, b.err = b.plan(b.top, b.cfg, b.p)
+		}
+	})
+	return b.maxRounds, b.factory, b.err
+}
+
+func (b *planBinding) run(r *rng.Stream) (Outcome, error) {
+	maxRounds, factory, err := b.prepared()
+	if err != nil {
+		return Outcome{}, err
+	}
+	return runTrial(b.top, b.cfg, r, b.p.Options.Trace, maxRounds, factory())
+}
+
+func (b *planBinding) runBatch(rnds []*rng.Stream) ([]Outcome, error) {
+	maxRounds, factory, err := b.prepared()
+	if err != nil {
+		return nil, err
+	}
+	return runSingleBatch(b.top, b.cfg, rnds, maxRounds, factory)
+}
+
+// Run executes one trial of the schedule under the given randomness,
+// through a binding of its own (see Bind).
 func (s *Schedule) Run(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
-	return s.run(top, cfg, r, p)
+	run, _ := s.Bind(top, cfg, p)
+	return run(r)
 }
 
-// RunBatch executes one independent trial per stream in rnds; outcome i
-// is identical to Run over rnds[i] (the batch twins' contract, enforced by
-// the package tests). The trials run as lanes of one lockstep batch when
-// the entry has a lockstep twin (HasLockstep), rnds holds 2 to
-// radio.MaxBatchWidth streams, the run is untraced (tracing is a scalar
-// concern), and the schedule's topology resolves to the dense engine
-// under cfg, the only engine with a lockstep kernel. Otherwise RunBatch
-// calls Run once per stream.
+// RunBatch executes one independent trial per stream in rnds, through a
+// binding of its own; outcome i is identical to Run over rnds[i] (the
+// batch twins' contract, enforced by the package tests). Bind says when
+// the trials run as lanes of one lockstep batch.
 func (s *Schedule) RunBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
-	if len(rnds) == 0 {
-		return nil, errors.New("broadcast: batch run with no streams")
-	}
-	if s.runBatch != nil && len(rnds) > 1 && len(rnds) <= radio.MaxBatchWidth && p.Options.Trace == nil {
-		if pt := s.planTop(top, p); pt.G != nil && cfg.ResolveEngine(pt.G) == radio.Dense {
-			return s.runBatch(top, cfg, rnds, p)
-		}
-	}
-	out := make([]Outcome, len(rnds))
-	for i, r := range rnds {
-		o, err := s.run(top, cfg, r, p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = o
-	}
-	return out, nil
+	_, runBatch := s.Bind(top, cfg, p)
+	return runBatch(rnds)
 }
 
-// HasLockstep reports whether the entry has a lockstep twin, which
-// RunBatch runs on topologies that resolve to the dense engine. Execution
+// HasLockstep reports whether the entry can run trials in lockstep — a
+// single-message plan or a multi-message lockstep twin — which its
+// bindings do on topologies that resolve to the dense engine. Execution
 // planners use it to plan such entries' rows as lockstep batches and
 // every other row scalar.
-func (s *Schedule) HasLockstep() bool { return s.runBatch != nil }
+func (s *Schedule) HasLockstep() bool { return s.plan != nil || s.runBatch != nil }
 
 // PlanTopology returns the topology the schedule would execute on given
 // these arguments: the passed topology for topology-taking schedules, the
@@ -197,13 +284,13 @@ func passedTop(top graph.Topology, _ ScheduleParams) graph.Topology { return top
 // and coding schedules of Section 5 and the appendices.
 var schedules = []*Schedule{
 	{Name: "decay", Ref: "Lemmas 6/9", Kind: SingleMessage,
-		planTop: passedTop, run: decay, runBatch: decayBatch},
+		planTop: passedTop, plan: decayPlan},
 	{Name: "decay-unknown-n", Ref: "Lemma 9 extension (unknown n)", Kind: SingleMessage,
-		planTop: passedTop, run: decayUnknownN, runBatch: decayUnknownNBatch},
+		planTop: passedTop, plan: unknownNPlan},
 	{Name: "fastbc", Ref: "Lemmas 8/10", Kind: SingleMessage,
-		planTop: passedTop, run: fastbc, runBatch: fastbcBatch},
+		planTop: passedTop, plan: fastbcPlan},
 	{Name: "robust-fastbc", Ref: "Theorem 11", Kind: SingleMessage,
-		planTop: passedTop, run: robustFASTBC, runBatch: robustFASTBCBatch},
+		planTop: passedTop, plan: robustPlan},
 	{Name: "rlnc", Ref: "Lemmas 12-13", Kind: MultiMessage,
 		planTop: passedTop, run: randomRLNC, runBatch: randomRLNCBatch},
 	{Name: "sequential-decay-routing", Ref: "Section 4.2 baseline", Kind: MultiMessage,

@@ -3,6 +3,7 @@ package broadcast
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"noisyradio/internal/graph"
@@ -69,7 +70,7 @@ func TestScheduleCasesCoverRegistry(t *testing.T) {
 // per-stream fallback; widths 3, 9, 13 and 16 run the lockstep twins
 // (9 and 13 with the kernel's upper eight lanes partly live), and a
 // traced batch the fallback again, so its trace observes every round the
-// scalar trials execute.
+// scalar trials execute. Each width runs through one binding as well.
 func TestScheduleRunBatchMatchesRun(t *testing.T) {
 	for name, c := range scheduleCases(t) {
 		s := MustSchedule(name)
@@ -87,15 +88,19 @@ func TestScheduleRunBatchMatchesRun(t *testing.T) {
 		}
 		scalarRounds := observed
 		observed = 0
+		// Four passes over the same trials: Run, RunBatch, and one
+		// binding's run and runBatch.
 		requireRunBatchMatchesRun(t, s, traced, 4)
-		if observed != 2*scalarRounds {
-			t.Errorf("%s: traced RunBatch observed %d rounds, want the scalar trials' %d", name, observed-scalarRounds, scalarRounds)
+		if observed != 4*scalarRounds {
+			t.Errorf("%s: traced passes observed %d rounds, want 4 × the scalar trials' %d", name, observed, scalarRounds)
 		}
 	}
 }
 
 // requireRunBatchMatchesRun checks s.RunBatch over w streams against w
-// scalar Runs over the same streams.
+// scalar Runs over the same streams, and then one binding of the case
+// (Bind): its run once per stream and its runBatch over the same streams
+// must match those Runs too.
 func requireRunBatchMatchesRun(t *testing.T, s *Schedule, c scheduleCase, w int) {
 	t.Helper()
 	want := make([]Outcome, w)
@@ -106,18 +111,35 @@ func requireRunBatchMatchesRun(t *testing.T, s *Schedule, c scheduleCase, w int)
 		}
 		want[i] = out
 	}
+	requireOutcomes := func(how string, got []Outcome) {
+		t.Helper()
+		if len(got) != w {
+			t.Fatalf("%s: %s returned %d outcomes for %d streams", s.Name, how, len(got), w)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: %s width %d trial %d diverged\nscalar %+v\ngot    %+v", s.Name, how, w, i, want[i], got[i])
+			}
+		}
+	}
 	got, err := s.RunBatch(c.top, c.cfg, trialStreams(99, 0, w), c.p)
 	if err != nil {
 		t.Fatalf("%s: batch of %d: %v", s.Name, w, err)
 	}
-	if len(got) != w {
-		t.Fatalf("%s: batch returned %d outcomes for %d streams", s.Name, len(got), w)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("%s: width %d trial %d diverged\nscalar %+v\nbatch  %+v", s.Name, w, i, want[i], got[i])
+	requireOutcomes("RunBatch", got)
+
+	run, runBatch := s.Bind(c.top, c.cfg, c.p)
+	bound := make([]Outcome, w)
+	for i := range bound {
+		if bound[i], err = run(rng.NewFrom(99, uint64(i))); err != nil {
+			t.Fatalf("%s: bound trial %d: %v", s.Name, i, err)
 		}
 	}
+	requireOutcomes("bound run", bound)
+	if got, err = runBatch(trialStreams(99, 0, w)); err != nil {
+		t.Fatalf("%s: bound batch of %d: %v", s.Name, w, err)
+	}
+	requireOutcomes("bound runBatch", got)
 }
 
 // TestScheduleRunBatchNoStreams: every entry rejects an empty batch.
@@ -131,9 +153,10 @@ func TestScheduleRunBatchNoStreams(t *testing.T) {
 }
 
 // TestScheduleRunBatchLockstepRule: RunBatch hands the streams to the
-// lockstep twin only for 2 to radio.MaxBatchWidth untraced streams on a
+// lockstep runner only for 2 to radio.MaxBatchWidth untraced streams on a
 // topology that resolves to the dense engine, and calls Run once per
-// stream otherwise.
+// stream otherwise. The decay plan is wrapped to see which runner drove
+// it: lockstep lanes mark through a laneView.
 func TestScheduleRunBatchLockstepRule(t *testing.T) {
 	decay := MustSchedule("decay")
 	dense := radio.Config{Fault: radio.ReceiverFaults, P: 0.3, Engine: radio.Dense}
@@ -160,15 +183,129 @@ func TestScheduleRunBatchLockstepRule(t *testing.T) {
 	} {
 		s := *decay
 		lockstep := false
-		s.runBatch = func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
-			lockstep = true
-			return decay.runBatch(top, cfg, rnds, p)
+		s.plan = func(top graph.Topology, cfg radio.Config, p ScheduleParams) (int, scheduleFactory, error) {
+			maxRounds, factory, err := decay.plan(top, cfg, p)
+			return maxRounds, func() scheduleFunc {
+				sched := factory()
+				return func(m marker, round int) {
+					if _, ok := m.(*laneView); ok {
+						lockstep = true
+					}
+					sched(m, round)
+				}
+			}, err
 		}
 		if _, err := s.RunBatch(c.top, c.cfg, trialStreams(5, 0, c.w), c.p); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if lockstep != c.want {
 			t.Errorf("%s: RunBatch ran the lockstep twin = %v, want %v", c.name, lockstep, c.want)
+		}
+	}
+}
+
+// TestBindPlansOnce: a binding builds a single-message plan exactly once,
+// whichever trial or batch needs it first, and its trials, lockstep
+// batches and fallback batches all run on that one plan. A traced binding
+// plans once too.
+func TestBindPlansOnce(t *testing.T) {
+	decay := MustSchedule("decay")
+	top := graph.Path(24)
+	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.3, Engine: radio.Dense}
+	plans := 0
+	s := *decay
+	s.plan = func(top graph.Topology, cfg radio.Config, p ScheduleParams) (int, scheduleFactory, error) {
+		plans++
+		return decay.plan(top, cfg, p)
+	}
+
+	run, runBatch := s.Bind(top, cfg, ScheduleParams{})
+	for i := 0; i < 40; i++ {
+		if _, err := run(rng.NewFrom(3, uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range []int{1, 3, radio.MaxBatchWidth} {
+		if _, err := runBatch(trialStreams(3, 0, w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if plans != 1 {
+		t.Fatalf("40 trials and batches of width 1, 3 and 16 planned %d times, want 1", plans)
+	}
+
+	plans = 0
+	rounds := 0
+	traced := ScheduleParams{Options: Options{Trace: func(int, []int32, []int32) { rounds++ }}}
+	run, runBatch = s.Bind(top, cfg, traced)
+	out, err := run(rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runBatch(trialStreams(3, 0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if plans != 1 || rounds == 0 || out.Rounds == 0 {
+		t.Fatalf("traced binding planned %d times and traced %d rounds (trial ran %d), want 1 plan and every round", plans, rounds, out.Rounds)
+	}
+}
+
+// TestBindConcurrentTrialsShareOnePlan: workers of a sweep share one
+// binding, so its plan is built once however the first calls race, and
+// the read-only plan gives every trial and lockstep lane the outcome a
+// solo Run gives. Run it under -race.
+func TestBindConcurrentTrialsShareOnePlan(t *testing.T) {
+	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.3, Engine: radio.Dense}
+	top := graph.Path(24)
+	const workers, scalar, width = 4, 32, 3
+	for _, name := range []string{"decay", "decay-unknown-n", "fastbc", "robust-fastbc"} {
+		entry := MustSchedule(name)
+		plans := 0
+		s := *entry
+		s.plan = func(top graph.Topology, cfg radio.Config, p ScheduleParams) (int, scheduleFactory, error) {
+			plans++
+			return entry.plan(top, cfg, p)
+		}
+		run, runBatch := s.Bind(top, cfg, ScheduleParams{})
+		got := make([]Outcome, scalar+workers*width)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				start := scalar + g*width
+				outs, err := runBatch(trialStreams(99, start, width))
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				copy(got[start:], outs)
+				for i := g; i < scalar; i += workers {
+					if got[i], err = run(rng.NewFrom(99, uint64(i))); err != nil {
+						errs[g] = err
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		if plans != 1 {
+			t.Errorf("%s: %d concurrent workers planned %d times, want 1", name, workers, plans)
+		}
+		for i := range got {
+			want, err := entry.Run(top, cfg, rng.NewFrom(99, uint64(i)), ScheduleParams{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[i] != want {
+				t.Errorf("%s: trial %d on a shared binding diverged\nsolo   %+v\nshared %+v", name, i, want, got[i])
+			}
 		}
 	}
 }
@@ -203,9 +340,10 @@ func TestScheduleRunBatchRejectsWhatRunRejects(t *testing.T) {
 	}
 }
 
-// TestRegistryEntriesComplete: every entry carries a unique name and its
-// planTop and run functions, exactly the seven entries whose topology can
-// resolve to the dense engine carry a lockstep twin, and LookupSchedule
+// TestRegistryEntriesComplete: every entry carries a unique name, its
+// planTop, and either a single-message plan or a multi-message run
+// function; exactly the seven entries whose topology can resolve to the
+// dense engine can run in lockstep, and LookupSchedule
 // hands back the entry itself. Schedules returns a copy, so callers cannot
 // reorder or replace entries.
 func TestRegistryEntriesComplete(t *testing.T) {
@@ -219,8 +357,11 @@ func TestRegistryEntriesComplete(t *testing.T) {
 			t.Errorf("registry name %q empty or repeated", s.Name)
 		}
 		seen[s.Name] = true
-		if s.planTop == nil || s.run == nil {
-			t.Errorf("%s: planTop/run missing", s.Name)
+		if s.planTop == nil || (s.run == nil) == (s.plan == nil) {
+			t.Errorf("%s: planTop missing, or not exactly one of run and plan", s.Name)
+		}
+		if (s.plan != nil) != (s.Kind == SingleMessage) {
+			t.Errorf("%s: kind %v with plan = %v; single-message entries, and only they, carry a plan", s.Name, s.Kind, s.plan != nil)
 		}
 		if s.HasLockstep() != lockstep[s.Name] {
 			t.Errorf("%s: HasLockstep = %v, want %v", s.Name, s.HasLockstep(), lockstep[s.Name])

@@ -1,9 +1,11 @@
 package broadcast
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
+	"noisyradio/internal/gbst"
 	"noisyradio/internal/graph"
 	"noisyradio/internal/radio"
 	"noisyradio/internal/rng"
@@ -112,14 +114,40 @@ func TestBadConfigRejected(t *testing.T) {
 	}
 }
 
-func TestDisconnectedGraphFastBC(t *testing.T) {
+// disconnectedTopology is two separate edges, so no GBST spans it.
+func disconnectedTopology() graph.Topology {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
-	top := graph.Topology{G: b.MustBuild(), Source: 0, Name: "disconnected"}
+	return graph.Topology{G: b.MustBuild(), Source: 0, Name: "disconnected"}
+}
+
+func TestDisconnectedGraphFastBC(t *testing.T) {
+	top := disconnectedTopology()
 	for _, name := range []string{"fastbc", "robust-fastbc"} {
 		if _, err := MustSchedule(name).Run(top, radio.Config{Fault: radio.Faultless}, rng.New(1), ScheduleParams{}); err == nil {
 			t.Fatalf("%s accepted a disconnected graph", name)
+		}
+	}
+}
+
+// TestBoundDisconnectedGraphFastBC: a binding whose plan fails keeps
+// failing. Every trial and batch of a fastbc binding on a disconnected
+// graph, scalar and lockstep, returns gbst.ErrDisconnected, not only the
+// one that built the plan.
+func TestBoundDisconnectedGraphFastBC(t *testing.T) {
+	top := disconnectedTopology()
+	for _, eng := range []radio.Engine{radio.Auto, radio.Dense} {
+		run, runBatch := MustSchedule("fastbc").Bind(top, radio.Config{Fault: radio.Faultless, Engine: eng}, ScheduleParams{})
+		for i := 0; i < 3; i++ {
+			if _, err := run(rng.NewFrom(1, uint64(i))); !errors.Is(err, gbst.ErrDisconnected) {
+				t.Fatalf("%v: bound trial %d: err = %v, want gbst.ErrDisconnected", eng, i, err)
+			}
+			for _, w := range []int{1, 3} {
+				if _, err := runBatch(trialStreams(1, 0, w)); !errors.Is(err, gbst.ErrDisconnected) {
+					t.Fatalf("%v: bound batch of %d: err = %v, want gbst.ErrDisconnected", eng, w, err)
+				}
+			}
 		}
 	}
 }

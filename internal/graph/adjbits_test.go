@@ -1,9 +1,11 @@
 package graph
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
+	"noisyradio/internal/bitset"
 	"noisyradio/internal/rng"
 )
 
@@ -61,5 +63,41 @@ func TestAvgDegree(t *testing.T) {
 	}
 	if got := Path(2).G.AvgDegree(); got != 1 {
 		t.Fatalf("Path(2) AvgDegree = %v, want 1", got)
+	}
+}
+
+// TestAdjacencyBitsMatchesPerBitSet: the row-at-a-time fill must leave
+// the words and row windows a per-edge Set build leaves, including the
+// empty window of an isolated vertex.
+func TestAdjacencyBitsMatchesPerBitSet(t *testing.T) {
+	isolated := NewBuilder(130)
+	isolated.AddEdge(0, 1)
+	isolated.AddEdge(1, 129)
+	tops := []Topology{
+		Complete(1),
+		Complete(65),
+		Complete(200),
+		Grid(9, 13),
+		GNP(130, 0.15, rng.New(5)),
+		Star(65),
+		{G: isolated.MustBuild(), Name: "isolated"},
+	}
+	for _, top := range tops {
+		g := top.G
+		want := bitset.NewMatrix(g.N(), g.N())
+		for v := 0; v < g.N(); v++ {
+			for _, u := range g.Neighbors(v) {
+				want.Set(v, int(u))
+			}
+		}
+		got := g.AdjacencyBits()
+		wantLo, wantHi := want.RowRanges()
+		gotLo, gotHi := got.RowRanges()
+		if !slices.Equal(got.Words(), want.Words()) || !slices.Equal(gotLo, wantLo) || !slices.Equal(gotHi, wantHi) {
+			t.Fatalf("%s: AdjacencyBits differs from the per-bit Set build", top.Name)
+		}
+	}
+	if lo, hi := tops[len(tops)-1].G.AdjacencyBits().RowRange(2); lo != 0 || hi != 0 {
+		t.Fatalf("isolated vertex 2 has window [%d, %d), want empty", lo, hi)
 	}
 }

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -166,5 +168,47 @@ func TestQuickGeneratorsConnected(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompleteMatchesBuilder: Complete writes its CSR directly, and it
+// must be the CSR a Builder makes from every edge i < j, with the model
+// attached, at sizes on both sides of the 64-bit word boundaries.
+func TestCompleteMatchesBuilder(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 63, 64, 65, 1024} {
+		b := NewBuilder(n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				b.AddEdge(i, j)
+			}
+		}
+		want := b.MustBuild()
+		got := Complete(n).G
+		if !slices.Equal(got.offsets, want.offsets) || !slices.Equal(got.adj, want.adj) {
+			t.Fatalf("Complete(%d) CSR differs from the Builder's", n)
+		}
+		if m := got.Model(); m == nil || *m != (CompleteModel{Nodes: n}) {
+			t.Fatalf("Complete(%d).Model() = %v, want {Nodes: %d}", n, m, n)
+		}
+	}
+}
+
+// TestCompleteOverflowPanicsBeforeAllocating: past maxCompleteCSR the
+// n·(n−1) entries overflow int32 offsets, and Complete must refuse before
+// it allocates the ≈8.6 GB the arrays would take.
+func TestCompleteOverflowPanicsBeforeAllocating(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Complete(maxCompleteCSR+1) did not panic")
+			}
+		}()
+		Complete(maxCompleteCSR + 1)
+	}()
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+		t.Fatalf("Complete(maxCompleteCSR+1) allocated %d bytes before panicking", d)
 	}
 }

@@ -171,7 +171,8 @@ func (g *Graph) Neighbors(v int) []int32 {
 // neighbour set of v as a bitset, enabling word-parallel neighbourhood
 // queries (64 vertices per AND+popcount). The view costs Θ(n²/8) bytes
 // and is built on first use, then cached for the lifetime of the graph;
-// it is safe to call from concurrent trials sharing the graph. Sparse
+// it is safe to call from concurrent trials sharing the graph. Each row
+// is filled in one pass from its ascending neighbour list. Sparse
 // consumers should keep using Neighbors.
 func (g *Graph) AdjacencyBits() *bitset.Matrix {
 	if g.offsets == nil {
@@ -180,9 +181,7 @@ func (g *Graph) AdjacencyBits() *bitset.Matrix {
 	g.bitsOnce.Do(func() {
 		m := bitset.NewMatrix(g.n, g.n)
 		for v := 0; v < g.n; v++ {
-			for _, u := range g.Neighbors(v) {
-				m.Set(v, int(u))
-			}
+			m.SetRow(v, g.Neighbors(v))
 		}
 		g.bits = m
 	})

@@ -298,7 +298,8 @@ func TestQuickHandshake(t *testing.T) {
 
 // BenchmarkBuild times the explicit topologies the experiment tables and
 // the sweep service build, generator edge loops included; the CSR build
-// in Builder.Build is most of each.
+// in Builder.Build is most of each, except Complete's, which writes its
+// CSR directly.
 func BenchmarkBuild(b *testing.B) {
 	cases := []struct {
 		name  string
@@ -319,4 +320,15 @@ func BenchmarkBuild(b *testing.B) {
 			}
 		})
 	}
+	// The dense engine's bit-matrix view, built once per graph on first
+	// use: each iteration times it on a fresh Complete(1024).
+	b.Run("adjacency-bits-complete-1024", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			g := Complete(1024).G
+			b.StartTimer()
+			g.AdjacencyBits()
+		}
+	})
 }

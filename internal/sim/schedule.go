@@ -60,17 +60,17 @@ func (s *Sweep) addSchedule(sched *broadcast.Schedule, top graph.Topology, cfg r
 	if value == nil {
 		panic("sim: Sweep.AddSchedule nil value function")
 	}
+	// One binding per row: its trials and batches, on every worker,
+	// share the schedule's plan, built once on first use.
+	run, runBatch := sched.Bind(top, cfg, p)
 	scalar := func(trial int, r *rng.Stream) (float64, error) {
-		out, err := sched.Run(top, cfg, r, p)
+		out, err := run(r)
 		if err != nil {
 			return 0, err
 		}
 		return value(out)
 	}
-	batch := AdaptBatch(func(rnds []*rng.Stream) ([]broadcast.Outcome, error) {
-		return sched.RunBatch(top, cfg, rnds, p)
-	}, value)
-	row := s.AddBatch(trials, seed, scalar, batch)
+	row := s.AddBatch(trials, seed, scalar, AdaptBatch(runBatch, value))
 	row.base = base
 	row.sched = sched.Name
 	row.planLockstep = sched.HasLockstep()

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"noisyradio/internal/broadcast"
+	"noisyradio/internal/gbst"
 	"noisyradio/internal/graph"
 	"noisyradio/internal/radio"
 )
@@ -205,6 +207,29 @@ func TestAddScheduleErrors(t *testing.T) {
 			if err := row.Err(); err == nil {
 				t.Fatalf("TrialBatch=%d: row %d reports no error", tb, i)
 			}
+		}
+	}
+}
+
+// TestAddScheduleSharedPlanError: a row's workers share one binding, so
+// a plan that fails (no GBST spans a disconnected graph) is built once
+// and fails every trial, scalar and lockstep, with the error a per-trial
+// plan gave: the lowest trial's, wrapped so errors.Is still finds it.
+func TestAddScheduleSharedPlanError(t *testing.T) {
+	b := graph.NewBuilder(4)
+	b.AddEdge(0, 1)
+	b.AddEdge(2, 3)
+	top := graph.Topology{G: b.MustBuild(), Source: 0, Name: "disconnected"}
+	value := func(out broadcast.Outcome) (float64, error) { return float64(out.Rounds), nil }
+	const want = "sim: trial 0: gbst: graph is not connected from the source: node 2 unreachable"
+	for _, tb := range []int{0, 4} {
+		sw := NewSweep(SweepConfig{Workers: 4, ChunkSize: 1, TrialBatch: tb})
+		row := sw.AddSchedule(mustSchedule(t, "fastbc"), top, radio.Config{Fault: radio.Faultless, Engine: radio.Dense}, broadcast.ScheduleParams{}, 8, 1, value)
+		if err := sw.Run(); err == nil || err.Error() != want {
+			t.Fatalf("TrialBatch=%d: Run error %v, want %q", tb, err, want)
+		}
+		if err := row.Err(); !errors.Is(err, gbst.ErrDisconnected) {
+			t.Fatalf("TrialBatch=%d: row error %v does not wrap gbst.ErrDisconnected", tb, err)
 		}
 	}
 }
