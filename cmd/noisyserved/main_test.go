@@ -90,8 +90,10 @@ func TestServeSubmitDrain(t *testing.T) {
 }
 
 // TestTrialBatchZeroRunsScalar: -trialbatch 0 plans scalar execution, as
-// its help says, even for a dense-engine row that auto would batch.
-// serve.Config reads TrialBatch 0 as auto, so the command maps the flag.
+// its help says. serve.Config reads TrialBatch 0 as auto, so the command
+// maps the flag. No job topology resolves to the dense engine, where auto
+// would batch, so the plan's reason tells the two apart: auto records why
+// the engine runs scalar, the flag records that batching is off.
 func TestTrialBatchZeroRunsScalar(t *testing.T) {
 	addr, _ := startDaemon(t, "-trialbatch", "0")
 	sim.ResetPlanLog()
@@ -107,8 +109,8 @@ func TestTrialBatchZeroRunsScalar(t *testing.T) {
 		t.Fatal("the job recorded no execution plan")
 	}
 	for _, p := range plans {
-		if p.Engine != "dense" || p.Width != 1 {
-			t.Errorf("plan %+v: want the dense engine at width 1", p)
+		if p.Width != 1 || p.Reason != "scalar (trial batching off)" {
+			t.Errorf("plan %+v: want width 1 with batching off", p)
 		}
 	}
 }

@@ -26,11 +26,12 @@
 // a CI determinism job enforce this.
 //
 // The -engine flag selects the radio execution engine (auto | sparse |
-// dense | implicit). Results are bit-identical across engines — auto picks
-// per graph by average degree and storage mode, dense forces word-parallel
+// dense | implicit). Results are bit-identical across engines — auto runs
+// every complete graph (the one family with a closed form) implicitly and
+// picks between the others by average degree, dense forces word-parallel
 // channel resolution, sparse forces CSR neighbour walking, implicit
-// answers neighbourhood queries from the topology's closed form without
-// any stored adjacency. Purely a performance knob.
+// resolves each round from the complete graph's broadcaster total
+// without any stored adjacency. Purely a performance knob.
 //
 // The -trialbatch flag sets the lockstep trial-batch plan: "auto" (the
 // default) batches 16 trials per row on the dense engine; 0 (or 1) forces
@@ -90,8 +91,9 @@
 // hypercube; default path). Every family is stored as CSR, except complete
 // at n >= 4096, which is built in the CSR-less implicit storage mode — no
 // adjacency is materialized, so runs scale to node counts where a bit
-// matrix or CSR cannot exist. The FASTBC schedules need CSR, so they run
-// on every other family at any n:
+// matrix or CSR cannot exist. Complete runs on the implicit engine at
+// every n. The FASTBC schedules need CSR, so they run on complete below
+// n = 4096 and on every other family at any n:
 //
 //	noisysim -demo decay -topology complete -n 100000 -fault sender -p 0.1
 //	noisysim -schedule decay -topology complete -n 100000 -trials 3 -fault sender -p 0.1

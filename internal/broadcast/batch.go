@@ -128,7 +128,7 @@ func runSingleBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, ma
 		informed.Set(top.Source)
 		b.lanes[l] = batchLane{
 			informed:     informed,
-			informedList: []int32{int32(top.Source)},
+			informedList: append(make([]int32, 0, n), int32(top.Source)),
 			rnd:          rnds[l],
 			sched:        factory(),
 		}

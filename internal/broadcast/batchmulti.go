@@ -177,7 +177,7 @@ func sequentialDecayRoutingBatch(top graph.Topology, cfg radio.Config, rnds []*r
 	for l := range b.lanes {
 		informed := bitset.New(n)
 		informed.Set(top.Source)
-		b.lanes[l] = batchLane{informed: informed, informedList: []int32{int32(top.Source)}, rnd: rnds[l]}
+		b.lanes[l] = batchLane{informed: informed, informedList: append(make([]int32, 0, n), int32(top.Source)), rnd: rnds[l]}
 	}
 	for act != 0 {
 		for m := act; m != 0; m &= m - 1 {

@@ -170,7 +170,7 @@ func newSingleRunner(g *graph.Graph, src int, cfg radio.Config, r *rng.Stream) (
 	return &singleRunner{
 		net:          net,
 		informed:     informed,
-		informedList: []int32{int32(src)},
+		informedList: append(make([]int32, 0, g.N()), int32(src)),
 		tx:           bitset.New(g.N()),
 		rx:           bitset.New(g.N()),
 		payload:      make([]struct{}, g.N()),

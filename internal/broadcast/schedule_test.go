@@ -172,7 +172,8 @@ func TestScheduleRunBatchLockstepRule(t *testing.T) {
 		want bool
 	}{
 		{"dense", path, dense, ScheduleParams{}, 3, true},
-		{"dense-auto", graph.Complete(96), radio.Config{Fault: radio.Faultless}, ScheduleParams{}, 2, true},
+		{"dense-auto", graph.GNP(96, 0.5, rng.New(3)), radio.Config{Fault: radio.Faultless}, ScheduleParams{}, 2, true},
+		{"implicit-auto", graph.Complete(96), radio.Config{Fault: radio.Faultless}, ScheduleParams{}, 2, false},
 		{"full-kernel", path, dense, ScheduleParams{}, radio.MaxBatchWidth, true},
 		{"one-stream", path, dense, ScheduleParams{}, 1, false},
 		{"too-many-streams", path, dense, ScheduleParams{}, radio.MaxBatchWidth + 1, false},

@@ -31,8 +31,9 @@ func workloadSize(family string, n int) int {
 
 // TestWorkloadTopologyStorage pins which storage each family gets on
 // both sides of LargeNImplicit: complete switches to the CSR-less
-// implicit form there, and every other family stays CSR, which auto runs
-// on the sparse engine.
+// implicit form there and carries its model on both sides, which auto
+// runs on the implicit engine; every other family stays CSR, which auto
+// runs on the sparse engine.
 func TestWorkloadTopologyStorage(t *testing.T) {
 	for _, n := range []int{LargeNImplicit - 1, LargeNImplicit, 1 << 17} {
 		for _, family := range []string{"path", "complete", "star", "cycle", "grid", "hypercube"} {
@@ -48,10 +49,7 @@ func TestWorkloadTopologyStorage(t *testing.T) {
 				}
 				wantCSR, wantModel, wantEngine := true, false, radio.Sparse
 				if family == "complete" {
-					wantModel, wantEngine = true, radio.Dense
-					if size >= LargeNImplicit {
-						wantCSR, wantEngine = false, radio.Implicit
-					}
+					wantCSR, wantModel, wantEngine = size < LargeNImplicit, true, radio.Implicit
 				}
 				if g.HasCSR() != wantCSR {
 					t.Errorf("HasCSR = %v, want %v", g.HasCSR(), wantCSR)

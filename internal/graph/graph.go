@@ -25,11 +25,12 @@ import (
 // materialize sorted neighbour lists and support the full API. Implicit
 // graphs (ImplicitComplete) carry only a CompleteModel — a closed-form
 // neighbourhood description — so per-node state is O(1): they answer
-// degree/edge/eccentricity queries from the model and panic on the
-// methods that exist to expose materialized adjacency (Neighbors, BFS,
+// degree/edge/BFS/eccentricity queries from the model and panic on the
+// methods that exist to expose materialized adjacency (Neighbors,
 // Layers, AdjacencyBits). HasCSR distinguishes the modes. Complete
 // attaches its model to its CSR graphs too, so consumers can pick either
-// view of the same topology.
+// view of the same topology, and BFS and Eccentricity answer from the
+// model in both modes.
 type Graph struct {
 	n       int
 	offsets []int32 // len n+1; nil for implicit graphs
@@ -207,12 +208,17 @@ func (g *Graph) HasEdge(u, v int) bool {
 }
 
 // BFS returns the vector of hop distances from src; unreachable vertices
-// get distance -1. Panics on implicit graphs.
+// get distance -1. A graph with a model answers in closed form, without
+// touching adjacency: 0 at src and 1 everywhere else.
 func (g *Graph) BFS(src int) []int32 {
-	if g.offsets == nil {
-		panic("graph: BFS needs materialized adjacency; this is an implicit graph (HasCSR() == false)")
-	}
 	dist := make([]int32, g.n)
+	if g.model != nil {
+		for i := range dist {
+			dist[i] = 1
+		}
+		dist[src] = 0
+		return dist
+	}
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -234,10 +240,10 @@ func (g *Graph) BFS(src int) []int32 {
 }
 
 // Eccentricity returns the maximum BFS distance from src, or -1 if some
-// vertex is unreachable. Implicit graphs answer from the model's closed
-// form (and are connected by construction).
+// vertex is unreachable. A graph with a model answers from its closed
+// form (and is connected by construction).
 func (g *Graph) Eccentricity(src int) int {
-	if g.offsets == nil {
+	if g.model != nil {
 		return g.model.Eccentricity(src)
 	}
 	dist := g.BFS(src)

@@ -2,9 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
-	"noisyradio/internal/bitset"
 	"noisyradio/internal/rng"
 )
 
@@ -81,61 +81,56 @@ func TestModelMatchesExplicit(t *testing.T) {
 	}
 }
 
-// TestTxCounterMatchesBruteForce drives CompleteCounter with random
-// broadcast sets and checks count/from against a direct scan of the
-// explicit neighbour lists.
-func TestTxCounterMatchesBruteForce(t *testing.T) {
-	for _, tc := range modelCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			eg := tc.explicit.G
-			n := eg.N()
-			var counter CompleteCounter
-			r := rng.New(0xC0FFEE)
-			tx := bitset.New(n)
-			for round := 0; round < 200; round++ {
-				tx.Reset()
-				// Sweep densities from empty through saturated.
-				p := float64(round%11) / 10
-				for v := 0; v < n; v++ {
-					if r.Bool(p) {
-						tx.Set(v)
-					}
+// builderComplete builds the complete graph on n vertices through the
+// Builder, which attaches no model, so its BFS walks the CSR.
+func builderComplete(n int) *Graph {
+	b := NewBuilder(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			b.AddEdge(i, j)
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestModelBFSMatchesCSR: BFS and Eccentricity answered from the model,
+// on Complete's CSR graph and on the CSR-less implicit twin, equal the
+// queue BFS of the Builder's model-less complete graph from every source.
+func TestModelBFSMatchesCSR(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 64, 65, 1024} {
+		ref := builderComplete(n)
+		if ref.Model() != nil {
+			t.Fatal("the Builder attached a model")
+		}
+		explicit, implicit := Complete(n).G, ImplicitComplete(n).G
+		for src := 0; src < n; src++ {
+			want := ref.BFS(src)
+			wantEcc := int(slices.Max(want)) // the complete graph is connected
+			for _, g := range []*Graph{explicit, implicit} {
+				if got := g.BFS(src); !slices.Equal(got, want) {
+					t.Fatalf("n=%d csr=%v: BFS(%d) = %v, want %v", n, g.HasCSR(), src, got, want)
 				}
-				counter.Begin(tx)
-				for u := 0; u < n; u++ {
-					wantCount, wantFrom := 0, int32(-1)
-					for _, v := range eg.Neighbors(u) {
-						if tx.Test(int(v)) {
-							wantCount++
-							wantFrom = v
-						}
-					}
-					if wantCount > 2 {
-						wantCount = 2
-					}
-					gotCount, gotFrom := counter.Count(int32(u))
-					if gotCount != wantCount {
-						t.Fatalf("round %d u=%d: count %d, want %d (tx=%v)", round, u, gotCount, wantCount, tx.Elements())
-					}
-					if wantCount == 1 && gotFrom != wantFrom {
-						t.Fatalf("round %d u=%d: from %d, want %d (tx=%v)", round, u, gotFrom, wantFrom, tx.Elements())
-					}
+				if got := g.Eccentricity(src); got != wantEcc {
+					t.Fatalf("n=%d csr=%v: Eccentricity(%d) = %d, want %d", n, g.HasCSR(), src, got, wantEcc)
 				}
 			}
-		})
+		}
 	}
 }
 
 // TestImplicitGraphPanics locks in the contract that adjacency-exposing
-// methods fail loudly instead of misbehaving on implicit graphs.
+// methods fail loudly instead of misbehaving on implicit graphs, while
+// BFS answers from the model exactly as on the explicit graph.
 func TestImplicitGraphPanics(t *testing.T) {
 	g := ImplicitComplete(8).G
+	if got, want := g.BFS(3), Complete(8).G.BFS(3); !slices.Equal(got, want) {
+		t.Fatalf("implicit BFS(3) = %v, explicit %v", got, want)
+	}
 	for _, tc := range []struct {
 		name string
 		call func()
 	}{
 		{"Neighbors", func() { g.Neighbors(0) }},
-		{"BFS", func() { g.BFS(0) }},
 		{"Layers", func() { g.Layers(0) }},
 		{"AdjacencyBits", func() { g.AdjacencyBits() }},
 	} {

@@ -303,8 +303,9 @@ func TestNewBatchRejectsNonDenseEngines(t *testing.T) {
 		{"auto-sparse", graph.Path(32).G, Auto, false},
 		{"forced-sparse", graph.Complete(70).G, Sparse, false},
 		{"auto-implicit", graph.ImplicitComplete(128).G, Auto, false},
+		{"auto-implicit-csr", graph.Complete(70).G, Auto, false},
 		{"forced-implicit", graph.Complete(70).G, Implicit, false},
-		{"auto-dense", graph.Complete(70).G, Auto, true},
+		{"auto-dense", graph.GNP(128, 0.5, rng.New(3)).G, Auto, true},
 		{"implicit-falls-back-to-dense", graph.GNP(128, 0.5, rng.New(3)).G, Implicit, true},
 	} {
 		cfg := Config{Fault: ReceiverFaults, P: 0.3, Engine: tc.eng}

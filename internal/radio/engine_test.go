@@ -53,8 +53,8 @@ func TestAutoEngineSelection(t *testing.T) {
 		want Engine
 	}{
 		{name: "path stays sparse", g: graph.Path(1024).G, want: Sparse},
-		{name: "small complete stays sparse", g: graph.Complete(32).G, want: Sparse},
-		{name: "large complete goes dense", g: graph.Complete(128).G, want: Dense},
+		{name: "small complete goes implicit", g: graph.Complete(32).G, want: Implicit},
+		{name: "large complete goes implicit", g: graph.Complete(128).G, want: Implicit},
 		{name: "dense gnp goes dense", g: graph.GNP(256, 0.5, rng.New(1)).G, want: Dense},
 		{name: "sparse gnp stays sparse", g: graph.GNP(256, 0.01, rng.New(1)).G, want: Sparse},
 		{name: "star stays sparse", g: graph.Star(512).G, want: Sparse},

@@ -51,6 +51,52 @@ func TestDifferentialImplicitAcrossTopologies(t *testing.T) {
 	}
 }
 
+// closedFormSchedule cycles the round's broadcaster count through 0, 1,
+// 2 and 3+ on n nodes. The lone broadcaster moves through ids 0, 63, 64
+// and n−1 (clamped to the graph) from cycle to cycle; the pair is the lone
+// id and its successor mod n, so {63, 64} and {n−1, 0} straddle a word
+// boundary and the wrap; the crowd adds every fifth node. Random
+// schedules rarely hit exactly one broadcaster on a 64-node graph, and
+// the lone-broadcaster round is the only one the implicit engine resolves
+// listener by listener.
+func closedFormSchedule(n int) func(round, v int) bool {
+	return func(round, v int) bool {
+		lone := min([]int{0, 63, 64, n - 1}[round/4%4], n-1)
+		switch round % 4 {
+		case 1:
+			return v == lone
+		case 2:
+			return v == lone || v == (lone+1)%n
+		case 3:
+			return v == lone || v%5 == round%5
+		}
+		return false
+	}
+}
+
+// TestDifferentialImplicitClosedForm drives the closed-form cases of the
+// implicit engine with closedFormSchedule on both storage modes of the
+// complete graph, and requires the sparse engine's execution, which the
+// dense engine matches, bit for bit under every fault environment.
+func TestDifferentialImplicitClosedForm(t *testing.T) {
+	const rounds = 64 // every lone id in 4 cycles
+	for _, n := range []int{1, 2, 64, 65, 130} {
+		explicit, implicit := graph.Complete(n).G, graph.ImplicitComplete(n).G
+		sched := closedFormSchedule(n)
+		for _, cfg := range diffConfigs(n) {
+			ref := executeEngine(t, explicit, cfg, Sparse, viaStepSet, 42, rounds, sched)
+			name := fmt.Sprintf("complete-%d/%s/draw %v", n, cfg.Fault, cfg.Draw)
+			requireIdentical(t, name+"/dense", ref, executeEngine(t, explicit, cfg, Dense, viaStepSet, 42, rounds, sched))
+			for _, mode := range []stepMode{viaStep, viaStepSet} {
+				for _, g := range []*graph.Graph{explicit, implicit} {
+					got := executeEngine(t, g, cfg, Implicit, mode, 42, rounds, sched)
+					requireIdentical(t, fmt.Sprintf("%s/implicit/%v csr=%v", name, mode, g.HasCSR()), ref, got)
+				}
+			}
+		}
+	}
+}
+
 // TestEngineFallback locks in the fallback semantics of forced engines:
 // an engine the graph cannot support resolves to the Auto choice instead
 // of failing, so suite-wide -engine overrides run mixed workloads.
@@ -82,16 +128,21 @@ func TestEngineFallback(t *testing.T) {
 	}
 }
 
-// TestAutoUpgradesDenseToImplicit checks the Auto rule's n ≥ 4096
-// upgrade: a dense modelled graph past the bit-matrix cache ceiling runs
-// implicitly, while the same shape below the ceiling keeps Dense.
+// TestAutoUpgradesDenseToImplicit checks the Auto rule for modelled
+// graphs: every complete graph runs implicitly at every n, CSR or not,
+// while a dense graph without a model keeps Dense and a sparse one
+// Sparse.
 func TestAutoUpgradesDenseToImplicit(t *testing.T) {
 	auto := Config{}
-	if got := auto.ResolveEngine(graph.Complete(implicitMinN).G); got != Implicit {
-		t.Errorf("Complete(%d): auto = %v, want %v", implicitMinN, got, Implicit)
+	for _, n := range []int{1, 2, 63, 64, 512, 4096} {
+		for _, top := range []graph.Topology{graph.Complete(n), graph.ImplicitComplete(n)} {
+			if got := auto.ResolveEngine(top.G); got != Implicit {
+				t.Errorf("%s (csr=%v): auto = %v, want %v", top.Name, top.G.HasCSR(), got, Implicit)
+			}
+		}
 	}
-	if got := auto.ResolveEngine(graph.Complete(512).G); got != Dense {
-		t.Errorf("Complete(512): auto = %v, want %v", got, Dense)
+	if got := auto.ResolveEngine(graph.GNP(512, 0.5, rng.New(3)).G); got != Dense {
+		t.Errorf("GNP(512, 0.5): auto = %v, want %v", got, Dense)
 	}
 	// Sparse-leaning topologies stay sparse at any size: O(Σ deg) per
 	// round beats the implicit engine's O(n).

@@ -15,12 +15,15 @@ import (
 // bench gate tracks: ns/round and allocs/round through StepSet for
 // sparse/dense/implicit × faultless/sender/receiver at n ∈ {256, 1024},
 // each engine on its home topology (sparse on a bounded-degree grid,
-// dense and implicit on a complete graph — implicit forced below its
-// auto threshold so the trajectory of the closed-form counter is on
-// record at comparable sizes). The schedule is the sparse-broadcaster regime the
-// windowed dense path targets — n/64 contiguous broadcasters in the middle
-// of the id range, as in an early Decay phase or a single WCT cluster
-// layer's schedule slot.
+// dense and implicit on the same complete graph, each forced, so the
+// word-parallel scan and the closed form are on record side by side).
+// The schedule is the sparse-broadcaster regime the windowed dense path
+// targets — n/64 contiguous broadcasters in the middle of the id range,
+// as in an early Decay phase or a single WCT cluster layer's schedule
+// slot. On the complete graph that is a collision at every listener,
+// which the closed form resolves from the broadcaster total alone, so
+// at n = 1024 a "stepset-lone" implicit row per fault model also times a
+// lone broadcaster: the round whose n−1 listeners each resolve.
 //
 // Two extra rows per n quantify the fast path against its own
 // compatibility layers on the dense engine: "step" drives the identical
@@ -56,6 +59,15 @@ func EngineMicrobench() []benchreport.Microbench {
 				ns, allocs := measureRounds(m.top, cfg, midTx, stepModeSet, false)
 				out = append(out, benchreport.Microbench{
 					Name:           fmt.Sprintf("stepset/%s/%s/n=%d", m.name, fault, n),
+					NsPerRound:     ns,
+					AllocsPerRound: allocs,
+				})
+			}
+			if n == 1024 {
+				cfg.Engine = Implicit
+				ns, allocs := measureRounds(complete, cfg, microbenchTx(n, n/2, 1), stepModeSet, false)
+				out = append(out, benchreport.Microbench{
+					Name:           fmt.Sprintf("stepset-lone/implicit/complete/%s/n=%d", fault, n),
 					NsPerRound:     ns,
 					AllocsPerRound: allocs,
 				})

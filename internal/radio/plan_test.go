@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	"noisyradio/internal/graph"
+	"noisyradio/internal/rng"
 )
 
 func TestResolveEngine(t *testing.T) {
-	sparseG := graph.Path(256).G    // avg degree ~2: Auto picks Sparse
-	denseG := graph.Complete(256).G // avg degree n-1: Auto picks Dense
+	sparseG := graph.Path(256).G                // avg degree ~2: Auto picks Sparse
+	denseG := graph.GNP(256, 0.5, rng.New(3)).G // avg degree ~n/2, no model: Auto picks Dense
 	cases := []struct {
 		cfg  Config
 		g    *graph.Graph

@@ -48,27 +48,31 @@
 //   - Dense resolves the channel word-parallel: the broadcasting set is a
 //     bitset and a listener's transmitting-neighbour count is
 //     popcount(adj[u] & tx), 64 candidate senders per machine word, doing
-//     O(n²/64) work per round — best for dense topologies (complete
-//     graphs, high-p GNP, WCT cluster layers, star coding schedules). At
-//     n ≥ 4096 its listener loop runs cache-blocked (64-listener tiles
-//     with next-row window prefetch), since each adjacency row is then
-//     ≥ 512 bytes and row misses dominate.
-//   - Implicit answers the transmitting-neighbour query from the
-//     topology's closed form (graph.CompleteModel) — no adjacency is
-//     stored at all, so per-node state is O(1) and complete graphs at
-//     n = 10⁵–10⁶ run in O(n) resident memory, far past the Θ(n²/8)-byte
-//     bit-matrix ceiling of Dense. Available exactly when the graph
-//     carries a model, which only complete graphs do; the only engine
-//     for implicit graphs (graph.ImplicitComplete).
+//     O(n²/64) work per round — best for dense topologies without a
+//     closed form (high-p GNP, WCT cluster layers, star coding
+//     schedules). At n ≥ 4096 its listener loop runs cache-blocked
+//     (64-listener tiles with next-row window prefetch), since each
+//     adjacency row is then ≥ 512 bytes and row misses dominate.
+//   - Implicit resolves each round in closed form from the topology's
+//     model (graph.CompleteModel). On the complete graph every listener
+//     hears the round's broadcaster total: two or more broadcasters
+//     collide at every listener with no draw, and a lone broadcaster
+//     reaches every other node. A collision round costs a popcount over
+//     the broadcast words, and only a lone-broadcaster round costs O(n).
+//     No adjacency is stored, so per-node state is O(1) and complete
+//     graphs at n = 10⁵–10⁶ run in O(n) resident memory, far past the
+//     Θ(n²/8)-byte bit-matrix ceiling of Dense. Available exactly when
+//     the graph carries a model, which only complete graphs do; the only
+//     engine for implicit graphs (graph.ImplicitComplete).
 //
-// Config.Engine selects the engine; the default Auto picks by average
-// degree and model availability. A forced engine the graph cannot support
-// (Sparse/Dense on a CSR-less implicit graph, Implicit on a graph with no
-// model) falls back to the Auto choice — benign, because engines are
-// interchangeable by construction. Because all engines consume the
-// rng.Stream in the same canonical order, Stats, deliveries and traces
-// are bit-identical across engines (enforced by differential and fuzz
-// tests).
+// Config.Engine selects the engine; the default Auto runs every graph
+// with a model implicitly and picks between the others by average
+// degree. A forced engine the graph cannot support (Sparse/Dense on a
+// CSR-less implicit graph, Implicit on a graph with no model) falls back
+// to the Auto choice — benign, because engines are interchangeable by
+// construction. Because all engines consume the rng.Stream in the same
+// canonical order, Stats, deliveries and traces are bit-identical across
+// engines (enforced by differential and fuzz tests).
 //
 // # Set-native rounds
 //
@@ -149,12 +153,11 @@ func ParseFaultModel(s string) (FaultModel, error) {
 type Engine int
 
 const (
-	// Auto picks the engine from the graph: Implicit for CSR-less
-	// implicit graphs (the only option there); otherwise Dense when the
-	// graph is large enough and dense enough that word-parallel channel
-	// resolution wins (avg degree ≥ n/8, n ≥ 64) — upgraded to Implicit
-	// when a closed-form model exists and n ≥ 4096, where the bit matrix
-	// stops fitting cache; Sparse otherwise. The zero value, so existing
+	// Auto picks the engine from the graph: Implicit whenever it carries
+	// a closed-form model, at every n (complete graphs, CSR or not);
+	// otherwise Dense when the graph is large enough and dense enough
+	// that word-parallel channel resolution wins (avg degree ≥ n/8,
+	// n ≥ 64); Sparse otherwise. The zero value, so existing
 	// configurations keep their behaviour.
 	Auto Engine = iota
 	// Sparse walks CSR neighbour lists of the broadcasters.
@@ -163,10 +166,11 @@ const (
 	// It materialises the graph's Θ(n²/8)-byte bit-matrix adjacency view
 	// on construction (cached on the graph, shared across networks).
 	Dense
-	// Implicit answers the transmitting-neighbour query from the graph's
-	// closed-form neighbourhood model (graph.CompleteModel): O(n) work
-	// per round, O(1) per-node state, no stored adjacency. Requires the
-	// graph to carry a model.
+	// Implicit resolves each round in closed form from the graph's
+	// neighbourhood model (graph.CompleteModel): a popcount over the
+	// broadcast words per collision round, O(n) per lone-broadcaster
+	// round, O(1) per-node state, no stored adjacency. Requires the graph
+	// to carry a model.
 	Implicit
 )
 
@@ -791,11 +795,6 @@ type Network[P any] struct {
 	// level) so concurrent trials never share a write target.
 	prefetchSink uint64
 
-	// Implicit-engine state: the complete graph's per-round
-	// transmitting-neighbour counter. Owned by this network — counters
-	// are stateful between Begin and Count and not safe to share.
-	counter graph.CompleteCounter
-
 	// scratchTx is the packed broadcast set the Step adapter assembles
 	// from its []bool argument before forwarding to StepSet. FromBools
 	// overwrites it wholesale each round, so it needs no clearing.
@@ -815,31 +814,19 @@ type Network[P any] struct {
 	traceRx     []int32 // receivers this round (tracing only)
 }
 
-// implicitMinN is the node count from which Auto prefers Implicit over
-// Dense when the graph has a closed-form model: at n ≥ 4096 the Θ(n²/8)
-// bit matrix exceeds L2-cache scale and the O(n)-per-round closed-form
-// counter wins (and keeps winning all the way to n = 10⁶, where the
-// matrix cannot even be allocated). It deliberately matches
-// denseBlockMinStride·64: below it Dense runs unblocked, above it the
-// only graphs still on Dense are model-less ones, which get the blocked
-// loop.
-const implicitMinN = 4096
-
-// autoEngine picks the engine for g. Implicit graphs (no CSR) can only
-// run implicitly. Otherwise: Dense when word-parallel resolution pays for
+// autoEngine picks the engine for g. A graph with a closed-form model
+// runs implicitly at every n: its rounds resolve from the broadcaster
+// total, which no stored adjacency can beat, and CSR-less graphs have no
+// other option. Otherwise Dense when word-parallel resolution pays for
 // itself (the graph is dense enough that scanning all n bitset rows beats
-// walking the broadcasters' neighbour lists) — upgraded to Implicit when
-// the graph has a closed-form model and is past the bit-matrix cache
-// ceiling — and Sparse for everything else.
+// walking the broadcasters' neighbour lists), and Sparse for everything
+// else.
 func autoEngine(g *graph.Graph) Engine {
-	if !g.HasCSR() {
+	if g.Model() != nil {
 		return Implicit
 	}
 	n := g.N()
 	if n >= 64 && g.AvgDegree() >= float64(n)/8 {
-		if g.Model() != nil && n >= implicitMinN {
-			return Implicit
-		}
 		return Dense
 	}
 	return Sparse
@@ -1388,9 +1375,11 @@ func (n *Network[P]) stepSetDense(tx *bitset.Set, payload []P, rx *bitset.Set, d
 // 64-listener tiles — one hoisted tx-occupancy word selects the tile's
 // listeners branch-free — with the next listener's window start
 // prefetched while the current row resolves. Below the gate the rows are
-// small enough that the straight loop's simplicity wins. Listener order
-// is unchanged (ascending id), so the blocked loop is draw-for-draw
-// identical to the straight one.
+// small enough that the straight loop's simplicity wins. Under Auto only
+// dense graphs without a model (G(n, p)) reach either loop: complete
+// graphs run implicitly at every n. Listener order is unchanged
+// (ascending id), so the blocked loop is draw-for-draw identical to the
+// straight one.
 const denseBlockMinStride = 64
 
 // denseListenersBlocked is the n ≥ 4096 dense listener loop: identical
@@ -1463,11 +1452,13 @@ func (n *Network[P]) denseListenersBlocked(txw []uint64, txLo, txHi int, payload
 }
 
 // stepSetImplicit is the closed-form engine: no adjacency is consulted at
-// all. The complete graph's counter aggregates the round's broadcast set
-// once (Begin), then answers every listener's transmitting-neighbour count
-// in O(1) — O(n) work per round, independent of density, with O(1)
-// per-node state. Broadcasters are marked and listeners resolved in ascending id
-// order, the canonical draw order shared with the other engines.
+// all. On the complete graph every listener's transmitting-neighbour
+// count is the round's broadcaster total, so the round resolves from that
+// total alone. Two or more broadcasters collide at every listener, with no
+// draw. A lone broadcaster a reaches every other node: nothing when a is
+// sender-faulty, otherwise one resolution per listener in ascending id,
+// the canonical draw order shared with the other engines. Per-node state
+// is O(1), and only the lone-broadcaster round costs O(n).
 func (n *Network[P]) stepSetImplicit(tx *bitset.Set, payload []P, rx *bitset.Set, deliver func(d Delivery[P])) {
 	txw := tx.Words()
 	txLo, txHi := tx.NonzeroRange()
@@ -1475,18 +1466,22 @@ func (n *Network[P]) stepSetImplicit(tx *bitset.Set, payload []P, rx *bitset.Set
 		return // silent round: no transmissions, no receptions, no draws
 	}
 	n.markBroadcasters(txw, txLo, txHi)
-	n.counter.Begin(tx)
+	total := 0
+	for wi := txLo; wi < txHi; wi++ {
+		total += bits.OnesCount64(txw[wi])
+	}
 	nn := n.g.N()
-	for u := 0; u < nn; u++ {
-		if txw[u>>6]&(1<<(uint(u)&63)) != 0 {
-			continue // transmitting nodes do not listen
-		}
-		count, from := n.counter.Count(int32(u))
-		switch {
-		case count > 1:
-			n.stats.Collisions++
-		case count == 1:
-			n.resolveUnique(int32(u), from, payload, rx, deliver)
+	if total > 1 {
+		n.stats.Collisions += int64(nn - total)
+		return
+	}
+	a := int32(txLo*64 + bits.TrailingZeros64(txw[txLo]))
+	if n.cfg.Fault == SenderFaults && n.senderNoise[a] {
+		return // content destroyed at the sender, for every listener at once
+	}
+	for u := int32(0); u < int32(nn); u++ {
+		if u != a {
+			n.resolveUnique(u, a, payload, rx, deliver)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"noisyradio/internal/gbst"
 	"noisyradio/internal/graph"
 	"noisyradio/internal/radio"
+	"noisyradio/internal/rng"
 )
 
 func mustSchedule(t *testing.T, name string) *broadcast.Schedule {
@@ -80,7 +81,7 @@ func TestAddScheduleAutoPlan(t *testing.T) {
 	value := func(out broadcast.Outcome) (float64, error) { return float64(out.Rounds), nil }
 
 	sw := NewSweep(SweepConfig{Workers: 2, TrialBatch: TrialBatchAuto})
-	dense := sw.AddSchedule(mustSchedule(t, "decay"), graph.Complete(96), ncfg, broadcast.ScheduleParams{}, 20, 3, value)
+	dense := sw.AddSchedule(mustSchedule(t, "decay"), graph.GNP(96, 0.5, rng.New(3)), ncfg, broadcast.ScheduleParams{}, 20, 3, value)
 	sparse := sw.AddSchedule(mustSchedule(t, "decay"), graph.Path(32), ncfg, broadcast.ScheduleParams{}, 20, 4, value)
 	if err := sw.Run(); err != nil {
 		t.Fatal(err)
