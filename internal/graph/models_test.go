@@ -98,23 +98,25 @@ func builderComplete(n int) *Graph {
 // queue BFS of the Builder's model-less complete graph from every source.
 func TestModelBFSMatchesCSR(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 64, 65, 1024} {
-		ref := builderComplete(n)
-		if ref.Model() != nil {
-			t.Fatal("the Builder attached a model")
-		}
-		explicit, implicit := Complete(n).G, ImplicitComplete(n).G
-		for src := 0; src < n; src++ {
-			want := ref.BFS(src)
-			wantEcc := int(slices.Max(want)) // the complete graph is connected
-			for _, g := range []*Graph{explicit, implicit} {
-				if got := g.BFS(src); !slices.Equal(got, want) {
-					t.Fatalf("n=%d csr=%v: BFS(%d) = %v, want %v", n, g.HasCSR(), src, got, want)
-				}
-				if got := g.Eccentricity(src); got != wantEcc {
-					t.Fatalf("n=%d csr=%v: Eccentricity(%d) = %d, want %d", n, g.HasCSR(), src, got, wantEcc)
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			ref := builderComplete(n)
+			if ref.Model() != nil {
+				t.Fatal("the Builder attached a model")
+			}
+			explicit, implicit := Complete(n).G, ImplicitComplete(n).G
+			for src := 0; src < n; src++ {
+				want := ref.BFS(src)
+				wantEcc := int(slices.Max(want)) // the complete graph is connected
+				for _, g := range []*Graph{explicit, implicit} {
+					if got := g.BFS(src); !slices.Equal(got, want) {
+						t.Fatalf("csr=%v: BFS(%d) = %v, want %v", g.HasCSR(), src, got, want)
+					}
+					if got := g.Eccentricity(src); got != wantEcc {
+						t.Fatalf("csr=%v: Eccentricity(%d) = %d, want %d", g.HasCSR(), src, got, wantEcc)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -123,9 +125,11 @@ func TestModelBFSMatchesCSR(t *testing.T) {
 // BFS answers from the model exactly as on the explicit graph.
 func TestImplicitGraphPanics(t *testing.T) {
 	g := ImplicitComplete(8).G
-	if got, want := g.BFS(3), Complete(8).G.BFS(3); !slices.Equal(got, want) {
-		t.Fatalf("implicit BFS(3) = %v, explicit %v", got, want)
-	}
+	t.Run("BFS", func(t *testing.T) {
+		if got, want := g.BFS(3), Complete(8).G.BFS(3); !slices.Equal(got, want) {
+			t.Fatalf("implicit BFS(3) = %v, explicit %v", got, want)
+		}
+	})
 	for _, tc := range []struct {
 		name string
 		call func()

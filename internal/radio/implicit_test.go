@@ -81,19 +81,21 @@ func closedFormSchedule(n int) func(round, v int) bool {
 func TestDifferentialImplicitClosedForm(t *testing.T) {
 	const rounds = 64 // every lone id in 4 cycles
 	for _, n := range []int{1, 2, 64, 65, 130} {
-		explicit, implicit := graph.Complete(n).G, graph.ImplicitComplete(n).G
-		sched := closedFormSchedule(n)
-		for _, cfg := range diffConfigs(n) {
-			ref := executeEngine(t, explicit, cfg, Sparse, viaStepSet, 42, rounds, sched)
-			name := fmt.Sprintf("complete-%d/%s/draw %v", n, cfg.Fault, cfg.Draw)
-			requireIdentical(t, name+"/dense", ref, executeEngine(t, explicit, cfg, Dense, viaStepSet, 42, rounds, sched))
-			for _, mode := range []stepMode{viaStep, viaStepSet} {
-				for _, g := range []*graph.Graph{explicit, implicit} {
-					got := executeEngine(t, g, cfg, Implicit, mode, 42, rounds, sched)
-					requireIdentical(t, fmt.Sprintf("%s/implicit/%v csr=%v", name, mode, g.HasCSR()), ref, got)
+		t.Run(fmt.Sprintf("complete-%d", n), func(t *testing.T) {
+			explicit, implicit := graph.Complete(n).G, graph.ImplicitComplete(n).G
+			sched := closedFormSchedule(n)
+			for _, cfg := range diffConfigs(n) {
+				ref := executeEngine(t, explicit, cfg, Sparse, viaStepSet, 42, rounds, sched)
+				name := fmt.Sprintf("%s/draw %v", cfg.Fault, cfg.Draw)
+				requireIdentical(t, name+"/dense", ref, executeEngine(t, explicit, cfg, Dense, viaStepSet, 42, rounds, sched))
+				for _, mode := range []stepMode{viaStep, viaStepSet} {
+					for _, g := range []*graph.Graph{explicit, implicit} {
+						got := executeEngine(t, g, cfg, Implicit, mode, 42, rounds, sched)
+						requireIdentical(t, fmt.Sprintf("%s/implicit/%v csr=%v", name, mode, g.HasCSR()), ref, got)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
