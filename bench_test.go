@@ -78,7 +78,7 @@ func BenchmarkSingleBroadcastAlgorithms(b *testing.B) {
 			}
 		})
 		b.Run(name+"/row", func(b *testing.B) {
-			run, _ := sched.Bind(top, cfg, ScheduleParams{})
+			run := sched.Bind(top, cfg, ScheduleParams{})
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := run(NewRand(uint64(i)))

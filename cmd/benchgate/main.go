@@ -35,7 +35,6 @@ func main() {
 		currentPath  = flag.String("current", "", "freshly generated BENCH_sweep.json")
 		maxReg       = flag.Float64("max-regression", 0.30, "maximum allowed fractional wall-clock regression")
 		maxMicroReg  = flag.Float64("max-microbench-regression", 0.50, "maximum allowed fractional ns/round regression per engine microbenchmark")
-		minBatchSpd  = flag.Float64("min-stepbatch-speedup", 0, "minimum required scalar-stepset/stepbatch ns-per-trial-round ratio at w=16 on dense/complete n=1024 (0 disables)")
 		minGeomSpd   = flag.Float64("min-geomskip-speedup", 0, "minimum required v1/v2 faultdraw ns-per-round ratio at p=0.001 n=100000 (0 disables)")
 		maxBurstRat  = flag.Float64("max-burstdraw-ratio", 0, "maximum allowed v3/v2 faultdraw ns-per-round ratio at matched p=0.001 n=100000 (0 disables)")
 		minCacheSpd  = flag.Float64("min-cachehit-speedup", 0, "minimum required cold/hit request-time ratio for the sweep-service result cache (0 disables)")
@@ -60,16 +59,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate: FAIL:", err)
 		os.Exit(1)
-	}
-	if *minBatchSpd > 0 {
-		verdict, err := gateStepBatch(current, *minBatchSpd)
-		if verdict != "" {
-			fmt.Println("benchgate:", verdict)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate: FAIL:", err)
-			os.Exit(1)
-		}
 	}
 	if *minGeomSpd > 0 {
 		verdict, err := gateGeomSkip(current, *minGeomSpd)
@@ -140,42 +129,6 @@ func gateCacheHit(current benchreport.Report, minSpeedup float64) (string, error
 	return "ok — " + summary, nil
 }
 
-// The microbenchmark rows the trial-batching speedup gate compares: the
-// scalar set-native round and the 16-lane batched round with every lane
-// live (both ns per trial-round) on the dense engine's home benchmark
-// topology.
-const (
-	stepBatchScalarRow = "stepset/dense/complete/faultless/n=1024"
-	stepBatchBatchRow  = "stepbatch/w=16/dense/complete/faultless/n=1024"
-)
-
-// gateStepBatch enforces the trial-batching acceptance floor against the
-// *current* report alone: the 16-lane StepBatch microbenchmark must be at
-// least minSpeedup times cheaper per trial-round than scalar StepSet on
-// the same schedule. Unlike the regression gates this is an absolute
-// property of the engine, so no baseline is involved.
-func gateStepBatch(current benchreport.Report, minSpeedup float64) (string, error) {
-	rows := make(map[string]benchreport.Microbench, len(current.Microbench))
-	for _, m := range current.Microbench {
-		rows[m.Name] = m
-	}
-	scalar, okS := rows[stepBatchScalarRow]
-	batch, okB := rows[stepBatchBatchRow]
-	if !okS || !okB {
-		return "", fmt.Errorf("stepbatch gate: report lacks %q or %q", stepBatchScalarRow, stepBatchBatchRow)
-	}
-	if scalar.NsPerRound <= 0 || batch.NsPerRound <= 0 {
-		return "", fmt.Errorf("stepbatch gate: non-positive ns/round (scalar %.1f, batch %.1f)", scalar.NsPerRound, batch.NsPerRound)
-	}
-	speedup := scalar.NsPerRound / batch.NsPerRound
-	summary := fmt.Sprintf("stepbatch w=16 %.0f ns/trial-round vs scalar %.0f: %.2fx (floor %.2fx)",
-		batch.NsPerRound, scalar.NsPerRound, speedup, minSpeedup)
-	if speedup < minSpeedup {
-		return summary, fmt.Errorf("%s", summary)
-	}
-	return "ok — " + summary, nil
-}
-
 // The microbenchmark rows the geometric-skip speedup gate compares: the
 // sender-fault draw kernel over 10⁵ sites per round in the sparse-failure
 // regime (p = 0.001), under the per-site Bernoulli contract (v1) and the
@@ -188,9 +141,8 @@ const (
 // gateGeomSkip enforces the draw-contract acceptance floor against the
 // *current* report alone: at sparse fault rates the geometric-skip draw
 // (v2) must be at least minSpeedup times cheaper per round than the
-// per-site Bernoulli draw (v1) on the same site count. Like the stepbatch
-// floor this is an absolute property of the kernel, so no baseline is
-// involved.
+// per-site Bernoulli draw (v1) on the same site count. This is an
+// absolute property of the kernel, so no baseline is involved.
 func gateGeomSkip(current benchreport.Report, minSpeedup float64) (string, error) {
 	rows := make(map[string]benchreport.Microbench, len(current.Microbench))
 	for _, m := range current.Microbench {

@@ -120,45 +120,6 @@ func TestGateMicrobenchSkippedOnMachineMismatch(t *testing.T) {
 	}
 }
 
-func stepBatchRep(scalarNs, batchNs float64) benchreport.Report {
-	return microRep(10,
-		benchreport.Microbench{Name: stepBatchScalarRow, NsPerRound: scalarNs},
-		benchreport.Microbench{Name: stepBatchBatchRow, NsPerRound: batchNs},
-	)
-}
-
-func TestGateStepBatchAboveFloor(t *testing.T) {
-	if _, err := gateStepBatch(stepBatchRep(4500, 1500), 2.5); err != nil {
-		t.Fatalf("3x speedup rejected at 2.5x floor: %v", err)
-	}
-}
-
-func TestGateStepBatchBelowFloor(t *testing.T) {
-	_, err := gateStepBatch(stepBatchRep(4500, 2000), 2.5)
-	if err == nil {
-		t.Fatal("2.25x speedup accepted at 2.5x floor")
-	}
-	if !strings.Contains(err.Error(), "floor") {
-		t.Fatalf("unhelpful error: %v", err)
-	}
-}
-
-func TestGateStepBatchMissingRows(t *testing.T) {
-	if _, err := gateStepBatch(microRep(10), 2.5); err == nil {
-		t.Fatal("report without stepbatch rows passed the speedup gate")
-	}
-	onlyScalar := microRep(10, benchreport.Microbench{Name: stepBatchScalarRow, NsPerRound: 4500})
-	if _, err := gateStepBatch(onlyScalar, 2.5); err == nil {
-		t.Fatal("report without the batch row passed the speedup gate")
-	}
-}
-
-func TestGateStepBatchRejectsNonPositive(t *testing.T) {
-	if _, err := gateStepBatch(stepBatchRep(0, 2000), 2.5); err == nil {
-		t.Fatal("non-positive scalar ns accepted")
-	}
-}
-
 func geomSkipRep(v1Ns, v2Ns float64) benchreport.Report {
 	return microRep(10,
 		benchreport.Microbench{Name: geomSkipV1Row, NsPerRound: v1Ns},

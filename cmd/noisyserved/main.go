@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"noisyradio/internal/serve"
-	"noisyradio/internal/sim"
 )
 
 func main() {
@@ -50,24 +49,14 @@ func main() {
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("noisyserved", flag.ContinueOnError)
 	var (
-		addr       = fs.String("addr", ":8091", "listen address (host:port; port 0 picks a free port)")
-		cacheSize  = fs.Int("cache", 1024, "result cache capacity in finished job bodies (LRU)")
-		shards     = fs.Int("shards", 0, "fixed shard count per job (0 = derive from trials: min(8, ceil(trials/32)))")
-		workers    = fs.Int("workers", 0, "sweep worker pool size per job (0 = GOMAXPROCS)")
-		trialBatch = fs.String("trialbatch", "auto", "lockstep trial-batch plan: auto | 0 (scalar) | W in 2..16 (dense engine only); output identical at every setting")
-		drain      = fs.Duration("drain", 30*time.Second, "max time to wait for in-flight jobs on SIGTERM/SIGINT")
+		addr      = fs.String("addr", ":8091", "listen address (host:port; port 0 picks a free port)")
+		cacheSize = fs.Int("cache", 1024, "result cache capacity in finished job bodies (LRU)")
+		shards    = fs.Int("shards", 0, "fixed shard count per job (0 = derive from trials: min(8, ceil(trials/32)))")
+		workers   = fs.Int("workers", 0, "sweep worker pool size per job (0 = GOMAXPROCS)")
+		drain     = fs.Duration("drain", 30*time.Second, "max time to wait for in-flight jobs on SIGTERM/SIGINT")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	tb, err := sim.ParseTrialBatch(*trialBatch)
-	if err != nil {
-		return err
-	}
-	if tb == 0 {
-		// serve.Config reads TrialBatch 0 as auto; the flag's 0 means
-		// scalar, which width 1 also plans.
-		tb = 1
 	}
 	if *cacheSize < 1 {
 		return fmt.Errorf("-cache must be >= 1, got %d", *cacheSize)
@@ -77,10 +66,9 @@ func run(args []string, out *os.File) error {
 	}
 
 	handler := serve.NewServer(serve.Config{
-		CacheSize:  *cacheSize,
-		Shards:     *shards,
-		Workers:    *workers,
-		TrialBatch: tb,
+		CacheSize: *cacheSize,
+		Shards:    *shards,
+		Workers:   *workers,
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

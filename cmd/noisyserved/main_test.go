@@ -11,7 +11,6 @@ import (
 
 	"noisyradio/internal/benchreport"
 	"noisyradio/internal/serve"
-	"noisyradio/internal/sim"
 )
 
 // startDaemon boots the daemon in-process on an ephemeral port with the
@@ -89,40 +88,12 @@ func TestServeSubmitDrain(t *testing.T) {
 	}
 }
 
-// TestTrialBatchZeroRunsScalar: -trialbatch 0 plans scalar execution, as
-// its help says. serve.Config reads TrialBatch 0 as auto, so the command
-// maps the flag. No job topology resolves to the dense engine, where auto
-// would batch, so the plan's reason tells the two apart: auto records why
-// the engine runs scalar, the flag records that batching is off.
-func TestTrialBatchZeroRunsScalar(t *testing.T) {
-	addr, _ := startDaemon(t, "-trialbatch", "0")
-	sim.ResetPlanLog()
-	spec := benchreport.JobSpec{
-		Schedule: "decay", Topology: "complete", N: 256,
-		Fault: "receiver", P: 0.3, Seed: 1, Trials: 32,
-	}
-	if _, err := serve.Submit(context.Background(), "http://"+addr, spec, nil); err != nil {
-		t.Fatal(err)
-	}
-	plans := sim.PlanLog()
-	if len(plans) == 0 {
-		t.Fatal("the job recorded no execution plan")
-	}
-	for _, p := range plans {
-		if p.Width != 1 || p.Reason != "scalar (trial batching off)" {
-			t.Errorf("plan %+v: want width 1 with batching off", p)
-		}
-	}
-}
-
 // TestFlagValidation pins the usage errors.
 func TestFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-cache", "0"},
 		{"-shards", "-1"},
-		{"-trialbatch", "bogus"},
-		{"-trialbatch", "-2"},
-		{"-trialbatch", "8abc"},
+		{"-trialbatch", "auto"}, // the lockstep plane and its flag are gone
 	} {
 		f, err := os.Create(filepath.Join(t.TempDir(), "out.txt"))
 		if err != nil {

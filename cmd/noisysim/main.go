@@ -9,7 +9,6 @@
 //	noisysim -exp E9 -quick        # reduced sweep for a fast look
 //	noisysim -exp E13 -trials 12 -seed 7 -workers 8
 //	noisysim -exp E9 -engine dense # force the bit-parallel radio engine
-//	noisysim -exp E3 -engine dense -trialbatch 8 # 8 trials per lockstep batch
 //	noisysim -exp all -quick -benchjson BENCH_sweep.json
 //
 // Every experiment schedules all of its table rows on one shared worker
@@ -31,18 +30,8 @@
 // picks between the others by average degree, dense forces word-parallel
 // channel resolution, sparse forces CSR neighbour walking, implicit
 // resolves each round from the complete graph's broadcaster total
-// without any stored adjacency. Purely a performance knob.
-//
-// The -trialbatch flag sets the lockstep trial-batch plan: "auto" (the
-// default) batches 16 trials per row on the dense engine; 0 (or 1) forces
-// scalar execution; an explicit W in 2..16 forces that width. Batch-capable
-// experiment rows on the dense engine then run W consecutive Monte-Carlo
-// trials as lanes of one trial-batched radio network (each listener's
-// adjacency row visited once per round for all lanes) instead of W scalar
-// executions; rows on the sparse and implicit engines, and schedules
-// without a lockstep twin, always run scalar. Like the other knobs it
-// never changes any output — tables are bit-identical at every setting,
-// and the chosen plans are recorded in the -benchjson report.
+// without any stored adjacency. Purely a performance knob; the engine
+// each schedule row resolved to is recorded in the -benchjson report.
 //
 // The -drawcontract flag selects the fault-draw contract version (v1 |
 // v2 | v3 | v4). v1 — the default and today's behaviour — draws one
@@ -57,9 +46,9 @@
 // and its surrounding region (a contiguous id window of radius -jamradius,
 // or the center's graph neighbourhood with -jamball) fault outright, while
 // sites outside the jam keep drawing independent v1 coins. Unlike -engine
-// and -trialbatch this is NOT a pure performance knob: each version is its
-// own deterministic universe. Within a version, outputs are bit-identical
-// across engines, workers and batch widths; across versions the fault
+// this is NOT a pure performance knob: each version is its own
+// deterministic universe. Within a version, outputs are bit-identical
+// across engines and workers; across versions the fault
 // draws differ, so each contract's runs are compared against its own
 // committed goldens (the CI determinism job checks all of them).
 //
@@ -67,13 +56,13 @@
 //
 //	noisysim -schedule list            # list every registered schedule
 //	noisysim -schedule decay -n 256 -p 0.3 -fault receiver -trials 50
-//	noisysim -schedule star-coding -n 64 -k 16 -trials 100 -trialbatch auto
+//	noisysim -schedule star-coding -n 64 -k 16 -trials 100
 //
 // A schedule run executes -trials Monte-Carlo trials of one registry
 // entry on a size--n workload (a path for topology-taking schedules, n
 // leaves for the star, a WCT instance for the WCT schedules, a length-n
 // pipeline for the path schedules) and prints the round statistics plus
-// the execution plan the sweep chose.
+// the radio engine the row ran on.
 //
 // The -benchjson flag writes a machine-readable performance report (suite
 // wall clock, per-experiment seconds, rows/sec, allocations per trial) to
@@ -130,40 +119,35 @@ func main() {
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("noisysim", flag.ContinueOnError)
 	var (
-		exp        = fs.String("exp", "", "experiment id (E1..E19, F1, F2, A1..A3) or 'all'")
-		list       = fs.Bool("list", false, "list available experiments")
-		schedName  = fs.String("schedule", "", "run one broadcast schedule from the registry by name, or 'list'")
-		submit     = fs.String("submit", "", "submit the -schedule job to a sweep service at this base URL (e.g. http://localhost:8091) instead of executing locally")
-		trials     = fs.Int("trials", 0, "Monte-Carlo trials per row (0 = experiment/schedule default)")
-		seed       = fs.Uint64("seed", 1, "base random seed")
-		workers    = fs.Int("workers", 0, "shared worker pool size for each table (0 = GOMAXPROCS)")
-		rowWkrs    = fs.Int("rowworkers", 0, "max table rows in flight at once (0 = all); memory/scheduling knob, output identical")
-		quick      = fs.Bool("quick", false, "reduced sweeps and trial counts")
-		engine     = fs.String("engine", "auto", "radio execution engine: auto | sparse | dense | implicit (results identical, speed differs)")
-		trialBatch = fs.String("trialbatch", "auto", "lockstep trial-batch plan: auto | 0 (scalar) | W in 2..16 (dense engine only); output identical at every setting")
-		drawC      = fs.String("drawcontract", "v1", "fault-draw contract version: v1 (per-site Bernoulli) | v2 (geometric skip) | v3 (Gilbert-Elliott bursts) | v4 (region jamming); versions are separate deterministic universes")
-		burstLen   = fs.Float64("burstlen", 0, "v3: mean bad-phase length in sites (0 = default 8)")
-		burstBadP  = fs.Float64("burstbadp", 0, "v3: fault probability inside a bad phase (0 = default 0.5; must exceed -p)")
-		jamQ       = fs.Float64("jamq", 0, "v4: per-round jam probability (0 = default 0.05)")
-		jamRadius  = fs.Int("jamradius", 0, "v4: jam region radius around the drawn center (0 = default 8)")
-		jamBall    = fs.Bool("jamball", false, "v4: jam the center's graph neighbourhood instead of a contiguous id window")
-		asJSON     = fs.Bool("json", false, "emit experiment tables as a JSON array")
-		benchOut   = fs.String("benchjson", "", "write a machine-readable performance report (wall clock, rows/sec, allocs/trial, chosen plans) to this path")
-		demo       = fs.String("demo", "", "trace one run of an algorithm: decay | fastbc | robust-fastbc")
-		topology   = fs.String("topology", "path", "demo/schedule: workload graph: path | complete | star | cycle | grid | hypercube (complete at n >= 4096 builds the CSR-less implicit form)")
-		demoN      = fs.Int("n", 24, "demo/schedule: workload size (node count, WCT target size)")
-		demoK      = fs.Int("k", 8, "schedule: message count for multi-message schedules")
-		demoP      = fs.Float64("p", 0.3, "demo/schedule: fault probability")
-		faultMd    = fs.String("fault", "receiver", "demo/schedule: fault model: none | sender | receiver")
+		exp       = fs.String("exp", "", "experiment id (E1..E19, F1, F2, A1..A3) or 'all'")
+		list      = fs.Bool("list", false, "list available experiments")
+		schedName = fs.String("schedule", "", "run one broadcast schedule from the registry by name, or 'list'")
+		submit    = fs.String("submit", "", "submit the -schedule job to a sweep service at this base URL (e.g. http://localhost:8091) instead of executing locally")
+		trials    = fs.Int("trials", 0, "Monte-Carlo trials per row (0 = experiment/schedule default)")
+		seed      = fs.Uint64("seed", 1, "base random seed")
+		workers   = fs.Int("workers", 0, "shared worker pool size for each table (0 = GOMAXPROCS)")
+		rowWkrs   = fs.Int("rowworkers", 0, "max table rows in flight at once (0 = all); memory/scheduling knob, output identical")
+		quick     = fs.Bool("quick", false, "reduced sweeps and trial counts")
+		engine    = fs.String("engine", "auto", "radio execution engine: auto | sparse | dense | implicit (results identical, speed differs)")
+		drawC     = fs.String("drawcontract", "v1", "fault-draw contract version: v1 (per-site Bernoulli) | v2 (geometric skip) | v3 (Gilbert-Elliott bursts) | v4 (region jamming); versions are separate deterministic universes")
+		burstLen  = fs.Float64("burstlen", 0, "v3: mean bad-phase length in sites (0 = default 8)")
+		burstBadP = fs.Float64("burstbadp", 0, "v3: fault probability inside a bad phase (0 = default 0.5; must exceed -p)")
+		jamQ      = fs.Float64("jamq", 0, "v4: per-round jam probability (0 = default 0.05)")
+		jamRadius = fs.Int("jamradius", 0, "v4: jam region radius around the drawn center (0 = default 8)")
+		jamBall   = fs.Bool("jamball", false, "v4: jam the center's graph neighbourhood instead of a contiguous id window")
+		asJSON    = fs.Bool("json", false, "emit experiment tables as a JSON array")
+		benchOut  = fs.String("benchjson", "", "write a machine-readable performance report (wall clock, rows/sec, allocs/trial, chosen plans) to this path")
+		demo      = fs.String("demo", "", "trace one run of an algorithm: decay | fastbc | robust-fastbc")
+		topology  = fs.String("topology", "path", "demo/schedule: workload graph: path | complete | star | cycle | grid | hypercube (complete at n >= 4096 builds the CSR-less implicit form)")
+		demoN     = fs.Int("n", 24, "demo/schedule: workload size (node count, WCT target size)")
+		demoK     = fs.Int("k", 8, "schedule: message count for multi-message schedules")
+		demoP     = fs.Float64("p", 0.3, "demo/schedule: fault probability")
+		faultMd   = fs.String("fault", "receiver", "demo/schedule: fault model: none | sender | receiver")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	eng, err := radio.ParseEngine(*engine)
-	if err != nil {
-		return err
-	}
-	tb, err := sim.ParseTrialBatch(*trialBatch)
 	if err != nil {
 		return err
 	}
@@ -197,7 +181,7 @@ func run(args []string, out *os.File) error {
 		if *submit != "" {
 			return submitSchedule(out, *submit, *schedName, *topology, *demoN, *demoK, *demoP, *faultMd, *drawC, *trials, *seed, *burstLen, *burstBadP, *jamQ, *jamRadius, *jamBall)
 		}
-		return runSchedule(out, *schedName, *topology, *demoN, *demoK, *demoP, *faultMd, *trials, *seed, *workers, tb, base)
+		return runSchedule(out, *schedName, *topology, *demoN, *demoK, *demoP, *faultMd, *trials, *seed, *workers, base)
 	}
 	if *submit != "" {
 		return fmt.Errorf("-submit requires -schedule (the sweep service runs registry schedules)")
@@ -222,7 +206,6 @@ func run(args []string, out *os.File) error {
 		RowWorkers: *rowWkrs,
 		Quick:      *quick,
 		Engine:     eng,
-		TrialBatch: tb,
 		Draw:       dc,
 		Burst:      base.Burst,
 		Jam:        base.Jam,
@@ -248,7 +231,6 @@ func run(args []string, out *os.File) error {
 		Seed:         *seed,
 		Workers:      *workers,
 		RowWorkers:   *rowWkrs,
-		TrialBatch:   tb,
 		GoMaxProcs:   runtime.GOMAXPROCS(0),
 	}
 	var memBefore runtime.MemStats
@@ -312,9 +294,9 @@ func run(args []string, out *os.File) error {
 		// (cold vs cached submission of one representative job) rides along
 		// the same way for the benchgate -min-cachehit-speedup floor.
 		bench.Microbench = append(radio.EngineMicrobench(), serve.CacheMicrobench()...)
-		// The execution plans the sweeps chose (engine, trial-batch width W
-		// per schedule row) ride along so the `-trialbatch auto` decision
-		// trail is inspectable in the artifact.
+		// The execution plans the sweeps chose (the engine per schedule
+		// row) ride along so the engine choices are inspectable in the
+		// artifact.
 		bench.Plans = sim.PlanLog()
 		if err := bench.Write(benchFile); err != nil {
 			return fmt.Errorf("benchjson: %w", err)
@@ -340,9 +322,9 @@ func parseFault(faultName string, p float64, base radio.Config) (radio.Config, e
 }
 
 // runSchedule runs -trials Monte-Carlo trials of one registry schedule on
-// the sweep scheduler and prints the round statistics and the execution
-// plan the sweep chose.
-func runSchedule(out *os.File, name, topology string, n, k int, p float64, faultName string, trials int, seed uint64, workers, tb int, base radio.Config) error {
+// the sweep scheduler and prints the round statistics and the radio
+// engine the row ran on.
+func runSchedule(out *os.File, name, topology string, n, k int, p float64, faultName string, trials int, seed uint64, workers int, base radio.Config) error {
 	sched, err := broadcast.LookupSchedule(name)
 	if err != nil {
 		names := strings.Join(broadcast.ScheduleNames(), ", ")
@@ -360,7 +342,7 @@ func runSchedule(out *os.File, name, topology string, n, k int, p float64, fault
 		trials = 20
 	}
 
-	sw := sim.NewSweep(sim.SweepConfig{Workers: workers, TrialBatch: tb})
+	sw := sim.NewSweep(sim.SweepConfig{Workers: workers})
 	// Snapshot the process plan log so only this run's plans are printed
 	// (earlier runs in the same process may have recorded their own).
 	before := map[benchreport.Plan]int{}
@@ -391,7 +373,7 @@ func runSchedule(out *os.File, name, topology string, n, k int, p float64, fault
 		key := plan
 		key.Count = 0
 		if plan.Count > before[key] {
-			fmt.Fprintf(out, "plan: engine %s, trial-batch width %d (%s)\n", plan.Engine, plan.Width, plan.Reason)
+			fmt.Fprintf(out, "plan: engine %s\n", plan.Engine)
 		}
 	}
 	acc := row.Acc()

@@ -370,37 +370,30 @@ func TestScheduleRunValidation(t *testing.T) {
 	}
 }
 
-func TestTrialBatchFlagValidation(t *testing.T) {
-	for _, bad := range []string{"x", "-2", "17", "65", "8.5"} {
-		if _, err := capture(t, "-exp", "F1", "-quick", "-trialbatch", bad); err == nil {
-			t.Fatalf("-trialbatch %q accepted", bad)
-		}
-	}
-}
-
-// The trial-batch plan must not change any output byte: auto, forced
-// scalar and forced widths all produce identical tables. The runs force
-// the dense engine, where lockstep runs.
-func TestTrialBatchAutoOutputsIdentical(t *testing.T) {
-	base, err := capture(t, "-exp", "E3", "-quick", "-seed", "3", "-json", "-engine", "dense", "-trialbatch", "0")
+// The forced dense engine must not change any output byte at any worker
+// count: E3 on -engine dense prints the auto engine's tables with one,
+// three and eight workers.
+func TestDenseEngineWorkersOutputsIdentical(t *testing.T) {
+	base, err := capture(t, "-exp", "E3", "-quick", "-seed", "3", "-json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tb := range []string{"auto", "4", "8", "16"} {
-		got, err := capture(t, "-exp", "E3", "-quick", "-seed", "3", "-json", "-engine", "dense", "-trialbatch", tb)
+	for _, w := range []string{"1", "3", "8"} {
+		got, err := capture(t, "-exp", "E3", "-quick", "-seed", "3", "-json", "-engine", "dense", "-workers", w)
 		if err != nil {
-			t.Fatalf("-trialbatch %s: %v", tb, err)
+			t.Fatalf("-workers %s: %v", w, err)
 		}
 		if got != base {
-			t.Fatalf("-trialbatch %s changed experiment output", tb)
+			t.Fatalf("-engine dense -workers %s changed experiment output", w)
 		}
 	}
 }
 
-// The bench report must record the execution plans chosen under auto.
+// The bench report must record the execution plan of every schedule row:
+// its engine, width 1 and a reason.
 func TestBenchJSONRecordsPlans(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if _, err := capture(t, "-exp", "E3", "-quick", "-seed", "1", "-trialbatch", "auto", "-benchjson", path); err != nil {
+	if _, err := capture(t, "-exp", "E3", "-quick", "-seed", "1", "-benchjson", path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -411,14 +404,11 @@ func TestBenchJSONRecordsPlans(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.TrialBatch != -1 {
-		t.Fatalf("report trialbatch = %d, want -1 (auto)", rep.TrialBatch)
-	}
 	if len(rep.Plans) == 0 {
 		t.Fatalf("report records no plans: %+v", rep)
 	}
 	for _, p := range rep.Plans {
-		if p.Schedule == "" || p.Engine == "" || p.Width < 1 || p.Count < 1 || p.Reason == "" {
+		if p.Schedule == "" || p.Engine == "" || p.Width != 1 || p.Count < 1 || p.Reason == "" {
 			t.Fatalf("malformed plan entry: %+v", p)
 		}
 	}

@@ -19,7 +19,6 @@ type Report struct {
 	Seed           uint64       `json:"seed"`
 	Workers        int          `json:"workers"`
 	RowWorkers     int          `json:"rowworkers"`
-	TrialBatch     int          `json:"trialbatch"`
 	GoMaxProcs     int          `json:"gomaxprocs"`
 	WallSeconds    float64      `json:"wall_seconds"`
 	Tables         int          `json:"tables"`
@@ -34,19 +33,21 @@ type Report struct {
 }
 
 // Plan is one distinct execution plan the sweep scheduler chose for a
-// schedule row during the run: the resolved radio engine, the lockstep
-// trial-batch width (1 = scalar) and the planner's reason, with Count
-// aggregating rows that received the identical plan. Recorded so the
-// `-trialbatch auto` decision trail is inspectable in the BENCH_sweep.json
-// artifact.
+// schedule row during the run: the resolved radio engine and the
+// planner's reason, with Count aggregating rows that received the
+// identical plan. Recorded so the engine choices are inspectable in the
+// BENCH_sweep.json artifact.
 type Plan struct {
 	Schedule string `json:"schedule"`
 	Engine   string `json:"engine"`
 	Draw     string `json:"draw,omitempty"`
 	Trials   int    `json:"trials"`
-	Width    int    `json:"width"`
-	Reason   string `json:"reason"`
-	Count    int    `json:"count,omitempty"`
+	// Width is always 1: every trial runs scalar.
+	//
+	// Deprecated: trials no longer run in lockstep batches.
+	Width  int    `json:"width"`
+	Reason string `json:"reason"`
+	Count  int    `json:"count,omitempty"`
 }
 
 // ExpSeconds is one experiment's contribution to a Report.

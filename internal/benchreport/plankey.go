@@ -16,9 +16,9 @@ import (
 // spec carries names, not types; the serving layer resolves them against
 // the registries and rejects what doesn't parse.
 //
-// Execution-plan knobs (engine, trial-batch width, worker counts, shard
-// plan) are deliberately absent: they are pure performance choices that
-// the simulator guarantees bit-identical results across, so two jobs
+// Execution-plan knobs (engine, worker counts, shard plan) are
+// deliberately absent: they are pure performance choices that the
+// simulator guarantees bit-identical results across, so two jobs
 // differing only in plan MUST share a key. Everything that feeds the draw
 // sequence or the folded statistic is present.
 type JobSpec struct {

@@ -72,13 +72,13 @@ func decayPhaseLen(n int) int {
 // geometricVisit visits each position of [0, n) independently with the
 // success probability of skip, jumping straight between selected
 // positions with one skip.Draw each (expected cost O(p·n)). This is the
-// single definition of the decay-sampling draw sequence: every scalar and
-// batch frontier sampler (singleRunner, laneView, both RLNC pattern
-// drivers) draws through it, so their sequences cannot drift apart. The
-// caller builds skip once per plan (see decaySkips), so a round costs no
-// log1p: Decay's p = 2^-e with e <= 6 draw by threshold table, and every
-// other p by the formula over the sampler's stored log1p(-p). The draws
-// are exactly Stream.Geometric(p)'s.
+// single definition of the decay-sampling draw sequence: every frontier
+// sampler (singleRunner and the RLNC driver's Decay rounds) draws through
+// it, so their sequences cannot drift apart. The caller builds skip once
+// per plan (see decaySkips), so a round costs no log1p: Decay's p = 2^-e
+// with e <= 6 draw by threshold table, and every other p by the formula
+// over the sampler's stored log1p(-p). The draws are exactly
+// Stream.Geometric(p)'s.
 func geometricVisit(rnd *rng.Stream, n int, skip rng.Geometric, visit func(pos int)) {
 	for pos := -1; ; {
 		// Compare before adding: a skip of math.MaxInt, the sampler's
@@ -92,27 +92,9 @@ func geometricVisit(rnd *rng.Stream, n int, skip rng.Geometric, visit func(pos i
 	}
 }
 
-// marker is the per-trial view a single-message schedule drives: it marks
-// the round's broadcasters and exposes the trial's informed state. Scalar
-// trials implement it with a singleRunner, lockstep batch trials with one
-// lane of a batchRunner — the same schedule closure (see scheduleFunc)
-// drives both, which is what makes batch execution equivalent to scalar
-// execution by construction rather than by parallel maintenance.
-type marker interface {
-	// Mark sets v to broadcast this round.
-	Mark(v int32)
-	// DecayStep marks each informed node independently with skip's
-	// success probability p, drawing the gaps between marked nodes from
-	// skip over the trial's informed list (expected cost O(p·|informed|)).
-	// skip comes from the plan's decaySkips table, built once per plan and
-	// shared read-only by every trial.
-	DecayStep(skip rng.Geometric)
-	// Informed reports whether v is informed in this trial.
-	Informed(v int32) bool
-}
-
-// scheduleFunc marks one round's broadcasters for one trial.
-type scheduleFunc func(m marker, round int)
+// scheduleFunc marks one round's broadcasters for one trial, through the
+// trial's runner: Mark, DecayStep and Informed.
+type scheduleFunc func(m *singleRunner, round int)
 
 // scheduleFactory builds a fresh per-trial schedule closure. It belongs
 // to a plan, which every trial of a binding shares, so it is called
@@ -126,7 +108,7 @@ type scheduleFactory func() scheduleFunc
 // topology: its round cap and its per-trial schedule factory. The plan
 // depends only on the topology, config and parameters, never on a
 // trial's stream, so a binding (Schedule.Bind) builds it at most once and
-// every trial and lockstep lane of the binding runs on it.
+// every trial of the binding runs on it.
 type singlePlan func(top graph.Topology, cfg radio.Config, p ScheduleParams) (maxRounds int, factory scheduleFactory, err error)
 
 // runTrial executes one single-message trial of a prepared plan, capped
@@ -183,8 +165,11 @@ func (s *singleRunner) Mark(v int32) {
 	s.tx.Set(int(v))
 }
 
-// DecayStep marks each informed node with skip's probability, drawing
-// geometric skips over the informed list: expected cost O(p·|informed|).
+// DecayStep marks each informed node independently with skip's success
+// probability, drawing the gaps between marked nodes from skip over the
+// informed list: expected cost O(p·|informed|). skip comes from the
+// plan's decaySkips table, built once per plan and shared read-only by
+// every trial.
 func (s *singleRunner) DecayStep(skip rng.Geometric) {
 	geometricVisit(s.rnd, len(s.informedList), skip, func(pos int) {
 		s.Mark(s.informedList[pos])
@@ -197,7 +182,7 @@ func (s *singleRunner) Informed(v int32) bool {
 }
 
 // run executes schedule until all nodes are informed or maxRounds elapse.
-// schedule must mark broadcasters via the marker view for the given round.
+// schedule marks the broadcasters of each round through s.
 func (s *singleRunner) run(maxRounds int, schedule scheduleFunc) Outcome {
 	n := s.informed.Len()
 	round := 0

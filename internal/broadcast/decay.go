@@ -16,7 +16,7 @@ import (
 func decaySchedule(n int) scheduleFactory {
 	phaseLen := decayPhaseLen(n)
 	skips := decaySkips(phaseLen)
-	sched := func(m marker, round int) {
+	sched := func(m *singleRunner, round int) {
 		m.DecayStep(skips[round%phaseLen])
 	}
 	return func() scheduleFunc { return sched }
@@ -73,7 +73,7 @@ func unknownNSchedule() scheduleFactory {
 	skips := decaySkips(epochCap)
 	return func() scheduleFunc {
 		epoch, pos := 1, 0
-		return func(m marker, round int) {
+		return func(m *singleRunner, round int) {
 			m.DecayStep(skips[pos])
 			pos++
 			if pos >= epoch {

@@ -35,66 +35,3 @@ func TestScheduleDrawV1DefaultUnchanged(t *testing.T) {
 		}
 	}
 }
-
-// TestScheduleDrawBatchMatchesRun extends the registry-level
-// batch-equivalence contract to every non-default draw version: under each
-// of v2/v3/v4, RunBatch over W streams must reproduce W scalar Runs
-// outcome for outcome for every entry. This is the schedule-level closure
-// of the radio-layer lane-parity tests, and the layer where cross-network
-// state bugs live: a stateful contract (v3's burst process) restarts with
-// each scalar network, so a batch runner that spans several scalar
-// networks with one batch network (sequential routing) must reset the
-// lane's draw state at each boundary or diverge here. v3's burst
-// parameters are chosen so the stationary marginal stays below BadP at the
-// cases' P=0.5.
-func TestScheduleDrawBatchMatchesRun(t *testing.T) {
-	versions := []struct {
-		name string
-		set  func(*radio.Config)
-	}{
-		{"v2", func(cfg *radio.Config) { cfg.Draw = radio.DrawV2 }},
-		{"v3", func(cfg *radio.Config) {
-			cfg.Draw = radio.DrawV3
-			cfg.Burst = radio.BurstParams{Len: 4, BadP: 0.9}
-		}},
-		{"v4", func(cfg *radio.Config) {
-			cfg.Draw = radio.DrawV4
-			cfg.Jam = radio.JamParams{Q: 0.2, Radius: 2}
-		}},
-	}
-	for _, v := range versions {
-		v := v
-		t.Run(v.name, func(t *testing.T) {
-			for name, c := range scheduleCases(t) {
-				s, err := LookupSchedule(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg := c.cfg
-				v.set(&cfg)
-				const w = 3
-				want := make([]Outcome, w)
-				for i := range want {
-					out, err := s.Run(c.top, cfg, rng.NewFrom(83, uint64(i)), c.p)
-					if err != nil {
-						t.Fatalf("%s: scalar trial %d: %v", name, i, err)
-					}
-					want[i] = out
-				}
-				rnds := make([]*rng.Stream, w)
-				for i := range rnds {
-					rnds[i] = rng.NewFrom(83, uint64(i))
-				}
-				got, err := s.RunBatch(c.top, cfg, rnds, c.p)
-				if err != nil {
-					t.Fatalf("%s: batch: %v", name, err)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("%s: trial %d diverged under %s\nscalar %+v\nbatch  %+v", name, i, v.name, want[i], got[i])
-					}
-				}
-			}
-		})
-	}
-}

@@ -16,7 +16,7 @@ func fastbcSchedule(g *graph.Graph, tree *gbst.Tree) scheduleFactory {
 	skips := decaySkips(phaseLen)
 	buckets, period := waveBuckets(g, tree, 1) // blockSize 1: slot = level - 6·rank
 
-	sched := func(m marker, round int) {
+	sched := func(m *singleRunner, round int) {
 		if round%2 == 1 { // slow transmission round: Decay step
 			t := (round - 1) / 2
 			m.DecayStep(skips[t%phaseLen])

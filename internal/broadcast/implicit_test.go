@@ -40,9 +40,8 @@ func TestDecayImplicitMatchesExplicit(t *testing.T) {
 			if want != got {
 				t.Fatalf("%s/%s: implicit Decay diverged\nwant %+v\ngot  %+v", pair.name, cfg.Fault, want, got)
 			}
-			// RunBatch over the implicit topology (which runs each stream
-			// scalar, lockstep being dense-only), against scalar runs over
-			// the explicit one.
+			// The deprecated RunBatch over the implicit topology, against
+			// Runs over the explicit one.
 			rnds := []*rng.Stream{rng.NewFrom(7, 0), rng.NewFrom(7, 1), rng.NewFrom(7, 2)}
 			batch, err := decay.RunBatch(pair.implicit, cfg, rnds, ScheduleParams{})
 			if err != nil {
@@ -54,7 +53,7 @@ func TestDecayImplicitMatchesExplicit(t *testing.T) {
 					t.Fatal(err)
 				}
 				if b != s {
-					t.Fatalf("%s/%s: batch lane %d diverged from explicit scalar\nwant %+v\ngot  %+v", pair.name, cfg.Fault, i, s, b)
+					t.Fatalf("%s/%s: batch trial %d diverged from the explicit Run\nwant %+v\ngot  %+v", pair.name, cfg.Fault, i, s, b)
 				}
 			}
 		}

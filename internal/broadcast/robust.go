@@ -42,8 +42,8 @@ func (p RobustParams) withDefaults(n int, cfg radio.Config) RobustParams {
 // the nodes scheduled for it. blockSize 1 gives the plain FASTBC wave
 // (slot = level - 6·rank); larger sizes give Robust FASTBC's block wave.
 // This is the single definition of the slot formula — the FASTBC and
-// Robust FASTBC schedules and both RLNC pattern drivers (scalar and
-// batch) all derive their buckets here, so they cannot drift apart.
+// Robust FASTBC schedules and the RLNC pattern driver all derive their
+// buckets here, so they cannot drift apart.
 func waveBuckets(g *graph.Graph, tree *gbst.Tree, blockSize int) (buckets [][]int32, period int) {
 	period = 6 * tree.MaxRank
 	buckets = make([][]int32, period)
@@ -70,7 +70,7 @@ func robustSchedule(g *graph.Graph, tree *gbst.Tree, pr RobustParams) scheduleFa
 	levels := tree.Level
 
 	cS := pr.RoundMult * pr.BlockSize
-	sched := func(m marker, round int) {
+	sched := func(m *singleRunner, round int) {
 		if round%2 == 1 { // slow transmission round: Decay step
 			t := (round - 1) / 2
 			m.DecayStep(skips[t%phaseLen])

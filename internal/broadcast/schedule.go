@@ -1,18 +1,11 @@
 // The first-class Schedule API: every broadcast schedule of the paper is
 // one registry entry carrying its name, paper reference and result kind.
 // A single-message entry carries one plan (round cap plus schedule
-// closure), which runs both scalar and in lockstep; a multi-message entry
-// carries its scalar runner and, for the three whose topology can resolve
-// to the dense engine, a lockstep trial-batched twin. The registry is the
+// closure); a multi-message entry carries its runner. The registry is the
 // only way to run a schedule: the implementations are unexported.
 // Callers — the experiment runners, the throughput harness, cmd/noisysim
 // and the public facade — select a schedule by name and Run it, or Bind it
-// once per sweep row; whether a set of trials executes scalar or as lanes
-// of one lockstep batch is an execution-plan detail (see
-// sim.Sweep.AddSchedule), not a caller-visible API fork. Single-message
-// schedules drive both strategies through one closure over marker; each
-// multi-message twin is written twice, as a scalar loop and as a
-// multiLane twin, and the package tests keep the two equal.
+// once per sweep row (see sim.Sweep.AddSchedule).
 package broadcast
 
 import (
@@ -136,75 +129,33 @@ type Schedule struct {
 	// zero topology means "unknown".
 	planTop func(top graph.Topology, p ScheduleParams) graph.Topology
 
-	// plan is a single-message entry's plan, which its bindings run both
-	// scalar and as lockstep lanes; nil for the multi-message entries,
-	// which carry run instead.
+	// plan is a single-message entry's plan, which its bindings run every
+	// trial on; nil for the multi-message entries, which carry run
+	// instead.
 	plan singlePlan
 
-	// run is a multi-message entry's scalar runner.
+	// run is a multi-message entry's runner.
 	run func(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error)
-	// runBatch is a multi-message entry's lockstep twin, nil for entries
-	// whose topology never resolves to the dense engine (stars, WCTs, the
-	// single link and the pipelined paths are all sparse).
-	runBatch func(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error)
 }
 
 // Bind fixes the schedule's arguments for one sweep row and returns the
-// row's runners: run executes one trial under r, and runBatch one
-// independent trial per stream in rnds, outcome i identical to run over
-// rnds[i] (the batch twins' contract, enforced by the package tests). A
-// single-message entry builds its plan — the round cap with its
-// eccentricity BFS, FASTBC's GBST and wave buckets, Decay's skip samplers
-// — at most once per binding: the first trial or batch that needs it
-// builds it, and every later trial and lane shares it read-only. A plan
-// that fails fails every trial of the binding with its error. Both
-// runners are safe for concurrent use.
-//
-// runBatch runs the trials as lanes of one lockstep batch when the entry
-// has a lockstep twin (HasLockstep), rnds holds 2 to radio.MaxBatchWidth
-// streams, the run is untraced (tracing is a scalar concern), and the
-// schedule's topology resolves to the dense engine under cfg, the only
-// engine with a lockstep kernel. Otherwise it calls run once per stream.
-// An empty rnds is an error.
-func (s *Schedule) Bind(top graph.Topology, cfg radio.Config, p ScheduleParams) (run func(r *rng.Stream) (Outcome, error), runBatch func(rnds []*rng.Stream) ([]Outcome, error)) {
-	var lockstep func(rnds []*rng.Stream) ([]Outcome, error)
+// row's runner, which executes one trial under r. A single-message entry
+// builds its plan — the round cap with its eccentricity BFS, FASTBC's
+// GBST and wave buckets, Decay's skip samplers — at most once per
+// binding: the first trial that needs it builds it, and every later trial
+// shares it read-only. A plan that fails fails every trial of the binding
+// with its error. The runner is safe for concurrent use.
+func (s *Schedule) Bind(top graph.Topology, cfg radio.Config, p ScheduleParams) func(r *rng.Stream) (Outcome, error) {
 	if s.plan != nil {
 		b := &planBinding{top: top, cfg: cfg, p: p, plan: s.plan}
-		run, lockstep = b.run, b.runBatch
-	} else {
-		run = func(r *rng.Stream) (Outcome, error) { return s.run(top, cfg, r, p) }
-		if s.runBatch != nil {
-			lockstep = func(rnds []*rng.Stream) ([]Outcome, error) { return s.runBatch(top, cfg, rnds, p) }
-		}
+		return b.run
 	}
-	dense := false
-	if lockstep != nil && p.Options.Trace == nil {
-		pt := s.planTop(top, p)
-		dense = pt.G != nil && cfg.ResolveEngine(pt.G) == radio.Dense
-	}
-	runBatch = func(rnds []*rng.Stream) ([]Outcome, error) {
-		if len(rnds) == 0 {
-			return nil, errors.New("broadcast: batch run with no streams")
-		}
-		if dense && len(rnds) > 1 && len(rnds) <= radio.MaxBatchWidth {
-			return lockstep(rnds)
-		}
-		out := make([]Outcome, len(rnds))
-		for i, r := range rnds {
-			o, err := run(r)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = o
-		}
-		return out, nil
-	}
-	return run, runBatch
+	return func(r *rng.Stream) (Outcome, error) { return s.run(top, cfg, r, p) }
 }
 
 // planBinding is a single-message entry bound to one row's arguments. It
 // builds the entry's plan at most once, on first use, and runs every
-// scalar trial and lockstep batch of the row on it.
+// trial of the row on it.
 type planBinding struct {
 	top  graph.Topology
 	cfg  radio.Config
@@ -235,36 +186,33 @@ func (b *planBinding) run(r *rng.Stream) (Outcome, error) {
 	return runTrial(b.top, b.cfg, r, b.p.Options.Trace, maxRounds, factory())
 }
 
-func (b *planBinding) runBatch(rnds []*rng.Stream) ([]Outcome, error) {
-	maxRounds, factory, err := b.prepared()
-	if err != nil {
-		return nil, err
-	}
-	return runSingleBatch(b.top, b.cfg, rnds, maxRounds, factory)
-}
-
 // Run executes one trial of the schedule under the given randomness,
 // through a binding of its own (see Bind).
 func (s *Schedule) Run(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
-	run, _ := s.Bind(top, cfg, p)
-	return run(r)
+	return s.Bind(top, cfg, p)(r)
 }
 
-// RunBatch executes one independent trial per stream in rnds, through a
-// binding of its own; outcome i is identical to Run over rnds[i] (the
-// batch twins' contract, enforced by the package tests). Bind says when
-// the trials run as lanes of one lockstep batch.
+// RunBatch executes one independent trial per stream in rnds through one
+// binding, in stream order; outcome i is identical to Run over rnds[i].
+// An empty rnds is an error.
+//
+// Deprecated: every trial runs scalar; bind the row once with Bind and
+// call its runner per stream.
 func (s *Schedule) RunBatch(top graph.Topology, cfg radio.Config, rnds []*rng.Stream, p ScheduleParams) ([]Outcome, error) {
-	_, runBatch := s.Bind(top, cfg, p)
-	return runBatch(rnds)
+	if len(rnds) == 0 {
+		return nil, errors.New("broadcast: batch run with no streams")
+	}
+	run := s.Bind(top, cfg, p)
+	out := make([]Outcome, len(rnds))
+	for i, r := range rnds {
+		o, err := run(r)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = o
+	}
+	return out, nil
 }
-
-// HasLockstep reports whether the entry can run trials in lockstep — a
-// single-message plan or a multi-message lockstep twin — which its
-// bindings do on topologies that resolve to the dense engine. Execution
-// planners use it to plan such entries' rows as lockstep batches and
-// every other row scalar.
-func (s *Schedule) HasLockstep() bool { return s.plan != nil || s.runBatch != nil }
 
 // PlanTopology returns the topology the schedule would execute on given
 // these arguments: the passed topology for topology-taking schedules, the
@@ -292,9 +240,9 @@ var schedules = []*Schedule{
 	{Name: "robust-fastbc", Ref: "Theorem 11", Kind: SingleMessage,
 		planTop: passedTop, plan: robustPlan},
 	{Name: "rlnc", Ref: "Lemmas 12-13", Kind: MultiMessage,
-		planTop: passedTop, run: randomRLNC, runBatch: randomRLNCBatch},
+		planTop: passedTop, run: randomRLNC},
 	{Name: "sequential-decay-routing", Ref: "Section 4.2 baseline", Kind: MultiMessage,
-		planTop: passedTop, run: sequentialDecayRouting, runBatch: sequentialDecayRoutingBatch},
+		planTop: passedTop, run: sequentialDecayRouting},
 	{Name: "star-routing", Ref: "Lemma 15", Kind: MultiMessage,
 		planTop: starPlanTop, run: starRouting},
 	{Name: "star-coding", Ref: "Lemma 16", Kind: MultiMessage,
@@ -312,7 +260,7 @@ var schedules = []*Schedule{
 	{Name: "path-pipeline-routing", Ref: "Lemma 25 demonstration schedule", Kind: MultiMessage,
 		planTop: pathPlanTop, run: pathPipelineRouting},
 	{Name: "pipelined-batch-routing", Ref: "Lemmas 20-21", Kind: MultiMessage,
-		planTop: passedTop, run: pipelinedBatchRouting, runBatch: pipelinedBatchRoutingBatch},
+		planTop: passedTop, run: pipelinedBatchRouting},
 	{Name: "transformed-path-routing", Ref: "Lemma 25", Kind: MultiMessage,
 		planTop: pathPlanTop, run: transformedPathRouting},
 	{Name: "transformed-path-coding", Ref: "Lemma 26", Kind: MultiMessage,

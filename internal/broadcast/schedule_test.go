@@ -19,8 +19,8 @@ type scheduleCase struct {
 	p   ScheduleParams
 }
 
-// The cases force the dense engine, so the lockstep twins run on their
-// small topologies; the other entries run scalar on it.
+// The cases force the dense engine, which the topology-taking entries'
+// dense graphs resolve to under Auto.
 func scheduleCases(t *testing.T) map[string]scheduleCase {
 	t.Helper()
 	recv := radio.Config{Fault: radio.ReceiverFaults, P: 0.3, Engine: radio.Dense}
@@ -63,18 +63,23 @@ func TestScheduleCasesCoverRegistry(t *testing.T) {
 	}
 }
 
-// TestScheduleRunBatchMatchesRun is the registry-level equivalence
-// contract: for every entry, RunBatch over W streams must reproduce W
-// scalar Runs outcome for outcome — the unified API may never change what
-// a trial computes. Widths 1 and radio.MaxBatchWidth+1 take RunBatch's
-// per-stream fallback; widths 3, 9, 13 and 16 run the lockstep twins
-// (9 and 13 with the kernel's upper eight lanes partly live), and a
-// traced batch the fallback again, so its trace observes every round the
-// scalar trials execute. Each width runs through one binding as well.
+// trialStreams derives the per-trial streams exactly as the sweep does.
+func trialStreams(seed uint64, start, w int) []*rng.Stream {
+	rnds := make([]*rng.Stream, w)
+	for i := range rnds {
+		rnds[i] = rng.NewFrom(seed, uint64(start+i))
+	}
+	return rnds
+}
+
+// TestScheduleRunBatchMatchesRun: for every entry, the deprecated
+// RunBatch over W streams must reproduce W Runs outcome for outcome, as
+// must one binding's runner called once per stream. A traced pass checks
+// that every trial of RunBatch and of the binding runs traced.
 func TestScheduleRunBatchMatchesRun(t *testing.T) {
 	for name, c := range scheduleCases(t) {
 		s := MustSchedule(name)
-		for _, w := range []int{1, 3, 9, 13, radio.MaxBatchWidth, radio.MaxBatchWidth + 1} {
+		for _, w := range []int{1, 3} {
 			requireRunBatchMatchesRun(t, s, c, w)
 		}
 
@@ -88,26 +93,25 @@ func TestScheduleRunBatchMatchesRun(t *testing.T) {
 		}
 		scalarRounds := observed
 		observed = 0
-		// Four passes over the same trials: Run, RunBatch, and one
-		// binding's run and runBatch.
+		// Three passes over the same trials: Run, RunBatch and one
+		// binding's runner.
 		requireRunBatchMatchesRun(t, s, traced, 4)
-		if observed != 4*scalarRounds {
-			t.Errorf("%s: traced passes observed %d rounds, want 4 × the scalar trials' %d", name, observed, scalarRounds)
+		if observed != 3*scalarRounds {
+			t.Errorf("%s: traced passes observed %d rounds, want 3 × the scalar trials' %d", name, observed, scalarRounds)
 		}
 	}
 }
 
 // requireRunBatchMatchesRun checks s.RunBatch over w streams against w
-// scalar Runs over the same streams, and then one binding of the case
-// (Bind): its run once per stream and its runBatch over the same streams
-// must match those Runs too.
+// Runs over the same streams, and then one binding of the case (Bind),
+// its runner called once per stream.
 func requireRunBatchMatchesRun(t *testing.T, s *Schedule, c scheduleCase, w int) {
 	t.Helper()
 	want := make([]Outcome, w)
 	for i := range want {
 		out, err := s.Run(c.top, c.cfg, rng.NewFrom(99, uint64(i)), c.p)
 		if err != nil {
-			t.Fatalf("%s: scalar trial %d: %v", s.Name, i, err)
+			t.Fatalf("%s: trial %d: %v", s.Name, i, err)
 		}
 		want[i] = out
 	}
@@ -118,7 +122,7 @@ func requireRunBatchMatchesRun(t *testing.T, s *Schedule, c scheduleCase, w int)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("%s: %s width %d trial %d diverged\nscalar %+v\ngot    %+v", s.Name, how, w, i, want[i], got[i])
+				t.Errorf("%s: %s width %d trial %d diverged\nRun %+v\ngot %+v", s.Name, how, w, i, want[i], got[i])
 			}
 		}
 	}
@@ -128,7 +132,7 @@ func requireRunBatchMatchesRun(t *testing.T, s *Schedule, c scheduleCase, w int)
 	}
 	requireOutcomes("RunBatch", got)
 
-	run, runBatch := s.Bind(c.top, c.cfg, c.p)
+	run := s.Bind(c.top, c.cfg, c.p)
 	bound := make([]Outcome, w)
 	for i := range bound {
 		if bound[i], err = run(rng.NewFrom(99, uint64(i))); err != nil {
@@ -136,10 +140,6 @@ func requireRunBatchMatchesRun(t *testing.T, s *Schedule, c scheduleCase, w int)
 		}
 	}
 	requireOutcomes("bound run", bound)
-	if got, err = runBatch(trialStreams(99, 0, w)); err != nil {
-		t.Fatalf("%s: bound batch of %d: %v", s.Name, w, err)
-	}
-	requireOutcomes("bound runBatch", got)
 }
 
 // TestScheduleRunBatchNoStreams: every entry rejects an empty batch.
@@ -152,63 +152,9 @@ func TestScheduleRunBatchNoStreams(t *testing.T) {
 	}
 }
 
-// TestScheduleRunBatchLockstepRule: RunBatch hands the streams to the
-// lockstep runner only for 2 to radio.MaxBatchWidth untraced streams on a
-// topology that resolves to the dense engine, and calls Run once per
-// stream otherwise. The decay plan is wrapped to see which runner drove
-// it: lockstep lanes mark through a laneView.
-func TestScheduleRunBatchLockstepRule(t *testing.T) {
-	decay := MustSchedule("decay")
-	dense := radio.Config{Fault: radio.ReceiverFaults, P: 0.3, Engine: radio.Dense}
-	sparse := radio.Config{Fault: radio.ReceiverFaults, P: 0.3, Engine: radio.Sparse}
-	traced := ScheduleParams{Options: Options{Trace: func(int, []int32, []int32) {}}}
-	path := graph.Path(24)
-	for _, c := range []struct {
-		name string
-		top  graph.Topology
-		cfg  radio.Config
-		p    ScheduleParams
-		w    int
-		want bool
-	}{
-		{"dense", path, dense, ScheduleParams{}, 3, true},
-		{"dense-auto", graph.GNP(96, 0.5, rng.New(3)), radio.Config{Fault: radio.Faultless}, ScheduleParams{}, 2, true},
-		{"implicit-auto", graph.Complete(96), radio.Config{Fault: radio.Faultless}, ScheduleParams{}, 2, false},
-		{"full-kernel", path, dense, ScheduleParams{}, radio.MaxBatchWidth, true},
-		{"one-stream", path, dense, ScheduleParams{}, 1, false},
-		{"too-many-streams", path, dense, ScheduleParams{}, radio.MaxBatchWidth + 1, false},
-		{"traced", path, dense, traced, 3, false},
-		{"sparse", path, sparse, ScheduleParams{}, 3, false},
-		{"sparse-auto", path, radio.Config{Fault: radio.Faultless}, ScheduleParams{}, 3, false},
-		{"implicit", graph.ImplicitComplete(96), dense, ScheduleParams{}, 3, false},
-	} {
-		s := *decay
-		lockstep := false
-		s.plan = func(top graph.Topology, cfg radio.Config, p ScheduleParams) (int, scheduleFactory, error) {
-			maxRounds, factory, err := decay.plan(top, cfg, p)
-			return maxRounds, func() scheduleFunc {
-				sched := factory()
-				return func(m marker, round int) {
-					if _, ok := m.(*laneView); ok {
-						lockstep = true
-					}
-					sched(m, round)
-				}
-			}, err
-		}
-		if _, err := s.RunBatch(c.top, c.cfg, trialStreams(5, 0, c.w), c.p); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if lockstep != c.want {
-			t.Errorf("%s: RunBatch ran the lockstep twin = %v, want %v", c.name, lockstep, c.want)
-		}
-	}
-}
-
 // TestBindPlansOnce: a binding builds a single-message plan exactly once,
-// whichever trial or batch needs it first, and its trials, lockstep
-// batches and fallback batches all run on that one plan. A traced binding
-// plans once too.
+// whichever trial needs it first, and all its trials run on that one
+// plan. A traced binding plans once too.
 func TestBindPlansOnce(t *testing.T) {
 	decay := MustSchedule("decay")
 	top := graph.Path(24)
@@ -220,45 +166,42 @@ func TestBindPlansOnce(t *testing.T) {
 		return decay.plan(top, cfg, p)
 	}
 
-	run, runBatch := s.Bind(top, cfg, ScheduleParams{})
+	run := s.Bind(top, cfg, ScheduleParams{})
 	for i := 0; i < 40; i++ {
 		if _, err := run(rng.NewFrom(3, uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, w := range []int{1, 3, radio.MaxBatchWidth} {
-		if _, err := runBatch(trialStreams(3, 0, w)); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if plans != 1 {
-		t.Fatalf("40 trials and batches of width 1, 3 and 16 planned %d times, want 1", plans)
+		t.Fatalf("40 trials planned %d times, want 1", plans)
 	}
 
 	plans = 0
 	rounds := 0
 	traced := ScheduleParams{Options: Options{Trace: func(int, []int32, []int32) { rounds++ }}}
-	run, runBatch = s.Bind(top, cfg, traced)
-	out, err := run(rng.New(3))
-	if err != nil {
-		t.Fatal(err)
+	run = s.Bind(top, cfg, traced)
+	for i := 0; i < 3; i++ {
+		out, err := run(rng.NewFrom(3, uint64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Rounds == 0 {
+			t.Fatalf("traced trial %d ran no round", i)
+		}
 	}
-	if _, err := runBatch(trialStreams(3, 0, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if plans != 1 || rounds == 0 || out.Rounds == 0 {
-		t.Fatalf("traced binding planned %d times and traced %d rounds (trial ran %d), want 1 plan and every round", plans, rounds, out.Rounds)
+	if plans != 1 || rounds == 0 {
+		t.Fatalf("traced binding planned %d times and traced %d rounds, want 1 plan and every round", plans, rounds)
 	}
 }
 
 // TestBindConcurrentTrialsShareOnePlan: workers of a sweep share one
 // binding, so its plan is built once however the first calls race, and
-// the read-only plan gives every trial and lockstep lane the outcome a
-// solo Run gives. Run it under -race.
+// the read-only plan gives every trial the outcome a solo Run gives. Run
+// it under -race.
 func TestBindConcurrentTrialsShareOnePlan(t *testing.T) {
 	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.3, Engine: radio.Dense}
 	top := graph.Path(24)
-	const workers, scalar, width = 4, 32, 3
+	const workers, trials = 4, 44
 	for _, name := range []string{"decay", "decay-unknown-n", "fastbc", "robust-fastbc"} {
 		entry := MustSchedule(name)
 		plans := 0
@@ -267,22 +210,16 @@ func TestBindConcurrentTrialsShareOnePlan(t *testing.T) {
 			plans++
 			return entry.plan(top, cfg, p)
 		}
-		run, runBatch := s.Bind(top, cfg, ScheduleParams{})
-		got := make([]Outcome, scalar+workers*width)
+		run := s.Bind(top, cfg, ScheduleParams{})
+		got := make([]Outcome, trials)
 		errs := make([]error, workers)
 		var wg sync.WaitGroup
 		for g := 0; g < workers; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				start := scalar + g*width
-				outs, err := runBatch(trialStreams(99, start, width))
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				copy(got[start:], outs)
-				for i := g; i < scalar; i += workers {
+				for i := g; i < trials; i += workers {
+					var err error
 					if got[i], err = run(rng.NewFrom(99, uint64(i))); err != nil {
 						errs[g] = err
 						return
@@ -311,12 +248,12 @@ func TestBindConcurrentTrialsShareOnePlan(t *testing.T) {
 	}
 }
 
-// TestScheduleRunBatchRejectsWhatRunRejects: each lockstep twin checks
-// its arguments as its scalar implementation does, so a batch never
-// succeeds where the same trials run one by one would fail. Single-message
-// entries get a source outside their graph, multi-message entries K = -1,
-// and rlnc additionally an unknown pattern on a single-node graph (where
-// the twin's no-round shortcut must not skip the pattern check).
+// TestScheduleRunBatchRejectsWhatRunRejects: the deprecated RunBatch
+// fails wherever Run fails, so a batch never succeeds where the same
+// trials run one by one would not. Single-message entries get a source
+// outside their graph, multi-message entries K = -1, and rlnc
+// additionally an unknown pattern on a single-node graph (where the
+// no-round shortcut must not skip the pattern check).
 func TestScheduleRunBatchRejectsWhatRunRejects(t *testing.T) {
 	for name, c := range scheduleCases(t) {
 		s := MustSchedule(name)
@@ -343,15 +280,9 @@ func TestScheduleRunBatchRejectsWhatRunRejects(t *testing.T) {
 
 // TestRegistryEntriesComplete: every entry carries a unique name, its
 // planTop, and either a single-message plan or a multi-message run
-// function; exactly the seven entries whose topology can resolve to the
-// dense engine can run in lockstep, and LookupSchedule
-// hands back the entry itself. Schedules returns a copy, so callers cannot
+// function, and LookupSchedule hands back the entry itself. Schedules returns a copy, so callers cannot
 // reorder or replace entries.
 func TestRegistryEntriesComplete(t *testing.T) {
-	lockstep := map[string]bool{
-		"decay": true, "decay-unknown-n": true, "fastbc": true, "robust-fastbc": true,
-		"rlnc": true, "sequential-decay-routing": true, "pipelined-batch-routing": true,
-	}
 	seen := map[string]bool{}
 	for _, s := range Schedules() {
 		if s.Name == "" || seen[s.Name] {
@@ -363,9 +294,6 @@ func TestRegistryEntriesComplete(t *testing.T) {
 		}
 		if (s.plan != nil) != (s.Kind == SingleMessage) {
 			t.Errorf("%s: kind %v with plan = %v; single-message entries, and only they, carry a plan", s.Name, s.Kind, s.plan != nil)
-		}
-		if s.HasLockstep() != lockstep[s.Name] {
-			t.Errorf("%s: HasLockstep = %v, want %v", s.Name, s.HasLockstep(), lockstep[s.Name])
 		}
 		if got, err := LookupSchedule(s.Name); err != nil || got != s {
 			t.Errorf("LookupSchedule(%q) = %p, %v; want the entry %p", s.Name, got, err, s)

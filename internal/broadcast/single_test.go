@@ -132,21 +132,15 @@ func TestDisconnectedGraphFastBC(t *testing.T) {
 }
 
 // TestBoundDisconnectedGraphFastBC: a binding whose plan fails keeps
-// failing. Every trial and batch of a fastbc binding on a disconnected
-// graph, scalar and lockstep, returns gbst.ErrDisconnected, not only the
-// one that built the plan.
+// failing. Every trial of a fastbc binding on a disconnected graph
+// returns gbst.ErrDisconnected, not only the one that built the plan.
 func TestBoundDisconnectedGraphFastBC(t *testing.T) {
 	top := disconnectedTopology()
 	for _, eng := range []radio.Engine{radio.Auto, radio.Dense} {
-		run, runBatch := MustSchedule("fastbc").Bind(top, radio.Config{Fault: radio.Faultless, Engine: eng}, ScheduleParams{})
+		run := MustSchedule("fastbc").Bind(top, radio.Config{Fault: radio.Faultless, Engine: eng}, ScheduleParams{})
 		for i := 0; i < 3; i++ {
 			if _, err := run(rng.NewFrom(1, uint64(i))); !errors.Is(err, gbst.ErrDisconnected) {
 				t.Fatalf("%v: bound trial %d: err = %v, want gbst.ErrDisconnected", eng, i, err)
-			}
-			for _, w := range []int{1, 3} {
-				if _, err := runBatch(trialStreams(1, 0, w)); !errors.Is(err, gbst.ErrDisconnected) {
-					t.Fatalf("%v: bound batch of %d: err = %v, want gbst.ErrDisconnected", eng, w, err)
-				}
 			}
 		}
 	}

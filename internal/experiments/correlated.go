@@ -19,7 +19,7 @@ import (
 // space as region jamming (DrawV4: a contiguous stretch of the path blacks
 // out together). Every row pins its own draw contract and parameters, so
 // the table is identical under any -drawcontract setting; the run's
-// engine/trial-batch knobs remain pure speed knobs. Trials whose broadcast
+// engine and worker knobs remain pure speed knobs. Trials whose broadcast
 // fails within the schedule's round budget report NaN and are excluded
 // from the mean (the success column shows how many survived) — under
 // heavy jamming a wave-based schedule may fail outright, which is itself

@@ -39,18 +39,12 @@ type Config struct {
 	// experiment builds (radio.Auto, the zero value, picks per graph).
 	// Results are bit-identical across engines; this is a speed knob.
 	Engine radio.Engine
-	// TrialBatch is the lockstep trial-batch plan: batch-capable rows on
-	// the dense engine run W consecutive Monte-Carlo trials as lanes of
-	// one trial-batched radio network per dispatch instead of W scalar
-	// executions. 0 (or 1) runs everything scalar, W in 2..16 forces that
-	// width, and sim.TrialBatchAuto (-1) batches 16 trials per dense row.
-	// Like Workers and Engine this is purely a speed knob: tables are
-	// bit-identical at every setting (enforced by the golden test and the
-	// CI determinism job).
+	// TrialBatch selects nothing: every trial runs scalar.
+	//
+	// Deprecated: trials no longer run in lockstep batches.
 	TrialBatch int
 	// Draw selects the fault-draw contract version for every noisy network
-	// the experiment builds. Unlike Engine and TrialBatch this is NOT a pure
-	// speed knob: each version is its own deterministic universe (bit-stable
+	// the experiment builds. Unlike Engine this is NOT a pure speed knob: each version is its own deterministic universe (bit-stable
 	// within the version, different draws across versions), so tables under
 	// radio.DrawV2 are compared against their own goldens, never v1's.
 	Draw radio.DrawContract
@@ -66,7 +60,7 @@ type Config struct {
 // runner registers all of its rows up front and then runs the sweep once,
 // so trial- and row-level parallelism share one worker pool.
 func (c Config) newSweep() *sim.Sweep {
-	return sim.NewSweep(sim.SweepConfig{Workers: c.Workers, RowWorkers: c.RowWorkers, TrialBatch: c.TrialBatch})
+	return sim.NewSweep(sim.SweepConfig{Workers: c.Workers, RowWorkers: c.RowWorkers})
 }
 
 // noise builds the radio.Config for one fault environment of this run,

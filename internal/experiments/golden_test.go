@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"noisyradio/internal/radio"
-	"noisyradio/internal/sim"
 )
 
 // encodeTables renders tables exactly as `noisysim -exp all -quick -json`
@@ -54,25 +53,21 @@ func TestGoldenTablesBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	configs := []Config{
-		{Quick: true, Seed: 1},                                                                  // library defaults
-		{Quick: true, Seed: 1, Workers: 1, RowWorkers: 1},                                       // fully serial
-		{Quick: true, Seed: 1, Workers: 8, RowWorkers: 2},                                       // oversubscribed pool, admission-limited rows
-		{Quick: true, Seed: 1, Workers: 5, RowWorkers: 3},                                       // deliberately awkward split
-		{Quick: true, Seed: 1, Workers: 8, Engine: radio.Sparse},                                // forced sparse engine
-		{Quick: true, Seed: 1, Workers: 2, RowWorkers: 1, Engine: radio.Dense},                  // forced dense engine
-		{Quick: true, Seed: 1, TrialBatch: 8},                                                   // lockstep trial batches, forced width 8
-		{Quick: true, Seed: 1, Workers: 1, TrialBatch: 3},                                       // serial, width not dividing trial counts
-		{Quick: true, Seed: 1, Workers: 8, TrialBatch: 8, Engine: radio.Dense},                  // batched on the forced dense engine
-		{Quick: true, Seed: 1, Workers: 3, TrialBatch: 5, Engine: radio.Dense},                  // 5 live lanes of 16 on the forced dense engine
-		{Quick: true, Seed: 1, Workers: 4, TrialBatch: 64, Engine: radio.Sparse},                // clamps to 16; the sparse engine runs every row scalar
-		{Quick: true, Seed: 1, Workers: 3, TrialBatch: 4},                                       // forced width 4
-		{Quick: true, Seed: 1, Workers: 2, TrialBatch: 16},                                      // forced full kernel width
-		{Quick: true, Seed: 1, TrialBatch: sim.TrialBatchAuto},                                  // auto-planned widths
-		{Quick: true, Seed: 1, Workers: 8, TrialBatch: sim.TrialBatchAuto, Engine: radio.Dense}, // auto plan, forced dense engine
+		{Quick: true, Seed: 1},                                                 // library defaults
+		{Quick: true, Seed: 1, Workers: 1, RowWorkers: 1},                      // fully serial
+		{Quick: true, Seed: 1, Workers: 8, RowWorkers: 2},                      // oversubscribed pool, admission-limited rows
+		{Quick: true, Seed: 1, Workers: 5, RowWorkers: 3},                      // deliberately awkward split
+		{Quick: true, Seed: 1, Workers: 8, Engine: radio.Sparse},               // forced sparse engine
+		{Quick: true, Seed: 1, Workers: 2, RowWorkers: 1, Engine: radio.Dense}, // forced dense engine
+		{Quick: true, Seed: 1, Workers: 1},                                     // serial pool, every row admitted
+		{Quick: true, Seed: 1, Workers: 8, Engine: radio.Dense},                // oversubscribed pool on the forced dense engine
+		{Quick: true, Seed: 1, Workers: 3, Engine: radio.Dense},                // awkward pool on the forced dense engine
+		{Quick: true, Seed: 1, Workers: 4, Engine: radio.Sparse},               // forced sparse engine, four workers
+		{Quick: true, Seed: 1, Workers: 3, Engine: radio.Implicit},             // forced implicit engine, auto where no model
 	}
 	for _, cfg := range configs {
 		cfg := cfg
-		name := fmt.Sprintf("workers=%d,rowworkers=%d,engine=%s,trialbatch=%d", cfg.Workers, cfg.RowWorkers, cfg.Engine, cfg.TrialBatch)
+		name := fmt.Sprintf("workers=%d,rowworkers=%d,engine=%s", cfg.Workers, cfg.RowWorkers, cfg.Engine)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			got := runAll(t, cfg)
@@ -99,7 +94,7 @@ func goldenSuiteConfig(dc radio.DrawContract) Config {
 // TestGoldenTablesBitIdenticalPerDrawContract pins the quick suite under
 // every non-default draw contract to that contract's own golden (named by
 // the contract's registry entry): within a version, every
-// (Workers, Engine, TrialBatch) combination must reproduce it byte for
+// (Workers, RowWorkers, Engine) combination must reproduce it byte for
 // byte — the contract version changes which universe runs, never lets
 // scheduling or engine choice leak into results. Each version's golden is
 // a different file than v1's by design (checked below); a vN run must
@@ -134,18 +129,13 @@ func TestGoldenTablesBitIdenticalPerDrawContract(t *testing.T) {
 				func(c Config) Config { c.Workers, c.RowWorkers = 1, 1; return c },                        // fully serial
 				func(c Config) Config { c.Workers, c.Engine = 8, radio.Sparse; return c },                 // forced sparse engine
 				func(c Config) Config { c.Workers, c.RowWorkers, c.Engine = 2, 1, radio.Dense; return c }, // forced dense engine
-				func(c Config) Config { c.TrialBatch = 8; return c },                                      // lockstep trial batches
-				func(c Config) Config { c.Workers, c.TrialBatch = 1, 3; return c },                        // serial, width not dividing trial counts
-				func(c Config) Config { c.Workers, c.TrialBatch, c.Engine = 3, 5, radio.Dense; return c }, // 5 live lanes of 16 on the forced dense engine
-				func(c Config) Config { c.TrialBatch = sim.TrialBatchAuto; return c },                     // auto-planned widths
-				func(c Config) Config {
-					c.Workers, c.TrialBatch, c.Engine = 8, sim.TrialBatchAuto, radio.Dense
-					return c
-				}, // auto plan, forced dense engine
+				func(c Config) Config { c.Workers = 1; return c },                                         // serial pool, every row admitted
+				func(c Config) Config { c.Workers, c.Engine = 3, radio.Dense; return c },                  // awkward pool on the forced dense engine
+				func(c Config) Config { c.Workers, c.Engine = 8, radio.Dense; return c },                  // oversubscribed pool on the forced dense engine
 			}
 			for _, variant := range variants {
 				cfg := variant(base)
-				name := fmt.Sprintf("workers=%d,rowworkers=%d,engine=%s,trialbatch=%d", cfg.Workers, cfg.RowWorkers, cfg.Engine, cfg.TrialBatch)
+				name := fmt.Sprintf("workers=%d,rowworkers=%d,engine=%s", cfg.Workers, cfg.RowWorkers, cfg.Engine)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
 					got := runAll(t, cfg)
@@ -183,12 +173,12 @@ func TestGoldenCorrelatedNoise(t *testing.T) {
 		{Quick: true, Seed: 1, Workers: 1, RowWorkers: 1},
 		{Quick: true, Seed: 1, Workers: 8, Engine: radio.Sparse},
 		{Quick: true, Seed: 1, Workers: 2, Engine: radio.Dense},
-		{Quick: true, Seed: 1, TrialBatch: 4},
-		{Quick: true, Seed: 1, TrialBatch: sim.TrialBatchAuto},
+		{Quick: true, Seed: 1, Workers: 3},
+		{Quick: true, Seed: 1, Workers: 8, Engine: radio.Implicit},
 	}
 	for _, cfg := range configs {
 		cfg := cfg
-		name := fmt.Sprintf("workers=%d,rowworkers=%d,engine=%s,trialbatch=%d", cfg.Workers, cfg.RowWorkers, cfg.Engine, cfg.TrialBatch)
+		name := fmt.Sprintf("workers=%d,rowworkers=%d,engine=%s", cfg.Workers, cfg.RowWorkers, cfg.Engine)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			tbl, err := E20CorrelatedNoise(cfg)

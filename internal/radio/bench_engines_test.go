@@ -1,7 +1,6 @@
 package radio
 
 import (
-	"fmt"
 	"testing"
 
 	"noisyradio/internal/bitset"
@@ -138,45 +137,6 @@ func BenchmarkStepSetWCT(b *testing.B) {
 	for _, eng := range []Engine{Sparse, Dense} {
 		b.Run(eng.String(), func(b *testing.B) {
 			benchStepSet(b, top, Config{Fault: ReceiverFaults, P: 0.3, Engine: eng}, 1, n/64, false)
-		})
-	}
-}
-
-// BenchmarkStepBatch pins the trial-batching acceptance number: on
-// graph.Complete(1024) with the standard microbench schedule, StepBatch
-// with 16 live lanes must cost >= 2.5x less per trial-round than scalar
-// StepSet, with zero per-round allocations (benchgate
-// -min-stepbatch-speedup gates the stepbatch/w=16 microbench row). The
-// w=1, 4 and 8 rows run that many live lanes in the same 16-lane kernel.
-// Reported ns/op is one batch round (divide by the live lane count for
-// the per-trial figure).
-func BenchmarkStepBatch(b *testing.B) {
-	top := graph.Complete(1024)
-	n := top.G.N()
-	cfg := Config{Fault: Faultless, Engine: Dense}
-	b.Run("scalar-stepset", func(b *testing.B) {
-		benchStepSet(b, top, cfg, n/2, n/64, false)
-	})
-	for _, w := range []int{1, 4, 8, 16} {
-		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
-			rnds := make([]*rng.Stream, w)
-			for l := range rnds {
-				rnds[l] = rng.NewFrom(2, uint64(l))
-			}
-			net := MustNewBatch[int32](top.G, cfg, rnds)
-			scalarTx := microbenchTx(n, n/2, n/64)
-			tx := bitset.NewBlock(n, MaxBatchWidth)
-			for l := 0; l < w; l++ {
-				tx.LaneCopyFrom(l, scalarTx)
-			}
-			rx := bitset.NewBlock(n, MaxBatchWidth)
-			active := uint64(1)<<uint(w) - 1
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rx.Reset()
-				net.StepBatch(tx, nil, rx, active, nil)
-			}
 		})
 	}
 }

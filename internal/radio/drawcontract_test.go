@@ -121,8 +121,8 @@ func TestValidateBurstJamParams(t *testing.T) {
 
 // drawSiteWalk is the reference implementation of one round of the
 // contract: visit every site of the round in order through drawState.site
-// — the per-site countdown the sparse engine and every batch lane run —
-// and return the faulty subset. The bulk tests and the fuzz target
+// — the per-site countdown every receiver site and the v1, v4 and traced
+// sender sites run — and return the faulty subset. The bulk tests and the fuzz target
 // compare the optimized marking paths against this.
 func drawSiteWalk(d *drawState, coin rng.Bernoulli, r *rng.Stream, sites []int) map[int]bool {
 	faulty := map[int]bool{}

@@ -102,3 +102,30 @@ func TestDenseEngineModelSemantics(t *testing.T) {
 		t.Fatalf("Collisions = %d, want 3", c)
 	}
 }
+
+func TestResolveEngine(t *testing.T) {
+	sparseG := graph.Path(256).G                // avg degree ~2: Auto picks Sparse
+	denseG := graph.GNP(256, 0.5, rng.New(3)).G // avg degree ~n/2, no model: Auto picks Dense
+	cases := []struct {
+		cfg  Config
+		g    *graph.Graph
+		want Engine
+	}{
+		{Config{Engine: Auto}, sparseG, Sparse},
+		{Config{Engine: Auto}, denseG, Dense},
+		{Config{Engine: Sparse}, denseG, Sparse},
+		{Config{Engine: Dense}, sparseG, Dense},
+	}
+	for _, c := range cases {
+		if got := c.cfg.ResolveEngine(c.g); got != c.want {
+			t.Errorf("ResolveEngine(engine=%v, n=%d) = %v, want %v", c.cfg.Engine, c.g.N(), got, c.want)
+		}
+	}
+	// ResolveEngine must agree with the engine New actually builds.
+	for _, g := range []*graph.Graph{sparseG, denseG} {
+		net := MustNew[struct{}](g, Config{Fault: Faultless}, nil)
+		if net.Engine() != (Config{}).ResolveEngine(g) {
+			t.Errorf("ResolveEngine disagrees with New on n=%d", g.N())
+		}
+	}
+}

@@ -11,8 +11,7 @@ import (
 // The implicit-engine differential suite: on the complete graph, the one
 // topology with a closed-form neighbourhood model, the implicit engine —
 // on the explicit CSR graph and on the CSR-less implicit twin — must
-// reproduce the sparse reference bit for bit, scalar and batched, through
-// both entry points.
+// reproduce the sparse reference bit for bit through both entry points.
 
 // implicitPair is one complete graph in both storage modes.
 type implicitPair struct {

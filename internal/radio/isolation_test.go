@@ -202,44 +202,6 @@ func TestFreshNetworkAfterMidRoundPanic(t *testing.T) {
 	}
 }
 
-// TestBatchFreshNetworkAfterMidRoundPanic is the lockstep twin of
-// TestFreshNetworkAfterMidRoundPanic: lane 1's first delivery panics
-// mid-sweep, after lane 0 has resolved that receiver and before lanes 2
-// and 3 do, and a batch network built afterwards on the same graph must
-// still reproduce the scalar reference lane for lane.
-func TestBatchFreshNetworkAfterMidRoundPanic(t *testing.T) {
-	const w = 4
-	g := graph.Star(96).G
-	hub := func(v int) bool { return v == 0 }
-	tx := bitset.NewBlock(g.N(), MaxBatchWidth)
-	payloads := make([][]int32, w)
-	for l := range payloads {
-		tx.Set(l, 0)
-		payloads[l] = make([]int32, g.N())
-	}
-	sched := batchSchedule(9, 0.3)
-	roundsFor := func(int) int { return 20 }
-	for _, cfg := range panicConfigs {
-		cfg.Engine = Dense
-		t.Run(fmt.Sprintf("%s/draw %v", cfg.Fault, cfg.Draw), func(t *testing.T) {
-			net := MustNewBatch[int32](g, cfg, batchStreams(999, w))
-			at := abandonRound(t, func(deliver func(d Delivery[int32])) {
-				net.StepBatch(tx, payloads, nil, 1<<w-1, func(lane int, d Delivery[int32]) {
-					if lane == 1 {
-						deliver(d)
-					}
-				})
-			})
-			requireUnvisitedInWord(t, g, hub, at, false)
-			got := executeBatchLanes(t, g, cfg, 5, w, roundsFor, sched)
-			for l := range got {
-				want := executeScalarLane(t, g, cfg, 5, l, roundsFor(l), sched)
-				requireLaneIdentical(t, fmt.Sprintf("lane=%d", l), want, got[l])
-			}
-		})
-	}
-}
-
 // contractRun is what a draw-contract run leaves observable: stats, the
 // accumulated rx set and the stream position after the run.
 type contractRun struct {

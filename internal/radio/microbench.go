@@ -3,6 +3,7 @@ package radio
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"time"
 
 	"noisyradio/internal/benchreport"
@@ -87,20 +88,6 @@ func EngineMicrobench() []benchreport.Microbench {
 			NsPerRound:     ns,
 			AllocsPerRound: allocs,
 		})
-		// Trial-batched rounds with w live lanes: ns are per *trial-round*
-		// (one StepBatch round costs w trial-rounds), so these rows
-		// compare directly against the scalar stepset rows above — the
-		// w=16 dense/complete row versus
-		// "stepset/dense/complete/faultless" is the batching speedup the
-		// CI gate enforces.
-		for _, w := range []int{1, 4, 8, 16} {
-			ns, allocs = measureBatchRounds(complete, ctl, n, w)
-			out = append(out, benchreport.Microbench{
-				Name:           fmt.Sprintf("stepbatch/w=%d/dense/complete/%s/n=%d", w, Faultless, n),
-				NsPerRound:     ns,
-				AllocsPerRound: allocs,
-			})
-		}
 	}
 	// Sparse resolve-walk rows. On WCT(4096), where E13 spends its time,
 	// 8 senders touch most cluster members in scattered id order. On
@@ -209,32 +196,6 @@ const (
 	stepModeBools = 1 // drive the Step []bool adapter
 )
 
-// measureBatchRounds times StepBatch with w live lanes under the same
-// schedule as measureRounds runs scalar StepSet — every live lane
-// broadcasts the microbenchTx set — and reports ns and allocations per
-// *trial-round* (one batch round divided by w), directly comparable to
-// the scalar rows. The kernel resolves MaxBatchWidth lanes whatever w is,
-// so rows below that width measure what a partly filled batch costs.
-func measureBatchRounds(top graph.Topology, cfg Config, n, w int) (nsPerTrialRound, allocsPerTrialRound float64) {
-	rnds := make([]*rng.Stream, w)
-	for l := range rnds {
-		rnds[l] = rng.NewFrom(0x6d6963726f, uint64(l))
-	}
-	net := MustNewBatch[int32](top.G, cfg, rnds)
-	scalarTx := microbenchTx(n, n/2, n/64)
-	tx := bitset.NewBlock(n, MaxBatchWidth)
-	for l := 0; l < w; l++ {
-		tx.LaneCopyFrom(l, scalarTx)
-	}
-	rx := bitset.NewBlock(n, MaxBatchWidth)
-	active := uint64(1)<<uint(w) - 1
-	ns, allocs := timeRounds(func() {
-		rx.Reset()
-		net.StepBatch(tx, nil, rx, active, nil)
-	})
-	return ns / float64(w), allocs / float64(w)
-}
-
 // measureRounds times one configuration broadcasting tx every round
 // through the shared timeRounds harness.
 func measureRounds(top graph.Topology, cfg Config, tx *bitset.Set, mode int, fullScan bool) (nsPerRound, allocsPerRound float64) {
@@ -255,12 +216,19 @@ func measureRounds(top graph.Topology, cfg Config, tx *bitset.Set, mode int, ful
 	})
 }
 
+// Every microbench row is the median of microbenchWindows timing
+// windows of at least microbenchWindow each: one scheduler stall then
+// spoils one window, not the row.
+const (
+	microbenchWindows = 5
+	microbenchWindow  = 4 * time.Millisecond
+)
+
 // timeRounds is the single measurement protocol every microbenchmark row
-// (scalar and batch alike) runs through, so compared rows can never drift
-// onto different harnesses: median-free single-pass timing (the CI gate's
-// generous budget absorbs scheduler noise) after a warmup, with
-// allocations counted over a separate short pass so ReadMemStats stays
-// out of the timed region.
+// runs through, so compared rows can never drift onto different
+// harnesses: a warmup, then allocations counted over a separate short
+// pass so ReadMemStats stays out of the timed region, then the median
+// ns/round of microbenchWindows timed windows.
 func timeRounds(round func()) (nsPerRound, allocsPerRound float64) {
 	const warmup = 16
 	for i := 0; i < warmup; i++ {
@@ -276,18 +244,35 @@ func timeRounds(round func()) (nsPerRound, allocsPerRound float64) {
 	runtime.ReadMemStats(&ms1)
 	allocsPerRound = float64(ms1.Mallocs-ms0.Mallocs) / allocRounds
 
+	return medianWindow(func() float64 { return timeWindow(round) }), allocsPerRound
+}
+
+// timeWindow runs round in doubling batches until microbenchWindow has
+// passed (or 2²⁰ rounds ran) and returns the window's ns/round. Batches
+// start at one round, so a window lasts at most about twice
+// microbenchWindow, even for the millisecond-round faultdraw rows.
+func timeWindow(round func()) float64 {
 	rounds := 0
 	start := time.Now() //lint:deterministic-ok microbench measures wall time; results feed reports, not simulation output
-	for batch := 64; ; batch *= 2 {
+	for batch := 1; ; batch *= 2 {
 		for i := 0; i < batch; i++ {
 			round()
 		}
 		rounds += batch
 		//lint:deterministic-ok microbench timing loop; wall time never reaches simulation output
-		if time.Since(start) >= 10*time.Millisecond || rounds >= 1<<20 {
+		if time.Since(start) >= microbenchWindow || rounds >= 1<<20 {
 			break
 		}
 	}
-	nsPerRound = float64(time.Since(start).Nanoseconds()) / float64(rounds) //lint:deterministic-ok microbench timing; reporting only
-	return nsPerRound, allocsPerRound
+	return float64(time.Since(start).Nanoseconds()) / float64(rounds) //lint:deterministic-ok microbench timing; reporting only
+}
+
+// medianWindow returns the median of microbenchWindows calls to window.
+func medianWindow(window func() float64) float64 {
+	var ns [microbenchWindows]float64
+	for i := range ns {
+		ns[i] = window()
+	}
+	sort.Float64s(ns[:])
+	return ns[microbenchWindows/2]
 }

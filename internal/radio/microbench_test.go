@@ -1,0 +1,25 @@
+package radio
+
+import "testing"
+
+// TestMedianWindowIgnoresOneStalledWindow: a microbench row is the median
+// of its timing windows, so one window stretched 80× by a scheduler stall,
+// wherever it falls, leaves the row at the steady windows' figure.
+func TestMedianWindowIgnoresOneStalledWindow(t *testing.T) {
+	for stalled := 0; stalled < microbenchWindows; stalled++ {
+		calls := 0
+		got := medianWindow(func() float64 {
+			defer func() { calls++ }()
+			if calls == stalled {
+				return 80 * 3500
+			}
+			return 3500 + float64(calls)
+		})
+		if calls != microbenchWindows {
+			t.Fatalf("stall in window %d: timed %d windows, want %d", stalled, calls, microbenchWindows)
+		}
+		if got < 3500 || got > 3500+microbenchWindows {
+			t.Errorf("stall in window %d: row reads %v ns/round, want a steady window's 3500–%d", stalled, got, 3500+microbenchWindows)
+		}
+	}
+}

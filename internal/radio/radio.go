@@ -36,7 +36,7 @@
 // order, DrawV3 runs a Gilbert–Elliott burst process over it, and DrawV4
 // draws a per-round jammed region. Versions are deliberately not
 // interchangeable — each pins its own goldens — but within a version
-// every engine, batch width and entry point is bit-identical.
+// every engine and entry point is bit-identical.
 //
 // # Execution engines
 //
@@ -85,15 +85,6 @@
 // adjacency-row window. Step([]bool, ...) remains as a thin adapter that
 // packs the bool slice and forwards; both paths execute the identical
 // draw sequence, so they are interchangeable mid-run.
-//
-// # Lockstep trial batches
-//
-// BatchNetwork runs up to MaxBatchWidth independent trials of one graph
-// and configuration as the lanes of one round, on the dense engine only:
-// its listener sweep is the one cost trials can share. Every lane is
-// bit-identical to a scalar Network over the lane's stream. The execution
-// planner (PlanBatchWidth) batches MaxBatchWidth trials per round on the
-// dense engine and runs every trial on the other engines scalar.
 package radio
 
 import (
@@ -211,8 +202,8 @@ func ParseEngine(s string) (Engine, error) {
 // order (sender flags for broadcasters ascending, then receiver flags for
 // eligible listeners ascending — the package-comment order); versions
 // differ only in how the rng.Stream is consumed to decide those sites.
-// Within one version, executions are bit-identical across engines, batch
-// widths, storage modes and entry points — the same guarantee Engine has
+// Within one version, executions are bit-identical across engines,
+// storage modes and entry points — the same guarantee Engine has
 // always had — but versions are NOT interchangeable with each other: each
 // records its own goldens, and CI gates each separately.
 //
@@ -566,8 +557,8 @@ const (
 )
 
 // drawState executes the configured draw contract over one stream's
-// canonical site sequence. Every fault decision in the simulator — scalar
-// or batch, any engine — goes through here (or through the bulk walks in
+// canonical site sequence. Every fault decision in the simulator, on
+// any engine, goes through here (or through the bulk walks in
 // markBroadcastersBulk, which replay the identical draw sequence), so the
 // contract is enforced in exactly one place.
 //
@@ -723,19 +714,6 @@ func (d *drawState) endRound() {
 	d.remaining = -1
 	d.jamOpen = false
 	d.jammed = false
-}
-
-// reset returns the state to its just-constructed value, dropping every
-// cross-round remnant — v3's phase indicator and stationarity init,
-// v4's jam prelude — so a batch lane can restart its contract exactly
-// as a fresh scalar network starts it (BatchNetwork.ResetLaneDraw).
-// endRound alone is not enough for v3/v4, which deliberately carry
-// state across round boundaries.
-func (d *drawState) reset() {
-	d.endRound()
-	d.bad = false
-	d.inited = false
-	d.center = 0
 }
 
 // Stats accumulates channel-level accounting across rounds.
@@ -1200,8 +1178,7 @@ func (n *Network[P]) resolveUnique(u, from int32, payload []P, rx *bitset.Set, d
 // slot per node, which says what a listener heard this round — 0 nothing,
 // v+1 the single transmitting neighbour v, -1 two or more — plus the
 // touched set itself, a bitset over node ids and the word window [lo, hi)
-// that holds its members. Only the scalar sparse kernel uses it (lockstep
-// batches run on the dense engine).
+// that holds its members. Only the sparse kernel uses it.
 //
 // The kernel fills and resolves a round in two walks, spelled out in
 // stepSetSparse because their bodies are the hot path. The broadcaster

@@ -7,7 +7,7 @@
 // The determinism stack the service stands on, bottom to top:
 //
 //   - trial i of a (seed, trials) job always draws rng.NewFrom(seed, i),
-//     whatever engine, batch width or worker count executes it;
+//     whatever engine or worker count executes it;
 //   - a shard row for [start, end) replays exactly the global trials
 //     start..end-1 (sim.Sweep.AddScheduleShard), and merging shard
 //     accumulators in shard order reproduces the unsharded fold
@@ -55,10 +55,8 @@ type Config struct {
 	// count: min(8, ceil(trials/32)) — small jobs stay unsharded, large
 	// jobs get snapshot granularity.
 	Shards int
-	// Workers and TrialBatch configure each job's sim.Sweep
-	// (0 = GOMAXPROCS workers; TrialBatchAuto plans the batch width).
-	Workers    int
-	TrialBatch int
+	// Workers sizes each job's sim.Sweep pool (0 = GOMAXPROCS).
+	Workers int
 }
 
 // Server is the sweep service. It implements http.Handler; lifecycle
@@ -97,9 +95,6 @@ type flight struct {
 func NewServer(cfg Config) *Server {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 1024
-	}
-	if cfg.TrialBatch == 0 {
-		cfg.TrialBatch = sim.TrialBatchAuto
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -325,7 +320,7 @@ func (s *Server) execute(ctx context.Context, jb *job, w http.ResponseWriter) (b
 	h.Set("X-Plan-Key", jb.key)
 	h.Set("X-Cache", "miss")
 
-	sw := sim.NewSweep(sim.SweepConfig{Workers: s.cfg.Workers, TrialBatch: s.cfg.TrialBatch})
+	sw := sim.NewSweep(sim.SweepConfig{Workers: s.cfg.Workers})
 	rows := make([]*sim.Row, jb.shards)
 	for i := range rows {
 		start := i * jb.spec.Trials / jb.shards

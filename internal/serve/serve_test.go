@@ -266,7 +266,7 @@ func liveHeap() uint64 {
 func TestBodyDeterministicAcrossServers(t *testing.T) {
 	var bodies [][]byte
 	for i := 0; i < 2; i++ {
-		ts := httptest.NewServer(NewServer(Config{Workers: 1 + i*3, TrialBatch: []int{0, sim.TrialBatchAuto}[i]}))
+		ts := httptest.NewServer(NewServer(Config{Workers: 1 + i*3}))
 		_, body := postJob(t, ts, testSpec())
 		ts.Close()
 		bodies = append(bodies, body)

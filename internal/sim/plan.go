@@ -10,7 +10,7 @@ import (
 // The process-wide plan log: every execution plan chosen for a schedule
 // row (sweep.AddSchedule), aggregated over identical plans. Like
 // TotalTrials this is process-cumulative; noisysim snapshots it into the
-// -benchjson report so the `-trialbatch auto` decisions ship with the
+// -benchjson report so the engine each row resolved to ships with the
 // performance artifact.
 var (
 	planMu sync.Mutex //lint:deterministic-ok guards planLog, a process-cumulative report counter that no trial reads
@@ -29,7 +29,7 @@ func recordPlan(p benchreport.Plan) {
 
 // PlanLog returns the distinct execution plans chosen for schedule rows
 // since process start, with counts, sorted by schedule name then trial
-// count then width.
+// count.
 func PlanLog() []benchreport.Plan {
 	planMu.Lock()
 	out := make([]benchreport.Plan, 0, len(planLog))
@@ -45,9 +45,6 @@ func PlanLog() []benchreport.Plan {
 		}
 		if out[i].Trials != out[j].Trials {
 			return out[i].Trials < out[j].Trials
-		}
-		if out[i].Width != out[j].Width {
-			return out[i].Width < out[j].Width
 		}
 		if out[i].Engine != out[j].Engine {
 			return out[i].Engine < out[j].Engine

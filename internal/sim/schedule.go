@@ -13,22 +13,16 @@ import (
 // schedule as a sweep row — the single execution entry point of the
 // Schedule API. The caller names *what* to run (a registry entry, its
 // topology, noise configuration and parameters) and how to fold each
-// outcome into the row's statistic; *how* it runs is the sweep's execution
-// plan: the radio engine resolves per topology (radio.Auto logic), and
-// whether trials execute scalar or as W-wide lockstep batches — and at
-// which W — follows SweepConfig.TrialBatch, with TrialBatchAuto planning W
-// from the trial count and the resolved engine. Rows of schedules without
-// a lockstep twin, and rows whose topology resolves to the sparse or
-// implicit engine, run scalar. The scalar/batch fork never reaches the
-// caller, and the chosen plan is recorded in the process plan log
-// (PlanLog).
+// outcome into the row's statistic; the radio engine resolves per
+// topology (radio.Auto logic), and every trial runs on its own network.
+// The row's plan — its resolved engine — is recorded in the process plan
+// log (PlanLog) when the sweep runs.
 //
 // value maps one outcome to the row's float64; returning an error fails
 // the trial (lowest-trial-first, as for TrialFunc), returning NaN feeds
-// the accumulator's failed-trial sentinel. Rows are bit-identical at
-// every plan: trial i always draws from rng.NewFrom(seed, i) and executes
-// the schedule's canonical draw sequence whether it runs scalar or as one
-// lane of a batch (the broadcast package enforces this by test).
+// the accumulator's failed-trial sentinel. Trial i always draws from
+// rng.NewFrom(seed, i), so rows are bit-identical at every worker count
+// and engine.
 func (s *Sweep) AddSchedule(sched *broadcast.Schedule, top graph.Topology, cfg radio.Config, p broadcast.ScheduleParams, trials int, seed uint64, value func(broadcast.Outcome) (float64, error)) *Row {
 	return s.addSchedule(sched, top, cfg, p, 0, trials, seed, value)
 }
@@ -60,25 +54,22 @@ func (s *Sweep) addSchedule(sched *broadcast.Schedule, top graph.Topology, cfg r
 	if value == nil {
 		panic("sim: Sweep.AddSchedule nil value function")
 	}
-	// One binding per row: its trials and batches, on every worker,
-	// share the schedule's plan, built once on first use.
-	run, runBatch := sched.Bind(top, cfg, p)
-	scalar := func(trial int, r *rng.Stream) (float64, error) {
+	// One binding per row: its trials, on every worker, share the
+	// schedule's plan, built once on first use.
+	run := sched.Bind(top, cfg, p)
+	row := s.Add(trials, seed, func(trial int, r *rng.Stream) (float64, error) {
 		out, err := run(r)
 		if err != nil {
 			return 0, err
 		}
 		return value(out)
-	}
-	row := s.AddBatch(trials, seed, scalar, AdaptBatch(runBatch, value))
+	})
 	row.base = base
 	row.sched = sched.Name
-	row.planLockstep = sched.HasLockstep()
 	row.planDraw = cfg.DrawLabel()
-	// Resolve the engine the radio layer would pick for the schedule's
-	// effective topology — the planner input. When the topology is unknown
-	// (underspecified params), the configured engine selection stands:
-	// radio.Auto then plans as dense, the engine batching was built for.
+	// Record the engine the radio layer picks for the schedule's effective
+	// topology. When the topology is unknown (underspecified params), the
+	// configured engine selection stands.
 	row.planEngine = cfg.Engine
 	if pt := sched.PlanTopology(top, p); pt.G != nil {
 		row.planEngine = cfg.ResolveEngine(pt.G)

@@ -83,7 +83,7 @@ func contractConfig(cfg radio.Config, draw radio.DrawContract) radio.Config {
 
 // TestAddScheduleShardMergeMatchesSequential is the sharded-merge
 // acceptance contract over the whole registry: for every schedule, draw
-// contract, engine and batch width, the shard rows of an adversarial
+// contract, engine, worker count and chunk size, the shard rows of an adversarial
 // shard plan — single-trial shards included — merge (in shard order) to
 // the single-goroutine in-order fold's statistics: count, dropped, sum,
 // min and max bit-exact (outcome statistics are integer-valued), mean and
@@ -93,11 +93,10 @@ func TestAddScheduleShardMergeMatchesSequential(t *testing.T) {
 	const seed = 7
 	plans := [][2]int{{0, 1}, {1, 2}, {2, 7}, {7, 10}} // adversarial: two single-trial shards, uneven rest
 	execPlans := []SweepConfig{
-		{Workers: 3},                                // engine auto, scalar
-		{Workers: 2, TrialBatch: 8},                 // forced width 8
-		{Workers: 3, TrialBatch: TrialBatchAuto},    // auto-planned width
-		{Workers: 1, TrialBatch: 5, ChunkSize: 1},   // awkward width, chunk-per-trial
-		{Workers: 2, RowWorkers: 1, TrialBatch: 16}, // serialized shard admission
+		{Workers: 3},                // automatic chunking
+		{Workers: 2, ChunkSize: 3},  // chunks that straddle shard sizes
+		{Workers: 1, ChunkSize: 1},  // chunk-per-trial
+		{Workers: 2, RowWorkers: 1}, // serialized shard admission
 	}
 	for _, draw := range []radio.DrawContract{radio.DrawV1, radio.DrawV2, radio.DrawV3, radio.DrawV4} {
 		for name, c := range shardCases() {
@@ -162,7 +161,7 @@ func TestAddScheduleShardMergeMatchesSequential(t *testing.T) {
 // determinism the sweep service's result cache is built on.
 func TestAddScheduleShardByteStableMerge(t *testing.T) {
 	run := func() stats.Accumulator {
-		sw := NewSweep(SweepConfig{Workers: 3, TrialBatch: TrialBatchAuto})
+		sw := NewSweep(SweepConfig{Workers: 3})
 		var rows []*Row
 		for _, pl := range [][2]int{{0, 5}, {5, 6}, {6, 14}} {
 			rows = append(rows, sw.AddScheduleShard(mustSchedule(t, "decay"), graph.Complete(64),

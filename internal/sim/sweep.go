@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 
 	"noisyradio/internal/benchreport"
@@ -12,30 +11,6 @@ import (
 	"noisyradio/internal/rng"
 	"noisyradio/internal/stats"
 )
-
-// planWidth resolves the effective lockstep width of one batch-capable
-// row from the sweep's TrialBatch setting: TrialBatchAuto asks the radio
-// planner with the row's resolved engine and trial count, a forced width
-// is clamped to MaxTrialBatch, anything else runs scalar. A schedule row
-// plans scalar whenever Schedule.RunBatch would run its trials one by one
-// anyway — the schedule has no lockstep twin, or (for a forced width) its
-// topology resolves to the sparse or implicit engine — so the plan log
-// never claims lockstep the row does not run.
-func (s *Sweep) planWidth(row *Row) (int, string) {
-	tb := s.cfg.TrialBatch
-	switch {
-	case tb != TrialBatchAuto && tb <= 1:
-		return 1, "scalar (trial batching off)"
-	case row.sched != "" && !row.planLockstep:
-		return 1, "scalar: " + row.sched + " has no lockstep twin"
-	case tb == TrialBatchAuto || row.planEngine == radio.Sparse || row.planEngine == radio.Implicit:
-		return radio.PlanBatchWidth(row.planEngine, row.trials)
-	case tb > MaxTrialBatch:
-		return MaxTrialBatch, fmt.Sprintf("forced width clamped to %d", MaxTrialBatch)
-	default:
-		return tb, fmt.Sprintf("forced width %d", tb)
-	}
-}
 
 // SweepConfig tunes a Sweep. The zero value selects sensible defaults.
 type SweepConfig struct {
@@ -48,50 +23,19 @@ type SweepConfig struct {
 	// warm); the output is identical at every setting.
 	RowWorkers int
 	// ChunkSize overrides the trials-per-handoff chunking; <= 0 picks
-	// automatically from the row's trial count and the pool size. When
-	// trial batching is on, the effective chunk is rounded up to a
-	// multiple of the batch width so chunks split into whole batches.
+	// automatically from the row's trial count and the pool size.
 	ChunkSize int
-	// TrialBatch is the lockstep batch width W for rows registered with a
-	// batch-capable trial function (AddBatch or AddSchedule): a worker runs
-	// W consecutive trials of such a row through one batched execution
-	// instead of W scalar ones. 0 (or 1) runs everything scalar; values
-	// beyond MaxTrialBatch are clamped; TrialBatchAuto plans the width per
-	// row from its trial count and its resolved radio engine
-	// (radio.PlanBatchWidth: MaxTrialBatch on the dense engine, scalar
-	// elsewhere). Schedule rows that cannot run lockstep — no lockstep
-	// twin, or a sparse or implicit engine — run scalar at every setting.
-	// Purely a throughput knob: a batch trial function is required to
-	// reproduce its scalar twin trial-for-trial (the broadcast and radio
-	// packages enforce this by test), and values are folded in trial order
-	// either way, so every statistic is bit-identical at every width and
-	// under auto planning.
+	// TrialBatch selects nothing: every trial runs scalar.
+	//
+	// Deprecated: trials no longer run in lockstep batches.
 	TrialBatch int
 }
 
-// TrialBatchAuto selects the lockstep width per row by execution planning
-// instead of a fixed W: see SweepConfig.TrialBatch.
+// TrialBatchAuto was the SweepConfig.TrialBatch value that planned a
+// lockstep width per row.
+//
+// Deprecated: trials no longer run in lockstep batches.
 const TrialBatchAuto = -1
-
-// MaxTrialBatch caps SweepConfig.TrialBatch at the lockstep kernel's
-// lane count (radio.MaxBatchWidth).
-const MaxTrialBatch = radio.MaxBatchWidth
-
-// ParseTrialBatch converts a -trialbatch flag value, as the commands
-// spell it: "auto" plans the width per row (TrialBatchAuto), "0" and "1"
-// run scalar, and 2 to MaxTrialBatch force that width. The number is a
-// plain decimal integer (strconv.Atoi): trailing text, spaces, fractions
-// and base prefixes are errors.
-func ParseTrialBatch(s string) (int, error) {
-	if s == "auto" {
-		return TrialBatchAuto, nil
-	}
-	w, err := strconv.Atoi(s)
-	if err != nil || w < 0 || w > MaxTrialBatch {
-		return 0, fmt.Errorf("invalid -trialbatch %q (auto, 0 or 1..%d)", s, MaxTrialBatch)
-	}
-	return w, nil
-}
 
 // Sweep schedules the Monte-Carlo rows of one experiment table on a single
 // shared worker pool. Usage is two-phase: register every row with Add (or
@@ -127,21 +71,17 @@ type Row struct {
 	trials int
 	seed   uint64
 	fn     TrialFunc
-	batch  BatchTrialFunc // optional lockstep runner (AddBatch)
 	task   func() error
 
 	chunk   int // trials per work unit
 	nchunks int
-	width   int // lockstep batch width in effect (<= 1: scalar)
 
-	// Schedule-row plan inputs (set by AddSchedule): the schedule name for
-	// plan reports, whether the schedule has a lockstep twin, and the
-	// resolved radio engine of the schedule's topology, which the planner
-	// consults.
-	sched        string
-	planLockstep bool
-	planEngine   radio.Engine
-	planDraw     string // draw-contract label (radio.Config.DrawLabel)
+	// Schedule-row plan record (set by AddSchedule): the schedule name,
+	// the resolved radio engine of the schedule's topology and the
+	// draw-contract label (radio.Config.DrawLabel).
+	sched      string
+	planEngine radio.Engine
+	planDraw   string
 
 	// base offsets the row's trial indices: trial i of this row draws the
 	// stream of global trial base+i (rng.NewFrom(seed, base+i)). Zero for
@@ -179,24 +119,20 @@ func (s *Sweep) Add(trials int, seed uint64, fn TrialFunc) *Row {
 	return row
 }
 
-// BatchTrialFunc runs the len(rnds) consecutive trials starting at trial
-// index start in lockstep; rnds[i] is the private stream of trial start+i,
-// derived exactly as for TrialFunc. It returns one value per trial in
-// trial order, plus either nil or a parallel error slice (errs[i] non-nil
-// when trial start+i failed; its value is then ignored, as for a failing
-// TrialFunc). A BatchTrialFunc must be trial-for-trial equivalent to the
-// row's TrialFunc — batching is a throughput optimisation, never a
-// semantic one.
+// BatchTrialFunc ran the len(rnds) consecutive trials starting at trial
+// index start in lockstep: one value per trial in trial order, plus nil
+// or a parallel error slice.
+//
+// Deprecated: trials no longer run in lockstep batches; no sweep calls a
+// BatchTrialFunc.
 type BatchTrialFunc func(start int, rnds []*rng.Stream) ([]float64, []error)
 
-// AdaptBatch converts a lockstep runner over result type R into a
-// BatchTrialFunc: a batch-level error fails every trial in the batch (it
-// is a configuration error that would fail each one identically), and
-// value maps each per-trial result to the same (value, error) the row's
-// scalar trial function produces for it. This is the single definition of
-// batch failure semantics — every batch registration (experiments rows,
-// throughput measurements) funnels through it, so the scalar and batched
-// failure paths cannot drift apart.
+// AdaptBatch converts a batch runner over result type R into a
+// BatchTrialFunc: a batch-level error fails every trial in the batch, and
+// value maps each per-trial result to its (value, error).
+//
+// Deprecated: trials no longer run in lockstep batches; register the row
+// with Add and its scalar trial function.
 func AdaptBatch[R any](run func(rnds []*rng.Stream) ([]R, error), value func(R) (float64, error)) BatchTrialFunc {
 	return func(start int, rnds []*rng.Stream) ([]float64, []error) {
 		results, err := run(rnds)
@@ -224,15 +160,12 @@ func AdaptBatch[R any](run func(rnds []*rng.Stream) ([]R, error), value func(R) 
 	}
 }
 
-// AddBatch registers a row of trials that can also run in lockstep
-// batches: fn is the scalar trial (used when the sweep's TrialBatch is
-// <= 1), batch the equivalent lockstep runner (used for sub-chunks of up
-// to TrialBatch trials otherwise). A nil batch makes AddBatch identical
-// to Add. Outputs are bit-identical either way; see SweepConfig.TrialBatch.
+// AddBatch registers a row of trials exactly as Add does; batch is
+// ignored.
+//
+// Deprecated: use Add.
 func (s *Sweep) AddBatch(trials int, seed uint64, fn TrialFunc, batch BatchTrialFunc) *Row {
-	row := s.Add(trials, seed, fn)
-	row.batch = batch
-	return row
+	return s.Add(trials, seed, fn)
 }
 
 // Go registers a coarse row-level task: one function executed once on the
@@ -303,25 +236,15 @@ func (s *Sweep) RunContext(ctx context.Context) error {
 		if row.chunk <= 0 {
 			row.chunk = dispatchChunk(row.trials, workers)
 		}
-		if row.batch != nil {
-			width, reason := s.planWidth(row)
-			if width > 1 {
-				row.width = width
-				// Batch-aware chunking: round the chunk up to a whole number
-				// of batches so a chunk never ends mid-batch (the last chunk
-				// of the row may still carry a remainder batch).
-				row.chunk = (row.chunk + row.width - 1) / row.width * row.width
-			}
-			if row.sched != "" {
-				recordPlan(benchreport.Plan{
-					Schedule: row.sched,
-					Engine:   row.planEngine.String(),
-					Draw:     row.planDraw,
-					Trials:   row.trials,
-					Width:    width,
-					Reason:   reason,
-				})
-			}
+		if row.sched != "" {
+			recordPlan(benchreport.Plan{
+				Schedule: row.sched,
+				Engine:   row.planEngine.String(),
+				Draw:     row.planDraw,
+				Trials:   row.trials,
+				Width:    1,
+				Reason:   "scalar",
+			})
 		}
 		row.nchunks = (row.trials + row.chunk - 1) / row.chunk
 	}
@@ -403,50 +326,18 @@ func (row *Row) runChunk(t chunkTask) {
 		return
 	}
 	vals := make([]float64, 0, t.end-t.start)
-	if row.width > 1 {
-		// Lockstep dispatch: the chunk splits into whole batches of the
-		// row's width (plus a possible remainder). Single-trial remainders
-		// take the scalar function — identical results, no batch setup.
-		for start := t.start; start < t.end; start += row.width {
-			end := start + row.width
-			if end > t.end {
-				end = t.end
-			}
-			if end-start == 1 {
-				vals = append(vals, row.runScalarTrial(start))
-				continue
-			}
-			rnds := make([]*rng.Stream, end-start)
-			for i := range rnds {
-				rnds[i] = rng.NewFrom(row.seed, uint64(row.base+start+i))
-			}
-			bv, be := row.batch(row.base+start, rnds)
-			if len(bv) != end-start || (be != nil && len(be) != end-start) {
-				panic(fmt.Sprintf("sim: batch trial function returned %d values/%d errors for %d trials", len(bv), len(be), end-start))
-			}
-			for i, v := range bv {
-				if be != nil && be[i] != nil {
-					row.err.record(row.base+start+i, be[i])
-					v = 0
-				}
-				vals = append(vals, v)
-			}
-		}
-	} else {
-		for trial := t.start; trial < t.end; trial++ {
-			vals = append(vals, row.runScalarTrial(trial))
-		}
+	for trial := t.start; trial < t.end; trial++ {
+		vals = append(vals, row.runTrial(trial))
 	}
 	totalTrials.Add(int64(t.end - t.start)) // one counter touch per chunk
 	row.fold(t.idx, vals)
 }
 
-// runScalarTrial executes one scalar trial of the row, recording a failure
-// as the scalar dispatch paths always have (value 0, lowest-trial error).
-// The trial index is row-local; the rng stream (and the recorded failure
-// index) use the global base+trial, so shard rows replay exactly the
-// trials of their unsharded twin.
-func (row *Row) runScalarTrial(trial int) float64 {
+// runTrial executes one trial of the row, recording a failure as value 0
+// and the lowest-trial error. The trial index is row-local; the rng
+// stream (and the recorded failure index) use the global base+trial, so
+// shard rows replay exactly the trials of their unsharded twin.
+func (row *Row) runTrial(trial int) float64 {
 	v, err := row.fn(row.base+trial, rng.NewFrom(row.seed, uint64(row.base+trial)))
 	if err != nil {
 		row.err.record(row.base+trial, err)

@@ -303,3 +303,30 @@ func TestSweepSlowEarlyChunk(t *testing.T) {
 		t.Fatalf("slow-chunk run stats %v, want %v", got, want)
 	}
 }
+
+// TestAddBatchRunsScalar: the deprecated AddBatch registers its scalar
+// trial function exactly as Add does, at any TrialBatch setting, and
+// never calls the batch function, even one built by AdaptBatch.
+func TestAddBatchRunsScalar(t *testing.T) {
+	const trials = 37
+	run := func(cfg SweepConfig, register func(sw *Sweep) *Row) [6]float64 {
+		sw := NewSweep(cfg)
+		row := register(sw)
+		if err := sw.Run(); err != nil {
+			t.Fatal(err)
+		}
+		acc := row.Acc()
+		return [6]float64{acc.Mean(), acc.CI95(), acc.Min(), acc.Max(), acc.Median(), acc.P90()}
+	}
+	want := run(SweepConfig{Workers: 1}, func(sw *Sweep) *Row { return sw.Add(trials, 9, variableTrial) })
+	batch := AdaptBatch(func(rnds []*rng.Stream) ([]float64, error) {
+		t.Error("the batch function ran")
+		return make([]float64, len(rnds)), nil
+	}, func(v float64) (float64, error) { return v, nil })
+	for _, tb := range []int{0, 8, TrialBatchAuto} {
+		got := run(SweepConfig{Workers: 3, TrialBatch: tb}, func(sw *Sweep) *Row { return sw.AddBatch(trials, 9, variableTrial, batch) })
+		if got != want {
+			t.Errorf("TrialBatch=%d: AddBatch row stats = %v, want Add's %v", tb, got, want)
+		}
+	}
+}

@@ -250,13 +250,13 @@ func TestCI95ShrinksWithN(t *testing.T) {
 }
 
 // TestAccumulatorChunkFoldOrderInvariance models the sweep's in-order
-// folder over trial-batched chunks: values arrive grouped into chunks
-// whose size does not divide the trial count (the batch-boundary case),
-// the chunks complete out of order, and the folder replays them in index
-// order. However the chunk size and the arrival permutation are chosen,
-// the final state must match a plain sequential Add of the same values —
-// sum and mean exactly, every other statistic identically, because the
-// accumulator only ever sees the values in trial order.
+// folder over chunks: values arrive grouped into chunks whose size does
+// not divide the trial count, the chunks complete out of order, and the
+// folder replays them in index order. However the chunk size and the
+// arrival permutation are chosen, the final state must match a plain
+// sequential Add of the same values — sum and mean exactly, every other
+// statistic identically, because the accumulator only ever sees the
+// values in trial order.
 func TestAccumulatorChunkFoldOrderInvariance(t *testing.T) {
 	r := rng.New(99)
 	const trials = 103 // prime: nothing divides it

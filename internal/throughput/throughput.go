@@ -60,9 +60,9 @@ func roundsOrNaN(out broadcast.Outcome) (float64, error) {
 
 // DeferSchedule registers a throughput measurement of one registered
 // broadcast schedule on sw, with k = p.K messages per execution. How the
-// trials execute — engine, scalar or lockstep batches and at which width —
-// is the sweep's execution plan (see sim.Sweep.AddSchedule); estimates
-// are bit-identical at every plan. The streaming row statistics use NaN
+// trials execute — engine and worker count — is the sweep's execution
+// plan (see sim.Sweep.AddSchedule); estimates are bit-identical at every
+// plan. The streaming row statistics use NaN
 // as the failed-trial sentinel, so MeanRounds averages successful trials
 // only while SuccessRate still sees every trial, in O(1) memory per row.
 // It panics on p.K < 1.

@@ -175,8 +175,9 @@ func TestGapNamesFailedSide(t *testing.T) {
 
 // TestDeferScheduleSameAtEveryPlan: a schedule-registry measurement
 // resolves to the same Estimate as a hand-written per-trial row over the
-// same schedule, at every execution plan — scalar, forced widths and auto
-// — and whether it has a sweep to itself or shares one with other rows.
+// same schedule, at every execution plan — worker count, chunk size and
+// engine — and whether it has a sweep to itself or shares one with other
+// rows.
 func TestDeferScheduleSameAtEveryPlan(t *testing.T) {
 	const trials = 18
 	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.5}
@@ -195,22 +196,26 @@ func TestDeferScheduleSameAtEveryPlan(t *testing.T) {
 		}
 		want[i] = est
 	}
-	for _, tb := range []int{0, 3, 8, sim.TrialBatchAuto} {
-		sw := sim.NewSweep(sim.SweepConfig{Workers: 3, RowWorkers: 2, TrialBatch: tb})
-		pending := make([]*Pending, len(ks))
-		for i, k := range ks {
-			pending[i] = DeferSchedule(sw, sched, graph.Topology{}, cfg, broadcast.ScheduleParams{Leaves: 20, K: k}, trials, uint64(11+i))
-		}
-		if err := sw.Run(); err != nil {
-			t.Fatal(err)
-		}
-		for i, k := range ks {
-			got, err := pending[i].Estimate()
-			if err != nil {
+	for _, plan := range []sim.SweepConfig{{Workers: 3, RowWorkers: 2}, {Workers: 1, ChunkSize: 1}, {Workers: 2, ChunkSize: 5}} {
+		for _, eng := range []radio.Engine{radio.Auto, radio.Dense} {
+			ecfg := cfg
+			ecfg.Engine = eng
+			sw := sim.NewSweep(plan)
+			pending := make([]*Pending, len(ks))
+			for i, k := range ks {
+				pending[i] = DeferSchedule(sw, sched, graph.Topology{}, ecfg, broadcast.ScheduleParams{Leaves: 20, K: k}, trials, uint64(11+i))
+			}
+			if err := sw.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if got != want[i] {
-				t.Fatalf("TrialBatch=%d k=%d: schedule estimate %+v != per-trial row estimate %+v", tb, k, got, want[i])
+			for i, k := range ks {
+				got, err := pending[i].Estimate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want[i] {
+					t.Fatalf("%+v, %v, k=%d: schedule estimate %+v != per-trial row estimate %+v", plan, eng, k, got, want[i])
+				}
 			}
 		}
 	}
@@ -234,7 +239,7 @@ func TestDeferGapSchedulePairsSeeds(t *testing.T) {
 		return est
 	}
 	wantC, wantR := side(coding, seed), side(routing, seed+1)
-	sw := sim.NewSweep(sim.SweepConfig{Workers: 4, TrialBatch: sim.TrialBatchAuto})
+	sw := sim.NewSweep(sim.SweepConfig{Workers: 4})
 	pg := DeferGapSchedule(sw, coding, routing, graph.Topology{}, cfg, kp, kp, trials, seed)
 	if err := sw.Run(); err != nil {
 		t.Fatal(err)

@@ -17,10 +17,8 @@
 //     multi-message extensions, and the routing and Reed–Solomon coding
 //     schedules behind the throughput-gap theorems — is one registry
 //     entry carrying its name, paper reference and execution strategies.
-//     Schedules lists them, LookupSchedule selects by name, and Run /
-//     RunBatch execute them — the one way to run a schedule; whether a
-//     set of trials runs scalar or as lanes of a lockstep batch on the
-//     dense engine is an execution-plan detail, not an API fork;
+//     Schedules lists them, LookupSchedule selects by name, and Run
+//     executes them — the one way to run a schedule;
 //   - topology generators, including the worst-case topology (WCT) of
 //     Section 5.1.2;
 //   - an experiment harness (Experiments, RunExperiment) regenerating every
@@ -67,8 +65,8 @@ type (
 	// stationary marginal p), and DrawV4 jams a contiguous region of the
 	// graph per round (space-correlated faults on top of v1 draws). Each
 	// version is its own deterministic universe — bit-stable across
-	// engines and batch widths within the version, different draws across
-	// versions — so this is not a pure speed knob the way Engine is.
+	// engines within the version, different draws across versions — so
+	// this is not a pure speed knob the way Engine is.
 	DrawContract = radio.DrawContract
 	// BurstParams tunes DrawV3 (mean burst length, bad-phase fault
 	// probability); the zero value selects the defaults.
@@ -146,9 +144,8 @@ func NewRand(seed uint64) *Rand { return rng.New(seed) }
 // The Schedule registry: the package's primary execution API.
 type (
 	// Schedule is one registered broadcast schedule: name, paper
-	// reference, result kind, and its execution strategies (scalar, plus
-	// lockstep trial-batched on the dense engine for the entries that
-	// can run there). Obtain entries from Schedules or LookupSchedule.
+	// reference, result kind and its execution strategy. Obtain entries
+	// from Schedules or LookupSchedule.
 	Schedule = broadcast.Schedule
 	// ScheduleParams is the union of schedule-specific parameters
 	// (message count K, star leaves, path length, WCT instance, tuning
@@ -187,15 +184,6 @@ func ScheduleNames() []string { return broadcast.ScheduleNames() }
 // Topology{}.
 func Run(sched *Schedule, top Topology, cfg Config, r *Rand, p ScheduleParams) (Outcome, error) {
 	return sched.Run(top, cfg, r, p)
-}
-
-// RunBatch executes one independent trial per stream, as lanes of one
-// lockstep batch on the dense engine where the schedule supports it (see
-// Schedule.RunBatch) and one by one otherwise; outcome i is identical to
-// Run over rnds[i]. Callers running Monte-Carlo sweeps should prefer the
-// experiment harness, which plans engine and batch width automatically.
-func RunBatch(sched *Schedule, top Topology, cfg Config, rnds []*Rand, p ScheduleParams) ([]Outcome, error) {
-	return sched.RunBatch(top, cfg, rnds, p)
 }
 
 // MustSchedule returns a registry entry by name, panicking on a miss —
@@ -266,9 +254,8 @@ var (
 // Experiment harness.
 type (
 	// ExperimentConfig controls trials, seed, parallelism, sweep size,
-	// the trial-batch plan (TrialBatch: 0 scalar, W in 2..16 forced, -1
-	// auto; lockstep runs on the dense engine only) and the draw contract
-	// of every noisy run (Draw plus the Burst/Jam parameters).
+	// the radio engine and the draw contract of every noisy run (Draw
+	// plus the Burst/Jam parameters).
 	ExperimentConfig = experiments.Config
 	// ExperimentTable is a formatted experiment result.
 	ExperimentTable = experiments.Table

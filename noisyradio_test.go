@@ -84,7 +84,7 @@ func TestFacadeWaveModel(t *testing.T) {
 }
 
 // TestFacadeScheduleRegistry drives the Schedule API surface: listing,
-// lookup and Run/RunBatch.
+// lookup and Run.
 func TestFacadeScheduleRegistry(t *testing.T) {
 	scheds := Schedules()
 	if len(scheds) != 17 {
@@ -102,19 +102,10 @@ func TestFacadeScheduleRegistry(t *testing.T) {
 		t.Fatalf("decay entry = %+v", decay)
 	}
 	top := Grid(5, 5)
-	cfg := Config{Fault: ReceiverFaults, P: 0.2, Engine: EngineDense} // dense, so RunBatch runs lockstep
+	cfg := Config{Fault: ReceiverFaults, P: 0.2, Engine: EngineDense}
 	out, err := Run(decay, top, cfg, NewRand(9), ScheduleParams{})
 	if err != nil || !out.Success {
 		t.Fatalf("Run: %v %+v", err, out)
-	}
-	// RunBatch trial i equals Run over stream i.
-	rnds := []*Rand{NewRand(9), NewRand(10)}
-	batch, err := RunBatch(decay, top, cfg, rnds, ScheduleParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != 2 || batch[0] != out {
-		t.Fatalf("RunBatch[0] = %+v, want %+v", batch[0], out)
 	}
 	// A multi-message schedule through the unified entry point.
 	star, err := LookupSchedule("star-coding")
