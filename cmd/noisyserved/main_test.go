@@ -11,6 +11,7 @@ import (
 
 	"noisyradio/internal/benchreport"
 	"noisyradio/internal/serve"
+	"noisyradio/internal/sim"
 )
 
 // startDaemon boots the daemon in-process on an ephemeral port with the
@@ -85,6 +86,30 @@ func TestServeSubmitDrain(t *testing.T) {
 	}
 	if out := stop(); !strings.Contains(out, "drained, bye") {
 		t.Fatalf("missing drain confirmation:\n%s", out)
+	}
+}
+
+// TestServedJobPlansScalar: the daemon runs every trial of a job scalar,
+// so the job records only width-1 plans.
+func TestServedJobPlansScalar(t *testing.T) {
+	addr, _ := startDaemon(t)
+	sim.ResetPlanLog()
+	defer sim.ResetPlanLog()
+	spec := benchreport.JobSpec{
+		Schedule: "decay", Topology: "complete", N: 256,
+		Fault: "receiver", P: 0.3, Seed: 1, Trials: 32,
+	}
+	if _, err := serve.Submit(context.Background(), "http://"+addr, spec, nil); err != nil {
+		t.Fatal(err)
+	}
+	plans := sim.PlanLog()
+	if len(plans) == 0 {
+		t.Fatal("the job recorded no execution plan")
+	}
+	for _, p := range plans {
+		if p.Width != 1 || p.Reason != "scalar" {
+			t.Errorf("plan %+v: want width 1, planned scalar", p)
+		}
 	}
 }
 

@@ -132,6 +132,7 @@ func TestGoldenTablesBitIdenticalPerDrawContract(t *testing.T) {
 				func(c Config) Config { c.Workers = 1; return c },                                         // serial pool, every row admitted
 				func(c Config) Config { c.Workers, c.Engine = 3, radio.Dense; return c },                  // awkward pool on the forced dense engine
 				func(c Config) Config { c.Workers, c.Engine = 8, radio.Dense; return c },                  // oversubscribed pool on the forced dense engine
+				func(c Config) Config { c.Workers, c.Engine = 3, radio.Implicit; return c },               // forced implicit engine, auto where no model
 			}
 			for _, variant := range variants {
 				cfg := variant(base)

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -328,5 +329,137 @@ func TestAddBatchRunsScalar(t *testing.T) {
 		if got != want {
 			t.Errorf("TrialBatch=%d: AddBatch row stats = %v, want Add's %v", tb, got, want)
 		}
+	}
+}
+
+// batchableTrial builds a (scalar, batch) pair computing the same
+// deterministic value per trial off the trial stream, with the batch side
+// counting its invocations.
+func batchableTrial(fail func(trial int) bool) (TrialFunc, BatchTrialFunc, *atomic.Int64) {
+	value := func(trial int, r *rng.Stream) (float64, error) {
+		if fail != nil && fail(trial) {
+			return 0, fmt.Errorf("trial %d failed", trial)
+		}
+		return float64(trial) + float64(r.Uint64()%1000)/1000, nil
+	}
+	var batchCalls atomic.Int64
+	batch := func(start int, rnds []*rng.Stream) ([]float64, []error) {
+		batchCalls.Add(1)
+		vals := make([]float64, len(rnds))
+		errs := make([]error, len(rnds))
+		for i, r := range rnds {
+			vals[i], errs[i] = value(start+i, r)
+		}
+		return vals, errs
+	}
+	return value, batch, &batchCalls
+}
+
+// TestSweepBatchOutputsIdentical: an AddBatch row folds exactly the
+// accumulator state of the serial baseline at every (TrialBatch,
+// ChunkSize, Workers) combination, including chunks that do not divide
+// the trial count, and never calls its batch function.
+func TestSweepBatchOutputsIdentical(t *testing.T) {
+	const trials = 103 // prime: no chunk divides it
+	scalar, batch, calls := batchableTrial(nil)
+	summary := func(row *Row) string {
+		acc := row.Acc()
+		return fmt.Sprintf("%v %v %v %v %v %v", acc.N(), acc.Mean(), acc.Stddev(), acc.Median(), acc.Min(), acc.Max())
+	}
+
+	base := NewSweep(SweepConfig{Workers: 1})
+	baseRow := base.Add(trials, 5, scalar)
+	if err := base.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := summary(baseRow)
+
+	for _, tb := range []int{TrialBatchAuto, 0, 1, 2, 3, 8, 64, 1000} {
+		for _, workers := range []int{1, 4} {
+			for _, chunk := range []int{0, 1, 7, 16} {
+				name := fmt.Sprintf("tb=%d,w=%d,chunk=%d", tb, workers, chunk)
+				sw := NewSweep(SweepConfig{Workers: workers, ChunkSize: chunk, TrialBatch: tb})
+				row := sw.AddBatch(trials, 5, scalar, batch)
+				if err := sw.Run(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := summary(row); got != want {
+					t.Fatalf("%s: accumulator diverged\n got %s\nwant %s", name, got, want)
+				}
+			}
+		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("AddBatch rows called the batch function %d times", n)
+	}
+}
+
+// TestSweepBatchErrorsMatchScalar: failing trials of an AddBatch row on a
+// pool with TrialBatch set report the same lowest-trial error and fold
+// the same values as the serial Add row.
+func TestSweepBatchErrorsMatchScalar(t *testing.T) {
+	failing := func(trial int) bool { return trial == 11 || trial == 4 }
+	scalar, batch, _ := batchableTrial(failing)
+
+	ref := NewSweep(SweepConfig{Workers: 1})
+	refRow := ref.Add(20, 7, scalar)
+	refErr := ref.Run()
+	if refErr == nil {
+		t.Fatal("serial run reported no error")
+	}
+
+	sw := NewSweep(SweepConfig{Workers: 3, TrialBatch: 4})
+	row := sw.AddBatch(20, 7, scalar, batch)
+	err := sw.Run()
+	if err == nil {
+		t.Fatal("AddBatch run reported no error")
+	}
+	if err.Error() != refErr.Error() {
+		t.Fatalf("error diverged: %q vs serial %q", err, refErr)
+	}
+	if row.Acc().N() != refRow.Acc().N() || row.Acc().Mean() != refRow.Acc().Mean() {
+		t.Fatal("accumulators diverged between the serial and the AddBatch failing runs")
+	}
+}
+
+// TestSweepBatchNaNSentinel: NaN failed-trial sentinels of an AddBatch
+// row are dropped by the accumulator exactly as in an Add row.
+func TestSweepBatchNaNSentinel(t *testing.T) {
+	value := func(trial int) float64 {
+		if trial%5 == 2 {
+			return math.NaN()
+		}
+		return float64(trial)
+	}
+	scalar := func(trial int, r *rng.Stream) (float64, error) { return value(trial), nil }
+	batch := func(start int, rnds []*rng.Stream) ([]float64, []error) {
+		vals := make([]float64, len(rnds))
+		for i := range rnds {
+			vals[i] = value(start + i)
+		}
+		return vals, nil
+	}
+	for _, tb := range []int{0, 3, 8, TrialBatchAuto} {
+		sw := NewSweep(SweepConfig{Workers: 2, TrialBatch: tb})
+		row := sw.AddBatch(31, 1, scalar, batch)
+		if err := sw.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if row.Acc().N() != 25 || row.Acc().Dropped() != 6 {
+			t.Fatalf("tb=%d: N=%d dropped=%d, want 25/6", tb, row.Acc().N(), row.Acc().Dropped())
+		}
+	}
+}
+
+// TestSweepAddBatchNilBatch: AddBatch accepts a nil batch function.
+func TestSweepAddBatchNilBatch(t *testing.T) {
+	scalar, _, _ := batchableTrial(nil)
+	sw := NewSweep(SweepConfig{Workers: 1, TrialBatch: 8})
+	row := sw.AddBatch(10, 2, scalar, nil)
+	if err := sw.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if row.Acc().N() != 10 {
+		t.Fatalf("N = %d, want 10", row.Acc().N())
 	}
 }
