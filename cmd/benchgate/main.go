@@ -93,9 +93,10 @@ func main() {
 }
 
 // The microbenchmark rows the sweep-service cache gate compares: one
-// representative job submitted cold (executes the sharded sweep) and
-// again as a cache hit (replays the stored body), both measured as ns per
-// HTTP round trip (serve.CacheMicrobench).
+// representative job submitted cold (executes the sharded sweep; the
+// median of five misses at distinct seeds) and as a cache hit (replays
+// the stored body; the best of five), both measured as ns per HTTP round
+// trip (serve.CacheMicrobench).
 const (
 	cacheColdRow = "servecache/cold/decay-complete-4096"
 	cacheHitRow  = "servecache/hit/decay-complete-4096"

@@ -30,8 +30,10 @@
 // picks between the others by average degree, dense forces word-parallel
 // channel resolution, sparse forces CSR neighbour walking, implicit
 // resolves each round from the complete graph's broadcaster total
-// without any stored adjacency. Purely a performance knob; the engine
-// each schedule row resolved to is recorded in the -benchjson report.
+// without any stored adjacency. The complete graph stores no adjacency,
+// so sparse and dense fall back to implicit on it at every n. Purely a
+// performance knob; the engine each schedule row resolved to is recorded
+// in the -benchjson report.
 //
 // The -drawcontract flag selects the fault-draw contract version (v1 |
 // v2 | v3 | v4). v1 — the default and today's behaviour — draws one
@@ -77,15 +79,14 @@
 //
 // The -topology flag shapes the workload graph for demo and
 // topology-taking schedule runs (path | complete | star | cycle | grid |
-// hypercube; default path). Every family is stored as CSR, except complete
-// at n >= 4096, which is built in the CSR-less implicit storage mode — no
-// adjacency is materialized, so runs scale to node counts where a bit
-// matrix or CSR cannot exist. Complete runs on the implicit engine at
-// every n. The FASTBC schedules need CSR, so they run on complete below
-// n = 4096 and on every other family at any n:
+// hypercube; default path). Every family is stored as CSR except
+// complete, which is its closed form at every n — no adjacency is
+// materialized, so runs scale to node counts where a bit matrix or CSR
+// cannot exist — and runs on the implicit engine. Every topology-taking
+// schedule runs on every family at any n:
 //
 //	noisysim -demo decay -topology complete -n 100000 -fault sender -p 0.1
-//	noisysim -schedule decay -topology complete -n 100000 -trials 3 -fault sender -p 0.1
+//	noisysim -schedule fastbc -topology complete -n 100000 -trials 4 -fault receiver -p 0.1
 //	noisysim -schedule fastbc -topology grid -n 99856 -trials 2 -fault receiver -p 0.1
 package main
 
@@ -138,7 +139,7 @@ func run(args []string, out *os.File) error {
 		asJSON    = fs.Bool("json", false, "emit experiment tables as a JSON array")
 		benchOut  = fs.String("benchjson", "", "write a machine-readable performance report (wall clock, rows/sec, allocs/trial, chosen plans) to this path")
 		demo      = fs.String("demo", "", "trace one run of an algorithm: decay | fastbc | robust-fastbc")
-		topology  = fs.String("topology", "path", "demo/schedule: workload graph: path | complete | star | cycle | grid | hypercube (complete at n >= 4096 builds the CSR-less implicit form)")
+		topology  = fs.String("topology", "path", "demo/schedule: workload graph: path | complete | star | cycle | grid | hypercube (complete stores no adjacency and runs implicit at every n)")
 		demoN     = fs.Int("n", 24, "demo/schedule: workload size (node count, WCT target size)")
 		demoK     = fs.Int("k", 8, "schedule: message count for multi-message schedules")
 		demoP     = fs.Float64("p", 0.3, "demo/schedule: fault probability")
@@ -402,9 +403,6 @@ func runDemo(out *os.File, algo, topology string, n int, p float64, faultName st
 	top, err := experiments.WorkloadTopology(topology, n)
 	if err != nil {
 		return err
-	}
-	if !top.G.HasCSR() && algo != "decay" {
-		return fmt.Errorf("%s builds a BFS tree and needs materialized adjacency, but -topology complete at -n %d >= %d is stored only in the implicit form; use a smaller -n, another -topology or -demo decay", algo, n, experiments.LargeNImplicit)
 	}
 	if algo != "decay" && algo != "fastbc" && algo != "robust-fastbc" {
 		return fmt.Errorf("unknown algorithm %q (decay|fastbc|robust-fastbc)", algo)

@@ -215,10 +215,11 @@ func TestTopologySizeValidation(t *testing.T) {
 	}
 }
 
-// TestDemoLargeNImplicit is the large-n demo row: at n >= 4096 the
-// workload builds without materialized adjacency and the broadcast still
-// completes. 2^17 complete-graph nodes would need a 2 GB bit matrix —
-// possible only because nothing is materialized.
+// TestDemoLargeNImplicit is the large-n demo row: the complete workload
+// stores no adjacency, so the broadcast completes at 2^17 nodes, where a
+// bit matrix would need 2 GB. FASTBC and Robust FASTBC build their GBST
+// from the closed form, so they run on it too, as demos and as schedule
+// sweeps.
 func TestDemoLargeNImplicit(t *testing.T) {
 	out, err := capture(t, "-demo", "decay", "-topology", "complete", "-n", "131072", "-fault", "sender", "-p", "0.1", "-seed", "2")
 	if err != nil {
@@ -227,13 +228,30 @@ func TestDemoLargeNImplicit(t *testing.T) {
 	if !strings.Contains(out, "complete(n=131072)") || !strings.Contains(out, "success=true") {
 		t.Fatalf("large-n implicit demo failed:\n%s", out)
 	}
-	// Algorithms that need materialized adjacency reject the implicit
-	// workload as a usage error instead of panicking.
-	if _, err := capture(t, "-demo", "fastbc", "-topology", "complete", "-n", "8192"); err == nil {
-		t.Fatal("fastbc on an implicit workload accepted")
+	for _, algo := range []string{"fastbc", "robust-fastbc"} {
+		out, err := capture(t, "-demo", algo, "-topology", "complete", "-n", "8192", "-fault", "receiver", "-p", "0.1", "-seed", "2")
+		if err != nil || !strings.Contains(out, "success=true") {
+			t.Fatalf("-demo %s on complete(n=8192): %v\n%s", algo, err, out)
+		}
+		out, err = capture(t, "-schedule", algo, "-topology", "complete", "-n", "8192", "-trials", "2", "-fault", "receiver", "-p", "0.1", "-seed", "2")
+		if err != nil || !strings.Contains(out, "plan: engine implicit") || !strings.Contains(out, "success: 2/2") {
+			t.Fatalf("-schedule %s on complete(n=8192): %v\n%s", algo, err, out)
+		}
 	}
-	if _, err := capture(t, "-schedule", "fastbc", "-topology", "complete", "-n", "8192", "-trials", "2"); err == nil {
-		t.Fatal("fastbc schedule on an implicit workload accepted")
+}
+
+// TestPipelinedBatchRoutingComplete: pipelined-batch-routing groups the
+// complete graph into BFS layers from its closed form, at n = 4096 as at
+// any other n, and every trial delivers both messages.
+func TestPipelinedBatchRoutingComplete(t *testing.T) {
+	out, err := capture(t, "-schedule", "pipelined-batch-routing", "-topology", "complete", "-n", "4096", "-k", "2", "-trials", "2", "-fault", "receiver", "-p", "0.1", "-seed", "1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"complete(n=4096)", "plan: engine implicit", "success: 2/2"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
 	}
 }
 

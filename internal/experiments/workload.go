@@ -10,21 +10,13 @@ import (
 	"noisyradio/internal/rng"
 )
 
-// LargeNImplicit is the node count from which WorkloadTopology builds the
-// complete workload in the CSR-less implicit storage mode. Only complete
-// needs it: its adjacency is Θ(n²) (a Θ(n²/8)-byte bit matrix, an O(n²)
-// CSR), which stops fitting memory past this size, while CompleteModel
-// answers every query in closed form. Every other family has O(n log n)
-// edges at most and is stored as CSR at any n, which the sparse engine
-// runs in O(Σ deg) per round. Engines are bit-identical across storage
-// modes, so the switch never changes output.
-const LargeNImplicit = 4096
-
 // WorkloadTopology builds the named size-n workload graph for demo,
 // schedule and sweep-service runs, validating the caller-supplied sizes
 // up front so the graph generators' panics surface as usage errors
 // instead of crashes. Topology names are the CLI -topology vocabulary:
-// path | complete | star | cycle | grid | hypercube.
+// path | complete | star | cycle | grid | hypercube. Complete is the
+// closed form at every n, with no stored adjacency; every other family
+// has O(n log n) edges at most and is stored as CSR.
 func WorkloadTopology(name string, n int) (graph.Topology, error) {
 	if n < 2 {
 		return graph.Topology{}, fmt.Errorf("topology %s needs n >= 2, got %d", name, n)
@@ -33,9 +25,6 @@ func WorkloadTopology(name string, n int) (graph.Topology, error) {
 	case "path":
 		return graph.Path(n), nil
 	case "complete":
-		if n >= LargeNImplicit {
-			return graph.ImplicitComplete(n), nil
-		}
 		return graph.Complete(n), nil
 	case "star":
 		return graph.Star(n - 1), nil
@@ -73,12 +62,7 @@ func WorkloadTopology(name string, n int) (graph.Topology, error) {
 // ScheduleWorkload builds the topology and parameters a schedule run
 // executes: a size-n workload shaped for the schedule (the named topology
 // graph for topology-taking schedules, star leaves, a WCT instance, a
-// pipeline length), with k messages for multi-message schedules. It also
-// rejects schedule/storage combinations that cannot execute — the FASTBC
-// family builds a BFS tree up front, which the implicit storage mode of
-// complete at n >= LargeNImplicit cannot serve — so both the CLI and the
-// sweep service fail these as usage errors rather than let the graph
-// layer panic mid-job.
+// pipeline length), with k messages for multi-message schedules.
 func ScheduleWorkload(sched *broadcast.Schedule, topology string, n, k int, seed uint64) (graph.Topology, broadcast.ScheduleParams, error) {
 	if n < 2 {
 		return graph.Topology{}, broadcast.ScheduleParams{}, fmt.Errorf("schedule run needs n >= 2, got %d", n)
@@ -104,12 +88,6 @@ func ScheduleWorkload(sched *broadcast.Schedule, topology string, n, k int, seed
 		return graph.Topology{}, p, nil
 	default:
 		top, err := WorkloadTopology(topology, n)
-		if err != nil {
-			return graph.Topology{}, p, err
-		}
-		if top.G != nil && !top.G.HasCSR() && (sched.Name == "fastbc" || sched.Name == "robust-fastbc") {
-			return graph.Topology{}, p, fmt.Errorf("schedule %s needs materialized adjacency, but topology complete at n %d >= %d is stored only in the implicit form; use a smaller n or another topology", sched.Name, n, LargeNImplicit)
-		}
-		return top, p, nil
+		return top, p, err
 	}
 }

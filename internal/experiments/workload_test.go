@@ -29,13 +29,12 @@ func workloadSize(family string, n int) int {
 	return n
 }
 
-// TestWorkloadTopologyStorage pins which storage each family gets on
-// both sides of LargeNImplicit: complete switches to the CSR-less
-// implicit form there and carries its model on both sides, which auto
-// runs on the implicit engine; every other family stays CSR, which auto
-// runs on the sparse engine.
+// TestWorkloadTopologyStorage pins one storage mode per family at every
+// n: complete is the closed form, with a model and no CSR, which auto runs
+// on the implicit engine; every other family is CSR without a model,
+// which auto runs on the sparse engine.
 func TestWorkloadTopologyStorage(t *testing.T) {
-	for _, n := range []int{LargeNImplicit - 1, LargeNImplicit, 1 << 17} {
+	for _, n := range []int{16, 4095, 4096, 1 << 17} {
 		for _, family := range []string{"path", "complete", "star", "cycle", "grid", "hypercube"} {
 			size := workloadSize(family, n)
 			t.Run(fmt.Sprintf("%s-%d", family, size), func(t *testing.T) {
@@ -47,15 +46,16 @@ func TestWorkloadTopologyStorage(t *testing.T) {
 				if g.N() != size {
 					t.Fatalf("built %d nodes, want %d", g.N(), size)
 				}
-				wantCSR, wantModel, wantEngine := true, false, radio.Sparse
-				if family == "complete" {
-					wantCSR, wantModel, wantEngine = size < LargeNImplicit, true, radio.Implicit
+				complete := family == "complete"
+				wantEngine := radio.Sparse
+				if complete {
+					wantEngine = radio.Implicit
 				}
-				if g.HasCSR() != wantCSR {
-					t.Errorf("HasCSR = %v, want %v", g.HasCSR(), wantCSR)
+				if g.HasCSR() == complete {
+					t.Errorf("HasCSR = %v, want %v", g.HasCSR(), !complete)
 				}
-				if (g.Model() != nil) != wantModel {
-					t.Errorf("has a neighbour model = %v, want %v", g.Model() != nil, wantModel)
+				if (g.Model() != nil) != complete {
+					t.Errorf("has a neighbour model = %v, want %v", g.Model() != nil, complete)
 				}
 				if got := (radio.Config{}).ResolveEngine(g); got != wantEngine {
 					t.Errorf("auto engine = %v, want %v", got, wantEngine)
@@ -94,34 +94,25 @@ func TestWorkloadTopologyErrors(t *testing.T) {
 	}
 }
 
-// TestScheduleWorkloadFASTBC: the FASTBC schedules build a BFS tree, so
-// they need CSR. At n = LargeNImplicit every family but complete has it
-// and is accepted; complete is stored implicitly there and is rejected.
-// The grid workload then runs to completion.
+// TestScheduleWorkloadFASTBC: the FASTBC schedules build a BFS tree,
+// which every family serves at any n — complete from its closed form. At
+// n = 8192 every family is accepted, and the complete and grid workloads
+// run to completion.
 func TestScheduleWorkloadFASTBC(t *testing.T) {
-	const n = LargeNImplicit
+	const n = 8192
 	for _, name := range []string{"fastbc", "robust-fastbc"} {
 		sched := broadcast.MustSchedule(name)
 		for _, family := range []string{"path", "star", "cycle", "grid", "hypercube", "complete"} {
 			t.Run(name+"/"+family, func(t *testing.T) {
-				top, params, err := ScheduleWorkload(sched, family, n, 1, 1)
-				if family == "complete" {
-					if err == nil || !strings.Contains(err.Error(), "implicit") {
-						t.Fatalf("error %v, want the implicit-storage rejection", err)
-					}
-					return
-				}
+				top, params, err := ScheduleWorkload(sched, family, workloadSize(family, n), 1, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !top.G.HasCSR() {
-					t.Fatalf("%s has no CSR", top.Name)
-				}
-				if family != "grid" {
+				if family != "grid" && family != "complete" {
 					return
 				}
 				res, err := sched.Run(top, radio.Config{Fault: radio.ReceiverFaults, P: 0.1}, rng.New(1), params)
-				if err != nil || !res.Success || res.Done != n {
+				if err != nil || !res.Success || res.Done != top.G.N() {
 					t.Fatalf("%s: %+v, %v", top.Name, res, err)
 				}
 			})

@@ -50,14 +50,15 @@ type Tree struct {
 	Depth int
 }
 
-// Build constructs a GBST of g rooted at src. It returns ErrDisconnected if
-// any node is unreachable from src.
+// Build constructs a GBST of g rooted at src. Each node's tree parent is
+// its graph.BFSParents parent: the smallest-id neighbour one level up. It
+// returns ErrDisconnected if any node is unreachable from src.
 func Build(g *graph.Graph, src int) (*Tree, error) {
 	n := g.N()
 	if src < 0 || src >= n {
 		return nil, fmt.Errorf("gbst: source %d out of range [0,%d)", src, n)
 	}
-	level := g.BFS(src)
+	level, parent := g.BFSParents(src)
 	depth := 0
 	for v, d := range level {
 		if d == -1 {
@@ -65,21 +66,6 @@ func Build(g *graph.Graph, src int) (*Tree, error) {
 		}
 		if int(d) > depth {
 			depth = int(d)
-		}
-	}
-
-	// Pick BFS parents: the smallest-id neighbour one level up.
-	parent := make([]int32, n)
-	for v := 0; v < n; v++ {
-		parent[v] = -1
-		if v == src {
-			continue
-		}
-		for _, u := range g.Neighbors(v) {
-			if level[u] == level[v]-1 {
-				parent[v] = u
-				break
-			}
 		}
 	}
 

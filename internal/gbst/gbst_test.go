@@ -2,6 +2,7 @@ package gbst
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -201,6 +202,37 @@ func TestGridAndTreeTopologies(t *testing.T) {
 		tree := build(t, top)
 		if tree.Depth != top.G.Eccentricity(top.Source) {
 			t.Fatalf("%s: depth %d != eccentricity %d", top.Name, tree.Depth, top.G.Eccentricity(top.Source))
+		}
+	}
+}
+
+// TestCompleteTreeMatchesCSR: the tree Build makes from Complete's closed
+// form equals, field by field, the tree it makes from G(n, 1) — the
+// complete graph stored as CSR, whose parents come from walking neighbour
+// lists — from several sources, and passes Verify against both graphs.
+func TestCompleteTreeMatchesCSR(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 64, 65, 300} {
+		implicit, csr := graph.Complete(n).G, graph.GNP(n, 1, rng.New(1)).G
+		if csr.Model() != nil || csr.M() != implicit.M() {
+			t.Fatalf("G(%d, 1) is not the CSR complete graph", n)
+		}
+		for _, src := range []int{0, 1 % n, n / 2, n - 1} {
+			want, err := Build(csr, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Build(implicit, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d src=%d: closed-form tree %+v, CSR tree %+v", n, src, got, want)
+			}
+			for _, g := range []*graph.Graph{implicit, csr} {
+				if err := got.Verify(g); err != nil {
+					t.Fatalf("n=%d src=%d csr=%v: %v", n, src, g.HasCSR(), err)
+				}
+			}
 		}
 	}
 }

@@ -15,7 +15,7 @@ func TestAdjacencyBitsMatchesNeighbors(t *testing.T) {
 		Path(7),
 		Star(65),
 		Grid(9, 13),
-		Complete(67),
+		builderComplete(67),
 		GNP(130, 0.15, rng.New(5)),
 	}
 	for _, top := range tops {
@@ -74,9 +74,9 @@ func TestAdjacencyBitsMatchesPerBitSet(t *testing.T) {
 	isolated.AddEdge(0, 1)
 	isolated.AddEdge(1, 129)
 	tops := []Topology{
-		Complete(1),
-		Complete(65),
-		Complete(200),
+		builderComplete(1),
+		builderComplete(65),
+		builderComplete(200),
 		Grid(9, 13),
 		GNP(130, 0.15, rng.New(5)),
 		Star(65),

@@ -48,38 +48,15 @@ func SingleLink() Topology {
 	return Topology{G: b.MustBuild(), Source: 0, Name: "single-link"}
 }
 
-// maxCompleteCSR is the largest n whose complete graph fits the CSR's
-// int32 offsets: its n·(n−1) adjacency entries stay below 2³¹.
-const maxCompleteCSR = 46341
-
 // Complete returns the complete graph on n vertices with source 0. It
-// writes the CSR directly, with no Builder, edge list or sort: row v
-// starts at v·(n−1) and lists the other n−1 ids in ascending order, which
-// is exactly what Builder would produce. It panics, before allocating,
-// for n < 1 and for n > maxCompleteCSR.
+// stores no adjacency: the graph carries only a CompleteModel, which
+// answers degrees, edges, BFS distances, BFS parents and layers in closed
+// form, so per-node state is O(1) at any n. It panics for n < 1.
 func Complete(n int) Topology {
 	if n < 1 {
 		panic("graph: Complete needs n >= 1")
 	}
-	if n > maxCompleteCSR {
-		panic(fmt.Sprintf("graph: Complete(%d) overflows the int32 CSR offsets (n <= %d)", n, maxCompleteCSR))
-	}
-	deg := n - 1
-	offsets := make([]int32, n+1)
-	adj := make([]int32, n*deg)
-	for v := 0; v < n; v++ {
-		offsets[v] = int32(v * deg)
-		row := adj[v*deg : (v+1)*deg]
-		for u := 0; u < v; u++ {
-			row[u] = int32(u)
-		}
-		for u := v + 1; u < n; u++ {
-			row[u-1] = int32(u)
-		}
-	}
-	offsets[n] = int32(n * deg)
-	g := &Graph{n: n, offsets: offsets, adj: adj, model: &CompleteModel{Nodes: n}}
-	return Topology{G: g, Source: 0, Name: fmt.Sprintf("complete(n=%d)", n)}
+	return Topology{G: &Graph{n: n, model: &CompleteModel{Nodes: n}}, Source: 0, Name: fmt.Sprintf("complete(n=%d)", n)}
 }
 
 // Grid returns the rows×cols grid with source at the corner (0,0). Vertex

@@ -6,7 +6,8 @@
 //
 // Graphs are stored in compressed sparse row (CSR) form: immutable after
 // construction, cache-friendly to traverse, and cheap to share between
-// Monte-Carlo trials.
+// Monte-Carlo trials. The complete graph alone stores no adjacency and
+// answers from its closed form (CompleteModel) instead.
 package graph
 
 import (
@@ -21,24 +22,21 @@ import (
 
 // Graph is an immutable undirected graph on vertices 0..N()-1.
 //
-// Two storage modes exist. CSR graphs (everything a Builder produces)
-// materialize sorted neighbour lists and support the full API. Implicit
-// graphs (ImplicitComplete) carry only a CompleteModel — a closed-form
-// neighbourhood description — so per-node state is O(1): they answer
-// degree/edge/BFS/eccentricity queries from the model and panic on the
-// methods that exist to expose materialized adjacency (Neighbors,
-// Layers, AdjacencyBits). HasCSR distinguishes the modes. Complete
-// attaches its model to its CSR graphs too, so consumers can pick either
-// view of the same topology, and BFS and Eccentricity answer from the
-// model in both modes.
+// Each family has one storage mode. Everything a Builder produces is CSR:
+// sorted neighbour lists and the full API. The complete graph (Complete)
+// is implicit at every n: it carries only a CompleteModel — a closed-form
+// neighbourhood description — so per-node state is O(1). It answers
+// degree, edge, BFS, BFS-parent, layer and eccentricity queries from the
+// model and panics on the two methods that exist to expose materialized
+// adjacency (Neighbors, AdjacencyBits). A graph has a CSR or a model,
+// never both; HasCSR distinguishes the modes.
 type Graph struct {
 	n       int
 	offsets []int32 // len n+1; nil for implicit graphs
 	adj     []int32 // concatenated sorted neighbour lists
 
-	// Closed-form neighbourhood description, when the graph has one.
-	// Always set for implicit graphs; also set on CSR graphs built by
-	// Complete.
+	// Closed-form neighbourhood description; set exactly on the implicit
+	// graphs Complete builds.
 	model *CompleteModel
 
 	// Lazily-built bit-matrix adjacency view for the dense radio engine;
@@ -133,13 +131,12 @@ func (b *Builder) MustBuild() *Graph {
 func (g *Graph) N() int { return g.n }
 
 // Model returns the closed-form neighbourhood model of the graph, or nil
-// when it has none. Implicit graphs always have one; of the CSR graphs,
-// only Complete's have one.
+// when it has none. Exactly Complete's graphs have one.
 func (g *Graph) Model() *CompleteModel { return g.model }
 
-// HasCSR reports whether the graph materializes adjacency (Neighbors,
-// BFS, Layers, AdjacencyBits are available). False exactly for implicit
-// graphs built with ImplicitComplete.
+// HasCSR reports whether the graph materializes adjacency (Neighbors and
+// AdjacencyBits are available): true for every Builder graph, false
+// exactly for Complete's, which have a model instead.
 func (g *Graph) HasCSR() bool { return g.offsets != nil }
 
 // M returns the number of undirected edges.
@@ -239,6 +236,32 @@ func (g *Graph) BFS(src int) []int32 {
 	return dist
 }
 
+// BFSParents returns BFS's distances from src together with each vertex's
+// BFS parent: its smallest-id neighbour one level closer to src, or -1 at
+// src and at unreachable vertices. A graph with a model answers in closed
+// form: src is the only vertex one level above every other.
+func (g *Graph) BFSParents(src int) (dist, parent []int32) {
+	dist = g.BFS(src)
+	parent = make([]int32, g.n)
+	for v := range parent {
+		parent[v] = -1
+		if v == src || dist[v] < 0 {
+			continue
+		}
+		if g.model != nil {
+			parent[v] = int32(src)
+			continue
+		}
+		for _, u := range g.Neighbors(v) {
+			if dist[u] == dist[v]-1 {
+				parent[v] = u
+				break
+			}
+		}
+	}
+	return dist, parent
+}
+
 // Eccentricity returns the maximum BFS distance from src, or -1 if some
 // vertex is unreachable. A graph with a model answers from its closed
 // form (and is connected by construction).
@@ -282,12 +305,9 @@ func (g *Graph) Diameter() int {
 }
 
 // Layers groups vertices by BFS distance from src: Layers(src)[d] lists the
-// vertices at distance exactly d. Unreachable vertices are omitted.
-// Panics on implicit graphs.
+// vertices at distance exactly d, in ascending id. Unreachable vertices
+// are omitted.
 func (g *Graph) Layers(src int) [][]int32 {
-	if g.offsets == nil {
-		panic("graph: Layers needs materialized adjacency; this is an implicit graph (HasCSR() == false)")
-	}
 	dist := g.BFS(src)
 	maxD := int32(-1)
 	for _, d := range dist {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -72,6 +73,29 @@ func TestBFSPath(t *testing.T) {
 		if dist[i] != int32(i) {
 			t.Fatalf("dist[%d] = %d, want %d", i, dist[i], i)
 		}
+	}
+}
+
+// TestBFSParents: on a CSR graph each vertex's parent is its
+// smallest-id neighbour one level closer to the source, and the source
+// and unreachable vertices get -1.
+func TestBFSParents(t *testing.T) {
+	// On the 3×4 grid from corner 0, vertex 5 = (1,1) has neighbours 1 and
+	// 4 on level 1 and takes 1; vertex 10 = (2,2) picks 6 over 9.
+	dist, parent := Grid(3, 4).G.BFSParents(0)
+	wantParent := []int32{-1, 0, 1, 2, 0, 1, 2, 3, 4, 5, 6, 7}
+	if !slices.Equal(parent, wantParent) {
+		t.Fatalf("grid parents %v, want %v", parent, wantParent)
+	}
+	if !slices.Equal(dist, Grid(3, 4).G.BFS(0)) {
+		t.Fatalf("grid distances %v differ from BFS", dist)
+	}
+	b := NewBuilder(4)
+	b.AddEdge(0, 1)
+	b.AddEdge(2, 3)
+	dist, parent = b.MustBuild().BFSParents(1)
+	if !slices.Equal(parent, []int32{1, -1, -1, -1}) || !slices.Equal(dist, []int32{1, 0, -1, -1}) {
+		t.Fatalf("disconnected graph: parents %v, distances %v", parent, dist)
 	}
 }
 
@@ -298,15 +322,12 @@ func TestQuickHandshake(t *testing.T) {
 
 // BenchmarkBuild times the explicit topologies the experiment tables and
 // the sweep service build, generator edge loops included; the CSR build
-// in Builder.Build is most of each, except Complete's, which writes its
-// CSR directly.
+// in Builder.Build is most of each.
 func BenchmarkBuild(b *testing.B) {
 	cases := []struct {
 		name  string
 		build func() *Graph
 	}{
-		{"complete-1024", func() *Graph { return Complete(1024).G }},
-		{"complete-256", func() *Graph { return Complete(256).G }},
 		{"gnp-1024-0.25", func() *Graph { return GNP(1024, 0.25, rng.New(1)).G }},
 		{"grid-32x32", func() *Graph { return Grid(32, 32).G }},
 		{"hypercube-10", func() *Graph { return Hypercube(10).G }},
@@ -321,12 +342,13 @@ func BenchmarkBuild(b *testing.B) {
 		})
 	}
 	// The dense engine's bit-matrix view, built once per graph on first
-	// use: each iteration times it on a fresh Complete(1024).
+	// use: each iteration times it on a fresh Builder-made complete graph
+	// on 1024 vertices.
 	b.Run("adjacency-bits-complete-1024", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			g := Complete(1024).G
+			g := builderComplete(1024).G
 			b.StartTimer()
 			g.AdjacencyBits()
 		}

@@ -8,46 +8,26 @@ import (
 	"noisyradio/internal/rng"
 )
 
-// modelCases pairs Complete, the one closed-form generator, with its
-// implicit twin. Sizes hit the model's structural edge cases (a single
-// vertex, a single edge, word boundaries).
-func modelCases() []struct {
-	name               string
-	explicit, implicit Topology
-} {
-	return []struct {
-		name               string
-		explicit, implicit Topology
-	}{
-		{"complete-1", Complete(1), ImplicitComplete(1)},
-		{"complete-2", Complete(2), ImplicitComplete(2)},
-		{"complete-9", Complete(9), ImplicitComplete(9)},
-		{"complete-64", Complete(64), ImplicitComplete(64)},
-	}
-}
+// modelCases sizes the complete graph at the model's structural edge
+// cases: a single vertex, a single edge, word boundaries.
+var modelCases = []int{1, 2, 9, 64}
 
 // TestModelMatchesExplicit proves CompleteModel agrees exactly with the
-// generator's materialized adjacency — the foundation of the implicit
+// Builder's materialized complete graph — the foundation of the implicit
 // engine's bit-identity contract.
 func TestModelMatchesExplicit(t *testing.T) {
-	for _, tc := range modelCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			eg, ig := tc.explicit.G, tc.implicit.G
-			if !eg.HasCSR() {
-				t.Fatal("explicit generator lost its CSR")
-			}
+	for _, n := range modelCases {
+		t.Run(fmt.Sprintf("complete-%d", n), func(t *testing.T) {
+			explicit, implicit := builderComplete(n), Complete(n)
+			eg, ig := explicit.G, implicit.G
 			if ig.HasCSR() {
-				t.Fatal("implicit graph claims a CSR")
+				t.Fatal("Complete stored a CSR")
 			}
-			m := eg.Model()
-			if m == nil {
-				t.Fatal("closed-form generator did not attach a model")
+			if m := ig.Model(); m == nil || *m != (CompleteModel{Nodes: n}) {
+				t.Fatalf("Complete(%d).Model() = %v, want {Nodes: %d}", n, m, n)
 			}
-			if *m != *ig.Model() {
-				t.Fatalf("explicit and implicit models differ: %#v vs %#v", *m, *ig.Model())
-			}
-			if tc.explicit.Name != tc.implicit.Name {
-				t.Fatalf("topology names differ: %q vs %q", tc.explicit.Name, tc.implicit.Name)
+			if explicit.Name != implicit.Name {
+				t.Fatalf("topology names differ: %q vs %q", explicit.Name, implicit.Name)
 			}
 			if got, want := ig.N(), eg.N(); got != want {
 				t.Fatalf("N: %d != %d", got, want)
@@ -82,38 +62,43 @@ func TestModelMatchesExplicit(t *testing.T) {
 }
 
 // builderComplete builds the complete graph on n vertices through the
-// Builder, which attaches no model, so its BFS walks the CSR.
-func builderComplete(n int) *Graph {
+// Builder: CSR adjacency and no model, so its BFS walks the CSR.
+func builderComplete(n int) Topology {
 	b := NewBuilder(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			b.AddEdge(i, j)
 		}
 	}
-	return b.MustBuild()
+	return Topology{G: b.MustBuild(), Source: 0, Name: fmt.Sprintf("complete(n=%d)", n)}
 }
 
-// TestModelBFSMatchesCSR: BFS and Eccentricity answered from the model,
-// on Complete's CSR graph and on the CSR-less implicit twin, equal the
-// queue BFS of the Builder's model-less complete graph from every source.
+// TestModelBFSMatchesCSR: BFS, BFSParents, Layers and Eccentricity
+// answered from Complete's model equal the queue BFS of the Builder's
+// model-less complete graph from every source.
 func TestModelBFSMatchesCSR(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 64, 65, 1024} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			ref := builderComplete(n)
+			ref := builderComplete(n).G
 			if ref.Model() != nil {
 				t.Fatal("the Builder attached a model")
 			}
-			explicit, implicit := Complete(n).G, ImplicitComplete(n).G
+			g := Complete(n).G
 			for src := 0; src < n; src++ {
-				want := ref.BFS(src)
-				wantEcc := int(slices.Max(want)) // the complete graph is connected
-				for _, g := range []*Graph{explicit, implicit} {
-					if got := g.BFS(src); !slices.Equal(got, want) {
-						t.Fatalf("csr=%v: BFS(%d) = %v, want %v", g.HasCSR(), src, got, want)
-					}
-					if got := g.Eccentricity(src); got != wantEcc {
-						t.Fatalf("csr=%v: Eccentricity(%d) = %d, want %d", g.HasCSR(), src, got, wantEcc)
-					}
+				wantDist, wantParent := ref.BFSParents(src)
+				gotDist, gotParent := g.BFSParents(src)
+				if got := g.BFS(src); !slices.Equal(got, wantDist) || !slices.Equal(gotDist, wantDist) {
+					t.Fatalf("BFS(%d) = %v, BFSParents distances %v, want %v", src, got, gotDist, wantDist)
+				}
+				if !slices.Equal(gotParent, wantParent) {
+					t.Fatalf("BFSParents(%d) parents %v, want %v", src, gotParent, wantParent)
+				}
+				if got, want := g.Layers(src), ref.Layers(src); !slices.EqualFunc(got, want, slices.Equal) {
+					t.Fatalf("Layers(%d) = %v, want %v", src, got, want)
+				}
+				wantEcc := int(slices.Max(wantDist)) // the complete graph is connected
+				if got := g.Eccentricity(src); got != wantEcc {
+					t.Fatalf("Eccentricity(%d) = %d, want %d", src, got, wantEcc)
 				}
 			}
 		})
@@ -121,13 +106,19 @@ func TestModelBFSMatchesCSR(t *testing.T) {
 }
 
 // TestImplicitGraphPanics locks in the contract that adjacency-exposing
-// methods fail loudly instead of misbehaving on implicit graphs, while
-// BFS answers from the model exactly as on the explicit graph.
+// methods fail loudly instead of misbehaving on the implicit complete
+// graph, while BFS and Layers answer from the model exactly as on the
+// Builder's graph.
 func TestImplicitGraphPanics(t *testing.T) {
-	g := ImplicitComplete(8).G
+	g, ref := Complete(8).G, builderComplete(8).G
 	t.Run("BFS", func(t *testing.T) {
-		if got, want := g.BFS(3), Complete(8).G.BFS(3); !slices.Equal(got, want) {
+		if got, want := g.BFS(3), ref.BFS(3); !slices.Equal(got, want) {
 			t.Fatalf("implicit BFS(3) = %v, explicit %v", got, want)
+		}
+	})
+	t.Run("Layers", func(t *testing.T) {
+		if got, want := g.Layers(3), ref.Layers(3); !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("implicit Layers(3) = %v, explicit %v", got, want)
 		}
 	})
 	for _, tc := range []struct {
@@ -135,7 +126,6 @@ func TestImplicitGraphPanics(t *testing.T) {
 		call func()
 	}{
 		{"Neighbors", func() { g.Neighbors(0) }},
-		{"Layers", func() { g.Layers(0) }},
 		{"AdjacencyBits", func() { g.AdjacencyBits() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -177,12 +167,12 @@ func TestModellessGenerators(t *testing.T) {
 	}
 }
 
-// TestImplicitScale builds a million-node implicit complete graph — the
-// regime the implicit engine exists for — and checks a few closed-form
-// answers; a CSR/bit-matrix build at this size would be ~125 GB.
+// TestImplicitScale builds a million-node complete graph — the regime
+// the implicit engine exists for — and checks a few closed-form answers;
+// a CSR/bit-matrix build at this size would be ~125 GB.
 func TestImplicitScale(t *testing.T) {
 	const n = 1_000_000
-	top := ImplicitComplete(n)
+	top := Complete(n)
 	g := top.G
 	if g.N() != n || g.Degree(n-1) != n-1 || g.Eccentricity(0) != 1 {
 		t.Fatalf("closed-form answers wrong at n=%d", n)

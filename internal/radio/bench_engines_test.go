@@ -14,6 +14,9 @@ import (
 func benchStep(b *testing.B, top graph.Topology, cfg Config, txFrac float64) {
 	b.Helper()
 	net := MustNew[int32](top.G, cfg, rng.New(2))
+	if net.Engine() != cfg.Engine {
+		b.Fatalf("engine resolved to %v, want %v", net.Engine(), cfg.Engine)
+	}
 	driver := rng.New(3)
 	bc := make([]bool, top.G.N())
 	payload := make([]int32, top.G.N())
@@ -28,11 +31,11 @@ func benchStep(b *testing.B, top graph.Topology, cfg Config, txFrac float64) {
 	}
 }
 
-// BenchmarkStepDenseComplete pins the headline acceptance number: on
-// graph.Complete(1024) the dense engine must be >= 3x faster per round
-// than the sparse engine, with zero per-round allocations.
+// BenchmarkStepDenseComplete pins the headline acceptance number: on the
+// CSR complete graph on 1024 nodes the dense engine must be >= 3x faster
+// per round than the sparse engine, with zero per-round allocations.
 func BenchmarkStepDenseComplete(b *testing.B) {
-	top := graph.Complete(1024)
+	top := builderComplete(1024)
 	for _, eng := range []Engine{Sparse, Dense} {
 		b.Run(eng.String(), func(b *testing.B) {
 			benchStep(b, top, Config{Fault: ReceiverFaults, P: 0.3, Engine: eng}, 0.1)
@@ -66,7 +69,7 @@ func BenchmarkStepDenseWCT(b *testing.B) {
 // BenchmarkStepDenseSilent measures the empty-round fast path: no
 // broadcasters at all.
 func BenchmarkStepDenseSilent(b *testing.B) {
-	top := graph.Complete(1024)
+	top := builderComplete(1024)
 	for _, eng := range []Engine{Sparse, Dense} {
 		b.Run(eng.String(), func(b *testing.B) {
 			benchStep(b, top, Config{Fault: Faultless, Engine: eng}, 0)
@@ -80,6 +83,9 @@ func BenchmarkStepDenseSilent(b *testing.B) {
 func benchStepSet(b *testing.B, top graph.Topology, cfg Config, start, nTx int, fullScan bool) {
 	b.Helper()
 	net := MustNew[int32](top.G, cfg, rng.New(2))
+	if net.Engine() != cfg.Engine {
+		b.Fatalf("engine resolved to %v, want %v", net.Engine(), cfg.Engine)
+	}
 	net.setFullScan(fullScan)
 	n := top.G.N()
 	payload := make([]int32, n)
@@ -94,14 +100,14 @@ func benchStepSet(b *testing.B, top graph.Topology, cfg Config, start, nTx int, 
 }
 
 // BenchmarkStepSetSparseBroadcasters pins the windowing acceptance number:
-// on Complete(1024) with n/64 contiguous mid-range broadcasters (the
-// early-Decay / single-slot regime; well under the ≤ n/16 bar), the
-// windowed dense resolution must be ≥ 2x faster per round than the
-// full-scan resolution the engine used before row/tx windows, with zero
-// per-round allocations. The Step variant measures what the []bool
-// adapter's packing scan costs on top.
+// on the CSR complete graph on 1024 nodes with n/64 contiguous mid-range
+// broadcasters (the early-Decay / single-slot regime; well under the
+// ≤ n/16 bar), the windowed dense resolution must be ≥ 2x faster per
+// round than the full-scan resolution the engine used before row/tx
+// windows, with zero per-round allocations. The Step variant measures
+// what the []bool adapter's packing scan costs on top.
 func BenchmarkStepSetSparseBroadcasters(b *testing.B) {
-	top := graph.Complete(1024)
+	top := builderComplete(1024)
 	n := top.G.N()
 	cfg := Config{Fault: ReceiverFaults, P: 0.3, Engine: Dense}
 	b.Run("stepset-windowed", func(b *testing.B) {

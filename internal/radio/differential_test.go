@@ -192,7 +192,7 @@ func TestDifferentialEnginesAcrossTopologies(t *testing.T) {
 		graph.Grid(7, 9),
 		graph.GNP(90, 0.05, rng.New(5)),
 		graph.GNP(90, 0.4, rng.New(6)),
-		graph.Complete(70),
+		builderComplete(70),
 		graph.Star(50),
 		{G: wct.G, Source: wct.Source, Name: "wct(n=160)"},
 		// Each sender's cluster members lie scattered over the graph's 32
@@ -260,8 +260,11 @@ func TestDifferentialEnginesRandomSweep(t *testing.T) {
 // id within a round, for both engines and both entry points.
 func TestDeliveryOrderAscendingWithinRound(t *testing.T) {
 	for _, em := range engineModes {
-		top := graph.Complete(40)
+		top := builderComplete(40)
 		net := MustNew[int32](top.G, Config{Fault: Faultless, Engine: em.eng}, rng.New(1))
+		if net.Engine() != em.eng {
+			t.Fatalf("engine resolved to %v, want %v", net.Engine(), em.eng)
+		}
 		bc := make([]bool, 40)
 		payload := make([]int32, 40)
 		bc[17] = true

@@ -148,7 +148,7 @@ func checkBulkMatchesPerSite(t *testing.T, cfg Config, n int, seed uint64, round
 	coin := rng.NewBernoulli(cfg.P)
 	refStream := rng.New(seed)
 	netStream := rng.New(seed)
-	top := graph.ImplicitComplete(n)
+	top := graph.Complete(n)
 	refDraw := makeDrawState(cfg, top.G)
 	net := MustNew[int32](top.G, cfg, netStream)
 
@@ -266,7 +266,7 @@ func TestDrawDegenerateFallsBackToV1(t *testing.T) {
 // bulk-capable contracts (v2 skip, v3 burst) this proves the two marking
 // paths consume the stream identically.
 func TestDrawTracedMatchesUntraced(t *testing.T) {
-	top := graph.Complete(150)
+	top := builderComplete(150)
 	for _, dc := range []DrawContract{DrawV2, DrawV3, DrawV4} {
 		for _, p := range []float64{0.02, 0.3} {
 			cfg := Config{Fault: SenderFaults, P: p, Draw: dc, Engine: Dense}

@@ -17,7 +17,7 @@ func faultCountsPerRound(n int, p float64, dc DrawContract, seed uint64, rounds 
 }
 
 func faultCountsPerRoundCfg(cfg Config, n int, seed uint64, rounds int) []int {
-	top := graph.ImplicitComplete(n)
+	top := graph.Complete(n)
 	net := MustNew[int32](top.G, cfg, rng.New(seed))
 	tx := bitset.New(n)
 	for v := 0; v < n; v++ {
@@ -201,7 +201,7 @@ func TestDrawV3BurstLengthsGeometric(t *testing.T) {
 		sites = 300000
 		p     = 0.2 // stationary bad fraction; BadP = 1 makes it the fault rate
 	)
-	top := graph.ImplicitComplete(8)
+	top := graph.Complete(8)
 	for _, burstLen := range []float64{4, 16} {
 		cfg := Config{
 			Fault: SenderFaults,

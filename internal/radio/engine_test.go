@@ -72,7 +72,7 @@ func TestEngineOverride(t *testing.T) {
 	if dense.Engine() != Dense {
 		t.Fatalf("explicit Dense resolved to %v", dense.Engine())
 	}
-	sparse := MustNew[int32](graph.Complete(256).G, Config{Fault: Faultless, Engine: Sparse}, rng.New(1))
+	sparse := MustNew[int32](builderComplete(256).G, Config{Fault: Faultless, Engine: Sparse}, rng.New(1))
 	if sparse.Engine() != Sparse {
 		t.Fatalf("explicit Sparse resolved to %v", sparse.Engine())
 	}
@@ -81,8 +81,11 @@ func TestEngineOverride(t *testing.T) {
 // The dense engine must satisfy the same model definition as the sparse
 // one on a fixed example.
 func TestDenseEngineModelSemantics(t *testing.T) {
-	top := graph.Complete(5)
+	top := builderComplete(5)
 	net := MustNew[int32](top.G, Config{Fault: Faultless, Engine: Dense}, rng.New(1))
+	if net.Engine() != Dense {
+		t.Fatalf("engine resolved to %v, want dense", net.Engine())
+	}
 	bc := []bool{true, false, false, false, false}
 	payload := []int32{11, 0, 0, 0, 0}
 	got := map[int]Delivery[int32]{}

@@ -9,11 +9,11 @@ import (
 
 // FuzzStepImplicit fuzzes the implicit engine's equivalence contract: on
 // a complete graph of arbitrary size (the one modelled topology), fault
-// environment and broadcast schedule, the implicit engine — over the
-// explicit CSR graph and over the CSR-less implicit twin — must reproduce
-// the sparse reference bit for bit through both entry points. The
-// modelled-topology counterpart of FuzzStepEngines (whose arbitrary edge
-// lists carry no model).
+// environment and broadcast schedule, the implicit engine on Complete(n)
+// must reproduce the sparse reference on the Builder's CSR complete graph
+// bit for bit through both entry points. The modelled-topology
+// counterpart of FuzzStepEngines (whose arbitrary edge lists carry no
+// model).
 func FuzzStepImplicit(f *testing.F) {
 	f.Add(uint64(1), uint64(40), uint64(0), uint64(0), []byte{0xff, 0x0f})
 	f.Add(uint64(7), uint64(17), uint64(1), uint64(30), []byte{0xaa, 0x55, 0x33})
@@ -24,7 +24,7 @@ func FuzzStepImplicit(f *testing.F) {
 	f.Add(uint64(4), uint64(55), uint64(5), uint64(40), []byte{0x0f, 0xf0})
 	f.Fuzz(func(t *testing.T, seed, sizeRaw, modelRaw, pRaw uint64, sched []byte) {
 		n := int(sizeRaw%96) + 1
-		explicit, implicit := graph.Complete(n), graph.ImplicitComplete(n)
+		explicit, implicit := builderComplete(n), graph.Complete(n)
 		cfg := Config{
 			Fault: FaultModel(modelRaw%3 + 1),
 			P:     float64(pRaw%95) / 100,
@@ -45,19 +45,17 @@ func FuzzStepImplicit(f *testing.F) {
 			return sched[(idx/8)%len(sched)]>>(idx%8)&1 == 1
 		}
 		ref := executeEngine(t, explicit.G, cfg, Sparse, viaStepSet, seed, rounds, schedule)
-		for _, g := range []*graph.Graph{explicit.G, implicit.G} {
-			for _, mode := range []stepMode{viaStep, viaStepSet} {
-				got := executeEngine(t, g, cfg, Implicit, mode, seed, rounds, schedule)
-				if ref.stats != got.stats {
-					t.Fatalf("implicit/%v (csr=%v): stats diverged\nref %+v\ngot %+v", mode, g.HasCSR(), ref.stats, got.stats)
-				}
-				if !reflect.DeepEqual(ref.deliveries, got.deliveries) {
-					t.Fatalf("implicit/%v (csr=%v): deliveries diverged: %d vs %d events",
-						mode, g.HasCSR(), len(ref.deliveries), len(got.deliveries))
-				}
-				if !reflect.DeepEqual(ref.traces, got.traces) {
-					t.Fatalf("implicit/%v (csr=%v): traces diverged", mode, g.HasCSR())
-				}
+		for _, mode := range []stepMode{viaStep, viaStepSet} {
+			got := executeEngine(t, implicit.G, cfg, Implicit, mode, seed, rounds, schedule)
+			if ref.stats != got.stats {
+				t.Fatalf("implicit/%v: stats diverged\nref %+v\ngot %+v", mode, ref.stats, got.stats)
+			}
+			if !reflect.DeepEqual(ref.deliveries, got.deliveries) {
+				t.Fatalf("implicit/%v: deliveries diverged: %d vs %d events",
+					mode, len(ref.deliveries), len(got.deliveries))
+			}
+			if !reflect.DeepEqual(ref.traces, got.traces) {
+				t.Fatalf("implicit/%v: traces diverged", mode)
 			}
 		}
 	})

@@ -9,41 +9,36 @@ import (
 )
 
 // The implicit-engine differential suite: on the complete graph, the one
-// topology with a closed-form neighbourhood model, the implicit engine —
-// on the explicit CSR graph and on the CSR-less implicit twin — must
-// reproduce the sparse reference bit for bit through both entry points.
+// topology with a closed-form neighbourhood model, the implicit engine on
+// Complete(n) must reproduce the sparse reference on the Builder's CSR
+// complete graph bit for bit through both entry points.
 
-// implicitPair is one complete graph in both storage modes.
-type implicitPair struct {
-	name               string
-	explicit, implicit graph.Topology
-}
-
-// implicitPairs sizes the complete graph to exercise the counter's
-// structural cases: a single edge, an exact word, and a word boundary.
-func implicitPairs() []implicitPair {
-	return []implicitPair{
-		{"complete-2", graph.Complete(2), graph.ImplicitComplete(2)},
-		{"complete-64", graph.Complete(64), graph.ImplicitComplete(64)},
-		{"complete-70", graph.Complete(70), graph.ImplicitComplete(70)},
+// builderComplete is the complete graph built by the Builder: CSR
+// adjacency and no model, so the sparse and dense engines can be forced
+// on it and held against the implicit engine on Complete(n).
+func builderComplete(n int) graph.Topology {
+	b := graph.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			b.AddEdge(u, v)
+		}
 	}
+	return graph.Topology{G: b.MustBuild(), Source: 0, Name: fmt.Sprintf("complete(n=%d)", n)}
 }
 
-// TestDifferentialImplicitAcrossTopologies proves the implicit engine
-// bit-identical to the sparse reference on the modelled complete graph in
-// both storage modes, across the fault environments and both entry
-// points.
+// TestDifferentialImplicitAcrossTopologies proves the implicit engine on
+// Complete(n) bit-identical to the sparse reference on the CSR complete
+// graph across the fault environments and both entry points, at sizes
+// covering a single edge, an exact word and a word boundary.
 func TestDifferentialImplicitAcrossTopologies(t *testing.T) {
-	for _, pair := range implicitPairs() {
-		for _, cfg := range diffConfigs(pair.explicit.G.N()) {
+	for _, n := range []int{2, 64, 70} {
+		explicit, implicit := builderComplete(n).G, graph.Complete(n).G
+		for _, cfg := range diffConfigs(n) {
 			for _, txProb := range []float64{0.05, 0.3, 0.8} {
-				ref := runEngine(t, pair.explicit.G, cfg, Sparse, viaStepSet, 42, 77, 60, txProb)
+				ref := runEngine(t, explicit, cfg, Sparse, viaStepSet, 42, 77, 60, txProb)
 				for _, mode := range []stepMode{viaStep, viaStepSet} {
-					name := fmt.Sprintf("%s/%s/implicit/%v txProb=%v", pair.name, cfg.Fault, mode, txProb)
-					got := runEngine(t, pair.explicit.G, cfg, Implicit, mode, 42, 77, 60, txProb)
-					requireIdentical(t, name, ref, got)
-					got = runEngine(t, pair.implicit.G, cfg, Implicit, mode, 42, 77, 60, txProb)
-					requireIdentical(t, name+" (implicit graph)", ref, got)
+					name := fmt.Sprintf("complete-%d/%s/implicit/%v txProb=%v", n, cfg.Fault, mode, txProb)
+					requireIdentical(t, name, ref, runEngine(t, implicit, cfg, Implicit, mode, 42, 77, 60, txProb))
 				}
 			}
 		}
@@ -74,24 +69,22 @@ func closedFormSchedule(n int) func(round, v int) bool {
 }
 
 // TestDifferentialImplicitClosedForm drives the closed-form cases of the
-// implicit engine with closedFormSchedule on both storage modes of the
-// complete graph, and requires the sparse engine's execution, which the
+// implicit engine on Complete(n) with closedFormSchedule, and requires
+// the sparse engine's execution on the CSR complete graph, which the
 // dense engine matches, bit for bit under every fault environment.
 func TestDifferentialImplicitClosedForm(t *testing.T) {
 	const rounds = 64 // every lone id in 4 cycles
 	for _, n := range []int{1, 2, 64, 65, 130} {
 		t.Run(fmt.Sprintf("complete-%d", n), func(t *testing.T) {
-			explicit, implicit := graph.Complete(n).G, graph.ImplicitComplete(n).G
+			explicit, implicit := builderComplete(n).G, graph.Complete(n).G
 			sched := closedFormSchedule(n)
 			for _, cfg := range diffConfigs(n) {
 				ref := executeEngine(t, explicit, cfg, Sparse, viaStepSet, 42, rounds, sched)
 				name := fmt.Sprintf("%s/draw %v", cfg.Fault, cfg.Draw)
 				requireIdentical(t, name+"/dense", ref, executeEngine(t, explicit, cfg, Dense, viaStepSet, 42, rounds, sched))
 				for _, mode := range []stepMode{viaStep, viaStepSet} {
-					for _, g := range []*graph.Graph{explicit, implicit} {
-						got := executeEngine(t, g, cfg, Implicit, mode, 42, rounds, sched)
-						requireIdentical(t, fmt.Sprintf("%s/implicit/%v csr=%v", name, mode, g.HasCSR()), ref, got)
-					}
+					got := executeEngine(t, implicit, cfg, Implicit, mode, 42, rounds, sched)
+					requireIdentical(t, fmt.Sprintf("%s/implicit/%v", name, mode), ref, got)
 				}
 			}
 		})
@@ -102,7 +95,7 @@ func TestDifferentialImplicitClosedForm(t *testing.T) {
 // an engine the graph cannot support resolves to the Auto choice instead
 // of failing, so suite-wide -engine overrides run mixed workloads.
 func TestEngineFallback(t *testing.T) {
-	implicitG := graph.ImplicitComplete(128).G
+	implicitG := graph.Complete(128).G
 	modelless := graph.GNP(128, 0.5, rng.New(3)).G // dense, no model
 	sparseModelless := graph.BinaryTree(5).G       // sparse, no model
 	for _, tc := range []struct {
@@ -117,7 +110,7 @@ func TestEngineFallback(t *testing.T) {
 		{"auto-on-implicit-graph", implicitG, Auto, Implicit},
 		{"implicit-on-dense-modelless", modelless, Implicit, Dense},
 		{"implicit-on-sparse-modelless", sparseModelless, Implicit, Sparse},
-		{"implicit-on-modelled-csr", graph.Complete(70).G, Implicit, Implicit},
+		{"sparse-on-csr-complete", builderComplete(70).G, Sparse, Sparse},
 	} {
 		cfg := Config{Fault: Faultless, Engine: tc.forced}
 		if got := cfg.ResolveEngine(tc.g); got != tc.want {
@@ -130,16 +123,13 @@ func TestEngineFallback(t *testing.T) {
 }
 
 // TestAutoUpgradesDenseToImplicit checks the Auto rule for modelled
-// graphs: every complete graph runs implicitly at every n, CSR or not,
-// while a dense graph without a model keeps Dense and a sparse one
-// Sparse.
+// graphs: every complete graph runs implicitly at every n, while a dense
+// graph without a model keeps Dense and a sparse one Sparse.
 func TestAutoUpgradesDenseToImplicit(t *testing.T) {
 	auto := Config{}
 	for _, n := range []int{1, 2, 63, 64, 512, 4096} {
-		for _, top := range []graph.Topology{graph.Complete(n), graph.ImplicitComplete(n)} {
-			if got := auto.ResolveEngine(top.G); got != Implicit {
-				t.Errorf("%s (csr=%v): auto = %v, want %v", top.Name, top.G.HasCSR(), got, Implicit)
-			}
+		if top := graph.Complete(n); auto.ResolveEngine(top.G) != Implicit {
+			t.Errorf("%s: auto = %v, want %v", top.Name, auto.ResolveEngine(top.G), Implicit)
 		}
 	}
 	if got := auto.ResolveEngine(graph.GNP(512, 0.5, rng.New(3)).G); got != Dense {

@@ -15,9 +15,10 @@ import (
 // EngineMicrobench measures the per-round engine microbenchmarks the CI
 // bench gate tracks: ns/round and allocs/round through StepSet for
 // sparse/dense/implicit × faultless/sender/receiver at n ∈ {256, 1024},
-// each engine on its home topology (sparse on a bounded-degree grid,
-// dense and implicit on the same complete graph, each forced, so the
-// word-parallel scan and the closed form are on record side by side).
+// each engine forced on its home topology (sparse on a bounded-degree
+// grid, dense on the complete graph stored as CSR, implicit on
+// Complete's closed form), so the word-parallel scan and the closed form
+// are on record side by side for the same graph.
 // The schedule is the sparse-broadcaster regime the windowed dense path
 // targets — n/64 contiguous broadcasters in the middle of the id range,
 // as in an early Decay phase or a single WCT cluster layer's schedule
@@ -40,7 +41,9 @@ func EngineMicrobench() []benchreport.Microbench {
 	var out []benchreport.Microbench
 	for _, n := range []int{256, 1024} {
 		grid := gridTopology(n)
-		complete := graph.Complete(n)
+		// G(n, 1) is the complete graph stored as CSR, which the dense
+		// engine needs; Complete(n) is the closed form the implicit rows run.
+		csr, complete := graph.GNP(n, 1, rng.New(0)), graph.Complete(n)
 		midTx := microbenchTx(n, n/2, n/64)
 		for _, fault := range []FaultModel{Faultless, SenderFaults, ReceiverFaults} {
 			cfg := Config{Fault: fault}
@@ -53,7 +56,7 @@ func EngineMicrobench() []benchreport.Microbench {
 				name   string
 			}{
 				{Sparse, grid, "sparse/grid"},
-				{Dense, complete, "dense/complete"},
+				{Dense, csr, "dense/complete"},
 				{Implicit, complete, "implicit/complete"},
 			} {
 				cfg.Engine = m.engine
@@ -76,13 +79,13 @@ func EngineMicrobench() []benchreport.Microbench {
 		}
 		// Dense controls: the []bool adapter and the window-disabled scan.
 		ctl := Config{Fault: Faultless, Engine: Dense}
-		ns, allocs := measureRounds(complete, ctl, midTx, stepModeBools, false)
+		ns, allocs := measureRounds(csr, ctl, midTx, stepModeBools, false)
 		out = append(out, benchreport.Microbench{
 			Name:           fmt.Sprintf("step/dense/complete/%s/n=%d", Faultless, n),
 			NsPerRound:     ns,
 			AllocsPerRound: allocs,
 		})
-		ns, allocs = measureRounds(complete, ctl, midTx, stepModeSet, true)
+		ns, allocs = measureRounds(csr, ctl, midTx, stepModeSet, true)
 		out = append(out, benchreport.Microbench{
 			Name:           fmt.Sprintf("stepset-fullscan/dense/complete/%s/n=%d", Faultless, n),
 			NsPerRound:     ns,
@@ -115,7 +118,7 @@ func EngineMicrobench() []benchreport.Microbench {
 		})
 	}
 	// Fault-draw kernel rows: the sender-fault marking pass alone (plus
-	// its end-of-round clear) with every node of an implicit Complete(10⁵)
+	// its end-of-round clear) with every node of Complete(10⁵)
 	// broadcasting — 10⁵ draw sites per round, the regime the draw
 	// contract versioning exists for. v1 pays one Bernoulli per site; v2
 	// pays one geometric draw per fault, so the v1/v2 ratio at sparse p is
@@ -155,7 +158,7 @@ func EngineMicrobench() []benchreport.Microbench {
 // sender-noise clear. No listener resolution — the row isolates exactly
 // the cost the draw contract governs.
 func measureFaultDraws(n int, p float64, dc DrawContract) (nsPerRound, allocsPerRound float64) {
-	top := graph.ImplicitComplete(n)
+	top := graph.Complete(n)
 	net := MustNew[int32](top.G, Config{Fault: SenderFaults, P: p, Draw: dc}, rng.New(0x6d6963726f))
 	tx := bitset.New(n)
 	for v := 0; v < n; v++ {
@@ -197,9 +200,13 @@ const (
 )
 
 // measureRounds times one configuration broadcasting tx every round
-// through the shared timeRounds harness.
+// through the shared timeRounds harness. It panics when top cannot run
+// the forced engine, so a row always times the engine its name says.
 func measureRounds(top graph.Topology, cfg Config, tx *bitset.Set, mode int, fullScan bool) (nsPerRound, allocsPerRound float64) {
 	net := MustNew[int32](top.G, cfg, rng.New(0x6d6963726f))
+	if net.Engine() != cfg.Engine {
+		panic(fmt.Sprintf("radio: microbench forced the %v engine on %s, which runs %v", cfg.Engine, top.Name, net.Engine()))
+	}
 	net.setFullScan(fullScan)
 	n := top.G.N()
 	payload := make([]int32, n)

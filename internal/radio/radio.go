@@ -62,14 +62,14 @@
 //     No adjacency is stored, so per-node state is O(1) and complete
 //     graphs at n = 10⁵–10⁶ run in O(n) resident memory, far past the
 //     Θ(n²/8)-byte bit-matrix ceiling of Dense. Available exactly when
-//     the graph carries a model, which only complete graphs do; the only
-//     engine for implicit graphs (graph.ImplicitComplete).
+//     the graph carries a model, which only graph.Complete's do; they
+//     store no adjacency, so it is the only engine that runs them.
 //
 // Config.Engine selects the engine; the default Auto runs every graph
 // with a model implicitly and picks between the others by average
-// degree. A forced engine the graph cannot support (Sparse/Dense on a
-// CSR-less implicit graph, Implicit on a graph with no model) falls back
-// to the Auto choice — benign, because engines are interchangeable by
+// degree. A forced engine the graph cannot support (Sparse/Dense on the
+// complete graph, which has no CSR, Implicit on a graph with no model)
+// falls back to the Auto choice — benign, because engines are interchangeable by
 // construction. Because all engines consume the rng.Stream in the same
 // canonical order, Stats, deliveries and traces are bit-identical across
 // engines (enforced by differential and fuzz tests).
@@ -145,7 +145,7 @@ type Engine int
 
 const (
 	// Auto picks the engine from the graph: Implicit whenever it carries
-	// a closed-form model, at every n (complete graphs, CSR or not);
+	// a closed-form model, at every n (graph.Complete's graphs);
 	// otherwise Dense when the graph is large enough and dense enough
 	// that word-parallel channel resolution wins (avg degree ≥ n/8,
 	// n ≥ 64); Sparse otherwise. The zero value, so existing
@@ -490,7 +490,7 @@ func (c Config) ResolveEngine(g *graph.Graph) Engine {
 // choice: Sparse/Dense need materialized adjacency, Implicit needs a
 // closed-form model. The fallback is benign — engines are bit-identical —
 // and is what lets a suite-wide -engine override run mixed workloads
-// (only complete graphs have a model; implicit graphs have no CSR).
+// (only complete graphs have a model, and they have no CSR).
 func resolveEngine(g *graph.Graph, e Engine) Engine {
 	switch e {
 	case Sparse, Dense:
@@ -794,11 +794,11 @@ type Network[P any] struct {
 
 // autoEngine picks the engine for g. A graph with a closed-form model
 // runs implicitly at every n: its rounds resolve from the broadcaster
-// total, which no stored adjacency can beat, and CSR-less graphs have no
-// other option. Otherwise Dense when word-parallel resolution pays for
-// itself (the graph is dense enough that scanning all n bitset rows beats
-// walking the broadcasters' neighbour lists), and Sparse for everything
-// else.
+// total, which no stored adjacency can beat, and such graphs have no CSR
+// for another engine to walk. Otherwise Dense when word-parallel
+// resolution pays for itself (the graph is dense enough that scanning
+// all n bitset rows beats walking the broadcasters' neighbour lists),
+// and Sparse for everything else.
 func autoEngine(g *graph.Graph) Engine {
 	if g.Model() != nil {
 		return Implicit

@@ -53,9 +53,12 @@ func TestStepZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	top := graph.Complete(256)
+	top := builderComplete(256)
 	for _, eng := range []Engine{Sparse, Dense} {
 		net := MustNew[int32](top.G, Config{Fault: ReceiverFaults, P: 0.2, Engine: eng}, rng.New(7))
+		if net.Engine() != eng {
+			t.Fatalf("engine resolved to %v, want %v", net.Engine(), eng)
+		}
 		n := top.G.N()
 		payload := make([]int32, n)
 		bc := make([]bool, n)
@@ -113,8 +116,11 @@ func TestStepSetLengthValidation(t *testing.T) {
 func TestStepSetSilentRoundCountsRound(t *testing.T) {
 	for _, em := range engineModes {
 		t.Run(fmt.Sprintf("%v-%v", em.eng, em.mode), func(t *testing.T) {
-			top := graph.Complete(70)
+			top := builderComplete(70)
 			net := MustNew[int32](top.G, Config{Fault: ReceiverFaults, P: 0.4, Engine: em.eng}, rng.New(1))
+			if net.Engine() != em.eng {
+				t.Fatalf("engine resolved to %v, want %v", net.Engine(), em.eng)
+			}
 			traced := 0
 			net.SetTrace(func(round int, broadcasters, receivers []int32) {
 				if len(broadcasters) != 0 || len(receivers) != 0 {

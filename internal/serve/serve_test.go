@@ -190,15 +190,16 @@ func TestCacheHitIsByteExact(t *testing.T) {
 }
 
 // TestCacheHitBuildsNoWorkload: a hit is answered from the plan key
-// alone. One Complete(1024) build allocates at least 8 MiB, so a hit that
-// built its workload first would show in the heap's allocation total.
+// alone. One build of the 2¹⁶-node hypercube allocates several MiB (its
+// CSR alone is 4 MiB), so a hit that built its workload first would show
+// in the heap's allocation total.
 func TestCacheHitBuildsNoWorkload(t *testing.T) {
 	ts := httptest.NewServer(NewServer(Config{}))
 	defer ts.Close()
 	spec := benchreport.JobSpec{
 		Schedule: "decay",
-		Topology: "complete",
-		N:        1024,
+		Topology: "hypercube",
+		N:        1 << 16,
 		Fault:    "receiver",
 		P:        0.3,
 		Seed:     1,
@@ -323,7 +324,6 @@ func TestRejectsBadSpecs(t *testing.T) {
 		"zero trials":      func(s *benchreport.JobSpec) { s.Trials = 0 },
 		"p out of range":   func(s *benchreport.JobSpec) { s.P = 1.5 },
 		"tiny n":           func(s *benchreport.JobSpec) { s.N = 1 },
-		"fastbc implicit":  func(s *benchreport.JobSpec) { s.Schedule = "fastbc"; s.Topology = "complete"; s.N = 8192 },
 		"hypercube 2^21":   func(s *benchreport.JobSpec) { s.Topology = "hypercube"; s.N = 1 << 21 },
 	}
 	rejected := func(resp *http.Response, body []byte) error {
@@ -380,6 +380,31 @@ func TestRejectsBadSpecs(t *testing.T) {
 	}
 	if jobs := metric(t, ts, "noisyserved_jobs_total"); jobs != 0 {
 		t.Fatalf("rejected specs counted as jobs: %d", jobs)
+	}
+}
+
+// TestCompleteJobsRun: every topology-taking schedule that reads more of
+// the graph than its rounds — the GBST of fastbc and robust-fastbc, the
+// BFS layers of pipelined-batch-routing — runs as a job on the complete
+// graph, which stores no adjacency at any n, and ends in a successful
+// result line.
+func TestCompleteJobsRun(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{}))
+	defer ts.Close()
+	for _, spec := range []benchreport.JobSpec{
+		{Schedule: "fastbc", N: 8192},
+		{Schedule: "robust-fastbc", N: 8192},
+		{Schedule: "pipelined-batch-routing", N: 4096, K: 2},
+	} {
+		spec.Topology, spec.Fault, spec.P, spec.Seed, spec.Trials = "complete", "receiver", 0.1, 1, 2
+		resp, body := postJob(t, ts, spec)
+		l := lastLine(t, body)
+		if resp.StatusCode != http.StatusOK || l.Type != "result" {
+			t.Fatalf("%s on complete(n=%d): status %d, terminal line %+v", spec.Schedule, spec.N, resp.StatusCode, l)
+		}
+		if l.Stats == nil || l.Stats.N != spec.Trials || l.Stats.Dropped != 0 {
+			t.Fatalf("%s on complete(n=%d): stats %+v, want %d successful trials", spec.Schedule, spec.N, l.Stats, spec.Trials)
+		}
 	}
 }
 

@@ -135,17 +135,18 @@ func TestAddScheduleAutoPlan(t *testing.T) {
 	ResetPlanLog()
 }
 
-// TestAddScheduleImplicitPlan: a CSR-less implicit topology flows through
-// the Schedule API end to end — the row resolves the implicit engine,
-// records its plan, and folds to the same statistics as its explicit twin
-// at any worker count.
+// TestAddScheduleImplicitPlan: the complete graph, which stores no
+// adjacency, flows through the Schedule API end to end — the row resolves
+// the implicit engine, records its plan, and folds to the same statistics
+// as G(96, 1), the complete graph stored as CSR, on the dense engine at
+// any worker count.
 func TestAddScheduleImplicitPlan(t *testing.T) {
 	ResetPlanLog()
 	ncfg := radio.Config{Fault: radio.SenderFaults, P: 0.2}
 	value := func(out broadcast.Outcome) (float64, error) { return float64(out.Rounds), nil }
 
 	sw := NewSweep(SweepConfig{Workers: 2})
-	row := sw.AddSchedule(mustSchedule(t, "decay"), graph.ImplicitComplete(96), ncfg, broadcast.ScheduleParams{}, 12, 3, value)
+	row := sw.AddSchedule(mustSchedule(t, "decay"), graph.Complete(96), ncfg, broadcast.ScheduleParams{}, 12, 3, value)
 	if err := sw.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +163,12 @@ func TestAddScheduleImplicitPlan(t *testing.T) {
 	ResetPlanLog()
 
 	// Same row, both storage modes: bit-identical statistics.
-	iMean, iCI, iN := runScheduleRow(t, SweepConfig{Workers: 1}, "decay", graph.ImplicitComplete(96), ncfg, broadcast.ScheduleParams{}, 12)
-	eMean, eCI, eN := runScheduleRow(t, SweepConfig{Workers: 3}, "decay", graph.Complete(96), ncfg, broadcast.ScheduleParams{}, 12)
+	csr := graph.GNP(96, 1, rng.New(1))
+	if got := ncfg.ResolveEngine(csr.G); got != radio.Dense {
+		t.Fatalf("G(96, 1) resolves %v, want dense", got)
+	}
+	iMean, iCI, iN := runScheduleRow(t, SweepConfig{Workers: 1}, "decay", graph.Complete(96), ncfg, broadcast.ScheduleParams{}, 12)
+	eMean, eCI, eN := runScheduleRow(t, SweepConfig{Workers: 3}, "decay", csr, ncfg, broadcast.ScheduleParams{}, 12)
 	if iMean != eMean || iCI != eCI || iN != eN {
 		t.Errorf("implicit row diverged from explicit twin: mean %v vs %v, ci %v vs %v, n %d vs %d",
 			iMean, eMean, iCI, eCI, iN, eN)
@@ -176,7 +181,7 @@ func TestAddScheduleImplicitPlan(t *testing.T) {
 // size.
 func TestAddScheduleErrors(t *testing.T) {
 	value := func(out broadcast.Outcome) (float64, error) { return float64(out.Rounds), nil }
-	badSource := graph.Topology{G: graph.Complete(8).G, Source: 8, Name: "bad-source"}
+	badSource := graph.Topology{G: graph.GNP(8, 1, rng.New(1)).G, Source: 8, Name: "bad-source"}
 	for _, chunk := range []int{0, 1} {
 		sw := NewSweep(SweepConfig{Workers: 2, ChunkSize: chunk})
 		rows := []*Row{
