@@ -57,21 +57,6 @@ func (s *Set) Count() int {
 	return c
 }
 
-// Full reports whether every element in [0, Len()) is present.
-func (s *Set) Full() bool {
-	return s.Count() == s.n
-}
-
-// Empty reports whether no element is present.
-func (s *Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Reset clears all elements.
 func (s *Set) Reset() {
 	for i := range s.words {
@@ -93,31 +78,6 @@ func (s *Set) ResetWindow(lo, hi int) {
 	for w := lo; w < hi; w++ {
 		s.words[w] = 0
 	}
-}
-
-// Fill sets all elements in [0, Len()).
-func (s *Set) Fill() {
-	for i := 0; i < s.n; i++ {
-		s.Set(i)
-	}
-}
-
-// Union adds every element of other to s. Both sets must have the same length.
-func (s *Set) Union(other *Set) {
-	if other.n != s.n {
-		panic(fmt.Sprintf("bitset: union of mismatched lengths %d and %d", s.n, other.n))
-	}
-	for i, w := range other.words {
-		s.words[i] |= w
-	}
-}
-
-// CopyFrom makes s an exact copy of other. Both sets must have the same length.
-func (s *Set) CopyFrom(other *Set) {
-	if other.n != s.n {
-		panic(fmt.Sprintf("bitset: copy of mismatched lengths %d and %d", s.n, other.n))
-	}
-	copy(s.words, other.words)
 }
 
 // Clone returns a new independent copy of s.
@@ -160,79 +120,6 @@ func (s *Set) NonzeroRange() (lo, hi int) {
 		}
 	}
 	return 0, 0
-}
-
-// IntersectsWindow reports whether s and other share an element whose word
-// index lies in [lo, hi). The window is clamped to the sets' word count, so
-// a caller may pass a window computed on either set (or the full range).
-// Both sets must have the same length.
-func (s *Set) IntersectsWindow(other *Set, lo, hi int) bool {
-	if other.n != s.n {
-		panic(fmt.Sprintf("bitset: intersection of mismatched lengths %d and %d", s.n, other.n))
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(s.words) {
-		hi = len(s.words)
-	}
-	for w := lo; w < hi; w++ {
-		if s.words[w]&other.words[w] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// FromBools overwrites s with the set {i : b[i]}, assembling whole words so
-// the conversion writes memory once per 64 inputs. len(b) must equal Len().
-// It is the bridge from bool-slice schedules to the set-native Step API.
-func (s *Set) FromBools(b []bool) {
-	if len(b) != s.n {
-		panic(fmt.Sprintf("bitset: FromBools with %d bools, set length %d", len(b), s.n))
-	}
-	for wi := range s.words {
-		var w uint64
-		base := wi * wordBits
-		limit := s.n - base
-		if limit > wordBits {
-			limit = wordBits
-		}
-		for bit := 0; bit < limit; bit++ {
-			if b[base+bit] {
-				w |= 1 << uint(bit)
-			}
-		}
-		s.words[wi] = w
-	}
-}
-
-// Next returns the smallest present element >= i, or -1 if none exists.
-func (s *Set) Next(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.n {
-		return -1
-	}
-	wi := i / wordBits
-	w := s.words[wi] >> (uint(i) % wordBits)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if s.words[wi] != 0 {
-			return wi*wordBits + bits.TrailingZeros64(s.words[wi])
-		}
-	}
-	return -1
-}
-
-// Elements returns all present elements in ascending order.
-func (s *Set) Elements() []int {
-	out := make([]int, 0, s.Count())
-	s.ForEach(func(i int) { out = append(out, i) })
-	return out
 }
 
 // String renders the set as a compact element list, e.g. "{0 3 17}".

@@ -1,7 +1,6 @@
 package bitset
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -33,9 +32,6 @@ func TestNewEmpty(t *testing.T) {
 			if got := s.Count(); got != 0 {
 				t.Fatalf("Count() = %d, want 0", got)
 			}
-			if !s.Empty() {
-				t.Fatal("new set should be Empty")
-			}
 		})
 	}
 }
@@ -61,6 +57,10 @@ func TestSetTestClear(t *testing.T) {
 	if got := s.Count(); got != 7 {
 		t.Fatalf("Count() = %d, want 7", got)
 	}
+	s.Reset()
+	if got := s.Count(); got != 0 {
+		t.Fatalf("Count() = %d after Reset, want 0", got)
+	}
 }
 
 func TestSetIdempotent(t *testing.T) {
@@ -72,82 +72,18 @@ func TestSetIdempotent(t *testing.T) {
 	}
 }
 
-func TestFullFillReset(t *testing.T) {
-	for _, n := range []int{1, 7, 64, 65, 200} {
-		s := New(n)
-		if s.Full() {
-			t.Fatalf("n=%d: empty set reported Full", n)
-		}
-		s.Fill()
-		if !s.Full() {
-			t.Fatalf("n=%d: filled set not Full", n)
-		}
-		if got := s.Count(); got != n {
-			t.Fatalf("n=%d: Count() = %d after Fill", n, got)
-		}
-		s.Reset()
-		if !s.Empty() {
-			t.Fatalf("n=%d: set not Empty after Reset", n)
-		}
-	}
-}
-
-func TestFullEdgeZero(t *testing.T) {
-	s := New(0)
-	if !s.Full() {
-		t.Fatal("zero-length set should be trivially Full")
-	}
-	if !s.Empty() {
-		t.Fatal("zero-length set should be Empty")
-	}
-}
-
-func TestUnion(t *testing.T) {
-	a := New(100)
-	b := New(100)
-	a.Set(1)
-	a.Set(70)
-	b.Set(2)
-	b.Set(70)
-	a.Union(b)
-	want := []int{1, 2, 70}
-	got := a.Elements()
-	if len(got) != len(want) {
-		t.Fatalf("Elements() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Elements() = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestUnionMismatchedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Union of mismatched lengths did not panic")
-		}
-	}()
-	New(10).Union(New(11))
-}
-
-func TestCopyFromClone(t *testing.T) {
+func TestClone(t *testing.T) {
 	a := New(80)
 	a.Set(5)
 	a.Set(79)
 	b := a.Clone()
 	if !b.Test(5) || !b.Test(79) || b.Count() != 2 {
-		t.Fatalf("Clone mismatch: %v", b.Elements())
+		t.Fatalf("Clone mismatch: %v", b)
 	}
 	// Mutating the clone must not affect the original.
 	b.Set(10)
 	if a.Test(10) {
 		t.Fatal("mutating clone affected original")
-	}
-	c := New(80)
-	c.CopyFrom(a)
-	if c.Count() != 2 || !c.Test(5) {
-		t.Fatalf("CopyFrom mismatch: %v", c.Elements())
 	}
 }
 
@@ -166,36 +102,6 @@ func TestForEachOrder(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("ForEach visited %v, want %v", got, want)
 		}
-	}
-}
-
-func TestNext(t *testing.T) {
-	s := New(200)
-	s.Set(3)
-	s.Set(64)
-	s.Set(199)
-	tests := []struct {
-		from, want int
-	}{
-		{from: 0, want: 3},
-		{from: 3, want: 3},
-		{from: 4, want: 64},
-		{from: 64, want: 64},
-		{from: 65, want: 199},
-		{from: 199, want: 199},
-		{from: -5, want: 3},
-	}
-	for _, tt := range tests {
-		if got := s.Next(tt.from); got != tt.want {
-			t.Errorf("Next(%d) = %d, want %d", tt.from, got, tt.want)
-		}
-	}
-	if got := s.Next(200); got != -1 {
-		t.Errorf("Next(200) = %d, want -1", got)
-	}
-	empty := New(50)
-	if got := empty.Next(0); got != -1 {
-		t.Errorf("empty Next(0) = %d, want -1", got)
 	}
 }
 
@@ -234,62 +140,6 @@ func TestQuickCountMatchesMap(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Next iteration visits exactly the elements ForEach reports.
-func TestQuickNextMatchesForEach(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw)%500 + 1
-		r := rand.New(rand.NewSource(seed))
-		s := New(n)
-		for i := 0; i < n/3; i++ {
-			s.Set(r.Intn(n))
-		}
-		var viaForEach []int
-		s.ForEach(func(i int) { viaForEach = append(viaForEach, i) })
-		var viaNext []int
-		for i := s.Next(0); i != -1; i = s.Next(i + 1) {
-			viaNext = append(viaNext, i)
-		}
-		if len(viaForEach) != len(viaNext) {
-			return false
-		}
-		for i := range viaNext {
-			if viaForEach[i] != viaNext[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Union is commutative with respect to membership.
-func TestQuickUnionCommutative(t *testing.T) {
-	f := func(aIdx, bIdx []uint8) bool {
-		const n = 256
-		a1, b1 := New(n), New(n)
-		for _, i := range aIdx {
-			a1.Set(int(i))
-		}
-		for _, i := range bIdx {
-			b1.Set(int(i))
-		}
-		a2, b2 := a1.Clone(), b1.Clone()
-		a1.Union(b1) // a ∪ b
-		b2.Union(a2) // b ∪ a
-		for i := 0; i < n; i++ {
-			if a1.Test(i) != b2.Test(i) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

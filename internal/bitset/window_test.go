@@ -67,97 +67,15 @@ func TestResetWindow(t *testing.T) {
 		t.Fatalf("ResetWindow(1,2) cleared wrong bits: %v", s)
 	}
 	s.ResetWindow(-5, 99) // clamps to the full range
-	if !s.Empty() {
+	if s.Count() != 0 {
 		t.Fatalf("clamped full-range ResetWindow left %v", s)
 	}
 	s.Set(64)
 	lo, hi := s.NonzeroRange()
 	s.ResetWindow(lo, hi)
-	if !s.Empty() {
+	if s.Count() != 0 {
 		t.Fatalf("ResetWindow over NonzeroRange left %v", s)
 	}
-}
-
-func TestIntersectsWindow(t *testing.T) {
-	n := 300
-	a := New(n)
-	b := New(n)
-	if a.IntersectsWindow(b, 0, 5) {
-		t.Fatal("empty sets intersect")
-	}
-	a.Set(10)
-	b.Set(11)
-	if a.IntersectsWindow(b, 0, 5) {
-		t.Fatal("disjoint single-word sets intersect")
-	}
-	b.Set(10)
-	if !a.IntersectsWindow(b, 0, 5) {
-		t.Fatal("overlapping sets miss in full window")
-	}
-	if !a.IntersectsWindow(b, 0, 1) {
-		t.Fatal("overlap in word 0 missed by window [0,1)")
-	}
-	if a.IntersectsWindow(b, 1, 5) {
-		t.Fatal("window [1,5) sees word-0 overlap")
-	}
-	// Boundary words: common element at the 63/64 seam.
-	a.Set(64)
-	b.Set(64)
-	if !a.IntersectsWindow(b, 1, 2) {
-		t.Fatal("boundary overlap at bit 64 missed by window [1,2)")
-	}
-	if a.IntersectsWindow(b, 2, 5) {
-		t.Fatal("window past the overlap reports intersection")
-	}
-	// Out-of-range windows clamp rather than panic.
-	if !a.IntersectsWindow(b, -3, 99) {
-		t.Fatal("clamped window missed intersection")
-	}
-	if a.IntersectsWindow(b, 99, 120) {
-		t.Fatal("empty clamped window reports intersection")
-	}
-}
-
-func TestIntersectsWindowMismatchedLengthsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on mismatched lengths")
-		}
-	}()
-	New(10).IntersectsWindow(New(20), 0, 1)
-}
-
-func TestFromBools(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 130, 300} {
-		b := make([]bool, n)
-		want := New(n)
-		for i := 0; i < n; i += 3 {
-			b[i] = true
-			want.Set(i)
-		}
-		got := New(n)
-		if n > 1 {
-			got.Set(1) // stale content must be overwritten, not ORed
-		}
-		got.FromBools(b)
-		for i := 0; i < n; i++ {
-			if got.Test(i) != want.Test(i) {
-				t.Fatalf("n=%d: bit %d = %v, want %v", n, i, got.Test(i), want.Test(i))
-			}
-		}
-		if n > 0 && got.Count() != want.Count() {
-			t.Fatalf("n=%d: count %d, want %d", n, got.Count(), want.Count())
-		}
-	}
-}
-
-func TestFromBoolsLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on length mismatch")
-		}
-	}()
-	New(10).FromBools(make([]bool, 11))
 }
 
 func TestMatrixRowRange(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"testing"
 
+	"noisyradio/internal/bitset"
 	"noisyradio/internal/graph"
 	"noisyradio/internal/radio"
 	"noisyradio/internal/rng"
@@ -46,9 +47,9 @@ func TestStarCodingWithRealReedSolomon(t *testing.T) {
 
 	top := graph.Star(leaves)
 	net := radio.MustNew[int32](top.G, cfg, r)
-	bc := make([]bool, top.G.N())
+	tx := bitset.New(top.G.N())
 	payload := make([]int32, top.G.N())
-	bc[0] = true
+	tx.Set(0)
 
 	received := make([]map[int32][]byte, top.G.N())
 	for v := range received {
@@ -56,7 +57,7 @@ func TestStarCodingWithRealReedSolomon(t *testing.T) {
 	}
 	for round := 0; round < maxRounds; round++ {
 		payload[0] = int32(round)
-		net.Step(bc, payload, func(d radio.Delivery[int32]) {
+		net.StepSet(tx, payload, nil, func(d radio.Delivery[int32]) {
 			received[d.To][d.Payload] = shards[d.Payload]
 		})
 	}
@@ -113,13 +114,14 @@ func TestLossyLinkMetaRoundWithRealReedSolomon(t *testing.T) {
 
 	top := graph.SingleLink()
 	net := radio.MustNew[int32](top.G, cfg, r)
-	bc := []bool{true, false}
+	tx := bitset.New(2)
+	tx.Set(0)
 	payload := []int32{0, 0}
 	slots := make([][]byte, mlen)
 	got := 0
 	for round := 0; round < mlen; round++ {
 		payload[0] = int32(round)
-		net.Step(bc, payload, func(d radio.Delivery[int32]) {
+		net.StepSet(tx, payload, nil, func(d radio.Delivery[int32]) {
 			slots[d.Payload] = shards[d.Payload]
 			got++
 		})
@@ -165,9 +167,9 @@ func TestStarCodingLargeKWithGF16(t *testing.T) {
 	}
 	top := graph.Star(leaves)
 	net := radio.MustNew[int32](top.G, cfg, r)
-	bc := make([]bool, top.G.N())
+	tx := bitset.New(top.G.N())
 	payload := make([]int32, top.G.N())
-	bc[0] = true
+	tx.Set(0)
 
 	slots := make([][][]uint16, top.G.N())
 	counts := make([]int, top.G.N())
@@ -186,7 +188,7 @@ func TestStarCodingLargeKWithGF16(t *testing.T) {
 			shardCache[idx] = s
 		}
 		payload[0] = idx
-		net.Step(bc, payload, func(d radio.Delivery[int32]) {
+		net.StepSet(tx, payload, nil, func(d radio.Delivery[int32]) {
 			slots[d.To][d.Payload] = shardCache[d.Payload]
 			counts[d.To]++
 		})
@@ -236,9 +238,9 @@ func TestCountingAbstractionMatchesRealDecodability(t *testing.T) {
 
 	top := graph.Star(leaves)
 	net := radio.MustNew[int32](top.G, cfg, r)
-	bc := make([]bool, top.G.N())
+	tx := bitset.New(top.G.N())
 	payload := make([]int32, top.G.N())
-	bc[0] = true
+	tx.Set(0)
 
 	counts := make([]int, top.G.N())
 	countDone := make([]int, top.G.N()) // round of k-th reception per leaf
@@ -250,7 +252,7 @@ func TestCountingAbstractionMatchesRealDecodability(t *testing.T) {
 	}
 	for round := 0; round < maxRounds; round++ {
 		payload[0] = int32(round)
-		net.Step(bc, payload, func(d radio.Delivery[int32]) {
+		net.StepSet(tx, payload, nil, func(d radio.Delivery[int32]) {
 			counts[d.To]++
 			slots[d.To][d.Payload] = shards[d.Payload]
 			if counts[d.To] == k && countDone[d.To] == -1 {

@@ -12,7 +12,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"noisyradio/internal/radio"
@@ -207,22 +206,6 @@ func Lookup(id string) (Entry, bool) {
 		}
 	}
 	return Entry{}, false
-}
-
-// IDs returns all registered experiment ids (paper suite and extras),
-// sorted.
-func IDs() []string {
-	reg := Registry()
-	ext := Extras()
-	ids := make([]string, 0, len(reg)+len(ext))
-	for _, e := range reg {
-		ids = append(ids, e.ID)
-	}
-	for _, e := range ext {
-		ids = append(ids, e.ID)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // f formats a float compactly for table cells.

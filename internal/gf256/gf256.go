@@ -142,15 +142,3 @@ func ScaleVec(v []byte, c byte) {
 		}
 	}
 }
-
-// DotVec returns the inner product of a and b.
-func DotVec(a, b []byte) byte {
-	if len(a) != len(b) {
-		panic("gf256: DotVec length mismatch")
-	}
-	var acc byte
-	for i := range a {
-		acc ^= Mul(a[i], b[i])
-	}
-	return acc
-}

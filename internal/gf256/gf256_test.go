@@ -172,15 +172,6 @@ func TestScaleVec(t *testing.T) {
 	}
 }
 
-func TestDotVec(t *testing.T) {
-	a := []byte{1, 2, 3}
-	b := []byte{4, 5, 6}
-	want := Mul(1, 4) ^ Mul(2, 5) ^ Mul(3, 6)
-	if got := DotVec(a, b); got != want {
-		t.Fatalf("DotVec = %d, want %d", got, want)
-	}
-}
-
 // Field axioms checked exhaustively-ish via quick.
 
 func TestQuickMulCommutativeAssociative(t *testing.T) {

@@ -4,9 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strconv"
-	"strings"
 )
 
 // deterministicPlanes lists the packages (by import-path suffix) whose
@@ -23,15 +21,12 @@ var deterministicPlanes = []string{
 	"internal/bitset",
 }
 
-// simDispatchers are the functions of internal/sim that legitimately
-// spawn goroutines: the worker-pool dispatchers whose chunk-ordered
-// folding is exactly the mechanism that makes concurrency invisible in
-// the output. A goroutine anywhere else in a deterministic plane needs a
-// //lint:deterministic-ok reason.
-var simDispatchers = map[string]bool{
-	"Run":        true, // sim.Run's chunked worker pool
-	"RunContext": true, // (*Sweep).RunContext's pool + row admission
-}
+// simDispatcher is the one function of internal/sim that legitimately
+// spawns goroutines: (*Sweep).RunContext, the worker pool and row
+// admission whose chunk-ordered folding is exactly the mechanism that
+// makes concurrency invisible in the output. A goroutine anywhere else in
+// a deterministic plane needs a //lint:deterministic-ok reason.
+const simDispatcher = "RunContext"
 
 // forbiddenTimeFuncs are the wall-clock and timer entry points of package
 // time that have no place in a deterministic simulation plane.
@@ -43,7 +38,7 @@ var forbiddenTimeFuncs = map[string]bool{
 
 // DeterminismAnalyzer forbids nondeterminism sources in the deterministic
 // planes: wall-clock reads, math/rand, map-range iteration (order is
-// randomized per run), goroutine spawns outside the sim dispatchers,
+// randomized per run), goroutine spawns outside the sim dispatcher,
 // floating-point reductions folded in map-range order (reassociation
 // changes the result), and package-level variables holding a map or a
 // sync or sync/atomic value — process-wide mutable state such as a
@@ -79,7 +74,7 @@ func runDeterminism(pass *Pass) error {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
 				if decl.Body != nil {
-					checkFuncDeterminism(pass, decl, isSim && simDispatchers[decl.Name.Name])
+					checkFuncDeterminism(pass, decl, isSim && decl.Name.Name == simDispatcher)
 				}
 			case *ast.GenDecl:
 				if decl.Tok == token.VAR {
@@ -180,7 +175,7 @@ func checkFuncDeterminism(pass *Pass, fn *ast.FuncDecl, dispatcher bool) {
 		case *ast.GoStmt:
 			if !dispatcher {
 				pass.Reportf(n.Pos(),
-					"goroutine spawned outside the sim dispatchers (%s): concurrency in a deterministic plane must fold through sim's chunk-ordered dispatch", dispatcherNames())
+					"goroutine spawned outside the sim dispatcher (sim.%s): concurrency in a deterministic plane must fold through sim's chunk-ordered dispatch", simDispatcher)
 			}
 		case *ast.CallExpr:
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
@@ -221,13 +216,4 @@ func checkFloatReduction(pass *Pass, n *ast.AssignStmt) {
 			return
 		}
 	}
-}
-
-func dispatcherNames() string {
-	names := make([]string, 0, len(simDispatchers))
-	for n := range simDispatchers { //lint:deterministic-ok sorted below before use
-		names = append(names, "sim."+n)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
 }

@@ -50,7 +50,7 @@ func SortedFold(m map[string]float64, keys []string) float64 {
 }
 
 func Spawn(f func()) {
-	go f() // want "goroutine spawned outside the sim dispatchers"
+	go f() // want "goroutine spawned outside the sim dispatcher"
 }
 
 // SliceFold must not fire: ranging a slice is ordered.

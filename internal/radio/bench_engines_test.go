@@ -8,26 +8,26 @@ import (
 	"noisyradio/internal/rng"
 )
 
-// benchStep measures Step on top with a fixed broadcast pattern (each node
-// transmits with probability txFrac, drawn once up front) under the given
-// engine. Per-round allocations must be zero for both engines.
+// benchStep measures StepSet on top with a fixed broadcast pattern (each
+// node transmits with probability txFrac, drawn once up front) under the
+// given engine. Per-round allocations must be zero for both engines.
 func benchStep(b *testing.B, top graph.Topology, cfg Config, txFrac float64) {
 	b.Helper()
 	net := MustNew[int32](top.G, cfg, rng.New(2))
 	if net.Engine() != cfg.Engine {
 		b.Fatalf("engine resolved to %v, want %v", net.Engine(), cfg.Engine)
 	}
-	driver := rng.New(3)
-	bc := make([]bool, top.G.N())
-	payload := make([]int32, top.G.N())
-	for v := range bc {
-		bc[v] = driver.Bool(txFrac)
+	n := top.G.N()
+	tx := bitset.New(n)
+	randomTx(tx, rng.New(3), txFrac)
+	payload := make([]int32, n)
+	for v := range payload {
 		payload[v] = int32(v)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Step(bc, payload, nil)
+		net.StepSet(tx, payload, nil, nil)
 	}
 }
 
@@ -80,13 +80,12 @@ func BenchmarkStepDenseSilent(b *testing.B) {
 // benchStepSet measures StepSet with nTx contiguous broadcasters starting
 // at start, receptions batched into an rx bitset (no closure). Per-round
 // allocations must be zero.
-func benchStepSet(b *testing.B, top graph.Topology, cfg Config, start, nTx int, fullScan bool) {
+func benchStepSet(b *testing.B, top graph.Topology, cfg Config, start, nTx int) {
 	b.Helper()
 	net := MustNew[int32](top.G, cfg, rng.New(2))
 	if net.Engine() != cfg.Engine {
 		b.Fatalf("engine resolved to %v, want %v", net.Engine(), cfg.Engine)
 	}
-	net.setFullScan(fullScan)
 	n := top.G.N()
 	payload := make([]int32, n)
 	tx := microbenchTx(n, start, nTx)
@@ -99,38 +98,21 @@ func benchStepSet(b *testing.B, top graph.Topology, cfg Config, start, nTx int, 
 	}
 }
 
-// BenchmarkStepSetSparseBroadcasters pins the windowing acceptance number:
-// on the CSR complete graph on 1024 nodes with n/64 contiguous mid-range
-// broadcasters (the early-Decay / single-slot regime; well under the
-// ≤ n/16 bar), the windowed dense resolution must be ≥ 2x faster per
-// round than the full-scan resolution the engine used before row/tx
-// windows, with zero per-round allocations. The Step variant measures
-// what the []bool adapter's packing scan costs on top.
+// BenchmarkStepSetSparseBroadcasters times the windowed dense resolution
+// against the sparse engine on the CSR complete graph on 1024 nodes with
+// n/64 contiguous mid-range broadcasters (the early-Decay / single-slot
+// regime), with zero per-round allocations.
 func BenchmarkStepSetSparseBroadcasters(b *testing.B) {
 	top := builderComplete(1024)
 	n := top.G.N()
 	cfg := Config{Fault: ReceiverFaults, P: 0.3, Engine: Dense}
 	b.Run("stepset-windowed", func(b *testing.B) {
-		benchStepSet(b, top, cfg, n/2, n/64, false)
-	})
-	b.Run("stepset-fullscan", func(b *testing.B) {
-		benchStepSet(b, top, cfg, n/2, n/64, true)
-	})
-	b.Run("step-adapter", func(b *testing.B) {
-		net := MustNew[int32](top.G, cfg, rng.New(2))
-		payload := make([]int32, n)
-		bc := make([]bool, n)
-		microbenchTx(n, n/2, n/64).ForEach(func(v int) { bc[v] = true })
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			net.Step(bc, payload, nil)
-		}
+		benchStepSet(b, top, cfg, n/2, n/64)
 	})
 	b.Run("sparse-engine", func(b *testing.B) {
 		sparse := cfg
 		sparse.Engine = Sparse
-		benchStepSet(b, top, sparse, n/2, n/64, false)
+		benchStepSet(b, top, sparse, n/2, n/64)
 	})
 }
 
@@ -142,7 +124,7 @@ func BenchmarkStepSetWCT(b *testing.B) {
 	n := top.G.N()
 	for _, eng := range []Engine{Sparse, Dense} {
 		b.Run(eng.String(), func(b *testing.B) {
-			benchStepSet(b, top, Config{Fault: ReceiverFaults, P: 0.3, Engine: eng}, 1, n/64, false)
+			benchStepSet(b, top, Config{Fault: ReceiverFaults, P: 0.3, Engine: eng}, 1, n/64)
 		})
 	}
 }

@@ -11,25 +11,9 @@ import (
 )
 
 // The differential harness: run the same (graph, config, seed, schedule)
-// execution on the sparse and dense engines, through both the Step bool
-// adapter and the set-native StepSet entry point, and require
-// bit-identical deliveries, Stats, rx bitsets and trace callbacks. This is
-// the determinism contract every reproduced table stands on.
-
-// stepMode selects the entry point the harness drives.
-type stepMode int
-
-const (
-	viaStep    stepMode = iota // Step([]bool, ...) adapter
-	viaStepSet                 // StepSet(tx, payload, rx, deliver)
-)
-
-func (m stepMode) String() string {
-	if m == viaStepSet {
-		return "stepset"
-	}
-	return "step"
-}
+// execution on the sparse and dense engines and require bit-identical
+// deliveries, Stats, rx bitsets and trace callbacks. This is the
+// determinism contract every reproduced table stands on.
 
 // traceRecord is one TraceFunc invocation, deep-copied.
 type traceRecord struct {
@@ -46,13 +30,12 @@ type execution struct {
 }
 
 // executeEngine runs rounds broadcast rounds on g under cfg with the given
-// engine and entry point, recording everything observable. schedule is
-// consulted once per (round, node) pair in ascending order, so a
-// deterministic schedule function yields identical inputs for every
-// (engine, mode) combination. In StepSet mode the harness additionally
+// engine, recording everything observable. schedule is consulted once per
+// (round, node) pair in ascending order, so a deterministic schedule
+// function yields identical inputs for every engine. The harness also
 // checks, every round, that the rx bitset exactly matches the delivered
 // receivers and that the engine left the caller's tx set untouched.
-func executeEngine(t testing.TB, g *graph.Graph, cfg Config, eng Engine, mode stepMode, netSeed uint64, rounds int, schedule func(round, v int) bool) execution {
+func executeEngine(t testing.TB, g *graph.Graph, cfg Config, eng Engine, netSeed uint64, rounds int, schedule func(round, v int) bool) execution {
 	t.Helper()
 	cfg.Engine = eng
 	net, err := New[int32](g, cfg, rng.New(netSeed))
@@ -71,39 +54,33 @@ func executeEngine(t testing.TB, g *graph.Graph, cfg Config, eng Engine, mode st
 		})
 	})
 	n := g.N()
-	bc := make([]bool, n)
 	payload := make([]int32, n)
 	tx := bitset.New(n)
 	rx := bitset.New(n)
 	rxWant := bitset.New(n)
 	for round := 0; round < rounds; round++ {
+		tx.Reset()
 		for v := 0; v < n; v++ {
-			bc[v] = schedule(round, v)
+			if schedule(round, v) {
+				tx.Set(v)
+			}
 			payload[v] = int32(round*n + v)
 		}
-		switch mode {
-		case viaStep:
-			net.Step(bc, payload, func(d Delivery[int32]) {
-				ex.deliveries = append(ex.deliveries, d)
-			})
-		case viaStepSet:
-			tx.FromBools(bc)
-			txBefore := tx.Clone()
-			rx.Reset()
-			rxWant.Reset()
-			net.StepSet(tx, payload, rx, func(d Delivery[int32]) {
-				ex.deliveries = append(ex.deliveries, d)
-				rxWant.Set(d.To)
-			})
-			for w, word := range tx.Words() {
-				if word != txBefore.Words()[w] {
-					t.Fatalf("round %d: StepSet mutated the caller's tx set", round)
-				}
+		txBefore := tx.Clone()
+		rx.Reset()
+		rxWant.Reset()
+		net.StepSet(tx, payload, rx, func(d Delivery[int32]) {
+			ex.deliveries = append(ex.deliveries, d)
+			rxWant.Set(d.To)
+		})
+		for w, word := range tx.Words() {
+			if word != txBefore.Words()[w] {
+				t.Fatalf("round %d: StepSet mutated the caller's tx set", round)
 			}
-			for w, word := range rx.Words() {
-				if word != rxWant.Words()[w] {
-					t.Fatalf("round %d: rx bitset %v != delivered receivers %v", round, rx, rxWant)
-				}
+		}
+		for w, word := range rx.Words() {
+			if word != rxWant.Words()[w] {
+				t.Fatalf("round %d: rx bitset %v != delivered receivers %v", round, rx, rxWant)
 			}
 		}
 	}
@@ -111,25 +88,13 @@ func executeEngine(t testing.TB, g *graph.Graph, cfg Config, eng Engine, mode st
 	return ex
 }
 
-// engineModes are the four (engine, entry point) combinations every
-// differential property is checked across.
-var engineModes = []struct {
-	eng  Engine
-	mode stepMode
-}{
-	{Sparse, viaStep},
-	{Sparse, viaStepSet},
-	{Dense, viaStep},
-	{Dense, viaStepSet},
-}
-
 // runEngine is executeEngine with a Bernoulli(txProb) schedule drawn from
 // driverSeed — the schedule is a pure function of (driverSeed, txProb), so
-// all engine/mode combinations see identical inputs.
-func runEngine(t *testing.T, g *graph.Graph, cfg Config, eng Engine, mode stepMode, netSeed, driverSeed uint64, rounds int, txProb float64) execution {
+// every engine sees identical inputs.
+func runEngine(t *testing.T, g *graph.Graph, cfg Config, eng Engine, netSeed, driverSeed uint64, rounds int, txProb float64) execution {
 	t.Helper()
 	driver := rng.New(driverSeed)
-	return executeEngine(t, g, cfg, eng, mode, netSeed, rounds, func(round, v int) bool {
+	return executeEngine(t, g, cfg, eng, netSeed, rounds, func(round, v int) bool {
 		return driver.Bool(txProb)
 	})
 }
@@ -150,32 +115,22 @@ func requireIdentical(t *testing.T, name string, want, got execution) {
 }
 
 // diffConfigs are the fault environments the differential suite sweeps.
-func diffConfigs(n int) []Config {
-	perNode := make([]float64, n)
-	for v := range perNode {
-		perNode[v] = float64(v%10) / 10 * 0.9
-	}
+func diffConfigs() []Config {
 	return []Config{
 		{Fault: Faultless},
 		{Fault: SenderFaults, P: 0.3},
 		{Fault: ReceiverFaults, P: 0.3},
-		{Fault: SenderFaults, P: 0.5, PerNodeP: perNode},
-		{Fault: ReceiverFaults, P: 0.5, PerNodeP: perNode},
 		// The v2 geometric-skip contract, over both models: dense faults
-		// (skips mostly 0–2 sites), the sparse-fault regime (skips spanning
-		// words and whole rounds, the case the contract exists for), and the
-		// PerNodeP degenerate case that falls back to per-site draws.
+		// (skips mostly 0–2 sites) and the sparse-fault regime (skips
+		// spanning words and whole rounds, the case the contract exists for).
 		{Fault: SenderFaults, P: 0.3, Draw: DrawV2},
 		{Fault: ReceiverFaults, P: 0.3, Draw: DrawV2},
 		{Fault: SenderFaults, P: 0.02, Draw: DrawV2},
-		{Fault: ReceiverFaults, P: 0.5, PerNodeP: perNode, Draw: DrawV2},
-		// The v3 Gilbert–Elliott contract: default burst shape, a custom
-		// shape stressing short bursts with a hot bad coin, and the PerNodeP
-		// degenerate case that falls back to per-site draws. P stays below
+		// The v3 Gilbert–Elliott contract: default burst shape and a custom
+		// shape stressing short bursts with a hot bad coin. P stays below
 		// BadP so the stationary marginal is reachable.
 		{Fault: SenderFaults, P: 0.1, Draw: DrawV3},
 		{Fault: ReceiverFaults, P: 0.1, Draw: DrawV3, Burst: BurstParams{Len: 3, BadP: 0.8}},
-		{Fault: SenderFaults, P: 0.5, PerNodeP: perNode, Draw: DrawV3},
 		// The v4 region-jamming contract: id-window and graph-ball shapes.
 		// Jams fire on top of independent v1 draws, so both the prelude
 		// (jam coin + center) and the per-site fallthrough get exercised.
@@ -200,16 +155,29 @@ func TestDifferentialEnginesAcrossTopologies(t *testing.T) {
 		{G: wideWCT.G, Source: wideWCT.Source, Name: "wct(n=2048)"},
 	}
 	for _, top := range tops {
-		for _, cfg := range diffConfigs(top.G.N()) {
+		for _, cfg := range diffConfigs() {
 			for _, txProb := range []float64{0.05, 0.3, 0.8} {
-				ref := runEngine(t, top.G, cfg, engineModes[0].eng, engineModes[0].mode, 42, 77, 60, txProb)
-				for _, em := range engineModes[1:] {
-					name := fmt.Sprintf("%s/%s/draw %v/%v/%v txProb=%v", top.Name, cfg.Fault, cfg.Draw, em.eng, em.mode, txProb)
-					got := runEngine(t, top.G, cfg, em.eng, em.mode, 42, 77, 60, txProb)
-					requireIdentical(t, name, ref, got)
-				}
+				name := fmt.Sprintf("%s/%s/draw %v txProb=%v", top.Name, cfg.Fault, cfg.Draw, txProb)
+				ref := runEngine(t, top.G, cfg, Sparse, 42, 77, 60, txProb)
+				requireIdentical(t, name, ref, runEngine(t, top.G, cfg, Dense, 42, 77, 60, txProb))
 			}
 		}
+	}
+
+	// Dense rows of 65 words: on G(4100, 1/4) a listener hears about 1025
+	// neighbours. At txProb 0.05 about 50 of them broadcast, so the dense
+	// scan exits early on a collision. The ends schedule broadcasts one
+	// node of word 0 and one of word 64, so each listener scans its whole
+	// row: a lone sender's hit word is the first or the last, and a
+	// listener hearing both collides only at the last.
+	gnp := graph.GNP(4100, 0.25, rng.New(13))
+	ends := func(round, v int) bool { return v == round || v == gnp.G.N()-1-round }
+	for _, cfg := range diffConfigs() {
+		name := fmt.Sprintf("%s/%s/draw %v", gnp.Name, cfg.Fault, cfg.Draw)
+		ref := runEngine(t, gnp.G, cfg, Sparse, 42, 77, 4, 0.05)
+		requireIdentical(t, name+" txProb=0.05", ref, runEngine(t, gnp.G, cfg, Dense, 42, 77, 4, 0.05))
+		ref = executeEngine(t, gnp.G, cfg, Sparse, 42, 4, ends)
+		requireIdentical(t, name+" ends", ref, executeEngine(t, gnp.G, cfg, Dense, 42, 4, ends))
 	}
 
 	// A touched window with empty interior words and members on word
@@ -222,18 +190,15 @@ func TestDifferentialEnginesAcrossTopologies(t *testing.T) {
 	edges := func(round, v int) bool {
 		return v == 63 || v == 64 || (v == n-2 && round%3 != 2)
 	}
-	for _, cfg := range diffConfigs(n) {
-		ref := executeEngine(t, path.G, cfg, engineModes[0].eng, engineModes[0].mode, 42, 60, edges)
-		for _, em := range engineModes[1:] {
-			name := fmt.Sprintf("%s/%s/draw %v/%v/%v word edges", path.Name, cfg.Fault, cfg.Draw, em.eng, em.mode)
-			got := executeEngine(t, path.G, cfg, em.eng, em.mode, 42, 60, edges)
-			requireIdentical(t, name, ref, got)
-		}
+	for _, cfg := range diffConfigs() {
+		name := fmt.Sprintf("%s/%s/draw %v word edges", path.Name, cfg.Fault, cfg.Draw)
+		ref := executeEngine(t, path.G, cfg, Sparse, 42, 60, edges)
+		requireIdentical(t, name, ref, executeEngine(t, path.G, cfg, Dense, 42, 60, edges))
 	}
 }
 
 // Random graphs, random configurations, random schedules: a seed sweep of
-// the same differential property across all engine/mode combinations.
+// the same differential property across the engines.
 func TestDifferentialEnginesRandomSweep(t *testing.T) {
 	models := []FaultModel{Faultless, SenderFaults, ReceiverFaults}
 	for seed := uint64(0); seed < 25; seed++ {
@@ -247,58 +212,46 @@ func TestDifferentialEnginesRandomSweep(t *testing.T) {
 			cfg.P *= 0.4
 		}
 		txProb := r.Float64()
-		ref := runEngine(t, top.G, cfg, engineModes[0].eng, engineModes[0].mode, seed+1000, seed+2000, 40, txProb)
-		for _, em := range engineModes[1:] {
-			name := fmt.Sprintf("seed %d (%s, %v, draw %v, %v/%v, txProb=%.2f)", seed, top.Name, cfg.Fault, cfg.Draw, em.eng, em.mode, txProb)
-			got := runEngine(t, top.G, cfg, em.eng, em.mode, seed+1000, seed+2000, 40, txProb)
-			requireIdentical(t, name, ref, got)
-		}
+		name := fmt.Sprintf("seed %d (%s, %v, draw %v, txProb=%.2f)", seed, top.Name, cfg.Fault, cfg.Draw, txProb)
+		ref := runEngine(t, top.G, cfg, Sparse, seed+1000, seed+2000, 40, txProb)
+		requireIdentical(t, name, ref, runEngine(t, top.G, cfg, Dense, seed+1000, seed+2000, 40, txProb))
 	}
 }
 
 // The delivery callback order is part of the contract: ascending receiver
-// id within a round, for both engines and both entry points.
+// id within a round, for both engines.
 func TestDeliveryOrderAscendingWithinRound(t *testing.T) {
-	for _, em := range engineModes {
+	for _, eng := range []Engine{Sparse, Dense} {
 		top := builderComplete(40)
-		net := MustNew[int32](top.G, Config{Fault: Faultless, Engine: em.eng}, rng.New(1))
-		if net.Engine() != em.eng {
-			t.Fatalf("engine resolved to %v, want %v", net.Engine(), em.eng)
+		net := MustNew[int32](top.G, Config{Fault: Faultless, Engine: eng}, rng.New(1))
+		if net.Engine() != eng {
+			t.Fatalf("engine resolved to %v, want %v", net.Engine(), eng)
 		}
-		bc := make([]bool, 40)
-		payload := make([]int32, 40)
-		bc[17] = true
+		tx := bitset.New(40)
+		tx.Set(17)
 		last := -1
-		record := func(d Delivery[int32]) {
+		net.StepSet(tx, make([]int32, 40), nil, func(d Delivery[int32]) {
 			if d.To <= last {
-				t.Fatalf("%v/%v: delivery to %d after %d (not ascending)", em.eng, em.mode, d.To, last)
+				t.Fatalf("%v: delivery to %d after %d (not ascending)", eng, d.To, last)
 			}
 			last = d.To
-		}
-		if em.mode == viaStep {
-			net.Step(bc, payload, record)
-		} else {
-			tx := bitset.New(40)
-			tx.FromBools(bc)
-			net.StepSet(tx, payload, nil, record)
-		}
+		})
 		if last == -1 {
-			t.Fatalf("%v/%v: no deliveries", em.eng, em.mode)
+			t.Fatalf("%v: no deliveries", eng)
 		}
 	}
 }
 
 // StepSet's batched-reception path (rx only, no deliver closure) must be
-// interchangeable with the closure path mid-run: alternating them round by
-// round leaves stats and the accumulated receiver set identical to an
-// all-closure run.
+// interchangeable with the closure path: an rx-only run and a
+// deliver-only run of the same rounds end with identical stats and
+// accumulated receiver sets.
 func TestStepSetBatchedReceptionMatchesCallback(t *testing.T) {
 	for _, eng := range []Engine{Sparse, Dense} {
-		for _, cfg := range diffConfigs(60) {
+		for _, cfg := range diffConfigs() {
 			cfg.Engine = eng
 			top := graph.GNP(60, 0.2, rng.New(9))
-			driverA := rng.New(33)
-			driverB := rng.New(33)
+			driver := rng.New(33)
 			netA, err := New[int32](top.G, cfg, rng.New(5))
 			if err != nil {
 				t.Fatal(err)
@@ -308,17 +261,12 @@ func TestStepSetBatchedReceptionMatchesCallback(t *testing.T) {
 				t.Fatal(err)
 			}
 			n := top.G.N()
-			bc := make([]bool, n)
 			payload := make([]int32, n)
 			tx := bitset.New(n)
 			rxA := bitset.New(n) // accumulated via rx bitset, no closure
 			rxB := bitset.New(n) // accumulated via deliver closure
 			for round := 0; round < 50; round++ {
-				for v := 0; v < n; v++ {
-					bc[v] = driverA.Bool(0.2)
-					driverB.Bool(0.2) // keep the drivers aligned
-				}
-				tx.FromBools(bc)
+				randomTx(tx, driver, 0.2)
 				netA.StepSet(tx, payload, rxA, nil)
 				netB.StepSet(tx, payload, nil, func(d Delivery[int32]) { rxB.Set(d.To) })
 			}

@@ -124,10 +124,10 @@ func TestValidateBurstJamParams(t *testing.T) {
 // — the per-site countdown every receiver site and the v1, v4 and traced
 // sender sites run — and return the faulty subset. The bulk tests and the fuzz target
 // compare the optimized marking paths against this.
-func drawSiteWalk(d *drawState, coin rng.Bernoulli, r *rng.Stream, sites []int) map[int]bool {
+func drawSiteWalk(d *drawState, r *rng.Stream, sites []int) map[int]bool {
 	faulty := map[int]bool{}
 	for _, v := range sites {
-		if d.site(int32(v), coin, r) {
+		if d.site(int32(v), r) {
 			faulty[v] = true
 		}
 	}
@@ -142,10 +142,9 @@ func drawSiteWalk(d *drawState, coin rng.Bernoulli, r *rng.Stream, sites []int) 
 // identically-seeded stream, requiring the same fault sets, the same
 // stats and the same stream positions after every round. Shared by the
 // deterministic grid test and FuzzDrawContract. cfg.Fault must be
-// SenderFaults with a uniform P.
+// SenderFaults.
 func checkBulkMatchesPerSite(t *testing.T, cfg Config, n int, seed uint64, rounds int, pick func(r *rng.Stream, v int) bool) {
 	t.Helper()
-	coin := rng.NewBernoulli(cfg.P)
 	refStream := rng.New(seed)
 	netStream := rng.New(seed)
 	top := graph.Complete(n)
@@ -164,7 +163,7 @@ func checkBulkMatchesPerSite(t *testing.T, cfg Config, n int, seed uint64, round
 				sites = append(sites, v)
 			}
 		}
-		want := drawSiteWalk(&refDraw, coin, refStream, sites)
+		want := drawSiteWalk(&refDraw, refStream, sites)
 		wantFaults += int64(len(want))
 
 		txw := tx.Words()
@@ -226,35 +225,19 @@ func TestDrawBulkMatchesPerSite(t *testing.T) {
 	}
 }
 
-// TestDrawDegenerateFallsBackToV1 pins the degenerate DrawV2/DrawV3
-// cases — p = 0 and PerNodeP — to v1 bit for bit: same executions, same
-// stream positions, on the same seeds. (These cases cannot skip or
-// derive a stationary phase process, so the contracts define them as the
-// v1 sequence. DrawV4 deliberately has no such fallback: jamming is
-// defined for every fault configuration, PerNodeP and p = 0 included.)
+// TestDrawDegenerateFallsBackToV1 pins DrawV2 and DrawV3 at p = 0 to v1
+// bit for bit: same executions, same stream positions, on the same seeds.
+// (At p = 0 there is no fault to skip to and no stationary phase process
+// to derive, so the contracts define it as the v1 sequence. DrawV4
+// deliberately has no such fallback: jamming forces faults at p = 0 too.)
 func TestDrawDegenerateFallsBackToV1(t *testing.T) {
-	perNode := make([]float64, 80)
-	for v := range perNode {
-		perNode[v] = float64(v%7) / 10
-	}
-	cfgs := []Config{
-		{Fault: SenderFaults, P: 0},
-		{Fault: ReceiverFaults, P: 0},
-		{Fault: SenderFaults, P: 0.4, PerNodeP: perNode},
-		{Fault: ReceiverFaults, P: 0.4, PerNodeP: perNode},
-	}
 	top := graph.GNP(80, 0.15, rng.New(12))
-	for _, cfg := range cfgs {
+	for _, fault := range []FaultModel{SenderFaults, ReceiverFaults} {
 		for _, dc := range []DrawContract{DrawV2, DrawV3} {
-			for _, em := range engineModes {
-				v1 := cfg
-				v1.Draw = DrawV1
-				alt := cfg
-				alt.Draw = dc
-				ref := runEngine(t, top.G, v1, em.eng, em.mode, 7, 13, 40, 0.3)
-				got := runEngine(t, top.G, alt, em.eng, em.mode, 7, 13, 40, 0.3)
-				name := fmt.Sprintf("%v %v pernode=%v %v/%v", dc, cfg.Fault, cfg.PerNodeP != nil, em.eng, em.mode)
-				requireIdentical(t, name, ref, got)
+			for _, eng := range []Engine{Sparse, Dense} {
+				ref := runEngine(t, top.G, Config{Fault: fault}, eng, 7, 13, 40, 0.3)
+				got := runEngine(t, top.G, Config{Fault: fault, Draw: dc}, eng, 7, 13, 40, 0.3)
+				requireIdentical(t, fmt.Sprintf("%v %v %v", dc, fault, eng), ref, got)
 			}
 		}
 	}
@@ -270,7 +253,7 @@ func TestDrawTracedMatchesUntraced(t *testing.T) {
 	for _, dc := range []DrawContract{DrawV2, DrawV3, DrawV4} {
 		for _, p := range []float64{0.02, 0.3} {
 			cfg := Config{Fault: SenderFaults, P: p, Draw: dc, Engine: Dense}
-			traced := executeEngine(t, top.G, cfg, Dense, viaStepSet, 21, 50, func(round, v int) bool {
+			traced := executeEngine(t, top.G, cfg, Dense, 21, 50, func(round, v int) bool {
 				return (round+v)%2 == 0
 			})
 			untraced := MustNew[int32](top.G, cfg, rng.New(21))

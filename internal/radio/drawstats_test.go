@@ -214,12 +214,11 @@ func TestDrawV3BurstLengthsGeometric(t *testing.T) {
 		}
 		d := makeDrawState(cfg, top.G)
 		r := rng.New(0xb1757 + uint64(burstLen))
-		coin := rng.NewBernoulli(p) // ignored by the burst mode, which owns its coins
 
 		var runs []int
 		run := 0
 		for v := 0; v < sites; v++ {
-			if d.site(int32(v%8), coin, r) {
+			if d.site(int32(v%8), r) {
 				run++
 			} else if run > 0 {
 				runs = append(runs, run)

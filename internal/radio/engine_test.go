@@ -3,6 +3,7 @@ package radio
 import (
 	"testing"
 
+	"noisyradio/internal/bitset"
 	"noisyradio/internal/graph"
 	"noisyradio/internal/rng"
 )
@@ -86,10 +87,11 @@ func TestDenseEngineModelSemantics(t *testing.T) {
 	if net.Engine() != Dense {
 		t.Fatalf("engine resolved to %v, want dense", net.Engine())
 	}
-	bc := []bool{true, false, false, false, false}
+	tx := bitset.New(5)
+	tx.Set(0)
 	payload := []int32{11, 0, 0, 0, 0}
 	got := map[int]Delivery[int32]{}
-	net.Step(bc, payload, func(d Delivery[int32]) { got[d.To] = d })
+	net.StepSet(tx, payload, nil, func(d Delivery[int32]) { got[d.To] = d })
 	if len(got) != 4 {
 		t.Fatalf("deliveries = %d, want 4", len(got))
 	}
@@ -99,8 +101,8 @@ func TestDenseEngineModelSemantics(t *testing.T) {
 		}
 	}
 	// Two broadcasters: everybody else collides.
-	bc[1] = true
-	net.Step(bc, payload, nil)
+	tx.Set(1)
+	net.StepSet(tx, payload, nil, nil)
 	if c := net.Stats().Collisions; c != 3 {
 		t.Fatalf("Collisions = %d, want 3", c)
 	}

@@ -11,7 +11,7 @@ import (
 // a complete graph of arbitrary size (the one modelled topology), fault
 // environment and broadcast schedule, the implicit engine on Complete(n)
 // must reproduce the sparse reference on the Builder's CSR complete graph
-// bit for bit through both entry points. The modelled-topology
+// bit for bit. The modelled-topology
 // counterpart of FuzzStepEngines (whose arbitrary edge lists carry no
 // model).
 func FuzzStepImplicit(f *testing.F) {
@@ -44,19 +44,16 @@ func FuzzStepImplicit(f *testing.F) {
 			idx := round*n + v
 			return sched[(idx/8)%len(sched)]>>(idx%8)&1 == 1
 		}
-		ref := executeEngine(t, explicit.G, cfg, Sparse, viaStepSet, seed, rounds, schedule)
-		for _, mode := range []stepMode{viaStep, viaStepSet} {
-			got := executeEngine(t, implicit.G, cfg, Implicit, mode, seed, rounds, schedule)
-			if ref.stats != got.stats {
-				t.Fatalf("implicit/%v: stats diverged\nref %+v\ngot %+v", mode, ref.stats, got.stats)
-			}
-			if !reflect.DeepEqual(ref.deliveries, got.deliveries) {
-				t.Fatalf("implicit/%v: deliveries diverged: %d vs %d events",
-					mode, len(ref.deliveries), len(got.deliveries))
-			}
-			if !reflect.DeepEqual(ref.traces, got.traces) {
-				t.Fatalf("implicit/%v: traces diverged", mode)
-			}
+		ref := executeEngine(t, explicit.G, cfg, Sparse, seed, rounds, schedule)
+		got := executeEngine(t, implicit.G, cfg, Implicit, seed, rounds, schedule)
+		if ref.stats != got.stats {
+			t.Fatalf("implicit: stats diverged\nref %+v\ngot %+v", ref.stats, got.stats)
+		}
+		if !reflect.DeepEqual(ref.deliveries, got.deliveries) {
+			t.Fatalf("implicit: deliveries diverged: %d vs %d events", len(ref.deliveries), len(got.deliveries))
+		}
+		if !reflect.DeepEqual(ref.traces, got.traces) {
+			t.Fatal("implicit: traces diverged")
 		}
 	})
 }

@@ -7,12 +7,11 @@ import (
 	"noisyradio/internal/graph"
 )
 
-// FuzzStepEngines fuzzes the engine/entry-point equivalence contract: an
-// arbitrary edge list, fault environment and broadcast schedule must
-// produce bit-identical deliveries, Stats and traces on both engines,
-// whether driven through the Step bool adapter or set-native StepSet
-// (whose rx bitset is cross-checked against deliveries inside the
-// harness). Seed corpus lives in testdata/fuzz/FuzzStepEngines.
+// FuzzStepEngines fuzzes the engine equivalence contract: an arbitrary
+// edge list, fault environment and broadcast schedule must produce
+// bit-identical deliveries, Stats and traces on both engines (the rx
+// bitset is cross-checked against deliveries inside the harness). Seed
+// corpus lives in testdata/fuzz/FuzzStepEngines.
 func FuzzStepEngines(f *testing.F) {
 	f.Add(uint64(1), uint64(10), uint64(0), uint64(0), []byte{0, 1, 1, 2, 2, 3}, []byte{0xff, 0x0f})
 	f.Add(uint64(7), uint64(70), uint64(1), uint64(30), []byte{0, 1, 0, 2, 0, 3, 1, 2}, []byte{0xaa, 0x55, 0x33})
@@ -51,19 +50,16 @@ func FuzzStepEngines(f *testing.F) {
 			idx := round*n + v
 			return sched[(idx/8)%len(sched)]>>(idx%8)&1 == 1
 		}
-		ref := executeEngine(t, g, cfg, engineModes[0].eng, engineModes[0].mode, seed, rounds, schedule)
-		for _, em := range engineModes[1:] {
-			got := executeEngine(t, g, cfg, em.eng, em.mode, seed, rounds, schedule)
-			if ref.stats != got.stats {
-				t.Fatalf("%v/%v: stats diverged\nref %+v\ngot %+v", em.eng, em.mode, ref.stats, got.stats)
-			}
-			if !reflect.DeepEqual(ref.deliveries, got.deliveries) {
-				t.Fatalf("%v/%v: deliveries diverged: %d vs %d events",
-					em.eng, em.mode, len(ref.deliveries), len(got.deliveries))
-			}
-			if !reflect.DeepEqual(ref.traces, got.traces) {
-				t.Fatalf("%v/%v: traces diverged", em.eng, em.mode)
-			}
+		ref := executeEngine(t, g, cfg, Sparse, seed, rounds, schedule)
+		got := executeEngine(t, g, cfg, Dense, seed, rounds, schedule)
+		if ref.stats != got.stats {
+			t.Fatalf("dense: stats diverged\nref %+v\ngot %+v", ref.stats, got.stats)
+		}
+		if !reflect.DeepEqual(ref.deliveries, got.deliveries) {
+			t.Fatalf("dense: deliveries diverged: %d vs %d events", len(ref.deliveries), len(got.deliveries))
+		}
+		if !reflect.DeepEqual(ref.traces, got.traces) {
+			t.Fatal("dense: traces diverged")
 		}
 	})
 }

@@ -11,7 +11,7 @@ import (
 // The implicit-engine differential suite: on the complete graph, the one
 // topology with a closed-form neighbourhood model, the implicit engine on
 // Complete(n) must reproduce the sparse reference on the Builder's CSR
-// complete graph bit for bit through both entry points.
+// complete graph bit for bit.
 
 // builderComplete is the complete graph built by the Builder: CSR
 // adjacency and no model, so the sparse and dense engines can be forced
@@ -28,18 +28,16 @@ func builderComplete(n int) graph.Topology {
 
 // TestDifferentialImplicitAcrossTopologies proves the implicit engine on
 // Complete(n) bit-identical to the sparse reference on the CSR complete
-// graph across the fault environments and both entry points, at sizes
-// covering a single edge, an exact word and a word boundary.
+// graph across the fault environments, at sizes covering a single edge,
+// an exact word and a word boundary.
 func TestDifferentialImplicitAcrossTopologies(t *testing.T) {
 	for _, n := range []int{2, 64, 70} {
 		explicit, implicit := builderComplete(n).G, graph.Complete(n).G
-		for _, cfg := range diffConfigs(n) {
+		for _, cfg := range diffConfigs() {
 			for _, txProb := range []float64{0.05, 0.3, 0.8} {
-				ref := runEngine(t, explicit, cfg, Sparse, viaStepSet, 42, 77, 60, txProb)
-				for _, mode := range []stepMode{viaStep, viaStepSet} {
-					name := fmt.Sprintf("complete-%d/%s/implicit/%v txProb=%v", n, cfg.Fault, mode, txProb)
-					requireIdentical(t, name, ref, runEngine(t, implicit, cfg, Implicit, mode, 42, 77, 60, txProb))
-				}
+				name := fmt.Sprintf("complete-%d/%s/draw %v txProb=%v", n, cfg.Fault, cfg.Draw, txProb)
+				ref := runEngine(t, explicit, cfg, Sparse, 42, 77, 60, txProb)
+				requireIdentical(t, name, ref, runEngine(t, implicit, cfg, Implicit, 42, 77, 60, txProb))
 			}
 		}
 	}
@@ -78,14 +76,11 @@ func TestDifferentialImplicitClosedForm(t *testing.T) {
 		t.Run(fmt.Sprintf("complete-%d", n), func(t *testing.T) {
 			explicit, implicit := builderComplete(n).G, graph.Complete(n).G
 			sched := closedFormSchedule(n)
-			for _, cfg := range diffConfigs(n) {
-				ref := executeEngine(t, explicit, cfg, Sparse, viaStepSet, 42, rounds, sched)
+			for _, cfg := range diffConfigs() {
+				ref := executeEngine(t, explicit, cfg, Sparse, 42, rounds, sched)
 				name := fmt.Sprintf("%s/draw %v", cfg.Fault, cfg.Draw)
-				requireIdentical(t, name+"/dense", ref, executeEngine(t, explicit, cfg, Dense, viaStepSet, 42, rounds, sched))
-				for _, mode := range []stepMode{viaStep, viaStepSet} {
-					got := executeEngine(t, implicit, cfg, Implicit, mode, 42, rounds, sched)
-					requireIdentical(t, fmt.Sprintf("%s/implicit/%v", name, mode), ref, got)
-				}
+				requireIdentical(t, name+"/dense", ref, executeEngine(t, explicit, cfg, Dense, 42, rounds, sched))
+				requireIdentical(t, name+"/implicit", ref, executeEngine(t, implicit, cfg, Implicit, 42, rounds, sched))
 			}
 		})
 	}

@@ -31,16 +31,16 @@ func execTranscripts(t *testing.T, nets []*Network[int32], seeds []uint64) []str
 	for i, seed := range seeds {
 		drivers[i] = rng.New(seed)
 	}
-	bc := make([]bool, n)
+	tx := bitset.New(n)
 	payload := make([]int32, n)
 	outs := make([]strings.Builder, len(nets))
 	for round := 0; round < transcriptRounds; round++ {
 		for i, net := range nets {
-			for v := 0; v < n; v++ {
-				bc[v] = drivers[i].Bool(0.3)
+			randomTx(tx, drivers[i], 0.3)
+			for v := range payload {
 				payload[v] = int32(v + round*n)
 			}
-			net.Step(bc, payload, func(d Delivery[int32]) {
+			net.StepSet(tx, payload, nil, func(d Delivery[int32]) {
 				fmt.Fprintf(&outs[i], "%d:%d<-%d=%d;", round, d.To, d.From, d.Payload)
 			})
 		}

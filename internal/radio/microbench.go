@@ -27,13 +27,6 @@ import (
 // at n = 1024 a "stepset-lone" implicit row per fault model also times a
 // lone broadcaster: the round whose n−1 listeners each resolve.
 //
-// Two extra rows per n quantify the fast path against its own
-// compatibility layers on the dense engine: "step" drives the identical
-// round through the []bool adapter (the packing scan the set-native API
-// removes), and "stepset-fullscan" disables the tx/row word windows (the
-// pre-window resolution). Their ratios to the plain dense "stepset" row
-// are what the StepSet redesign buys per round.
-//
 // Two sparse rows time the resolve walk over the touched-listener word
 // window at its two extremes: scattered touches filling most words
 // (WCT(4096)) and a window of mostly empty words (Path(10⁵)).
@@ -60,7 +53,7 @@ func EngineMicrobench() []benchreport.Microbench {
 				{Implicit, complete, "implicit/complete"},
 			} {
 				cfg.Engine = m.engine
-				ns, allocs := measureRounds(m.top, cfg, midTx, stepModeSet, false)
+				ns, allocs := measureRounds(m.top, cfg, midTx)
 				out = append(out, benchreport.Microbench{
 					Name:           fmt.Sprintf("stepset/%s/%s/n=%d", m.name, fault, n),
 					NsPerRound:     ns,
@@ -69,7 +62,7 @@ func EngineMicrobench() []benchreport.Microbench {
 			}
 			if n == 1024 {
 				cfg.Engine = Implicit
-				ns, allocs := measureRounds(complete, cfg, microbenchTx(n, n/2, 1), stepModeSet, false)
+				ns, allocs := measureRounds(complete, cfg, microbenchTx(n, n/2, 1))
 				out = append(out, benchreport.Microbench{
 					Name:           fmt.Sprintf("stepset-lone/implicit/complete/%s/n=%d", fault, n),
 					NsPerRound:     ns,
@@ -77,20 +70,6 @@ func EngineMicrobench() []benchreport.Microbench {
 				})
 			}
 		}
-		// Dense controls: the []bool adapter and the window-disabled scan.
-		ctl := Config{Fault: Faultless, Engine: Dense}
-		ns, allocs := measureRounds(csr, ctl, midTx, stepModeBools, false)
-		out = append(out, benchreport.Microbench{
-			Name:           fmt.Sprintf("step/dense/complete/%s/n=%d", Faultless, n),
-			NsPerRound:     ns,
-			AllocsPerRound: allocs,
-		})
-		ns, allocs = measureRounds(csr, ctl, midTx, stepModeSet, true)
-		out = append(out, benchreport.Microbench{
-			Name:           fmt.Sprintf("stepset-fullscan/dense/complete/%s/n=%d", Faultless, n),
-			NsPerRound:     ns,
-			AllocsPerRound: allocs,
-		})
 	}
 	// Sparse resolve-walk rows. On WCT(4096), where E13 spends its time,
 	// 8 senders touch most cluster members in scattered id order. On
@@ -110,7 +89,7 @@ func EngineMicrobench() []benchreport.Microbench {
 		{path, spread, "path-spread/receiver/n=100000"},
 	} {
 		cfg := Config{Fault: ReceiverFaults, P: 0.3, Engine: Sparse}
-		ns, allocs := measureRounds(m.top, cfg, m.tx, stepModeSet, false)
+		ns, allocs := measureRounds(m.top, cfg, m.tx)
 		out = append(out, benchreport.Microbench{
 			Name:           "stepset/sparse/" + m.name,
 			NsPerRound:     ns,
@@ -184,8 +163,8 @@ func gridTopology(n int) graph.Topology {
 
 // microbenchTx returns a benchmark broadcast set of nTx contiguous
 // broadcasters starting at start — the single definition of the schedule
-// every engine benchmark (and its []bool control, via ForEach) derives
-// from, so the compared rows can never drift onto different schedules.
+// every engine benchmark derives from, so the compared rows can never
+// drift onto different schedules.
 func microbenchTx(n, start, nTx int) *bitset.Set {
 	tx := bitset.New(n)
 	for v := start; v < start+nTx && v < n; v++ {
@@ -194,32 +173,20 @@ func microbenchTx(n, start, nTx int) *bitset.Set {
 	return tx
 }
 
-const (
-	stepModeSet   = 0 // drive StepSet
-	stepModeBools = 1 // drive the Step []bool adapter
-)
-
 // measureRounds times one configuration broadcasting tx every round
 // through the shared timeRounds harness. It panics when top cannot run
 // the forced engine, so a row always times the engine its name says.
-func measureRounds(top graph.Topology, cfg Config, tx *bitset.Set, mode int, fullScan bool) (nsPerRound, allocsPerRound float64) {
+func measureRounds(top graph.Topology, cfg Config, tx *bitset.Set) (nsPerRound, allocsPerRound float64) {
 	net := MustNew[int32](top.G, cfg, rng.New(0x6d6963726f))
 	if net.Engine() != cfg.Engine {
 		panic(fmt.Sprintf("radio: microbench forced the %v engine on %s, which runs %v", cfg.Engine, top.Name, net.Engine()))
 	}
-	net.setFullScan(fullScan)
 	n := top.G.N()
 	payload := make([]int32, n)
-	bc := make([]bool, n)
-	tx.ForEach(func(v int) { bc[v] = true })
 	rx := bitset.New(n)
 	return timeRounds(func() {
 		rx.Reset()
-		if mode == stepModeBools {
-			net.Step(bc, payload, nil)
-		} else {
-			net.StepSet(tx, payload, rx, nil)
-		}
+		net.StepSet(tx, payload, rx, nil)
 	})
 }
 

@@ -36,7 +36,7 @@
 // order, DrawV3 runs a Gilbert–Elliott burst process over it, and DrawV4
 // draws a per-round jammed region. Versions are deliberately not
 // interchangeable — each pins its own goldens — but within a version
-// every engine and entry point is bit-identical.
+// every engine is bit-identical.
 //
 // # Execution engines
 //
@@ -50,9 +50,7 @@
 //     popcount(adj[u] & tx), 64 candidate senders per machine word, doing
 //     O(n²/64) work per round — best for dense topologies without a
 //     closed form (high-p GNP, WCT cluster layers, star coding
-//     schedules). At n ≥ 4096 its listener loop runs cache-blocked
-//     (64-listener tiles with next-row window prefetch), since each
-//     adjacency row is then ≥ 512 bytes and row misses dominate.
+//     schedules). One straight listener loop serves every n.
 //   - Implicit resolves each round in closed form from the topology's
 //     model (graph.CompleteModel). On the complete graph every listener
 //     hears the round's broadcaster total: two or more broadcasters
@@ -76,15 +74,13 @@
 //
 // # Set-native rounds
 //
-// StepSet is the frontier-native entry point: the broadcasting set arrives
+// StepSet is the one way to step a network: the broadcasting set arrives
 // as a bitset (which is how the paper's schedules — informed sets, cluster
 // layers, wave slots — represent it anyway), successful receivers can be
 // accumulated into a caller-provided bitset with no per-delivery closure,
 // and the dense engine confines each listener's intersection scan to the
 // overlap of the round's nonzero tx word window with the listener's
-// adjacency-row window. Step([]bool, ...) remains as a thin adapter that
-// packs the bool slice and forwards; both paths execute the identical
-// draw sequence, so they are interchangeable mid-run.
+// adjacency-row window.
 package radio
 
 import (
@@ -202,9 +198,9 @@ func ParseEngine(s string) (Engine, error) {
 // order (sender flags for broadcasters ascending, then receiver flags for
 // eligible listeners ascending — the package-comment order); versions
 // differ only in how the rng.Stream is consumed to decide those sites.
-// Within one version, executions are bit-identical across engines,
-// storage modes and entry points — the same guarantee Engine has
-// always had — but versions are NOT interchangeable with each other: each
+// Within one version, executions are bit-identical across engines — the
+// same guarantee Engine has always had — but versions are NOT
+// interchangeable with each other: each
 // records its own goldens, and CI gates each separately.
 //
 // Versioning exists so draw-sequence changes are named instead of silent:
@@ -225,9 +221,8 @@ const (
 	// countdown resets at every round boundary (a partial skip is
 	// discarded), so per-round fault counts are exactly Binomial(sites, p)
 	// just like v1 — same distribution, different draw sequence. Applies
-	// when the fault probability is a uniform p ∈ (0,1); degenerate cases
-	// (p = 0, NaN, PerNodeP) fall back to v1's per-site draws, which are
-	// already O(faults) or cannot skip.
+	// when p ∈ (0,1); at p = 0 it falls back to v1's per-site draws, which
+	// are already O(faults) there.
 	DrawV2
 	// DrawV3 is the Gilbert–Elliott burst contract: the canonical site
 	// sequence alternates good phases (fault-free, zero draws per site)
@@ -239,15 +234,14 @@ const (
 	// draw precedes the first site; the phase indicator carries across
 	// rounds (a partial phase countdown is discarded at the round
 	// boundary — distributionally neutral by memorylessness). Applies
-	// when the fault probability is a uniform p ∈ (0,1); degenerate
-	// cases (p = 0, NaN, PerNodeP) fall back to v1's per-site draws.
+	// when p ∈ (0,1); at p = 0 it falls back to v1's per-site draws.
 	DrawV3
 	// DrawV4 is the region-jamming contract: per round, with probability
 	// Jam.Q an adversary jams a region around a uniformly drawn center —
 	// a contiguous id window [c−R, c+R] mod n, or the graph ball around
 	// c when Jam.Ball is set. Sites inside the jam fault with no draw
 	// consumed; everywhere else (and in unjammed rounds) v1's per-site
-	// Bernoulli draws apply, PerNodeP included. The jam decision and
+	// Bernoulli draws apply. The jam decision and
 	// center are drawn lazily at the round's first canonical site, so
 	// silent rounds stay draw-free. Active whenever Fault is not
 	// Faultless — jamming forces faults even at P = 0.
@@ -399,8 +393,8 @@ func validateBurst(c Config) error {
 	if !(b.BadP > 0 && b.BadP <= 1) {
 		return fmt.Errorf("radio: burst bad-state probability %v outside (0,1]", b.BadP)
 	}
-	if c.PerNodeP != nil || !(c.P > 0) {
-		return nil // degenerate: falls back to v1 draws, nothing to derive
+	if c.P == 0 {
+		return nil // falls back to v1 draws, nothing to derive
 	}
 	piB, g2b := burstDerived(c.P, b)
 	if piB >= 1 {
@@ -430,12 +424,6 @@ type Config struct {
 	// P is the fault probability p ∈ [0, 1). Ignored when Fault is
 	// Faultless.
 	P float64
-	// PerNodeP optionally overrides P with a per-node fault probability:
-	// node v fails with PerNodeP[v] as a sender (sender model) or as a
-	// receiver (receiver model). An extension beyond the paper's uniform
-	// constant p; the paper's bounds hold with p = max over nodes. Must be
-	// nil or of length N.
-	PerNodeP []float64
 	// Engine selects the execution engine; the zero value Auto picks by
 	// average degree. Purely a performance knob: results are bit-identical
 	// across engines.
@@ -510,13 +498,8 @@ func (c Config) Validate() error {
 	switch c.Fault {
 	case Faultless:
 	case SenderFaults, ReceiverFaults:
-		if c.P < 0 || c.P >= 1 {
+		if !(c.P >= 0 && c.P < 1) {
 			return fmt.Errorf("radio: fault probability %v outside [0,1)", c.P)
-		}
-		for v, p := range c.PerNodeP {
-			if p < 0 || p >= 1 {
-				return fmt.Errorf("radio: per-node fault probability %v at node %d outside [0,1)", p, v)
-			}
 		}
 	default:
 		return fmt.Errorf("radio: unknown fault model %d", int(c.Fault))
@@ -545,8 +528,7 @@ type drawMode uint8
 
 const (
 	// drawPerSite is DrawV1's one-Bernoulli-per-site sequence, and the
-	// fallback for every contract's degenerate inputs (PerNodeP, p = 0,
-	// NaN). The zero value.
+	// fallback of DrawV2 and DrawV3 at p = 0. The zero value.
 	drawPerSite drawMode = iota
 	// drawSkip is DrawV2's active geometric fault-to-fault skip.
 	drawSkip
@@ -562,7 +544,7 @@ const (
 // markBroadcastersBulk, which replay the identical draw sequence), so the
 // contract is enforced in exactly one place.
 //
-// Under drawPerSite, site() is simply the per-site Bernoulli draw. Under
+// Under drawPerSite, site() is simply the per-site Bernoulli(P) coin. Under
 // drawSkip it runs a countdown: one geometric draw yields the distance to
 // the next faulty site, and intervening sites consume no randomness; the
 // countdown is per-round state — endRound discards a partial skip — so a
@@ -577,7 +559,12 @@ const (
 // jammed); jammed sites then fault with no draw and all others fall
 // through to the per-site coin.
 type drawState struct {
-	mode      drawMode
+	mode drawMode
+	// coin is the per-site fault sampler Bernoulli(P), exactly equivalent
+	// to rnd.Bool(P) draw for draw (see rng.Bernoulli): every site under
+	// drawPerSite, the sites outside a jam under drawJam. Unset (never
+	// drawn) when Fault is Faultless.
+	coin      rng.Bernoulli
 	geom      rng.Geometric // v2 skip sampler, set iff mode == drawSkip
 	remaining int           // v2: sites until the next fault; v3: sites left in the current phase; -1 = no pending draw
 
@@ -608,12 +595,12 @@ func makeDrawState(cfg Config, g *graph.Graph) drawState {
 	if cfg.Fault == Faultless {
 		return d
 	}
-	uniform := cfg.PerNodeP == nil && cfg.P > 0 && cfg.P < 1
+	d.coin = rng.NewBernoulli(cfg.P)
 	switch {
-	case cfg.Draw == DrawV2 && uniform:
+	case cfg.Draw == DrawV2 && cfg.P > 0:
 		d.mode = drawSkip
 		d.geom = rng.NewGeometric(cfg.P)
-	case cfg.Draw == DrawV3 && uniform:
+	case cfg.Draw == DrawV3 && cfg.P > 0:
 		b := cfg.Burst.norm()
 		piB, g2b := burstDerived(cfg.P, b)
 		d.mode = drawBurst
@@ -640,10 +627,8 @@ func makeDrawState(cfg Config, g *graph.Graph) drawState {
 // so a bulk walk would visit every site anyway.
 func (d *drawState) bulk() bool { return d.mode == drawSkip || d.mode == drawBurst }
 
-// site decides one canonical-order site v: coin is the site's Bernoulli
-// sampler (used verbatim when the per-site contract applies; v4 uses it
-// for every site outside a jam, which is what keeps it PerNodeP-capable).
-func (d *drawState) site(v int32, coin rng.Bernoulli, r *rng.Stream) bool {
+// site decides one canonical-order site v.
+func (d *drawState) site(v int32, r *rng.Stream) bool {
 	switch d.mode {
 	case drawSkip:
 		if d.remaining < 0 {
@@ -687,9 +672,9 @@ func (d *drawState) site(v int32, coin rng.Bernoulli, r *rng.Stream) bool {
 		if d.jammed && d.inJam(v) {
 			return true // adversarial fault: no draw consumed
 		}
-		return coin.Draw(r)
+		return d.coin.Draw(r)
 	default:
-		return coin.Draw(r)
+		return d.coin.Draw(r)
 	}
 }
 
@@ -739,13 +724,6 @@ type Network[P any] struct {
 
 	trace TraceFunc
 
-	// Precomputed integer-threshold fault samplers, exactly equivalent to
-	// rnd.Bool(probFor(v)) draw-for-draw (see rng.Bernoulli): faultCoin
-	// when the probability is uniform, faultCoins[v] under PerNodeP.
-	// Unset (zero-value, never drawn) when Fault is Faultless.
-	faultCoin  rng.Bernoulli
-	faultCoins []rng.Bernoulli
-
 	// draw executes the configured DrawContract over the canonical site
 	// sequence; all fault decisions route through it.
 	draw drawState
@@ -767,22 +745,6 @@ type Network[P any] struct {
 	adjWords     []uint64 // row u's words at [u*adjStride, (u+1)*adjStride)
 	adjStride    int
 	rowLo, rowHi []int32
-
-	// prefetchSink absorbs the blocked dense listener loop's prefetch
-	// loads so the compiler cannot elide them. Per-network (not package
-	// level) so concurrent trials never share a write target.
-	prefetchSink uint64
-
-	// scratchTx is the packed broadcast set the Step adapter assembles
-	// from its []bool argument before forwarding to StepSet. FromBools
-	// overwrites it wholesale each round, so it needs no clearing.
-	scratchTx *bitset.Set
-
-	// fullScan disables the dense engine's tx/row windowing (every
-	// listener scans the full word range, as the pre-window engine did).
-	// Results are identical either way; only benchmarks enable it (via
-	// setFullScan), to measure what windowing buys.
-	fullScan bool
 
 	// Shared per-round scratch. senderNoise is only allocated under
 	// SenderFaults — the only model that ever writes it — so the other
@@ -816,32 +778,18 @@ func New[P any](g *graph.Graph, cfg Config, rnd *rng.Stream) (*Network[P], error
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.PerNodeP != nil && len(cfg.PerNodeP) != g.N() {
-		return nil, fmt.Errorf("radio: PerNodeP has length %d, graph has %d nodes", len(cfg.PerNodeP), g.N())
-	}
 	engine := resolveEngine(g, cfg.Engine)
 	n := &Network[P]{
-		g:         g,
-		cfg:       cfg,
-		rnd:       rnd,
-		engine:    engine,
-		scratchTx: bitset.New(g.N()),
+		g:      g,
+		cfg:    cfg,
+		rnd:    rnd,
+		engine: engine,
+		draw:   makeDrawState(cfg, g),
 	}
-	n.draw = makeDrawState(cfg, g)
 	if cfg.Fault == SenderFaults {
 		n.senderNoise = make([]bool, g.N())
 		if n.draw.bulk() {
 			n.noisySites = make([]int32, 0, 64)
-		}
-	}
-	if cfg.Fault != Faultless {
-		if cfg.PerNodeP != nil {
-			n.faultCoins = make([]rng.Bernoulli, g.N())
-			for v := range n.faultCoins {
-				n.faultCoins[v] = rng.NewBernoulli(cfg.PerNodeP[v])
-			}
-		} else {
-			n.faultCoin = rng.NewBernoulli(cfg.P)
 		}
 	}
 	switch engine {
@@ -856,27 +804,6 @@ func New[P any](g *graph.Graph, cfg Config, rnd *rng.Stream) (*Network[P], error
 	return n, nil
 }
 
-// setFullScan toggles the dense engine's windowing off (on = true) by
-// substituting full-range row windows, or restores the real ones. A
-// measurement knob for benchmarks only — executions are identical either
-// way, just slower without the windows.
-func (n *Network[P]) setFullScan(on bool) {
-	n.fullScan = on
-	if n.engine != Dense {
-		return
-	}
-	if on {
-		lo := make([]int32, n.g.N())
-		hi := make([]int32, n.g.N())
-		for i := range hi {
-			hi[i] = int32(n.adjStride)
-		}
-		n.rowLo, n.rowHi = lo, hi
-	} else {
-		n.rowLo, n.rowHi = n.adjBits.RowRanges()
-	}
-}
-
 // MustNew is New but panics on error, for configurations known valid.
 func MustNew[P any](g *graph.Graph, cfg Config, rnd *rng.Stream) *Network[P] {
 	n, err := New[P](g, cfg, rnd)
@@ -888,9 +815,6 @@ func MustNew[P any](g *graph.Graph, cfg Config, rnd *rng.Stream) *Network[P] {
 
 // Graph returns the underlying graph.
 func (n *Network[P]) Graph() *graph.Graph { return n.g }
-
-// Config returns the noise configuration.
-func (n *Network[P]) Config() Config { return n.cfg }
 
 // Engine returns the resolved execution engine (Sparse, Dense or
 // Implicit, never Auto).
@@ -904,7 +828,7 @@ func (n *Network[P]) Stats() Stats { return n.stats }
 // the duration of the call.
 type TraceFunc func(round int, broadcasters, receivers []int32)
 
-// SetTrace registers fn to be invoked after every Step. Pass nil to stop
+// SetTrace registers fn to be invoked after every round. Pass nil to stop
 // tracing. Tracing costs O(broadcasters + receivers) per round and nothing
 // when unset.
 func (n *Network[P]) SetTrace(fn TraceFunc) { n.trace = fn }
@@ -919,27 +843,7 @@ type Delivery[P any] struct {
 	Payload P
 }
 
-// Step executes one synchronized round.
-//
-// broadcasting[v] selects the transmitters; payload[v] is the packet v
-// transmits if selected. deliver is invoked once per successful reception.
-// Both slices must have length N.
-//
-// Step is a thin adapter over StepSet: it packs the bool slice into the
-// network's scratch bitset (the one remaining O(n) scan, inherent to the
-// slice representation) and forwards. Set-native callers should hold
-// their schedules as bitsets and call StepSet directly.
-func (n *Network[P]) Step(broadcasting []bool, payload []P, deliver func(d Delivery[P])) {
-	nn := n.g.N()
-	if len(broadcasting) != nn || len(payload) != nn {
-		panic(fmt.Sprintf("radio: Step slice lengths (%d,%d) != N (%d)", len(broadcasting), len(payload), nn))
-	}
-	n.scratchTx.FromBools(broadcasting)
-	n.StepSet(n.scratchTx, payload, nil, deliver)
-}
-
-// StepSet executes one synchronized round with set-native inputs and
-// outputs.
+// StepSet executes one synchronized round.
 //
 // tx selects the transmitters; the engine reads it and never mutates it,
 // so a schedule that does not change between rounds (a star's hub, a
@@ -961,9 +865,8 @@ func (n *Network[P]) Step(broadcasting []bool, payload []P, deliver func(d Deliv
 // comment — sender-fault flags for broadcasting nodes in ascending id,
 // then receiver-fault flags for eligible listeners in ascending id — and
 // receivers are resolved (rx bits set, deliver invoked) in ascending
-// receiver id order. Both engines honour this contract, and Step forwards
-// here, so executions are bit-identical across engines and across the
-// Step/StepSet entry points.
+// receiver id order. Every engine honours this contract, so executions are
+// bit-identical across engines.
 //
 // A deliver callback that panics abandons the round midway and leaves the
 // per-round scratch inconsistent, so the network must be discarded, never
@@ -997,7 +900,7 @@ func (n *Network[P]) markBroadcaster(v int) {
 		n.traceTx = append(n.traceTx, int32(v))
 	}
 	if n.cfg.Fault == SenderFaults {
-		noisy := n.draw.site(int32(v), n.faultFor(int32(v)), n.rnd)
+		noisy := n.draw.site(int32(v), n.rnd)
 		n.senderNoise[v] = noisy
 		if noisy {
 			n.stats.SenderFaults++
@@ -1142,15 +1045,6 @@ func (n *Network[P]) markBurstBulk(sel *txSelect, total int) {
 	}
 }
 
-// faultFor returns the precomputed fault sampler for node v. Only called
-// under SenderFaults/ReceiverFaults, where the coins are always built.
-func (n *Network[P]) faultFor(v int32) rng.Bernoulli {
-	if n.faultCoins != nil {
-		return n.faultCoins[v]
-	}
-	return n.faultCoin
-}
-
 // resolveUnique handles listener u whose unique transmitting neighbour is
 // from: the canonical receiver-fault draw, delivery accounting, tracing,
 // the rx bit and the delivery callback. Shared by both engines.
@@ -1158,7 +1052,7 @@ func (n *Network[P]) resolveUnique(u, from int32, payload []P, rx *bitset.Set, d
 	if n.cfg.Fault == SenderFaults && n.senderNoise[from] {
 		return // content destroyed at the sender
 	}
-	if n.cfg.Fault == ReceiverFaults && n.draw.site(u, n.faultFor(u), n.rnd) {
+	if n.cfg.Fault == ReceiverFaults && n.draw.site(u, n.rnd) {
 		n.stats.ReceiverFaults++
 		return
 	}
@@ -1291,13 +1185,6 @@ func (n *Network[P]) stepSetDense(tx *bitset.Set, payload []P, rx *bitset.Set, d
 	// straight off the tx words (bulk-marked when no per-site walk is
 	// required — see markBroadcasters).
 	n.markBroadcasters(txw, txLo, txHi)
-	if n.fullScan {
-		txLo, txHi = 0, len(txw)
-	}
-	if n.adjStride >= denseBlockMinStride {
-		n.denseListenersBlocked(txw, txLo, txHi, payload, rx, deliver)
-		return
-	}
 
 	// Resolve receptions in ascending receiver id order, counting
 	// transmitting neighbours word-wise over the window overlap with an
@@ -1344,88 +1231,6 @@ func (n *Network[P]) stepSetDense(tx *bitset.Set, payload []P, rx *bitset.Set, d
 			n.resolveUnique(int32(u), int32(hitBase+bits.TrailingZeros64(hit)), payload, rx, deliver)
 		}
 	}
-}
-
-// denseBlockMinStride gates the cache-blocked dense listener loop: from
-// 64 row words (n ≥ 4096, rows ≥ 512 bytes) adjacency rows dwarf cache
-// lines and row misses dominate the round, so listeners run in
-// 64-listener tiles — one hoisted tx-occupancy word selects the tile's
-// listeners branch-free — with the next listener's window start
-// prefetched while the current row resolves. Below the gate the rows are
-// small enough that the straight loop's simplicity wins. Under Auto only
-// dense graphs without a model (G(n, p)) reach either loop: complete
-// graphs run implicitly at every n. Listener order is unchanged
-// (ascending id), so the blocked loop is draw-for-draw identical to the
-// straight one.
-const denseBlockMinStride = 64
-
-// denseListenersBlocked is the n ≥ 4096 dense listener loop: identical
-// resolution to the straight loop in stepSetDense, restructured into
-// 64-listener tiles with software prefetch of the next row's overlap
-// window. The prefetch is an ordinary load XOR-folded into a sink the
-// network retains, which the compiler therefore cannot drop.
-func (n *Network[P]) denseListenersBlocked(txw []uint64, txLo, txHi int, payload []P, rx *bitset.Set, deliver func(d Delivery[P])) {
-	nn := n.g.N()
-	adj, stride := n.adjWords, n.adjStride
-	rowLo, rowHi := n.rowLo, n.rowHi
-	var sink uint64
-	for tw := 0; tw*64 < nn; tw++ {
-		listen := ^txw[tw] // transmitting nodes do not listen
-		if rem := nn - tw*64; rem < 64 {
-			listen &= (1 << uint(rem)) - 1
-		}
-		for lw := listen; lw != 0; lw &= lw - 1 {
-			u := tw*64 + bits.TrailingZeros64(lw)
-			// Touch the next listener's first overlap word now, so its
-			// row is in flight while this row resolves.
-			if nxt := lw & (lw - 1); nxt != 0 {
-				un := tw*64 + bits.TrailingZeros64(nxt)
-				pl := txLo
-				if rl := int(rowLo[un]); rl > pl {
-					pl = rl
-				}
-				ph := txHi
-				if rh := int(rowHi[un]); rh < ph {
-					ph = rh
-				}
-				if pl < ph {
-					sink ^= adj[un*stride+pl]
-				}
-			}
-			lo, hi := txLo, txHi
-			if rl := int(rowLo[u]); rl > lo {
-				lo = rl
-			}
-			if rh := int(rowHi[u]); rh < hi {
-				hi = rh
-			}
-			if lo >= hi {
-				continue
-			}
-			base := u * stride
-			count := 0
-			var hit uint64
-			var hitBase int
-			for w := lo; w < hi; w++ {
-				x := adj[base+w] & txw[w]
-				if x == 0 {
-					continue
-				}
-				count += bits.OnesCount64(x)
-				if count > 1 {
-					break
-				}
-				hit, hitBase = x, w*64
-			}
-			switch {
-			case count > 1:
-				n.stats.Collisions++
-			case count == 1:
-				n.resolveUnique(int32(u), int32(hitBase+bits.TrailingZeros64(hit)), payload, rx, deliver)
-			}
-		}
-	}
-	n.prefetchSink = sink
 }
 
 // stepSetImplicit is the closed-form engine: no adjacency is consulted at

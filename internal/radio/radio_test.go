@@ -5,18 +5,39 @@ import (
 	"testing"
 	"testing/quick"
 
+	"noisyradio/internal/bitset"
 	"noisyradio/internal/graph"
 	"noisyradio/internal/rng"
 )
 
 // stepOnce runs a single round on net and collects deliveries keyed by
 // receiver.
-func stepOnce(net *Network[int32], broadcasting []bool, payload []int32) map[int]Delivery[int32] {
+func stepOnce(net *Network[int32], tx *bitset.Set, payload []int32) map[int]Delivery[int32] {
 	got := make(map[int]Delivery[int32])
-	net.Step(broadcasting, payload, func(d Delivery[int32]) {
+	net.StepSet(tx, payload, nil, func(d Delivery[int32]) {
 		got[d.To] = d
 	})
 	return got
+}
+
+// txOf returns the broadcast set {vs} over n nodes.
+func txOf(n int, vs ...int) *bitset.Set {
+	tx := bitset.New(n)
+	for _, v := range vs {
+		tx.Set(v)
+	}
+	return tx
+}
+
+// randomTx overwrites tx with a Bernoulli(p) broadcast set drawn from
+// driver, one draw per node in ascending id.
+func randomTx(tx *bitset.Set, driver *rng.Stream, p float64) {
+	tx.Reset()
+	for v := 0; v < tx.Len(); v++ {
+		if driver.Bool(p) {
+			tx.Set(v)
+		}
+	}
 }
 
 func faultless(t testing.TB, g *graph.Graph, seed uint64) *Network[int32] {
@@ -40,6 +61,7 @@ func TestConfigValidate(t *testing.T) {
 		{name: "receiver ok", cfg: Config{Fault: ReceiverFaults, P: 0}},
 		{name: "p negative", cfg: Config{Fault: SenderFaults, P: -0.1}, wantErr: true},
 		{name: "p one", cfg: Config{Fault: ReceiverFaults, P: 1}, wantErr: true},
+		{name: "p NaN", cfg: Config{Fault: ReceiverFaults, P: math.NaN()}, wantErr: true},
 		{name: "unknown model", cfg: Config{Fault: 0}, wantErr: true},
 	}
 	for _, tt := range tests {
@@ -66,11 +88,9 @@ func TestFaultModelString(t *testing.T) {
 func TestSingleBroadcasterDelivers(t *testing.T) {
 	top := graph.Star(4)
 	net := faultless(t, top.G, 1)
-	bc := make([]bool, 5)
 	payload := make([]int32, 5)
-	bc[0] = true
 	payload[0] = 42
-	got := stepOnce(net, bc, payload)
+	got := stepOnce(net, txOf(5, 0), payload)
 	if len(got) != 4 {
 		t.Fatalf("deliveries = %d, want 4", len(got))
 	}
@@ -86,9 +106,8 @@ func TestCollisionBlocksReception(t *testing.T) {
 	// Path 0-1-2: 0 and 2 both broadcast; 1 hears a collision.
 	top := graph.Path(3)
 	net := faultless(t, top.G, 1)
-	bc := []bool{true, false, true}
 	payload := []int32{7, 0, 9}
-	got := stepOnce(net, bc, payload)
+	got := stepOnce(net, txOf(3, 0, 2), payload)
 	if len(got) != 0 {
 		t.Fatalf("deliveries = %v, want none (collision)", got)
 	}
@@ -101,12 +120,12 @@ func TestBroadcasterDoesNotReceive(t *testing.T) {
 	// Single link: both broadcast — neither receives.
 	top := graph.SingleLink()
 	net := faultless(t, top.G, 1)
-	got := stepOnce(net, []bool{true, true}, []int32{1, 2})
+	got := stepOnce(net, txOf(2, 0, 1), []int32{1, 2})
 	if len(got) != 0 {
 		t.Fatalf("deliveries = %v, want none", got)
 	}
 	// One broadcasts: only the listener receives.
-	got = stepOnce(net, []bool{true, false}, []int32{5, 0})
+	got = stepOnce(net, txOf(2, 0), []int32{5, 0})
 	if len(got) != 1 || got[1].Payload != 5 {
 		t.Fatalf("deliveries = %v", got)
 	}
@@ -115,7 +134,7 @@ func TestBroadcasterDoesNotReceive(t *testing.T) {
 func TestSilentRoundDeliversNothing(t *testing.T) {
 	top := graph.Complete(4)
 	net := faultless(t, top.G, 1)
-	got := stepOnce(net, make([]bool, 4), make([]int32, 4))
+	got := stepOnce(net, txOf(4), make([]int32, 4))
 	if len(got) != 0 {
 		t.Fatalf("deliveries = %v, want none", got)
 	}
@@ -130,19 +149,24 @@ func TestExactlyOneSemanticsOnTriangleExhaustive(t *testing.T) {
 	top := graph.Complete(3)
 	for mask := 0; mask < 8; mask++ {
 		net := faultless(t, top.G, uint64(mask))
-		bc := []bool{mask&1 != 0, mask&2 != 0, mask&4 != 0}
+		tx := bitset.New(3)
+		for v := 0; v < 3; v++ {
+			if mask&(1<<v) != 0 {
+				tx.Set(v)
+			}
+		}
 		payload := []int32{10, 20, 30}
-		got := stepOnce(net, bc, payload)
+		got := stepOnce(net, tx, payload)
 		for v := 0; v < 3; v++ {
 			// Expected: v listening and exactly one neighbour broadcasting.
 			count, from := 0, -1
 			for u := 0; u < 3; u++ {
-				if u != v && bc[u] {
+				if u != v && tx.Test(u) {
 					count++
 					from = u
 				}
 			}
-			want := !bc[v] && count == 1
+			want := !tx.Test(v) && count == 1
 			d, ok := got[v]
 			if ok != want {
 				t.Fatalf("mask %03b node %d: received=%v want %v", mask, v, ok, want)
@@ -158,13 +182,12 @@ func TestReceiverFaultFrequency(t *testing.T) {
 	const p = 0.3
 	top := graph.Star(1000)
 	net := MustNew[int32](top.G, Config{Fault: ReceiverFaults, P: p}, rng.New(7))
-	bc := make([]bool, 1001)
+	tx := txOf(1001, 0)
 	payload := make([]int32, 1001)
-	bc[0] = true
 	const rounds = 50
 	delivered := 0
 	for i := 0; i < rounds; i++ {
-		net.Step(bc, payload, func(d Delivery[int32]) { delivered++ })
+		net.StepSet(tx, payload, nil, func(d Delivery[int32]) { delivered++ })
 	}
 	got := float64(delivered) / float64(rounds*1000)
 	if math.Abs(got-(1-p)) > 0.02 {
@@ -182,14 +205,13 @@ func TestReceiverFaultsIndependentAcrossReceivers(t *testing.T) {
 	const p = 0.5
 	top := graph.Star(500)
 	net := MustNew[int32](top.G, Config{Fault: ReceiverFaults, P: p}, rng.New(8))
-	bc := make([]bool, 501)
+	tx := txOf(501, 0)
 	payload := make([]int32, 501)
-	bc[0] = true
 	allOrNothing := 0
 	const rounds = 100
 	for i := 0; i < rounds; i++ {
 		count := 0
-		net.Step(bc, payload, func(d Delivery[int32]) { count++ })
+		net.StepSet(tx, payload, nil, func(d Delivery[int32]) { count++ })
 		if count == 0 || count == 500 {
 			allOrNothing++
 		}
@@ -205,14 +227,13 @@ func TestSenderFaultsCorrelatedAcrossReceivers(t *testing.T) {
 	const p = 0.5
 	top := graph.Star(200)
 	net := MustNew[int32](top.G, Config{Fault: SenderFaults, P: p}, rng.New(9))
-	bc := make([]bool, 201)
+	tx := txOf(201, 0)
 	payload := make([]int32, 201)
-	bc[0] = true
 	zero, full, other := 0, 0, 0
 	const rounds = 200
 	for i := 0; i < rounds; i++ {
 		count := 0
-		net.Step(bc, payload, func(d Delivery[int32]) { count++ })
+		net.StepSet(tx, payload, nil, func(d Delivery[int32]) { count++ })
 		switch count {
 		case 0:
 			zero++
@@ -237,10 +258,10 @@ func TestSenderFaultStillCollides(t *testing.T) {
 	// receives regardless of fault outcomes.
 	top := graph.Path(3)
 	net := MustNew[int32](top.G, Config{Fault: SenderFaults, P: 0.9}, rng.New(10))
-	bc := []bool{true, false, true}
+	tx := txOf(3, 0, 2)
 	payload := []int32{1, 0, 2}
 	for i := 0; i < 100; i++ {
-		if got := stepOnce(net, bc, payload); len(got) != 0 {
+		if got := stepOnce(net, tx, payload); len(got) != 0 {
 			t.Fatalf("round %d: delivery through a collision: %v", i, got)
 		}
 	}
@@ -251,16 +272,16 @@ func TestDeterminism(t *testing.T) {
 	run := func() []int64 {
 		net := MustNew[int32](top.G, Config{Fault: ReceiverFaults, P: 0.25}, rng.New(42))
 		driver := rng.New(77)
-		bc := make([]bool, 50)
+		tx := bitset.New(50)
 		payload := make([]int32, 50)
+		for v := range payload {
+			payload[v] = int32(v)
+		}
 		var trace []int64
 		for round := 0; round < 200; round++ {
-			for v := range bc {
-				bc[v] = driver.Bool(0.2)
-				payload[v] = int32(v)
-			}
+			randomTx(tx, driver, 0.2)
 			var sum int64
-			net.Step(bc, payload, func(d Delivery[int32]) {
+			net.StepSet(tx, payload, nil, func(d Delivery[int32]) {
 				sum += int64(d.To)*1000003 + int64(d.From)
 			})
 			trace = append(trace, sum)
@@ -278,34 +299,19 @@ func TestDeterminism(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	top := graph.Star(3)
 	net := faultless(t, top.G, 1)
-	bc := make([]bool, 4)
 	payload := make([]int32, 4)
-	bc[0] = true
-	net.Step(bc, payload, nil)
+	net.StepSet(txOf(4, 0), payload, nil, nil)
 	s := net.Stats()
 	if s.Rounds != 1 || s.Broadcasts != 1 || s.Deliveries != 3 || s.Collisions != 0 {
 		t.Fatalf("stats = %+v", s)
 	}
 	// Two leaves broadcast: hub collides, other leaves hear nothing (leaves
 	// are only adjacent to the hub).
-	bc[0] = false
-	bc[1], bc[2] = true, true
-	net.Step(bc, payload, nil)
+	net.StepSet(txOf(4, 1, 2), payload, nil, nil)
 	s = net.Stats()
 	if s.Rounds != 2 || s.Broadcasts != 3 || s.Collisions != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-}
-
-func TestStepLengthMismatchPanics(t *testing.T) {
-	top := graph.Path(3)
-	net := faultless(t, top.G, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on bad slice length")
-		}
-	}()
-	net.Step(make([]bool, 2), make([]int32, 3), nil)
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
@@ -324,14 +330,14 @@ func TestQuickFaultlessMatchesDefinition(t *testing.T) {
 		net := MustNew[int32](top.G, Config{Fault: Faultless}, rng.New(seed+1))
 		driver := rng.New(seed + 2)
 		p := float64(density%100) / 100
-		bc := make([]bool, n)
+		tx := bitset.New(n)
+		randomTx(tx, driver, p)
 		payload := make([]int32, n)
-		for v := range bc {
-			bc[v] = driver.Bool(p)
+		for v := range payload {
 			payload[v] = int32(v + 1)
 		}
 		received := make(map[int]Delivery[int32])
-		net.Step(bc, payload, func(d Delivery[int32]) {
+		net.StepSet(tx, payload, nil, func(d Delivery[int32]) {
 			if _, dup := received[d.To]; dup {
 				return // flagged below by count mismatch
 			}
@@ -340,12 +346,12 @@ func TestQuickFaultlessMatchesDefinition(t *testing.T) {
 		for v := 0; v < n; v++ {
 			count, from := 0, -1
 			for _, u := range top.G.Neighbors(v) {
-				if bc[u] {
+				if tx.Test(int(u)) {
 					count++
 					from = int(u)
 				}
 			}
-			want := !bc[v] && count == 1
+			want := !tx.Test(v) && count == 1
 			d, ok := received[v]
 			if ok != want {
 				return false
@@ -358,75 +364,6 @@ func TestQuickFaultlessMatchesDefinition(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPerNodeFaultProbabilities(t *testing.T) {
-	// Star with one reliable and one hopeless leaf: per-node probabilities
-	// must apply individually.
-	top := graph.Star(2)
-	perNode := []float64{0, 0, 0.99} // hub, leaf1 (reliable), leaf2 (lossy)
-	net := MustNew[int32](top.G, Config{Fault: ReceiverFaults, P: 0.5, PerNodeP: perNode}, rng.New(31))
-	bc := []bool{true, false, false}
-	payload := []int32{7, 0, 0}
-	got1, got2 := 0, 0
-	const rounds = 400
-	for i := 0; i < rounds; i++ {
-		net.Step(bc, payload, func(d Delivery[int32]) {
-			if d.To == 1 {
-				got1++
-			} else {
-				got2++
-			}
-		})
-	}
-	if got1 != rounds {
-		t.Fatalf("reliable leaf received %d/%d", got1, rounds)
-	}
-	if got2 > rounds/10 {
-		t.Fatalf("lossy leaf received %d/%d, want ~1%%", got2, rounds)
-	}
-}
-
-func TestPerNodeFaultValidation(t *testing.T) {
-	top := graph.Path(3)
-	if _, err := New[int32](top.G, Config{Fault: ReceiverFaults, PerNodeP: []float64{0, 0.5, 1.5}}, rng.New(1)); err == nil {
-		t.Fatal("out-of-range per-node probability accepted")
-	}
-	if _, err := New[int32](top.G, Config{Fault: ReceiverFaults, PerNodeP: []float64{0.5}}, rng.New(1)); err == nil {
-		t.Fatal("wrong-length PerNodeP accepted")
-	}
-}
-
-func TestPerNodeSenderFaults(t *testing.T) {
-	// Two broadcasters on a path of 3 ... use two disjoint links instead:
-	// 0-1 and the hub never fails, so deliveries depend on the sender's own
-	// probability.
-	b := graph.NewBuilder(4)
-	b.AddEdge(0, 1)
-	b.AddEdge(2, 3)
-	g := b.MustBuild()
-	perNode := []float64{0, 0, 0.95, 0}
-	net := MustNew[int32](g, Config{Fault: SenderFaults, P: 0.5, PerNodeP: perNode}, rng.New(32))
-	bc := []bool{true, false, true, false}
-	payload := []int32{1, 0, 2, 0}
-	got1, got3 := 0, 0
-	const rounds = 300
-	for i := 0; i < rounds; i++ {
-		net.Step(bc, payload, func(d Delivery[int32]) {
-			switch d.To {
-			case 1:
-				got1++
-			case 3:
-				got3++
-			}
-		})
-	}
-	if got1 != rounds {
-		t.Fatalf("reliable sender delivered %d/%d", got1, rounds)
-	}
-	if got3 > rounds/5 {
-		t.Fatalf("faulty sender delivered %d/%d, want ~5%%", got3, rounds)
 	}
 }
 
@@ -444,24 +381,20 @@ func TestQuickStatsInvariants(t *testing.T) {
 			return false
 		}
 		driver := rng.New(seed + 2)
-		bc := make([]bool, n)
+		tx := bitset.New(n)
 		payload := make([]int32, n)
 		var wantBroadcasts, wantCollisions, wantEligible int64
 		const rounds = 30
 		for rd := 0; rd < rounds; rd++ {
-			for v := range bc {
-				bc[v] = driver.Bool(0.3)
-				if bc[v] {
-					wantBroadcasts++
-				}
-			}
+			randomTx(tx, driver, 0.3)
+			wantBroadcasts += int64(tx.Count())
 			for v := 0; v < n; v++ {
-				if bc[v] {
+				if tx.Test(v) {
 					continue
 				}
 				cnt := 0
 				for _, u := range top.G.Neighbors(v) {
-					if bc[u] {
+					if tx.Test(int(u)) {
 						cnt++
 					}
 				}
@@ -472,7 +405,7 @@ func TestQuickStatsInvariants(t *testing.T) {
 					wantEligible++
 				}
 			}
-			net.Step(bc, payload, nil)
+			net.StepSet(tx, payload, nil, nil)
 		}
 		s := net.Stats()
 		if s.Rounds != rounds || s.Broadcasts != wantBroadcasts || s.Collisions != wantCollisions {
@@ -518,13 +451,11 @@ func TestQuickTraceMatchesStats(t *testing.T) {
 			rx += int64(len(receivers))
 		})
 		driver := rng.New(seed + 2)
-		bc := make([]bool, 20)
+		bcast := bitset.New(20)
 		payload := make([]int32, 20)
 		for rd := 0; rd < 25; rd++ {
-			for v := range bc {
-				bc[v] = driver.Bool(0.25)
-			}
-			net.Step(bc, payload, nil)
+			randomTx(bcast, driver, 0.25)
+			net.StepSet(bcast, payload, nil, nil)
 		}
 		s := net.Stats()
 		return lastRound == 24 && tx == s.Broadcasts && rx == s.Deliveries
@@ -537,28 +468,24 @@ func TestQuickTraceMatchesStats(t *testing.T) {
 func BenchmarkStepStar(b *testing.B) {
 	top := graph.Star(1 << 12)
 	net := MustNew[int32](top.G, Config{Fault: ReceiverFaults, P: 0.3}, rng.New(1))
-	bc := make([]bool, top.G.N())
+	tx := txOf(top.G.N(), 0)
 	payload := make([]int32, top.G.N())
-	bc[0] = true
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Step(bc, payload, nil)
+		net.StepSet(tx, payload, nil, nil)
 	}
 }
 
 func BenchmarkStepDenseRandom(b *testing.B) {
 	top := graph.GNP(1024, 0.02, rng.New(1))
 	net := MustNew[int32](top.G, Config{Fault: SenderFaults, P: 0.3}, rng.New(2))
-	driver := rng.New(3)
-	bc := make([]bool, top.G.N())
+	tx := bitset.New(top.G.N())
+	randomTx(tx, rng.New(3), 0.1)
 	payload := make([]int32, top.G.N())
-	for v := range bc {
-		bc[v] = driver.Bool(0.1)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Step(bc, payload, nil)
+		net.StepSet(tx, payload, nil, nil)
 	}
 }

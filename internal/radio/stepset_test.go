@@ -47,35 +47,8 @@ func TestStepSetZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestStepZeroAllocs: the bool adapter must not allocate either — FromBools
-// packs into the network's scratch set in place.
-func TestStepZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	top := builderComplete(256)
-	for _, eng := range []Engine{Sparse, Dense} {
-		net := MustNew[int32](top.G, Config{Fault: ReceiverFaults, P: 0.2, Engine: eng}, rng.New(7))
-		if net.Engine() != eng {
-			t.Fatalf("engine resolved to %v, want %v", net.Engine(), eng)
-		}
-		n := top.G.N()
-		payload := make([]int32, n)
-		bc := make([]bool, n)
-		for v := 0; v < n; v += 17 {
-			bc[v] = true
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			net.Step(bc, payload, nil)
-		})
-		if allocs != 0 {
-			t.Errorf("%v: Step allocates %.1f per round, want 0", eng, allocs)
-		}
-	}
-}
-
-// TestStepSetLengthValidation: mismatched tx/payload/rx lengths must panic
-// with a radio-prefixed message, matching Step's contract.
+// TestStepSetLengthValidation: mismatched tx/payload/rx lengths must
+// panic.
 func TestStepSetLengthValidation(t *testing.T) {
 	top := graph.Path(8)
 	cases := []struct {
@@ -111,15 +84,15 @@ func TestStepSetLengthValidation(t *testing.T) {
 }
 
 // TestStepSetSilentRoundCountsRound: a round with no broadcasters still
-// counts as a round (and fires the trace) on both engines and both entry
-// points, with no random draws consumed.
+// counts as a round (and fires the trace) on both engines, with no random
+// draws consumed.
 func TestStepSetSilentRoundCountsRound(t *testing.T) {
-	for _, em := range engineModes {
-		t.Run(fmt.Sprintf("%v-%v", em.eng, em.mode), func(t *testing.T) {
+	for _, eng := range []Engine{Sparse, Dense} {
+		t.Run(fmt.Sprintf("%v-stepset", eng), func(t *testing.T) {
 			top := builderComplete(70)
-			net := MustNew[int32](top.G, Config{Fault: ReceiverFaults, P: 0.4, Engine: em.eng}, rng.New(1))
-			if net.Engine() != em.eng {
-				t.Fatalf("engine resolved to %v, want %v", net.Engine(), em.eng)
+			net := MustNew[int32](top.G, Config{Fault: ReceiverFaults, P: 0.4, Engine: eng}, rng.New(1))
+			if net.Engine() != eng {
+				t.Fatalf("engine resolved to %v, want %v", net.Engine(), eng)
 			}
 			traced := 0
 			net.SetTrace(func(round int, broadcasters, receivers []int32) {
@@ -129,11 +102,7 @@ func TestStepSetSilentRoundCountsRound(t *testing.T) {
 				traced++
 			})
 			n := top.G.N()
-			if em.mode == viaStep {
-				net.Step(make([]bool, n), make([]int32, n), nil)
-			} else {
-				net.StepSet(bitset.New(n), make([]int32, n), nil, nil)
-			}
+			net.StepSet(bitset.New(n), make([]int32, n), nil, nil)
 			if net.Round() != 1 || traced != 1 {
 				t.Fatalf("silent round: Round()=%d traced=%d, want 1/1", net.Round(), traced)
 			}

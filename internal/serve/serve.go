@@ -174,6 +174,9 @@ func (s *Server) checkJob(spec benchreport.JobSpec) (*job, error) {
 	if fault != radio.Faultless {
 		cfg.P = spec.P
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	return &job{
 		spec:   spec,
 		key:    spec.PlanKey(),

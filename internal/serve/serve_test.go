@@ -325,6 +325,11 @@ func TestRejectsBadSpecs(t *testing.T) {
 		"p out of range":   func(s *benchreport.JobSpec) { s.P = 1.5 },
 		"tiny n":           func(s *benchreport.JobSpec) { s.N = 1 },
 		"hypercube 2^21":   func(s *benchreport.JobSpec) { s.Topology = "hypercube"; s.N = 1 << 21 },
+		// Noise parameters the contract rejects.
+		"v3 burstbadp 2":  func(s *benchreport.JobSpec) { s.Draw = "v3"; s.BurstBadP = 2 },
+		"v3 p above badp": func(s *benchreport.JobSpec) { s.Draw = "v3"; s.P = 0.6 },
+		"v4 jamq 3":       func(s *benchreport.JobSpec) { s.Draw = "v4"; s.JamQ = 3 },
+		"v4 jamradius -2": func(s *benchreport.JobSpec) { s.Draw = "v4"; s.JamRadius = -2 },
 	}
 	rejected := func(resp *http.Response, body []byte) error {
 		if resp.StatusCode != http.StatusBadRequest {
@@ -447,15 +452,24 @@ func TestFollowerOfFailedBuild(t *testing.T) {
 	}
 }
 
-// TestRuntimeErrorNotCached: a job that fails during execution (a radio
-// config only the run validates) ends in an NDJSON error line and is
-// never cached — the next submission re-executes.
+// cancelledJobs serves s with every request's context cancelled before
+// the handler runs, so each admitted job's sweep fails during execution:
+// every chunk folds empty with the cancellation as its error.
+func cancelledJobs(s *Server) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithCancel(r.Context())
+		cancel()
+		s.ServeHTTP(w, r.WithContext(ctx))
+	})
+}
+
+// TestRuntimeErrorNotCached: a job that fails during execution ends in an
+// NDJSON error line and is never cached — the next submission
+// re-executes.
 func TestRuntimeErrorNotCached(t *testing.T) {
-	ts := httptest.NewServer(NewServer(Config{}))
+	ts := httptest.NewServer(cancelledJobs(NewServer(Config{})))
 	defer ts.Close()
 	spec := testSpec()
-	spec.Draw = "v3"
-	spec.BurstBadP = 0.2 // below p: invalid, but only the run knows
 
 	for round := 0; round < 2; round++ {
 		resp, body := postJob(t, ts, spec)
@@ -509,24 +523,22 @@ func (w *landCheckWriter) Write(b []byte) (int, error) {
 // flight. An error line likewise follows the flight's removal, with
 // nothing cached.
 func TestLeaderLandsBeforeTerminalLine(t *testing.T) {
-	failing := testSpec()
-	failing.Draw = "v3"
-	failing.BurstBadP = 0.2 // invalid, but only the run knows
+	spec := testSpec()
+	payload, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		spec benchreport.JobSpec
-		want string
+		serve func(*Server) http.Handler
+		want  string
 	}{
-		{testSpec(), "result"},
-		{failing, "error"},
+		{func(s *Server) http.Handler { return s }, "result"},
+		{cancelledJobs, "error"},
 	} {
 		s := NewServer(Config{})
-		payload, err := json.Marshal(tc.spec)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rec := httptest.NewRecorder()
-		w := &landCheckWriter{ResponseWriter: rec, s: s, key: tc.spec.PlanKey()}
-		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(payload)))
+		w := &landCheckWriter{ResponseWriter: rec, s: s, key: spec.PlanKey()}
+		tc.serve(s).ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(payload)))
 		if w.terminal != tc.want {
 			t.Fatalf("terminal line %q, want %q:\n%s", w.terminal, tc.want, rec.Body)
 		}

@@ -1,30 +1,12 @@
 package sim
 
-import (
-	"fmt"
-	"runtime"
-	"testing"
-
-	"noisyradio/internal/rng"
-)
-
-// workerCounts are the parallelism levels the determinism regression
-// sweeps; the contract is that results are identical at every level.
-// Run this file under -race (the CI workflow does): the trial function
-// below deliberately consumes a variable amount of randomness and spins
-// across goroutine handoffs, so any cross-trial state sharing would both
-// corrupt the output comparison and trip the race detector.
-func workerCounts() []int {
-	counts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	if counts[2] == counts[1] || counts[2] == counts[0] {
-		counts = counts[:2]
-	}
-	return counts
-}
+import "noisyradio/internal/rng"
 
 // variableTrial consumes a trial-dependent, draw-dependent amount of the
 // stream — the shape that would expose any accidental stream sharing or
-// ordering dependence between workers.
+// ordering dependence between workers. Run the sweep tests under -race
+// (the CI workflow does): any cross-trial state sharing would both corrupt
+// the output comparison and trip the race detector.
 func variableTrial(trial int, r *rng.Stream) (float64, error) {
 	draws := 1 + r.Intn(500) + trial%7
 	var acc uint64
@@ -35,74 +17,4 @@ func variableTrial(trial int, r *rng.Stream) (float64, error) {
 		acc += uint64(r.Intn(1000))
 	}
 	return float64(acc % (1 << 52)), nil
-}
-
-func TestRunDeterminismWorkerSweep(t *testing.T) {
-	const trials = 200
-	var want []float64
-	for _, workers := range workerCounts() {
-		got, err := Run(trials, workers, 12345, variableTrial)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: trial %d = %v, want %v (single-worker value)", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestRunManyDeterminismWorkerSweep(t *testing.T) {
-	const trials = 120
-	names := []string{"alpha", "beta"}
-	fn := func(trial int, r *rng.Stream) (map[string]float64, error) {
-		a, err := variableTrial(trial, r)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]float64{
-			"alpha": a,
-			"beta":  float64(r.Intn(1 << 30)),
-		}, nil
-	}
-	var want map[string][]float64
-	for _, workers := range workerCounts() {
-		got, err := RunMany(trials, workers, 999, names, fn)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		for _, name := range names {
-			for i := range want[name] {
-				if got[name][i] != want[name][i] {
-					t.Fatalf("workers=%d: %s[%d] = %v, want %v", workers, name, i, got[name][i], want[name][i])
-				}
-			}
-		}
-	}
-}
-
-// Errors must also surface deterministically: the first failing trial (in
-// trial order of completion) is reported, and every worker count agrees
-// that an error occurs.
-func TestRunErrorAtEveryWorkerCount(t *testing.T) {
-	for _, workers := range workerCounts() {
-		_, err := Run(50, workers, 1, func(trial int, r *rng.Stream) (float64, error) {
-			if trial == 13 {
-				return 0, fmt.Errorf("boom")
-			}
-			return 1, nil
-		})
-		if err == nil {
-			t.Fatalf("workers=%d: failing trial not reported", workers)
-		}
-	}
 }

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"runtime"
-	"sync"
 	"testing"
 
 	"noisyradio/internal/rng"
@@ -14,55 +12,18 @@ func cheapTrial(trial int, r *rng.Stream) (float64, error) {
 	return float64(trial&1) + r.Float64()*0, nil
 }
 
-// runUnbuffered is the pre-chunking dispatcher (one unbuffered channel
-// send per trial), kept here as the benchmark baseline so the win from
-// chunked atomic dispatch stays measurable in `go test -bench Dispatch`.
-func runUnbuffered(trials, workers int, seed uint64, fn TrialFunc) []float64 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	results := make([]float64, trials)
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for trial := range next {
-				v, _ := fn(trial, rng.NewFrom(seed, uint64(trial)))
-				results[trial] = v
-			}
-		}()
-	}
-	for t := 0; t < trials; t++ {
-		next <- t
-	}
-	close(next)
-	wg.Wait()
-	return results
-}
-
-// BenchmarkDispatchChunked measures Run's per-trial cost for a
-// sub-microsecond trial function: chunked atomic dispatch should push the
-// scheduling overhead to a few nanoseconds per trial.
-func BenchmarkDispatchChunked(b *testing.B) {
+// BenchmarkSweepDispatch measures the sweep's per-trial dispatch and fold
+// cost: one row of 2¹⁴ sub-microsecond trials on the default pool, so
+// chunked dispatch and the in-order fold are nearly all that is timed.
+func BenchmarkSweepDispatch(b *testing.B) {
 	const trials = 1 << 14
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(trials, 0, 1, cheapTrial); err != nil {
+		sw := NewSweep(SweepConfig{})
+		sw.Add(trials, 1, cheapTrial)
+		if err := sw.Run(); err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/trials, "ns/trial")
-}
-
-// BenchmarkDispatchUnbuffered is the old per-trial channel handoff on the
-// same workload — the baseline the chunked dispatcher replaces.
-func BenchmarkDispatchUnbuffered(b *testing.B) {
-	const trials = 1 << 14
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		runUnbuffered(trials, 0, 1, cheapTrial)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/trials, "ns/trial")
 }

@@ -276,10 +276,10 @@ func TestRunContextCompleteRunIsNil(t *testing.T) {
 	}
 }
 
-// TestRowDoneAndSnapshot: Done closes per row as it completes (not at
-// sweep granularity), and Snapshot equals the final accumulator state
-// once Done has closed.
-func TestRowDoneAndSnapshot(t *testing.T) {
+// TestRowDone: Done closes per row as it completes (not at sweep
+// granularity), and the row's accumulator is final once Done has closed,
+// while sibling rows still run.
+func TestRowDone(t *testing.T) {
 	release := make(chan struct{})
 	sw := NewSweep(SweepConfig{Workers: 2})
 	fast := sw.Add(8, 1, func(trial int, r *rng.Stream) (float64, error) { return float64(trial), nil })
@@ -296,15 +296,15 @@ func TestRowDoneAndSnapshot(t *testing.T) {
 		t.Fatal("slow row done before release")
 	default:
 	}
-	snap := fast.Snapshot()
-	if snap.N() != 8 {
-		t.Fatalf("fast snapshot N = %d, want 8", snap.N())
+	atDone := *fast.Acc()
+	if atDone.N() != 8 {
+		t.Fatalf("fast row N = %d at Done, want 8", atDone.N())
 	}
 	close(release)
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if final := fast.Snapshot(); final != *fast.Acc() {
-		t.Fatalf("snapshot after Done diverged from Acc:\n%+v\n%+v", final, *fast.Acc())
+	if final := *fast.Acc(); final != atDone {
+		t.Fatalf("accumulator changed after Done:\n%+v\n%+v", atDone, final)
 	}
 }

@@ -410,16 +410,6 @@ func (row *Row) Acc() *stats.Accumulator {
 // channel never closes.
 func (row *Row) Done() <-chan struct{} { return row.done }
 
-// Snapshot returns a copy of the row's accumulator state at this instant:
-// the in-order fold of every chunk completed so far. Safe to call
-// concurrently with a running sweep; after Done has closed it equals the
-// final Acc state.
-func (row *Row) Snapshot() stats.Accumulator {
-	row.mu.Lock()
-	defer row.mu.Unlock()
-	return row.acc
-}
-
 // Err returns the row's first (lowest trial index) error, or nil. Valid
 // after Sweep.Run.
 func (row *Row) Err() error {

@@ -59,13 +59,18 @@ func TestSweepDeterministicAcrossSchedules(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesRun pins the sweep's streaming statistics to the buffered
-// Run path: same trial values, same insertion-order mean.
+// TestSweepMatchesRun pins the sweep's streaming statistics to a plain
+// serial run of the same trials: same trial values, same insertion-order
+// mean.
 func TestSweepMatchesRun(t *testing.T) {
 	const trials = 123
-	vals, err := Run(trials, 4, 42, variableTrial)
-	if err != nil {
-		t.Fatal(err)
+	vals := make([]float64, trials)
+	for i := range vals {
+		v, err := variableTrial(i, rng.NewFrom(42, uint64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals[i] = v
 	}
 	sw := NewSweep(SweepConfig{Workers: 8, ChunkSize: 5})
 	row := sw.Add(trials, 42, variableTrial)

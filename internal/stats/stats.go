@@ -209,24 +209,3 @@ func GeometricMean(xs []float64) (float64, error) {
 	}
 	return math.Exp(sum / float64(len(xs))), nil
 }
-
-// Histogram counts xs into nbins equal-width bins over [min, max].
-// Values exactly at max land in the last bin.
-func Histogram(xs []float64, min, max float64, nbins int) []int {
-	if nbins <= 0 || max <= min {
-		return nil
-	}
-	bins := make([]int, nbins)
-	w := (max - min) / float64(nbins)
-	for _, x := range xs {
-		if x < min || x > max {
-			continue
-		}
-		i := int((x - min) / w)
-		if i >= nbins {
-			i = nbins - 1
-		}
-		bins[i]++
-	}
-	return bins
-}

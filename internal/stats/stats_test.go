@@ -191,21 +191,6 @@ func TestGeometricMean(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 0.1, 0.5, 0.9, 1.0, 2.0, -1.0}
-	bins := Histogram(xs, 0, 1, 2)
-	// [0, 0.5): {0, 0.1}; [0.5, 1]: {0.5, 0.9, 1.0}. 2.0 and -1.0 discarded.
-	if len(bins) != 2 || bins[0] != 2 || bins[1] != 3 {
-		t.Fatalf("Histogram = %v, want [2 3]", bins)
-	}
-	if Histogram(xs, 1, 0, 2) != nil {
-		t.Fatal("inverted range should return nil")
-	}
-	if Histogram(xs, 0, 1, 0) != nil {
-		t.Fatal("zero bins should return nil")
-	}
-}
-
 // Property: mean lies within [min, max] and median within [P10, P90] bounds.
 func TestQuickSummaryInvariants(t *testing.T) {
 	f := func(raw []float64) bool {

@@ -103,39 +103,3 @@ func (r *Recorder) Summary() string {
 	}
 	return fmt.Sprintf("%d rounds recorded, %d broadcasts, %d receptions", len(r.events), tx, rx)
 }
-
-// Sparkline renders a compact progress curve of values (e.g. informed
-// nodes per round) using eighth-block characters, downsampled to width.
-func Sparkline(values []int, width int) string {
-	if len(values) == 0 || width <= 0 {
-		return ""
-	}
-	if width > len(values) {
-		width = len(values)
-	}
-	blocks := []rune("▁▂▃▄▅▆▇█")
-	maxV := 1
-	for _, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var b strings.Builder
-	for i := 0; i < width; i++ {
-		// Sample the bucket maximum.
-		lo := i * len(values) / width
-		hi := (i + 1) * len(values) / width
-		if hi <= lo {
-			hi = lo + 1
-		}
-		v := 0
-		for _, x := range values[lo:hi] {
-			if x > v {
-				v = x
-			}
-		}
-		idx := v * (len(blocks) - 1) / maxV
-		b.WriteRune(blocks[idx])
-	}
-	return b.String()
-}

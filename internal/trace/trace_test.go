@@ -82,31 +82,6 @@ func TestSummary(t *testing.T) {
 	}
 }
 
-func TestSparkline(t *testing.T) {
-	if Sparkline(nil, 10) != "" {
-		t.Fatal("empty input should render empty")
-	}
-	if Sparkline([]int{1, 2}, 0) != "" {
-		t.Fatal("zero width should render empty")
-	}
-	out := Sparkline([]int{0, 1, 2, 3, 4, 5, 6, 7, 8}, 9)
-	runes := []rune(out)
-	if len(runes) != 9 {
-		t.Fatalf("width = %d, want 9", len(runes))
-	}
-	if runes[0] != '▁' || runes[len(runes)-1] != '█' {
-		t.Fatalf("sparkline ends = %q", out)
-	}
-	// Downsampling keeps width bounded.
-	long := make([]int, 1000)
-	for i := range long {
-		long[i] = i
-	}
-	if got := len([]rune(Sparkline(long, 40))); got != 40 {
-		t.Fatalf("downsampled width = %d", got)
-	}
-}
-
 // TestIntegrationWithBroadcast: the recorder plugs into a real Decay run
 // via Options.Trace and records a consistent execution.
 func TestIntegrationWithBroadcast(t *testing.T) {
