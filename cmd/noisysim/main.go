@@ -94,7 +94,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -180,7 +179,7 @@ func run(args []string, out *os.File) error {
 			return nil
 		}
 		if *submit != "" {
-			return submitSchedule(out, *submit, *schedName, *topology, *demoN, *demoK, *demoP, *faultMd, *drawC, *trials, *seed, *burstLen, *burstBadP, *jamQ, *jamRadius, *jamBall)
+			return submitSchedule(out, *submit, *schedName, *topology, *demoN, *demoK, *demoP, *faultMd, *drawC, *trials, *seed, base)
 		}
 		return runSchedule(out, *schedName, *topology, *demoN, *demoK, *demoP, *faultMd, *trials, *seed, *workers, base)
 	}
@@ -308,7 +307,8 @@ func run(args []string, out *os.File) error {
 
 // parseFault converts the -fault flag plus probability into a radio
 // config, on top of the invocation's base (engine, draw contract and its
-// parameters).
+// parameters), and validates it: a bad noise spec is a usage error before
+// any workload is built, not a failure inside the first trial.
 func parseFault(faultName string, p float64, base radio.Config) (radio.Config, error) {
 	cfg := base
 	fault, err := radio.ParseFaultModel(faultName)
@@ -319,7 +319,7 @@ func parseFault(faultName string, p float64, base radio.Config) (radio.Config, e
 	if fault != radio.Faultless {
 		cfg.P = p
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 // runSchedule runs -trials Monte-Carlo trials of one registry schedule on
@@ -352,12 +352,8 @@ func runSchedule(out *os.File, name, topology string, n, k int, p float64, fault
 		counted.Count = 0
 		before[counted] = plan.Count
 	}
-	row := sw.AddSchedule(sched, top, cfg, params, trials, seed, func(o broadcast.Outcome) (float64, error) {
-		if !o.Success {
-			return math.NaN(), nil // failed trials excluded from the mean, counted below
-		}
-		return float64(o.Rounds), nil
-	})
+	// Failed trials are excluded from the mean and counted below.
+	row := sw.AddSchedule(sched, top, cfg, params, trials, seed, broadcast.Outcome.RoundsOrNaN)
 	start := time.Now()
 	if err := sw.Run(); err != nil {
 		return err

@@ -386,6 +386,23 @@ func TestScheduleRunValidation(t *testing.T) {
 	if _, err := capture(t, "-schedule", "rlnc", "-k", "0"); err == nil {
 		t.Fatal("k=0 accepted")
 	}
+	// An invalid noise spec is rejected by the radio config check before
+	// the workload is built, not reported from inside the first trial.
+	for _, noise := range badNoiseSpecs {
+		args := append([]string{"-schedule", "decay", "-topology", "grid", "-n", "64", "-trials", "2", "-fault", "receiver"}, noise...)
+		if _, err := capture(t, args...); err == nil || !strings.HasPrefix(err.Error(), "radio: ") {
+			t.Errorf("%v: error %v, want the radio config's validation error", noise, err)
+		}
+	}
+}
+
+// badNoiseSpecs are -p/-drawcontract flag sets that radio.Config.Validate
+// rejects under receiver faults: p outside [0, 1), NaN, and a v3 p that
+// reaches the default bad-phase fault probability 0.5.
+var badNoiseSpecs = [][]string{
+	{"-p", "1.5"},
+	{"-p", "NaN"},
+	{"-drawcontract", "v3", "-p", "0.6"},
 }
 
 // The forced dense engine must not change any output byte at any worker

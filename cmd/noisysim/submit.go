@@ -10,20 +10,26 @@ import (
 	"noisyradio/internal/benchreport"
 	"noisyradio/internal/broadcast"
 	"noisyradio/internal/experiments"
+	"noisyradio/internal/radio"
 	"noisyradio/internal/serve"
 )
 
 // submitSchedule runs a -schedule job on a remote sweep service instead
 // of the local sweep pool: it builds the canonical job spec from the same
 // flags a local run uses, validates it client-side against the registry
-// (unknown schedules and malformed workloads fail before any network
-// traffic), streams the service's snapshot lines as they arrive and
-// renders the terminal result in the local -schedule output format.
-func submitSchedule(out *os.File, baseURL, name, topology string, n, k int, p float64, faultName string, drawName string, trials int, seed uint64, burstLen, burstBadP, jamQ float64, jamRadius int, jamBall bool) error {
+// and the radio config (unknown schedules, invalid noise specs and
+// malformed workloads fail before any network traffic), streams the
+// service's snapshot lines as they arrive and renders the terminal result
+// in the local -schedule output format. base carries the draw contract's
+// parameters; drawName is the -drawcontract flag as the spec records it.
+func submitSchedule(out *os.File, baseURL, name, topology string, n, k int, p float64, faultName string, drawName string, trials int, seed uint64, base radio.Config) error {
 	sched, err := broadcast.LookupSchedule(name)
 	if err != nil {
 		names := strings.Join(broadcast.ScheduleNames(), ", ")
 		return fmt.Errorf("%w (use -schedule list; known: %s)", err, names)
+	}
+	if _, err := parseFault(faultName, p, base); err != nil {
+		return err
 	}
 	// The same workload resolution the server will perform — run it here
 	// first so bad parameters are a usage error, not a round trip.
@@ -52,9 +58,9 @@ func submitSchedule(out *os.File, baseURL, name, topology string, n, k int, p fl
 	}
 	switch drawName {
 	case "v3":
-		spec.BurstLen, spec.BurstBadP = burstLen, burstBadP
+		spec.BurstLen, spec.BurstBadP = base.Burst.Len, base.Burst.BadP
 	case "v4":
-		spec.JamQ, spec.JamRadius, spec.JamBall = jamQ, jamRadius, jamBall
+		spec.JamQ, spec.JamRadius, spec.JamBall = base.Jam.Q, base.Jam.Radius, base.Jam.Ball
 	}
 
 	fmt.Fprintf(out, "schedule: %s (%s, %s)\n", sched.Name, sched.Kind, sched.Ref)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -109,6 +110,23 @@ func TestSubmitErrorPaths(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q missing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestSubmitRejectsBadNoiseSpec: -submit runs the local run's radio
+// config check before it posts, so an invalid noise spec never reaches
+// the service.
+func TestSubmitRejectsBadNoiseSpec(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		t.Errorf("request reached the service: %s %s", r.Method, r.URL.Path)
+		http.Error(w, "unexpected request", http.StatusInternalServerError)
+	}))
+	defer ts.Close()
+	for _, noise := range badNoiseSpecs {
+		args := append([]string{"-schedule", "decay", "-submit", ts.URL, "-topology", "grid", "-n", "64", "-trials", "2", "-fault", "receiver"}, noise...)
+		if _, err := capture(t, args...); err == nil || !strings.HasPrefix(err.Error(), "radio: ") {
+			t.Errorf("%v: error %v, want the radio config's validation error", noise, err)
 		}
 	}
 }

@@ -1,22 +1,133 @@
 package broadcast
 
 // Integration tests that cross-validate the packet-counting ("MDS
-// abstraction") schedules against the real Reed–Solomon codec: the
-// schedules assume any k distinct coded packets reconstruct the k
-// messages; here the same radio executions carry real coded shards and the
-// decoded bytes are compared to the originals.
+// abstraction") schedules against real decoding: the schedules assume any
+// k distinct coded packets reconstruct the k messages; here the same radio
+// executions carry evaluation-form Reed–Solomon shards over GF(2^8), every
+// reception goes through the exact Gaussian-elimination decoder of
+// internal/rlnc, and the decoded bytes are compared to the originals.
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"noisyradio/internal/bitset"
+	"noisyradio/internal/gf256"
 	"noisyradio/internal/graph"
 	"noisyradio/internal/radio"
+	"noisyradio/internal/rlnc"
 	"noisyradio/internal/rng"
-	"noisyradio/internal/rs"
-	"noisyradio/internal/rs16"
 )
+
+// fieldPoints is the number of distinct evaluation points of GF(2^8), so
+// the most distinct shards the code can emit.
+const fieldPoints = 256
+
+// rsShard returns shard i of the evaluation-form Reed–Solomon code of
+// data over GF(2^8), for 0 <= i < fieldPoints: coefficients (1, α, α², …,
+// α^(k−1)) at α = i, and payload Σ_j α^j·data[j]. Any k distinct shards
+// form an invertible Vandermonde system. The decoder consumes what it is
+// given, so every reception builds a fresh shard.
+func rsShard(i int, data [][]byte) rlnc.Packet {
+	p := rlnc.Packet{Coeffs: make([]byte, len(data)), Payload: make([]byte, len(data[0]))}
+	x := byte(1)
+	for j, m := range data {
+		p.Coeffs[j] = x
+		gf256.MulVec(p.Payload, m, x)
+		x = gf256.Mul(x, byte(i))
+	}
+	return p
+}
+
+// receiveShard inserts shard i into dec as the nth distinct shard its node
+// has received. It reports an error unless the shard was innovative
+// exactly while the rank was below k and the decoder became decodable
+// exactly at the k-th reception: the MDS property the counting schedules
+// rest on.
+func receiveShard(dec *rlnc.Decoder, i, nth int, data [][]byte) error {
+	innovative, err := dec.InsertPacket(rsShard(i, data))
+	if err != nil {
+		return err
+	}
+	k := dec.K()
+	if innovative != (nth <= k) || dec.CanDecode() != (nth >= k) {
+		return fmt.Errorf("reception %d (shard %d): innovative %v, rank %d of %d", nth, i, innovative, dec.Rank(), k)
+	}
+	return nil
+}
+
+// checkDecoded fails the test unless dec decodes exactly data.
+func checkDecoded(t *testing.T, who string, dec *rlnc.Decoder, data [][]byte) {
+	t.Helper()
+	got, err := dec.Decode()
+	if err != nil {
+		t.Fatalf("%s: %v", who, err)
+	}
+	for i := range data {
+		if !bytes.Equal(got[i], data[i]) {
+			t.Fatalf("%s: message %d corrupted", who, i)
+		}
+	}
+}
+
+// replayHubCoding replays the coding schedule of Lemmas 16 and 30 on a hub
+// topology (node 0 broadcasts, every other node is a leaf: the star or
+// the single link) for rounds rounds with real shards: round i's
+// broadcast is shard i of data, and every leaf feeds each reception to
+// its own decoder through receiveShard. It fails the test unless every
+// leaf decodes data byte for byte, and returns the round at which each
+// node's decoder reached rank k (the round the counting schedule counts
+// the leaf done; -1 for the hub).
+func replayHubCoding(t *testing.T, top graph.Topology, rounds int, cfg radio.Config, r *rng.Stream, data [][]byte) []int {
+	t.Helper()
+	if rounds > fieldPoints {
+		t.Fatalf("%d rounds exceed the field's %d shards", rounds, fieldPoints)
+	}
+	k := len(data)
+	n := top.G.N()
+	net := radio.MustNew[int32](top.G, cfg, r)
+	tx := bitset.New(n)
+	tx.Set(0)
+	payload := make([]int32, n)
+
+	decs := make([]*rlnc.Decoder, n)
+	received := make([]int, n)
+	decoded := make([]int, n)
+	for v := range decs {
+		decs[v] = rlnc.NewDecoder(k, len(data[0]))
+		decoded[v] = -1
+	}
+	for round := 0; round < rounds; round++ {
+		payload[0] = int32(round)
+		net.StepSet(tx, payload, nil, func(d radio.Delivery[int32]) {
+			received[d.To]++
+			if err := receiveShard(decs[d.To], int(d.Payload), received[d.To], data); err != nil {
+				t.Fatalf("leaf %d: %v", d.To, err)
+			}
+			if decoded[d.To] == -1 && decs[d.To].CanDecode() {
+				decoded[d.To] = round
+			}
+		})
+	}
+	for v := 1; v < n; v++ {
+		if received[v] < k {
+			t.Fatalf("leaf %d received only %d of k=%d shards in %d rounds", v, received[v], k, rounds)
+		}
+		checkDecoded(t, fmt.Sprintf("leaf %d", v), decs[v], data)
+	}
+	return decoded
+}
+
+// randomMessages draws k messages of size bytes each from r.
+func randomMessages(r *rng.Stream, k, size int) [][]byte {
+	data := make([][]byte, k)
+	for i := range data {
+		data[i] = make([]byte, size)
+		r.Bytes(data[i])
+	}
+	return data
+}
 
 // TestStarCodingWithRealReedSolomon replays the Lemma 16 star schedule
 // with actual RS shards as payloads: every leaf must reconstruct the exact
@@ -26,60 +137,11 @@ func TestStarCodingWithRealReedSolomon(t *testing.T) {
 		leaves     = 40
 		k          = 16
 		payloadLen = 24
-		maxRounds  = 200 // also the number of coded shards; < rs.MaxShards
+		maxRounds  = 200 // also the number of distinct shards
 	)
 	r := rng.New(11)
 	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.5}
-
-	data := make([][]byte, k)
-	for i := range data {
-		data[i] = make([]byte, payloadLen)
-		r.Bytes(data[i])
-	}
-	code, err := rs.New(k, maxRounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards, err := code.Encode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	top := graph.Star(leaves)
-	net := radio.MustNew[int32](top.G, cfg, r)
-	tx := bitset.New(top.G.N())
-	payload := make([]int32, top.G.N())
-	tx.Set(0)
-
-	received := make([]map[int32][]byte, top.G.N())
-	for v := range received {
-		received[v] = make(map[int32][]byte)
-	}
-	for round := 0; round < maxRounds; round++ {
-		payload[0] = int32(round)
-		net.StepSet(tx, payload, nil, func(d radio.Delivery[int32]) {
-			received[d.To][d.Payload] = shards[d.Payload]
-		})
-	}
-
-	for v := 1; v <= leaves; v++ {
-		if len(received[v]) < k {
-			t.Fatalf("leaf %d received only %d shards after %d rounds", v, len(received[v]), maxRounds)
-		}
-		slots := make([][]byte, maxRounds)
-		for idx, s := range received[v] {
-			slots[idx] = s
-		}
-		got, err := code.Reconstruct(slots)
-		if err != nil {
-			t.Fatalf("leaf %d: %v", v, err)
-		}
-		for i := range data {
-			if !bytes.Equal(got[i], data[i]) {
-				t.Fatalf("leaf %d: message %d corrupted", v, i)
-			}
-		}
-	}
+	replayHubCoding(t, graph.Star(leaves), maxRounds, cfg, r, randomMessages(r, k, payloadLen))
 }
 
 // TestLossyLinkMetaRoundWithRealReedSolomon replays one meta-round of the
@@ -93,185 +155,53 @@ func TestLossyLinkMetaRoundWithRealReedSolomon(t *testing.T) {
 		payloadLen = 8
 	)
 	cfg := radio.Config{Fault: radio.SenderFaults, P: 0.4}
-	mlen := metaRoundLen(batch, cfg, eta)
-	if mlen >= rs.MaxShards {
-		t.Fatalf("meta-round %d exceeds shard budget", mlen)
-	}
 	r := rng.New(12)
-	data := make([][]byte, batch)
-	for i := range data {
-		data[i] = make([]byte, payloadLen)
-		r.Bytes(data[i])
-	}
-	code, err := rs.New(batch, mlen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards, err := code.Encode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	top := graph.SingleLink()
-	net := radio.MustNew[int32](top.G, cfg, r)
-	tx := bitset.New(2)
-	tx.Set(0)
-	payload := []int32{0, 0}
-	slots := make([][]byte, mlen)
-	got := 0
-	for round := 0; round < mlen; round++ {
-		payload[0] = int32(round)
-		net.StepSet(tx, payload, nil, func(d radio.Delivery[int32]) {
-			slots[d.Payload] = shards[d.Payload]
-			got++
-		})
-	}
-	if got < batch {
-		t.Fatalf("only %d/%d shards survived the meta-round (p=%.1f, mlen=%d)", got, batch, cfg.P, mlen)
-	}
-	decoded, err := code.Reconstruct(slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range data {
-		if !bytes.Equal(decoded[i], data[i]) {
-			t.Fatalf("message %d corrupted across the meta-round", i)
-		}
-	}
+	replayHubCoding(t, graph.SingleLink(), metaRoundLen(batch, cfg, eta), cfg, r, randomMessages(r, batch, payloadLen))
 }
 
-// TestStarCodingLargeKWithGF16 replays the star schedule far beyond the
-// GF(2^8) shard ceiling: k=200 messages over up to 1200 distinct coded
-// packets (rs16 over GF(2^16)), with every leaf decoding the exact source
-// symbols. This removes any reliance on the counting abstraction at large
-// k.
-func TestStarCodingLargeKWithGF16(t *testing.T) {
+// TestStarCodingLargeK replays the star schedule at k = 200 messages, as
+// far as GF(2^8) reaches: the hub broadcasts all 256 distinct shards at
+// receiver p = 0.1, and every leaf decodes the exact source bytes from a
+// 200×200 Vandermonde system.
+func TestStarCodingLargeK(t *testing.T) {
 	const (
-		leaves    = 12
-		k         = 200
-		size      = 4
-		maxRounds = 1200 // > 256: impossible with the GF(2^8) codec
+		leaves = 12
+		k      = 200
+		size   = 8
 	)
 	r := rng.New(21)
-	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.5}
-	code, err := rs16.New(k, maxRounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([][]uint16, k)
-	for i := range data {
-		data[i] = make([]uint16, size)
-		for j := range data[i] {
-			data[i][j] = uint16(r.Uint64())
-		}
-	}
-	top := graph.Star(leaves)
-	net := radio.MustNew[int32](top.G, cfg, r)
-	tx := bitset.New(top.G.N())
-	payload := make([]int32, top.G.N())
-	tx.Set(0)
-
-	slots := make([][][]uint16, top.G.N())
-	counts := make([]int, top.G.N())
-	for v := range slots {
-		slots[v] = make([][]uint16, maxRounds)
-	}
-	// Shards are encoded lazily, once per broadcast round.
-	shardCache := make(map[int32][]uint16, maxRounds)
-	for round := 0; round < maxRounds; round++ {
-		idx := int32(round)
-		if _, ok := shardCache[idx]; !ok {
-			s, err := code.EncodeShard(round, data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shardCache[idx] = s
-		}
-		payload[0] = idx
-		net.StepSet(tx, payload, nil, func(d radio.Delivery[int32]) {
-			slots[d.To][d.Payload] = shardCache[d.Payload]
-			counts[d.To]++
-		})
-	}
-	for v := 1; v <= leaves; v++ {
-		if counts[v] < k {
-			t.Fatalf("leaf %d received %d < k=%d shards", v, counts[v], k)
-		}
-		got, err := code.Reconstruct(slots[v])
-		if err != nil {
-			t.Fatalf("leaf %d: %v", v, err)
-		}
-		for i := range data {
-			for j := range data[i] {
-				if got[i][j] != data[i][j] {
-					t.Fatalf("leaf %d: symbol (%d,%d) corrupted", v, i, j)
-				}
-			}
-		}
-	}
+	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.1}
+	replayHubCoding(t, graph.Star(leaves), fieldPoints, cfg, r, randomMessages(r, k, size))
 }
 
 // TestCountingAbstractionMatchesRealDecodability: for the star schedule,
 // the per-leaf round at which "k distinct packets received" (the counting
 // abstraction) is exactly the round at which the real decoder first
-// succeeds.
+// succeeds, and the registry's star-coding schedule, run on the same
+// stream, ends at the round the last leaf decodes.
 func TestCountingAbstractionMatchesRealDecodability(t *testing.T) {
 	const (
 		leaves    = 10
 		k         = 8
 		maxRounds = 120
+		seed      = 13
 	)
-	r := rng.New(13)
 	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.5}
-	code, err := rs.New(k, maxRounds)
-	if err != nil {
-		t.Fatal(err)
-	}
 	data := make([][]byte, k)
 	for i := range data {
 		data[i] = []byte{byte(i), byte(i + 1)}
 	}
-	shards, err := code.Encode(data)
+	decoded := replayHubCoding(t, graph.Star(leaves), maxRounds, cfg, rng.New(seed), data)
+	last := 0
+	for v := 1; v <= leaves; v++ {
+		last = max(last, decoded[v])
+	}
+	out, err := MustSchedule("star-coding").Run(graph.Topology{}, cfg, rng.New(seed),
+		ScheduleParams{Leaves: leaves, K: k, Options: Options{MaxRounds: maxRounds}})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	top := graph.Star(leaves)
-	net := radio.MustNew[int32](top.G, cfg, r)
-	tx := bitset.New(top.G.N())
-	payload := make([]int32, top.G.N())
-	tx.Set(0)
-
-	counts := make([]int, top.G.N())
-	countDone := make([]int, top.G.N()) // round of k-th reception per leaf
-	slots := make([][][]byte, top.G.N())
-	realDone := make([]int, top.G.N()) // first round the real decode works
-	for v := range slots {
-		slots[v] = make([][]byte, maxRounds)
-		countDone[v], realDone[v] = -1, -1
-	}
-	for round := 0; round < maxRounds; round++ {
-		payload[0] = int32(round)
-		net.StepSet(tx, payload, nil, func(d radio.Delivery[int32]) {
-			counts[d.To]++
-			slots[d.To][d.Payload] = shards[d.Payload]
-			if counts[d.To] == k && countDone[d.To] == -1 {
-				countDone[d.To] = round
-			}
-			if realDone[d.To] == -1 {
-				if _, err := code.Reconstruct(slots[d.To]); err == nil {
-					realDone[d.To] = round
-				}
-			}
-		})
-	}
-	for v := 1; v <= leaves; v++ {
-		if countDone[v] == -1 {
-			t.Fatalf("leaf %d never reached k receptions", v)
-		}
-		if countDone[v] != realDone[v] {
-			t.Fatalf("leaf %d: counting says decodable at round %d, real decoder at %d",
-				v, countDone[v], realDone[v])
-		}
+	if !out.Success || out.Rounds != last+1 {
+		t.Fatalf("star-coding: success=%v after %d rounds, want success after %d (the last leaf decoded in round %d)", out.Success, out.Rounds, last+1, last)
 	}
 }

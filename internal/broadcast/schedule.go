@@ -11,6 +11,7 @@ package broadcast
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -110,6 +111,18 @@ func (o Outcome) Throughput(k int) float64 {
 		return 0
 	}
 	return float64(k) / float64(o.Rounds)
+}
+
+// RoundsOrNaN is the sweeps' failed-trial mapping: the rounds to
+// completion on success, NaN on failure, which a stats.Accumulator counts
+// in Dropped instead of the mean. The error is always nil; the signature
+// is a sweep row's value function, so callers pass the method expression
+// broadcast.Outcome.RoundsOrNaN.
+func (o Outcome) RoundsOrNaN() (float64, error) {
+	if !o.Success {
+		return math.NaN(), nil
+	}
+	return float64(o.Rounds), nil
 }
 
 // Schedule is one registered broadcast schedule: metadata plus its

@@ -55,7 +55,10 @@ func singleLinkNonAdaptive(_ graph.Topology, cfg radio.Config, r *rng.Stream, p 
 	if err != nil {
 		return Outcome{}, err
 	}
-	tx := sourceOnlyTx()
+	// Only the source broadcasts: one constant set, passed to StepSet
+	// unchanged every round.
+	tx := bitset.New(2)
+	tx.Set(0)
 	payload := []int32{0, 0}
 	got := make([]bool, k)
 	received := 0
@@ -85,89 +88,34 @@ func singleLinkNonAdaptive(_ graph.Topology, cfg radio.Config, r *rng.Stream, p 
 // singleLinkAdaptive runs the adaptive routing (ARQ) schedule of Lemma 32:
 // the source retransmits each message until the receiver confirms it, then
 // moves on. Expected k/(1-p) rounds — constant throughput, erasing the
-// single-link coding gap.
+// single-link coding gap. It is star routing's loop with one leaf.
 func singleLinkAdaptive(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
 	k := p.K
 	if k < 1 {
 		return Outcome{}, fmt.Errorf("broadcast: single-link adaptive needs k >= 1, got %d", k)
 	}
-	top := graph.SingleLink()
-	net, err := radio.New[int32](top.G, cfg, r)
-	if err != nil {
-		return Outcome{}, err
-	}
 	maxRounds := p.Options.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = singleLinkDefaultMaxRounds(k, cfg)
 	}
-	tx := sourceOnlyTx()
-	payload := []int32{0, 0}
-	current := 0
-	round := 0
-	for ; round < maxRounds && current < k; round++ {
-		payload[0] = int32(current)
-		net.StepSet(tx, payload, nil, func(d radio.Delivery[int32]) {
-			current++
-		})
-	}
-	done := 1
-	if current == k {
-		done = 2
-	}
-	return Outcome{
-		Rounds:  round,
-		Success: current == k,
-		Done:    done,
-		Channel: net.Stats(),
-	}, nil
+	return hubRouting(graph.SingleLink(), cfg, r, k, maxRounds)
 }
 
 // singleLinkCoding runs the coding schedule of Lemma 30: the source
 // transmits a fresh Reed–Solomon packet every round; the receiver decodes
 // after any k receptions (MDS property). Expected k/(1-p) rounds —
-// constant throughput without any feedback.
+// constant throughput without any feedback. It is star coding's loop with
+// one leaf.
 func singleLinkCoding(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
 	k := p.K
 	if k < 1 {
 		return Outcome{}, fmt.Errorf("broadcast: single-link coding needs k >= 1, got %d", k)
 	}
-	top := graph.SingleLink()
-	net, err := radio.New[int32](top.G, cfg, r)
-	if err != nil {
-		return Outcome{}, err
-	}
 	maxRounds := p.Options.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = singleLinkDefaultMaxRounds(k, cfg)
 	}
-	tx := sourceOnlyTx()
-	payload := []int32{0, 0}
-	received := 0
-	round := 0
-	for ; round < maxRounds && received < k; round++ {
-		payload[0] = int32(round)
-		net.StepSet(tx, payload, nil, func(d radio.Delivery[int32]) {
-			received++
-		})
-	}
-	done := 1
-	if received >= k {
-		done = 2
-	}
-	return Outcome{
-		Rounds:  round,
-		Success: received >= k,
-		Done:    done,
-		Channel: net.Stats(),
-	}, nil
-}
-
-// sourceOnlyTx returns the single-link broadcast set {source}: constant
-// for every schedule in this file, so rounds pass it to StepSet untouched.
-func sourceOnlyTx() *bitset.Set {
-	tx := bitset.New(2)
-	tx.Set(0)
-	return tx
+	return hubCoding(graph.SingleLink(), cfg, r, k, maxRounds)
 }
 
 func singleLinkDefaultMaxRounds(k int, cfg radio.Config) int {

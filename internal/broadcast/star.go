@@ -20,25 +20,33 @@ func starRouting(_ graph.Topology, cfg radio.Config, r *rng.Stream, p SchedulePa
 	if leaves < 1 || k < 1 {
 		return Outcome{}, fmt.Errorf("broadcast: star routing needs leaves >= 1 and k >= 1, got (%d,%d)", leaves, k)
 	}
-	top := graph.Star(leaves)
-	net, err := radio.New[int32](top.G, cfg, r)
-	if err != nil {
-		return Outcome{}, err
-	}
 	maxRounds := p.Options.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = starDefaultMaxRounds(leaves, k, cfg)
 	}
+	return hubRouting(graph.Star(leaves), cfg, r, k, maxRounds)
+}
 
+// hubRouting is starRouting's loop on a hub topology: node 0 is the only
+// broadcaster and every other node is a leaf it reaches directly — a
+// star, or the single link as its one-leaf case. It runs until every leaf
+// holds all k messages or maxRounds rounds have passed.
+func hubRouting(top graph.Topology, cfg radio.Config, r *rng.Stream, k, maxRounds int) (Outcome, error) {
+	net, err := radio.New[int32](top.G, cfg, r)
+	if err != nil {
+		return Outcome{}, err
+	}
 	n := top.G.N()
+	leaves := n - 1
 	// Only the hub ever broadcasts: the schedule is one constant bitset,
 	// passed to StepSet unchanged every round.
 	tx := bitset.New(n)
 	tx.Set(0)
 	payload := make([]int32, n)
 
-	// missing counts the leaves still lacking the current message; has[v]
-	// is reset between messages via a generation stamp.
+	// missing counts the leaves still lacking the current message; gen[v]
+	// == current+1 marks leaf v as holding it, so nothing is reset between
+	// messages.
 	gen := make([]int32, n)
 	current := int32(0)
 	missing := leaves
@@ -84,25 +92,32 @@ func doneCountStar(current int32, k, leaves, missing int) int {
 // messages, so a leaf is done once it has received k packets. Θ(k) rounds
 // suffice for constant p — the coding side of Theorem 17.
 //
-// The simulation tracks packet counts rather than moving real RS payloads;
-// rs.Code (tested against this schedule in the package tests) provides the
-// actual any-k-of-m decode guarantee this relies on.
+// The simulation tracks packet counts rather than moving real RS payloads.
+// The package tests replay this schedule with evaluation-form RS shards
+// over GF(2^8) and decode them exactly with rlnc.Decoder: every leaf's
+// decoder reaches full rank at exactly its k-th reception.
 func starCoding(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
 	leaves, k := p.Leaves, p.K
 	if leaves < 1 || k < 1 {
 		return Outcome{}, fmt.Errorf("broadcast: star coding needs leaves >= 1 and k >= 1, got (%d,%d)", leaves, k)
 	}
-	top := graph.Star(leaves)
-	net, err := radio.New[int32](top.G, cfg, r)
-	if err != nil {
-		return Outcome{}, err
-	}
 	maxRounds := p.Options.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = starDefaultMaxRounds(leaves, k, cfg)
 	}
+	return hubCoding(graph.Star(leaves), cfg, r, k, maxRounds)
+}
 
+// hubCoding is starCoding's loop on a hub topology (see hubRouting): it
+// runs until every leaf holds k distinct coded packets or maxRounds
+// rounds have passed.
+func hubCoding(top graph.Topology, cfg radio.Config, r *rng.Stream, k, maxRounds int) (Outcome, error) {
+	net, err := radio.New[int32](top.G, cfg, r)
+	if err != nil {
+		return Outcome{}, err
+	}
 	n := top.G.N()
+	leaves := n - 1
 	tx := bitset.New(n)
 	tx.Set(0)
 	payload := make([]int32, n)

@@ -1,7 +1,9 @@
 // Package gf256 implements arithmetic over the finite field GF(2^8) with the
-// AES/Reed–Solomon-conventional reduction polynomial x^8+x^4+x^3+x^2+1
-// (0x11D). It backs the Reed–Solomon codec (internal/rs) and the random
-// linear network coding decoder (internal/rlnc).
+// reduction polynomial x^8+x^4+x^3+x^2+1 (0x11D) conventional for
+// Reed–Solomon codes. It backs the random linear network coding decoder
+// (internal/rlnc). Addition is XOR, so the package exports only the
+// multiplicative operations: Mul, Inv and the row operations MulVec and
+// ScaleVec.
 //
 // Multiplication and inversion run through log/exp tables built once at
 // package load; the construction is a deterministic pure computation.
@@ -49,12 +51,6 @@ func mulSlow(a, b byte) byte {
 	return p
 }
 
-// Add returns a + b in GF(2^8). Addition is XOR; it is its own inverse.
-func Add(a, b byte) byte { return a ^ b }
-
-// Sub returns a - b in GF(2^8); identical to Add in characteristic 2.
-func Sub(a, b byte) byte { return a ^ b }
-
 // Mul returns a * b in GF(2^8).
 func Mul(a, b byte) byte {
 	if a == 0 || b == 0 {
@@ -63,41 +59,12 @@ func Mul(a, b byte) byte {
 	return expTable[int(logTable[a])+int(logTable[b])]
 }
 
-// Div returns a / b in GF(2^8). It panics on division by zero.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf256: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	la, lb := int(logTable[a]), int(logTable[b])
-	return expTable[la-lb+255]
-}
-
 // Inv returns the multiplicative inverse of a. It panics if a is zero.
 func Inv(a byte) byte {
 	if a == 0 {
 		panic("gf256: inverse of zero")
 	}
 	return expTable[255-int(logTable[a])]
-}
-
-// Exp returns generator^e for e >= 0.
-func Exp(e int) byte {
-	return expTable[e%255]
-}
-
-// Pow returns a^e in GF(2^8) for e >= 0 (with 0^0 = 1).
-func Pow(a byte, e int) byte {
-	if e == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	le := (int(logTable[a]) * e) % 255
-	return expTable[le]
 }
 
 // MulVec sets dst[i] ^= c * src[i] for all i, the row operation at the heart

@@ -28,7 +28,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -328,7 +327,7 @@ func (s *Server) execute(ctx context.Context, jb *job, w http.ResponseWriter) (b
 	for i := range rows {
 		start := i * jb.spec.Trials / jb.shards
 		end := (i + 1) * jb.spec.Trials / jb.shards
-		rows[i] = sw.AddScheduleShard(jb.sched, jb.top, jb.cfg, jb.params, start, end, jb.spec.Seed, scheduleValue)
+		rows[i] = sw.AddScheduleShard(jb.sched, jb.top, jb.cfg, jb.params, start, end, jb.spec.Seed, broadcast.Outcome.RoundsOrNaN)
 	}
 	s.metrics.inflight.Add(int64(jb.shards))
 	errc := make(chan error, 1)
@@ -388,17 +387,6 @@ func writeLine(w http.ResponseWriter, b []byte) {
 	if f, ok := w.(http.Flusher); ok {
 		f.Flush()
 	}
-}
-
-// scheduleValue is the one statistic the service folds: rounds to
-// completion, with failed trials feeding the accumulator's dropped
-// counter via the NaN sentinel — the same mapping the CLI's -schedule
-// runner uses.
-func scheduleValue(o broadcast.Outcome) (float64, error) {
-	if !o.Success {
-		return math.NaN(), nil
-	}
-	return float64(o.Rounds), nil
 }
 
 // handleMetrics renders the counters as plain "name value" lines.

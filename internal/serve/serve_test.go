@@ -99,7 +99,7 @@ func TestJobMatchesLocalSweep(t *testing.T) {
 	sw := sim.NewSweep(sim.SweepConfig{Workers: 1})
 	row := sw.AddSchedule(sched, graph.Path(spec.N),
 		mustCheck(t, spec).cfg, broadcast.ScheduleParams{}, spec.Trials, spec.Seed,
-		scheduleValue)
+		broadcast.Outcome.RoundsOrNaN)
 	if err := sw.Run(); err != nil {
 		t.Fatal(err)
 	}

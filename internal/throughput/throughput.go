@@ -10,7 +10,6 @@ package throughput
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"noisyradio/internal/broadcast"
 	"noisyradio/internal/graph"
@@ -48,16 +47,6 @@ type Pending struct {
 	row    *sim.Row
 }
 
-// roundsOrNaN is the throughput value mapping: successful trials
-// contribute their round count, failures the accumulator's NaN sentinel
-// (dropped from MeanRounds, still counted by SuccessRate).
-func roundsOrNaN(out broadcast.Outcome) (float64, error) {
-	if !out.Success {
-		return math.NaN(), nil
-	}
-	return float64(out.Rounds), nil
-}
-
 // DeferSchedule registers a throughput measurement of one registered
 // broadcast schedule on sw, with k = p.K messages per execution. How the
 // trials execute — engine and worker count — is the sweep's execution
@@ -70,7 +59,7 @@ func DeferSchedule(sw *sim.Sweep, sched *broadcast.Schedule, top graph.Topology,
 	if p.K < 1 {
 		panic(fmt.Sprintf("throughput: k = %d, need >= 1", p.K))
 	}
-	row := sw.AddSchedule(sched, top, cfg, p, trials, seed, roundsOrNaN)
+	row := sw.AddSchedule(sched, top, cfg, p, trials, seed, broadcast.Outcome.RoundsOrNaN)
 	return &Pending{k: p.K, trials: trials, row: row}
 }
 

@@ -22,7 +22,7 @@ func deferFake(sw *sim.Sweep, k, trials int, seed uint64, run func(r *rng.Stream
 		if err != nil {
 			return 0, err
 		}
-		return roundsOrNaN(out)
+		return out.RoundsOrNaN()
 	})
 	return &Pending{k: k, trials: trials, row: row}
 }
