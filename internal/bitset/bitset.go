@@ -99,10 +99,12 @@ func (s *Set) ForEach(fn func(i int)) {
 }
 
 // Words exposes the backing word slice: bit i of the set lives at bit
-// i%64 of Words()[i/64]. It aliases internal storage and must be treated
-// as read-only; it exists so word-parallel consumers (the dense radio
-// engine) can AND rows against the set without copying. Bits at positions
-// >= Len() in the last word are always zero.
+// i%64 of Words()[i/64]. It aliases internal storage, so a write through
+// it changes the set; it exists so word-parallel consumers can AND rows
+// against the set (the dense radio engine) or OR a word of members into
+// it (the sparse radio engine's receivers) without copying. Bits at
+// positions >= Len() in the last word are always zero, and a writer must
+// keep them so.
 func (s *Set) Words() []uint64 { return s.words }
 
 // NonzeroRange returns the half-open word-index window [lo, hi) covering

@@ -12,8 +12,8 @@ import (
 
 // The differential harness: run the same (graph, config, seed, schedule)
 // execution on the sparse and dense engines and require bit-identical
-// deliveries, Stats, rx bitsets and trace callbacks. This is the
-// determinism contract every reproduced table stands on.
+// deliveries, Stats, rx bitsets, trace callbacks and stream positions.
+// This is the determinism contract every reproduced table stands on.
 
 // traceRecord is one TraceFunc invocation, deep-copied.
 type traceRecord struct {
@@ -22,11 +22,15 @@ type traceRecord struct {
 	rx    []int32
 }
 
-// execution is everything observable about a run.
+// execution is everything observable about a run, plus the broadcast
+// sets it ran, so a twin can replay them.
 type execution struct {
 	deliveries []Delivery[int32]
 	stats      Stats
 	traces     []traceRecord
+	rx         []uint64 // every round's receivers, accumulated
+	next       uint64   // the network stream's next Uint64 after the run
+	txs        []*bitset.Set
 }
 
 // executeEngine runs rounds broadcast rounds on g under cfg with the given
@@ -38,7 +42,8 @@ type execution struct {
 func executeEngine(t testing.TB, g *graph.Graph, cfg Config, eng Engine, netSeed uint64, rounds int, schedule func(round, v int) bool) execution {
 	t.Helper()
 	cfg.Engine = eng
-	net, err := New[int32](g, cfg, rng.New(netSeed))
+	rnd := rng.New(netSeed)
+	net, err := New[int32](g, cfg, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +63,7 @@ func executeEngine(t testing.TB, g *graph.Graph, cfg Config, eng Engine, netSeed
 	tx := bitset.New(n)
 	rx := bitset.New(n)
 	rxWant := bitset.New(n)
+	ex.rx = make([]uint64, len(rx.Words()))
 	for round := 0; round < rounds; round++ {
 		tx.Reset()
 		for v := 0; v < n; v++ {
@@ -82,10 +88,45 @@ func executeEngine(t testing.TB, g *graph.Graph, cfg Config, eng Engine, netSeed
 			if word != rxWant.Words()[w] {
 				t.Fatalf("round %d: rx bitset %v != delivered receivers %v", round, rx, rxWant)
 			}
+			ex.rx[w] |= word
 		}
+		ex.txs = append(ex.txs, txBefore)
 	}
 	ex.stats = net.Stats()
+	ex.next = rnd.Uint64()
 	return ex
+}
+
+// requireBareTwin replays ref's broadcast sets on a sparse network with
+// neither a deliver callback nor a trace, its receivers accumulated in
+// one rx set: the path every single-message runner takes, which resolves
+// whole words of receivers at once outside the receiver model. It fails
+// unless the twin's stats, receivers and stream position equal ref's.
+func requireBareTwin(t testing.TB, name string, g *graph.Graph, cfg Config, netSeed uint64, ref execution) {
+	t.Helper()
+	cfg.Engine = Sparse
+	rnd := rng.New(netSeed)
+	net, err := New[int32](g, cfg, rnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net.Engine() != Sparse {
+		t.Fatalf("%s: engine resolved to %v, want sparse", name, net.Engine())
+	}
+	payload := make([]int32, g.N())
+	rx := bitset.New(g.N())
+	for _, tx := range ref.txs {
+		net.StepSet(tx, payload, rx, nil)
+	}
+	if got := net.Stats(); got != ref.stats {
+		t.Fatalf("%s: callback-free sparse stats diverged\nwant %+v\ngot  %+v", name, ref.stats, got)
+	}
+	if !reflect.DeepEqual(rx.Words(), ref.rx) {
+		t.Fatalf("%s: callback-free sparse receivers diverged", name)
+	}
+	if got := rnd.Uint64(); got != ref.next {
+		t.Fatalf("%s: callback-free sparse left the stream at %#x, the callback run at %#x", name, got, ref.next)
+	}
 }
 
 // runEngine is executeEngine with a Bernoulli(txProb) schedule drawn from
@@ -99,9 +140,10 @@ func runEngine(t *testing.T, g *graph.Graph, cfg Config, eng Engine, netSeed, dr
 	})
 }
 
-// requireIdentical fails unless got matches want in stats, deliveries and
-// traces; name labels the diverging combination.
-func requireIdentical(t *testing.T, name string, want, got execution) {
+// requireIdentical fails unless got matches want in stats, deliveries,
+// traces, receivers and stream position; name labels the diverging
+// combination.
+func requireIdentical(t testing.TB, name string, want, got execution) {
 	t.Helper()
 	if want.stats != got.stats {
 		t.Fatalf("%s: stats diverged\nwant %+v\ngot  %+v", name, want.stats, got.stats)
@@ -111,6 +153,12 @@ func requireIdentical(t *testing.T, name string, want, got execution) {
 	}
 	if !reflect.DeepEqual(want.traces, got.traces) {
 		t.Fatalf("%s: traces diverged", name)
+	}
+	if !reflect.DeepEqual(want.rx, got.rx) {
+		t.Fatalf("%s: accumulated receivers diverged", name)
+	}
+	if want.next != got.next {
+		t.Fatalf("%s: stream positions diverged: next draw %#x vs %#x", name, want.next, got.next)
 	}
 }
 
@@ -160,6 +208,7 @@ func TestDifferentialEnginesAcrossTopologies(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/draw %v txProb=%v", top.Name, cfg.Fault, cfg.Draw, txProb)
 				ref := runEngine(t, top.G, cfg, Sparse, 42, 77, 60, txProb)
 				requireIdentical(t, name, ref, runEngine(t, top.G, cfg, Dense, 42, 77, 60, txProb))
+				requireBareTwin(t, name, top.G, cfg, 42, ref)
 			}
 		}
 	}
@@ -176,8 +225,10 @@ func TestDifferentialEnginesAcrossTopologies(t *testing.T) {
 		name := fmt.Sprintf("%s/%s/draw %v", gnp.Name, cfg.Fault, cfg.Draw)
 		ref := runEngine(t, gnp.G, cfg, Sparse, 42, 77, 4, 0.05)
 		requireIdentical(t, name+" txProb=0.05", ref, runEngine(t, gnp.G, cfg, Dense, 42, 77, 4, 0.05))
+		requireBareTwin(t, name+" txProb=0.05", gnp.G, cfg, 42, ref)
 		ref = executeEngine(t, gnp.G, cfg, Sparse, 42, 4, ends)
 		requireIdentical(t, name+" ends", ref, executeEngine(t, gnp.G, cfg, Dense, 42, 4, ends))
+		requireBareTwin(t, name+" ends", gnp.G, cfg, 42, ref)
 	}
 
 	// A touched window with empty interior words and members on word
@@ -194,6 +245,7 @@ func TestDifferentialEnginesAcrossTopologies(t *testing.T) {
 		name := fmt.Sprintf("%s/%s/draw %v word edges", path.Name, cfg.Fault, cfg.Draw)
 		ref := executeEngine(t, path.G, cfg, Sparse, 42, 60, edges)
 		requireIdentical(t, name, ref, executeEngine(t, path.G, cfg, Dense, 42, 60, edges))
+		requireBareTwin(t, name, path.G, cfg, 42, ref)
 	}
 }
 
@@ -215,6 +267,7 @@ func TestDifferentialEnginesRandomSweep(t *testing.T) {
 		name := fmt.Sprintf("seed %d (%s, %v, draw %v, txProb=%.2f)", seed, top.Name, cfg.Fault, cfg.Draw, txProb)
 		ref := runEngine(t, top.G, cfg, Sparse, seed+1000, seed+2000, 40, txProb)
 		requireIdentical(t, name, ref, runEngine(t, top.G, cfg, Dense, seed+1000, seed+2000, 40, txProb))
+		requireBareTwin(t, name, top.G, cfg, seed+1000, ref)
 	}
 }
 

@@ -1,7 +1,6 @@
 package radio
 
 import (
-	"reflect"
 	"testing"
 
 	"noisyradio/internal/graph"
@@ -9,9 +8,11 @@ import (
 
 // FuzzStepEngines fuzzes the engine equivalence contract: an arbitrary
 // edge list, fault environment and broadcast schedule must produce
-// bit-identical deliveries, Stats and traces on both engines (the rx
-// bitset is cross-checked against deliveries inside the harness). Seed
-// corpus lives in testdata/fuzz/FuzzStepEngines.
+// bit-identical deliveries, Stats, traces, receivers and stream positions
+// on both engines (the rx bitset is cross-checked against deliveries
+// inside the harness), and a callback-free sparse twin — rx only, no
+// deliver, no trace — must end with the same Stats, receivers and stream
+// position. Seed corpus lives in testdata/fuzz/FuzzStepEngines.
 func FuzzStepEngines(f *testing.F) {
 	f.Add(uint64(1), uint64(10), uint64(0), uint64(0), []byte{0, 1, 1, 2, 2, 3}, []byte{0xff, 0x0f})
 	f.Add(uint64(7), uint64(70), uint64(1), uint64(30), []byte{0, 1, 0, 2, 0, 3, 1, 2}, []byte{0xaa, 0x55, 0x33})
@@ -51,15 +52,7 @@ func FuzzStepEngines(f *testing.F) {
 			return sched[(idx/8)%len(sched)]>>(idx%8)&1 == 1
 		}
 		ref := executeEngine(t, g, cfg, Sparse, seed, rounds, schedule)
-		got := executeEngine(t, g, cfg, Dense, seed, rounds, schedule)
-		if ref.stats != got.stats {
-			t.Fatalf("dense: stats diverged\nref %+v\ngot %+v", ref.stats, got.stats)
-		}
-		if !reflect.DeepEqual(ref.deliveries, got.deliveries) {
-			t.Fatalf("dense: deliveries diverged: %d vs %d events", len(ref.deliveries), len(got.deliveries))
-		}
-		if !reflect.DeepEqual(ref.traces, got.traces) {
-			t.Fatal("dense: traces diverged")
-		}
+		requireIdentical(t, "dense", ref, executeEngine(t, g, cfg, Dense, seed, rounds, schedule))
+		requireBareTwin(t, "sparse without callbacks", g, cfg, seed, ref)
 	})
 }

@@ -131,8 +131,10 @@ func abandonRound(t *testing.T, step func(deliver func(d Delivery[int32]))) int 
 // requireUnvisitedInWord fails unless some listener after u in u's node
 // word hears exactly one transmitting neighbour and, when collision is
 // set, another hears two or more: listeners the resolve walk had not
-// reached when u's delivery panicked, whose tally slots the abandoned
-// network leaves set.
+// reached when u's delivery panicked. On the dense and implicit engines
+// nothing records them; on the sparse engine the abandoned network has
+// taken their word off its tally but not yet resolved them, and every
+// later word of its window stays set.
 func requireUnvisitedInWord(t *testing.T, g *graph.Graph, transmits func(v int) bool, u int, collision bool) {
 	t.Helper()
 	unique, collided := false, false
@@ -164,8 +166,8 @@ func requireUnvisitedInWord(t *testing.T, g *graph.Graph, transmits func(v int) 
 //     sparse and dense engines run the Builder's CSR complete graph and
 //     the implicit engine runs Complete's closed form.
 //   - On row 1 of an 8×8 grid, broadcasters 9, 11 and 13 leave listeners
-//     10 and 12 with a collision slot and the rest of word 0 with a
-//     unique one.
+//     10 and 12 heard twice and the rest of their neighbours in word 0
+//     heard once.
 func TestFreshNetworkAfterMidRoundPanic(t *testing.T) {
 	cases := []struct {
 		name      string

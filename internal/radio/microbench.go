@@ -29,7 +29,10 @@ import (
 //
 // Two sparse rows time the resolve walk over the touched-listener word
 // window at its two extremes: scattered touches filling most words
-// (WCT(4096)) and a window of mostly empty words (Path(10⁵)).
+// (WCT(4096)) and a window of mostly empty words (Path(10⁵)). A
+// "stepset-lone" sparse row per fault model times the star's hub round —
+// one broadcaster and its 4096 leaves, every one a receiver — stepped
+// with a deliver callback, as the star runners step it.
 func EngineMicrobench() []benchreport.Microbench {
 	var out []benchreport.Microbench
 	for _, n := range []int{256, 1024} {
@@ -53,7 +56,7 @@ func EngineMicrobench() []benchreport.Microbench {
 				{Implicit, complete, "implicit/complete"},
 			} {
 				cfg.Engine = m.engine
-				ns, allocs := measureRounds(m.top, cfg, midTx)
+				ns, allocs := measureRounds(m.top, cfg, midTx, nil)
 				out = append(out, benchreport.Microbench{
 					Name:           fmt.Sprintf("stepset/%s/%s/n=%d", m.name, fault, n),
 					NsPerRound:     ns,
@@ -62,7 +65,7 @@ func EngineMicrobench() []benchreport.Microbench {
 			}
 			if n == 1024 {
 				cfg.Engine = Implicit
-				ns, allocs := measureRounds(complete, cfg, microbenchTx(n, n/2, 1))
+				ns, allocs := measureRounds(complete, cfg, microbenchTx(n, n/2, 1), nil)
 				out = append(out, benchreport.Microbench{
 					Name:           fmt.Sprintf("stepset-lone/implicit/complete/%s/n=%d", fault, n),
 					NsPerRound:     ns,
@@ -89,9 +92,27 @@ func EngineMicrobench() []benchreport.Microbench {
 		{path, spread, "path-spread/receiver/n=100000"},
 	} {
 		cfg := Config{Fault: ReceiverFaults, P: 0.3, Engine: Sparse}
-		ns, allocs := measureRounds(m.top, cfg, m.tx)
+		ns, allocs := measureRounds(m.top, cfg, m.tx, nil)
 		out = append(out, benchreport.Microbench{
 			Name:           "stepset/sparse/" + m.name,
+			NsPerRound:     ns,
+			AllocsPerRound: allocs,
+		})
+	}
+	// The hub round: star-routing's and star-coding's every round, in
+	// which the hub's leaves each resolve and the deliver callback marks
+	// what each leaf holds.
+	star := graph.Star(4096)
+	held := make([]int32, star.G.N())
+	deliver := func(d Delivery[int32]) { held[d.To] = d.Payload + 1 }
+	for _, fault := range []FaultModel{Faultless, SenderFaults, ReceiverFaults} {
+		cfg := Config{Fault: fault, Engine: Sparse}
+		if fault != Faultless {
+			cfg.P = 0.3
+		}
+		ns, allocs := measureRounds(star, cfg, microbenchTx(star.G.N(), 0, 1), deliver)
+		out = append(out, benchreport.Microbench{
+			Name:           fmt.Sprintf("stepset-lone/sparse/star/%s/n=%d", fault, star.G.N()),
 			NsPerRound:     ns,
 			AllocsPerRound: allocs,
 		})
@@ -174,15 +195,21 @@ func microbenchTx(n, start, nTx int) *bitset.Set {
 }
 
 // measureRounds times one configuration broadcasting tx every round
-// through the shared timeRounds harness. It panics when top cannot run
-// the forced engine, so a row always times the engine its name says.
-func measureRounds(top graph.Topology, cfg Config, tx *bitset.Set) (nsPerRound, allocsPerRound float64) {
+// through the shared timeRounds harness. Receptions accumulate in an rx
+// set cleared every round, as the single-message runners take them, or,
+// when deliver is non-nil, go to deliver alone, as the multi-message
+// runners take them. It panics when top cannot run the forced engine, so
+// a row always times the engine its name says.
+func measureRounds(top graph.Topology, cfg Config, tx *bitset.Set, deliver func(d Delivery[int32])) (nsPerRound, allocsPerRound float64) {
 	net := MustNew[int32](top.G, cfg, rng.New(0x6d6963726f))
 	if net.Engine() != cfg.Engine {
 		panic(fmt.Sprintf("radio: microbench forced the %v engine on %s, which runs %v", cfg.Engine, top.Name, net.Engine()))
 	}
 	n := top.G.N()
 	payload := make([]int32, n)
+	if deliver != nil {
+		return timeRounds(func() { net.StepSet(tx, payload, nil, deliver) })
+	}
 	rx := bitset.New(n)
 	return timeRounds(func() {
 		rx.Reset()

@@ -42,9 +42,12 @@
 //
 // Three engines implement the model with bit-identical results:
 //
-//   - Sparse walks the CSR neighbour lists of the broadcasters, doing
-//     O(Σ deg(broadcaster) + touched word window) work per round — best
-//     for bounded-degree topologies (paths, grids, trees).
+//   - Sparse walks the CSR neighbour lists of the broadcasters into a
+//     bit-sliced tally — one word of "heard once" and one of "heard
+//     twice" bits per 64 listeners — and resolves the touched listeners
+//     a word at a time, doing O(Σ deg(broadcaster) + touched word window)
+//     work per round — best for bounded-degree topologies (paths, grids,
+//     trees, stars, WCTs).
 //   - Dense resolves the channel word-parallel: the broadcasting set is a
 //     bitset and a listener's transmitting-neighbour count is
 //     popcount(adj[u] & tx), 64 candidate senders per machine word, doing
@@ -799,7 +802,7 @@ func New[P any](g *graph.Graph, cfg Config, rnd *rng.Stream) (*Network[P], error
 		n.adjStride = n.adjBits.Stride()
 		n.rowLo, n.rowHi = n.adjBits.RowRanges()
 	case Sparse:
-		n.heard = newListenerTally(g.N())
+		n.heard = newListenerTally(g.N(), cfg.Fault == SenderFaults)
 	}
 	return n, nil
 }
@@ -1047,7 +1050,9 @@ func (n *Network[P]) markBurstBulk(sel *txSelect, total int) {
 
 // resolveUnique handles listener u whose unique transmitting neighbour is
 // from: the canonical receiver-fault draw, delivery accounting, tracing,
-// the rx bit and the delivery callback. Shared by both engines.
+// the rx bit and the delivery callback. Shared by the dense and implicit
+// engines; the sparse engine resolves a word of listeners at a time and
+// inlines the same steps per receiver (see stepSetSparse).
 func (n *Network[P]) resolveUnique(u, from int32, payload []P, rx *bitset.Set, deliver func(d Delivery[P])) {
 	if n.cfg.Fault == SenderFaults && n.senderNoise[from] {
 		return // content destroyed at the sender
@@ -1068,51 +1073,73 @@ func (n *Network[P]) resolveUnique(u, from int32, payload []P, rx *bitset.Set, d
 	}
 }
 
-// listenerTally is the sparse engine's per-round listener scratch: one
-// slot per node, which says what a listener heard this round — 0 nothing,
-// v+1 the single transmitting neighbour v, -1 two or more — plus the
-// touched set itself, a bitset over node ids and the word window [lo, hi)
-// that holds its members. Only the sparse kernel uses it.
+// listenerTally is the sparse engine's per-round listener scratch,
+// bit-sliced over node ids: bit u of once says listener u heard at least
+// one transmitting neighbour this round, bit u of twice that it heard two
+// or more, and — under the sender model only — bit u of noisy that one of
+// them was sender-faulty. Every word outside the window [lo, hi) is zero.
+// from holds each listener's last transmitter; only a deliver callback
+// reads it, so it is written only on rounds that pass one and allocated
+// on the first such round. A single-message trial's tally is therefore 2
+// bits per node (3 under the sender model). Only the sparse kernel uses
+// it.
 //
 // The kernel fills and resolves a round in two walks, spelled out in
 // stepSetSparse because their bodies are the hot path. The broadcaster
 // walk widens the window to cover the broadcaster's sorted neighbour
-// list, from its first and last entries, and touches the neighbours: one
-// slot load and store each, plus an OR into the touched words. The
-// resolution walk visits the window: per word, the members in ascending
-// bit order — the canonical draw order, with no sort — reading and
-// zeroing each member's slot as it is visited; it clears the word after
-// its last member, skipping empty words without a store (most of a
-// spread-out window is empty), and finally marks the tally empty. No bit
-// is ever set outside the window, so a completed round leaves every slot
-// and word zero for the next.
+// list, from its first and last entries, and touches each neighbour u
+// with bit b = 1<<(u%64) of word i = u/64: twice[i] |= once[i] & b, then
+// once[i] |= b. The resolution walk visits the window a word at a time:
+// twice &^ tx are the word's collisions, once &^ twice &^ tx &^ noisy its
+// receivers, and the word is zeroed. When no per-receiver work is needed
+// (no receiver draw, trace or deliver callback) the receivers are counted
+// by popcount and ORed into rx whole; otherwise they are visited in
+// ascending bit order — the canonical draw order, with no sort. Empty
+// words are skipped without a store (most of a spread-out window is
+// empty), and the tally is finally marked empty. No bit is ever set
+// outside the window, so a completed round leaves every word zero for the
+// next.
 type listenerTally struct {
-	slot  []int32  // 0 unheard, v+1 heard only from v, -1 heard from two or more
-	words []uint64 // bit u set: u was heard this round, its word not yet walked
-	// Every word outside [lo, hi) is zero; lo = len(words), hi = 0 when
-	// the set is empty.
+	once  []uint64 // bit u set: u heard at least one transmitting neighbour this round
+	twice []uint64 // bit u set: u heard two or more
+	noisy []uint64 // bit u set: a transmitting neighbour of u was sender-faulty; nil outside the sender model
+	from  []int32  // u's last transmitter, on rounds with a deliver callback; nil until the first
+	// Every word outside [lo, hi) is zero; lo = len(once), hi = 0 when
+	// the tally is empty.
 	lo, hi int
 }
 
-func newListenerTally(n int) listenerTally {
+func newListenerTally(n int, senderFaults bool) listenerTally {
 	words := (n + 63) / 64
-	return listenerTally{
-		slot:  make([]int32, n),
-		words: make([]uint64, words),
+	h := listenerTally{
+		once:  make([]uint64, words),
+		twice: make([]uint64, words),
 		lo:    words,
 	}
+	if senderFaults {
+		h.noisy = make([]uint64, words)
+	}
+	return h
 }
 
 // stepSetSparse is the CSR engine: walk the neighbour lists of the
 // broadcasters (iterated straight off the tx words), then resolve the
-// touched listeners in ascending id order off the tally's word window.
-// Cost is O(Σ deg(broadcaster) + touched word window), independent of n
-// apart from the tx word scan.
+// touched listeners a word at a time off the tally's word window, in
+// ascending id order. Cost is O(Σ deg(broadcaster) + touched word window),
+// independent of n apart from the tx word scan.
 func (n *Network[P]) stepSetSparse(tx *bitset.Set, payload []P, rx *bitset.Set, deliver func(d Delivery[P])) {
 	// Mark transmissions and draw sender faults in ascending id order,
-	// recording each neighbour's hearing in its slot (see listenerTally).
+	// recording each neighbour's hearing in the tally (see listenerTally).
 	h := &n.heard
-	slots, words := h.slot, h.words
+	once, noisy := h.once, h.noisy
+	twice := h.twice[:len(once)] // equal lengths, so one bounds check covers both
+	var from []int32
+	if deliver != nil {
+		if h.from == nil {
+			h.from = make([]int32, n.g.N())
+		}
+		from = h.from
+	}
 	txw := tx.Words()
 	txLo, txHi := tx.NonzeroRange()
 	for wi := txLo; wi < txHi; wi++ {
@@ -1125,42 +1152,79 @@ func (n *Network[P]) stepSetSparse(tx *bitset.Set, payload []P, rx *bitset.Set, 
 			}
 			h.lo = min(h.lo, int(nbrs[0]>>6))
 			h.hi = max(h.hi, int(nbrs[len(nbrs)-1]>>6)+1)
-			heard := int32(v) + 1
 			for _, u := range nbrs {
-				s := heard
-				if slots[u] != 0 {
-					s = -1
+				i, b := u>>6, uint64(1)<<(uint(u)&63)
+				o := once[i]
+				twice[i] |= o & b
+				once[i] = o | b
+			}
+			if noisy != nil && n.senderNoise[v] {
+				for _, u := range nbrs {
+					noisy[u>>6] |= 1 << (uint(u) & 63)
 				}
-				slots[u] = s
-				words[u>>6] |= 1 << (uint(u) & 63)
+			}
+			if from != nil {
+				for _, u := range nbrs {
+					from[u] = int32(v)
+				}
 			}
 		}
 	}
 
-	// Resolve receptions in ascending receiver id order, the canonical
-	// draw order shared with the other engines, with the tally walk.
-	for wi, hi := h.lo, h.hi; wi < hi; wi++ {
-		w := words[wi]
-		if w == 0 {
+	// Resolve receptions a word at a time, in ascending receiver id order,
+	// the canonical draw order shared with the other engines. Transmitting
+	// nodes do not listen, and a listener whose one transmitting neighbour
+	// is sender-faulty hears noise: no draw, no delivery.
+	if h.lo >= h.hi {
+		return // no listener touched: the tally is already empty
+	}
+	perReceiver := n.cfg.Fault == ReceiverFaults || n.trace != nil || deliver != nil
+	var rxw []uint64
+	if rx != nil {
+		rxw = rx.Words()
+	}
+	for i, heard := range once[h.lo:h.hi] {
+		if heard == 0 {
 			continue
 		}
-		for ; w != 0; w &= w - 1 {
-			u := int32(wi<<6 | bits.TrailingZeros64(w))
-			s := slots[u]
-			slots[u] = 0
-			if tx.Test(int(u)) {
-				continue // transmitting nodes do not listen
+		wi := h.lo + i
+		collided, x := twice[wi], txw[wi]
+		once[wi], twice[wi] = 0, 0
+		n.stats.Collisions += int64(bits.OnesCount64(collided &^ x))
+		unique := heard &^ collided &^ x
+		if noisy != nil {
+			unique &^= noisy[wi]
+			noisy[wi] = 0
+		}
+		if !perReceiver {
+			n.stats.Deliveries += int64(bits.OnesCount64(unique))
+			if rxw != nil {
+				rxw[wi] |= unique
 			}
-			switch {
-			case s < 0:
-				n.stats.Collisions++
-			case s > 0:
-				n.resolveUnique(u, s-1, payload, rx, deliver)
+			continue
+		}
+		// resolveUnique's steps, kept inline: a call per receiver to a
+		// shared function cost serve-mix 5–6% in a prototype (DESIGN.md).
+		for ; unique != 0; unique &= unique - 1 {
+			u := int32(wi<<6 | bits.TrailingZeros64(unique))
+			if n.cfg.Fault == ReceiverFaults && n.draw.site(u, n.rnd) {
+				n.stats.ReceiverFaults++
+				continue
+			}
+			n.stats.Deliveries++
+			if n.trace != nil {
+				n.traceRx = append(n.traceRx, u)
+			}
+			if rxw != nil {
+				rxw[wi] |= 1 << (uint(u) & 63)
+			}
+			if deliver != nil {
+				v := from[u]
+				deliver(Delivery[P]{To: int(u), From: int(v), Payload: payload[v]})
 			}
 		}
-		words[wi] = 0
 	}
-	h.lo, h.hi = len(words), 0
+	h.lo, h.hi = len(once), 0
 }
 
 // stepSetDense is the word-parallel engine: each listener's

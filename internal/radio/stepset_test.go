@@ -11,11 +11,45 @@ import (
 
 // TestStepSetZeroAllocs pins the acceptance bar for the set-native round
 // path: zero allocations per round on both engines, for every fault
-// model, with batched rx accumulation.
+// model, with batched rx accumulation. The sparse engine is also stepped
+// with a deliver callback on a grid and on WCT(4096): the column of last
+// transmitters that only those rounds write is allocated on the first of
+// them, once, never per round.
 func TestStepSetZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
+	t.Run("deliver", func(t *testing.T) {
+		wct := graph.NewWCT(graph.DefaultWCTParams(4096), rng.New(4))
+		for _, c := range []struct {
+			top graph.Topology
+			tx  *bitset.Set
+		}{
+			{graph.Grid(32, 32), microbenchTx(1024, 512, 16)},
+			{wct.Topology, microbenchTx(wct.G.N(), int(wct.Senders[0]), 8)},
+		} {
+			for _, cfg := range []Config{
+				{Fault: Faultless, Engine: Sparse},
+				{Fault: SenderFaults, P: 0.3, Engine: Sparse},
+				{Fault: ReceiverFaults, P: 0.3, Engine: Sparse},
+			} {
+				net := MustNew[int32](c.top.G, cfg, rng.New(7))
+				n := c.top.G.N()
+				payload := make([]int32, n)
+				delivered := 0
+				deliver := func(d Delivery[int32]) { delivered++ }
+				allocs := testing.AllocsPerRun(100, func() {
+					net.StepSet(c.tx, payload, nil, deliver)
+				})
+				if allocs != 0 {
+					t.Errorf("%s/%v: StepSet with a deliver callback allocates %.1f per round, want 0", c.top.Name, cfg.Fault, allocs)
+				}
+				if delivered == 0 {
+					t.Errorf("%s/%v: the rounds delivered nothing, so they test no deliver path", c.top.Name, cfg.Fault)
+				}
+			}
+		}
+	})
 	top := graph.GNP(512, 0.25, rng.New(3))
 	configs := []Config{
 		{Fault: Faultless},
@@ -107,5 +141,78 @@ func TestStepSetSilentRoundCountsRound(t *testing.T) {
 				t.Fatalf("silent round: Round()=%d traced=%d, want 1/1", net.Round(), traced)
 			}
 		})
+	}
+}
+
+// TestSenderNoiseMasksListeners pins the sender model on a hand-built
+// graph where broadcaster 1 is sender-faulty and broadcaster 4 is clean:
+//
+//	0 — 1 — 2 — 4 — 3,  and 1 — 4
+//
+// Listener 0's only transmitting neighbour is faulty, so it gets nothing:
+// no delivery, no collision, no fault. Listener 2 hears the faulty and
+// the clean broadcaster, which is exactly one collision. Listener 3
+// hears 4 alone and receives its packet, and 5, isolated, hears nothing.
+// Checked on the sparse and dense engines, with callbacks (deliver and a
+// trace) and without (rx only), under v1 and v2.
+func TestSenderNoiseMasksListeners(t *testing.T) {
+	const faulty, clean = 1, 4
+	b := graph.NewBuilder(6)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 4}, {3, 4}, {1, 4}} {
+		b.AddEdge(e[0], e[1])
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := bitset.New(6)
+	tx.Set(faulty)
+	tx.Set(clean)
+	payload := []int32{10, 11, 12, 13, 14, 15}
+	want := Stats{Rounds: 1, Broadcasts: 2, Deliveries: 1, Collisions: 1, SenderFaults: 1}
+	for _, dc := range []DrawContract{DrawV1, DrawV2} {
+		cfg := Config{Fault: SenderFaults, P: 0.5, Draw: dc}
+		// The first seed on which the contract's first broadcaster site
+		// faults and its second does not: about one seed in four.
+		seed := uint64(1)
+		for ; seed < 100; seed++ {
+			d, r := makeDrawState(cfg, g), rng.New(seed)
+			if d.site(faulty, r) && !d.site(clean, r) {
+				break
+			}
+		}
+		for _, eng := range []Engine{Sparse, Dense} {
+			cfg.Engine = eng
+			for _, callbacks := range []bool{false, true} {
+				name := fmt.Sprintf("%v/%v/callbacks=%v", dc, eng, callbacks)
+				net := MustNew[int32](g, cfg, rng.New(seed))
+				if net.Engine() != eng {
+					t.Fatalf("%s: engine resolved to %v", name, net.Engine())
+				}
+				rx := bitset.New(6)
+				var deliveries []Delivery[int32]
+				var traced []int32
+				var deliver func(d Delivery[int32])
+				if callbacks {
+					deliver = func(d Delivery[int32]) { deliveries = append(deliveries, d) }
+					net.SetTrace(func(_ int, _, receivers []int32) { traced = append(traced, receivers...) })
+				}
+				net.StepSet(tx, payload, rx, deliver)
+				if got := net.Stats(); got != want {
+					t.Errorf("%s: stats %+v, want %+v", name, got, want)
+				}
+				if got := rx.String(); got != "{3}" {
+					t.Errorf("%s: receivers %s, want {3}", name, got)
+				}
+				if callbacks {
+					if len(deliveries) != 1 || deliveries[0] != (Delivery[int32]{To: 3, From: clean, Payload: 14}) {
+						t.Errorf("%s: deliveries %+v, want one from %d to 3", name, deliveries, clean)
+					}
+					if len(traced) != 1 || traced[0] != 3 {
+						t.Errorf("%s: traced receivers %v, want [3]", name, traced)
+					}
+				}
+			}
+		}
 	}
 }

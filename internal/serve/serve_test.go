@@ -657,3 +657,15 @@ func TestHealthz(t *testing.T) {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
 }
+
+// TestCacheMicrobenchRows: the cache microbench reports its cold and hit
+// rows by name, and replaying a cached body beats executing the sweep.
+func TestCacheMicrobenchRows(t *testing.T) {
+	rows := CacheMicrobench()
+	if len(rows) != 2 || rows[0].Name != "servecache/cold/decay-complete-4096" || rows[1].Name != "servecache/hit/decay-complete-4096" {
+		t.Fatalf("rows %+v, want the cold row then the hit row", rows)
+	}
+	if cold, hit := rows[0].NsPerRound, rows[1].NsPerRound; !(hit > 0 && hit < cold) {
+		t.Fatalf("hit %v ns, cold %v ns: want 0 < hit < cold", hit, cold)
+	}
+}
