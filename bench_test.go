@@ -140,7 +140,7 @@ func BenchmarkRLNCGridBroadcast(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := NewRand(uint64(i))
 		msgs := RandomMessages(8, 8, r)
-		res, _, err := RLNCBroadcast(top, cfg, msgs, RLNCDecay, r, RLNCOptions{})
+		res, _, err := RLNCBroadcast(top, cfg, msgs, RLNCDecay, r)
 		if err != nil || !res.Success {
 			b.Fatalf("%v %+v", err, res)
 		}

@@ -1,7 +1,8 @@
 // Command noisyserved runs the sweep service: a persistent HTTP server
-// that executes broadcast-schedule sweep jobs, streams partial statistics
-// as shards complete, and caches finished results under their canonical
-// plan key so a repeated submission is a byte-exact replay instead of a
+// that executes each broadcast-schedule sweep job as one sweep row,
+// streams prefix statistics as that row's in-order fold passes fixed
+// trial counts, and caches finished results under their canonical plan
+// key so a repeated submission is a byte-exact replay instead of a
 // re-execution.
 //
 // Usage:
@@ -12,7 +13,7 @@
 // Endpoints:
 //
 //	POST /v1/jobs   submit a job spec (JSON), receive an NDJSON stream of
-//	                prefix-merge snapshots and a terminal result line;
+//	                prefix snapshots and a terminal result line;
 //	                the X-Cache header reports hit | miss | coalesced
 //	GET  /metrics   plain-text counters (jobs, cache hits/misses, ...)
 //	GET  /healthz   liveness
@@ -51,7 +52,6 @@ func run(args []string, out *os.File) error {
 	var (
 		addr      = fs.String("addr", ":8091", "listen address (host:port; port 0 picks a free port)")
 		cacheSize = fs.Int("cache", 1024, "result cache capacity in finished job bodies (LRU)")
-		shards    = fs.Int("shards", 0, "fixed shard count per job (0 = derive from trials: min(8, ceil(trials/32)))")
 		workers   = fs.Int("workers", 0, "sweep worker pool size per job (0 = GOMAXPROCS)")
 		drain     = fs.Duration("drain", 30*time.Second, "max time to wait for in-flight jobs on SIGTERM/SIGINT")
 	)
@@ -61,13 +61,9 @@ func run(args []string, out *os.File) error {
 	if *cacheSize < 1 {
 		return fmt.Errorf("-cache must be >= 1, got %d", *cacheSize)
 	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be >= 0, got %d", *shards)
-	}
 
 	handler := serve.NewServer(serve.Config{
 		CacheSize: *cacheSize,
-		Shards:    *shards,
 		Workers:   *workers,
 	})
 	ln, err := net.Listen("tcp", *addr)

@@ -117,7 +117,7 @@ func TestServedJobPlansScalar(t *testing.T) {
 func TestFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-cache", "0"},
-		{"-shards", "-1"},
+		{"-shards", "2"},        // a job runs as one row; the shard flag is gone
 		{"-trialbatch", "auto"}, // the lockstep plane and its flag are gone
 	} {
 		f, err := os.Create(filepath.Join(t.TempDir(), "out.txt"))

@@ -5,7 +5,7 @@
 //
 //	noisysim -list                 # list experiments
 //	noisysim -exp E9               # run one experiment
-//	noisysim -exp all              # run the whole suite (EXPERIMENTS.md data)
+//	noisysim -exp all              # run the whole suite
 //	noisysim -exp E9 -quick        # reduced sweep for a fast look
 //	noisysim -exp E13 -trials 12 -seed 7 -workers 8
 //	noisysim -exp E9 -engine dense # force the bit-parallel radio engine
@@ -389,6 +389,9 @@ func runSchedule(out *os.File, name, topology string, n, k int, p float64, fault
 // runDemo traces one single-message broadcast on the -topology workload
 // and renders the round-by-round timeline.
 func runDemo(out *os.File, algo, topology string, n int, p float64, faultName string, seed uint64, base radio.Config) error {
+	if algo != "decay" && algo != "fastbc" && algo != "robust-fastbc" {
+		return fmt.Errorf("unknown algorithm %q (decay|fastbc|robust-fastbc)", algo)
+	}
 	if n < 2 {
 		return fmt.Errorf("demo needs -n >= 2, got %d", n)
 	}
@@ -399,9 +402,6 @@ func runDemo(out *os.File, algo, topology string, n int, p float64, faultName st
 	top, err := experiments.WorkloadTopology(topology, n)
 	if err != nil {
 		return err
-	}
-	if algo != "decay" && algo != "fastbc" && algo != "robust-fastbc" {
-		return fmt.Errorf("unknown algorithm %q (decay|fastbc|robust-fastbc)", algo)
 	}
 	rec := trace.NewRecorder(top.G.N())
 	res, err := broadcast.MustSchedule(algo).Run(top, cfg, rng.New(seed), broadcast.ScheduleParams{Options: broadcast.Options{Trace: rec.Observe}})

@@ -167,6 +167,11 @@ func TestDemoValidation(t *testing.T) {
 	if _, err := capture(t, "-demo", "decay", "-n", "1"); err == nil {
 		t.Fatal("n=1 accepted")
 	}
+	// The algorithm is checked before the workload is built, so an
+	// unknown one is named even beside an unknown topology.
+	if _, err := capture(t, "-demo", "bogus", "-topology", "bogus"); err == nil || !strings.Contains(err.Error(), `unknown algorithm "bogus"`) {
+		t.Fatalf("-demo bogus -topology bogus: error %v, want the unknown algorithm named", err)
+	}
 }
 
 // TestTopologyFlag: every -topology choice runs the demo end to end and

@@ -80,15 +80,14 @@ func submitSchedule(out *os.File, baseURL, name, topology string, n, k int, p fl
 		if line.Stats.Mean != nil {
 			mean = fmt.Sprintf("%.1f", *line.Stats.Mean)
 		}
-		fmt.Fprintf(out, "snapshot %d/%d: %d trials folded, mean %s\n",
-			line.ShardsDone, line.Shards, line.Stats.N+line.Stats.Dropped, mean)
+		fmt.Fprintf(out, "snapshot %d/%d trials: mean %s\n", line.Trials, trials, mean)
 	})
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
 
-	fmt.Fprintf(out, "cache: %s (%d shards)\n", res.Cache, res.Shards)
+	fmt.Fprintf(out, "cache: %s\n", res.Cache)
 	st := res.Stats
 	fmt.Fprintf(out, "success: %d/%d trials\n", st.N, trials)
 	if st.N > 0 && st.Mean != nil && st.CI95 != nil {

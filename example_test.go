@@ -43,8 +43,7 @@ func ExampleRLNCBroadcast() {
 	r := noisyradio.NewRand(3)
 	msgs := noisyradio.RandomMessages(4, 8, r)
 	res, decoded, err := noisyradio.RLNCBroadcast(top,
-		noisyradio.Config{Fault: noisyradio.ReceiverFaults, P: 0.25}, msgs, noisyradio.RLNCDecay,
-		r, noisyradio.RLNCOptions{})
+		noisyradio.Config{Fault: noisyradio.ReceiverFaults, P: 0.25}, msgs, noisyradio.RLNCDecay, r)
 	if err != nil {
 		panic(err)
 	}

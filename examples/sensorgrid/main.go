@@ -28,7 +28,7 @@ func main() {
 	fmt.Printf("flooding %d messages of %dB through a %dx%d grid, %s p=%.2f\n",
 		k, payloadLen, side, side, cfg.Fault, cfg.P)
 
-	res, decoded, err := noisyradio.RLNCBroadcast(top, cfg, msgs, noisyradio.RLNCDecay, r, noisyradio.RLNCOptions{})
+	res, decoded, err := noisyradio.RLNCBroadcast(top, cfg, msgs, noisyradio.RLNCDecay, r)
 	if err != nil {
 		log.Fatal(err)
 	}

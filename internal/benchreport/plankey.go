@@ -16,7 +16,7 @@ import (
 // spec carries names, not types; the serving layer resolves them against
 // the registries and rejects what doesn't parse.
 //
-// Execution-plan knobs (engine, worker counts, shard plan) are
+// Execution-plan knobs (engine, worker counts, chunk size) are
 // deliberately absent: they are pure performance choices that the
 // simulator guarantees bit-identical results across, so two jobs
 // differing only in plan MUST share a key. Everything that feeds the draw

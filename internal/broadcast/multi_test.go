@@ -24,7 +24,7 @@ func TestRLNCBroadcastDeliversMessages(t *testing.T) {
 				name := pattern.String() + "/" + cfg.Fault.String() + "/" + top.Name
 				t.Run(name, func(t *testing.T) {
 					msgs := RandomMessages(6, 8, r)
-					res, got, err := RLNCBroadcast(top, cfg, msgs, pattern, r.Split(), RLNCOptions{})
+					res, got, err := RLNCBroadcast(top, cfg, msgs, pattern, r.Split())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -45,14 +45,14 @@ func TestRLNCBroadcastDeliversMessages(t *testing.T) {
 func TestRLNCBroadcastValidation(t *testing.T) {
 	top := graph.Path(3)
 	cfg := radio.Config{Fault: radio.Faultless}
-	if _, _, err := RLNCBroadcast(top, cfg, nil, RLNCDecay, rng.New(1), RLNCOptions{}); err == nil {
+	if _, _, err := RLNCBroadcast(top, cfg, nil, RLNCDecay, rng.New(1)); err == nil {
 		t.Fatal("no messages accepted")
 	}
-	if _, _, err := RLNCBroadcast(top, cfg, [][]byte{{}}, RLNCDecay, rng.New(1), RLNCOptions{}); err == nil {
+	if _, _, err := RLNCBroadcast(top, cfg, [][]byte{{}}, RLNCDecay, rng.New(1)); err == nil {
 		t.Fatal("empty payload accepted")
 	}
 	msgs := RandomMessages(2, 4, rng.New(2))
-	if _, _, err := RLNCBroadcast(top, cfg, msgs, RLNCPattern(99), rng.New(1), RLNCOptions{}); err == nil {
+	if _, _, err := RLNCBroadcast(top, cfg, msgs, RLNCPattern(99), rng.New(1)); err == nil {
 		t.Fatal("unknown pattern accepted")
 	}
 }
@@ -77,7 +77,7 @@ func TestLemma12ThroughputScaling(t *testing.T) {
 		for i := 0; i < trials; i++ {
 			r := rng.NewFrom(seed, uint64(i))
 			msgs := RandomMessages(k, 4, r)
-			res, _, err := RLNCBroadcast(top, cfg, msgs, RLNCDecay, r, RLNCOptions{})
+			res, _, err := RLNCBroadcast(top, cfg, msgs, RLNCDecay, r)
 			if err != nil || !res.Success {
 				t.Fatalf("k=%d failed: %v %+v", k, err, res)
 			}

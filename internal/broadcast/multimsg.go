@@ -37,14 +37,6 @@ func (p RLNCPattern) String() string {
 	}
 }
 
-// RLNCOptions tunes a coded multi-message broadcast.
-type RLNCOptions struct {
-	// MaxRounds caps the execution; 0 selects a default scaled by k.
-	MaxRounds int
-	// Robust tunes the Robust FASTBC pattern.
-	Robust RobustParams
-}
-
 // RandomMessages draws k uniformly random messages of payloadLen bytes —
 // the paper's O(log nk)-bit messages.
 func RandomMessages(k, payloadLen int, r *rng.Stream) [][]byte {
@@ -97,13 +89,13 @@ func sequentialDecayRouting(top graph.Topology, cfg radio.Config, r *rng.Stream,
 
 // randomRLNC is the registry's RLNC trial: it draws p.K random messages of
 // p.PayloadLen bytes from the trial stream, then broadcasts them with
-// RLNCBroadcast under p.Pattern and p.RLNC.
+// RLNCBroadcast under p.Pattern.
 func randomRLNC(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
 	if p.K < 1 {
 		return Outcome{}, fmt.Errorf("broadcast: rlnc needs K >= 1, got %d", p.K)
 	}
 	msgs := RandomMessages(p.K, p.payloadLen(), r)
-	out, _, err := RLNCBroadcast(top, cfg, msgs, p.pattern(), r, p.RLNC)
+	out, _, err := RLNCBroadcast(top, cfg, msgs, p.pattern(), r)
 	return out, err
 }
 
@@ -113,10 +105,13 @@ func randomRLNC(top graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleP
 // and every transmission is a fresh random combination of what the node
 // holds; the run succeeds when every node's decoder reaches rank k.
 //
-// All messages must share one non-zero length. It returns the outcome
-// together with a witness decode from a non-source node, for end-to-end
-// verification; the registry's "rlnc" entry runs it over random messages.
-func RLNCBroadcast(top graph.Topology, cfg radio.Config, messages [][]byte, pattern RLNCPattern, r *rng.Stream, opts RLNCOptions) (Outcome, [][]byte, error) {
+// All messages must share one non-zero length. The Robust FASTBC pattern
+// runs with the default RobustParams, and the run is capped at the
+// single-message default plus 80·k·(⌈log₂ n⌉+2) rounds. It returns the
+// outcome together with a witness decode from a non-source node, for
+// end-to-end verification; the registry's "rlnc" entry runs it over
+// random messages.
+func RLNCBroadcast(top graph.Topology, cfg radio.Config, messages [][]byte, pattern RLNCPattern, r *rng.Stream) (Outcome, [][]byte, error) {
 	if err := validateTopology(top); err != nil {
 		return Outcome{}, nil, err
 	}
@@ -163,7 +158,7 @@ func RLNCBroadcast(top graph.Topology, cfg radio.Config, messages [][]byte, patt
 		if err != nil {
 			return Outcome{}, nil, err
 		}
-		pr := opts.Robust.withDefaults(n, cfg)
+		pr := RobustParams{}.withDefaults(n, cfg)
 		cS = pr.RoundMult * pr.BlockSize
 		buckets, period = waveBuckets(g, tree, pr.BlockSize)
 		levels = tree.Level
@@ -172,10 +167,7 @@ func RLNCBroadcast(top graph.Topology, cfg radio.Config, messages [][]byte, patt
 	}
 
 	diam := g.Eccentricity(top.Source)
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultMaxRounds(n, diam, cfg) + 80*k*(graph.Log2Ceil(n)+2)
-	}
+	maxRounds := defaultMaxRounds(n, diam, cfg) + 80*k*(graph.Log2Ceil(n)+2)
 	phaseLen := decayPhaseLen(n)
 	skips := decaySkips(phaseLen)
 

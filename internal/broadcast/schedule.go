@@ -68,10 +68,6 @@ type ScheduleParams struct {
 	PayloadLen int
 	// Robust tunes Robust FASTBC.
 	Robust RobustParams
-	// Transform tunes the Lemma 25/26 meta-round transformations.
-	Transform TransformParams
-	// RLNC tunes coded multi-message broadcast.
-	RLNC RLNCOptions
 	// Options tunes round caps and tracing.
 	Options Options
 }

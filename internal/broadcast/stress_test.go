@@ -68,7 +68,7 @@ func TestStressRLNCDeepPath(t *testing.T) {
 	cfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.2}
 	r := rng.New(105)
 	msgs := RandomMessages(48, 8, r)
-	res, got, err := RLNCBroadcast(top, cfg, msgs, RLNCDecay, r, RLNCOptions{})
+	res, got, err := RLNCBroadcast(top, cfg, msgs, RLNCDecay, r)
 	if err != nil || !res.Success {
 		t.Fatalf("%v %+v", err, res)
 	}

@@ -79,27 +79,6 @@ func pathPipelineRouting(_ graph.Topology, cfg radio.Config, r *rng.Stream, p Sc
 	}, nil
 }
 
-// TransformParams tunes the Lemma 25/26 meta-round transformations.
-type TransformParams struct {
-	// Batch is x, the number of messages per meta-round; 0 selects
-	// ⌈4·log₂(k·pathLen)+8⌉ (the lemmas need x = Ω(log nk) for the union
-	// bound).
-	Batch int
-	// Eta is the lemmas' η slack; 0 selects 0.25.
-	Eta float64
-}
-
-func (p TransformParams) withDefaults(pathLen, k int) TransformParams {
-	out := p
-	if out.Batch <= 0 {
-		out.Batch = 4*graph.Log2Ceil(k*pathLen+2) + 8
-	}
-	if out.Eta <= 0 {
-		out.Eta = 0.25
-	}
-	return out
-}
-
 // metaRoundLen is the transformed schedule's meta-round length
 // ⌈x/(1-p)·(1+η)⌉.
 func metaRoundLen(batch int, cfg radio.Config, eta float64) int {
@@ -117,7 +96,9 @@ func metaRoundLen(batch int, cfg radio.Config, eta float64) int {
 // pathPipelineRouting the *batch schedule* is fixed in advance (only the
 // retransmissions adapt), exactly as in the lemma; a node that cannot
 // finish its batch within the meta-round leaves a permanent gap, which is
-// the exp(-Ω(xη²)) failure event of the proof. p.Transform tunes x and η.
+// the exp(-Ω(xη²)) failure event of the proof. The batch is
+// x = 4·⌈log₂(k·pathLen+2)⌉+8 messages (the lemmas need x = Ω(log nk)
+// for the union bound) and the slack η = 0.25.
 func transformedPathRouting(_ graph.Topology, cfg radio.Config, r *rng.Stream, p ScheduleParams) (Outcome, error) {
 	return transformedPath(cfg, r, p, false)
 }
@@ -137,9 +118,9 @@ func transformedPath(cfg radio.Config, r *rng.Stream, p ScheduleParams, coding b
 	if pathLen < 1 || k < 1 {
 		return Outcome{}, fmt.Errorf("broadcast: transformed path needs pathLen >= 1 and k >= 1, got (%d,%d)", pathLen, k)
 	}
-	pr := p.Transform.withDefaults(pathLen, k)
-	batches := (k + pr.Batch - 1) / pr.Batch
-	mlen := metaRoundLen(pr.Batch, cfg, pr.Eta)
+	batch := 4*graph.Log2Ceil(k*pathLen+2) + 8
+	batches := (k + batch - 1) / batch
+	mlen := metaRoundLen(batch, cfg, 0.25)
 
 	top := graph.Path(pathLen + 1)
 	net, err := radio.New[int32](top.G, cfg, r)
@@ -179,7 +160,7 @@ func transformedPath(cfg radio.Config, r *rng.Stream, p ScheduleParams, coding b
 				if coding {
 					tx.Set(v)
 					payload[v] = int32(T*mlen + step) // fresh coded packet
-				} else if progress[v] < int32(pr.Batch) {
+				} else if progress[v] < int32(batch) {
 					tx.Set(v)
 					payload[v] = progress[v] // message index within batch
 				}
@@ -191,12 +172,12 @@ func transformedPath(cfg radio.Config, r *rng.Stream, p ScheduleParams, coding b
 				v := d.From
 				if coding {
 					progress[v]++
-					if progress[v] == int32(pr.Batch) {
+					if progress[v] == int32(batch) {
 						batchHave[d.To]++
 					}
 				} else if d.Payload == progress[v] {
 					progress[v]++
-					if progress[v] == int32(pr.Batch) {
+					if progress[v] == int32(batch) {
 						batchHave[d.To]++
 					}
 				}

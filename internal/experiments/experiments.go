@@ -2,12 +2,14 @@
 // a table: round-complexity scaling of the three single-message algorithms
 // (E1–E5), coded multi-message throughput (E6), the star and worst-case
 // topology coding gaps (E7–E13), the sender-fault transformations
-// (E14–E15), the single-link gaps (E16–E18), the structural figures
-// (F1–F2), and two design ablations (A1–A2).
+// (E14–E15), the single-link gaps (E16–E18), pipelined batch routing on
+// layered networks (E19), the structural figures (F1–F2), and three
+// design ablations (A1–A3). E20, correlated noise beyond the paper's
+// independent faults, is an extra outside the suite.
 //
 // Each experiment is a pure function of its Config (trials, seed, sweep
-// size), so tables are reproducible bit-for-bit. EXPERIMENTS.md records one
-// run of each alongside the paper's claim.
+// size), so tables are reproducible bit-for-bit; the committed goldens
+// under testdata pin their bytes.
 package experiments
 
 import (
@@ -99,7 +101,7 @@ func (t *Table) AddNote(format string, args ...any) {
 }
 
 // String renders the table with aligned columns, suitable for terminals
-// and for pasting into EXPERIMENTS.md.
+// and for pasting into documents.
 func (t Table) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s: %s ==\n", t.ID, t.Title)

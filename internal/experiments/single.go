@@ -29,8 +29,7 @@ func singleValue(out broadcast.Outcome) (float64, error) {
 }
 
 // deferMeanRounds registers a rounds-valued broadcast schedule row on the
-// table's sweep; whether (and how wide) its trials batch is the sweep's
-// execution plan. Read Mean/CI95 off the returned row after the sweep has
+// table's sweep. Read Mean/CI95 off the returned row after the sweep has
 // run.
 func deferMeanRounds(sw *sim.Sweep, cfg Config, trials int, seed uint64, name string, top graph.Topology, ncfg radio.Config, p broadcast.ScheduleParams) *sim.Row {
 	return sw.AddSchedule(schedule(name), top, ncfg, p, trials, cfg.Seed+seed, singleValue)

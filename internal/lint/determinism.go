@@ -8,8 +8,8 @@ import (
 )
 
 // deterministicPlanes lists the packages (by import-path suffix) whose
-// executions must be bit-identical across engines, widths, shards and
-// worker counts. Everything the golden and differential tests pin flows
+// executions must be bit-identical across engines, widths, chunk sizes
+// and worker counts. Everything the golden and differential tests pin flows
 // through these packages, so a nondeterminism source here is a
 // reproducibility bug even when today's tests happen not to catch it.
 var deterministicPlanes = []string{

@@ -235,17 +235,23 @@ func timeRounds(round func()) (nsPerRound, allocsPerRound float64) {
 	for i := 0; i < warmup; i++ {
 		round()
 	}
+	allocsPerRound = countAllocs(32, round)
+	return medianWindow(func() float64 { return timeWindow(round) }), allocsPerRound
+}
 
-	const allocRounds = 32
+// countAllocs returns the mean heap allocations of n calls to round. As
+// testing.AllocsPerRun does, it counts at GOMAXPROCS 1 and then restores
+// the old value, so goroutines running on other Ps cannot add their
+// allocations to the count.
+func countAllocs(n int, round func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
-	for i := 0; i < allocRounds; i++ {
+	for i := 0; i < n; i++ {
 		round()
 	}
 	runtime.ReadMemStats(&ms1)
-	allocsPerRound = float64(ms1.Mallocs-ms0.Mallocs) / allocRounds
-
-	return medianWindow(func() float64 { return timeWindow(round) }), allocsPerRound
+	return float64(ms1.Mallocs-ms0.Mallocs) / float64(n)
 }
 
 // timeWindow runs round in doubling batches until microbenchWindow has

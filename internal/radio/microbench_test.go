@@ -23,3 +23,22 @@ func TestMedianWindowIgnoresOneStalledWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestMeasureRoundsZeroAllocs: the sparse Grid(32×32) microbench rows
+// read exactly zero allocations per round under every fault model, the
+// figure TestStepSetZeroAllocs measures for those rounds.
+func TestMeasureRoundsZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	tx := microbenchTx(1024, 512, 16)
+	for _, fault := range []FaultModel{Faultless, SenderFaults, ReceiverFaults} {
+		cfg := Config{Fault: fault, Engine: Sparse}
+		if fault != Faultless {
+			cfg.P = 0.3
+		}
+		if _, allocs := measureRounds(gridTopology(1024), cfg, tx, nil); allocs != 0 {
+			t.Errorf("stepset/sparse/grid/%v/n=1024 reads %v allocs/round, want 0", fault, allocs)
+		}
+	}
+}

@@ -52,8 +52,9 @@
 //     bitset and a listener's transmitting-neighbour count is
 //     popcount(adj[u] & tx), 64 candidate senders per machine word, doing
 //     O(n²/64) work per round — best for dense topologies without a
-//     closed form (high-p GNP, WCT cluster layers, star coding
-//     schedules). One straight listener loop serves every n.
+//     closed form (G(n, p) at high p); Auto picks it only when n ≥ 64
+//     and the average degree is at least n/8, so WCTs and stars run
+//     sparse. One straight listener loop serves every n.
 //   - Implicit resolves each round in closed form from the topology's
 //     model (graph.CompleteModel). On the complete graph every listener
 //     hears the round's broadcaster total: two or more broadcasters

@@ -1,22 +1,21 @@
 // Package serve implements the sweep service: a persistent HTTP server
-// that accepts sweep jobs in the schedule registry's vocabulary, shards
-// them across the sim.Sweep scheduler, streams partial statistics as
-// shards complete, and caches finished results under their canonical
-// plan key (benchreport.JobSpec.PlanKey).
+// that accepts sweep jobs in the schedule registry's vocabulary, runs
+// each as one sim.Sweep schedule row, streams prefix snapshots of that
+// row as its in-order fold passes fixed trial counts, and caches
+// finished results under their canonical plan key
+// (benchreport.JobSpec.PlanKey).
 //
 // The determinism stack the service stands on, bottom to top:
 //
 //   - trial i of a (seed, trials) job always draws rng.NewFrom(seed, i),
 //     whatever engine or worker count executes it;
-//   - a shard row for [start, end) replays exactly the global trials
-//     start..end-1 (sim.Sweep.AddScheduleShard), and merging shard
-//     accumulators in shard order reproduces the unsharded fold
-//     (stats.Accumulator.Merge);
-//   - the shard plan is a pure function of the job spec (trial count),
-//     never of machine shape;
-//   - snapshot k is the merge of shards 0..k, emitted when those shards
-//     have all completed — a prefix property, so the full NDJSON stream
-//     is byte-stable across executions.
+//   - the row folds its trials into its accumulator in trial order, at
+//     every worker count and chunk size, so the result line is the
+//     accumulator noisysim -schedule folds for the same spec;
+//   - the snapshot marks are a pure function of the trial count, never
+//     of machine shape, and the snapshot at mark m is the fold of the
+//     first m trials (sim.Row.Snapshots) — so the full NDJSON stream is
+//     byte-stable across executions.
 //
 // Hence a finished body can be cached and replayed verbatim: a cache hit
 // IS the prior result, not a re-computation, and the X-Cache header is
@@ -28,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -39,21 +39,14 @@ import (
 	"noisyradio/internal/graph"
 	"noisyradio/internal/radio"
 	"noisyradio/internal/sim"
-	"noisyradio/internal/stats"
 )
 
 // Config tunes a Server. Every field is an execution knob: none of them
-// changes the statistics of any job, only how fast they arrive — except
-// Shards, which changes where snapshot lines fall in the stream (bodies
-// are cached per process, so a fixed Config keeps them byte-stable).
+// changes a byte of any job's body, only how fast it arrives.
 type Config struct {
 	// CacheSize bounds the result cache in entries (finished bodies).
 	// 0 means 1024.
 	CacheSize int
-	// Shards fixes the per-job shard count. 0 derives it from the trial
-	// count: min(8, ceil(trials/32)) — small jobs stay unsharded, large
-	// jobs get snapshot granularity.
-	Shards int
 	// Workers sizes each job's sim.Sweep pool (0 = GOMAXPROCS).
 	Workers int
 }
@@ -75,7 +68,7 @@ type Server struct {
 		misses    atomic.Int64 // executed
 		coalesced atomic.Int64 // answered from an identical in-flight job that built
 		errored   atomic.Int64 // finished with an error line (not cached)
-		inflight  atomic.Int64 // shards currently executing
+		inflight  atomic.Int64 // jobs currently executing
 		trials    atomic.Int64 // trials folded by finished jobs
 	}
 }
@@ -111,21 +104,17 @@ func NewServer(cfg Config) *Server {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// ShardPlan returns the deterministic shard count for a trial count
-// under this server's config — exported so tests and the microbench can
-// predict where snapshot lines fall.
-func (s *Server) ShardPlan(trials int) int {
-	if s.cfg.Shards > 0 {
-		return s.cfg.Shards
+// snapshotMarks returns the folded trial counts at which a job of the
+// given size streams a snapshot line: k·trials/S for k = 1…S−1, with
+// S = min(8, ⌈trials/32⌉), so a job of at most 32 trials streams none
+// and a larger one a snapshot for about every eighth of its trials.
+func snapshotMarks(trials int) []int {
+	parts := min(8, (trials+31)/32)
+	var marks []int
+	for k := 1; k < parts; k++ {
+		marks = append(marks, k*trials/parts)
 	}
-	shards := (trials + 31) / 32
-	if shards > 8 {
-		shards = 8
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return shards
+	return marks
 }
 
 // job is a validated submission. checkJob fills everything the spec
@@ -133,11 +122,10 @@ func (s *Server) ShardPlan(trials int) int {
 // 400, never mid-stream. build adds the workload (topology and schedule
 // parameters); only a flight leader builds it.
 type job struct {
-	spec   benchreport.JobSpec
-	key    string
-	sched  *broadcast.Schedule
-	cfg    radio.Config
-	shards int
+	spec  benchreport.JobSpec
+	key   string
+	sched *broadcast.Schedule
+	cfg   radio.Config
 
 	top    graph.Topology
 	params broadcast.ScheduleParams
@@ -177,11 +165,10 @@ func (s *Server) checkJob(spec benchreport.JobSpec) (*job, error) {
 		return nil, err
 	}
 	return &job{
-		spec:   spec,
-		key:    spec.PlanKey(),
-		sched:  sched,
-		cfg:    cfg,
-		shards: s.ShardPlan(spec.Trials),
+		spec:  spec,
+		key:   spec.PlanKey(),
+		sched: sched,
+		cfg:   cfg,
 	}, nil
 }
 
@@ -208,12 +195,22 @@ func httpError(w http.ResponseWriter, status int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+// decodeSpec reads one job spec, rejecting unknown fields: a typo'd key
+// must not silently default and then cache under the wrong plan.
+func decodeSpec(r io.Reader) (benchreport.JobSpec, error) {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var spec benchreport.JobSpec
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
+		return spec, fmt.Errorf("decoding job spec: %w", err)
+	}
+	return spec, nil
+}
+
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	jb, err := s.checkJob(spec)
@@ -306,69 +303,46 @@ func (s *Server) writeBody(w http.ResponseWriter, key, disposition string, body 
 	w.Write(body)
 }
 
-// execute runs one job as the flight leader, streaming the NDJSON
-// snapshot lines to w as shards complete. It returns the streamed bytes
-// and the encoded terminal result or error line, unwritten: the body the
-// cache (and any coalesced followers) will replay is the two joined, and
-// the caller lands the flight before writing the terminal line. Client
-// disconnection cancels ctx, which cancels the sweep; the job then
-// finishes with an error line and is not cached.
+// execute runs one job as the flight leader: one schedule row, whose
+// in-order fold streams a snapshot line to w at each of the job's
+// snapshot marks. It returns the streamed bytes and the encoded terminal
+// result or error line, unwritten: the body the cache (and any coalesced
+// followers) will replay is the two joined, and the caller lands the
+// flight before writing the terminal line. Client disconnection cancels
+// ctx, which cancels the sweep; the job then finishes with an error line
+// and is not cached.
 func (s *Server) execute(ctx context.Context, jb *job, w http.ResponseWriter) (body, last []byte, err error) {
-	jobCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	h := w.Header()
 	h.Set("Content-Type", "application/x-ndjson")
 	h.Set("X-Plan-Key", jb.key)
 	h.Set("X-Cache", "miss")
 
-	sw := sim.NewSweep(sim.SweepConfig{Workers: s.cfg.Workers})
-	rows := make([]*sim.Row, jb.shards)
-	for i := range rows {
-		start := i * jb.spec.Trials / jb.shards
-		end := (i + 1) * jb.spec.Trials / jb.shards
-		rows[i] = sw.AddScheduleShard(jb.sched, jb.top, jb.cfg, jb.params, start, end, jb.spec.Seed, broadcast.Outcome.RoundsOrNaN)
-	}
-	s.metrics.inflight.Add(int64(jb.shards))
+	// The job is the sweep's only row, so no sibling row hides its tail:
+	// its trials are handed out one at a time.
+	sw := sim.NewSweep(sim.SweepConfig{Workers: s.cfg.Workers, ChunkSize: 1})
+	row := sw.AddSchedule(jb.sched, jb.top, jb.cfg, jb.params, jb.spec.Trials, jb.spec.Seed, broadcast.Outcome.RoundsOrNaN)
+	snaps := row.Snapshots(snapshotMarks(jb.spec.Trials))
+	s.metrics.inflight.Add(1)
+	defer s.metrics.inflight.Add(-1)
 	errc := make(chan error, 1)
-	go func() { errc <- sw.RunContext(jobCtx) }()
+	go func() { errc <- sw.RunContext(ctx) }()
 
-	merged := stats.NewAccumulator()
-	var rowErr error
-	for k, row := range rows {
-		<-row.Done()
-		s.metrics.inflight.Add(-1)
-		if err := row.Err(); err != nil {
-			rowErr = err
-			// Abandon the rest of the job: cancel unstarted chunks, drain
-			// the remaining shard gauge as their rows complete.
-			cancel()
-			for _, rest := range rows[k+1:] {
-				<-rest.Done()
-				s.metrics.inflight.Add(-1)
-			}
-			break
-		}
-		merged.Merge(row.Acc())
-		if k < len(rows)-1 {
-			// Interior snapshot: the merge of shards 0..k. The final
-			// prefix is the result line below, not a duplicate snapshot.
-			b := encodeLine(Line{Type: "snapshot", ShardsDone: k + 1, Shards: jb.shards, Stats: newStats(merged)})
-			body = append(body, b...)
-			writeLine(w, b)
-		}
+	// A snapshot comes only from a prefix without a failed trial, so every
+	// trial it covers was folded, as a value or as a drop.
+	for acc := range snaps {
+		b := encodeLine(Line{Type: "snapshot", Trials: acc.N() + acc.Dropped(), Stats: newStats(&acc)})
+		body = append(body, b...)
+		writeLine(w, b)
 	}
-	<-errc
-	if rowErr != nil {
-		return body, encodeLine(Line{Type: "error", Key: jb.key, Error: rowErr.Error()}), rowErr
+	if err := <-errc; err != nil {
+		return body, encodeLine(Line{Type: "error", Key: jb.key, Error: err.Error()}), err
 	}
 	return body, encodeLine(Line{
 		Type:     "result",
 		Key:      jb.key,
 		Schedule: jb.spec.Schedule,
 		Trials:   jb.spec.Trials,
-		Shards:   jb.shards,
-		Stats:    newStats(merged),
+		Stats:    newStats(row.Acc()),
 	}), nil
 }
 
@@ -400,7 +374,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"noisyserved_cache_misses_total": s.metrics.misses.Load(),
 		"noisyserved_coalesced_total":    s.metrics.coalesced.Load(),
 		"noisyserved_jobs_errored_total": s.metrics.errored.Load(),
-		"noisyserved_shards_inflight":    s.metrics.inflight.Load(),
+		"noisyserved_jobs_inflight":      s.metrics.inflight.Load(),
 		"noisyserved_trials_total":       s.metrics.trials.Load(),
 		"noisyserved_cache_entries":      int64(entries),
 	}

@@ -6,10 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ import (
 
 	"noisyradio/internal/benchreport"
 	"noisyradio/internal/broadcast"
-	"noisyradio/internal/graph"
+	"noisyradio/internal/experiments"
 	"noisyradio/internal/sim"
 )
 
@@ -76,63 +77,79 @@ func metric(t *testing.T, ts *httptest.Server, name string) int64 {
 	return 0
 }
 
-// TestJobMatchesLocalSweep: the service's result line carries exactly the
-// statistics a local unsharded sweep of the same spec produces.
-func TestJobMatchesLocalSweep(t *testing.T) {
-	ts := httptest.NewServer(NewServer(Config{}))
-	defer ts.Close()
-	spec := testSpec()
-
-	var snapshots []Line
-	res, err := Submit(context.Background(), ts.URL, spec, func(l Line) { snapshots = append(snapshots, l) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cache != "miss" {
-		t.Fatalf("first submission X-Cache = %q, want miss", res.Cache)
-	}
-
-	sched, err := broadcast.LookupSchedule(spec.Schedule)
+// localRow folds a spec's first trials trials as noisysim -schedule does:
+// one AddSchedule row on the spec's workload, single goroutine.
+func localRow(t *testing.T, spec benchreport.JobSpec, trials int) *sim.Row {
+	t.Helper()
+	jb := mustCheck(t, spec)
+	k := max(spec.K, 1)
+	top, params, err := experiments.ScheduleWorkload(jb.sched, spec.Topology, spec.N, k, spec.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sw := sim.NewSweep(sim.SweepConfig{Workers: 1})
-	row := sw.AddSchedule(sched, graph.Path(spec.N),
-		mustCheck(t, spec).cfg, broadcast.ScheduleParams{}, spec.Trials, spec.Seed,
-		broadcast.Outcome.RoundsOrNaN)
+	row := sw.AddSchedule(jb.sched, top, jb.cfg, params, trials, spec.Seed, broadcast.Outcome.RoundsOrNaN)
 	if err := sw.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := row.Acc()
+	return row
+}
 
-	st := res.Stats
-	if st == nil {
-		t.Fatal("result line has no stats")
-	}
-	if st.N != want.N() || st.Dropped != want.Dropped() {
-		t.Fatalf("N/Dropped = %d/%d, want %d/%d", st.N, st.Dropped, want.N(), want.Dropped())
-	}
-	if *st.Sum != want.Sum() || *st.Min != want.Min() || *st.Max != want.Max() {
-		t.Fatalf("sum/min/max = %v/%v/%v, want %v/%v/%v", *st.Sum, *st.Min, *st.Max, want.Sum(), want.Min(), want.Max())
-	}
-	if math.Abs(*st.Mean-want.Mean()) > 1e-12 {
-		t.Fatalf("mean %v, want %v", *st.Mean, want.Mean())
-	}
-	wantShards := NewServer(Config{}).ShardPlan(spec.Trials)
-	if res.Shards != wantShards {
-		t.Fatalf("shards = %d, want %d", res.Shards, wantShards)
-	}
-	if len(snapshots) != wantShards-1 {
-		t.Fatalf("%d snapshot lines for %d shards, want %d", len(snapshots), wantShards, wantShards-1)
-	}
-	for i, snap := range snapshots {
-		if snap.ShardsDone != i+1 || snap.Shards != wantShards {
-			t.Fatalf("snapshot %d: shards_done/shards = %d/%d", i, snap.ShardsDone, snap.Shards)
+// TestJobMatchesLocalSweep: the service's result line carries, field for
+// field and bit for bit, the statistics of the local row noisysim
+// -schedule folds for the same spec, and each snapshot line those of a
+// local row over the snapshot's first trials trials. The snapshots fall
+// at k·trials/S for S = min(8, ⌈trials/32⌉).
+func TestJobMatchesLocalSweep(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{}))
+	defer ts.Close()
+	grid, cube, star := testSpec(), testSpec(), testSpec()
+	grid.Topology, grid.N, grid.Trials = "grid", 256, 256
+	cube.Topology, cube.N, cube.Trials = "hypercube", 256, 100
+	star.Schedule, star.N, star.K, star.P, star.Trials = "star-coding", 16, 4, 0.45, 70
+	for _, tc := range []struct {
+		spec  benchreport.JobSpec
+		marks []int
+	}{
+		{testSpec(), []int{20}},
+		{benchreport.JobSpec{Schedule: "decay", Topology: "complete", N: 4096, Fault: "sender", P: 0.1, Seed: 1, Trials: 512},
+			[]int{64, 128, 192, 256, 320, 384, 448}},
+		{grid, []int{32, 64, 96, 128, 160, 192, 224}},
+		{cube, []int{25, 50, 75}},
+		{star, []int{23, 46}},
+	} {
+		spec := tc.spec
+		var snapshots []Line
+		res, err := Submit(context.Background(), ts.URL, spec, func(l Line) { snapshots = append(snapshots, l) })
+		if err != nil {
+			t.Fatal(err)
 		}
-		if snap.Stats.N+snap.Stats.Dropped >= spec.Trials {
-			t.Fatalf("snapshot %d already covers all %d trials", i, spec.Trials)
+		if res.Cache != "miss" {
+			t.Fatalf("%s: first submission X-Cache = %q, want miss", spec.Canonical(), res.Cache)
+		}
+		if res.Stats == nil || res.Trials != spec.Trials {
+			t.Fatalf("%s: result line %+v", spec.Canonical(), res.Line)
+		}
+		if want := newStats(localRow(t, spec, spec.Trials).Acc()); !reflect.DeepEqual(res.Stats, want) {
+			t.Fatalf("%s: result stats\n%s\nwant the local row's\n%s", spec.Canonical(), statsJSON(res.Stats), statsJSON(want))
+		}
+		if len(snapshots) != len(tc.marks) {
+			t.Fatalf("%s: %d snapshot lines, want %d", spec.Canonical(), len(snapshots), len(tc.marks))
+		}
+		for i, snap := range snapshots {
+			if snap.Trials != tc.marks[i] {
+				t.Fatalf("%s: snapshot %d covers %d trials, want %d", spec.Canonical(), i, snap.Trials, tc.marks[i])
+			}
+			if want := newStats(localRow(t, spec, snap.Trials).Acc()); !reflect.DeepEqual(snap.Stats, want) {
+				t.Fatalf("%s: snapshot of %d trials\n%s\nwant the local row's\n%s", spec.Canonical(), snap.Trials, statsJSON(snap.Stats), statsJSON(want))
+			}
 		}
 	}
+}
+
+func statsJSON(s *Stats) []byte {
+	b, _ := json.Marshal(s)
+	return b
 }
 
 func mustCheck(t *testing.T, spec benchreport.JobSpec) *job {
@@ -173,8 +190,8 @@ func TestCacheHitIsByteExact(t *testing.T) {
 	if misses := metric(t, ts, "noisyserved_cache_misses_total"); misses != 1 {
 		t.Fatalf("cache misses = %d, want 1", misses)
 	}
-	if inflight := metric(t, ts, "noisyserved_shards_inflight"); inflight != 0 {
-		t.Fatalf("shards inflight after completion = %d", inflight)
+	if inflight := metric(t, ts, "noisyserved_jobs_inflight"); inflight != 0 {
+		t.Fatalf("jobs inflight after completion = %d", inflight)
 	}
 
 	// A different seed is a different plan key: misses again.
@@ -310,27 +327,33 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
+// badSpecs mutates testSpec into specs the service must reject as HTTP
+// 400, by check or by build.
+var badSpecs = map[string]func(*benchreport.JobSpec){
+	"unknown schedule": func(s *benchreport.JobSpec) { s.Schedule = "bogus" },
+	"unknown fault":    func(s *benchreport.JobSpec) { s.Fault = "martian" },
+	"unknown draw":     func(s *benchreport.JobSpec) { s.Draw = "v99" },
+	"unknown topology": func(s *benchreport.JobSpec) { s.Topology = "moebius" },
+	"zero trials":      func(s *benchreport.JobSpec) { s.Trials = 0 },
+	"p out of range":   func(s *benchreport.JobSpec) { s.P = 1.5 },
+	"tiny n":           func(s *benchreport.JobSpec) { s.N = 1 },
+	"hypercube 2^21":   func(s *benchreport.JobSpec) { s.Topology = "hypercube"; s.N = 1 << 21 },
+	// Noise parameters the contract rejects.
+	"v3 burstbadp 2":  func(s *benchreport.JobSpec) { s.Draw = "v3"; s.BurstBadP = 2 },
+	"v3 p above badp": func(s *benchreport.JobSpec) { s.Draw = "v3"; s.P = 0.6 },
+	"v4 jamq 3":       func(s *benchreport.JobSpec) { s.Draw = "v4"; s.JamQ = 3 },
+	"v4 jamradius -2": func(s *benchreport.JobSpec) { s.Draw = "v4"; s.JamRadius = -2 },
+}
+
+// unknownFieldSpec is a spec with a typo'd key, which decoding rejects.
+const unknownFieldSpec = `{"schedule":"decay","topology":"path","n":24,"fault":"receiver","p":0.3,"seed":1,"trials":5,"engin":"dense"}`
+
 // TestRejectsBadSpecs: malformed submissions are HTTP 400 with a JSON
 // error, before any execution, whether submitted alone or by concurrent
 // clients, and none counts as a job.
 func TestRejectsBadSpecs(t *testing.T) {
 	ts := httptest.NewServer(NewServer(Config{}))
 	defer ts.Close()
-	cases := map[string]func(*benchreport.JobSpec){
-		"unknown schedule": func(s *benchreport.JobSpec) { s.Schedule = "bogus" },
-		"unknown fault":    func(s *benchreport.JobSpec) { s.Fault = "martian" },
-		"unknown draw":     func(s *benchreport.JobSpec) { s.Draw = "v99" },
-		"unknown topology": func(s *benchreport.JobSpec) { s.Topology = "moebius" },
-		"zero trials":      func(s *benchreport.JobSpec) { s.Trials = 0 },
-		"p out of range":   func(s *benchreport.JobSpec) { s.P = 1.5 },
-		"tiny n":           func(s *benchreport.JobSpec) { s.N = 1 },
-		"hypercube 2^21":   func(s *benchreport.JobSpec) { s.Topology = "hypercube"; s.N = 1 << 21 },
-		// Noise parameters the contract rejects.
-		"v3 burstbadp 2":  func(s *benchreport.JobSpec) { s.Draw = "v3"; s.BurstBadP = 2 },
-		"v3 p above badp": func(s *benchreport.JobSpec) { s.Draw = "v3"; s.P = 0.6 },
-		"v4 jamq 3":       func(s *benchreport.JobSpec) { s.Draw = "v4"; s.JamQ = 3 },
-		"v4 jamradius -2": func(s *benchreport.JobSpec) { s.Draw = "v4"; s.JamRadius = -2 },
-	}
 	rejected := func(resp *http.Response, body []byte) error {
 		if resp.StatusCode != http.StatusBadRequest {
 			return fmt.Errorf("status %d, want 400 (body %s)", resp.StatusCode, body)
@@ -344,7 +367,7 @@ func TestRejectsBadSpecs(t *testing.T) {
 		return nil
 	}
 	const clients = 4
-	for name, mut := range cases {
+	for name, mut := range badSpecs {
 		spec := testSpec()
 		mut(&spec)
 		if err := rejected(postJob(t, ts, spec)); err != nil {
@@ -374,8 +397,7 @@ func TestRejectsBadSpecs(t *testing.T) {
 	}
 	// Unknown fields are rejected too (typo'd keys must not silently
 	// default and then cache under the wrong plan).
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"schedule":"decay","topology":"path","n":24,"fault":"receiver","p":0.3,"seed":1,"trials":5,"engin":"dense"}`))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(unknownFieldSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,6 +511,64 @@ func TestRuntimeErrorNotCached(t *testing.T) {
 	}
 	if _, err := Submit(context.Background(), ts.URL, spec, nil); err == nil || !strings.Contains(err.Error(), "job failed") {
 		t.Fatalf("client Submit error = %v, want job-failed", err)
+	}
+}
+
+// cancelWriter cancels its job's context as the first snapshot line is
+// written, so the job's remaining trials fail mid-run.
+type cancelWriter struct {
+	http.ResponseWriter
+	cancel func()
+}
+
+func (w *cancelWriter) Write(b []byte) (int, error) {
+	var l Line
+	if json.Unmarshal(b, &l) == nil && l.Type == "snapshot" {
+		w.cancel()
+	}
+	return w.ResponseWriter.Write(b)
+}
+
+// TestFailedJobStopsSnapshots: a job whose trials fail mid-run streams a
+// snapshot only for prefixes below its first failed trial and ends with
+// the row's lowest-trial error, in sim's text; nothing is cached.
+func TestFailedJobStopsSnapshots(t *testing.T) {
+	s := NewServer(Config{})
+	spec := testSpec()
+	spec.N, spec.Trials = 64, 20000 // far more trials than run before the cancellation lands
+	payload, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(payload)).WithContext(ctx)
+	s.ServeHTTP(&cancelWriter{ResponseWriter: rec, cancel: cancel}, req)
+
+	lines := bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n"))
+	last := lastLine(t, rec.Body.Bytes())
+	var failed int
+	if _, err := fmt.Sscanf(last.Error, "sim: trial %d: context canceled", &failed); err != nil || last.Type != "error" {
+		t.Fatalf("terminal line %+v, want sim's context-cancelled trial error", last)
+	}
+	if len(lines) < 2 {
+		t.Fatalf("no snapshot before the error:\n%s", rec.Body)
+	}
+	for _, raw := range lines[:len(lines)-1] {
+		var l Line
+		if err := json.Unmarshal(raw, &l); err != nil || l.Type != "snapshot" {
+			t.Fatalf("line %s before the terminal line is not a snapshot", raw)
+		}
+		if l.Trials > failed || l.Stats.N+l.Stats.Dropped != l.Trials {
+			t.Fatalf("snapshot %s streamed past the failed trial %d", raw, failed)
+		}
+	}
+	s.mu.Lock()
+	_, cached := s.cache.get(spec.PlanKey())
+	s.mu.Unlock()
+	if cached {
+		t.Fatal("a failed job was cached")
 	}
 }
 
@@ -630,17 +710,25 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// TestShardPlan pins the deterministic shard-count derivation.
-func TestShardPlan(t *testing.T) {
-	s := NewServer(Config{})
-	for _, tc := range [][2]int{{1, 1}, {32, 1}, {33, 2}, {64, 2}, {256, 8}, {100000, 8}} {
-		if got := s.ShardPlan(tc[0]); got != tc[1] {
-			t.Errorf("ShardPlan(%d) = %d, want %d", tc[0], got, tc[1])
+// TestSnapshotMarks pins where snapshot lines fall: k·trials/S for
+// k = 1…S−1, S = min(8, ⌈trials/32⌉).
+func TestSnapshotMarks(t *testing.T) {
+	for _, tc := range []struct {
+		trials int
+		want   []int
+	}{
+		{1, []int{}},
+		{32, []int{}},
+		{33, []int{16}},
+		{40, []int{20}},
+		{64, []int{32}},
+		{100, []int{25, 50, 75}},
+		{256, []int{32, 64, 96, 128, 160, 192, 224}},
+		{100000, []int{12500, 25000, 37500, 50000, 62500, 75000, 87500}},
+	} {
+		if got := snapshotMarks(tc.trials); !slices.Equal(got, tc.want) {
+			t.Errorf("snapshotMarks(%d) = %v, want %v", tc.trials, got, tc.want)
 		}
-	}
-	fixed := NewServer(Config{Shards: 3})
-	if got := fixed.ShardPlan(100000); got != 3 {
-		t.Errorf("fixed ShardPlan = %d, want 3", got)
 	}
 }
 

@@ -7,22 +7,20 @@ import (
 )
 
 // Line is one NDJSON line of a job response stream. A stream is zero or
-// more "snapshot" lines — snapshot k is the merge of shard accumulators
-// 0..k, emitted when those shards have all completed — terminated by
+// more "snapshot" lines — each the fold of the job's first Trials trials,
+// emitted as the job's in-order fold passes that count — terminated by
 // exactly one "result" line (the whole-job summary, carrying the plan
-// key) or one "error" line. Because snapshots are prefix merges over a
-// shard plan derived only from the spec, the entire stream is a pure
-// function of the plan key; the server's result cache stores and replays
-// the bytes verbatim.
+// key) or one "error" line. Because the snapshot counts derive only from
+// the spec and each snapshot is a prefix of one deterministic fold, the
+// entire stream is a pure function of the plan key; the server's result
+// cache stores and replays the bytes verbatim.
 type Line struct {
-	Type       string `json:"type"` // "snapshot" | "result" | "error"
-	Key        string `json:"key,omitempty"`
-	Schedule   string `json:"schedule,omitempty"`
-	Trials     int    `json:"trials,omitempty"`
-	ShardsDone int    `json:"shards_done,omitempty"`
-	Shards     int    `json:"shards,omitempty"`
-	Stats      *Stats `json:"stats,omitempty"`
-	Error      string `json:"error,omitempty"`
+	Type     string `json:"type"` // "snapshot" | "result" | "error"
+	Key      string `json:"key,omitempty"`
+	Schedule string `json:"schedule,omitempty"`
+	Trials   int    `json:"trials,omitempty"`
+	Stats    *Stats `json:"stats,omitempty"`
+	Error    string `json:"error,omitempty"`
 }
 
 // Stats is a JSON-safe rendering of one stats.Accumulator state. Fields

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"noisyradio/internal/broadcast"
 	"noisyradio/internal/graph"
 	"noisyradio/internal/radio"
@@ -24,30 +22,6 @@ import (
 // rng.NewFrom(seed, i), so rows are bit-identical at every worker count
 // and engine.
 func (s *Sweep) AddSchedule(sched *broadcast.Schedule, top graph.Topology, cfg radio.Config, p broadcast.ScheduleParams, trials int, seed uint64, value func(broadcast.Outcome) (float64, error)) *Row {
-	return s.addSchedule(sched, top, cfg, p, 0, trials, seed, value)
-}
-
-// AddScheduleShard registers the trial range [start, end) of a logical
-// (trials, seed) schedule row as its own sweep row. Shard trial i draws
-// the stream of *global* trial start+i (rng.NewFrom(seed, start+i)), so a
-// set of shards covering [0, trials) executes exactly the trials the
-// unsharded AddSchedule row would — same draws, same outcomes — just
-// folded into per-shard accumulators. Merging those accumulators in shard
-// order (stats.Accumulator.Merge) reproduces the unsharded row's summary
-// per the Merge exactness contract: count/sum/min/max exact for the
-// integer-valued outcome statistics, moments to ~1 ulp per merge,
-// quantiles as a deterministic estimator-level approximation. This is the
-// sweep service's shard-parallel execution primitive: shards of one job
-// complete (and stream) independently while the merged result stays a
-// pure function of the plan.
-func (s *Sweep) AddScheduleShard(sched *broadcast.Schedule, top graph.Topology, cfg radio.Config, p broadcast.ScheduleParams, start, end int, seed uint64, value func(broadcast.Outcome) (float64, error)) *Row {
-	if start < 0 || end <= start {
-		panic(fmt.Sprintf("sim: Sweep.AddScheduleShard range [%d, %d), need 0 <= start < end", start, end))
-	}
-	return s.addSchedule(sched, top, cfg, p, start, end-start, seed, value)
-}
-
-func (s *Sweep) addSchedule(sched *broadcast.Schedule, top graph.Topology, cfg radio.Config, p broadcast.ScheduleParams, base, trials int, seed uint64, value func(broadcast.Outcome) (float64, error)) *Row {
 	if sched == nil {
 		panic("sim: Sweep.AddSchedule nil schedule")
 	}
@@ -64,7 +38,6 @@ func (s *Sweep) addSchedule(sched *broadcast.Schedule, top graph.Topology, cfg r
 		}
 		return value(out)
 	})
-	row.base = base
 	row.sched = sched.Name
 	row.planDraw = cfg.DrawLabel()
 	// Record the engine the radio layer picks for the schedule's effective

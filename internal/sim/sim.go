@@ -62,6 +62,13 @@ func (e *trialError) record(trial int, err error) {
 	e.mu.Unlock()
 }
 
+// failedBelow reports whether a trial with index below n has failed.
+func (e *trialError) failedBelow(n int) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.err != nil && e.trial < n
+}
+
 func (e *trialError) get() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

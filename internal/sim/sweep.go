@@ -83,18 +83,17 @@ type Row struct {
 	planEngine radio.Engine
 	planDraw   string
 
-	// base offsets the row's trial indices: trial i of this row draws the
-	// stream of global trial base+i (rng.NewFrom(seed, base+i)). Zero for
-	// whole rows; set by AddScheduleShard so a set of shards covering
-	// [0, trials) executes exactly the trials of the unsharded row.
-	base int
-
 	mu      sync.Mutex
 	cond    sync.Cond // signalled when next advances; bounds the pending backlog
 	acc     stats.Accumulator
 	next    int // next chunk index to fold, guarded by mu
 	pending map[int][]float64
 	done    chan struct{}
+
+	// Prefix snapshots (set by Snapshots): the folded trial counts still
+	// to snapshot, ascending, and the channel that receives them.
+	marks []int
+	snaps chan stats.Accumulator
 
 	err     trialError
 	taskErr error // error of a Go task row, reported unwrapped
@@ -313,7 +312,7 @@ func (row *Row) runChunk(t chunkTask) {
 		if row.task != nil {
 			row.taskErr = err
 		} else {
-			row.err.record(row.base+t.start, err)
+			row.err.record(t.start, err)
 		}
 		row.fold(t.idx, nil)
 		return
@@ -334,13 +333,11 @@ func (row *Row) runChunk(t chunkTask) {
 }
 
 // runTrial executes one trial of the row, recording a failure as value 0
-// and the lowest-trial error. The trial index is row-local; the rng
-// stream (and the recorded failure index) use the global base+trial, so
-// shard rows replay exactly the trials of their unsharded twin.
+// and the lowest-trial error.
 func (row *Row) runTrial(trial int) float64 {
-	v, err := row.fn(row.base+trial, rng.NewFrom(row.seed, uint64(row.base+trial)))
+	v, err := row.fn(trial, rng.NewFrom(row.seed, uint64(trial)))
 	if err != nil {
-		row.err.record(row.base+trial, err)
+		row.err.record(trial, err)
 		v = 0
 	}
 	return v
@@ -356,8 +353,9 @@ const maxPendingChunks = 32
 
 // fold hands a completed chunk to the row's in-order folder: chunks are
 // buffered until every earlier chunk has arrived, then folded into the
-// accumulator in trial order. This is what keeps streaming statistics
-// bit-identical at every worker count.
+// accumulator in trial order. This is what keeps streaming statistics,
+// and the prefix snapshots taken on the way, bit-identical at every
+// worker count.
 func (row *Row) fold(idx int, vals []float64) {
 	row.mu.Lock()
 	for idx > row.next && len(row.pending) >= maxPendingChunks {
@@ -371,8 +369,12 @@ func (row *Row) fold(idx int, vals []float64) {
 			break
 		}
 		delete(row.pending, row.next)
-		for _, x := range v {
+		first := row.next * row.chunk
+		for i, x := range v {
 			row.acc.Add(x)
+			if len(row.marks) > 0 && first+i+1 >= row.marks[0] {
+				row.snapshot(first + i + 1)
+			}
 		}
 		row.next++
 		advanced = true
@@ -383,8 +385,47 @@ func (row *Row) fold(idx int, vals []float64) {
 	}
 	row.mu.Unlock()
 	if complete {
+		if row.snaps != nil {
+			close(row.snaps)
+		}
 		close(row.done)
 	}
+}
+
+// snapshot sends the accumulator for the row's next mark, which the
+// folded trial count has just reached, unless one of the folded trials
+// failed; after a failure it drops every remaining mark. A count past
+// the mark means a cancelled chunk folded empty, which records a failure
+// at its first trial, so that case drops the marks too. Called with mu
+// held; the channel has room for every mark, so the send never blocks.
+func (row *Row) snapshot(folded int) {
+	if row.marks[0] == folded && !row.err.failedBelow(folded) {
+		row.snaps <- row.acc
+		row.marks = row.marks[1:]
+		return
+	}
+	row.marks = nil
+}
+
+// Snapshots asks the row's in-order folder for prefix snapshots: each
+// time the folded trial count reaches a mark in at, it sends a copy of
+// the row's accumulator, which then holds exactly the row's first mark
+// trials. Marks must ascend strictly within [1, trials]. The channel is
+// buffered to len(at), so the folder never blocks on it; no snapshot is
+// sent once a folded trial has failed, and the channel closes when the
+// row completes. Call it at most once per row, before Sweep.Run.
+func (row *Row) Snapshots(at []int) <-chan stats.Accumulator {
+	if row.sweep.ran || row.snaps != nil {
+		panic("sim: Row.Snapshots after Run or called twice")
+	}
+	for i, m := range at {
+		if m < 1 || m > row.trials || (i > 0 && m <= at[i-1]) {
+			panic(fmt.Sprintf("sim: Row.Snapshots marks %v, need strictly ascending within [1, %d]", at, row.trials))
+		}
+	}
+	row.marks = append([]int(nil), at...)
+	row.snaps = make(chan stats.Accumulator, len(at))
+	return row.snaps
 }
 
 // ready panics unless the owning sweep has run; reading a Row before
@@ -403,8 +444,8 @@ func (row *Row) Acc() *stats.Accumulator {
 
 // Done returns a channel closed once every chunk of the row has been
 // folded. It is safe to retain from registration time and to wait on
-// concurrently with RunContext — the sweep service uses it to stream a
-// row's result the moment that row completes, before sibling rows finish.
+// concurrently with RunContext, so a caller can read a row's result the
+// moment that row completes, before sibling rows finish.
 // Under cancellation the channel still closes (unstarted chunks fold
 // empty), so waiters never leak. If the owning sweep is never run, the
 // channel never closes.

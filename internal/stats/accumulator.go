@@ -37,12 +37,6 @@ type Accumulator struct {
 	q90     p2Estimator
 }
 
-// NewAccumulator returns an empty accumulator. Equivalent to a zero value;
-// provided for symmetry with the rest of the package.
-func NewAccumulator() *Accumulator {
-	return &Accumulator{}
-}
-
 // Add folds one observation into the accumulator. NaN observations are
 // counted in Dropped and otherwise ignored.
 func (a *Accumulator) Add(x float64) {
@@ -68,58 +62,6 @@ func (a *Accumulator) Add(x float64) {
 	a.q10.add(0.1, x)
 	a.q50.add(0.5, x)
 	a.q90.add(0.9, x)
-}
-
-// Merge folds the state of b into a, as if a had also observed b's
-// sample. It is the shard-combination primitive of the sweep service: a
-// row split into shards, each folded in trial order into its own
-// accumulator, merges (in shard order) to one summary of the whole row.
-// b is not modified, and merging an empty accumulator (either side) is
-// exact.
-//
-// Merge contract:
-//
-//   - N, Dropped, Sum, Min and Max combine exactly: counts and extrema
-//     are order-free, and Sum adds the shard sums (bit-identical to the
-//     sequential fold whenever the shard sums are exact, e.g. for
-//     integer-valued observations such as round counts; otherwise equal
-//     up to one floating-point rounding per shard boundary).
-//   - Mean/Variance/Stddev/CI95 use the pairwise (Chan et al.) Welford
-//     combination, which agrees with the sequential single-pass values to
-//     floating-point rounding (~1 ulp relative per merge).
-//   - Median/P10/P90 merge the P² marker states: raw-buffer sides
-//     (n < 5) replay their buffered values, full sides combine extreme
-//     markers exactly and interior markers by count-weighted height
-//     interpolation. This is an estimator-level approximation (P² itself
-//     is), but it is a pure function of the two input states — a fixed
-//     shard plan therefore yields a byte-stable merged result, which is
-//     what lets the sweep service cache merged rows byte-exactly.
-func (a *Accumulator) Merge(b *Accumulator) {
-	a.dropped += b.dropped
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		a.n, a.sum, a.mean, a.m2 = b.n, b.sum, b.mean, b.m2
-		a.min, a.max = b.min, b.max
-		a.q10, a.q50, a.q90 = b.q10, b.q50, b.q90
-		return
-	}
-	n := a.n + b.n
-	delta := b.mean - a.mean
-	a.mean += delta * float64(b.n) / float64(n)
-	a.m2 += b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	a.sum += b.sum
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.q10.merge(0.1, &b.q10)
-	a.q50.merge(0.5, &b.q50)
-	a.q90.merge(0.9, &b.q90)
-	a.n = n
 }
 
 // N returns the number of accumulated (non-NaN) observations.
@@ -287,71 +229,6 @@ func (e *p2Estimator) add(p, x float64) {
 			e.pos[i] += d
 		}
 	}
-}
-
-// merge folds estimator o's state into e for quantile p. Deterministic by
-// construction (a pure function of the two states), so repeated merges of
-// the same shard states are byte-stable:
-//
-//   - An empty side contributes nothing; a raw-buffer side (n < 5) replays
-//     its buffered observations through the ordinary add path (in its
-//     sorted buffer order).
-//   - Two full marker states combine exactly at the extremes (markers 0
-//     and 4 track the true min/max) and by count-weighted height averaging
-//     at the interior markers — each side's marker estimates the same
-//     quantile of its own sample, so the weighted average estimates that
-//     quantile of the union. Marker positions combine by summed ranks and
-//     the desired positions are recomputed from the P² closed form at the
-//     combined count.
-func (e *p2Estimator) merge(p float64, o *p2Estimator) {
-	if o.n == 0 {
-		return
-	}
-	if o.n < 5 {
-		for _, x := range o.h[:o.n] {
-			e.add(p, x)
-		}
-		return
-	}
-	if e.n == 0 {
-		*e = *o
-		return
-	}
-	if e.n < 5 {
-		// Adopt the full side's marker state and replay this side's small
-		// buffer into it. The replay order (this side's sorted buffer) is a
-		// pure function of the inputs, keeping the merge deterministic.
-		buffered := *e
-		*e = *o
-		for _, x := range buffered.h[:buffered.n] {
-			e.add(p, x)
-		}
-		return
-	}
-	n := e.n + o.n
-	wa, wb := float64(e.n), float64(o.n)
-	if o.h[0] < e.h[0] {
-		e.h[0] = o.h[0]
-	}
-	if o.h[4] > e.h[4] {
-		e.h[4] = o.h[4]
-	}
-	for i := 1; i <= 3; i++ {
-		e.h[i] = (wa*e.h[i] + wb*o.h[i]) / (wa + wb)
-		// Both position vectors are 1-based ranks within their own sample;
-		// the union rank of a merged marker is the sum of the ranks minus
-		// the shared origin. Monotonicity is preserved (both inputs are
-		// monotone), which is all the subsequent add steps require.
-		e.pos[i] += o.pos[i] - 1
-	}
-	e.pos[0] = 1
-	e.pos[4] = float64(n)
-	inc := [5]float64{0, p / 2, p, (1 + p) / 2, 1}
-	init := [5]float64{1, 1 + 2*p, 1 + 4*p, 3 + 2*p, 5}
-	for i := range e.des {
-		e.des[i] = init[i] + float64(n-5)*inc[i]
-	}
-	e.n = n
 }
 
 // parabolic is the P² piecewise-parabolic height prediction for marker i

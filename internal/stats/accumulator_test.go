@@ -10,7 +10,7 @@ import (
 )
 
 func accOver(xs []float64) *Accumulator {
-	a := NewAccumulator()
+	a := &Accumulator{}
 	for _, x := range xs {
 		a.Add(x)
 	}
@@ -90,7 +90,7 @@ func TestAccumulatorQuantilesExactUnderFive(t *testing.T) {
 }
 
 func TestAccumulatorEmpty(t *testing.T) {
-	a := NewAccumulator()
+	a := &Accumulator{}
 	if a.N() != 0 || a.Mean() != 0 || a.CI95() != 0 || a.Stddev() != 0 {
 		t.Fatalf("empty accumulator: N=%d Mean=%v CI95=%v", a.N(), a.Mean(), a.CI95())
 	}
@@ -119,7 +119,7 @@ func TestAccumulatorSingle(t *testing.T) {
 // TestAccumulatorDropsNaN: NaN is the failed-trial sentinel — excluded
 // from every statistic, tracked in Dropped.
 func TestAccumulatorDropsNaN(t *testing.T) {
-	a := NewAccumulator()
+	a := &Accumulator{}
 	a.Add(1)
 	a.Add(math.NaN())
 	a.Add(3)

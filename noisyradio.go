@@ -120,12 +120,8 @@ type (
 	Options = broadcast.Options
 	// RobustParams tunes Robust FASTBC (block size S, wave multiplier c).
 	RobustParams = broadcast.RobustParams
-	// RLNCOptions tunes coded multi-message broadcast.
-	RLNCOptions = broadcast.RLNCOptions
 	// RLNCPattern selects the pattern driving coded broadcast.
 	RLNCPattern = broadcast.RLNCPattern
-	// TransformParams tunes the Lemma 25/26 meta-round transformations.
-	TransformParams = broadcast.TransformParams
 	// WCT is the worst-case topology instance of Section 5.1.2.
 	WCT = graph.WCT
 	// WCTParams sizes a WCT instance.

@@ -28,7 +28,7 @@ func TestFacadeMultiMessage(t *testing.T) {
 	top := Path(8)
 	r := NewRand(2)
 	msgs := RandomMessages(4, 8, r)
-	res, got, err := RLNCBroadcast(top, Config{Fault: ReceiverFaults, P: 0.2}, msgs, RLNCDecay, r, RLNCOptions{})
+	res, got, err := RLNCBroadcast(top, Config{Fault: ReceiverFaults, P: 0.2}, msgs, RLNCDecay, r)
 	if err != nil || !res.Success {
 		t.Fatalf("%v %+v", err, res)
 	}
