@@ -27,13 +27,15 @@
 // The -engine flag selects the radio execution engine (auto | sparse |
 // dense | implicit). Results are bit-identical across engines — auto runs
 // every complete graph (the one family with a closed form) implicitly and
-// picks between the others by average degree, dense forces word-parallel
-// channel resolution, sparse forces CSR neighbour walking, implicit
-// resolves each round from the complete graph's broadcaster total
-// without any stored adjacency. The complete graph stores no adjacency,
-// so sparse and dense fall back to implicit on it at every n. Purely a
-// performance knob; the engine each schedule row resolved to is recorded
-// in the -benchjson report.
+// every other graph sparse, sparse applies each broadcaster's word row
+// ((word index, 64-bit mask) pairs over its neighbours) to the listeners
+// a word at a time, dense forces word-parallel channel resolution over
+// bitset adjacency rows, which auto never picks, and implicit resolves
+// each round from the complete graph's broadcaster total without any
+// stored adjacency. The complete graph stores no adjacency, so sparse and
+// dense fall back to implicit on it at every n. Purely a performance
+// knob; the engine each schedule row resolved to is recorded in the
+// -benchjson report.
 //
 // The -drawcontract flag selects the fault-draw contract version (v1 |
 // v2 | v3 | v4). v1 — the default and today's behaviour — draws one

@@ -19,8 +19,8 @@ type scheduleCase struct {
 	p   ScheduleParams
 }
 
-// The cases force the dense engine, which the topology-taking entries'
-// dense graphs resolve to under Auto.
+// The cases force the dense engine, which Auto never picks, so the
+// equivalence tests below also run every schedule on it.
 func scheduleCases(t *testing.T) map[string]scheduleCase {
 	t.Helper()
 	recv := radio.Config{Fault: radio.ReceiverFaults, P: 0.3, Engine: radio.Dense}

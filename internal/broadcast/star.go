@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"fmt"
+	"math/bits"
 
 	"noisyradio/internal/bitset"
 	"noisyradio/internal/graph"
@@ -32,7 +33,7 @@ func starRouting(_ graph.Topology, cfg radio.Config, r *rng.Stream, p SchedulePa
 // star, or the single link as its one-leaf case. It runs until every leaf
 // holds all k messages or maxRounds rounds have passed.
 func hubRouting(top graph.Topology, cfg radio.Config, r *rng.Stream, k, maxRounds int) (Outcome, error) {
-	net, err := radio.New[int32](top.G, cfg, r)
+	net, err := radio.New[struct{}](top.G, cfg, r)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -42,32 +43,25 @@ func hubRouting(top graph.Topology, cfg radio.Config, r *rng.Stream, k, maxRound
 	// passed to StepSet unchanged every round.
 	tx := bitset.New(n)
 	tx.Set(0)
-	payload := make([]int32, n)
-
-	// missing counts the leaves still lacking the current message; gen[v]
-	// == current+1 marks leaf v as holding it, so nothing is reset between
-	// messages.
-	gen := make([]int32, n)
+	// Every reception carries the hub's current message, so the runner
+	// reads receivers, never packets. StepSet only adds receivers to its
+	// rx set, so held, cleared when the message advances, is exactly the
+	// set of leaves holding the current message.
+	payload := make([]struct{}, n)
+	held := bitset.New(n)
 	current := int32(0)
-	missing := leaves
 	round := 0
 	for ; round < maxRounds && current < int32(k); round++ {
-		payload[0] = current
-		net.StepSet(tx, payload, nil, func(d radio.Delivery[int32]) {
-			if gen[d.To] != current+1 {
-				gen[d.To] = current + 1
-				missing--
-			}
-		})
-		if missing == 0 {
+		net.StepSet(tx, payload, held, nil)
+		if held.Count() == leaves {
 			current++
-			missing = leaves
+			held.Reset()
 		}
 	}
 	return Outcome{
 		Rounds:  round,
 		Success: current == int32(k),
-		Done:    doneCountStar(current, k, leaves, missing),
+		Done:    doneCountStar(current, k, leaves, leaves-held.Count()),
 		Channel: net.Stats(),
 	}, nil
 }
@@ -112,7 +106,7 @@ func starCoding(_ graph.Topology, cfg radio.Config, r *rng.Stream, p SchedulePar
 // runs until every leaf holds k distinct coded packets or maxRounds
 // rounds have passed.
 func hubCoding(top graph.Topology, cfg radio.Config, r *rng.Stream, k, maxRounds int) (Outcome, error) {
-	net, err := radio.New[int32](top.G, cfg, r)
+	net, err := radio.New[struct{}](top.G, cfg, r)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -120,19 +114,29 @@ func hubCoding(top graph.Topology, cfg radio.Config, r *rng.Stream, k, maxRounds
 	leaves := n - 1
 	tx := bitset.New(n)
 	tx.Set(0)
-	payload := make([]int32, n)
+	// Every round's packet is globally fresh, so a leaf's receptions are
+	// its distinct packets: the runner counts receivers off rx and never
+	// reads a packet.
+	rx := bitset.New(n)
+	payload := make([]struct{}, n)
 
 	received := make([]int32, n) // distinct coded packets held per leaf
 	done := 0
 	round := 0
 	for ; round < maxRounds && done < leaves; round++ {
-		payload[0] = int32(round) // globally fresh packet index
-		net.StepSet(tx, payload, nil, func(d radio.Delivery[int32]) {
-			received[d.To]++
-			if received[d.To] == int32(k) {
-				done++
+		net.StepSet(tx, payload, rx, nil)
+		rxw := rx.Words()
+		lo, hi := rx.NonzeroRange()
+		for wi := lo; wi < hi; wi++ {
+			for w := rxw[wi]; w != 0; w &= w - 1 {
+				v := wi*64 + bits.TrailingZeros64(w)
+				received[v]++
+				if received[v] == int32(k) {
+					done++
+				}
 			}
-		})
+		}
+		rx.ResetWindow(lo, hi)
 	}
 	return Outcome{
 		Rounds:  round,

@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"fmt"
+	"math/bits"
 
 	"noisyradio/internal/bitset"
 	"noisyradio/internal/graph"
@@ -31,7 +32,7 @@ func wctRouting(_ graph.Topology, cfg radio.Config, r *rng.Stream, p SchedulePar
 	if err := validateWCTArgs(w, k); err != nil {
 		return Outcome{}, err
 	}
-	net, err := radio.New[int32](w.G, cfg, r)
+	net, err := radio.New[struct{}](w.G, cfg, r)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -44,38 +45,34 @@ func wctRouting(_ graph.Topology, cfg radio.Config, r *rng.Stream, p SchedulePar
 	n := w.G.N()
 	tx := bitset.New(n)
 	coins := scaleCoins(scales)
-	payload := make([]int32, n)
 	members := 0
 	for _, c := range w.Clusters {
 		members += len(c)
 	}
 
-	firstMember := 1 + len(w.Senders) // node ids below this are source/senders
-	gen := make([]int32, n)           // generation stamp: gen[v] == current+1 means v has it
+	// Every sender carries the current message, so the runner reads
+	// receivers, never packets. StepSet only adds receivers to held, so
+	// held, cleared when the message advances, is every node that has
+	// heard the current message. Its members are the ids from firstMember
+	// on; below lie the source and the senders.
+	payload := make([]struct{}, n)
+	firstMember := 1 + len(w.Senders)
+	held := bitset.New(n)
 	current := int32(0)
-	missing := members
 	round := 0
 	for ; round < maxRounds && current < int32(k); round++ {
 		markSenderSample(w, r, tx, coins[1+round%scales])
-		for _, s := range w.Senders {
-			payload[s] = current
-		}
-		net.StepSet(tx, payload, nil, func(d radio.Delivery[int32]) {
-			if d.To >= firstMember && gen[d.To] != current+1 {
-				gen[d.To] = current + 1
-				missing--
-			}
-		})
+		net.StepSet(tx, payload, held, nil)
 		clearSenders(w, tx)
-		if missing == 0 {
+		if countFrom(held, firstMember) == members {
 			current++
-			missing = members
+			held.Reset()
 		}
 	}
 	return Outcome{
 		Rounds:  round,
 		Success: current == int32(k),
-		Done:    wctDoneCount(w, current, k, missing),
+		Done:    wctDoneCount(w, current, k, members-countFrom(held, firstMember)),
 		Channel: net.Stats(),
 	}, nil
 }
@@ -92,7 +89,7 @@ func wctCoding(_ graph.Topology, cfg radio.Config, r *rng.Stream, p SchedulePara
 	if err := validateWCTArgs(w, k); err != nil {
 		return Outcome{}, err
 	}
-	net, err := radio.New[int32](w.G, cfg, r)
+	net, err := radio.New[struct{}](w.G, cfg, r)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -104,8 +101,9 @@ func wctCoding(_ graph.Topology, cfg radio.Config, r *rng.Stream, p SchedulePara
 
 	n := w.G.N()
 	tx := bitset.New(n)
+	rx := bitset.New(n)
 	coins := scaleCoins(scales)
-	payload := make([]int32, n)
+	payload := make([]struct{}, n)
 	members := 0
 	for _, c := range w.Clusters {
 		members += len(c)
@@ -117,20 +115,26 @@ func wctCoding(_ graph.Topology, cfg radio.Config, r *rng.Stream, p SchedulePara
 	round := 0
 	for ; round < maxRounds && done < members; round++ {
 		markSenderSample(w, r, tx, coins[1+round%scales])
-		// Fresh packet indices: distinct per (sender, round) pair; a member
-		// can never receive a duplicate, so receptions == distinct packets.
-		for i, s := range w.Senders {
-			payload[s] = int32(round*len(w.Senders) + i)
+		// Every broadcast is a fresh packet, distinct per (sender, round)
+		// pair, so a member never receives a duplicate: its receptions are
+		// its distinct packets, and the round's receivers in rx are all
+		// the runner needs to count.
+		net.StepSet(tx, payload, rx, nil)
+		rxw := rx.Words()
+		lo, hi := rx.NonzeroRange()
+		for wi := lo; wi < hi; wi++ {
+			for x := rxw[wi]; x != 0; x &= x - 1 {
+				v := wi*64 + bits.TrailingZeros64(x)
+				if v < firstMember {
+					continue
+				}
+				received[v]++
+				if received[v] == int32(k) {
+					done++
+				}
+			}
 		}
-		net.StepSet(tx, payload, nil, func(d radio.Delivery[int32]) {
-			if d.To < firstMember {
-				return
-			}
-			received[d.To]++
-			if received[d.To] == int32(k) {
-				done++
-			}
-		})
+		rx.ResetWindow(lo, hi)
 		clearSenders(w, tx)
 	}
 	return Outcome{
@@ -163,6 +167,16 @@ func markSenderSample(w *graph.WCT, r *rng.Stream, tx *bitset.Set, coin rng.Bern
 			tx.Set(int(s))
 		}
 	}
+}
+
+// countFrom returns how many members of s are lo or above; lo < s.Len().
+func countFrom(s *bitset.Set, lo int) int {
+	words := s.Words()
+	c := bits.OnesCount64(words[lo>>6] >> (lo & 63))
+	for _, x := range words[lo>>6+1:] {
+		c += bits.OnesCount64(x)
+	}
+	return c
 }
 
 func clearSenders(w *graph.WCT, tx *bitset.Set) {

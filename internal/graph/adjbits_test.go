@@ -57,15 +57,6 @@ func TestAdjacencyBitsCachedAndConcurrent(t *testing.T) {
 	}
 }
 
-func TestAvgDegree(t *testing.T) {
-	if got := Complete(10).G.AvgDegree(); got != 9 {
-		t.Fatalf("Complete(10) AvgDegree = %v, want 9", got)
-	}
-	if got := Path(2).G.AvgDegree(); got != 1 {
-		t.Fatalf("Path(2) AvgDegree = %v, want 1", got)
-	}
-}
-
 // TestAdjacencyBitsMatchesPerBitSet: the row-at-a-time fill must leave
 // the words and row windows a per-edge Set build leaves, including the
 // empty window of an isolated vertex.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"math/bits"
 	"slices"
 	"testing"
 )
@@ -10,9 +11,9 @@ import (
 // graph exposes: every neighbour list must equal, exactly, the reference
 // adjacency of the added edges taken through a set (both orientations,
 // self-loops dropped), so Build may neither lose nor invent an edge, and
-// its lists are strictly increasing. Degree and edge accounting, HasEdge
-// and the bit-matrix adjacency view must agree with it. Seed corpus lives in
-// testdata/fuzz/FuzzBuilder.
+// its lists are strictly increasing. Degree and edge accounting, HasEdge,
+// every word row (see checkWordRow) and the bit-matrix adjacency view must
+// agree with it. Seed corpus lives in testdata/fuzz/FuzzBuilder.
 func FuzzBuilder(f *testing.F) {
 	f.Add(uint64(0), []byte{})
 	f.Add(uint64(1), []byte{0, 0})
@@ -21,6 +22,11 @@ func FuzzBuilder(f *testing.F) {
 	// Rows filled in descending order, and a duplicate in both
 	// orientations next to a self-loop, with vertices 1 and 5 isolated.
 	f.Add(uint64(6), []byte{0, 4, 0, 3, 0, 2, 4, 3, 3, 4, 2, 2, 4, 3})
+	// A duplicate in both orientations shortens row 0 by one, so
+	// compaction moves row 1 ({2, 70, 130}, three words) down by one,
+	// over itself: a pair count read off the row's old place after the
+	// move would see {70, 130, 130}, two words.
+	f.Add(uint64(200), []byte{0, 199, 199, 0, 1, 2, 1, 70, 1, 130})
 	f.Fuzz(func(t *testing.T, nRaw uint64, edges []byte) {
 		n := int(nRaw % 300) // 0 exercises the ErrEmptyGraph path
 		b := NewBuilder(n)
@@ -61,6 +67,7 @@ func FuzzBuilder(f *testing.F) {
 			if !slices.Equal(ns, want) {
 				t.Fatalf("node %d: Neighbors = %v, want %v", v, ns, want)
 			}
+			checkWordRow(t, g, v)
 			if g.Degree(v) != len(want) {
 				t.Fatalf("node %d: Degree %d, want %d", v, g.Degree(v), len(want))
 			}
@@ -86,4 +93,35 @@ func FuzzBuilder(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkWordRow fails unless v's word row is Neighbors(v) regrouped: word
+// indices strictly ascend, no mask is zero, the mask bits are exactly the
+// row, and their popcounts sum to the degree.
+func checkWordRow(t *testing.T, g *Graph, v int) {
+	t.Helper()
+	words, masks := g.WordRow(v)
+	if len(words) != len(masks) {
+		t.Fatalf("node %d: %d word indices but %d masks", v, len(words), len(masks))
+	}
+	var ids []int32
+	bitsSum := 0
+	for j, i := range words {
+		if j > 0 && i <= words[j-1] {
+			t.Fatalf("node %d: word indices %v do not strictly ascend", v, words)
+		}
+		if masks[j] == 0 {
+			t.Fatalf("node %d: pair %d (word %d) has a zero mask", v, j, i)
+		}
+		bitsSum += bits.OnesCount64(masks[j])
+		for m := masks[j]; m != 0; m &= m - 1 {
+			ids = append(ids, i<<6|int32(bits.TrailingZeros64(m)))
+		}
+	}
+	if !slices.Equal(ids, g.Neighbors(v)) {
+		t.Fatalf("node %d: word row holds %v, Neighbors %v", v, ids, g.Neighbors(v))
+	}
+	if bitsSum != g.Degree(v) {
+		t.Fatalf("node %d: word row popcounts sum to %d, degree %d", v, bitsSum, g.Degree(v))
+	}
 }

@@ -21,7 +21,7 @@ func Path(n int) Topology {
 	if n < 1 {
 		panic("graph: Path needs n >= 1")
 	}
-	b := NewBuilder(n)
+	b := newBuilderCap(n, n-1)
 	for i := 0; i+1 < n; i++ {
 		b.AddEdge(i, i+1)
 	}
@@ -34,7 +34,7 @@ func Star(leaves int) Topology {
 	if leaves < 1 {
 		panic("graph: Star needs at least one leaf")
 	}
-	b := NewBuilder(leaves + 1)
+	b := newBuilderCap(leaves+1, leaves)
 	for i := 1; i <= leaves; i++ {
 		b.AddEdge(0, i)
 	}
@@ -65,7 +65,7 @@ func Grid(rows, cols int) Topology {
 	if rows < 1 || cols < 1 {
 		panic("graph: Grid needs positive dimensions")
 	}
-	b := NewBuilder(rows * cols)
+	b := newBuilderCap(rows*cols, rows*(cols-1)+(rows-1)*cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			v := r*cols + c
@@ -86,7 +86,7 @@ func RandomTree(n int, r *rng.Stream) Topology {
 	if n < 1 {
 		panic("graph: RandomTree needs n >= 1")
 	}
-	b := NewBuilder(n)
+	b := newBuilderCap(n, n-1)
 	for i := 1; i < n; i++ {
 		b.AddEdge(i, r.Intn(i))
 	}
@@ -125,7 +125,7 @@ func Layered(numLayers, width int) Topology {
 		panic("graph: Layered needs positive dimensions")
 	}
 	n := 1 + numLayers*width
-	b := NewBuilder(n)
+	b := newBuilderCap(n, width+(numLayers-1)*width*width)
 	vertex := func(layer, i int) int { return 1 + layer*width + i }
 	for i := 0; i < width; i++ {
 		b.AddEdge(0, vertex(0, i))
@@ -147,7 +147,7 @@ func Cycle(n int) Topology {
 	if n < 3 {
 		panic("graph: Cycle needs n >= 3")
 	}
-	b := NewBuilder(n)
+	b := newBuilderCap(n, n)
 	for i := 0; i < n; i++ {
 		b.AddEdge(i, (i+1)%n)
 	}
@@ -167,7 +167,7 @@ func Hypercube(dim int) Topology {
 		panic(fmt.Sprintf("graph: Hypercube needs 1 <= dim <= %d", MaxHypercubeDim))
 	}
 	n := 1 << dim
-	b := NewBuilder(n)
+	b := newBuilderCap(n, n*dim/2)
 	for v := 0; v < n; v++ {
 		for d := 0; d < dim; d++ {
 			u := v ^ (1 << d)
@@ -187,7 +187,7 @@ func BinaryTree(depth int) Topology {
 		panic("graph: BinaryTree needs 0 <= depth <= 24")
 	}
 	n := (1 << (depth + 1)) - 1
-	b := NewBuilder(n)
+	b := newBuilderCap(n, n-1)
 	for v := 1; v < n; v++ {
 		b.AddEdge(v, (v-1)/2)
 	}
@@ -202,7 +202,7 @@ func Caterpillar(pathLen, legsPerNode int) Topology {
 		panic("graph: Caterpillar needs pathLen >= 1 and legsPerNode >= 0")
 	}
 	n := pathLen * (1 + legsPerNode)
-	b := NewBuilder(n)
+	b := newBuilderCap(n, n-1)
 	for i := 0; i+1 < pathLen; i++ {
 		b.AddEdge(i, i+1)
 	}
@@ -229,7 +229,7 @@ func Lollipop(treeDepth, pathLen int) Topology {
 	}
 	treeN := (1 << (treeDepth + 1)) - 1
 	n := treeN + pathLen
-	b := NewBuilder(n)
+	b := newBuilderCap(n, n-1)
 	for v := 1; v < treeN; v++ {
 		b.AddEdge(v, (v-1)/2)
 	}
@@ -297,7 +297,11 @@ func NewWCT(p WCTParams, r *rng.Stream) *WCT {
 	scales := log2floor(p.Senders)
 	numClusters := scales * p.ClustersPerScale
 	n := 1 + p.Senders + numClusters*p.ClusterSize
-	b := NewBuilder(n)
+	edges := p.Senders
+	for j := 1; j <= scales; j++ {
+		edges += p.ClustersPerScale * p.ClusterSize * min(1<<j, p.Senders)
+	}
+	b := newBuilderCap(n, edges)
 	w := &WCT{
 		Senders:      make([]int32, p.Senders),
 		Clusters:     make([][]int32, 0, numClusters),

@@ -6,8 +6,11 @@
 //
 // Graphs are stored in compressed sparse row (CSR) form: immutable after
 // construction, cache-friendly to traverse, and cheap to share between
-// Monte-Carlo trials. The complete graph alone stores no adjacency and
-// answers from its closed form (CompleteModel) instead.
+// Monte-Carlo trials. Beside the CSR, Build lays every row out once more as
+// word rows — (word index, 64-bit mask) pairs over the row's neighbour
+// ids — which the sparse radio engine applies to its listener tally a word
+// of listeners at a time (see WordRow). The complete graph alone stores no
+// adjacency and answers from its closed form (CompleteModel) instead.
 package graph
 
 import (
@@ -23,17 +26,25 @@ import (
 // Graph is an immutable undirected graph on vertices 0..N()-1.
 //
 // Each family has one storage mode. Everything a Builder produces is CSR:
-// sorted neighbour lists and the full API. The complete graph (Complete)
-// is implicit at every n: it carries only a CompleteModel — a closed-form
-// neighbourhood description — so per-node state is O(1). It answers
-// degree, edge, BFS, BFS-parent, layer and eccentricity queries from the
-// model and panics on the two methods that exist to expose materialized
-// adjacency (Neighbors, AdjacencyBits). A graph has a CSR or a model,
-// never both; HasCSR distinguishes the modes.
+// sorted neighbour lists and the full API, plus each row's word-row form
+// (WordRow), which costs 4 bytes per node and 12 per pair. The complete
+// graph (Complete) is implicit at every n: it carries only a
+// CompleteModel — a closed-form neighbourhood description — so per-node
+// state is O(1). It answers degree, edge, BFS, BFS-parent, layer and
+// eccentricity queries from the model and panics on the methods that
+// exist to expose materialized adjacency (Neighbors, WordRow,
+// AdjacencyBits). A graph has a CSR or a model, never both; HasCSR
+// distinguishes the modes.
 type Graph struct {
 	n       int
 	offsets []int32 // len n+1; nil for implicit graphs
 	adj     []int32 // concatenated sorted neighbour lists
+
+	// Word rows: row v's (word index, mask) pairs are
+	// wordIdx[wordOff[v]:wordOff[v+1]] and the same range of wordMask.
+	wordOff  []int32 // len n+1; nil for implicit graphs
+	wordIdx  []int32
+	wordMask []uint64
 
 	// Closed-form neighbourhood description; set exactly on the implicit
 	// graphs Complete builds.
@@ -60,6 +71,12 @@ func NewBuilder(n int) *Builder {
 	return &Builder{n: n}
 }
 
+// newBuilderCap is NewBuilder with room for m edges, for the generators
+// that know their edge count: AddEdge then never grows the edge list.
+func newBuilderCap(n, m int) *Builder {
+	return &Builder{n: n, edges: make([][2]int32, 0, m)}
+}
+
 // AddEdge records the undirected edge {u, v}. Self-loops and duplicate edges
 // are tolerated and removed at Build time. It panics on out-of-range
 // endpoints, which indicates a generator bug.
@@ -77,7 +94,9 @@ func (b *Builder) AddEdge(u, v int) {
 // offsets, and scatter both directions of every edge into their rows.
 // Each row is then sorted and deduplicated in place. The generators add
 // edges in an order that leaves most rows already ascending, so those
-// sorts are close to linear.
+// sorts are close to linear. Finally each compacted row is grouped into
+// its word-row pairs (see WordRow): one pass counts them, a second fills
+// them.
 func (b *Builder) Build() (*Graph, error) {
 	if b.n <= 0 {
 		return nil, ErrEmptyGraph
@@ -105,16 +124,46 @@ func (b *Builder) Build() (*Graph, error) {
 		next[v]++
 	}
 	// Rows only shrink, so each compacted row moves down to the write
-	// cursor w without overtaking the rows still to be read.
+	// cursor w without overtaking the rows still to be read. A row's pairs
+	// are counted on its compacted copy, the row the graph keeps.
+	wordOff := make([]int32, b.n+1)
 	w := int32(0)
 	for v := 0; v < b.n; v++ {
 		row := adj[offsets[v]:offsets[v+1]]
 		slices.Sort(row)
 		offsets[v] = w
 		w += int32(copy(adj[w:], slices.Compact(row)))
+		wordOff[v+1] = wordOff[v] + int32(countWords(adj[offsets[v]:w]))
 	}
 	offsets[b.n] = w
-	return &Graph{n: b.n, offsets: offsets, adj: adj[:w]}, nil
+	g := &Graph{n: b.n, offsets: offsets, adj: adj[:w], wordOff: wordOff}
+	g.wordIdx = make([]int32, wordOff[b.n])
+	g.wordMask = make([]uint64, wordOff[b.n])
+	for v := 0; v < b.n; v++ {
+		j, last := wordOff[v]-1, int32(-1)
+		for _, u := range g.Neighbors(v) {
+			if u>>6 != last {
+				last = u >> 6
+				j++
+				g.wordIdx[j] = last
+			}
+			g.wordMask[j] |= 1 << (uint(u) & 63)
+		}
+	}
+	return g, nil
+}
+
+// countWords returns how many distinct 64-id words the ascending row
+// touches: the number of pairs in its word row.
+func countWords(row []int32) int {
+	words, last := 0, int32(-1)
+	for _, u := range row {
+		if u>>6 != last {
+			last = u >> 6
+			words++
+		}
+	}
+	return words
 }
 
 // MustBuild is Build but panics on error; for use in generators whose
@@ -165,6 +214,22 @@ func (g *Graph) Neighbors(v int) []int32 {
 	return g.adj[g.offsets[v]:g.offsets[v+1]]
 }
 
+// WordRow returns v's neighbour set as word-row pairs: words[j] is a word
+// index i, covering ids 64i..64i+63, and masks[j] has bit u%64 set for
+// every neighbour u in that word. Word indices strictly ascend, no mask is
+// zero, and the masks' bits are exactly Neighbors(v), so a row never has
+// more pairs than neighbours. A star hub's row of 4096 leaves is 65 pairs;
+// a hypercube row is one pair per neighbour, apart from the low dimensions
+// that share v's own word. The slices alias internal storage and must not
+// be modified. Panics on implicit graphs.
+func (g *Graph) WordRow(v int) (words []int32, masks []uint64) {
+	if g.offsets == nil {
+		panic("graph: WordRow needs materialized adjacency; this is an implicit graph (HasCSR() == false)")
+	}
+	lo, hi := g.wordOff[v], g.wordOff[v+1]
+	return g.wordIdx[lo:hi], g.wordMask[lo:hi]
+}
+
 // AdjacencyBits returns the bit-matrix adjacency view: row v is the
 // neighbour set of v as a bitset, enabling word-parallel neighbourhood
 // queries (64 vertices per AND+popcount). The view costs Θ(n²/8) bytes
@@ -184,14 +249,6 @@ func (g *Graph) AdjacencyBits() *bitset.Matrix {
 		g.bits = m
 	})
 	return g.bits
-}
-
-// AvgDegree returns the average vertex degree 2m/n.
-func (g *Graph) AvgDegree() float64 {
-	if g.offsets == nil {
-		return 2 * float64(g.model.Edges()) / float64(g.n)
-	}
-	return float64(len(g.adj)) / float64(g.n)
 }
 
 // HasEdge reports whether {u, v} is an edge.

@@ -354,3 +354,30 @@ func BenchmarkBuild(b *testing.B) {
 		}
 	})
 }
+
+// TestWordRowsOfGenerators: every generator's word rows regroup its CSR
+// rows exactly (checkWordRow), and the pair counts the sparse engine's
+// cost rests on hold: a star hub's 4096 leaves (ids 1–4096) are 65 pairs,
+// and a Hypercube(10) row is 5 — the six low dimensions share the node's
+// own word, and each of the other four neighbours owns one.
+func TestWordRowsOfGenerators(t *testing.T) {
+	wct := NewWCT(DefaultWCTParams(4096), rng.New(1))
+	for _, top := range []Topology{
+		Star(4096), Hypercube(10), Grid(9, 70), Path(130), Cycle(129),
+		Layered(4, 127), BinaryTree(7), Caterpillar(5, 30), Lollipop(3, 70),
+		RandomTree(300, rng.New(2)), GNP(200, 0.3, rng.New(3)), wct.Topology,
+	} {
+		for v := 0; v < top.G.N(); v++ {
+			checkWordRow(t, top.G, v)
+		}
+	}
+	if words, _ := Star(4096).G.WordRow(0); len(words) != 65 {
+		t.Errorf("Star(4096) hub row has %d pairs, want 65", len(words))
+	}
+	cube := Hypercube(10).G
+	for v := 0; v < cube.N(); v++ {
+		if words, _ := cube.WordRow(v); len(words) != 5 {
+			t.Fatalf("Hypercube(10) node %d row has %d pairs, want 5", v, len(words))
+		}
+	}
+}

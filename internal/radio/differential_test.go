@@ -201,6 +201,15 @@ func TestDifferentialEnginesAcrossTopologies(t *testing.T) {
 		// Each sender's cluster members lie scattered over the graph's 32
 		// words, so the sparse engine's touched windows span many words.
 		{G: wideWCT.G, Source: wideWCT.Source, Name: "wct(n=2048)"},
+		// Word rows of one-bit pairs: a hypercube node's six low
+		// dimensions share its own word, and each of the other four
+		// neighbours owns a word.
+		graph.Hypercube(10),
+		// Word rows mixing full, partial and one-bit pairs: a layer-1 node
+		// (ids 128–254) holds layer 0 (ids 1–127) as a 63-bit pair and a
+		// full word, and layer 2 (ids 255–381) as a one-bit pair (id 255),
+		// a full word and a 62-bit pair.
+		graph.Layered(4, 127),
 	}
 	for _, top := range tops {
 		for _, cfg := range diffConfigs() {

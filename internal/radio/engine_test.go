@@ -47,18 +47,21 @@ func TestValidateRejectsUnknownEngine(t *testing.T) {
 	}
 }
 
+// TestAutoEngineSelection: Auto runs a graph with a model implicitly and
+// every other graph sparse, however dense its CSR.
 func TestAutoEngineSelection(t *testing.T) {
 	for _, tt := range []struct {
 		name string
 		g    *graph.Graph
 		want Engine
 	}{
-		{name: "path stays sparse", g: graph.Path(1024).G, want: Sparse},
+		{name: "path runs sparse", g: graph.Path(1024).G, want: Sparse},
 		{name: "small complete goes implicit", g: graph.Complete(32).G, want: Implicit},
 		{name: "large complete goes implicit", g: graph.Complete(128).G, want: Implicit},
-		{name: "dense gnp goes dense", g: graph.GNP(256, 0.5, rng.New(1)).G, want: Dense},
-		{name: "sparse gnp stays sparse", g: graph.GNP(256, 0.01, rng.New(1)).G, want: Sparse},
-		{name: "star stays sparse", g: graph.Star(512).G, want: Sparse},
+		{name: "dense gnp runs sparse", g: graph.GNP(256, 0.5, rng.New(1)).G, want: Sparse},
+		{name: "complete csr runs sparse", g: builderComplete(256).G, want: Sparse},
+		{name: "sparse gnp runs sparse", g: graph.GNP(256, 0.01, rng.New(1)).G, want: Sparse},
+		{name: "star runs sparse", g: graph.Star(512).G, want: Sparse},
 	} {
 		net := MustNew[int32](tt.g, Config{Fault: Faultless}, rng.New(1))
 		if net.Engine() != tt.want {
@@ -109,17 +112,18 @@ func TestDenseEngineModelSemantics(t *testing.T) {
 }
 
 func TestResolveEngine(t *testing.T) {
-	sparseG := graph.Path(256).G                // avg degree ~2: Auto picks Sparse
-	denseG := graph.GNP(256, 0.5, rng.New(3)).G // avg degree ~n/2, no model: Auto picks Dense
+	sparseG := graph.Path(256).G                // avg degree ~2, no model: Auto picks Sparse
+	denseG := graph.GNP(256, 0.5, rng.New(3)).G // avg degree ~n/2, no model: Auto picks Sparse too
 	cases := []struct {
 		cfg  Config
 		g    *graph.Graph
 		want Engine
 	}{
 		{Config{Engine: Auto}, sparseG, Sparse},
-		{Config{Engine: Auto}, denseG, Dense},
+		{Config{Engine: Auto}, denseG, Sparse},
 		{Config{Engine: Sparse}, denseG, Sparse},
 		{Config{Engine: Dense}, sparseG, Dense},
+		{Config{Engine: Dense}, denseG, Dense},
 	}
 	for _, c := range cases {
 		if got := c.cfg.ResolveEngine(c.g); got != c.want {
@@ -127,10 +131,11 @@ func TestResolveEngine(t *testing.T) {
 		}
 	}
 	// ResolveEngine must agree with the engine New actually builds.
-	for _, g := range []*graph.Graph{sparseG, denseG} {
-		net := MustNew[struct{}](g, Config{Fault: Faultless}, nil)
-		if net.Engine() != (Config{}).ResolveEngine(g) {
-			t.Errorf("ResolveEngine disagrees with New on n=%d", g.N())
+	for _, c := range cases {
+		cfg := c.cfg
+		cfg.Fault = Faultless
+		if net := MustNew[struct{}](c.g, cfg, nil); net.Engine() != cfg.ResolveEngine(c.g) {
+			t.Errorf("ResolveEngine(engine=%v) disagrees with New on n=%d", cfg.Engine, c.g.N())
 		}
 	}
 }

@@ -103,9 +103,11 @@ func TestEngineFallback(t *testing.T) {
 		{"dense-on-implicit-graph", implicitG, Dense, Implicit},
 		{"implicit-on-implicit-graph", implicitG, Implicit, Implicit},
 		{"auto-on-implicit-graph", implicitG, Auto, Implicit},
-		{"implicit-on-dense-modelless", modelless, Implicit, Dense},
+		{"implicit-on-dense-modelless", modelless, Implicit, Sparse},
 		{"implicit-on-sparse-modelless", sparseModelless, Implicit, Sparse},
+		{"dense-on-dense-modelless", modelless, Dense, Dense},
 		{"sparse-on-csr-complete", builderComplete(70).G, Sparse, Sparse},
+		{"dense-on-csr-complete", builderComplete(70).G, Dense, Dense},
 	} {
 		cfg := Config{Fault: Faultless, Engine: tc.forced}
 		if got := cfg.ResolveEngine(tc.g); got != tc.want {
@@ -118,8 +120,9 @@ func TestEngineFallback(t *testing.T) {
 }
 
 // TestAutoUpgradesDenseToImplicit checks the Auto rule for modelled
-// graphs: every complete graph runs implicitly at every n, while a dense
-// graph without a model keeps Dense and a sparse one Sparse.
+// graphs: every complete graph runs implicitly at every n, while every
+// graph without a model, dense or sparse, runs Sparse; the dense engine
+// runs only when forced.
 func TestAutoUpgradesDenseToImplicit(t *testing.T) {
 	auto := Config{}
 	for _, n := range []int{1, 2, 63, 64, 512, 4096} {
@@ -127,8 +130,12 @@ func TestAutoUpgradesDenseToImplicit(t *testing.T) {
 			t.Errorf("%s: auto = %v, want %v", top.Name, auto.ResolveEngine(top.G), Implicit)
 		}
 	}
-	if got := auto.ResolveEngine(graph.GNP(512, 0.5, rng.New(3)).G); got != Dense {
-		t.Errorf("GNP(512, 0.5): auto = %v, want %v", got, Dense)
+	gnp := graph.GNP(512, 0.5, rng.New(3)).G
+	if got := auto.ResolveEngine(gnp); got != Sparse {
+		t.Errorf("GNP(512, 0.5): auto = %v, want %v", got, Sparse)
+	}
+	if got := (Config{Engine: Dense}).ResolveEngine(gnp); got != Dense {
+		t.Errorf("GNP(512, 0.5): forced dense = %v, want %v", got, Dense)
 	}
 	// Sparse-leaning topologies stay sparse at any size: O(Σ deg) per
 	// round beats the implicit engine's O(n).

@@ -2,6 +2,7 @@ package radio
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"time"
@@ -17,8 +18,10 @@ import (
 // sparse/dense/implicit × faultless/sender/receiver at n ∈ {256, 1024},
 // each engine forced on its home topology (sparse on a bounded-degree
 // grid, dense on the complete graph stored as CSR, implicit on
-// Complete's closed form), so the word-parallel scan and the closed form
-// are on record side by side for the same graph.
+// Complete's closed form). Sparse is also forced on that CSR complete
+// graph, the densest graph Auto hands it, so the word-row walk, the
+// word-parallel scan and the closed form are on record side by side for
+// the same graph.
 // The schedule is the sparse-broadcaster regime the windowed dense path
 // targets — n/64 contiguous broadcasters in the middle of the id range,
 // as in an early Decay phase or a single WCT cluster layer's schedule
@@ -29,10 +32,11 @@ import (
 //
 // Two sparse rows time the resolve walk over the touched-listener word
 // window at its two extremes: scattered touches filling most words
-// (WCT(4096)) and a window of mostly empty words (Path(10⁵)). A
-// "stepset-lone" sparse row per fault model times the star's hub round —
-// one broadcaster and its 4096 leaves, every one a receiver — stepped
-// with a deliver callback, as the star runners step it.
+// (WCT(4096)) and a window of mostly empty words (Path(10⁵)). A third
+// times Hypercube(10), the word rows' worst case, where 4 of a node's 10
+// neighbours each own a word. A "stepset-lone" sparse row per fault model
+// times the star's hub round — one broadcaster and its 4096 leaves, every
+// one a receiver — stepped with an rx set, as the star runners step it.
 func EngineMicrobench() []benchreport.Microbench {
 	var out []benchreport.Microbench
 	for _, n := range []int{256, 1024} {
@@ -52,11 +56,12 @@ func EngineMicrobench() []benchreport.Microbench {
 				name   string
 			}{
 				{Sparse, grid, "sparse/grid"},
+				{Sparse, csr, "sparse/complete"},
 				{Dense, csr, "dense/complete"},
 				{Implicit, complete, "implicit/complete"},
 			} {
 				cfg.Engine = m.engine
-				ns, allocs := measureRounds(m.top, cfg, midTx, nil)
+				ns, allocs := measureRounds(m.top, cfg, midTx)
 				out = append(out, benchreport.Microbench{
 					Name:           fmt.Sprintf("stepset/%s/%s/n=%d", m.name, fault, n),
 					NsPerRound:     ns,
@@ -65,7 +70,7 @@ func EngineMicrobench() []benchreport.Microbench {
 			}
 			if n == 1024 {
 				cfg.Engine = Implicit
-				ns, allocs := measureRounds(complete, cfg, microbenchTx(n, n/2, 1), nil)
+				ns, allocs := measureRounds(complete, cfg, microbenchTx(n, n/2, 1))
 				out = append(out, benchreport.Microbench{
 					Name:           fmt.Sprintf("stepset-lone/implicit/complete/%s/n=%d", fault, n),
 					NsPerRound:     ns,
@@ -78,6 +83,8 @@ func EngineMicrobench() []benchreport.Microbench {
 	// 8 senders touch most cluster members in scattered id order. On
 	// Path(10⁵), two broadcasters 50k ids apart touch four listeners at
 	// the ends of a ~780-word window, mostly empty: the walk's worst case.
+	// On Hypercube(10), 16 broadcasters each apply five pairs, four of
+	// them a lone bit: the fill walk's worst case.
 	wct := graph.NewWCT(graph.DefaultWCTParams(4096), rng.New(0x776374))
 	path := graph.Path(100000)
 	spread := bitset.New(100000)
@@ -90,9 +97,10 @@ func EngineMicrobench() []benchreport.Microbench {
 	}{
 		{wct.Topology, microbenchTx(wct.G.N(), int(wct.Senders[0]), 8), "wct/receiver/n=4096"},
 		{path, spread, "path-spread/receiver/n=100000"},
+		{graph.Hypercube(10), microbenchTx(1024, 512, 16), "hypercube/receiver-faults/n=1024"},
 	} {
 		cfg := Config{Fault: ReceiverFaults, P: 0.3, Engine: Sparse}
-		ns, allocs := measureRounds(m.top, cfg, m.tx, nil)
+		ns, allocs := measureRounds(m.top, cfg, m.tx)
 		out = append(out, benchreport.Microbench{
 			Name:           "stepset/sparse/" + m.name,
 			NsPerRound:     ns,
@@ -100,17 +108,14 @@ func EngineMicrobench() []benchreport.Microbench {
 		})
 	}
 	// The hub round: star-routing's and star-coding's every round, in
-	// which the hub's leaves each resolve and the deliver callback marks
-	// what each leaf holds.
+	// which the hub's leaves each resolve into the round's rx set.
 	star := graph.Star(4096)
-	held := make([]int32, star.G.N())
-	deliver := func(d Delivery[int32]) { held[d.To] = d.Payload + 1 }
 	for _, fault := range []FaultModel{Faultless, SenderFaults, ReceiverFaults} {
 		cfg := Config{Fault: fault, Engine: Sparse}
 		if fault != Faultless {
 			cfg.P = 0.3
 		}
-		ns, allocs := measureRounds(star, cfg, microbenchTx(star.G.N(), 0, 1), deliver)
+		ns, allocs := measureRounds(star, cfg, microbenchTx(star.G.N(), 0, 1))
 		out = append(out, benchreport.Microbench{
 			Name:           fmt.Sprintf("stepset-lone/sparse/star/%s/n=%d", fault, star.G.N()),
 			NsPerRound:     ns,
@@ -196,20 +201,16 @@ func microbenchTx(n, start, nTx int) *bitset.Set {
 
 // measureRounds times one configuration broadcasting tx every round
 // through the shared timeRounds harness. Receptions accumulate in an rx
-// set cleared every round, as the single-message runners take them, or,
-// when deliver is non-nil, go to deliver alone, as the multi-message
-// runners take them. It panics when top cannot run the forced engine, so
-// a row always times the engine its name says.
-func measureRounds(top graph.Topology, cfg Config, tx *bitset.Set, deliver func(d Delivery[int32])) (nsPerRound, allocsPerRound float64) {
+// set cleared every round, as the single-message, star and WCT runners
+// take them. It panics when top cannot run the forced engine, so a row
+// always times the engine its name says.
+func measureRounds(top graph.Topology, cfg Config, tx *bitset.Set) (nsPerRound, allocsPerRound float64) {
 	net := MustNew[int32](top.G, cfg, rng.New(0x6d6963726f))
 	if net.Engine() != cfg.Engine {
 		panic(fmt.Sprintf("radio: microbench forced the %v engine on %s, which runs %v", cfg.Engine, top.Name, net.Engine()))
 	}
 	n := top.G.N()
 	payload := make([]int32, n)
-	if deliver != nil {
-		return timeRounds(func() { net.StepSet(tx, payload, nil, deliver) })
-	}
 	rx := bitset.New(n)
 	return timeRounds(func() {
 		rx.Reset()
@@ -239,19 +240,30 @@ func timeRounds(round func()) (nsPerRound, allocsPerRound float64) {
 	return medianWindow(func() float64 { return timeWindow(round) }), allocsPerRound
 }
 
-// countAllocs returns the mean heap allocations of n calls to round. As
-// testing.AllocsPerRun does, it counts at GOMAXPROCS 1 and then restores
-// the old value, so goroutines running on other Ps cannot add their
-// allocations to the count.
+// allocPasses is how many passes countAllocs counts.
+const allocPasses = 3
+
+// countAllocs returns the heap allocations per call of round, counted
+// over allocPasses passes of n calls each; the pass with the fewest
+// allocations sets the figure. As testing.AllocsPerRun does, it counts at
+// GOMAXPROCS 1 and then restores the old value, so goroutines running on
+// other Ps cannot add their allocations to the count. A goroutine that
+// still allocates beside a pass now and then lands in that pass only,
+// while round's own allocations recur in every pass, so the least pass
+// drops the stray one and keeps round's.
 func countAllocs(n int, round func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	for i := 0; i < n; i++ {
-		round()
+	least := uint64(math.MaxUint64)
+	for pass := 0; pass < allocPasses; pass++ {
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		for i := 0; i < n; i++ {
+			round()
+		}
+		runtime.ReadMemStats(&ms1)
+		least = min(least, ms1.Mallocs-ms0.Mallocs)
 	}
-	runtime.ReadMemStats(&ms1)
-	return float64(ms1.Mallocs-ms0.Mallocs) / float64(n)
+	return float64(least) / float64(n)
 }
 
 // timeWindow runs round in doubling batches until microbenchWindow has

@@ -37,8 +37,40 @@ func TestMeasureRoundsZeroAllocs(t *testing.T) {
 		if fault != Faultless {
 			cfg.P = 0.3
 		}
-		if _, allocs := measureRounds(gridTopology(1024), cfg, tx, nil); allocs != 0 {
+		if _, allocs := measureRounds(gridTopology(1024), cfg, tx); allocs != 0 {
 			t.Errorf("stepset/sparse/grid/%v/n=1024 reads %v allocs/round, want 0", fault, allocs)
 		}
+	}
+}
+
+// allocSink keeps TestCountAllocsTakesTheLeastPass's allocations on the
+// heap.
+var allocSink *[64]byte
+
+// TestCountAllocsTakesTheLeastPass: countAllocs reads the pass with the
+// fewest allocations, so allocations that land in one pass only (a stray
+// goroutine's) read 0, while allocations that recur in every call read
+// one per call.
+func TestCountAllocsTakesTheLeastPass(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const n = 32
+	calls := 0
+	firstPassOnly := func() {
+		if calls < n {
+			allocSink = new([64]byte)
+		}
+		calls++
+	}
+	if got := countAllocs(n, firstPassOnly); got != 0 {
+		t.Errorf("allocating during the first pass only reads %v allocs/round, want 0", got)
+	}
+	if calls != allocPasses*n {
+		t.Errorf("countAllocs ran round %d times, want %d", calls, allocPasses*n)
+	}
+	everyCall := func() { allocSink = new([64]byte) }
+	if got := countAllocs(n, everyCall); got != 1 {
+		t.Errorf("allocating on every call reads %v allocs/round, want 1", got)
 	}
 }

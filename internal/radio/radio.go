@@ -42,19 +42,21 @@
 //
 // Three engines implement the model with bit-identical results:
 //
-//   - Sparse walks the CSR neighbour lists of the broadcasters into a
+//   - Sparse applies the broadcasters' word rows (graph.Graph.WordRow:
+//     each neighbour list as (word index, 64-bit mask) pairs) to a
 //     bit-sliced tally — one word of "heard once" and one of "heard
-//     twice" bits per 64 listeners — and resolves the touched listeners
-//     a word at a time, doing O(Σ deg(broadcaster) + touched word window)
-//     work per round — best for bounded-degree topologies (paths, grids,
-//     trees, stars, WCTs).
+//     twice" bits per 64 listeners — so a pair updates a word of
+//     listeners at once, and resolves the touched listeners a word at a
+//     time, doing O(Σ pairs(broadcaster) + touched word window) work per
+//     round. A pair never covers fewer neighbours than one, and a star
+//     hub's or WCT sender's row of consecutive ids is a few full words,
+//     so it runs every graph that has a CSR, dense G(n, p) included.
 //   - Dense resolves the channel word-parallel: the broadcasting set is a
 //     bitset and a listener's transmitting-neighbour count is
 //     popcount(adj[u] & tx), 64 candidate senders per machine word, doing
-//     O(n²/64) work per round — best for dense topologies without a
-//     closed form (G(n, p) at high p); Auto picks it only when n ≥ 64
-//     and the average degree is at least n/8, so WCTs and stars run
-//     sparse. One straight listener loop serves every n.
+//     O(n²/64) work per round. Auto never picks it: it runs only when
+//     forced, as the differential suite's independent reference. One
+//     straight listener loop serves every n.
 //   - Implicit resolves each round in closed form from the topology's
 //     model (graph.CompleteModel). On the complete graph every listener
 //     hears the round's broadcaster total: two or more broadcasters
@@ -68,11 +70,10 @@
 //     store no adjacency, so it is the only engine that runs them.
 //
 // Config.Engine selects the engine; the default Auto runs every graph
-// with a model implicitly and picks between the others by average
-// degree. A forced engine the graph cannot support (Sparse/Dense on the
-// complete graph, which has no CSR, Implicit on a graph with no model)
-// falls back to the Auto choice — benign, because engines are interchangeable by
-// construction. Because all engines consume the rng.Stream in the same
+// with a model implicitly and every other graph sparse. A forced engine
+// the graph cannot support (Sparse/Dense on the complete graph, which has
+// no CSR, Implicit on a graph with no model) falls back to the Auto
+// choice — benign, because engines are interchangeable by construction. Because all engines consume the rng.Stream in the same
 // canonical order, Stats, deliveries and traces are bit-identical across
 // engines (enforced by differential and fuzz tests).
 //
@@ -145,17 +146,17 @@ type Engine int
 
 const (
 	// Auto picks the engine from the graph: Implicit whenever it carries
-	// a closed-form model, at every n (graph.Complete's graphs);
-	// otherwise Dense when the graph is large enough and dense enough
-	// that word-parallel channel resolution wins (avg degree ≥ n/8,
-	// n ≥ 64); Sparse otherwise. The zero value, so existing
-	// configurations keep their behaviour.
+	// a closed-form model, at every n (graph.Complete's graphs), and
+	// Sparse for every other graph. The zero value.
 	Auto Engine = iota
-	// Sparse walks CSR neighbour lists of the broadcasters.
+	// Sparse applies the broadcasters' word rows (graph.Graph.WordRow)
+	// to a bit-sliced listener tally.
 	Sparse
 	// Dense resolves receptions word-parallel over bitset adjacency rows.
 	// It materialises the graph's Θ(n²/8)-byte bit-matrix adjacency view
-	// on construction (cached on the graph, shared across networks).
+	// on construction (cached on the graph, shared across networks). Auto
+	// never picks it; it is the reference the differential tests hold the
+	// sparse engine to.
 	Dense
 	// Implicit resolves each round in closed form from the graph's
 	// neighbourhood model (graph.CompleteModel): a popcount over the
@@ -428,9 +429,9 @@ type Config struct {
 	// P is the fault probability p ∈ [0, 1). Ignored when Fault is
 	// Faultless.
 	P float64
-	// Engine selects the execution engine; the zero value Auto picks by
-	// average degree. Purely a performance knob: results are bit-identical
-	// across engines.
+	// Engine selects the execution engine; the zero value Auto runs a
+	// graph with a model implicitly and every other graph sparse. Purely a
+	// performance knob: results are bit-identical across engines.
 	Engine Engine
 	// Draw selects the fault-draw contract version; the zero value DrawV1
 	// is the original per-site Bernoulli sequence. Unlike Engine this is
@@ -761,17 +762,13 @@ type Network[P any] struct {
 // autoEngine picks the engine for g. A graph with a closed-form model
 // runs implicitly at every n: its rounds resolve from the broadcaster
 // total, which no stored adjacency can beat, and such graphs have no CSR
-// for another engine to walk. Otherwise Dense when word-parallel
-// resolution pays for itself (the graph is dense enough that scanning
-// all n bitset rows beats walking the broadcasters' neighbour lists),
-// and Sparse for everything else.
+// for another engine to walk. Every other graph runs sparse: its word
+// rows touch a word of listeners per pair, so even on G(1024, 0.5) a
+// round costs a fraction of the dense engine's scan of all n bitset rows
+// (DESIGN.md has the ratios).
 func autoEngine(g *graph.Graph) Engine {
 	if g.Model() != nil {
 		return Implicit
-	}
-	n := g.N()
-	if n >= 64 && g.AvgDegree() >= float64(n)/8 {
-		return Dense
 	}
 	return Sparse
 }
@@ -1080,17 +1077,20 @@ func (n *Network[P]) resolveUnique(u, from int32, payload []P, rx *bitset.Set, d
 // or more, and — under the sender model only — bit u of noisy that one of
 // them was sender-faulty. Every word outside the window [lo, hi) is zero.
 // from holds each listener's last transmitter; only a deliver callback
-// reads it, so it is written only on rounds that pass one and allocated
-// on the first such round. A single-message trial's tally is therefore 2
-// bits per node (3 under the sender model). Only the sparse kernel uses
-// it.
+// reads it, so it is written, a mask bit at a time, only on rounds that
+// pass one, and allocated on the first such round. A single-message
+// trial's tally is therefore 2 bits per node (3 under the sender model).
+// Only the sparse kernel uses it.
 //
 // The kernel fills and resolves a round in two walks, spelled out in
 // stepSetSparse because their bodies are the hot path. The broadcaster
-// walk widens the window to cover the broadcaster's sorted neighbour
-// list, from its first and last entries, and touches each neighbour u
-// with bit b = 1<<(u%64) of word i = u/64: twice[i] |= once[i] & b, then
-// once[i] |= b. The resolution walk visits the window a word at a time:
+// walk widens the window to cover the broadcaster's word row
+// (graph.Graph.WordRow), from its first and last word indices, and
+// applies each pair (i, m): twice[i] |= once[i] & m, then once[i] |= m,
+// and noisy[i] |= m for a sender-faulty broadcaster. Each update acts on
+// every bit independently, so a pair is exactly its neighbours touched
+// one at a time, in one read-modify-write. The resolution walk visits the
+// window a word at a time:
 // twice &^ tx are the word's collisions, once &^ twice &^ tx &^ noisy its
 // receivers, and the word is zeroed. When no per-receiver work is needed
 // (no receiver draw, trace or deliver callback) the receivers are counted
@@ -1123,11 +1123,13 @@ func newListenerTally(n int, senderFaults bool) listenerTally {
 	return h
 }
 
-// stepSetSparse is the CSR engine: walk the neighbour lists of the
-// broadcasters (iterated straight off the tx words), then resolve the
-// touched listeners a word at a time off the tally's word window, in
-// ascending id order. Cost is O(Σ deg(broadcaster) + touched word window),
-// independent of n apart from the tx word scan.
+// stepSetSparse is the CSR engine: apply the word rows of the
+// broadcasters (iterated straight off the tx words) to the tally, then
+// resolve the touched listeners a word at a time off the tally's word
+// window, in ascending id order. Cost is O(Σ pairs(broadcaster) + touched
+// word window), independent of n apart from the tx word scan, plus
+// O(Σ deg(broadcaster)) for the from column on rounds with a deliver
+// callback.
 func (n *Network[P]) stepSetSparse(tx *bitset.Set, payload []P, rx *bitset.Set, deliver func(d Delivery[P])) {
 	// Mark transmissions and draw sender faults in ascending id order,
 	// recording each neighbour's hearing in the tally (see listenerTally).
@@ -1147,26 +1149,28 @@ func (n *Network[P]) stepSetSparse(tx *bitset.Set, payload []P, rx *bitset.Set, 
 		for w := txw[wi]; w != 0; w &= w - 1 {
 			v := wi*64 + bits.TrailingZeros64(w)
 			n.markBroadcaster(v)
-			nbrs := n.g.Neighbors(v)
-			if len(nbrs) == 0 {
+			words, masks := n.g.WordRow(v)
+			if len(words) == 0 {
 				continue
 			}
-			h.lo = min(h.lo, int(nbrs[0]>>6))
-			h.hi = max(h.hi, int(nbrs[len(nbrs)-1]>>6)+1)
-			for _, u := range nbrs {
-				i, b := u>>6, uint64(1)<<(uint(u)&63)
-				o := once[i]
-				twice[i] |= o & b
-				once[i] = o | b
+			masks = masks[:len(words)] // equal lengths, so masks[j] needs no bounds check
+			h.lo = min(h.lo, int(words[0]))
+			h.hi = max(h.hi, int(words[len(words)-1])+1)
+			for j, i := range words {
+				m, o := masks[j], once[i]
+				twice[i] |= o & m
+				once[i] = o | m
 			}
 			if noisy != nil && n.senderNoise[v] {
-				for _, u := range nbrs {
-					noisy[u>>6] |= 1 << (uint(u) & 63)
+				for j, i := range words {
+					noisy[i] |= masks[j]
 				}
 			}
 			if from != nil {
-				for _, u := range nbrs {
-					from[u] = int32(v)
+				for j, i := range words {
+					for m := masks[j]; m != 0; m &= m - 1 {
+						from[int(i)<<6|bits.TrailingZeros64(m)] = int32(v)
+					}
 				}
 			}
 		}

@@ -12,15 +12,48 @@ import (
 // TestStepSetZeroAllocs pins the acceptance bar for the set-native round
 // path: zero allocations per round on both engines, for every fault
 // model, with batched rx accumulation. The sparse engine is also stepped
-// with a deliver callback on a grid and on WCT(4096): the column of last
-// transmitters that only those rounds write is allocated on the first of
-// them, once, never per round.
+// on a star's hub round and a WCT(4096) round with an rx set, as the star
+// and WCT runners step them, and with a deliver callback on a grid and on
+// WCT(4096): the column of last transmitters that only those rounds write
+// is allocated on the first of them, once, never per round.
 func TestStepSetZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
+	sparseConfigs := []Config{
+		{Fault: Faultless, Engine: Sparse},
+		{Fault: SenderFaults, P: 0.3, Engine: Sparse},
+		{Fault: ReceiverFaults, P: 0.3, Engine: Sparse},
+	}
+	wct := graph.NewWCT(graph.DefaultWCTParams(4096), rng.New(4))
+	t.Run("hub-and-wct-rx", func(t *testing.T) {
+		star := graph.Star(4096)
+		for _, c := range []struct {
+			top graph.Topology
+			tx  *bitset.Set
+		}{
+			{star, microbenchTx(star.G.N(), 0, 1)},
+			{wct.Topology, microbenchTx(wct.G.N(), int(wct.Senders[0]), 8)},
+		} {
+			for _, cfg := range sparseConfigs {
+				net := MustNew[int32](c.top.G, cfg, rng.New(7))
+				n := c.top.G.N()
+				payload := make([]int32, n)
+				rx := bitset.New(n)
+				allocs := testing.AllocsPerRun(100, func() {
+					rx.Reset()
+					net.StepSet(c.tx, payload, rx, nil)
+				})
+				if allocs != 0 {
+					t.Errorf("%s/%v: StepSet with an rx set allocates %.1f per round, want 0", c.top.Name, cfg.Fault, allocs)
+				}
+				if net.Stats().Deliveries == 0 {
+					t.Errorf("%s/%v: the rounds delivered nothing, so they test no receiver path", c.top.Name, cfg.Fault)
+				}
+			}
+		}
+	})
 	t.Run("deliver", func(t *testing.T) {
-		wct := graph.NewWCT(graph.DefaultWCTParams(4096), rng.New(4))
 		for _, c := range []struct {
 			top graph.Topology
 			tx  *bitset.Set
@@ -28,11 +61,7 @@ func TestStepSetZeroAllocs(t *testing.T) {
 			{graph.Grid(32, 32), microbenchTx(1024, 512, 16)},
 			{wct.Topology, microbenchTx(wct.G.N(), int(wct.Senders[0]), 8)},
 		} {
-			for _, cfg := range []Config{
-				{Fault: Faultless, Engine: Sparse},
-				{Fault: SenderFaults, P: 0.3, Engine: Sparse},
-				{Fault: ReceiverFaults, P: 0.3, Engine: Sparse},
-			} {
+			for _, cfg := range sparseConfigs {
 				net := MustNew[int32](c.top.G, cfg, rng.New(7))
 				n := c.top.G.N()
 				payload := make([]int32, n)

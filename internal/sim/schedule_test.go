@@ -76,15 +76,22 @@ func TestAddScheduleIdenticalAcrossPlans(t *testing.T) {
 
 // TestAddScheduleAutoPlan: every schedule row records exactly one plan in
 // the plan log, with the engine its topology resolves to and width 1, on
-// every engine; identical plans aggregate.
+// every engine; identical plans aggregate. Under Auto a dense G(n, p) row
+// plans sparse, so the dense row forces its engine.
 func TestAddScheduleAutoPlan(t *testing.T) {
 	ResetPlanLog()
 	ncfg := radio.Config{Fault: radio.ReceiverFaults, P: 0.3}
+	dcfg := ncfg
+	dcfg.Engine = radio.Dense
 	value := func(out broadcast.Outcome) (float64, error) { return float64(out.Rounds), nil }
 
+	gnp := graph.GNP(96, 0.5, rng.New(3))
+	if got := ncfg.ResolveEngine(gnp.G); got != radio.Sparse {
+		t.Fatalf("%s resolves %v under auto, want sparse", gnp.Name, got)
+	}
 	sw := NewSweep(SweepConfig{Workers: 2})
 	rows := map[string]*Row{
-		"dense":    sw.AddSchedule(mustSchedule(t, "decay"), graph.GNP(96, 0.5, rng.New(3)), ncfg, broadcast.ScheduleParams{}, 20, 3, value),
+		"dense":    sw.AddSchedule(mustSchedule(t, "decay"), gnp, dcfg, broadcast.ScheduleParams{}, 20, 3, value),
 		"sparse":   sw.AddSchedule(mustSchedule(t, "decay"), graph.Path(32), ncfg, broadcast.ScheduleParams{}, 20, 4, value),
 		"implicit": sw.AddSchedule(mustSchedule(t, "decay"), graph.Complete(96), ncfg, broadcast.ScheduleParams{}, 20, 5, value),
 	}
@@ -110,8 +117,6 @@ func TestAddScheduleAutoPlan(t *testing.T) {
 	// aggregate: two dense rows and a star row planned on the dense
 	// engine.
 	ResetPlanLog()
-	dcfg := ncfg
-	dcfg.Engine = radio.Dense
 	sw2 := NewSweep(SweepConfig{Workers: 2})
 	sw2.AddSchedule(mustSchedule(t, "decay"), graph.Path(16), dcfg, broadcast.ScheduleParams{}, 6, 5, value)
 	sw2.AddSchedule(mustSchedule(t, "decay"), graph.Path(16), dcfg, broadcast.ScheduleParams{}, 6, 5, value)
@@ -138,8 +143,8 @@ func TestAddScheduleAutoPlan(t *testing.T) {
 // TestAddScheduleImplicitPlan: the complete graph, which stores no
 // adjacency, flows through the Schedule API end to end — the row resolves
 // the implicit engine, records its plan, and folds to the same statistics
-// as G(96, 1), the complete graph stored as CSR, on the dense engine at
-// any worker count.
+// as G(96, 1), the complete graph stored as CSR, on the sparse engine that
+// Auto picks for it and on the forced dense engine, at any worker count.
 func TestAddScheduleImplicitPlan(t *testing.T) {
 	ResetPlanLog()
 	ncfg := radio.Config{Fault: radio.SenderFaults, P: 0.2}
@@ -164,14 +169,18 @@ func TestAddScheduleImplicitPlan(t *testing.T) {
 
 	// Same row, both storage modes: bit-identical statistics.
 	csr := graph.GNP(96, 1, rng.New(1))
-	if got := ncfg.ResolveEngine(csr.G); got != radio.Dense {
-		t.Fatalf("G(96, 1) resolves %v, want dense", got)
+	if got := ncfg.ResolveEngine(csr.G); got != radio.Sparse {
+		t.Fatalf("G(96, 1) resolves %v, want sparse", got)
 	}
 	iMean, iCI, iN := runScheduleRow(t, SweepConfig{Workers: 1}, "decay", graph.Complete(96), ncfg, broadcast.ScheduleParams{}, 12)
-	eMean, eCI, eN := runScheduleRow(t, SweepConfig{Workers: 3}, "decay", csr, ncfg, broadcast.ScheduleParams{}, 12)
-	if iMean != eMean || iCI != eCI || iN != eN {
-		t.Errorf("implicit row diverged from explicit twin: mean %v vs %v, ci %v vs %v, n %d vs %d",
-			iMean, eMean, iCI, eCI, iN, eN)
+	for _, eng := range []radio.Engine{radio.Auto, radio.Dense} {
+		ecfg := ncfg
+		ecfg.Engine = eng
+		eMean, eCI, eN := runScheduleRow(t, SweepConfig{Workers: 3}, "decay", csr, ecfg, broadcast.ScheduleParams{}, 12)
+		if iMean != eMean || iCI != eCI || iN != eN {
+			t.Errorf("implicit row diverged from explicit twin on %v: mean %v vs %v, ci %v vs %v, n %d vs %d",
+				eng, iMean, eMean, iCI, eCI, iN, eN)
+		}
 	}
 	ResetPlanLog()
 }

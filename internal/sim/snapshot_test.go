@@ -296,9 +296,9 @@ func TestSnapshotsValidation(t *testing.T) {
 }
 
 // TestRunContextCancellation: cancelling a sweep's context abandons
-// not-yet-started chunks — every row still completes (Done closes, Run
-// returns), with the context error reported through the usual row-error
-// path.
+// not-yet-started chunks — every row still completes (RunContext returns
+// only after admission has waited for each row's last fold), with the
+// context error reported through the usual row-error path.
 func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
@@ -324,11 +324,6 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	if !errors.Is(row.Err(), context.Canceled) {
 		t.Fatalf("row error = %v, want context.Canceled", row.Err())
-	}
-	select {
-	case <-row.Done():
-	default:
-		t.Fatal("row.Done() not closed after cancelled run returned")
 	}
 	if n := row.Acc().N(); n >= 50 {
 		t.Fatalf("cancelled row folded all %d trials", n)
@@ -368,38 +363,5 @@ func TestRunContextCompleteRunIsNil(t *testing.T) {
 	}
 	if row.Acc().N() != 20 {
 		t.Fatalf("complete run folded %d trials", row.Acc().N())
-	}
-}
-
-// TestRowDone: Done closes per row as it completes (not at sweep
-// granularity), and the row's accumulator is final once Done has closed,
-// while sibling rows still run.
-func TestRowDone(t *testing.T) {
-	release := make(chan struct{})
-	sw := NewSweep(SweepConfig{Workers: 2})
-	fast := sw.Add(8, 1, func(trial int, r *rng.Stream) (float64, error) { return float64(trial), nil })
-	slow := sw.Add(1, 2, func(trial int, r *rng.Stream) (float64, error) {
-		<-release
-		return 0, nil
-	})
-	errc := make(chan error, 1)
-	go func() { errc <- sw.Run() }()
-
-	<-fast.Done()
-	select {
-	case <-slow.Done():
-		t.Fatal("slow row done before release")
-	default:
-	}
-	atDone := *fast.Acc()
-	if atDone.N() != 8 {
-		t.Fatalf("fast row N = %d at Done, want 8", atDone.N())
-	}
-	close(release)
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	if final := *fast.Acc(); final != atDone {
-		t.Fatalf("accumulator changed after Done:\n%+v\n%+v", atDone, final)
 	}
 }

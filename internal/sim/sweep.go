@@ -88,7 +88,7 @@ type Row struct {
 	acc     stats.Accumulator
 	next    int // next chunk index to fold, guarded by mu
 	pending map[int][]float64
-	done    chan struct{}
+	done    chan struct{} // closed once every chunk has folded; admission waits on it
 
 	// Prefix snapshots (set by Snapshots): the folded trial counts still
 	// to snapshot, ascending, and the channel that receives them.
@@ -202,7 +202,7 @@ func (s *Sweep) Run() error {
 // per-job cancellation path. Cancellation is cooperative at chunk
 // granularity: chunks already executing finish, chunks not yet started
 // fold empty with the context's error recorded as their trials' failure,
-// so every row still completes (Done still closes, no goroutine leaks)
+// so every row still completes (no goroutine leaks)
 // and the first cancelled row reports the context error through the usual
 // row-error channel. A run that finishes all chunks before the
 // cancellation lands is a complete, valid result and returns nil.
@@ -441,15 +441,6 @@ func (row *Row) Acc() *stats.Accumulator {
 	row.ready()
 	return &row.acc
 }
-
-// Done returns a channel closed once every chunk of the row has been
-// folded. It is safe to retain from registration time and to wait on
-// concurrently with RunContext, so a caller can read a row's result the
-// moment that row completes, before sibling rows finish.
-// Under cancellation the channel still closes (unstarted chunks fold
-// empty), so waiters never leak. If the owning sweep is never run, the
-// channel never closes.
-func (row *Row) Done() <-chan struct{} { return row.done }
 
 // Err returns the row's first (lowest trial index) error, or nil. Valid
 // after Sweep.Run.

@@ -6,7 +6,8 @@
 //
 //   - the noisy radio network model (sender faults / receiver faults) as a
 //     deterministic round simulator with three interchangeable execution
-//     engines — a sparse CSR walker, a bit-parallel dense engine that
+//     engines — a sparse engine that applies each broadcaster's word row
+//     to 64 listeners per machine word, a bit-parallel dense engine that
 //     resolves the channel 64 nodes per machine word, and an implicit
 //     engine answering neighbourhood queries from the complete graph's
 //     closed form with O(1) per-node state (unlocking n = 10⁵–10⁶ sweeps) —
@@ -49,13 +50,16 @@ type (
 	// the execution-engine selector.
 	Config = radio.Config
 	// Engine selects the round-execution strategy of the radio simulator:
-	// EngineAuto picks per graph by average degree and model availability,
-	// EngineSparse walks CSR neighbour lists, EngineDense resolves the
+	// EngineAuto runs a graph with a closed-form model implicitly and
+	// every other graph sparse, EngineSparse applies each broadcaster's
+	// word row ((word index, 64-bit mask) pairs over its neighbour ids)
+	// to a listener tally a word at a time, EngineDense resolves the
 	// channel word-parallel over bitset adjacency rows (64 candidate
-	// senders per machine word), and EngineImplicit answers the
-	// transmitting-neighbour query from the topology's closed-form model —
-	// no stored adjacency at all. Executions are bit-identical across
-	// engines; only speed and memory differ.
+	// senders per machine word) and runs only when forced, and
+	// EngineImplicit answers the transmitting-neighbour query from the
+	// topology's closed-form model — no stored adjacency at all.
+	// Executions are bit-identical across engines; only speed and memory
+	// differ.
 	Engine = radio.Engine
 	// DrawContract versions the fault-draw sequence of a noisy execution:
 	// DrawV1 (the zero value and default) draws one Bernoulli coin per
