@@ -96,7 +96,8 @@ func main() {
 // representative job submitted cold (executes the sweep; the median of
 // five misses at distinct seeds) and as a cache hit (replays the stored
 // body; the median of five windows of 20 replays each), both measured as
-// ns per HTTP round trip (serve.CacheMicrobench).
+// ns per request handled in process by Server.ServeHTTP, with no socket
+// or client decode (serve.CacheMicrobench).
 const (
 	cacheColdRow = "servecache/cold/decay-complete-4096"
 	cacheHitRow  = "servecache/hit/decay-complete-4096"
@@ -104,8 +105,8 @@ const (
 
 // gateCacheHit enforces the result-cache acceptance floor against the
 // *current* report alone: replaying a cached job body must be at least
-// minSpeedup times faster than executing the job, end to end through the
-// HTTP stack. Like the other absolute gates no baseline is involved — a
+// minSpeedup times faster than executing the job, both handled by the
+// service's HTTP handler. Like the other absolute gates no baseline is involved — a
 // cache hit that recomputes anything (or a cold path that got suspiciously
 // cheap, breaking the contrast) fails regardless of history.
 func gateCacheHit(current benchreport.Report, minSpeedup float64) (string, error) {

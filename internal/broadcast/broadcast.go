@@ -69,29 +69,6 @@ func decayPhaseLen(n int) int {
 	return graph.Log2Ceil(n) + 1
 }
 
-// geometricVisit visits each position of [0, n) independently with the
-// success probability of skip, jumping straight between selected
-// positions with one skip.Draw each (expected cost O(p·n)). This is the
-// single definition of the decay-sampling draw sequence: every frontier
-// sampler (singleRunner and the RLNC driver's Decay rounds) draws through
-// it, so their sequences cannot drift apart. The caller builds skip once
-// per plan (see decaySkips), so a round costs no log1p: Decay's p = 2^-e
-// with e <= 6 draw by threshold table, and every other p by the formula
-// over the sampler's stored log1p(-p). The draws are exactly
-// Stream.Geometric(p)'s.
-func geometricVisit(rnd *rng.Stream, n int, skip rng.Geometric, visit func(pos int)) {
-	for pos := -1; ; {
-		// Compare before adding: a skip of math.MaxInt, the sampler's
-		// "no success in range", must not wrap pos.
-		k := skip.Draw(rnd)
-		if k > n-1-pos {
-			return
-		}
-		pos += k
-		visit(pos)
-	}
-}
-
 // scheduleFunc marks one round's broadcasters for one trial, through the
 // trial's runner: Mark, DecayStep and Informed.
 type scheduleFunc func(m *singleRunner, round int)
@@ -136,6 +113,7 @@ type singleRunner struct {
 	net          *radio.Network[struct{}]
 	informed     *bitset.Set
 	informedList []int32
+	picks        []int32     // DecayStep's positions in informedList, reused across rounds
 	tx           *bitset.Set // broadcasters this round
 	rx           *bitset.Set // successful receivers this round
 	payload      []struct{}
@@ -153,6 +131,7 @@ func newSingleRunner(g *graph.Graph, src int, cfg radio.Config, r *rng.Stream) (
 		net:          net,
 		informed:     informed,
 		informedList: append(make([]int32, 0, g.N()), int32(src)),
+		picks:        make([]int32, 0, g.N()), // a round picks at most every informed node, so this never grows
 		tx:           bitset.New(g.N()),
 		rx:           bitset.New(g.N()),
 		payload:      make([]struct{}, g.N()),
@@ -166,19 +145,43 @@ func (s *singleRunner) Mark(v int32) {
 }
 
 // DecayStep marks each informed node independently with skip's success
-// probability, drawing the gaps between marked nodes from skip over the
-// informed list: expected cost O(p·|informed|). skip comes from the
-// plan's decaySkips table, built once per plan and shared read-only by
-// every trial.
+// probability: skip.Positions draws the gaps between marked nodes over
+// the informed list (expected cost O(p·|informed|)) into a buffer the
+// runner reuses across rounds. skip comes from the plan's decaySkips
+// table, built once per plan and shared read-only by every trial, so a
+// round computes no log1p for Decay's p = 2^-e with e <= 6.
 func (s *singleRunner) DecayStep(skip rng.Geometric) {
-	geometricVisit(s.rnd, len(s.informedList), skip, func(pos int) {
+	s.picks = skip.Positions(s.rnd, len(s.informedList), s.picks[:0])
+	for _, pos := range s.picks {
 		s.Mark(s.informedList[pos])
-	})
+	}
 }
 
 // Informed reports whether v is informed.
 func (s *singleRunner) Informed(v int32) bool {
 	return s.informed.Test(int(v))
+}
+
+// step executes one round: schedule marks the broadcasters, the network
+// resolves their receivers into rx, and the receivers join the informed
+// set a word at a time, the newly informed appended in ascending id
+// order, which fixes informedList's order and so which nodes a Decay
+// pick's positions name. tx and rx are then cleared over their nonzero
+// windows only.
+func (s *singleRunner) step(schedule scheduleFunc, round int) {
+	schedule(s, round)
+	s.net.StepSet(s.tx, s.payload, s.rx, nil)
+	rxw, infw := s.rx.Words(), s.informed.Words()
+	lo, hi := s.rx.NonzeroRange()
+	for wi := lo; wi < hi; wi++ {
+		fresh := rxw[wi] &^ infw[wi]
+		infw[wi] |= fresh
+		for ; fresh != 0; fresh &= fresh - 1 {
+			s.informedList = append(s.informedList, int32(wi*64+bits.TrailingZeros64(fresh)))
+		}
+	}
+	s.rx.ResetWindow(lo, hi)
+	s.tx.ResetWindow(s.tx.NonzeroRange())
 }
 
 // run executes schedule until all nodes are informed or maxRounds elapse.
@@ -187,24 +190,7 @@ func (s *singleRunner) run(maxRounds int, schedule scheduleFunc) Outcome {
 	n := s.informed.Len()
 	round := 0
 	for ; round < maxRounds && len(s.informedList) < n; round++ {
-		schedule(s, round)
-		s.net.StepSet(s.tx, s.payload, s.rx, nil)
-		// Fold the round's receivers into the informed set in ascending id
-		// order — the order the delivery callback used to observe them —
-		// then clear tx and rx over their nonzero windows only.
-		rxw := s.rx.Words()
-		lo, hi := s.rx.NonzeroRange()
-		for wi := lo; wi < hi; wi++ {
-			for w := rxw[wi]; w != 0; w &= w - 1 {
-				v := wi*64 + bits.TrailingZeros64(w)
-				if !s.informed.Test(v) {
-					s.informed.Set(v)
-					s.informedList = append(s.informedList, int32(v))
-				}
-			}
-		}
-		s.rx.ResetWindow(lo, hi)
-		s.tx.ResetWindow(s.tx.NonzeroRange())
+		s.step(schedule, round)
 	}
 	return Outcome{
 		Rounds:  round,

@@ -180,10 +180,12 @@ func RLNCBroadcast(top graph.Topology, cfg radio.Config, messages [][]byte, patt
 			marked = append(marked, v)
 		}
 	}
+	var picks []int32 // Decay's positions in activeList, reused across rounds
 	decaySample := func(skip rng.Geometric) {
-		geometricVisit(r, len(activeList), skip, func(pos int) {
+		picks = skip.Positions(r, len(activeList), picks[:0])
+		for _, pos := range picks {
 			mark(activeList[pos])
-		})
+		}
 	}
 
 	round := 0

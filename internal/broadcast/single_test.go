@@ -392,3 +392,33 @@ func TestDeterministicGivenSeed(t *testing.T) {
 		}
 	}
 }
+
+// TestDecayRoundZeroAllocs steps a Decay runner on Grid(32×32) under
+// receiver faults past warm-up, every node informed, and reads 0
+// allocations per round: DecayStep reuses its picks buffer and the
+// engine its scratch.
+func TestDecayRoundZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	top := graph.Grid(32, 32)
+	s, err := newSingleRunner(top.G, top.Source, radio.Config{Fault: radio.ReceiverFaults, P: 0.3}, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := decaySchedule(top.G.N())()
+	round := 0
+	step := func() {
+		s.step(sched, round)
+		round++
+	}
+	for range 4000 {
+		step()
+	}
+	if len(s.informedList) != top.G.N() {
+		t.Fatalf("warm-up informed %d of %d nodes", len(s.informedList), top.G.N())
+	}
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Fatalf("%v allocations per Decay round, want 0", allocs)
+	}
+}

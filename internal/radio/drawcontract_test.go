@@ -2,6 +2,7 @@ package radio
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"noisyradio/internal/bitset"
@@ -121,9 +122,10 @@ func TestValidateBurstJamParams(t *testing.T) {
 
 // drawSiteWalk is the reference implementation of one round of the
 // contract: visit every site of the round in order through drawState.site
-// — the per-site countdown every receiver site and the v1, v4 and traced
-// sender sites run — and return the faulty subset. The bulk tests and the fuzz target
-// compare the optimized marking paths against this.
+// — the per-site decision the dense engine's receiver sites run, and
+// drawState.mask runs per bit outside v1 — and return the faulty subset.
+// The bulk tests and the fuzz target compare the optimized marking paths
+// against this.
 func drawSiteWalk(d *drawState, r *rng.Stream, sites []int) map[int]bool {
 	faulty := map[int]bool{}
 	for _, v := range sites {
@@ -190,13 +192,61 @@ func checkBulkMatchesPerSite(t *testing.T, cfg Config, n int, seed uint64, round
 	}
 }
 
-// TestDrawBulkMatchesPerSite pins the optimized marking paths to the
-// per-site reference over a p grid spanning dense faults, the
-// sparse-fault regime and spans that cross many rounds: the v2 skip jump
-// and the v3 phase-skipping walk against their countdown twins, and the
-// v1/v4 rows through the same harness (their sender marking stays
-// per-site by construction), doubling as a check of the harness itself.
-func TestDrawBulkMatchesPerSite(t *testing.T) {
+// checkMaskMatchesPerSite decides rounds of random site sets word by word
+// through drawState.mask, as the sparse and implicit engines decide a
+// word of eligible listeners (and the sparse engine a word of
+// broadcasters), and requires each word's faulty bits, the stream
+// position after each word and the draw state after each round to equal
+// a per-site walk's on an identically-seeded stream. Round r drops the
+// sites of its first r mod (words) words, so empty words, rounds whose
+// first site lies past their first word, and v3 phases that span words
+// and rounds all occur. Shared by TestDrawMaskMatchesPerSite and
+// FuzzDrawContract.
+func checkMaskMatchesPerSite(t *testing.T, cfg Config, n int, seed uint64, rounds int, pick func(r *rng.Stream, v int) bool) {
+	t.Helper()
+	refStream, maskStream := rng.New(seed), rng.New(seed)
+	g := graph.Complete(n).G
+	refDraw, maskDraw := makeDrawState(cfg, g), makeDrawState(cfg, g)
+	siteGen := rng.New(seed + 0x5173)
+	words := (n + 63) / 64
+	for round := 0; round < rounds; round++ {
+		ws := make([]uint64, words)
+		for v := 0; v < n; v++ {
+			if pick(siteGen, v) && v/64 >= round%words {
+				ws[v/64] |= 1 << (v % 64)
+			}
+		}
+		for wi, w := range ws {
+			var want uint64
+			for m := w; m != 0; m &= m - 1 {
+				if refDraw.site(int32(wi*64+bits.TrailingZeros64(m)), refStream) {
+					want |= m & -m
+				}
+			}
+			before := *maskStream
+			if got := maskDraw.mask(wi, w, maskStream); got != want {
+				t.Fatalf("%v p=%v round %d word %d (%#x): mask faults %#x, per-site %#x", cfg.Draw, cfg.P, round, wi, w, got, want)
+			}
+			if *refStream != *maskStream {
+				t.Fatalf("%v p=%v round %d word %d: stream states diverged", cfg.Draw, cfg.P, round, wi)
+			}
+			if w == 0 && *maskStream != before {
+				t.Fatalf("%v p=%v round %d word %d: an empty word drew", cfg.Draw, cfg.P, round, wi)
+			}
+		}
+		refDraw.endRound()
+		maskDraw.endRound()
+		if refDraw != maskDraw {
+			t.Fatalf("%v p=%v round %d: draw states diverged: mask %+v, per-site %+v", cfg.Draw, cfg.P, round, maskDraw, refDraw)
+		}
+	}
+}
+
+// drawGridCases returns the contract configurations the deterministic
+// draw tests sweep: p from dense faults to the sparse-fault regime and
+// spans that cross many rounds, for every contract and its parameter
+// variants.
+func drawGridCases() []Config {
 	cases := []Config{}
 	for _, p := range []float64{0.9, 0.5, 0.1, 0.02, 0.001} {
 		cases = append(cases,
@@ -215,7 +265,33 @@ func TestDrawBulkMatchesPerSite(t *testing.T) {
 			Config{Fault: SenderFaults, P: p, Draw: DrawV3, Burst: BurstParams{Len: 40}},
 		)
 	}
+	return cases
+}
+
+// TestDrawMaskMatchesPerSite pins drawState.mask to the per-site walk
+// over the contract grid at three site densities, p = 0 included through
+// the v1 fallback.
+func TestDrawMaskMatchesPerSite(t *testing.T) {
+	cases := append(drawGridCases(), Config{Fault: ReceiverFaults, P: 0, Draw: DrawV2})
 	for _, cfg := range cases {
+		for _, density := range []float64{1, 0.5, 0.05} {
+			d := density
+			checkMaskMatchesPerSite(t, cfg, 300, 0x6d61+uint64(d*100), 40, func(r *rng.Stream, v int) bool {
+				return r.Bool(d)
+			})
+		}
+	}
+}
+
+// TestDrawBulkMatchesPerSite pins the optimized marking paths to the
+// per-site reference over a p grid spanning dense faults, the
+// sparse-fault regime and spans that cross many rounds: the v2 skip jump
+// and the v3 phase-skipping walk against their countdown twins, and the
+// v1/v4 rows through the same harness (their sender marking goes a word
+// at a time through drawState.mask), doubling as a check of the harness
+// itself.
+func TestDrawBulkMatchesPerSite(t *testing.T) {
+	for _, cfg := range drawGridCases() {
 		for _, density := range []float64{1, 0.5, 0.05} {
 			d := density
 			checkBulkMatchesPerSite(t, cfg, 300, 0xd0c0+uint64(d*100), 40, func(r *rng.Stream, v int) bool {

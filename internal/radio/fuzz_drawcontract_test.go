@@ -13,9 +13,12 @@ import (
 // the contract requires one) must produce exactly the fault membership
 // that a per-site recomputation of the same contract yields on an
 // identically-seeded stream — same fault sets, same stats, same stream
-// position after every round. All four contract versions run through the
-// same harness (modelRaw selects the contract and its parameter variant).
-// Seed corpus lives in testdata/fuzz/FuzzDrawContract.
+// position after every round. Each round is also decided word by word
+// through drawState.mask, as the engines decide a word of listeners,
+// against the per-site walk with a stream witness after every word
+// (checkMaskMatchesPerSite). All four contract versions run through the
+// same harnesses (modelRaw selects the contract and its parameter
+// variant). Seed corpus lives in testdata/fuzz/FuzzDrawContract.
 func FuzzDrawContract(f *testing.F) {
 	f.Add(uint64(1), uint64(64), uint64(1), uint64(500), []byte{0xff, 0x0f, 0xaa})
 	f.Add(uint64(2), uint64(200), uint64(1), uint64(1), []byte{0x01, 0x80})
@@ -25,6 +28,9 @@ func FuzzDrawContract(f *testing.F) {
 	f.Add(uint64(6), uint64(150), uint64(6), uint64(640), []byte{0x77})
 	f.Add(uint64(7), uint64(64), uint64(3), uint64(250), []byte{0x0f, 0xf0, 0x55})
 	f.Add(uint64(8), uint64(300), uint64(7), uint64(80), []byte{0xaa, 0xaa})
+	// v4 ball jams over four words: from round 1 on, each round's first
+	// site lies past its first word.
+	f.Add(uint64(9), uint64(250), uint64(7), uint64(30), []byte{0x00, 0x11, 0x80, 0x01})
 	f.Fuzz(func(t *testing.T, seed, nRaw, modelRaw, pRaw uint64, siteBytes []byte) {
 		n := int(nRaw%300) + 2
 		dc := DrawContract(modelRaw % 4)
@@ -69,5 +75,6 @@ func FuzzDrawContract(f *testing.F) {
 			return r.Bool(0.25)
 		}
 		checkBulkMatchesPerSite(t, cfg, n, seed, rounds, pick)
+		checkMaskMatchesPerSite(t, cfg, n, seed, rounds, pick)
 	})
 }

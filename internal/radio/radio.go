@@ -25,7 +25,10 @@
 // sender-fault flags for broadcasting nodes in ascending node id (sender
 // model only), then receiver-fault flags for eligible listeners in
 // ascending node id (receiver model only). Deliveries and trace callbacks
-// follow the same ascending-id order. A (graph, seed, driver, contract)
+// follow the same ascending-id order. The sparse and implicit engines
+// decide the faults of a word of 64 ids at once, before they report any
+// of that word's receivers, so a delivery callback must not draw from
+// the network's stream (none does). A (graph, seed, driver, contract)
 // quadruple therefore always yields the identical execution, regardless
 // of the execution engine below. The engine is not safe for concurrent
 // use; run independent trials on independent Network values.
@@ -545,8 +548,9 @@ const (
 
 // drawState executes the configured draw contract over one stream's
 // canonical site sequence. Every fault decision in the simulator, on
-// any engine, goes through here (or through the bulk walks in
-// markBroadcastersBulk, which replay the identical draw sequence), so the
+// any engine, goes through here — a site at a time (site) or a word of
+// sites at a time (mask) — or through the bulk walks in
+// markBroadcastersBulk, which replay the identical draw sequence, so the
 // contract is enforced in exactly one place.
 //
 // Under drawPerSite, site() is simply the per-site Bernoulli(P) coin. Under
@@ -683,6 +687,26 @@ func (d *drawState) site(v int32, r *rng.Stream) bool {
 	}
 }
 
+// mask decides the canonical sites of word wi — node wi·64 + b for each
+// set bit b of w, in ascending order — and returns the faulty ones,
+// consuming the stream exactly as site() called bit by bit would. v1's
+// per-site coins are one rng.Bernoulli.Mask call; every other mode goes
+// through site() per bit, so v2's countdown, v3's phase and v4's jam
+// prelude carry across bits, words and calls as they do across sites.
+// An empty word draws nothing.
+func (d *drawState) mask(wi int, w uint64, r *rng.Stream) uint64 {
+	if d.mode == drawPerSite {
+		return d.coin.Mask(r, w)
+	}
+	var faulty uint64
+	for m := w; m != 0; m &= m - 1 {
+		if d.site(int32(wi<<6|bits.TrailingZeros64(m)), r) {
+			faulty |= m & -m
+		}
+	}
+	return faulty
+}
+
 // inJam reports whether site v lies in the current jam region.
 func (d *drawState) inJam(v int32) bool {
 	if d.ball {
@@ -734,8 +758,8 @@ type Network[P any] struct {
 	draw drawState
 
 	// noisySites records the sender-fault sites of the current round when
-	// the skip contract is active, so finishRound clears senderNoise in
-	// O(faults) instead of walking every broadcaster — without it the
+	// a bulk-capable contract is active, so finishRound clears senderNoise
+	// in O(faults) instead of walking every broadcaster — without it the
 	// clear would eat the savings the skip draw buys.
 	noisySites []int32
 
@@ -752,8 +776,9 @@ type Network[P any] struct {
 	rowLo, rowHi []int32
 
 	// Shared per-round scratch. senderNoise is only allocated under
-	// SenderFaults — the only model that ever writes it — so the other
-	// models pay nothing for it.
+	// SenderFaults on the dense and implicit engines — the only ones that
+	// write it; the sparse engine keeps a word's faulty broadcasters in a
+	// local mask — so every other network pays nothing for it.
 	senderNoise []bool  // per-node sender-fault flags this round
 	traceTx     []int32 // broadcasters this round (tracing only)
 	traceRx     []int32 // receivers this round (tracing only)
@@ -787,7 +812,7 @@ func New[P any](g *graph.Graph, cfg Config, rnd *rng.Stream) (*Network[P], error
 		engine: engine,
 		draw:   makeDrawState(cfg, g),
 	}
-	if cfg.Fault == SenderFaults {
+	if cfg.Fault == SenderFaults && engine != Sparse {
 		n.senderNoise = make([]bool, g.N())
 		if n.draw.bulk() {
 			n.noisySites = make([]int32, 0, 64)
@@ -867,7 +892,11 @@ type Delivery[P any] struct {
 // then receiver-fault flags for eligible listeners in ascending id — and
 // receivers are resolved (rx bits set, deliver invoked) in ascending
 // receiver id order. Every engine honours this contract, so executions are
-// bit-identical across engines.
+// bit-identical across engines. The sparse and implicit engines decide a
+// word of 64 listener ids' receiver faults before they report any of
+// that word's receivers, so deliver must not draw from the network's
+// rng.Stream: its draws would land between the word's and the next
+// word's, where the dense engine's per-listener draws put them elsewhere.
 //
 // A deliver callback that panics abandons the round midway and leaves the
 // per-round scratch inconsistent, so the network must be discarded, never
@@ -893,41 +922,58 @@ func (n *Network[P]) StepSet(tx *bitset.Set, payload []P, rx *bitset.Set, delive
 	n.finishRound(tx)
 }
 
-// markBroadcaster performs the per-broadcaster bookkeeping shared by all
-// engines: accounting, tracing and the canonical sender-fault decision.
-func (n *Network[P]) markBroadcaster(v int) {
-	n.stats.Broadcasts++
-	if n.trace != nil {
-		n.traceTx = append(n.traceTx, int32(v))
+// appendWord appends the node ids of w's set bits, word wi, ascending.
+func appendWord(ids []int32, wi int, w uint64) []int32 {
+	for ; w != 0; w &= w - 1 {
+		ids = append(ids, int32(wi<<6|bits.TrailingZeros64(w)))
 	}
-	if n.cfg.Fault == SenderFaults {
-		noisy := n.draw.site(int32(v), n.rnd)
-		n.senderNoise[v] = noisy
-		if noisy {
-			n.stats.SenderFaults++
-			if n.draw.bulk() {
-				n.noisySites = append(n.noisySites, int32(v))
-			}
-		}
-	}
+	return ids
 }
 
-// markBroadcasters performs the round's broadcaster marking off the tx
-// words [txLo, txHi): per site when per-broadcaster bookkeeping is needed
-// (tracing, or a contract that draws one coin per site — v1 and v4), in
-// bulk otherwise — broadcast accounting by popcount, and under the skip
-// and burst contracts the fault sites located by select-the-k-th-set-bit
-// jumps instead of a visit to every broadcaster. Decisions and stream
+// markWord performs the bookkeeping shared by every engine for the
+// broadcasters w of tx word wi: accounting, tracing and, under the sender
+// model, the canonical sender-fault decisions, one drawState.mask call
+// for the word. It returns the faulty broadcasters.
+func (n *Network[P]) markWord(wi int, w uint64) (faulty uint64) {
+	n.stats.Broadcasts += int64(bits.OnesCount64(w))
+	if n.trace != nil {
+		n.traceTx = appendWord(n.traceTx, wi, w)
+	}
+	if n.cfg.Fault != SenderFaults {
+		return 0
+	}
+	faulty = n.draw.mask(wi, w, n.rnd)
+	n.stats.SenderFaults += int64(bits.OnesCount64(faulty))
+	return faulty
+}
+
+// markBroadcasters performs the dense and implicit engines' broadcaster
+// marking off the tx words [txLo, txHi) into senderNoise: a word at a
+// time (markWord) when per-site bookkeeping is needed (tracing, or a
+// contract that draws one coin per site — v1 and v4), in bulk otherwise
+// — broadcast accounting by popcount, and under the skip and burst
+// contracts the fault sites located by select-the-k-th-set-bit jumps
+// instead of a visit to every broadcaster. Decisions and stream
 // consumption are identical on both paths (the bulk walks replay the same
 // countdowns), so the engines may mix them freely; only the work differs.
+// The bulk walks stay separate from drawState.mask because a v2 or v3
+// round draws nothing for most of its sites, which a per-word walk would
+// still visit.
 func (n *Network[P]) markBroadcasters(txw []uint64, txLo, txHi int) {
 	if n.trace == nil && (n.cfg.Fault != SenderFaults || n.draw.bulk()) {
 		n.markBroadcastersBulk(txw, txLo, txHi)
 		return
 	}
 	for wi := txLo; wi < txHi; wi++ {
-		for w := txw[wi]; w != 0; w &= w - 1 {
-			n.markBroadcaster(wi*64 + bits.TrailingZeros64(w))
+		if txw[wi] == 0 {
+			continue
+		}
+		for faulty := n.markWord(wi, txw[wi]); faulty != 0; faulty &= faulty - 1 {
+			v := wi*64 + bits.TrailingZeros64(faulty)
+			n.senderNoise[v] = true
+			if n.draw.bulk() {
+				n.noisySites = append(n.noisySites, int32(v))
+			}
 		}
 	}
 }
@@ -1048,9 +1094,10 @@ func (n *Network[P]) markBurstBulk(sel *txSelect, total int) {
 
 // resolveUnique handles listener u whose unique transmitting neighbour is
 // from: the canonical receiver-fault draw, delivery accounting, tracing,
-// the rx bit and the delivery callback. Shared by the dense and implicit
-// engines; the sparse engine resolves a word of listeners at a time and
-// inlines the same steps per receiver (see stepSetSparse).
+// the rx bit and the delivery callback. Only the dense engine resolves a
+// listener at a time, through drawState.site, so the differential suite
+// holds the other engines' word walks (resolveWord) to an independent
+// per-site reference.
 func (n *Network[P]) resolveUnique(u, from int32, payload []P, rx *bitset.Set, deliver func(d Delivery[P])) {
 	if n.cfg.Fault == SenderFaults && n.senderNoise[from] {
 		return // content destroyed at the sender
@@ -1084,22 +1131,21 @@ func (n *Network[P]) resolveUnique(u, from int32, payload []P, rx *bitset.Set, d
 //
 // The kernel fills and resolves a round in two walks, spelled out in
 // stepSetSparse because their bodies are the hot path. The broadcaster
-// walk widens the window to cover the broadcaster's word row
-// (graph.Graph.WordRow), from its first and last word indices, and
-// applies each pair (i, m): twice[i] |= once[i] & m, then once[i] |= m,
-// and noisy[i] |= m for a sender-faulty broadcaster. Each update acts on
-// every bit independently, so a pair is exactly its neighbours touched
-// one at a time, in one read-modify-write. The resolution walk visits the
-// window a word at a time:
-// twice &^ tx are the word's collisions, once &^ twice &^ tx &^ noisy its
-// receivers, and the word is zeroed. When no per-receiver work is needed
-// (no receiver draw, trace or deliver callback) the receivers are counted
-// by popcount and ORed into rx whole; otherwise they are visited in
-// ascending bit order — the canonical draw order, with no sort. Empty
-// words are skipped without a store (most of a spread-out window is
-// empty), and the tally is finally marked empty. No bit is ever set
-// outside the window, so a completed round leaves every word zero for the
-// next.
+// walk decides a tx word's sender faults at once (markWord), then widens
+// the window to cover each broadcaster's word row (graph.Graph.WordRow),
+// from its first and last word indices, and applies each pair (i, m):
+// twice[i] |= once[i] & m, then once[i] |= m, and noisy[i] |= m for a
+// sender-faulty broadcaster. Each update acts on every bit independently,
+// so a pair is exactly its neighbours touched one at a time, in one
+// read-modify-write. The resolution walk visits the window a word at a
+// time: twice &^ tx are the word's collisions, once &^ twice &^ tx &^
+// noisy its receivers, and the word is zeroed. resolveWord then decides
+// the receivers' faults at once, counts the survivors by popcount and ORs
+// them into rx whole; only a deliver callback visits them one at a time,
+// in ascending bit order, with no sort. Empty words are skipped without a
+// store (most of a spread-out window is empty), and the tally is finally
+// marked empty. No bit is ever set outside the window, so a completed
+// round leaves every word zero for the next.
 type listenerTally struct {
 	once  []uint64 // bit u set: u heard at least one transmitting neighbour this round
 	twice []uint64 // bit u set: u heard two or more
@@ -1146,9 +1192,13 @@ func (n *Network[P]) stepSetSparse(tx *bitset.Set, payload []P, rx *bitset.Set, 
 	txw := tx.Words()
 	txLo, txHi := tx.NonzeroRange()
 	for wi := txLo; wi < txHi; wi++ {
-		for w := txw[wi]; w != 0; w &= w - 1 {
+		w := txw[wi]
+		if w == 0 {
+			continue
+		}
+		faulty := n.markWord(wi, w)
+		for ; w != 0; w &= w - 1 {
 			v := wi*64 + bits.TrailingZeros64(w)
-			n.markBroadcaster(v)
 			words, masks := n.g.WordRow(v)
 			if len(words) == 0 {
 				continue
@@ -1161,7 +1211,7 @@ func (n *Network[P]) stepSetSparse(tx *bitset.Set, payload []P, rx *bitset.Set, 
 				twice[i] |= o & m
 				once[i] = o | m
 			}
-			if noisy != nil && n.senderNoise[v] {
+			if faulty&w&-w != 0 {
 				for j, i := range words {
 					noisy[i] |= masks[j]
 				}
@@ -1183,7 +1233,6 @@ func (n *Network[P]) stepSetSparse(tx *bitset.Set, payload []P, rx *bitset.Set, 
 	if h.lo >= h.hi {
 		return // no listener touched: the tally is already empty
 	}
-	perReceiver := n.cfg.Fault == ReceiverFaults || n.trace != nil || deliver != nil
 	var rxw []uint64
 	if rx != nil {
 		rxw = rx.Words()
@@ -1201,35 +1250,40 @@ func (n *Network[P]) stepSetSparse(tx *bitset.Set, payload []P, rx *bitset.Set, 
 			unique &^= noisy[wi]
 			noisy[wi] = 0
 		}
-		if !perReceiver {
-			n.stats.Deliveries += int64(bits.OnesCount64(unique))
-			if rxw != nil {
-				rxw[wi] |= unique
-			}
+		if unique == 0 {
 			continue
 		}
-		// resolveUnique's steps, kept inline: a call per receiver to a
-		// shared function cost serve-mix 5–6% in a prototype (DESIGN.md).
-		for ; unique != 0; unique &= unique - 1 {
-			u := int32(wi<<6 | bits.TrailingZeros64(unique))
-			if n.cfg.Fault == ReceiverFaults && n.draw.site(u, n.rnd) {
-				n.stats.ReceiverFaults++
-				continue
-			}
-			n.stats.Deliveries++
-			if n.trace != nil {
-				n.traceRx = append(n.traceRx, u)
-			}
-			if rxw != nil {
-				rxw[wi] |= 1 << (uint(u) & 63)
-			}
-			if deliver != nil {
-				v := from[u]
-				deliver(Delivery[P]{To: int(u), From: int(v), Payload: payload[v]})
-			}
+		for rcv := n.resolveWord(wi, unique, rxw); deliver != nil && rcv != 0; rcv &= rcv - 1 {
+			u := wi<<6 | bits.TrailingZeros64(rcv)
+			v := from[u]
+			deliver(Delivery[P]{To: u, From: int(v), Payload: payload[v]})
 		}
 	}
 	h.lo, h.hi = len(once), 0
+}
+
+// resolveWord finishes word wi's listeners that heard exactly one
+// transmission, clean at its sender — the set bits of unique: under the
+// receiver model it decides their canonical receiver-fault draws at once
+// (drawState.mask), then counts the survivors as deliveries, ORs them into
+// rx whole and records them for the trace. It returns the survivors, which
+// a deliver callback walks in ascending id order. Shared by the sparse and
+// implicit engines; the dense engine resolves a listener at a time
+// (resolveUnique).
+func (n *Network[P]) resolveWord(wi int, unique uint64, rxw []uint64) uint64 {
+	if n.cfg.Fault == ReceiverFaults {
+		faulty := n.draw.mask(wi, unique, n.rnd)
+		n.stats.ReceiverFaults += int64(bits.OnesCount64(faulty))
+		unique &^= faulty
+	}
+	n.stats.Deliveries += int64(bits.OnesCount64(unique))
+	if rxw != nil {
+		rxw[wi] |= unique
+	}
+	if n.trace != nil {
+		n.traceRx = appendWord(n.traceRx, wi, unique)
+	}
+	return unique
 }
 
 // stepSetDense is the word-parallel engine: each listener's
@@ -1307,9 +1361,10 @@ func (n *Network[P]) stepSetDense(tx *bitset.Set, payload []P, rx *bitset.Set, d
 // count is the round's broadcaster total, so the round resolves from that
 // total alone. Two or more broadcasters collide at every listener, with no
 // draw. A lone broadcaster a reaches every other node: nothing when a is
-// sender-faulty, otherwise one resolution per listener in ascending id,
-// the canonical draw order shared with the other engines. Per-node state
-// is O(1), and only the lone-broadcaster round costs O(n).
+// sender-faulty, otherwise its n − 1 listeners resolve a word at a time
+// (resolveWord) in ascending id, the canonical draw order shared with the
+// other engines. Per-node state is O(1), and only the lone-broadcaster
+// round costs O(n/64) words.
 func (n *Network[P]) stepSetImplicit(tx *bitset.Set, payload []P, rx *bitset.Set, deliver func(d Delivery[P])) {
 	txw := tx.Words()
 	txLo, txHi := tx.NonzeroRange()
@@ -1326,24 +1381,35 @@ func (n *Network[P]) stepSetImplicit(tx *bitset.Set, payload []P, rx *bitset.Set
 		n.stats.Collisions += int64(nn - total)
 		return
 	}
-	a := int32(txLo*64 + bits.TrailingZeros64(txw[txLo]))
+	a := txLo*64 + bits.TrailingZeros64(txw[txLo])
 	if n.cfg.Fault == SenderFaults && n.senderNoise[a] {
 		return // content destroyed at the sender, for every listener at once
 	}
-	for u := int32(0); u < int32(nn); u++ {
-		if u != a {
-			n.resolveUnique(u, a, payload, rx, deliver)
+	var rxw []uint64
+	if rx != nil {
+		rxw = rx.Words()
+	}
+	for wi := 0; wi*64 < nn; wi++ {
+		listeners := ^uint64(0)
+		if rest := nn - wi*64; rest < 64 {
+			listeners = 1<<rest - 1
+		}
+		if wi == a>>6 {
+			listeners &^= 1 << (a & 63)
+		}
+		for rcv := n.resolveWord(wi, listeners, rxw); deliver != nil && rcv != 0; rcv &= rcv - 1 {
+			deliver(Delivery[P]{To: wi<<6 | bits.TrailingZeros64(rcv), From: a, Payload: payload[a]})
 		}
 	}
 }
 
 // finishRound clears the sender-fault flags set this round — off the
 // recorded fault sites (O(faults)) when a bulk-capable contract is
-// active, off the tx words (O(broadcasters)) otherwise; only the sender
-// model ever sets any — closes the draw contract's round boundary, and
-// flushes the trace.
+// active, off the tx words (O(broadcasters)) otherwise; only the dense
+// and implicit engines under the sender model keep any — closes the draw
+// contract's round boundary, and flushes the trace.
 func (n *Network[P]) finishRound(tx *bitset.Set) {
-	if n.cfg.Fault == SenderFaults {
+	if n.senderNoise != nil {
 		if n.draw.bulk() {
 			for _, v := range n.noisySites {
 				n.senderNoise[v] = false

@@ -59,14 +59,22 @@ func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 // Uint64 returns the next 64 uniformly random bits.
 func (r *Stream) Uint64() uint64 {
 	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	r.s[0], r.s[1], r.s[2], r.s[3] = next(r.s[0], r.s[1], r.s[2], r.s[3])
 	return result
+}
+
+// next is xoshiro256**'s state transition. Uint64 applies it to the
+// stream; the batch samplers (Bernoulli.Mask, Geometric.Positions) apply
+// it to a state held in locals across many draws. The output of a state
+// is rotl(s1·5, 7)·9, taken before the transition.
+func next(s0, s1, s2, s3 uint64) (uint64, uint64, uint64, uint64) {
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return s0, s1, s2, rotl(s3, 45)
 }
 
 // Split returns a new Stream derived from (and independent of) r.
@@ -141,6 +149,36 @@ func (b Bernoulli) Draw(r *Stream) bool {
 		return false
 	}
 	return r.Uint64()>>11 < b.thresh
+}
+
+// Mask draws one coin per set bit of w, in ascending bit order, and
+// returns the bits whose coin came up true. It decides the same bits and
+// leaves r at the same position as popcount(w) calls to Draw, but holds
+// the generator state in locals across the word instead of loading and
+// storing it per draw.
+func (b Bernoulli) Mask(r *Stream, w uint64) uint64 {
+	switch b.thresh {
+	case 0:
+		return 0
+	case bernoulliAlways:
+		return w
+	case bernoulliNaN:
+		for ; w != 0; w &= w - 1 {
+			r.Uint64()
+		}
+		return 0
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var out uint64
+	for ; w != 0; w &= w - 1 {
+		x := rotl(s1*5, 7) * 9
+		s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		// x>>11 and thresh are both below 2^63, so the difference has
+		// its top bit set exactly when the coin is true.
+		out |= w & -w & -((x>>11 - b.thresh) >> 63)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return out
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
@@ -336,7 +374,12 @@ func (g Geometric) Draw(r *Stream) int {
 	if g.logq == 0 {
 		return math.MaxInt
 	}
-	j := r.Uint64() >> 11
+	return g.sample(r.Uint64() >> 11)
+}
+
+// sample is the inverse CDF at the 53-bit integer j: the table's count
+// where p is tabled and j lies below its last cut, the formula otherwise.
+func (g Geometric) sample(j uint64) int {
 	if g.cut != nil {
 		// 1 + #{i : cut[i] <= j} while j is below the last cut, found by
 		// blocks of 8: one branch picks the block, whose other 7 cuts are
@@ -354,6 +397,47 @@ func (g Geometric) Draw(r *Stream) int {
 		}
 	}
 	return geometricInverse(j, g.logq)
+}
+
+// Positions appends to dst, in ascending order, the positions of [0, n)
+// that a walk from −1 lands on when each step is one Draw — each position
+// is then selected independently with the sampler's probability — and
+// returns the extended slice. It consumes the stream exactly as that
+// loop of Draw calls would, the final draw that steps past n − 1
+// included, so even n <= 0 draws one gap; and it holds the generator
+// state in locals across the walk instead of loading and storing it per
+// draw. At p = 1 it appends every position without drawing; the zero
+// value appends nothing and draws nothing. Positions are int32, the
+// width of the node ids and lists they index, so half as many bytes
+// hold a round's picks; it panics if n exceeds math.MaxInt32.
+func (g Geometric) Positions(r *Stream, n int, dst []int32) []int32 {
+	if n > math.MaxInt32 {
+		panic("rng: Positions with n past int32")
+	}
+	if g.one {
+		for pos := 0; pos < n; pos++ {
+			dst = append(dst, int32(pos))
+		}
+		return dst
+	}
+	if g.logq == 0 {
+		return dst
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for pos := -1; ; {
+		j := rotl(s1*5, 7) * 9 >> 11
+		s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		// Compare before adding: a gap of math.MaxInt, the formula's
+		// "no success in range", must not wrap pos.
+		k := g.sample(j)
+		if k > n-1-pos {
+			break
+		}
+		pos += k
+		dst = append(dst, int32(pos))
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return dst
 }
 
 // SampleK returns k distinct uniform elements of [0, n) in ascending order.

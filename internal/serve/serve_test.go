@@ -757,3 +757,22 @@ func TestCacheMicrobenchRows(t *testing.T) {
 		t.Fatalf("hit %v ns, cold %v ns: want 0 < hit < cold", hit, cold)
 	}
 }
+
+// TestEndsInResult: the cache microbench accepts a body only when its
+// last line is a result line.
+func TestEndsInResult(t *testing.T) {
+	for _, c := range []struct {
+		body string
+		want bool
+	}{
+		{`{"type":"snapshot","trials":64}` + "\n" + `{"type":"result","key":"k"}` + "\n", true},
+		{`{"type":"result","key":"k"}`, true},
+		{`{"type":"result","key":"k"}` + "\n" + `{"type":"error","error":"x"}` + "\n", false},
+		{`{"error":"bad spec"}` + "\n", false},
+		{"", false},
+	} {
+		if got := endsInResult([]byte(c.body)); got != c.want {
+			t.Errorf("endsInResult(%q) = %v, want %v", c.body, got, c.want)
+		}
+	}
+}
