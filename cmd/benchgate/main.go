@@ -180,9 +180,9 @@ const (
 // phase plus a Bernoulli per bad site — must stay within maxRatio times
 // the v2 geometric-skip cost at the same marginal fault rate. Bursts buy
 // correlation structure, not speed, so the gate is a ceiling where the
-// geomskip gate is a floor; it keeps a careless v3 bulk walk from
-// regressing to per-site cost while still allowing the honest overhead of
-// tracking two phases.
+// geomskip gate is a floor; it keeps drawState.mask's v3 arm from
+// regressing to per-site cost on good phases while still allowing the
+// honest overhead of tracking two phases.
 func gateBurstDraw(current benchreport.Report, maxRatio float64) (string, error) {
 	rows := make(map[string]benchreport.Microbench, len(current.Microbench))
 	for _, m := range current.Microbench {

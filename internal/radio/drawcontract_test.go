@@ -123,9 +123,9 @@ func TestValidateBurstJamParams(t *testing.T) {
 // drawSiteWalk is the reference implementation of one round of the
 // contract: visit every site of the round in order through drawState.site
 // — the per-site decision the dense engine's receiver sites run, and
-// drawState.mask runs per bit outside v1 — and return the faulty subset.
-// The bulk tests and the fuzz target compare the optimized marking paths
-// against this.
+// drawState.mask runs per bit under v4 — and return the faulty subset.
+// The marking tests and the fuzz target compare the word walks against
+// this.
 func drawSiteWalk(d *drawState, r *rng.Stream, sites []int) map[int]bool {
 	faulty := map[int]bool{}
 	for _, v := range sites {
@@ -137,15 +137,15 @@ func drawSiteWalk(d *drawState, r *rng.Stream, sites []int) map[int]bool {
 	return faulty
 }
 
-// checkBulkMatchesPerSite drives rounds of random site sets through the
-// scalar marking path (markBroadcasters on a trace-less sender-fault
-// network — the dense/implicit engines' path, bulk where the contract
-// permits) and through the per-site reference walk on an
+// checkMarkWordMatchesPerSite drives rounds of random site sets through
+// the broadcaster marking every engine's round runs (markWord over each
+// nonzero tx word, then finishRound, on a trace-less sender-fault
+// network) and through the per-site reference walk on an
 // identically-seeded stream, requiring the same fault sets, the same
 // stats and the same stream positions after every round. Shared by the
 // deterministic grid test and FuzzDrawContract. cfg.Fault must be
 // SenderFaults.
-func checkBulkMatchesPerSite(t *testing.T, cfg Config, n int, seed uint64, rounds int, pick func(r *rng.Stream, v int) bool) {
+func checkMarkWordMatchesPerSite(t *testing.T, cfg Config, n int, seed uint64, rounds int, pick func(r *rng.Stream, v int) bool) {
 	t.Helper()
 	refStream := rng.New(seed)
 	netStream := rng.New(seed)
@@ -169,25 +169,23 @@ func checkBulkMatchesPerSite(t *testing.T, cfg Config, n int, seed uint64, round
 		wantFaults += int64(len(want))
 
 		txw := tx.Words()
-		lo, hi := tx.NonzeroRange()
-		net.markBroadcasters(txw, lo, hi)
+		faulty := make([]uint64, len(txw))
+		for wi, w := range txw {
+			if w != 0 {
+				faulty[wi] = net.markWord(wi, w)
+			}
+		}
 		for _, v := range sites {
-			if net.senderNoise[v] != want[v] {
-				t.Fatalf("%v p=%v round %d: site %d noisy=%v, reference=%v", cfg.Draw, cfg.P, round, v, net.senderNoise[v], want[v])
+			if got := faulty[v/64]>>(v%64)&1 == 1; got != want[v] {
+				t.Fatalf("%v p=%v round %d: site %d faulty=%v, reference=%v", cfg.Draw, cfg.P, round, v, got, want[v])
 			}
 		}
 		if got := net.stats.SenderFaults; got != wantFaults {
 			t.Fatalf("%v p=%v round %d: SenderFaults=%d, reference=%d", cfg.Draw, cfg.P, round, got, wantFaults)
 		}
-		net.finishRound(tx)
+		net.finishRound()
 		if *refStream != *netStream {
 			t.Fatalf("%v p=%v round %d: stream states diverged after the round", cfg.Draw, cfg.P, round)
-		}
-		// finishRound must leave no residue for the next round.
-		for _, v := range sites {
-			if net.senderNoise[v] {
-				t.Fatalf("%v p=%v round %d: senderNoise[%d] not cleared", cfg.Draw, cfg.P, round, v)
-			}
 		}
 	}
 }
@@ -283,18 +281,17 @@ func TestDrawMaskMatchesPerSite(t *testing.T) {
 	}
 }
 
-// TestDrawBulkMatchesPerSite pins the optimized marking paths to the
-// per-site reference over a p grid spanning dense faults, the
-// sparse-fault regime and spans that cross many rounds: the v2 skip jump
-// and the v3 phase-skipping walk against their countdown twins, and the
-// v1/v4 rows through the same harness (their sender marking goes a word
-// at a time through drawState.mask), doubling as a check of the harness
-// itself.
-func TestDrawBulkMatchesPerSite(t *testing.T) {
+// TestDrawMarkWordMatchesPerSite pins every engine's broadcaster marking
+// to the per-site reference over a p grid spanning dense faults, the
+// sparse-fault regime and spans that cross many rounds: the v2 skip and
+// the v3 phase-skipping arms of drawState.mask against their countdown
+// twins, and the v1/v4 rows through the same harness, doubling as a
+// check of the harness itself.
+func TestDrawMarkWordMatchesPerSite(t *testing.T) {
 	for _, cfg := range drawGridCases() {
 		for _, density := range []float64{1, 0.5, 0.05} {
 			d := density
-			checkBulkMatchesPerSite(t, cfg, 300, 0xd0c0+uint64(d*100), 40, func(r *rng.Stream, v int) bool {
+			checkMarkWordMatchesPerSite(t, cfg, 300, 0xd0c0+uint64(d*100), 40, func(r *rng.Stream, v int) bool {
 				return r.Bool(d)
 			})
 		}
@@ -319,11 +316,11 @@ func TestDrawDegenerateFallsBackToV1(t *testing.T) {
 	}
 }
 
-// TestDrawTracedMatchesUntraced: tracing forces the per-site marking
-// path on engines that would otherwise bulk-mark, so a traced run must
-// reproduce an untraced run's stats and deliveries exactly — for the
-// bulk-capable contracts (v2 skip, v3 burst) this proves the two marking
-// paths consume the stream identically.
+// TestDrawTracedMatchesUntraced: tracing records each round's
+// broadcasters and receivers beside the draws, so a traced run must
+// reproduce an untraced run's stats exactly under every stateful
+// contract (v2 skip, v3 burst, v4 jam): a trace never perturbs the
+// draws.
 func TestDrawTracedMatchesUntraced(t *testing.T) {
 	top := builderComplete(150)
 	for _, dc := range []DrawContract{DrawV2, DrawV3, DrawV4} {

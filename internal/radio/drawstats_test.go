@@ -23,13 +23,11 @@ func faultCountsPerRoundCfg(cfg Config, n int, seed uint64, rounds int) []int {
 	for v := 0; v < n; v++ {
 		tx.Set(v)
 	}
-	txw := tx.Words()
-	lo, hi := tx.NonzeroRange()
+	payload := make([]int32, n)
 	counts := make([]int, rounds)
 	var prev int64
 	for r := 0; r < rounds; r++ {
-		net.markBroadcasters(txw, lo, hi)
-		net.finishRound(tx)
+		net.StepSet(tx, payload, nil, nil)
 		now := net.Stats().SenderFaults
 		counts[r] = int(now - prev)
 		prev = now

@@ -8,17 +8,17 @@ import (
 
 // FuzzDrawContract fuzzes the draw contract itself, below the engines:
 // for an arbitrary sequence of rounds over arbitrary site sets and an
-// arbitrary p, the optimized marking path (the bulk walks the
-// dense/implicit engines run when untraced, or the per-site loop where
-// the contract requires one) must produce exactly the fault membership
-// that a per-site recomputation of the same contract yields on an
+// arbitrary p, the broadcaster marking every engine runs (markWord per tx
+// word, then finishRound) must produce exactly the fault membership that
+// a per-site recomputation of the same contract yields on an
 // identically-seeded stream — same fault sets, same stats, same stream
-// position after every round. Each round is also decided word by word
-// through drawState.mask, as the engines decide a word of listeners,
-// against the per-site walk with a stream witness after every word
-// (checkMaskMatchesPerSite). All four contract versions run through the
-// same harnesses (modelRaw selects the contract and its parameter
-// variant). Seed corpus lives in testdata/fuzz/FuzzDrawContract.
+// position after every round (checkMarkWordMatchesPerSite). Each round is
+// also decided word by word through drawState.mask, as the sparse and
+// implicit engines decide a word of listeners, against the per-site walk
+// with a stream witness after every word (checkMaskMatchesPerSite). All
+// four contract versions run through the same harnesses (modelRaw
+// selects the contract and its parameter variant). Seed corpus lives in
+// testdata/fuzz/FuzzDrawContract.
 func FuzzDrawContract(f *testing.F) {
 	f.Add(uint64(1), uint64(64), uint64(1), uint64(500), []byte{0xff, 0x0f, 0xaa})
 	f.Add(uint64(2), uint64(200), uint64(1), uint64(1), []byte{0x01, 0x80})
@@ -74,7 +74,7 @@ func FuzzDrawContract(f *testing.F) {
 			}
 			return r.Bool(0.25)
 		}
-		checkBulkMatchesPerSite(t, cfg, n, seed, rounds, pick)
+		checkMarkWordMatchesPerSite(t, cfg, n, seed, rounds, pick)
 		checkMaskMatchesPerSite(t, cfg, n, seed, rounds, pick)
 	})
 }

@@ -26,7 +26,7 @@ const transcriptRounds = 40
 // delivery plus the final stats.
 func execTranscripts(t *testing.T, nets []*Network[int32], seeds []uint64) []string {
 	t.Helper()
-	n := nets[0].Graph().N()
+	n := nets[0].g.N()
 	drivers := make([]*rng.Stream, len(nets))
 	for i, seed := range seeds {
 		drivers[i] = rng.New(seed)

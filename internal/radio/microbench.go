@@ -122,59 +122,44 @@ func EngineMicrobench() []benchreport.Microbench {
 			AllocsPerRound: allocs,
 		})
 	}
-	// Fault-draw kernel rows: the sender-fault marking pass alone (plus
-	// its end-of-round clear) with every node of Complete(10⁵)
-	// broadcasting — 10⁵ draw sites per round, the regime the draw
-	// contract versioning exists for. v1 pays one Bernoulli per site; v2
-	// pays one geometric draw per fault, so the v1/v2 ratio at sparse p is
-	// the geometric-skip speedup the CI gate enforces
+	// Fault-draw kernel rows: a real round on the implicit engine with
+	// every node of Complete(10⁵) broadcasting — 10⁵ draw sites per
+	// round, the regime the draw contract versioning exists for. Every
+	// listener collides, so the round is the sender-fault marking pass
+	// (one drawState.mask call per tx word) plus one collision count, and
+	// the harness adds its rx clear: the row isolates the cost the draw
+	// contract governs. v1 pays one Bernoulli per site; v2 pays one
+	// geometric draw per fault and a popcount per word, so the v1/v2
+	// ratio at sparse p is the geometric-skip speedup the CI gate enforces
 	// (benchgate -min-geomskip-speedup, on the p=0.001 rows). The p=0.5
 	// rows document the crossover end: at dense fault rates skipping buys
 	// nothing, and a skip per fault, even one read off rng.Geometric's
 	// threshold table as at p = ½, loses to the integer Bernoulli — which
 	// is why v2 targets the sparse-failure regime and v1 remains the
-	// default. The correlated contracts ride the same kernel:
-	// v3's bulk walk pays one geometric per *phase* plus one Bernoulli per
-	// bad site (gated against drifting past 2x of v2 at matched sparse p by
-	// benchgate -max-burstdraw-ratio), v4 pays a per-site coin like v1 plus
-	// a two-draw prelude on jammed rounds. v3 skips p=0.5: the default
-	// BadP=0.5 makes that marginal unreachable, and the sparse end is where
-	// the contract lives anyway.
+	// default. The correlated contracts ride the same kernel: v3 pays one
+	// geometric per *phase*, a popcount per word of a good phase and one
+	// Bernoulli per bad site (gated against drifting past 2x of v2 at
+	// matched sparse p by benchgate -max-burstdraw-ratio), v4 pays a
+	// per-site coin like v1 plus a two-draw prelude on jammed rounds. v3
+	// skips p=0.5: the default BadP=0.5 makes that marginal unreachable,
+	// and the sparse end is where the contract lives anyway.
+	const drawSites = 100000
+	drawTop, drawTx := graph.Complete(drawSites), microbenchTx(drawSites, 0, drawSites)
 	for _, dc := range DrawContracts() {
 		ps := []float64{0.5, 0.01, 0.001}
 		if dc == DrawV3 {
 			ps = []float64{0.1, 0.01, 0.001}
 		}
 		for _, p := range ps {
-			ns, allocs := measureFaultDraws(100000, p, dc)
+			ns, allocs := measureRounds(drawTop, Config{Fault: SenderFaults, P: p, Draw: dc, Engine: Implicit}, drawTx)
 			out = append(out, benchreport.Microbench{
-				Name:           fmt.Sprintf("faultdraw/%s/p=%g/n=%d", dc, p, 100000),
+				Name:           fmt.Sprintf("faultdraw/%s/p=%g/n=%d", dc, p, drawSites),
 				NsPerRound:     ns,
 				AllocsPerRound: allocs,
 			})
 		}
 	}
 	return out
-}
-
-// measureFaultDraws times the sender-fault draw kernel under the given
-// contract: markBroadcasters over an all-ones broadcast set (the marking
-// pass every engine's round starts with) followed by finishRound's
-// sender-noise clear. No listener resolution — the row isolates exactly
-// the cost the draw contract governs.
-func measureFaultDraws(n int, p float64, dc DrawContract) (nsPerRound, allocsPerRound float64) {
-	top := graph.Complete(n)
-	net := MustNew[int32](top.G, Config{Fault: SenderFaults, P: p, Draw: dc}, rng.New(0x6d6963726f))
-	tx := bitset.New(n)
-	for v := 0; v < n; v++ {
-		tx.Set(v)
-	}
-	txw := tx.Words()
-	lo, hi := tx.NonzeroRange()
-	return timeRounds(func() {
-		net.markBroadcasters(txw, lo, hi)
-		net.finishRound(tx)
-	})
 }
 
 // gridTopology returns a √n×√n grid (n must be a square of a power of 2,

@@ -25,13 +25,15 @@
 // sender-fault flags for broadcasting nodes in ascending node id (sender
 // model only), then receiver-fault flags for eligible listeners in
 // ascending node id (receiver model only). Deliveries and trace callbacks
-// follow the same ascending-id order. The sparse and implicit engines
-// decide the faults of a word of 64 ids at once, before they report any
-// of that word's receivers, so a delivery callback must not draw from
-// the network's stream (none does). A (graph, seed, driver, contract)
-// quadruple therefore always yields the identical execution, regardless
-// of the execution engine below. The engine is not safe for concurrent
-// use; run independent trials on independent Network values.
+// follow the same ascending-id order. Every engine decides the sender
+// faults of a word of 64 broadcaster ids at once, and the sparse and
+// implicit engines decide the receiver faults of a word of 64 listener
+// ids at once, before they report any of that word's receivers, so a
+// delivery callback must not draw from the network's stream (none does).
+// A (graph, seed, driver, contract) quadruple therefore always yields the
+// identical execution, regardless of the execution engine below. The
+// engine is not safe for concurrent use; run independent trials on
+// independent Network values.
 //
 // How the stream is consumed to decide those sites is itself versioned by
 // Config.Draw (see DrawContract): DrawV1 draws one Bernoulli per site,
@@ -548,10 +550,11 @@ const (
 
 // drawState executes the configured draw contract over one stream's
 // canonical site sequence. Every fault decision in the simulator, on
-// any engine, goes through here — a site at a time (site) or a word of
-// sites at a time (mask) — or through the bulk walks in
-// markBroadcastersBulk, which replay the identical draw sequence, so the
-// contract is enforced in exactly one place.
+// any engine, goes through here: a word of sites at a time (mask) for
+// every engine's sender sites and the sparse and implicit engines'
+// receiver sites, a site at a time (site) for the dense engine's
+// receiver sites. mask consumes the stream exactly as site called per
+// bit would, so the contract is enforced in exactly one place.
 //
 // Under drawPerSite, site() is simply the per-site Bernoulli(P) coin. Under
 // drawSkip it runs a countdown: one geometric draw yields the distance to
@@ -629,13 +632,6 @@ func makeDrawState(cfg Config, g *graph.Graph) drawState {
 	return d
 }
 
-// bulk reports whether the bulk sender-marking path handles this mode:
-// the contract consumes no per-site draw on most sites, so whole spans
-// can be skipped and fault sites located by select-the-k-th-set-bit.
-// drawJam is excluded — every non-jammed site draws its own coin there,
-// so a bulk walk would visit every site anyway.
-func (d *drawState) bulk() bool { return d.mode == drawSkip || d.mode == drawBurst }
-
 // site decides one canonical-order site v.
 func (d *drawState) site(v int32, r *rng.Stream) bool {
 	switch d.mode {
@@ -689,19 +685,78 @@ func (d *drawState) site(v int32, r *rng.Stream) bool {
 
 // mask decides the canonical sites of word wi — node wi·64 + b for each
 // set bit b of w, in ascending order — and returns the faulty ones,
-// consuming the stream exactly as site() called bit by bit would. v1's
-// per-site coins are one rng.Bernoulli.Mask call; every other mode goes
-// through site() per bit, so v2's countdown, v3's phase and v4's jam
-// prelude carry across bits, words and calls as they do across sites.
-// An empty word draws nothing.
+// consuming the stream exactly as site() called bit by bit would, so v2's
+// countdown, v3's phase and v4's jam prelude carry across bits, words and
+// calls as they do across sites. v1's per-site coins are one
+// rng.Bernoulli.Mask call. v2 and v3 skip spans a word at a time, since
+// most of their sites draw nothing: a v2 countdown that outlasts the
+// word's sites is cut by their count, and otherwise that many low sites
+// are dropped and the next one is the fault; a v3 good phase that
+// outlasts the word is consumed whole, and otherwise its sites are
+// dropped and the phase turns bad, where each site draws one badCoin.
+// v4 goes through site() per bit. An empty word draws nothing.
 func (d *drawState) mask(wi int, w uint64, r *rng.Stream) uint64 {
-	if d.mode == drawPerSite {
-		return d.coin.Mask(r, w)
-	}
 	var faulty uint64
-	for m := w; m != 0; m &= m - 1 {
-		if d.site(int32(wi<<6|bits.TrailingZeros64(m)), r) {
-			faulty |= m & -m
+	switch d.mode {
+	case drawPerSite:
+		return d.coin.Mask(r, w)
+	case drawSkip:
+		for w != 0 {
+			if d.remaining < 0 {
+				d.remaining = d.geom.Draw(r) - 1
+			}
+			c := bits.OnesCount64(w)
+			if d.remaining >= c {
+				d.remaining -= c
+				return faulty
+			}
+			for k := d.remaining; k > 0; k-- {
+				w &= w - 1
+			}
+			faulty |= w & -w
+			w &= w - 1
+			d.remaining = -1
+		}
+	case drawBurst:
+		if w != 0 && !d.inited {
+			d.inited = true
+			d.bad = d.initCoin.Draw(r)
+		}
+		for w != 0 {
+			if d.remaining < 0 {
+				if d.bad {
+					d.remaining = d.badGeom.Draw(r)
+				} else {
+					d.remaining = d.goodGeom.Draw(r)
+				}
+			}
+			if !d.bad {
+				c := bits.OnesCount64(w)
+				if d.remaining > c {
+					d.remaining -= c
+					return faulty
+				}
+				for k := d.remaining; k > 0; k-- {
+					w &= w - 1
+				}
+				d.bad = true
+				d.remaining = -1
+				continue
+			}
+			if d.badCoin.Draw(r) {
+				faulty |= w & -w
+			}
+			w &= w - 1
+			if d.remaining--; d.remaining == 0 {
+				d.bad = false
+				d.remaining = -1
+			}
+		}
+	default:
+		for m := w; m != 0; m &= m - 1 {
+			if d.site(int32(wi<<6|bits.TrailingZeros64(m)), r) {
+				faulty |= m & -m
+			}
 		}
 	}
 	return faulty
@@ -757,31 +812,24 @@ type Network[P any] struct {
 	// sequence; all fault decisions route through it.
 	draw drawState
 
-	// noisySites records the sender-fault sites of the current round when
-	// a bulk-capable contract is active, so finishRound clears senderNoise
-	// in O(faults) instead of walking every broadcaster — without it the
-	// clear would eat the savings the skip draw buys.
-	noisySites []int32
-
 	// Sparse-engine per-round scratch, reused across rounds to avoid
 	// allocation.
 	heard listenerTally
 
 	// Dense-engine state: bitset adjacency rows (cached on the graph),
 	// flattened for direct word indexing in the listener loop, and their
-	// per-row nonzero word windows.
+	// per-row nonzero word windows. Under the sender model, faultyTx[wi]
+	// holds tx word wi's faulty broadcasters; it is written on every round
+	// word wi broadcasts and read only in that round, so it needs no clear.
 	adjBits      *bitset.Matrix
 	adjWords     []uint64 // row u's words at [u*adjStride, (u+1)*adjStride)
 	adjStride    int
 	rowLo, rowHi []int32
+	faultyTx     []uint64
 
-	// Shared per-round scratch. senderNoise is only allocated under
-	// SenderFaults on the dense and implicit engines — the only ones that
-	// write it; the sparse engine keeps a word's faulty broadcasters in a
-	// local mask — so every other network pays nothing for it.
-	senderNoise []bool  // per-node sender-fault flags this round
-	traceTx     []int32 // broadcasters this round (tracing only)
-	traceRx     []int32 // receivers this round (tracing only)
+	// Shared per-round scratch.
+	traceTx []int32 // broadcasters this round (tracing only)
+	traceRx []int32 // receivers this round (tracing only)
 }
 
 // autoEngine picks the engine for g. A graph with a closed-form model
@@ -812,18 +860,15 @@ func New[P any](g *graph.Graph, cfg Config, rnd *rng.Stream) (*Network[P], error
 		engine: engine,
 		draw:   makeDrawState(cfg, g),
 	}
-	if cfg.Fault == SenderFaults && engine != Sparse {
-		n.senderNoise = make([]bool, g.N())
-		if n.draw.bulk() {
-			n.noisySites = make([]int32, 0, 64)
-		}
-	}
 	switch engine {
 	case Dense:
 		n.adjBits = g.AdjacencyBits()
 		n.adjWords = n.adjBits.Words()
 		n.adjStride = n.adjBits.Stride()
 		n.rowLo, n.rowHi = n.adjBits.RowRanges()
+		if cfg.Fault == SenderFaults {
+			n.faultyTx = make([]uint64, (g.N()+63)/64)
+		}
 	case Sparse:
 		n.heard = newListenerTally(g.N(), cfg.Fault == SenderFaults)
 	}
@@ -838,9 +883,6 @@ func MustNew[P any](g *graph.Graph, cfg Config, rnd *rng.Stream) *Network[P] {
 	}
 	return n
 }
-
-// Graph returns the underlying graph.
-func (n *Network[P]) Graph() *graph.Graph { return n.g }
 
 // Engine returns the resolved execution engine (Sparse, Dense or
 // Implicit, never Auto).
@@ -858,9 +900,6 @@ type TraceFunc func(round int, broadcasters, receivers []int32)
 // tracing. Tracing costs O(broadcasters + receivers) per round and nothing
 // when unset.
 func (n *Network[P]) SetTrace(fn TraceFunc) { n.trace = fn }
-
-// Round returns the number of rounds executed so far.
-func (n *Network[P]) Round() int { return n.stats.Rounds }
 
 // Delivery describes one successful reception in a round.
 type Delivery[P any] struct {
@@ -919,7 +958,7 @@ func (n *Network[P]) StepSet(tx *bitset.Set, payload []P, rx *bitset.Set, delive
 	default:
 		n.stepSetSparse(tx, payload, rx, deliver)
 	}
-	n.finishRound(tx)
+	n.finishRound()
 }
 
 // appendWord appends the node ids of w's set bits, word wi, ascending.
@@ -947,151 +986,6 @@ func (n *Network[P]) markWord(wi int, w uint64) (faulty uint64) {
 	return faulty
 }
 
-// markBroadcasters performs the dense and implicit engines' broadcaster
-// marking off the tx words [txLo, txHi) into senderNoise: a word at a
-// time (markWord) when per-site bookkeeping is needed (tracing, or a
-// contract that draws one coin per site — v1 and v4), in bulk otherwise
-// — broadcast accounting by popcount, and under the skip and burst
-// contracts the fault sites located by select-the-k-th-set-bit jumps
-// instead of a visit to every broadcaster. Decisions and stream
-// consumption are identical on both paths (the bulk walks replay the same
-// countdowns), so the engines may mix them freely; only the work differs.
-// The bulk walks stay separate from drawState.mask because a v2 or v3
-// round draws nothing for most of its sites, which a per-word walk would
-// still visit.
-func (n *Network[P]) markBroadcasters(txw []uint64, txLo, txHi int) {
-	if n.trace == nil && (n.cfg.Fault != SenderFaults || n.draw.bulk()) {
-		n.markBroadcastersBulk(txw, txLo, txHi)
-		return
-	}
-	for wi := txLo; wi < txHi; wi++ {
-		if txw[wi] == 0 {
-			continue
-		}
-		for faulty := n.markWord(wi, txw[wi]); faulty != 0; faulty &= faulty - 1 {
-			v := wi*64 + bits.TrailingZeros64(faulty)
-			n.senderNoise[v] = true
-			if n.draw.bulk() {
-				n.noisySites = append(n.noisySites, int32(v))
-			}
-		}
-	}
-}
-
-// txSelect locates ascending set bits of a word slice by index: locate(k)
-// returns the position of the k-th (0-based) set bit. Calls must be made
-// with non-decreasing k — the cursor only moves forward, which is what
-// makes a whole round's fault locations O(words + faults) instead of
-// O(words · faults).
-type txSelect struct {
-	txw    []uint64
-	wi     int // current word
-	before int // set bits strictly before word wi
-}
-
-func (s *txSelect) locate(k int) int {
-	for s.before+bits.OnesCount64(s.txw[s.wi]) <= k {
-		s.before += bits.OnesCount64(s.txw[s.wi])
-		s.wi++
-	}
-	w := s.txw[s.wi]
-	for j := k - s.before; j > 0; j-- {
-		w &= w - 1
-	}
-	return s.wi*64 + bits.TrailingZeros64(w)
-}
-
-// markBroadcastersBulk is the O(faults)-ish marking path: broadcasts
-// counted word-parallel, then — under SenderFaults — the active
-// contract's span-skipping walk materializes only the faulty sites.
-func (n *Network[P]) markBroadcastersBulk(txw []uint64, txLo, txHi int) {
-	total := 0
-	for wi := txLo; wi < txHi; wi++ {
-		total += bits.OnesCount64(txw[wi])
-	}
-	n.stats.Broadcasts += int64(total)
-	if n.cfg.Fault != SenderFaults || total == 0 {
-		return
-	}
-	sel := txSelect{txw: txw, wi: txLo}
-	if n.draw.mode == drawBurst {
-		n.markBurstBulk(&sel, total)
-		return
-	}
-	d := &n.draw
-	idx := 0 // broadcaster sites consumed so far, ascending id order
-	for idx < total {
-		if d.remaining < 0 {
-			d.remaining = d.geom.Draw(n.rnd) - 1
-		}
-		if d.remaining >= total-idx {
-			// Next fault lies beyond this round's sites: consume them all,
-			// exactly as the per-site countdown would.
-			d.remaining -= total - idx
-			return
-		}
-		idx += d.remaining
-		d.remaining = -1
-		v := sel.locate(idx)
-		n.senderNoise[v] = true
-		n.stats.SenderFaults++
-		n.noisySites = append(n.noisySites, int32(v))
-		idx++
-	}
-}
-
-// markBurstBulk is the burst contract's span-skipping walk over the
-// round's total broadcaster sites: good phases are consumed whole in O(1)
-// (they draw nothing per site), bad phases draw one coin per site, and
-// only the faulty sites are located. Stream consumption is identical to
-// total consecutive site() calls — the same phase-length, init and coin
-// draws in the same order — so the per-site and bulk paths interleave
-// freely across rounds and engines.
-func (n *Network[P]) markBurstBulk(sel *txSelect, total int) {
-	d := &n.draw
-	if !d.inited {
-		d.inited = true
-		d.bad = d.initCoin.Draw(n.rnd)
-	}
-	idx := 0 // broadcaster sites consumed so far, ascending id order
-	for idx < total {
-		if d.remaining < 0 {
-			if d.bad {
-				d.remaining = d.badGeom.Draw(n.rnd)
-			} else {
-				d.remaining = d.goodGeom.Draw(n.rnd)
-			}
-		}
-		if !d.bad {
-			// Consume the good span in one step: no draws inside it.
-			k := d.remaining
-			if k > total-idx {
-				k = total - idx
-			}
-			idx += k
-			if d.remaining -= k; d.remaining == 0 {
-				d.bad = true
-				d.remaining = -1
-			}
-			continue
-		}
-		for idx < total {
-			if d.badCoin.Draw(n.rnd) {
-				v := sel.locate(idx)
-				n.senderNoise[v] = true
-				n.stats.SenderFaults++
-				n.noisySites = append(n.noisySites, int32(v))
-			}
-			idx++
-			if d.remaining--; d.remaining == 0 {
-				d.bad = false
-				d.remaining = -1
-				break
-			}
-		}
-	}
-}
-
 // resolveUnique handles listener u whose unique transmitting neighbour is
 // from: the canonical receiver-fault draw, delivery accounting, tracing,
 // the rx bit and the delivery callback. Only the dense engine resolves a
@@ -1099,7 +993,7 @@ func (n *Network[P]) markBurstBulk(sel *txSelect, total int) {
 // holds the other engines' word walks (resolveWord) to an independent
 // per-site reference.
 func (n *Network[P]) resolveUnique(u, from int32, payload []P, rx *bitset.Set, deliver func(d Delivery[P])) {
-	if n.cfg.Fault == SenderFaults && n.senderNoise[from] {
+	if n.cfg.Fault == SenderFaults && n.faultyTx[from>>6]&(1<<(from&63)) != 0 {
 		return // content destroyed at the sender
 	}
 	if n.cfg.Fault == ReceiverFaults && n.draw.site(u, n.rnd) {
@@ -1304,10 +1198,17 @@ func (n *Network[P]) stepSetDense(tx *bitset.Set, payload []P, rx *bitset.Set, d
 		return // silent round: no transmissions, no receptions, no draws
 	}
 
-	// Mark transmissions and decide sender faults in ascending id order,
-	// straight off the tx words (bulk-marked when no per-site walk is
-	// required — see markBroadcasters).
-	n.markBroadcasters(txw, txLo, txHi)
+	// Mark transmissions and decide sender faults a tx word at a time, in
+	// ascending id order, keeping each word's faulty broadcasters for
+	// resolveUnique.
+	for wi := txLo; wi < txHi; wi++ {
+		if w := txw[wi]; w != 0 {
+			faulty := n.markWord(wi, w)
+			if n.faultyTx != nil {
+				n.faultyTx[wi] = faulty
+			}
+		}
+	}
 
 	// Resolve receptions in ascending receiver id order, counting
 	// transmitting neighbours word-wise over the window overlap with an
@@ -1371,20 +1272,26 @@ func (n *Network[P]) stepSetImplicit(tx *bitset.Set, payload []P, rx *bitset.Set
 	if txLo == txHi {
 		return // silent round: no transmissions, no receptions, no draws
 	}
-	n.markBroadcasters(txw, txLo, txHi)
+	// Mark transmissions and decide sender faults a tx word at a time. A
+	// lone broadcaster is sender-faulty exactly when some word's faults
+	// are nonzero, so the OR of the words' faults is all the round keeps.
 	total := 0
+	var faulty uint64
 	for wi := txLo; wi < txHi; wi++ {
-		total += bits.OnesCount64(txw[wi])
+		if w := txw[wi]; w != 0 {
+			total += bits.OnesCount64(w)
+			faulty |= n.markWord(wi, w)
+		}
 	}
 	nn := n.g.N()
 	if total > 1 {
 		n.stats.Collisions += int64(nn - total)
 		return
 	}
-	a := txLo*64 + bits.TrailingZeros64(txw[txLo])
-	if n.cfg.Fault == SenderFaults && n.senderNoise[a] {
+	if faulty != 0 {
 		return // content destroyed at the sender, for every listener at once
 	}
+	a := txLo*64 + bits.TrailingZeros64(txw[txLo])
 	var rxw []uint64
 	if rx != nil {
 		rxw = rx.Words()
@@ -1403,28 +1310,9 @@ func (n *Network[P]) stepSetImplicit(tx *bitset.Set, payload []P, rx *bitset.Set
 	}
 }
 
-// finishRound clears the sender-fault flags set this round — off the
-// recorded fault sites (O(faults)) when a bulk-capable contract is
-// active, off the tx words (O(broadcasters)) otherwise; only the dense
-// and implicit engines under the sender model keep any — closes the draw
-// contract's round boundary, and flushes the trace.
-func (n *Network[P]) finishRound(tx *bitset.Set) {
-	if n.senderNoise != nil {
-		if n.draw.bulk() {
-			for _, v := range n.noisySites {
-				n.senderNoise[v] = false
-			}
-			n.noisySites = n.noisySites[:0]
-		} else {
-			txw := tx.Words()
-			lo, hi := tx.NonzeroRange()
-			for wi := lo; wi < hi; wi++ {
-				for w := txw[wi]; w != 0; w &= w - 1 {
-					n.senderNoise[wi*64+bits.TrailingZeros64(w)] = false
-				}
-			}
-		}
-	}
+// finishRound closes the draw contract's round boundary and flushes the
+// trace.
+func (n *Network[P]) finishRound() {
 	n.draw.endRound()
 	if n.trace != nil {
 		n.trace(n.stats.Rounds-1, n.traceTx, n.traceRx)

@@ -138,8 +138,8 @@ func TestSilentRoundDeliversNothing(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("deliveries = %v, want none", got)
 	}
-	if net.Round() != 1 {
-		t.Fatalf("Round = %d", net.Round())
+	if r := net.Stats().Rounds; r != 1 {
+		t.Fatalf("Rounds = %d", r)
 	}
 }
 

@@ -166,8 +166,8 @@ func TestStepSetSilentRoundCountsRound(t *testing.T) {
 			})
 			n := top.G.N()
 			net.StepSet(bitset.New(n), make([]int32, n), nil, nil)
-			if net.Round() != 1 || traced != 1 {
-				t.Fatalf("silent round: Round()=%d traced=%d, want 1/1", net.Round(), traced)
+			if r := net.Stats().Rounds; r != 1 || traced != 1 {
+				t.Fatalf("silent round: Rounds=%d traced=%d, want 1/1", r, traced)
 			}
 		})
 	}
