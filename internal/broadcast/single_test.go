@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -228,6 +229,44 @@ func TestWaveTraversalValidation(t *testing.T) {
 	got, err := WaveTraversalRounds(0, 6, 0.5, r)
 	if err != nil || got != 0 {
 		t.Fatalf("empty path: rounds=%d err=%v", got, err)
+	}
+}
+
+// TestWaveRoundsRejectNaN: NaN fails every comparison, so a range check
+// written as p < 0 || p >= 1 lets it through; both wave processes must
+// refuse it, as they refuse p = 1.
+func TestWaveRoundsRejectNaN(t *testing.T) {
+	nan := math.NaN()
+	if got, err := WaveTraversalRounds(10, 6, nan, rng.New(1)); err == nil {
+		t.Errorf("WaveTraversalRounds accepted p=NaN and returned %d rounds", got)
+	}
+	if got, err := RepetitionWaveRounds(10, 6, 2, nan, rng.New(1)); err == nil {
+		t.Errorf("RepetitionWaveRounds accepted p=NaN and returned %d rounds", got)
+	}
+}
+
+// TestWaveTraversalMatchesPerEdgeDraws pins WaveTraversalRounds' one
+// sampler to the per-edge r.Geometric(1-p) loop it replaced: equal rounds
+// and an equal final stream position, p = 0 (no draws) and the tabled
+// p = ½ included.
+func TestWaveTraversalMatchesPerEdgeDraws(t *testing.T) {
+	const pathLen, period = 300, 7
+	for _, p := range []float64{0, 0.1, 0.5, 0.9} {
+		got, want := rng.New(0x77), rng.New(0x77)
+		rounds, err := WaveTraversalRounds(pathLen, period, p, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRounds := 0
+		for x := 0; x < pathLen; x++ {
+			wantRounds += (want.Geometric(1-p)-1)*period + 1
+		}
+		if rounds != wantRounds {
+			t.Errorf("p=%v: %d rounds, per-edge draws give %d", p, rounds, wantRounds)
+		}
+		if *got != *want {
+			t.Errorf("p=%v: stream left at a different position than the per-edge draws leave it", p)
+		}
 	}
 }
 

@@ -27,14 +27,17 @@ func WaveTraversalRounds(pathLen, period int, p float64, r *rng.Stream) (int, er
 	if period < 1 {
 		return 0, fmt.Errorf("broadcast: wave period %d < 1", period)
 	}
-	if p < 0 || p >= 1 {
+	if !(p >= 0) || p >= 1 { // NaN fails every comparison
 		return 0, fmt.Errorf("broadcast: fault probability %v outside [0,1)", p)
 	}
+	// One sampler for every edge, the same draws as r.Geometric(1-p)
+	// per edge without its log1p per call.
+	cross := rng.NewGeometric(1 - p)
 	rounds := 0
 	for x := 0; x < pathLen; x++ {
 		// Geometric number of attempts to cross this edge; each failed
 		// attempt costs a full period, the successful one costs one round.
-		attempts := r.Geometric(1 - p)
+		attempts := cross.Draw(r)
 		rounds += (attempts-1)*period + 1
 	}
 	return rounds, nil
@@ -65,7 +68,7 @@ func RepetitionWaveRounds(pathLen, period, repeat int, p float64, r *rng.Stream)
 	if period < 1 || repeat < 1 {
 		return 0, fmt.Errorf("broadcast: period %d and repeat %d must be >= 1", period, repeat)
 	}
-	if p < 0 || p >= 1 {
+	if !(p >= 0) || p >= 1 { // NaN fails every comparison
 		return 0, fmt.Errorf("broadcast: fault probability %v outside [0,1)", p)
 	}
 	// One coin, many draws: the integer-threshold sampler replaces the

@@ -159,6 +159,23 @@ func EngineMicrobench() []benchreport.Microbench {
 			})
 		}
 	}
+	// Decay's pick kernel: a "round" is one rng.Geometric.Positions call
+	// over 1,024 informed nodes, the draws that choose a Decay round's
+	// broadcasters. At p = ½ every draw reads the inverse-CDF table, at
+	// 2^-6 (the last tabled exponent) 37% pass its last cut and reach the
+	// log1p formula, and at 2^-7 every draw does.
+	const pickSites = 1024
+	pickStream := rng.New(0x6465636179)
+	var picks []int32
+	for _, e := range []int{1, 6, 7} {
+		skip := rng.NewGeometric(math.Ldexp(1, -e))
+		ns, allocs := timeRounds(func() { picks = skip.Positions(pickStream, pickSites, picks[:0]) })
+		out = append(out, benchreport.Microbench{
+			Name:           fmt.Sprintf("decaypick/p=2^-%d/n=%d", e, pickSites),
+			NsPerRound:     ns,
+			AllocsPerRound: allocs,
+		})
+	}
 	return out
 }
 

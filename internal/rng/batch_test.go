@@ -159,17 +159,21 @@ func BenchmarkBernoulliMask(b *testing.B) {
 var maskSink uint64
 
 // BenchmarkGeometricPositions times one Decay round's picks over 1024
-// informed nodes at a tabled p, at the first untabled one and off-table.
+// informed nodes and over 10⁵, the size of large-n's lists: at tabled
+// powers of two, among them 1/64, the one whose draws most often (37%)
+// pass the table's last cut, at the first untabled one and off-table.
 func BenchmarkGeometricPositions(b *testing.B) {
-	for _, p := range []float64{0.5, 0.125, 0x1p-7, 0.001} {
-		b.Run(fmt.Sprintf("p=%g", p), func(b *testing.B) {
-			r := New(1)
-			g := NewGeometric(p)
-			var dst []int32
-			for b.Loop() {
-				dst = g.Positions(r, 1024, dst[:0])
-			}
-			geometricSink = len(dst)
-		})
+	for _, n := range []int{1024, 100000} {
+		for _, p := range []float64{0.5, 0.125, 0x1p-6, 0x1p-7, 0.001} {
+			b.Run(fmt.Sprintf("n=%d/p=%g", n, p), func(b *testing.B) {
+				r := New(1)
+				g := NewGeometric(p)
+				var dst []int32
+				for b.Loop() {
+					dst = g.Positions(r, n, dst[:0])
+				}
+				geometricSink = len(dst)
+			})
+		}
 	}
 }

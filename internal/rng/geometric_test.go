@@ -180,7 +180,7 @@ func TestGeometricTableThresholds(t *testing.T) {
 	for e := 1; e <= len(geomTables); e++ {
 		p := math.Ldexp(1, -e)
 		g := NewGeometric(p)
-		if g.cut != &geomTables[e-1].cut || g.logq != math.Log1p(-p) {
+		if g.tab != &geomTables[e-1] || g.logq != math.Log1p(-p) {
 			t.Fatalf("NewGeometric(2^-%d) does not use its table", e)
 		}
 		check := func(j uint64) {
@@ -189,7 +189,7 @@ func TestGeometricTableThresholds(t *testing.T) {
 			}
 		}
 		prev := ^uint64(0)
-		for _, c := range g.cut {
+		for _, c := range g.tab.cut {
 			if c == prev {
 				continue
 			}
@@ -205,13 +205,65 @@ func TestGeometricTableThresholds(t *testing.T) {
 	}
 }
 
+// bucketEdges returns the first and the last j of guide bucket b.
+func bucketEdges(b int) (first, last uint64) {
+	first = uint64(b) << (53 - guideBits)
+	return first, first + 1<<(53-guideBits) - 1
+}
+
+// TestGeometricGuideTable checks every guide bucket of every table: its
+// entry is the formula's value at the bucket's first j (65, one past the
+// cuts, once that value passes 64), and lookup answers with the formula's
+// value at the bucket's first and last j, deferring to the formula
+// exactly at and past the last cut. Together with the windows of
+// TestGeometricTableThresholds this pins the count from a guide entry
+// where it starts and wherever it steps past a cut.
+func TestGeometricGuideTable(t *testing.T) {
+	for e := 1; e <= len(geomTables); e++ {
+		tab := &geomTables[e-1]
+		last := tab.cut[len(tab.cut)-1]
+		for b, k := range tab.guide {
+			first, end := bucketEdges(b)
+			if want := min(geometricInverse(first, tab.logq), len(tab.cut)+1); int(k) != want {
+				t.Fatalf("p=2^-%d bucket %d: guide %d, formula at its first j %d", e, b, k, want)
+			}
+			for _, j := range []uint64{first, end} {
+				got, ok := tab.lookup(j)
+				if ok != (j < last) {
+					t.Fatalf("p=2^-%d j=%d: lookup ok=%v, last cut %d", e, j, ok, last)
+				}
+				if want := geometricInverse(j, tab.logq); ok && got != want {
+					t.Fatalf("p=2^-%d bucket %d j=%d: lookup %d, formula %d", e, b, j, got, want)
+				}
+			}
+		}
+	}
+	// The empty table untabled p point at defers every j to the formula.
+	for _, j := range []uint64{0, 1 << 52, 1<<53 - 1} {
+		if k, ok := untabled.lookup(j); ok {
+			t.Fatalf("untabled lookup at j=%d answered %d", j, k)
+		}
+	}
+}
+
 // FuzzGeometricTable compares the tabled sampler with the formula at any
-// 53-bit j and any tabled exponent.
+// 53-bit j and any tabled exponent. The seeds hold each table's ends and
+// first and last cut, then both ends of the guide buckets holding its
+// first, middle and last cut, where lookup counts up past a cut. A fixed
+// number of bucket seeds keeps the seed list independent of guideBits;
+// TestGeometricGuideTable checks the ends of every bucket.
 func FuzzGeometricTable(f *testing.F) {
 	for i, t := range geomTables {
 		c := t.cut
 		for _, j := range []uint64{0, c[0] - 1, c[0], c[len(c)-1] - 1, 1<<53 - 1} {
 			f.Add(j, uint8(i))
+		}
+	}
+	for i, t := range geomTables {
+		for _, c := range []uint64{t.cut[0], t.cut[len(t.cut)/2], t.cut[len(t.cut)-1]} {
+			first, last := bucketEdges(int(min(c, 1<<53-1) >> (53 - guideBits)))
+			f.Add(first, uint8(i))
+			f.Add(last, uint8(i))
 		}
 	}
 	f.Fuzz(func(t *testing.T, j uint64, i uint8) {

@@ -261,9 +261,9 @@ func (r *Stream) Shuffle(n int, swap func(i, j int)) {
 // probability p: the number of Bernoulli(p) trials up to and including the
 // first success (support {1, 2, ...}). A sample past int's range, which
 // p below about 2^-58 makes possible, is math.MaxInt: no success within
-// any horizon. It panics if p is outside (0, 1].
+// any horizon. It panics if p is outside (0, 1], NaN included.
 func (r *Stream) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
+	if !(p > 0) || p > 1 {
 		panic("rng: Geometric with p outside (0,1]")
 	}
 	if p == 1 {
@@ -290,14 +290,37 @@ func geometricInverse(j uint64, logq float64) int {
 
 // geomTables holds, for p = 2^-e with 1 <= e <= len(geomTables), log1p(-p)
 // and the inverse CDF as thresholds on j: cut[i] is the smallest j whose
-// geometricInverse value exceeds i+1, or 2^53 (no j) when none does. init
-// fills the tables once, by bisection on geometricInverse itself, and
-// nothing writes them afterwards. Decay's broadcast probabilities are
-// powers of two, and half of its skip draws are at p = ½. The bound on e
-// is where counting about 2^e thresholds per draw stops beating one log1p.
-var geomTables [6]struct {
-	logq float64
-	cut  [64]uint64
+// geometricInverse value exceeds i+1, or 2^53 (no j) when none does. A
+// guide table (Chen & Asau's indexed search) starts the count near its
+// answer: guide[b] is the inverse CDF at the first j of bucket b, the
+// bucket holding the j that share their top guideBits bits, or 65 where
+// that value passes 64. init fills the cuts once, by bisection on
+// geometricInverse itself, and the guides from the cuts; nothing writes
+// them afterwards.
+//
+// Decay's broadcast probabilities are powers of two, and half of its skip
+// draws are at p = ½. A draw below the last cut costs one guide load and,
+// almost always, one cut compare, whatever e and the table's length, so
+// per-draw cost no longer bounds either. Coverage and start-up do: 64
+// cuts answer every draw at p = ½ and ¼, 98% at 2^-4 and 63% at 2^-6,
+// where a 2^-7 table would answer only 40%; and init bisects for 0.6 ms
+// for these six tables, against about 12 ms for tables up to e = 10 with
+// up to 4,096 cuts (2-vCPU VM).
+var geomTables [6]geomTable
+
+// untabled is the empty table every untabled p points at: its guide
+// entries are 0, so lookup defers every j to the formula.
+var untabled geomTable
+
+// guideBits is log2 of a guide's bucket count. Only buckets in the top
+// 0.5% of the j range hold more than one cut, and only for e <= 3, so
+// lookup steps past a cut in at most 5.3% of a table's draws (at 2^-6).
+const guideBits = 10
+
+type geomTable struct {
+	logq  float64
+	cut   [64]uint64
+	guide [1 << guideBits]uint8
 }
 
 func init() {
@@ -318,31 +341,56 @@ func init() {
 			}
 			t.cut[i] = lo
 		}
+		// guide[b] = 1 + #{i : cut[i] <= b's first j}, at most 65.
+		k := 1
+		for b := range t.guide {
+			for k <= len(t.cut) && t.cut[k-1] <= uint64(b)<<(53-guideBits) {
+				k++
+			}
+			t.guide[b] = uint8(k)
+		}
 	}
+}
+
+// lookup is the inverse CDF at the 53-bit integer j read off t: 1 +
+// #{i : cut[i] <= j}, counted up from j's guide entry. It reports false
+// where the formula must answer: at or past the last cut, and at every j
+// in untabled. It is small enough to inline, so Positions' walk keeps
+// its generator state in registers on the table path; untabled spares
+// the walk a nil check, whose branch to the formula would be laid out
+// ahead of the table path and have the compiler spill the state there.
+func (t *geomTable) lookup(j uint64) (int, bool) {
+	// c counts the cuts at or below j; a guide entry of 0 wraps it past
+	// the table.
+	c := uint(t.guide[j>>(53-guideBits)]) - 1
+	for c < uint(len(t.cut)) && t.cut[c] <= j {
+		c++
+	}
+	return int(c) + 1, c < uint(len(t.cut))
 }
 
 // Geometric is a fixed-probability skip sampler with the denominator
 // hoisted out of the draw: it stores log1p(-p) once, so a Draw costs one
 // Uint64 plus one log1p and one divide instead of recomputing log1p(-p).
 // For p = 2^-e with e <= 6 neither NewGeometric nor a Draw whose sample
-// is at most 64 computes a log1p: the Draw counts the thresholds of a
-// precomputed table (see geomTables) that its 53-bit integer has reached.
-// The table is a faster evaluation of the same inverse CDF, not a new
-// one, and the formula answers past its end.
+// is at most 64 computes a log1p: the Draw reads the sample off a
+// precomputed table (see geomTables) with one indexed load and a compare
+// or two. The table is a faster evaluation of the same inverse CDF, not a
+// new one, and the formula answers past its end.
 //
 // Draw is bit-identical to Stream.Geometric(p) — same values, same stream
 // positions — because the stored denominator is the exact float the method
 // would compute and the division is performed identically (a precomputed
 // reciprocal would round differently). The package tests verify this over
 // a dense probability grid, and the tables against the formula at every j
-// near each threshold.
+// near each threshold and at both ends of every guide bucket.
 //
 // The zero value is a never-succeeding sampler: Draw returns math.MaxInt
 // ("the next success is beyond any horizon") and consumes no randomness.
 type Geometric struct {
-	logq float64     // log1p(-p) for p in (0,1); 0 doubles as the zero-value sentinel
-	cut  *[64]uint64 // the thresholds for p = 2^-e when tabled, else nil
-	one  bool        // p == 1: every trial succeeds, no randomness needed
+	logq float64    // log1p(-p) for p in (0,1); 0 doubles as the zero-value sentinel
+	tab  *geomTable // p's table when p = 2^-e is tabled, else untabled (nil in the zero value)
+	one  bool       // p == 1: every trial succeeds, no randomness needed
 }
 
 // NewGeometric returns a sampler whose Draw is exactly Stream.Geometric(p).
@@ -357,11 +405,11 @@ func NewGeometric(p float64) Geometric {
 	}
 	if frac, exp := math.Frexp(p); frac == 0.5 && -exp < len(geomTables) {
 		t := &geomTables[-exp] // p = 2^(exp-1)
-		return Geometric{logq: t.logq, cut: &t.cut}
+		return Geometric{logq: t.logq, tab: t}
 	}
 	// log1p(-p) < 0 for every p in (0,1), down to the smallest subnormal,
 	// so 0 is unreachable and safely marks the zero value.
-	return Geometric{logq: math.Log1p(-p)}
+	return Geometric{logq: math.Log1p(-p), tab: &untabled}
 }
 
 // Draw returns a geometric sample (support {1, 2, ...}), consuming exactly
@@ -374,27 +422,9 @@ func (g Geometric) Draw(r *Stream) int {
 	if g.logq == 0 {
 		return math.MaxInt
 	}
-	return g.sample(r.Uint64() >> 11)
-}
-
-// sample is the inverse CDF at the 53-bit integer j: the table's count
-// where p is tabled and j lies below its last cut, the formula otherwise.
-func (g Geometric) sample(j uint64) int {
-	if g.cut != nil {
-		// 1 + #{i : cut[i] <= j} while j is below the last cut, found by
-		// blocks of 8: one branch picks the block, whose other 7 cuts are
-		// counted without a data-dependent branch.
-		for b := 0; b < len(g.cut); b += 8 {
-			if j < g.cut[b+7] {
-				k := b + 1
-				for _, c := range g.cut[b : b+7] {
-					if c <= j {
-						k++
-					}
-				}
-				return k
-			}
-		}
+	j := r.Uint64() >> 11
+	if k, ok := g.tab.lookup(j); ok {
+		return k
 	}
 	return geometricInverse(j, g.logq)
 }
@@ -426,10 +456,16 @@ func (g Geometric) Positions(r *Stream, n int, dst []int32) []int32 {
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	for pos := -1; ; {
 		j := rotl(s1*5, 7) * 9 >> 11
+		k, ok := g.tab.lookup(j)
+		if !ok {
+			k = geometricInverse(j, g.logq)
+		}
+		// Stepping the state after the lookup, not before it, keeps the
+		// state in registers on the table path: only the formula call
+		// and append's growth spill it.
 		s0, s1, s2, s3 = next(s0, s1, s2, s3)
 		// Compare before adding: a gap of math.MaxInt, the formula's
 		// "no success in range", must not wrap pos.
-		k := g.sample(j)
 		if k > n-1-pos {
 			break
 		}

@@ -216,13 +216,20 @@ func TestGeometricOne(t *testing.T) {
 	}
 }
 
+// TestGeometricPanics: p outside (0, 1] panics, NaN and both infinities
+// included. NaN fails every comparison, so the check must refuse any p
+// for which p > 0 does not hold.
 func TestGeometricPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Geometric(0) did not panic")
-		}
-	}()
-	New(1).Geometric(0)
+	for _, p := range []float64{0, -0.5, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Geometric(%v) did not panic", p)
+				}
+			}()
+			New(1).Geometric(p)
+		}()
+	}
 }
 
 func TestSampleK(t *testing.T) {
